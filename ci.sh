@@ -65,10 +65,12 @@ echo "trace-export smoke: ok"
 ./target/release/bench_transport --quick
 echo "bench_transport smoke: ok"
 
-# Parallel-engine smoke: bench_sim --quick proves a cluster scenario with
-# a fault storm bit-identical between serial and 8-worker parallel
-# execution, then requires the parallel engine to at least match the
-# serial engine's events/sec on the 100k-flow cell. Never rewrites
+# Engine smoke: bench_sim --quick proves a cluster scenario with a fault
+# storm bit-identical between serial and 8-worker parallel execution,
+# requires the parallel engine to at least match the serial engine's
+# events/sec on the 100k-flow cell, requires the serial engine at 25k
+# flows to hold at least half its 512-flow events/sec, and bounds the
+# flight recorder's cost per completed flow. Never rewrites
 # results/BENCH_sim.json (full runs do that).
 ./target/release/bench_sim --quick
 echo "bench_sim smoke: ok"

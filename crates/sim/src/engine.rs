@@ -17,8 +17,17 @@
 //!
 //! A transfer is a *flow*: a byte count draining over a route of directed
 //! links at the max-min fair rate (see [`crate::fairness`]). Rates are
-//! recomputed whenever the set of active flows changes; in-flight
-//! completion events are invalidated by a per-flow generation counter.
+//! recomputed whenever the set of active flows changes.
+//!
+//! # Event queues
+//!
+//! Live flows sit in a free-list slab, addressed by slot internally;
+//! [`FlowId`] is the sequential outward-facing id and the canonical sort
+//! key. Timers and activations wait in a binary heap. Completions wait in
+//! an *indexed* heap with exactly one entry per draining flow: a rate
+//! change re-keys it in place, a stall removes it, so no superseded entry
+//! is ever left behind. The next event is the smaller `(time, seq)` of
+//! the two heap tops; pushes and re-keys draw `seq` from one counter.
 //!
 //! # Callbacks
 //!
@@ -36,7 +45,8 @@ use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// Deterministic latency noise: every flow's startup latency is scaled
@@ -192,9 +202,10 @@ pub struct StatsSnapshot {
     pub flows_completed: u64,
     /// Events processed so far.
     pub events_processed: u64,
-    /// Events ever pushed onto the queue (processed, pending, or
-    /// superseded). The gap to `events_processed` measures completion
-    /// reschedule churn from rate changes.
+    /// Schedule operations: pushes and in-place re-keys. The gap to
+    /// `events_processed` is still completion reschedule churn from rate
+    /// changes, but no longer queue occupancy — a re-key replaces the
+    /// flow's one queued completion instead of adding another.
     pub events_scheduled: u64,
     /// Fault events fired by an installed fault plan (see
     /// [`crate::fault`]).
@@ -242,13 +253,15 @@ impl StatsSnapshot {
 }
 
 struct FlowState {
+    id: FlowId,
     route: Vec<LinkId>,
     demand: FlowDemand,
+    /// Where this flow sits in `State::link_flows[l]` for each entry of
+    /// `demand.links`; empty until the flow joins the fabric.
+    link_pos: Vec<u32>,
     remaining: f64,
     rate: f64,
     last_update: SimTime,
-    generation: u64,
-    active: bool,
     /// True while a down link on the route holds the flow at rate zero.
     stalled: bool,
     /// Visit stamp for connected-component discovery (`State::comp_epoch`).
@@ -262,8 +275,8 @@ struct FlowState {
 
 enum Event {
     Timer(OnComplete),
-    FlowActivate(FlowId),
-    FlowComplete(FlowId, u64),
+    /// Activation of the flow in this slab slot.
+    FlowActivate(u32),
 }
 
 struct QueuedEvent {
@@ -289,14 +302,159 @@ impl Ord for QueuedEvent {
     }
 }
 
+/// Free-list slab: a value keeps its `u32` slot until removed, and freed
+/// slots are reused before the table grows, so capacity tracks the peak
+/// number of live values, not the number ever inserted.
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                self.slots.push(Some(value));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    fn remove(&mut self, slot: u32) -> T {
+        let value = self.slots[slot as usize].take().expect("free slot");
+        self.free.push(slot);
+        value
+    }
+}
+
+impl<T> Index<u32> for Slab<T> {
+    type Output = T;
+    fn index(&self, slot: u32) -> &T {
+        self.slots[slot as usize].as_ref().expect("free slot")
+    }
+}
+
+impl<T> IndexMut<u32> for Slab<T> {
+    fn index_mut(&mut self, slot: u32) -> &mut T {
+        self.slots[slot as usize].as_mut().expect("free slot")
+    }
+}
+
+/// A flow's queued completion; `key` is `(at, seq)`.
+#[derive(Clone, Copy)]
+struct Completion {
+    key: (SimTime, u64),
+    slot: u32,
+}
+
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// Indexed binary min-heap of flow completions, ordered by `(at, seq)`:
+/// at most one entry per slab slot, moved in place when its key changes.
+/// `pos` is the back-pointer table, slot → heap index. Like the slab it
+/// is indexed by, it grows to the peak number of live flows and no
+/// further.
+#[derive(Default)]
+struct CompletionQueue {
+    heap: Vec<Completion>,
+    pos: Vec<u32>,
+}
+
+impl CompletionQueue {
+    fn peek(&self) -> Option<&Completion> {
+        self.heap.first()
+    }
+
+    /// Queues `slot` at `(at, seq)`, replacing its entry if it has one.
+    fn set(&mut self, slot: u32, at: SimTime, seq: u64) {
+        if slot as usize >= self.pos.len() {
+            self.pos.resize(slot as usize + 1, NOT_QUEUED);
+        }
+        let key = (at, seq);
+        let entry = Completion { key, slot };
+        let i = match self.pos[slot as usize] {
+            NOT_QUEUED => {
+                self.heap.push(entry);
+                self.heap.len() - 1
+            }
+            i => {
+                self.heap[i as usize] = entry;
+                i as usize
+            }
+        };
+        self.sift(i);
+    }
+
+    /// Drops `slot`'s entry, if any.
+    fn remove(&mut self, slot: u32) {
+        let i = match self.pos.get(slot as usize) {
+            Some(&i) if i != NOT_QUEUED => i as usize,
+            _ => return,
+        };
+        self.pos[slot as usize] = NOT_QUEUED;
+        let last = self.heap.pop().expect("queued slot in an empty heap");
+        if i < self.heap.len() {
+            self.heap[i] = last;
+            self.sift(i);
+        }
+    }
+
+    /// Restores heap order for the entry at index `i`, whichever way it
+    /// has to move, and records the final position of everything moved.
+    fn sift(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].key <= entry.key {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.heap[child + 1].key < self.heap[child].key {
+                child += 1;
+            }
+            if entry.key <= self.heap[child].key {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, entry);
+    }
+
+    fn place(&mut self, i: usize, entry: Completion) {
+        self.heap[i] = entry;
+        self.pos[entry.slot as usize] = i as u32;
+    }
+}
+
 struct State {
     now: SimTime,
+    /// Schedule operations so far; the tie-break for equal times, drawn
+    /// by timer/activation pushes and completion re-keys alike.
     seq: u64,
     /// Current link capacities (bytes/s); starts from the topology and
     /// may be degraded at runtime.
     capacities: Vec<f64>,
+    /// Timers and flow activations.
     queue: BinaryHeap<Reverse<QueuedEvent>>,
-    flows: HashMap<FlowId, FlowState>,
+    /// One entry per flow currently draining at a positive rate.
+    completions: CompletionQueue,
+    flows: Slab<FlowState>,
     next_flow: u64,
     registered: usize,
     blocked: usize,
@@ -307,16 +465,18 @@ struct State {
     events_processed: u64,
     trace: Option<Vec<TraceRecord>>,
     jitter: Option<(JitterModel, StdRng)>,
-    /// Active flows per link (by link index); maintained on activation
-    /// and completion, and the adjacency for component discovery.
-    link_flows: Vec<Vec<FlowId>>,
+    /// Active flows per link (by link index) as `(slot, index into the
+    /// flow's demand.links)`; maintained on activation and completion,
+    /// and the adjacency for component discovery.
+    link_flows: Vec<Vec<(u32, u32)>>,
     /// Persistent allocator scratch: recomputation allocates nothing in
     /// steady state.
     fair: FairShareScratch,
     /// Component scratch: links found (doubles as the BFS worklist).
     comp_links: Vec<usize>,
-    /// Component scratch: member flows, sorted for canonical float order.
-    comp_flows: Vec<FlowId>,
+    /// Component scratch: member flows with their slots, sorted by id
+    /// for canonical float order.
+    comp_flows: Vec<(FlowId, u32)>,
     /// Link visit stamps for component discovery.
     link_mark: Vec<u64>,
     comp_epoch: u64,
@@ -325,7 +485,7 @@ struct State {
     /// Component members that are *not* stalled — the allocator's actual
     /// input (stalled flows must never reach it: their down links carry a
     /// zero capacity the fair-share code rejects).
-    comp_live: Vec<FlowId>,
+    comp_live: Vec<u32>,
     /// Per-link down flags (capacity forced to zero).
     down: Vec<bool>,
     /// Capacity stashed when a link went down, restored on recovery.
@@ -478,7 +638,11 @@ impl Engine {
                     seq: 0,
                     capacities,
                     queue: BinaryHeap::new(),
-                    flows: HashMap::new(),
+                    completions: CompletionQueue::default(),
+                    flows: Slab {
+                        slots: Vec::new(),
+                        free: Vec::new(),
+                    },
                     next_flow: 0,
                     registered: 0,
                     blocked: 0,
@@ -721,9 +885,8 @@ impl Engine {
         );
         let before = st.events_processed;
         loop {
-            let next = st.queue.peek().map(|Reverse(qe)| qe.at);
-            match next {
-                Some(at) if at <= deadline => {
+            match next_event_key(&st) {
+                Some((at, _, _)) if at <= deadline => {
                     if !process_next_event(&mut st, &self.shared.topo) {
                         break;
                     }
@@ -914,10 +1077,25 @@ fn lane_of(label: &str) -> String {
     parts.join(".")
 }
 
-fn push_event(st: &mut State, at: SimTime, ev: Event) {
+fn next_seq(st: &mut State) -> u64 {
     let seq = st.seq;
     st.seq += 1;
+    seq
+}
+
+fn push_event(st: &mut State, at: SimTime, ev: Event) {
+    let seq = next_seq(st);
     st.queue.push(Reverse(QueuedEvent { at, seq, ev }));
+}
+
+/// `(at, seq, is a completion)` of the earliest queued event.
+fn next_event_key(st: &State) -> Option<(SimTime, u64, bool)> {
+    let timer = st.queue.peek().map(|Reverse(qe)| (qe.at, qe.seq, false));
+    let done = st.completions.peek().map(|c| (c.key.0, c.key.1, true));
+    match (timer, done) {
+        (Some(t), Some(d)) => Some(t.min(d)),
+        (t, d) => t.or(d),
+    }
 }
 
 fn fire_waker(st: &mut State, w: &Waker) {
@@ -1012,35 +1190,29 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
     let id = FlowId(st.next_flow);
     st.next_flow += 1;
     st.flows_issued += 1;
-    let demand = FlowDemand::from_route_weighted(
-        &spec.route.iter().map(|l| l.index()).collect::<Vec<_>>(),
-        spec.weight,
-    );
+    let demand = FlowDemand::from_links(spec.route.iter().map(|l| l.index()), spec.weight);
     for &(l, _) in &demand.links {
         st.link_stats[l].flows += 1;
     }
     let now = st.now;
-    st.flows.insert(
+    let slot = st.flows.insert(FlowState {
         id,
-        FlowState {
-            route: spec.route,
-            demand,
-            remaining: spec.bytes as f64,
-            rate: 0.0,
-            last_update: now,
-            generation: 0,
-            active: false,
-            stalled: false,
-            comp_mark: 0,
-            done,
-            bytes: spec.bytes,
-            issued: now,
-            activated: SimTime::NEVER,
-            label: spec.label,
-        },
-    );
+        route: spec.route,
+        demand,
+        link_pos: Vec::new(),
+        remaining: spec.bytes as f64,
+        rate: 0.0,
+        last_update: now,
+        stalled: false,
+        comp_mark: 0,
+        done,
+        bytes: spec.bytes,
+        issued: now,
+        activated: SimTime::NEVER,
+        label: spec.label,
+    });
     let at = now.after(latency);
-    push_event(st, at, Event::FlowActivate(id));
+    push_event(st, at, Event::FlowActivate(slot));
     id
 }
 
@@ -1052,10 +1224,9 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
 /// keeps accruing linearly at the unchanged rate. Within the component,
 /// progress is drained to `st.now` first, then rates are recomputed with
 /// the persistent [`FairShareScratch`] (no allocation in steady state).
-/// Only flows whose rate *actually changed* get a generation bump and a
-/// fresh completion event; a flow whose fair share came out identical
-/// keeps its already-queued event, so steady traffic does not churn the
-/// queue.
+/// Only flows whose rate *actually changed* have their completion
+/// re-keyed; a flow whose fair share came out identical keeps its queued
+/// entry, so steady traffic does not churn the queue.
 fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     st.comp_epoch += 1;
     let epoch = st.comp_epoch;
@@ -1074,13 +1245,13 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         let l = st.comp_links[cursor];
         cursor += 1;
         for i in 0..st.link_flows[l].len() {
-            let id = st.link_flows[l][i];
-            let fs = st.flows.get_mut(&id).expect("link lists a missing flow");
+            let slot = st.link_flows[l][i].0;
+            let fs = &mut st.flows[slot];
             if fs.comp_mark == epoch {
                 continue;
             }
             fs.comp_mark = epoch;
-            st.comp_flows.push(id);
+            st.comp_flows.push((fs.id, slot));
             for &(l2, _) in &fs.demand.links {
                 if st.link_mark[l2] != epoch {
                     st.link_mark[l2] = epoch;
@@ -1092,15 +1263,15 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     if st.comp_flows.is_empty() {
         return;
     }
-    // Canonical flow order, so float accumulation is reproducible no
-    // matter how the component was discovered.
+    // Canonical flow order (by id, never by slot), so float accumulation
+    // is reproducible no matter how the component was discovered or
+    // which slots its flows happened to land in.
     st.comp_flows.sort_unstable();
 
     let now = st.now;
     // 1. Drain elapsed progress for component members.
     for i in 0..st.comp_flows.len() {
-        let id = st.comp_flows[i];
-        let fs = st.flows.get_mut(&id).expect("flow disappeared");
+        let fs = &mut st.flows[st.comp_flows[i].1];
         let dt = now.secs_since(fs.last_update);
         if dt > 0.0 && fs.rate > 0.0 {
             let drained = (fs.rate * dt).min(fs.remaining);
@@ -1112,40 +1283,25 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         fs.last_update = now;
     }
     // 2. Partition out stalled flows. A flow crossing any down link is
-    // parked at rate zero (its queued completion event is invalidated by
-    // the generation bump) and excluded from the allocator, which must
-    // only ever see live links with positive capacity. With no link down
-    // this is a straight memcpy of the component.
-    {
-        let State {
-            flows,
-            comp_flows,
-            comp_live,
-            down,
-            flows_stalled,
-            any_down,
-            ..
-        } = st;
-        comp_live.clear();
-        if *any_down {
-            for &id in comp_flows.iter() {
-                let fs = flows.get_mut(&id).expect("flow disappeared");
-                if fs.demand.links.iter().any(|&(l, _)| down[l]) {
-                    if !fs.stalled {
-                        fs.stalled = true;
-                        *flows_stalled += 1;
-                    }
-                    if fs.rate != 0.0 {
-                        fs.rate = 0.0;
-                        fs.generation += 1;
-                    }
-                } else {
-                    fs.stalled = false;
-                    comp_live.push(id);
-                }
+    // parked at rate zero (its queued completion is withdrawn) and
+    // excluded from the allocator, which must only ever see live links
+    // with positive capacity.
+    st.comp_live.clear();
+    for i in 0..st.comp_flows.len() {
+        let slot = st.comp_flows[i].1;
+        let fs = &mut st.flows[slot];
+        if st.any_down && fs.demand.links.iter().any(|&(l, _)| st.down[l]) {
+            if !fs.stalled {
+                fs.stalled = true;
+                st.flows_stalled += 1;
+            }
+            if fs.rate != 0.0 {
+                fs.rate = 0.0;
+                st.completions.remove(slot);
             }
         } else {
-            comp_live.extend_from_slice(comp_flows);
+            fs.stalled = false;
+            st.comp_live.push(slot);
         }
     }
     // 3. Fair-share rates for the live members, straight out of the
@@ -1162,37 +1318,39 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         fair.compute_with(
             capacities,
             comp_live.len(),
-            |i| &flows[&comp_live[i]].demand,
+            |i| &flows[comp_live[i]].demand,
             rates_scratch,
         );
     }
-    // 4. Apply; reschedule only where the rate moved.
+    // 4. Apply; re-key only where the rate moved.
     for i in 0..st.comp_live.len() {
-        let id = st.comp_live[i];
+        let slot = st.comp_live[i];
         let rate = st.rates_scratch[i];
-        let fs = st.flows.get_mut(&id).expect("flow disappeared");
+        let fs = &mut st.flows[slot];
         if rate == fs.rate {
-            continue; // queued completion event is still exact
+            continue; // queued completion is still exact
         }
         fs.rate = rate;
-        fs.generation += 1;
-        let gen = fs.generation;
         let eta = if fs.remaining <= 0.0 {
             0.0
         } else {
             fs.remaining / rate
         };
-        push_event(st, now.after(eta), Event::FlowComplete(id, gen));
+        let seq = next_seq(st);
+        st.completions.set(slot, now.after(eta), seq);
     }
 }
 
-fn complete_flow(st: &mut State, topo: &Topology, id: FlowId) {
-    let mut fs = st.flows.remove(&id).expect("completing unknown flow");
-    // Leave the fabric. Zero-byte flows complete without ever having
-    // registered on their links, so absence is tolerated.
-    for &(l, _) in &fs.demand.links {
-        if let Some(pos) = st.link_flows[l].iter().position(|&f| f == id) {
-            st.link_flows[l].swap_remove(pos);
+fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
+    let mut fs = st.flows.remove(slot);
+    let id = fs.id;
+    // Leave the fabric: swap-remove each link entry and repoint whichever
+    // flow was moved into the hole. Zero-byte flows complete without ever
+    // having registered on their links (`link_pos` is empty).
+    for (&(l, _), &pos) in fs.demand.links.iter().zip(&fs.link_pos) {
+        st.link_flows[l].swap_remove(pos as usize);
+        if let Some(&(moved, k)) = st.link_flows[l].get(pos as usize) {
+            st.flows[moved].link_pos[k as usize] = pos;
         }
     }
     // Account the final drain exactly: whatever was left is delivered now.
@@ -1251,50 +1409,42 @@ fn complete_flow(st: &mut State, topo: &Topology, id: FlowId) {
     recompute_component(st, fs.demand.links.iter().map(|&(l, _)| l));
 }
 
-/// Pops and handles the earliest event. Returns `false` on an empty queue.
+/// Handles the earliest event of the two queues. Returns `false` when
+/// both are empty.
 fn process_next_event(st: &mut State, topo: &Topology) -> bool {
-    let Some(Reverse(qe)) = st.queue.pop() else {
+    let Some((at, _, is_completion)) = next_event_key(st) else {
         return false;
     };
-    // Stale completion events (superseded by a rate change) are dropped
-    // *without advancing the clock*: they are pure bookkeeping debris and
-    // must not stretch the simulation's end time.
-    if let Event::FlowComplete(id, gen) = qe.ev {
-        let stale = st
-            .flows
-            .get(&id)
-            .is_none_or(|f| f.generation != gen || !f.active);
-        if stale {
-            return true;
-        }
-    }
-    debug_assert!(qe.at >= st.now, "event in the past: {} < {}", qe.at, st.now);
-    st.now = qe.at.max(st.now);
+    debug_assert!(at >= st.now, "event in the past: {} < {}", at, st.now);
+    st.now = at.max(st.now);
     st.events_processed += 1;
+    if is_completion {
+        let slot = st.completions.peek().expect("peeked above").slot;
+        st.completions.remove(slot);
+        complete_flow(st, topo, slot);
+        return true;
+    }
+    let Reverse(qe) = st.queue.pop().expect("peeked above");
     match qe.ev {
         Event::Timer(done) => run_on_complete(st, topo, done),
-        Event::FlowActivate(id) => {
-            let Some(fs) = st.flows.get_mut(&id) else {
-                return true; // flow already gone (zero-byte fast path)
-            };
-            fs.active = true;
+        Event::FlowActivate(slot) => {
+            let fs = &mut st.flows[slot];
             fs.activated = st.now;
             fs.last_update = st.now;
             if fs.remaining <= 0.0 {
-                complete_flow(st, topo, id);
+                complete_flow(st, topo, slot);
             } else {
                 // Join the fabric. One seed link suffices: component
                 // discovery reaches the rest of the route through the
                 // flow itself.
                 let seed = fs.demand.links[0].0;
-                for li in 0..fs.demand.links.len() {
-                    let l = fs.demand.links[li].0;
-                    st.link_flows[l].push(id);
+                for (k, &(l, _)) in fs.demand.links.iter().enumerate() {
+                    fs.link_pos.push(st.link_flows[l].len() as u32);
+                    st.link_flows[l].push((slot, k as u32));
                 }
                 recompute_component(st, [seed]);
             }
         }
-        Event::FlowComplete(id, _gen) => complete_flow(st, topo, id),
     }
     true
 }
@@ -1836,5 +1986,214 @@ mod weight_tests {
             FlowSpec::new(vec![link], 1).with_weight(-1.0),
             OnComplete::Nothing,
         );
+    }
+}
+
+#[cfg(test)]
+mod queue_tests {
+    use super::*;
+    use crate::fault::{FaultInjector, FaultKind, FaultPlan};
+    use mpx_topo::presets;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    impl CompletionQueue {
+        /// Heap order holds and `pos` and `heap` point at each other.
+        fn assert_consistent(&self) {
+            for (i, e) in self.heap.iter().enumerate() {
+                assert_eq!(self.pos[e.slot as usize], i as u32, "slot {}", e.slot);
+                assert!(i == 0 || self.heap[(i - 1) / 2].key <= e.key);
+            }
+            let queued = self.pos.iter().filter(|&&p| p != NOT_QUEUED).count();
+            assert_eq!(queued, self.heap.len());
+        }
+    }
+
+    /// Every cross-reference the engine keeps by slot agrees: queue
+    /// back-pointers, `link_flows` back-pointers, and one queued
+    /// completion per joined, non-stalled flow and no others.
+    fn assert_consistent(st: &State) {
+        st.completions.assert_consistent();
+        let mut draining = 0;
+        for (slot, fs) in st.flows.slots.iter().enumerate() {
+            let Some(fs) = fs else { continue };
+            for (k, (&(l, _), &pos)) in fs.demand.links.iter().zip(&fs.link_pos).enumerate() {
+                assert_eq!(st.link_flows[l][pos as usize], (slot as u32, k as u32));
+            }
+            let queued = st
+                .completions
+                .pos
+                .get(slot)
+                .is_some_and(|&p| p != NOT_QUEUED);
+            assert_eq!(
+                queued,
+                !fs.link_pos.is_empty() && !fs.stalled,
+                "slot {slot}"
+            );
+            draining += usize::from(queued);
+        }
+        assert_eq!(draining, st.completions.heap.len());
+        let listed: usize = st.link_flows.iter().map(Vec::len).sum();
+        let joined: usize = st
+            .flows
+            .slots
+            .iter()
+            .flatten()
+            .map(|f| f.link_pos.len())
+            .sum();
+        assert_eq!(listed, joined);
+    }
+
+    const LIVE: u64 = 64;
+    const ISSUED: u64 = 100_000;
+
+    /// A short flow on one of four links whose completion issues the
+    /// next, until `ISSUED` have been started; checks on every completion
+    /// that nothing has grown past the `LIVE` flows ever in flight.
+    fn chained(n: u64, links: Arc<Vec<LinkId>>) -> (FlowSpec, OnComplete) {
+        let spec = FlowSpec::new(
+            vec![links[n as usize % links.len()]],
+            4096 + n as usize % 512,
+        );
+        let done = OnComplete::Call(Box::new(move |ctx| {
+            assert!(ctx.st.flows.slots.len() <= LIVE as usize);
+            assert!(ctx.st.completions.heap.len() <= LIVE as usize);
+            assert!(ctx.st.completions.pos.len() <= LIVE as usize);
+            if n + LIVE < ISSUED {
+                let (spec, done) = chained(n + LIVE, links);
+                ctx.start_flow(spec, done);
+            }
+        }));
+        (spec, done)
+    }
+
+    #[test]
+    fn slots_and_queue_are_bounded_by_peak_live_flows() {
+        let topo = Arc::new(presets::beluga());
+        let g = topo.gpus();
+        let links = Arc::new(
+            (1..4)
+                .map(|i| topo.link_between(g[0], g[i]).unwrap().id)
+                .chain([topo.link_between(g[1], g[2]).unwrap().id])
+                .collect::<Vec<_>>(),
+        );
+        let eng = Engine::new(topo);
+        for n in 0..LIVE {
+            let (spec, done) = chained(n, links.clone());
+            eng.start_flow(spec, done);
+        }
+        eng.run_until_idle();
+        let st = eng.shared.state.lock();
+        assert_eq!(st.flows_completed, ISSUED);
+        assert_eq!(st.next_flow, ISSUED);
+        assert_eq!(st.flows.len(), 0);
+        assert_eq!(st.flows.slots.len(), LIVE as usize);
+        assert!(st.completions.heap.is_empty());
+        assert_consistent(&st);
+    }
+
+    #[test]
+    fn queue_holds_exactly_the_draining_flows_through_a_fault_storm() {
+        let topo = Arc::new(presets::cluster(2, 4));
+        let g = topo.gpus();
+        let hm = topo.host_memories();
+        let link = |a, b| topo.link_between(a, b).unwrap().id;
+        let eng = Engine::new(topo.clone());
+        for k in 0..160usize {
+            let node = k % 2;
+            let (a, b) = (g[node * 4 + k % 4], g[node * 4 + (k + 1 + k / 8 % 3) % 4]);
+            let route = if k % 3 == 0 {
+                vec![
+                    link(a, hm[node]),
+                    link(hm[node], hm[node]),
+                    link(hm[node], b),
+                ]
+            } else {
+                vec![link(a, b)]
+            };
+            let spec = FlowSpec::new(route, (64 << 10) + 4096 * (k % 16))
+                .with_extra_latency((k / 40) as f64 * 30e-6);
+            eng.start_flow(spec, OnComplete::Nothing);
+        }
+        // A seeded storm plus one flap pinned under the first wave, so
+        // flows stall, lose their queued completion, and get it back.
+        let storm = FaultPlan::random_soak(&topo, 3, 150e-6, 24, &[]).with(
+            5e-6,
+            link(g[0], g[1]),
+            FaultKind::Flap { duration: 40e-6 },
+        );
+        FaultInjector::install(&eng, &storm);
+        let mut st = eng.shared.state.lock();
+        let mut peak_stalled = 0;
+        while process_next_event(&mut st, &topo) {
+            assert_consistent(&st);
+            let stalled = st
+                .flows
+                .slots
+                .iter()
+                .flatten()
+                .filter(|f| f.stalled)
+                .count();
+            peak_stalled = peak_stalled.max(stalled);
+        }
+        assert!(peak_stalled > 0 && st.flows_stalled > 0);
+        assert!(st.flows_completed > 0);
+        // Whatever is left sits on a killed link: stalled, nothing queued.
+        assert!(st.flows.slots.iter().flatten().all(|f| f.stalled));
+        assert!(st.completions.heap.is_empty());
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Set(u32, u64),
+        Remove(u32),
+        Pop,
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0u32..24, 0u64..40).prop_map(|(slot, at)| Op::Set(slot, at)),
+                (0u32..24, 0u64..40).prop_map(|(slot, at)| Op::Set(slot, at)),
+                (0u32..24).prop_map(Op::Remove),
+                Just(Op::Pop),
+            ],
+            1..200,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random re-key / remove / pop against a sorted-map model: the
+        /// top is always the model's minimum and the back-pointers never
+        /// drift.
+        #[test]
+        fn completion_queue_matches_a_sorted_model(ops in arb_ops()) {
+            let mut q = CompletionQueue::default();
+            let mut model: BTreeMap<u32, (SimTime, u64)> = BTreeMap::new();
+            for (seq, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Set(slot, at) => {
+                        q.set(slot, SimTime(at), seq as u64);
+                        model.insert(slot, (SimTime(at), seq as u64));
+                    }
+                    Op::Remove(slot) => {
+                        q.remove(slot);
+                        model.remove(&slot);
+                    }
+                    Op::Pop => {
+                        if let Some(top) = q.peek().copied() {
+                            q.remove(top.slot);
+                            model.remove(&top.slot);
+                        }
+                    }
+                }
+                q.assert_consistent();
+                let want = model.iter().map(|(&slot, &key)| (key, slot)).min();
+                prop_assert_eq!(q.peek().map(|c| (c.key, c.slot)), want);
+                prop_assert_eq!(q.heap.len(), model.len());
+            }
+        }
     }
 }

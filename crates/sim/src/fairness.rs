@@ -42,7 +42,17 @@ impl FlowDemand {
     /// link list is sorted by link index (a canonical order downstream
     /// consumers may rely on for reproducible float accumulation).
     pub fn from_route(route: &[usize]) -> FlowDemand {
-        let mut links: Vec<(usize, f64)> = route.iter().map(|&l| (l, 1.0)).collect();
+        FlowDemand::from_links(route.iter().copied(), 1.0)
+    }
+
+    /// [`FlowDemand::from_route_weighted`] over any sequence of link
+    /// indices, so callers holding typed link ids need no index copy.
+    pub fn from_links(route: impl IntoIterator<Item = usize>, weight: f64) -> FlowDemand {
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "invalid weight {weight}"
+        );
+        let mut links: Vec<(usize, f64)> = route.into_iter().map(|l| (l, 1.0)).collect();
         links.sort_unstable_by_key(|&(l, _)| l);
         links.dedup_by(|cur, kept| {
             if cur.0 == kept.0 {
@@ -52,7 +62,7 @@ impl FlowDemand {
                 false
             }
         });
-        FlowDemand { links, weight: 1.0 }
+        FlowDemand { links, weight }
     }
 
     /// Builds a demand with a QoS weight: where flows contend, a flow of
@@ -62,13 +72,7 @@ impl FlowDemand {
     /// # Panics
     /// Panics unless `weight > 0`.
     pub fn from_route_weighted(route: &[usize], weight: f64) -> FlowDemand {
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "invalid weight {weight}"
-        );
-        let mut d = FlowDemand::from_route(route);
-        d.weight = weight;
-        d
+        FlowDemand::from_links(route.iter().copied(), weight)
     }
 }
 
