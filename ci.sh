@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo build --release -p mpx-bench
+# The scheduler suite first and under a hard wall-clock limit: what it
+# guards against is a lost wake-up, and a lost wake-up hangs.
+timeout 120 cargo test -q --test scheduler
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check

@@ -503,6 +503,7 @@ struct State {
     /// Pre-rendered `link:src->dst` track names, indexed by link id —
     /// cloning one is cheaper than re-formatting it per recorded span,
     /// which keeps the always-on flight recorder off the hot path's back.
+    /// Rendered by [`Engine::set_recorder`]: only a recorder reads them.
     link_tracks: Vec<String>,
 }
 
@@ -510,6 +511,21 @@ struct Shared {
     topo: Arc<Topology>,
     state: Mutex<State>,
     cv: Condvar,
+    #[cfg(test)]
+    broadcasts: std::sync::atomic::AtomicU64,
+}
+
+impl Shared {
+    /// Wakes every parked thread. Only three things let one make progress,
+    /// and they are the only callers: a waker fired while its owner waited,
+    /// a [`SimThread`] dropped (the quorum may now be complete), the engine
+    /// poisoned. A queued event is not one: whoever blocks last drains it.
+    fn wake_parked(&self) {
+        #[cfg(test)]
+        self.broadcasts
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.cv.notify_all();
+    }
 }
 
 /// The simulation engine. Clone freely; clones share the simulation.
@@ -625,11 +641,6 @@ impl Engine {
     pub fn with_tracing(topo: Arc<Topology>, trace: bool) -> Engine {
         let nlinks = topo.link_count();
         let capacities: Vec<f64> = topo.links.iter().map(|l| l.bandwidth).collect();
-        let link_tracks: Vec<String> = topo
-            .links
-            .iter()
-            .map(|l| format!("link:{}->{}", l.src, l.dst))
-            .collect();
         Engine {
             shared: Arc::new(Shared {
                 topo,
@@ -668,9 +679,11 @@ impl Engine {
                     faults_fired: 0,
                     flows_stalled: 0,
                     recorder: None,
-                    link_tracks,
+                    link_tracks: Vec::new(),
                 }),
                 cv: Condvar::new(),
+                #[cfg(test)]
+                broadcasts: std::sync::atomic::AtomicU64::new(0),
             }),
         }
     }
@@ -686,7 +699,13 @@ impl Engine {
     /// before building runtimes on top of the engine — they cache the
     /// recorder handle at construction.
     pub fn set_recorder(&self, recorder: Recorder) {
-        self.shared.state.lock().recorder = Some(recorder);
+        let mut st = self.shared.state.lock();
+        if st.link_tracks.is_empty() {
+            st.link_tracks = (self.shared.topo.links.iter())
+                .map(|l| format!("link:{}->{}", l.src, l.dst))
+                .collect();
+        }
+        st.recorder = Some(recorder);
     }
 
     /// The installed telemetry recorder, if any (cheap clone of a shared
@@ -720,7 +739,6 @@ impl Engine {
         // Only flows sharing a link (transitively) with the changed one
         // can see a different fair share.
         recompute_component(&mut st, [link.index()]);
-        self.shared.cv.notify_all();
     }
 
     /// Takes a link down (capacity → 0). Flows crossing it stall at rate
@@ -729,7 +747,6 @@ impl Engine {
     pub fn set_link_down(&self, link: LinkId) {
         let mut st = self.shared.state.lock();
         set_link_down_locked(&mut st, link);
-        self.shared.cv.notify_all();
     }
 
     /// Brings a down link back at the capacity it had when it failed.
@@ -738,7 +755,6 @@ impl Engine {
     pub fn restore_link(&self, link: LinkId) {
         let mut st = self.shared.state.lock();
         restore_link_locked(&mut st, link);
-        self.shared.cv.notify_all();
     }
 
     /// True unless the link is currently down.
@@ -830,7 +846,6 @@ impl Engine {
         let mut st = self.shared.state.lock();
         let at = st.now.after(delay);
         push_event(&mut st, at, Event::Timer(done));
-        self.shared.cv.notify_all();
     }
 
     /// Schedules `done` at absolute virtual time `at` (clamped to now;
@@ -839,23 +854,23 @@ impl Engine {
         let mut st = self.shared.state.lock();
         let at = at.max(st.now);
         push_event(&mut st, at, Event::Timer(done));
-        self.shared.cv.notify_all();
     }
 
     /// Fires a waker immediately (non-blocking; callable from any
     /// thread).
     pub fn signal_waker(&self, w: &Waker) {
         let mut st = self.shared.state.lock();
+        let blocked_before = st.blocked;
         fire_waker(&mut st, w);
-        self.shared.cv.notify_all();
+        if st.blocked < blocked_before {
+            self.shared.wake_parked();
+        }
     }
 
     /// Injects a flow (non-blocking). `done` fires when it completes.
     pub fn start_flow(&self, spec: FlowSpec, done: OnComplete) -> FlowId {
         let mut st = self.shared.state.lock();
-        let id = start_flow_locked(&mut st, &self.shared.topo, spec, done);
-        self.shared.cv.notify_all();
-        id
+        start_flow_locked(&mut st, &self.shared.topo, spec, done)
     }
 
     /// Drains the event queue without any registered threads — the
@@ -950,12 +965,19 @@ impl Engine {
                 return; // `blocked` was decremented by the firing site
             }
             if st.poisoned {
-                panic!("simulation engine poisoned (earlier deadlock)");
+                panic!(
+                    "simulation engine poisoned (earlier deadlock); `{who}` waited on `{}`",
+                    waker.name()
+                );
             }
             if st.blocked == st.registered {
+                // The runner handles events back to back and broadcasts
+                // only after one that released somebody else: its own waker
+                // does not count, it sees that at the top of the loop.
+                let blocked_before = st.blocked;
                 if !process_next_event(&mut st, &sh.topo) {
                     st.poisoned = true;
-                    sh.cv.notify_all();
+                    sh.wake_parked();
                     panic!(
                         "simulated deadlock at {}: {} blocked thread(s), empty event queue; \
                          thread `{who}` waiting on `{}`",
@@ -964,7 +986,9 @@ impl Engine {
                         waker.name()
                     );
                 }
-                sh.cv.notify_all();
+                if blocked_before - st.blocked > usize::from(waker.is_signaled()) {
+                    sh.wake_parked();
+                }
                 continue;
             }
             sh.cv.wait(&mut st);
@@ -1054,7 +1078,7 @@ impl Drop for SimThread {
         let mut st = self.engine.shared.state.lock();
         st.registered -= 1;
         // Quorum may now be complete for the remaining threads.
-        self.engine.shared.cv.notify_all();
+        self.engine.shared.wake_parked();
     }
 }
 
@@ -1720,6 +1744,61 @@ mod tests {
             let t = h.join().unwrap();
             assert!((t - 1.000002).abs() < 1e-6, "t = {t}");
         }
+    }
+
+    fn broadcasts(eng: &Engine) -> u64 {
+        eng.shared
+            .broadcasts
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn queue_pushes_and_the_runners_own_events_wake_nobody() {
+        // Thread-free engine: nobody can be parked, nothing may broadcast.
+        let eng = engine();
+        eng.start_flow(
+            FlowSpec::new(direct_route(&eng), 1 << 20),
+            OnComplete::Nothing,
+        );
+        eng.schedule_in(1e-6, OnComplete::Nothing);
+        eng.schedule_at(SimTime(5), OnComplete::Nothing);
+        eng.signal_waker(&Waker::new("nobody-waits"));
+        eng.run_until_idle();
+        assert_eq!(broadcasts(&eng), 0);
+
+        // One thread sleeps 10 000 times while three are parked on wakers
+        // it fires at the end. The sleeper is the runner for (all but at
+        // most the first of) its own timer events, and its own waker
+        // firing releases nobody else: at most one hand-over broadcast
+        // while the others are still arriving, three for the final
+        // signals, four for the dropped `SimThread`s.
+        let eng = engine();
+        let sleeper = eng.register_thread("sleeper");
+        let parked: Vec<_> = (0..3)
+            .map(|i| {
+                let t = eng.register_thread(format!("parked{i}"));
+                let w = Waker::new(format!("parked{i}.release"));
+                let w2 = w.clone();
+                (w, std::thread::spawn(move || t.wait(&w2)))
+            })
+            .collect();
+        let h = std::thread::spawn(move || {
+            for _ in 0..10_000 {
+                sleeper.sleep(1e-6);
+            }
+            sleeper
+        });
+        let sleeper = h.join().unwrap();
+        assert!(broadcasts(&eng) <= 1, "{} broadcasts", broadcasts(&eng));
+        for (w, _) in &parked {
+            eng.signal_waker(w);
+        }
+        drop(sleeper);
+        for (_, h) in parked {
+            h.join().unwrap();
+        }
+        assert_eq!(eng.now(), SimTime(10_000_000));
+        assert!(broadcasts(&eng) <= 8, "{} broadcasts", broadcasts(&eng));
     }
 
     #[test]

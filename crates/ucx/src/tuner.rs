@@ -3,7 +3,7 @@
 //! Distribution ... extracted by exhaustive search, similar to \[35\]").
 //!
 //! The tuner sweeps share splits over a simplex grid, executes each
-//! candidate on a *fresh* simulation of the same topology, and keeps the
+//! candidate on an idle simulation of the same topology, and keeps the
 //! fastest. Chunk counts per candidate come from the model's chunk
 //! formula (validated near-optimal in `mpx-model::pipeline` tests), which
 //! keeps the grid one-dimensional per path. The best measured
@@ -11,14 +11,14 @@
 //! model-prediction error is reported (Figures 5/6's error metric).
 
 use crate::pipeline::execute_plan;
-use mpx_gpu::GpuRuntime;
+use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::{
     chunk_count, quantize_shares, PipelineMode, PlannedPath, PlannerConfig, TransferPlan,
 };
 use mpx_sim::Engine;
 use mpx_topo::params::extract_all;
 use mpx_topo::path::{enumerate_paths_auto, PathSelection, TransferPath};
-use mpx_topo::units::Bandwidth;
+use mpx_topo::units::{Bandwidth, Secs};
 use mpx_topo::{DeviceId, Topology, TopologyError};
 use std::sync::Arc;
 
@@ -142,6 +142,54 @@ pub fn measure_plan(
     plan.n as f64 / rt.engine().now().secs_since(t0)
 }
 
+/// One simulator for many candidates of the same `(src, dst, n)`: the first
+/// runs twice (its first run is [`measure_plan`]'s warm-up, opening the IPC
+/// handle), every later one is a single transfer on the idle engine. Time
+/// is integer nanoseconds and durations are rounded up before they are
+/// added, so a transfer started at `t0` on an idle fabric is a translation
+/// of the one started at 0: bandwidths are bit-identical to `measure_plan`'s.
+struct WarmSim {
+    rt: GpuRuntime,
+    src: Buffer,
+    dst: Buffer,
+    transfers: u64,
+}
+
+impl WarmSim {
+    fn new(topo: &Arc<Topology>, src: DeviceId, dst: DeviceId, n: usize) -> WarmSim {
+        let rt = GpuRuntime::new(Engine::new(topo.clone()));
+        let (src, dst) = (rt.alloc(src, n), rt.alloc(dst, n));
+        WarmSim {
+            rt,
+            src,
+            dst,
+            transfers: 0,
+        }
+    }
+
+    fn measure(&mut self, plan: &TransferPlan, paths: &[TransferPath]) -> Bandwidth {
+        if self.transfers == 0 {
+            self.run(plan, paths);
+        }
+        plan.n as f64 / self.run(plan, paths)
+    }
+
+    /// Runs one transfer to completion and returns its simulated duration.
+    fn run(&mut self, plan: &TransferPlan, paths: &[TransferPath]) -> Secs {
+        let eng = self.rt.engine();
+        let t0 = eng.now();
+        let h = execute_plan(&self.rt, plan, paths, &self.src, &self.dst, self.transfers);
+        self.transfers += 1;
+        eng.run_until_idle();
+        // A stuck candidate would leak its flows into the next measurement.
+        assert!(
+            h.is_complete() && eng.active_flows() == 0,
+            "did not drain: {plan:?}"
+        );
+        eng.now().secs_since(t0)
+    }
+}
+
 /// Exhaustive offline tuning for an `n`-byte transfer `src → dst` over
 /// the paths selected by `sel`.
 ///
@@ -162,8 +210,8 @@ pub fn tune_exhaustive(
     let paths = enumerate_paths_auto(topo, src, dst, sel)?;
     let mut evaluated = 0usize;
 
-    // Stage 1: coarse grid — every candidate runs on its own private
-    // simulation, so they evaluate in parallel across worker threads.
+    // Stage 1: coarse grid — every worker thread measures its batch of
+    // candidates on its own private simulation.
     let candidates = share_grid(paths.len(), grid);
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -176,11 +224,12 @@ pub fn tune_exhaustive(
             .map(|batch| {
                 let paths = &paths;
                 scope.spawn(move || {
+                    let mut sim = WarmSim::new(topo, src, dst, n);
                     batch
                         .iter()
                         .map(|shares| {
                             let plan = manual_plan(topo, paths, n, shares, cfg)?;
-                            let bw = measure_plan(topo, &plan, paths, src, dst);
+                            let bw = sim.measure(&plan, paths);
                             Ok((shares.clone(), Arc::new(plan), bw))
                         })
                         .collect::<Vec<_>>()
@@ -205,9 +254,10 @@ pub fn tune_exhaustive(
 
     // Stage 2: local refinement — move `delta` between every ordered
     // path pair; restart from the finest step after any improvement.
+    let mut sim = WarmSim::new(topo, src, dst, n);
     let mut eval = |shares: &[f64]| -> Result<(Arc<TransferPlan>, Bandwidth), TopologyError> {
         let plan = manual_plan(topo, &paths, n, shares, cfg)?;
-        let bw = measure_plan(topo, &plan, &paths, src, dst);
+        let bw = sim.measure(&plan, &paths);
         evaluated += 1;
         Ok((Arc::new(plan), bw))
     };
@@ -314,6 +364,50 @@ mod tests {
                 shares: 1
             }
         );
+    }
+
+    /// The warm simulator against its fresh-simulator oracle: every
+    /// grid-8 candidate of the paper's sweeps, measured in grid order on
+    /// one `WarmSim`, must read `measure_plan`'s bandwidth bit for bit.
+    #[test]
+    fn warm_simulator_matches_fresh_simulations_bit_for_bit() {
+        let cfg = PlannerConfig::default();
+        for topo in [presets::beluga(), presets::narval()] {
+            let topo = Arc::new(topo);
+            let gpus = topo.gpus();
+            for n in [2 * MIB, 16 * MIB, 128 * MIB] {
+                for (label, sel) in PathSelection::paper_grid() {
+                    let paths = enumerate_paths_auto(&topo, gpus[0], gpus[1], sel).unwrap();
+                    let mut sim = WarmSim::new(&topo, gpus[0], gpus[1], n);
+                    for shares in share_grid(paths.len(), 8) {
+                        let plan = manual_plan(&topo, &paths, n, &shares, &cfg).unwrap();
+                        let warm = sim.measure(&plan, &paths);
+                        let fresh = measure_plan(&topo, &plan, &paths, gpus[0], gpus[1]);
+                        assert_eq!(
+                            warm.to_bits(),
+                            fresh.to_bits(),
+                            "{} {label} n={n} shares={shares:?}: warm {warm} vs fresh {fresh}",
+                            topo.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "did not drain")]
+    fn warm_simulator_refuses_to_reuse_an_engine_with_live_flows() {
+        let topo = Arc::new(presets::beluga());
+        let gpus = topo.gpus();
+        let paths = enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::TWO_GPUS).unwrap();
+        let plan = manual_plan(&topo, &paths, MIB, &[0.5, 0.5], &PlannerConfig::default()).unwrap();
+        let mut sim = WarmSim::new(&topo, gpus[0], gpus[1], MIB);
+        // The direct link is dead: the direct share stalls forever, and a
+        // release build must notice too.
+        let direct = paths[0].legs[0].route[0];
+        sim.rt.engine().set_link_down(direct);
+        sim.measure(&plan, &paths);
     }
 
     #[test]
