@@ -9,6 +9,8 @@ cargo build --release -p mpx-bench
 # The scheduler suite first and under a hard wall-clock limit: what it
 # guards against is a lost wake-up, and a lost wake-up hangs.
 timeout 120 cargo test -q --test scheduler
+# Likewise the payload plane: two buffer locks held at once can deadlock.
+timeout 120 cargo test -q --test payload_plane
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
@@ -59,12 +61,14 @@ done
 echo "trace-export smoke: ok"
 
 # Planning-throughput smoke: a short bench_transport run that fails on a
-# zero cache-hit rate, on falling far below the committed after numbers
-# in results/BENCH_transport.json, or on dipping under the committed
-# mutex-baseline throughput. Thresholds are generous — this catches a
-# concurrency regression, not run-to-run noise. The same quick run gates
-# the compiled-graph replay path: zero replays or a replay slowdown
-# versus the interpreted pipeline fails the run.
+# zero cache-hit rate or on falling far below the committed after numbers
+# in results/BENCH_transport.json. Thresholds are generous — this catches
+# a concurrency regression, not run-to-run noise. The same quick run gates
+# the compiled-graph replay path (zero replays or a replay slowdown
+# versus the interpreted pipeline fails the run) and the payload plane,
+# with two ratios taken inside the one process so they hold on any
+# machine: Buffer::transfer of 32 MiB at >= 0.5x a plain copy_from_slice,
+# and a 32 MiB payload PUT issued within 3x of a timing-only one.
 ./target/release/bench_transport --quick
 echo "bench_transport smoke: ok"
 

@@ -6,7 +6,7 @@
 //! allocating them). Copies between two real buffers move bytes; copies
 //! involving a synthetic side only move simulated time.
 
-use crate::memory::MemTracker;
+use crate::memory::{MemTracker, StagingPool};
 use mpx_topo::DeviceId;
 use parking_lot::Mutex;
 use std::fmt;
@@ -21,12 +21,17 @@ struct BufferInner {
     len: usize,
     data: Mutex<Option<Vec<u8>>>,
     tracker: Option<Arc<MemTracker>>,
+    /// Where a staging slot's storage goes when the slot is retired.
+    pool: Option<Arc<StagingPool>>,
 }
 
 impl Drop for BufferInner {
     fn drop(&mut self) {
         if let Some(t) = &self.tracker {
             t.release(self.device.index(), self.len as u64);
+        }
+        if let (Some(p), Some(v)) = (&self.pool, self.data.get_mut().take()) {
+            p.give(self.device.index(), v);
         }
     }
 }
@@ -41,13 +46,13 @@ pub struct Buffer {
 impl Buffer {
     /// Allocates a synthetic buffer of `len` bytes on `device`.
     pub fn synthetic(device: DeviceId, len: usize) -> Buffer {
-        Buffer::build(device, len, None, None)
+        Buffer::build(device, len, None, None, None)
     }
 
     /// Allocates a real buffer on `device` holding `data`.
     pub fn from_bytes(device: DeviceId, data: Vec<u8>) -> Buffer {
         let len = data.len();
-        Buffer::build(device, len, Some(data), None)
+        Buffer::build(device, len, Some(data), None, None)
     }
 
     /// Tracked constructor used by the runtime's allocation methods.
@@ -56,6 +61,7 @@ impl Buffer {
         len: usize,
         data: Option<Vec<u8>>,
         tracker: Option<Arc<MemTracker>>,
+        pool: Option<Arc<StagingPool>>,
     ) -> Buffer {
         if let Some(t) = &tracker {
             t.acquire(device.index(), len as u64);
@@ -67,6 +73,7 @@ impl Buffer {
                 len,
                 data: Mutex::new(data),
                 tracker,
+                pool,
             }),
         }
     }
@@ -101,17 +108,22 @@ impl Buffer {
         self.inner.data.lock().is_none()
     }
 
+    /// Panics unless `[off, off + len)` lies inside the allocation.
+    pub(crate) fn check_range(&self, what: &str, off: usize, len: usize) {
+        assert!(
+            off.checked_add(len)
+                .is_some_and(|end| end <= self.inner.len),
+            "{what} [{off}, {off}+{len}) out of bounds (len {})",
+            self.inner.len
+        );
+    }
+
     /// Reads `len` bytes at `off`; `None` for synthetic buffers.
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
     pub fn read(&self, off: usize, len: usize) -> Option<Vec<u8>> {
-        assert!(
-            off.checked_add(len)
-                .is_some_and(|end| end <= self.inner.len),
-            "read [{off}, {off}+{len}) out of bounds (len {})",
-            self.inner.len
-        );
+        self.check_range("read", off, len);
         self.inner
             .data
             .lock()
@@ -129,13 +141,7 @@ impl Buffer {
     /// # Panics
     /// Panics if the range is out of bounds.
     pub fn write(&self, off: usize, bytes: &[u8]) {
-        assert!(
-            off.checked_add(bytes.len())
-                .is_some_and(|end| end <= self.inner.len),
-            "write [{off}, {off}+{}) out of bounds (len {})",
-            bytes.len(),
-            self.inner.len
-        );
+        self.check_range("write", off, bytes.len());
         if let Some(d) = self.inner.data.lock().as_mut() {
             d[off..off + bytes.len()].copy_from_slice(bytes);
         }
@@ -146,22 +152,48 @@ impl Buffer {
         self.inner.data.lock().as_mut().map(|d| f(d.as_mut_slice()))
     }
 
+    /// Applies `f` to the real contents of `src` and `dst`, two distinct
+    /// allocations; `None` if either is synthetic. Both stay locked for
+    /// the call, taken in `id` order so opposite transfers cannot deadlock.
+    pub(crate) fn with_pair<R>(
+        src: &Buffer,
+        dst: &Buffer,
+        f: impl FnOnce(&[u8], &mut [u8]) -> R,
+    ) -> Option<R> {
+        assert!(!Arc::ptr_eq(&src.inner, &dst.inner), "operands alias");
+        let src_first = src.id() < dst.id();
+        let (first, second) = if src_first { (src, dst) } else { (dst, src) };
+        let mut first = first.inner.data.lock();
+        let first = first.as_mut()?;
+        let mut second = second.inner.data.lock();
+        let second = second.as_mut()?;
+        let (s, d) = if src_first {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        Some(f(s, d))
+    }
+
     /// Transfers `len` bytes from `src[src_off..]` to `dst[dst_off..]` if
-    /// both sides are real. This is the data effect of a completed copy.
+    /// both sides are real: one `memcpy`, or a `memmove` within one
+    /// allocation. This is the data effect of a completed copy.
+    ///
+    /// # Panics
+    /// Panics if either range is out of bounds, synthetic sides included,
+    /// so timing-only runs catch addressing bugs too.
     pub fn transfer(src: &Buffer, src_off: usize, dst: &Buffer, dst_off: usize, len: usize) {
         if len == 0 {
             return;
         }
-        if let Some(bytes) = src.read(src_off, len) {
-            dst.write(dst_off, &bytes);
+        src.check_range("read", src_off, len);
+        dst.check_range("write", dst_off, len);
+        if Arc::ptr_eq(&src.inner, &dst.inner) {
+            src.with_data(|d| d.copy_within(src_off..src_off + len, dst_off));
         } else {
-            // Still bounds-check the destination so synthetic runs catch
-            // addressing bugs.
-            assert!(
-                dst_off.checked_add(len).is_some_and(|end| end <= dst.len()),
-                "copy writes [{dst_off}, {dst_off}+{len}) out of bounds (len {})",
-                dst.len()
-            );
+            Buffer::with_pair(src, dst, |s, d| {
+                d[dst_off..][..len].copy_from_slice(&s[src_off..][..len])
+            });
         }
     }
 }

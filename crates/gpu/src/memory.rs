@@ -5,6 +5,7 @@
 //! not grow with message size), so the runtime tracks current and peak
 //! bytes per device and tests assert the bound.
 
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,6 +61,53 @@ impl MemTracker {
                 .iter()
                 .map(|(_, p)| p.load(Ordering::Acquire))
                 .collect(),
+        }
+    }
+}
+
+/// Retired staging vectors kept per device; past it the oldest is freed.
+/// A transfer holds one ring per staged path on a device, so this covers
+/// a few message sizes in rotation.
+const STAGING_FREE_MAX: usize = 16;
+
+/// Bounded per-device free lists of retired staging storage. The ring's
+/// slots are the one allocation made per transfer, so a retired slot's
+/// vector is kept and the next ring takes it back, contents and all.
+pub(crate) struct StagingPool(Vec<Mutex<Vec<Vec<u8>>>>);
+
+impl StagingPool {
+    pub(crate) fn new(devices: usize) -> Arc<StagingPool> {
+        Arc::new(StagingPool(
+            (0..devices).map(|_| Mutex::default()).collect(),
+        ))
+    }
+
+    /// `len` bytes of storage with unspecified contents: a retired vector
+    /// of exactly that length, else one with the capacity (only a grown
+    /// tail is zeroed), else a new allocation.
+    pub(crate) fn take(&self, device: usize, len: usize) -> Vec<u8> {
+        let recycled = self.0.get(device).and_then(|free| {
+            let mut free = free.lock();
+            let i = free
+                .iter()
+                .position(|v| v.len() == len)
+                .or_else(|| free.iter().position(|v| v.capacity() >= len))?;
+            Some(free.remove(i))
+        });
+        let mut v = recycled.unwrap_or_default();
+        v.truncate(len);
+        v.resize(len, 0);
+        v
+    }
+
+    /// Retires `v`, evicting the oldest retired vector when full.
+    pub(crate) fn give(&self, device: usize, v: Vec<u8>) {
+        if let Some(free) = self.0.get(device) {
+            let mut free = free.lock();
+            if free.len() == STAGING_FREE_MAX {
+                free.remove(0);
+            }
+            free.push(v);
         }
     }
 }

@@ -27,37 +27,25 @@ pub enum ReduceOp {
 /// No-op if either buffer is synthetic.
 ///
 /// # Panics
-/// Panics on out-of-bounds ranges, or if `len` is not a multiple of 4 for
-/// the `f32` operators.
+/// Panics on out-of-bounds ranges, if `src` and `dst` are one allocation,
+/// or if `len` is not a multiple of 4 for the `f32` operators.
 pub fn apply(op: ReduceOp, src: &Buffer, src_off: usize, dst: &Buffer, dst_off: usize, len: usize) {
-    let Some(s) = src.read(src_off, len) else {
-        return;
-    };
-    match op {
-        ReduceOp::BandU8 => {
-            dst.with_data(|d| {
-                for (i, b) in s.iter().enumerate() {
-                    d[dst_off + i] &= b;
+    src.check_range("read", src_off, len);
+    Buffer::with_pair(src, dst, |s, d| {
+        let (s, d) = (&s[src_off..][..len], &mut d[dst_off..][..len]);
+        match op {
+            ReduceOp::BandU8 => d.iter_mut().zip(s).for_each(|(d, s)| *d &= s),
+            ReduceOp::Sum | ReduceOp::Max => {
+                assert_eq!(len % 4, 0, "f32 reduction needs 4-byte multiples");
+                for (d, s) in d.chunks_exact_mut(4).zip(s.chunks_exact(4)) {
+                    let a = f32::from_le_bytes(s.try_into().unwrap());
+                    let b = f32::from_le_bytes((&*d).try_into().unwrap());
+                    let r = if op == ReduceOp::Sum { a + b } else { a.max(b) };
+                    d.copy_from_slice(&r.to_le_bytes());
                 }
-            });
+            }
         }
-        ReduceOp::Sum | ReduceOp::Max => {
-            assert_eq!(len % 4, 0, "f32 reduction needs 4-byte multiples");
-            dst.with_data(|d| {
-                for i in (0..len).step_by(4) {
-                    let a = f32::from_le_bytes(s[i..i + 4].try_into().unwrap());
-                    let off = dst_off + i;
-                    let b = f32::from_le_bytes(d[off..off + 4].try_into().unwrap());
-                    let r = match op {
-                        ReduceOp::Sum => a + b,
-                        ReduceOp::Max => a.max(b),
-                        ReduceOp::BandU8 => unreachable!(),
-                    };
-                    d[off..off + 4].copy_from_slice(&r.to_le_bytes());
-                }
-            });
-        }
-    }
+    });
 }
 
 /// Encodes a slice of `f32` as a little-endian byte vector (test helper).

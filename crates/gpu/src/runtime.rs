@@ -4,7 +4,7 @@
 use crate::buffer::Buffer;
 use crate::event::GpuEvent;
 use crate::ipc::IpcCache;
-use crate::memory::{MemTracker, MemoryStats};
+use crate::memory::{MemTracker, MemoryStats, StagingPool};
 use crate::stream::Stream;
 use mpx_sim::Engine;
 use mpx_topo::units::Secs;
@@ -74,6 +74,7 @@ struct RuntimeInner {
     kernel_cost: KernelCostModel,
     ipc: IpcCache,
     memory: Arc<MemTracker>,
+    staging: Arc<StagingPool>,
     next_stream: AtomicU64,
 }
 
@@ -98,6 +99,7 @@ impl GpuRuntime {
                 kernel_cost,
                 ipc: IpcCache::new(),
                 memory: MemTracker::new(devices),
+                staging: StagingPool::new(devices),
                 next_stream: AtomicU64::new(0),
             }),
         }
@@ -125,23 +127,29 @@ impl GpuRuntime {
 
     /// Allocates a synthetic buffer (timing-only payload) on `device`.
     pub fn alloc(&self, device: DeviceId, len: usize) -> Buffer {
-        Buffer::build(device, len, None, Some(self.inner.memory.clone()))
+        Buffer::build(device, len, None, Some(self.inner.memory.clone()), None)
     }
 
     /// Allocates a real buffer holding `data` on `device`.
     pub fn alloc_bytes(&self, device: DeviceId, data: Vec<u8>) -> Buffer {
-        let len = data.len();
-        Buffer::build(device, len, Some(data), Some(self.inner.memory.clone()))
+        let memory = Some(self.inner.memory.clone());
+        Buffer::build(device, data.len(), Some(data), memory, None)
     }
 
     /// Allocates a zero-filled real buffer on `device`.
     pub fn alloc_zeroed(&self, device: DeviceId, len: usize) -> Buffer {
-        Buffer::build(
-            device,
-            len,
-            Some(vec![0; len]),
-            Some(self.inner.memory.clone()),
-        )
+        self.alloc_bytes(device, vec![0; len])
+    }
+
+    /// Allocates a real staging buffer on `device` with **unspecified
+    /// contents**: its storage is recycled from staging buffers this
+    /// runtime retired earlier (and goes back when this one is dropped),
+    /// so repeated transfers of one size neither allocate nor zero. The
+    /// caller must write every byte before reading it.
+    pub fn alloc_staging(&self, device: DeviceId, len: usize) -> Buffer {
+        let (memory, pool) = (self.inner.memory.clone(), self.inner.staging.clone());
+        let data = pool.take(device.index(), len);
+        Buffer::build(device, len, Some(data), Some(memory), Some(pool))
     }
 
     /// Creates a stream on `device`.

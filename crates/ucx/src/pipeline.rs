@@ -292,6 +292,7 @@ pub(crate) fn execute_plan_at_obs(
 
     let topo = rt.engine().topology().clone();
     let oh = topo.overheads;
+    let synthetic = src.is_synthetic();
     let mut wakers = Vec::new();
     let mut slots = Vec::new();
     let mut offset = 0usize;
@@ -387,15 +388,16 @@ pub(crate) fn execute_plan_at_obs(
                 let mut chunk_off = offset;
                 // A bounded ring of reusable staging slots, each sized
                 // for the largest chunk — staging memory is
-                // RING_DEPTH × chunk regardless of message size.
+                // RING_DEPTH × chunk regardless of message size. Slots
+                // come recycled and unzeroed: leg 2 of a chunk forwards
+                // exactly the bytes its leg 1 just wrote.
                 let slot_len = base + usize::from(rem > 0);
                 let ring: Vec<Buffer> = (0..RING_DEPTH.min(k))
-                    .map(|ri| {
-                        if src.is_synthetic() {
+                    .map(|_| {
+                        if synthetic {
                             rt.alloc(via, slot_len)
                         } else {
-                            let _ = ri;
-                            rt.alloc_zeroed(via, slot_len)
+                            rt.alloc_staging(via, slot_len)
                         }
                     })
                     .collect();

@@ -11,6 +11,9 @@
 //! not expose who is parked. The sleep only makes the interesting
 //! interleaving likely; the assertions hold under either.
 
+mod common;
+
+use common::watchdog;
 use multipath_gpu::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,26 +22,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-const WATCHDOG: Duration = Duration::from_secs(60);
 const LET_THEM_PARK: Duration = Duration::from_millis(50);
-
-/// Runs `body` on its own thread and fails if it has not finished within
-/// [`WATCHDOG`] of wall-clock time.
-fn watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let h = thread::spawn(move || {
-        let _ = tx.send(body());
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(v) => v,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("no result after {WATCHDOG:?}: a parked thread lost its wake-up")
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(h.join().expect_err("sender dropped without sending"))
-        }
-    }
-}
 
 fn engine() -> Engine {
     Engine::new(Arc::new(presets::beluga()))
