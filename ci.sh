@@ -11,6 +11,9 @@ cargo build --release -p mpx-bench
 timeout 120 cargo test -q --test scheduler
 # Likewise the payload plane: two buffer locks held at once can deadlock.
 timeout 120 cargo test -q --test payload_plane
+# The engine goldens and invariants before the workspace suites: an engine
+# divergence fails here in seconds, with the scenario's name on it.
+timeout 120 cargo test -q --test engine_golden --test engine_invariants
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check

@@ -23,11 +23,14 @@
 //!
 //! Live flows sit in a free-list slab, addressed by slot internally;
 //! [`FlowId`] is the sequential outward-facing id and the canonical sort
-//! key. Timers and activations wait in a binary heap. Completions wait in
-//! an *indexed* heap with exactly one entry per draining flow: a rate
-//! change re-keys it in place, a stall removes it, so no superseded entry
-//! is ever left behind. The next event is the smaller `(time, seq)` of
-//! the two heap tops; pushes and re-keys draw `seq` from one counter.
+//! key. Timers and activations wait in a binary heap. Every draining flow
+//! carries its completion key `(time, seq)`; an *indexed* heap holds at
+//! most one entry per flow, re-keyed in place, so no superseded entry is
+//! ever left behind. Where all flows of a component cross one link and
+//! nothing else, only the earliest-keyed of them is in the heap — the
+//! others cannot be next — and everywhere else each draining flow is. The
+//! next event is the smaller `(time, seq)` of the two heap tops; pushes
+//! and re-keys draw `seq` from one counter, queued or not.
 //!
 //! # Callbacks
 //!
@@ -202,10 +205,11 @@ pub struct StatsSnapshot {
     pub flows_completed: u64,
     /// Events processed so far.
     pub events_processed: u64,
-    /// Schedule operations: pushes and in-place re-keys. The gap to
-    /// `events_processed` is still completion reschedule churn from rate
-    /// changes, but no longer queue occupancy — a re-key replaces the
-    /// flow's one queued completion instead of adding another.
+    /// Keys drawn: timer and activation pushes plus one per completion
+    /// re-key, whether or not the re-keyed flow holds a queue entry (in a
+    /// single-link component only the earliest does). The gap to
+    /// `events_processed` is completion reschedule churn from rate
+    /// changes, never queue occupancy.
     pub events_scheduled: u64,
     /// Fault events fired by an installed fault plan (see
     /// [`crate::fault`]).
@@ -256,12 +260,12 @@ struct FlowState {
     id: FlowId,
     route: Vec<LinkId>,
     demand: FlowDemand,
-    /// Where this flow sits in `State::link_flows[l]` for each entry of
-    /// `demand.links`; empty until the flow joins the fabric.
-    link_pos: Vec<u32>,
     remaining: f64,
     rate: f64,
     last_update: SimTime,
+    /// Completion `(at, seq)`, drawn when `rate` last changed; means
+    /// nothing while `rate` is zero.
+    key: (SimTime, u64),
     /// True while a down link on the route holds the flow at rate zero.
     stalled: bool,
     /// Visit stamp for connected-component discovery (`State::comp_epoch`).
@@ -271,6 +275,51 @@ struct FlowState {
     issued: SimTime,
     activated: SimTime,
     label: String,
+}
+
+impl FlowState {
+    /// Advances the flow to `now` at its current rate; returns the bytes
+    /// it moved.
+    fn drain(&mut self, now: SimTime) -> f64 {
+        let dt = now.secs_since(self.last_update);
+        self.last_update = now;
+        if dt > 0.0 && self.rate > 0.0 {
+            let drained = (self.rate * dt).min(self.remaining);
+            self.remaining -= drained;
+            drained
+        } else {
+            0.0
+        }
+    }
+
+    /// Adopts `rate`. A changed rate draws the flow's new completion key
+    /// from `seq`; an unchanged one keeps the key, which is still exact.
+    fn set_rate(&mut self, rate: f64, now: SimTime, seq: &mut u64) -> bool {
+        if rate == self.rate {
+            return false;
+        }
+        self.rate = rate;
+        let eta = if self.remaining <= 0.0 {
+            0.0
+        } else {
+            self.remaining / rate
+        };
+        self.key = (now.after(eta), *seq);
+        *seq += 1;
+        true
+    }
+}
+
+/// A flow's entry in the list of a link it crosses.
+#[derive(Clone, Copy)]
+struct Member {
+    id: FlowId,
+    slot: u32,
+    /// The flow crosses other links too.
+    multi: bool,
+    weight: f64,
+    /// How many times the route crosses this link.
+    mult: f64,
 }
 
 enum Event {
@@ -373,12 +422,17 @@ impl CompletionQueue {
         self.heap.first()
     }
 
-    /// Queues `slot` at `(at, seq)`, replacing its entry if it has one.
-    fn set(&mut self, slot: u32, at: SimTime, seq: u64) {
+    fn is_queued(&self, slot: u32) -> bool {
+        self.pos
+            .get(slot as usize)
+            .is_some_and(|&i| i != NOT_QUEUED)
+    }
+
+    /// Queues `slot` at `key`, replacing its entry if it has one.
+    fn set(&mut self, slot: u32, key: (SimTime, u64)) {
         if slot as usize >= self.pos.len() {
             self.pos.resize(slot as usize + 1, NOT_QUEUED);
         }
-        let key = (at, seq);
         let entry = Completion { key, slot };
         let i = match self.pos[slot as usize] {
             NOT_QUEUED => {
@@ -452,7 +506,9 @@ struct State {
     capacities: Vec<f64>,
     /// Timers and flow activations.
     queue: BinaryHeap<Reverse<QueuedEvent>>,
-    /// One entry per flow currently draining at a positive rate.
+    /// Draining flows by completion key: all of them, except that a
+    /// component whose flows cross one link and nothing else queues only
+    /// its earliest.
     completions: CompletionQueue,
     flows: Slab<FlowState>,
     next_flow: u64,
@@ -465,10 +521,10 @@ struct State {
     events_processed: u64,
     trace: Option<Vec<TraceRecord>>,
     jitter: Option<(JitterModel, StdRng)>,
-    /// Active flows per link (by link index) as `(slot, index into the
-    /// flow's demand.links)`; maintained on activation and completion,
+    /// Active flows per link (by link index), sorted by flow id — the
+    /// canonical float order; maintained on activation and completion,
     /// and the adjacency for component discovery.
-    link_flows: Vec<Vec<(u32, u32)>>,
+    link_flows: Vec<Vec<Member>>,
     /// Persistent allocator scratch: recomputation allocates nothing in
     /// steady state.
     fair: FairShareScratch,
@@ -505,6 +561,10 @@ struct State {
     /// which keeps the always-on flight recorder off the hot path's back.
     /// Rendered by [`Engine::set_recorder`]: only a recorder reads them.
     link_tracks: Vec<String>,
+    /// Sends every recomputation down the general path, for the test that
+    /// holds the single-link one to it bit for bit.
+    #[cfg(test)]
+    force_general: bool,
 }
 
 struct Shared {
@@ -616,9 +676,9 @@ impl<'a> Ctx<'a> {
     /// without a recorder).
     pub fn record_fault_instant(&mut self, kind: &str, link: LinkId) {
         if let Some(rec) = self.st.recorder.as_ref() {
-            let track = match self.topo.link(link) {
-                Ok(l) => format!("link:{}->{}", l.src, l.dst),
-                Err(_) => "fabric".to_string(),
+            let track = match self.st.link_tracks.get(link.index()) {
+                Some(track) => track.clone(),
+                None => "fabric".to_string(),
             };
             rec.instant(
                 Phase::Fault,
@@ -680,6 +740,8 @@ impl Engine {
                     flows_stalled: 0,
                     recorder: None,
                     link_tracks: Vec::new(),
+                    #[cfg(test)]
+                    force_general: false,
                 }),
                 cv: Condvar::new(),
                 #[cfg(test)]
@@ -738,7 +800,7 @@ impl Engine {
         st.capacities[link.index()] = bytes_per_sec;
         // Only flows sharing a link (transitively) with the changed one
         // can see a different fair share.
-        recompute_component(&mut st, [link.index()]);
+        recompute_link(&mut st, link.index());
     }
 
     /// Takes a link down (capacity → 0). Flows crossing it stall at rate
@@ -1139,7 +1201,7 @@ fn set_link_down_locked(st: &mut State, link: LinkId) {
     st.capacities[l] = 0.0;
     st.down[l] = true;
     st.any_down = true;
-    recompute_component(st, [l]);
+    recompute_link(st, l);
 }
 
 fn restore_link_locked(st: &mut State, link: LinkId) {
@@ -1153,7 +1215,7 @@ fn restore_link_locked(st: &mut State, link: LinkId) {
     st.any_down = st.down.iter().any(|&d| d);
     // Stalled flows are still registered on the link; the recomputation
     // rediscovers them and hands them a fresh fair share.
-    recompute_component(st, [l]);
+    recompute_link(st, l);
 }
 
 fn scale_link_capacity_locked(st: &mut State, link: LinkId, factor: f64) {
@@ -1168,7 +1230,7 @@ fn scale_link_capacity_locked(st: &mut State, link: LinkId, factor: f64) {
         return;
     }
     st.capacities[l] *= factor;
-    recompute_component(st, [l]);
+    recompute_link(st, l);
 }
 
 fn set_latency_scale_locked(st: &mut State, link: LinkId, scale: f64) {
@@ -1223,10 +1285,10 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
         id,
         route: spec.route,
         demand,
-        link_pos: Vec::new(),
         remaining: spec.bytes as f64,
         rate: 0.0,
         last_update: now,
+        key: (SimTime::NEVER, 0),
         stalled: false,
         comp_mark: 0,
         done,
@@ -1249,8 +1311,9 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
 /// progress is drained to `st.now` first, then rates are recomputed with
 /// the persistent [`FairShareScratch`] (no allocation in steady state).
 /// Only flows whose rate *actually changed* have their completion
-/// re-keyed; a flow whose fair share came out identical keeps its queued
-/// entry, so steady traffic does not churn the queue.
+/// re-keyed; a flow whose fair share came out identical keeps its key, so
+/// steady traffic does not churn the queue. Every live member leaves
+/// queued, whatever [`recompute_single_link`] had left out before.
 fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     st.comp_epoch += 1;
     let epoch = st.comp_epoch;
@@ -1269,7 +1332,7 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         let l = st.comp_links[cursor];
         cursor += 1;
         for i in 0..st.link_flows[l].len() {
-            let slot = st.link_flows[l][i].0;
+            let slot = st.link_flows[l][i].slot;
             let fs = &mut st.flows[slot];
             if fs.comp_mark == epoch {
                 continue;
@@ -1296,15 +1359,12 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     // 1. Drain elapsed progress for component members.
     for i in 0..st.comp_flows.len() {
         let fs = &mut st.flows[st.comp_flows[i].1];
-        let dt = now.secs_since(fs.last_update);
-        if dt > 0.0 && fs.rate > 0.0 {
-            let drained = (fs.rate * dt).min(fs.remaining);
-            fs.remaining -= drained;
+        let drained = fs.drain(now);
+        if drained > 0.0 {
             for &(l, m) in &fs.demand.links {
                 st.link_stats[l].bytes += drained * m;
             }
         }
-        fs.last_update = now;
     }
     // 2. Partition out stalled flows. A flow crossing any down link is
     // parked at rate zero (its queued completion is withdrawn) and
@@ -1349,32 +1409,77 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     // 4. Apply; re-key only where the rate moved.
     for i in 0..st.comp_live.len() {
         let slot = st.comp_live[i];
-        let rate = st.rates_scratch[i];
         let fs = &mut st.flows[slot];
-        if rate == fs.rate {
-            continue; // queued completion is still exact
+        if fs.set_rate(st.rates_scratch[i], now, &mut st.seq) || !st.completions.is_queued(slot) {
+            st.completions.set(slot, fs.key);
         }
-        fs.rate = rate;
-        let eta = if fs.remaining <= 0.0 {
-            0.0
-        } else {
-            fs.remaining / rate
-        };
-        let seq = next_seq(st);
-        st.completions.set(slot, now.after(eta), seq);
     }
+}
+
+/// Re-shares after a change confined to link `l`: a flow joined or left
+/// it, or its capacity moved.
+fn recompute_link(st: &mut State, l: usize) {
+    #[cfg(test)]
+    if st.force_general {
+        return recompute_component(st, [l]);
+    }
+    if st.any_down || !recompute_single_link(st, l) {
+        recompute_component(st, [l]);
+    }
+}
+
+/// [`recompute_component`] for the component that is just link `l`'s own
+/// list — no member crosses another link, no link is down. Max-min is then
+/// `capacity / Σ weight·mult`, and this performs the general path's float
+/// operations and `seq` draws for this shape, in its order, without the
+/// walk, the sort or the allocator. Only the member with the earliest key
+/// can be the next event, so only it is left queued. Returns `false`,
+/// having changed nothing, if a member crosses another link.
+fn recompute_single_link(st: &mut State, l: usize) -> bool {
+    let mut load = 0.0;
+    for m in &st.link_flows[l] {
+        if m.multi {
+            return false;
+        }
+        assert!(
+            m.weight > 0.0 && m.weight.is_finite(),
+            "invalid weight on {:?}",
+            m.id
+        );
+        load += m.weight * m.mult;
+    }
+    if st.link_flows[l].is_empty() {
+        return true;
+    }
+    let c = st.capacities[l];
+    assert!(c > 0.0 && c.is_finite(), "link {l} capacity {c} invalid");
+    let share = c / load;
+    let now = st.now;
+    let mut first = ((SimTime::NEVER, u64::MAX), 0);
+    for i in 0..st.link_flows[l].len() {
+        let m = st.link_flows[l][i];
+        let fs = &mut st.flows[m.slot];
+        let drained = fs.drain(now);
+        if drained > 0.0 {
+            st.link_stats[l].bytes += drained * m.mult;
+        }
+        fs.stalled = false;
+        fs.set_rate(share * m.weight, now, &mut st.seq);
+        first = first.min((fs.key, m.slot));
+        st.completions.remove(m.slot);
+    }
+    st.completions.set(first.1, first.0);
+    true
 }
 
 fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
     let mut fs = st.flows.remove(slot);
     let id = fs.id;
-    // Leave the fabric: swap-remove each link entry and repoint whichever
-    // flow was moved into the hole. Zero-byte flows complete without ever
-    // having registered on their links (`link_pos` is empty).
-    for (&(l, _), &pos) in fs.demand.links.iter().zip(&fs.link_pos) {
-        st.link_flows[l].swap_remove(pos as usize);
-        if let Some(&(moved, k)) = st.link_flows[l].get(pos as usize) {
-            st.flows[moved].link_pos[k as usize] = pos;
+    // Leave the fabric. Zero-byte flows complete without ever having
+    // registered on their links.
+    for &(l, _) in &fs.demand.links {
+        if let Ok(i) = st.link_flows[l].binary_search_by_key(&id, |m| m.id) {
+            st.link_flows[l].remove(i);
         }
     }
     // Account the final drain exactly: whatever was left is delivered now.
@@ -1419,7 +1524,7 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
         trace.push(TraceRecord {
             flow: id,
             label: std::mem::take(&mut fs.label),
-            route: fs.route.clone(),
+            route: std::mem::take(&mut fs.route),
             bytes: fs.bytes,
             issued: fs.issued,
             activated: fs.activated,
@@ -1430,7 +1535,10 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
     run_on_complete(st, topo, done);
     // The departed flow's links may now span several components; seed
     // with all of them so each gets re-shared.
-    recompute_component(st, fs.demand.links.iter().map(|&(l, _)| l));
+    match fs.demand.links[..] {
+        [(l, _)] => recompute_link(st, l),
+        ref links => recompute_component(st, links.iter().map(|&(l, _)| l)),
+    }
 }
 
 /// Handles the earliest event of the two queues. Returns `false` when
@@ -1461,12 +1569,23 @@ fn process_next_event(st: &mut State, topo: &Topology) -> bool {
                 // Join the fabric. One seed link suffices: component
                 // discovery reaches the rest of the route through the
                 // flow itself.
-                let seed = fs.demand.links[0].0;
-                for (k, &(l, _)) in fs.demand.links.iter().enumerate() {
-                    fs.link_pos.push(st.link_flows[l].len() as u32);
-                    st.link_flows[l].push((slot, k as u32));
+                let (id, weight) = (fs.id, fs.demand.weight);
+                let (seed, multi) = (fs.demand.links[0].0, fs.demand.links.len() > 1);
+                for &(l, mult) in &fs.demand.links {
+                    let list = &mut st.link_flows[l];
+                    let at = list.partition_point(|m| m.id < id);
+                    list.insert(
+                        at,
+                        Member {
+                            id,
+                            slot,
+                            multi,
+                            weight,
+                            mult,
+                        },
+                    );
                 }
-                recompute_component(st, [seed]);
+                recompute_link(st, seed);
             }
         }
     }
@@ -2088,39 +2207,53 @@ mod queue_tests {
         }
     }
 
-    /// Every cross-reference the engine keeps by slot agrees: queue
-    /// back-pointers, `link_flows` back-pointers, and one queued
-    /// completion per joined, non-stalled flow and no others.
-    fn assert_consistent(st: &State) {
+    /// The engine's cross-references agree. Every queued entry carries its
+    /// flow's stored key. Each link's list is sorted by id and describes
+    /// the flows in the slab. A joined, non-stalled flow is queued — or its
+    /// one link carries only single-link flows and an earlier-keyed one of
+    /// them is; nothing else is queued. Returns how many draining flows
+    /// were left out of the queue.
+    fn assert_consistent(st: &State) -> usize {
         st.completions.assert_consistent();
-        let mut draining = 0;
-        for (slot, fs) in st.flows.slots.iter().enumerate() {
-            let Some(fs) = fs else { continue };
-            for (k, (&(l, _), &pos)) in fs.demand.links.iter().zip(&fs.link_pos).enumerate() {
-                assert_eq!(st.link_flows[l][pos as usize], (slot as u32, k as u32));
-            }
-            let queued = st
-                .completions
-                .pos
-                .get(slot)
-                .is_some_and(|&p| p != NOT_QUEUED);
-            assert_eq!(
-                queued,
-                !fs.link_pos.is_empty() && !fs.stalled,
-                "slot {slot}"
-            );
-            draining += usize::from(queued);
+        for e in &st.completions.heap {
+            assert_eq!(e.key, st.flows[e.slot].key, "slot {}", e.slot);
         }
-        assert_eq!(draining, st.completions.heap.len());
-        let listed: usize = st.link_flows.iter().map(Vec::len).sum();
-        let joined: usize = st
-            .flows
-            .slots
-            .iter()
-            .flatten()
-            .map(|f| f.link_pos.len())
-            .sum();
-        assert_eq!(listed, joined);
+        let mut listed = vec![0; st.flows.slots.len()];
+        for (l, list) in st.link_flows.iter().enumerate() {
+            assert!(list.windows(2).all(|w| w[0].id < w[1].id), "link {l}");
+            for m in list {
+                let fs = &st.flows[m.slot];
+                assert_eq!(fs.id, m.id);
+                assert!(fs.demand.links.contains(&(l, m.mult)), "link {l}");
+                assert_eq!(m.weight, fs.demand.weight);
+                assert_eq!(m.multi, fs.demand.links.len() > 1);
+                listed[m.slot as usize] += 1;
+            }
+        }
+        let mut unqueued = 0;
+        for (slot, fs) in st.flows.slots.iter().enumerate() {
+            let queued = st.completions.is_queued(slot as u32);
+            let Some(fs) = fs else {
+                assert!(!queued && listed[slot] == 0, "free slot {slot}");
+                continue;
+            };
+            let joined = listed[slot] > 0;
+            assert!(!joined || listed[slot] == fs.demand.links.len());
+            if !joined || fs.stalled {
+                assert!(!queued, "slot {slot}");
+            } else if !queued {
+                let [(l, _)] = fs.demand.links[..] else {
+                    panic!("multi-link flow in slot {slot} is not queued");
+                };
+                assert!(st.link_flows[l].iter().all(|m| !m.multi), "link {l}");
+                let covered = st.link_flows[l]
+                    .iter()
+                    .any(|m| st.completions.is_queued(m.slot) && st.flows[m.slot].key < fs.key);
+                assert!(covered, "slot {slot} could be next and is not queued");
+                unqueued += 1;
+            }
+        }
+        unqueued
     }
 
     const LIVE: u64 = 64;
@@ -2172,7 +2305,7 @@ mod queue_tests {
     }
 
     #[test]
-    fn queue_holds_exactly_the_draining_flows_through_a_fault_storm() {
+    fn queue_invariant_holds_through_a_fault_storm() {
         let topo = Arc::new(presets::cluster(2, 4));
         let g = topo.gpus();
         let hm = topo.host_memories();
@@ -2203,9 +2336,9 @@ mod queue_tests {
         );
         FaultInjector::install(&eng, &storm);
         let mut st = eng.shared.state.lock();
-        let mut peak_stalled = 0;
+        let (mut peak_stalled, mut peak_unqueued) = (0, 0);
         while process_next_event(&mut st, &topo) {
-            assert_consistent(&st);
+            peak_unqueued = peak_unqueued.max(assert_consistent(&st));
             let stalled = st
                 .flows
                 .slots
@@ -2216,10 +2349,127 @@ mod queue_tests {
             peak_stalled = peak_stalled.max(stalled);
         }
         assert!(peak_stalled > 0 && st.flows_stalled > 0);
+        // Both recomputations ran: single-link components left members
+        // out of the queue, and the storm sent them down the general path.
+        assert!(peak_unqueued > 0);
         assert!(st.flows_completed > 0);
         // Whatever is left sits on a killed link: stalled, nothing queued.
         assert!(st.flows.slots.iter().flatten().all(|f| f.stalled));
         assert!(st.completions.heap.is_empty());
+    }
+
+    /// One step of a random program on three NVLinks; times in µs.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Flow {
+            at: u32,
+            route: Vec<usize>,
+            kib: usize,
+            weight: f64,
+        },
+        Scale {
+            at: u32,
+            link: usize,
+            factor: f64,
+        },
+        Down {
+            at: u32,
+            link: usize,
+            lasts: u32,
+        },
+    }
+
+    /// Eight flows (two of them over several links, some twice) to each
+    /// capacity scale and each down/restore pair.
+    fn arb_program() -> impl Strategy<Value = Vec<Step>> {
+        let step = (
+            0u32..10,
+            0u32..300,
+            0usize..3,
+            proptest::collection::vec(0usize..3, 1..3),
+            64usize..2048,
+            1u32..40,
+            0.3f64..1.5,
+            1u32..60,
+        )
+            .prop_map(
+                |(kind, at, link, more, kib, weight, factor, lasts)| match kind {
+                    0..=7 => Step::Flow {
+                        at: at * 2 / 3,
+                        route: std::iter::once(link)
+                            .chain(more.into_iter().filter(|_| kind >= 6))
+                            .collect(),
+                        kib,
+                        weight: f64::from(weight) * 0.1,
+                    },
+                    8 => Step::Scale { at, link, factor },
+                    _ => Step::Down { at, link, lasts },
+                },
+            );
+        proptest::collection::vec(step, 1..48)
+    }
+
+    /// Runs `program`, checking the queue invariant after every event.
+    fn run_program(program: &[Step], force_general: bool) -> (Vec<TraceRecord>, StatsSnapshot) {
+        let topo = Arc::new(presets::beluga());
+        let g = topo.gpus();
+        let links: Vec<LinkId> = (0..3)
+            .map(|i| topo.link_between(g[i], g[i + 1]).unwrap().id)
+            .collect();
+        let eng = Engine::with_tracing(topo.clone(), true);
+        eng.shared.state.lock().force_general = force_general;
+        let at = |us: u32| f64::from(us) * 1e-6;
+        for step in program.iter().cloned() {
+            match step {
+                Step::Flow {
+                    at: t,
+                    route,
+                    kib,
+                    weight,
+                } => {
+                    let route = route.into_iter().map(|l| links[l]).collect();
+                    let spec = FlowSpec::new(route, kib << 10).with_weight(weight);
+                    eng.schedule_in(
+                        at(t),
+                        OnComplete::Call(Box::new(move |ctx| {
+                            ctx.start_flow(spec, OnComplete::Nothing);
+                        })),
+                    );
+                }
+                Step::Scale {
+                    at: t,
+                    link,
+                    factor,
+                } => {
+                    let link = links[link];
+                    eng.schedule_in(
+                        at(t),
+                        OnComplete::Call(Box::new(move |ctx| {
+                            ctx.scale_link_capacity(link, factor)
+                        })),
+                    );
+                }
+                Step::Down { at: t, link, lasts } => {
+                    let link = links[link];
+                    eng.schedule_in(
+                        at(t),
+                        OnComplete::Call(Box::new(move |ctx| ctx.set_link_down(link))),
+                    );
+                    eng.schedule_in(
+                        at(t + lasts),
+                        OnComplete::Call(Box::new(move |ctx| ctx.restore_link(link))),
+                    );
+                }
+            }
+        }
+        let mut st = eng.shared.state.lock();
+        while process_next_event(&mut st, &topo) {
+            let unqueued = assert_consistent(&st);
+            assert!(!force_general || unqueued == 0);
+        }
+        assert_eq!(st.flows.len(), 0, "every link came back");
+        drop(st);
+        (eng.take_trace(), eng.stats())
     }
 
     #[derive(Debug, Clone)]
@@ -2244,6 +2494,22 @@ mod queue_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// The single-link recomputation is the general one, bit for bit:
+        /// same completions in the same order at the same times, same
+        /// keys drawn, same bytes on every link.
+        #[test]
+        fn single_link_path_equals_the_general_path(program in arb_program()) {
+            let (trace, stats) = run_program(&program, false);
+            let (general_trace, general) = run_program(&program, true);
+            prop_assert_eq!(trace, general_trace);
+            prop_assert_eq!(stats.events_processed, general.events_processed);
+            prop_assert_eq!(stats.events_scheduled, general.events_scheduled);
+            prop_assert_eq!(stats.flows_stalled, general.flows_stalled);
+            for (a, b) in stats.links.iter().zip(&general.links) {
+                prop_assert_eq!(a.bytes.to_bits(), b.bytes.to_bits());
+            }
+        }
+
         /// Random re-key / remove / pop against a sorted-map model: the
         /// top is always the model's minimum and the back-pointers never
         /// drift.
@@ -2254,7 +2520,7 @@ mod queue_tests {
             for (seq, op) in ops.into_iter().enumerate() {
                 match op {
                     Op::Set(slot, at) => {
-                        q.set(slot, SimTime(at), seq as u64);
+                        q.set(slot, (SimTime(at), seq as u64));
                         model.insert(slot, (SimTime(at), seq as u64));
                     }
                     Op::Remove(slot) => {

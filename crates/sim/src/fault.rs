@@ -23,13 +23,16 @@
 //! / the transport's deadline), which is where real stacks detect dead
 //! peers too — a NIC does not call you back to report silence.
 
-use crate::engine::{Engine, OnComplete};
+use crate::engine::{Ctx, Engine, OnComplete};
 use crate::time::SimTime;
 use mpx_topo::units::Secs;
 use mpx_topo::{LinkId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// What happens to the target link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -233,12 +236,20 @@ impl FaultInjector {
     /// [`crate::StatsSnapshot::faults_fired`]; restorations (flap/spike
     /// ends) do not count as faults.
     ///
+    /// Every flap in its window and every kill, for good, holds its link
+    /// down; the link comes back when the plan's last hold on it is
+    /// released. So a flap's end neither revives a link killed in the
+    /// meantime nor cuts an overlapping flap short.
+    ///
     /// # Panics
     /// Panics if the plan does not validate against the engine's topology.
     pub fn install(eng: &Engine, plan: &FaultPlan) -> FaultInjector {
         let issues = plan.validate(eng.topology());
         assert!(issues.is_empty(), "invalid fault plan: {issues:?}");
         let base = eng.now();
+        // Only event callbacks touch the counts, and those run one at a
+        // time under the engine lock.
+        let mut holds: HashMap<LinkId, Arc<AtomicU32>> = HashMap::new();
         for ev in &plan.events {
             let link = ev.link;
             let at = base.after(ev.at);
@@ -265,28 +276,32 @@ impl FaultInjector {
                         );
                     })),
                 ),
-                FaultKind::Flap { duration } => eng.schedule_at(
-                    at,
-                    OnComplete::Call(Box::new(move |ctx| {
-                        ctx.note_fault();
-                        ctx.record_fault_instant("flap", link);
-                        ctx.set_link_down(link);
-                        ctx.schedule_in(
-                            duration,
-                            OnComplete::Call(Box::new(move |ctx| {
-                                ctx.restore_link(link);
-                            })),
-                        );
-                    })),
-                ),
-                FaultKind::Kill => eng.schedule_at(
-                    at,
-                    OnComplete::Call(Box::new(move |ctx| {
-                        ctx.note_fault();
-                        ctx.record_fault_instant("kill", link);
-                        ctx.set_link_down(link);
-                    })),
-                ),
+                FaultKind::Flap { duration } => {
+                    let hold = holds.entry(link).or_default().clone();
+                    eng.schedule_at(
+                        at,
+                        OnComplete::Call(Box::new(move |ctx| {
+                            hold_down(ctx, "flap", link, &hold);
+                            ctx.schedule_in(
+                                duration,
+                                OnComplete::Call(Box::new(move |ctx| {
+                                    if hold.fetch_sub(1, Ordering::Relaxed) == 1 {
+                                        ctx.restore_link(link);
+                                    }
+                                })),
+                            );
+                        })),
+                    )
+                }
+                FaultKind::Kill => {
+                    let hold = holds.entry(link).or_default().clone();
+                    eng.schedule_at(
+                        at,
+                        OnComplete::Call(Box::new(move |ctx| {
+                            hold_down(ctx, "kill", link, &hold);
+                        })),
+                    )
+                }
             }
         }
         FaultInjector {
@@ -298,6 +313,14 @@ impl FaultInjector {
     pub fn installed(&self) -> usize {
         self.installed
     }
+}
+
+/// A flap or kill fires: one more hold on `link`, which goes down.
+fn hold_down(ctx: &mut Ctx<'_>, kind: &str, link: LinkId, hold: &AtomicU32) {
+    ctx.note_fault();
+    ctx.record_fault_instant(kind, link);
+    hold.fetch_add(1, Ordering::Relaxed);
+    ctx.set_link_down(link);
 }
 
 /// Convenience: the engine's virtual time a fault plan needs to have
@@ -369,6 +392,40 @@ mod tests {
         eng.run_until_idle();
         let t = eng.now().as_secs();
         assert!((t - 1.500002).abs() < 1e-6, "t = {t}");
+    }
+
+    #[test]
+    fn a_flaps_end_does_not_revive_a_link_killed_meanwhile() {
+        let topo = Arc::new(presets::synthetic_default());
+        let link = direct_link(&topo);
+        let eng = Engine::new(topo.clone());
+        let plan = FaultPlan::empty()
+            .with(0.5, link, FaultKind::Flap { duration: 2.0 })
+            .with(1.0, link, FaultKind::Kill);
+        FaultInjector::install(&eng, &plan);
+        eng.run_until(SimTime::from_secs(3.0));
+        assert!(!eng.link_is_up(link), "the kill is permanent");
+        // The engine's own restore still works on it.
+        eng.restore_link(link);
+        assert!(eng.link_is_up(link));
+    }
+
+    #[test]
+    fn overlapping_flaps_keep_the_link_down_until_the_last_ends() {
+        let topo = Arc::new(presets::synthetic_default());
+        let link = direct_link(&topo);
+        let eng = Engine::new(topo.clone());
+        let plan = FaultPlan::empty()
+            .with(0.5, link, FaultKind::Flap { duration: 1.0 })
+            .with(1.0, link, FaultKind::Flap { duration: 2.0 });
+        FaultInjector::install(&eng, &plan);
+        eng.run_until(SimTime::from_secs(2.0));
+        assert!(!eng.link_is_up(link), "the second flap lasts until 3 s");
+        eng.run_until(SimTime::from_secs(2.999));
+        assert!(!eng.link_is_up(link));
+        eng.run_until_idle();
+        assert!(eng.link_is_up(link));
+        assert_eq!(eng.now(), SimTime::from_secs(3.0));
     }
 
     #[test]

@@ -179,36 +179,44 @@ impl Scenario {
         ids
     }
 
-    /// Specs with jitter factors folded in, drawn in global-id order.
-    fn jittered_specs(&self, ids: &[u64]) -> Vec<FlowSpec> {
-        let mut specs: Vec<FlowSpec> = self.flows.iter().map(|(_, s)| s.clone()).collect();
+    /// Each declared flow's jitter factor, drawn in global-id order.
+    fn jitter_factors(&self, ids: &[u64]) -> Vec<f64> {
+        let mut factors = vec![1.0f64; self.flows.len()];
         if let Some(model) = self.jitter {
             let mut rng = StdRng::seed_from_u64(model.seed);
-            let mut factors = vec![1.0f64; specs.len()];
             // Draw in global issue order — the order a serial engine
             // with an installed jitter model would consume the stream.
-            let mut by_id: Vec<usize> = (0..specs.len()).collect();
+            let mut by_id: Vec<usize> = (0..factors.len()).collect();
             by_id.sort_by_key(|&i| ids[i]);
             for &decl in &by_id {
                 factors[decl] = 1.0 + rng.gen_range(-model.spread..=model.spread);
             }
-            for (spec, f) in specs.iter_mut().zip(factors) {
-                spec.latency_factor *= f;
-            }
         }
-        specs
+        factors
+    }
+
+    /// Flow `decl` as one run issues it: `(issue time, this run's own copy
+    /// of the spec with its jitter factor folded in, global id)`. The one
+    /// place a run copies a spec, since the engine consumes what it is
+    /// given.
+    fn issue(&self, decl: usize, ids: &[u64], factors: &[f64]) -> (Secs, FlowSpec, u64) {
+        let (at, spec) = &self.flows[decl];
+        let mut spec = spec.clone();
+        spec.latency_factor *= factors[decl];
+        (*at, spec, ids[decl])
     }
 
     /// Runs the scenario on one engine — the determinism oracle.
     pub fn run_serial(&self) -> ScenarioReport {
         let plan = self.partition_plan();
         let ids = self.global_ids();
-        let specs = self.jittered_specs(&ids);
+        let factors = self.jitter_factors(&ids);
         let eng = Engine::with_tracing(self.topo.clone(), self.trace);
         if let Some(rec) = &self.recorder {
             eng.set_recorder(rec.clone());
         }
-        let assigned = schedule_flows(&eng, &self.flows, &specs, &ids);
+        let issues = (0..self.flows.len()).map(|decl| self.issue(decl, &ids, &factors));
+        let assigned = schedule_flows(&eng, issues);
         FaultInjector::install(&eng, &self.faults);
         eng.run_until_idle();
         // The engine must have assigned exactly the precomputed global
@@ -237,7 +245,7 @@ impl Scenario {
         assert!(workers >= 1, "need at least one worker");
         let plan = self.partition_plan();
         let ids = self.global_ids();
-        let specs = self.jittered_specs(&ids);
+        let factors = self.jitter_factors(&ids);
         // Validate the full plan once up front (sub-plans revalidate
         // cheaply); keeps error surfaces identical to serial.
         let issues = self.faults.validate(&self.topo);
@@ -255,12 +263,8 @@ impl Scenario {
                 if let Some(rec) = &self.recorder {
                     eng.set_recorder(rec.clone());
                 }
-                let flows: Vec<(Secs, FlowSpec)> =
-                    part.flows.iter().map(|&i| self.flows[i].clone()).collect();
-                let part_specs: Vec<FlowSpec> =
-                    part.flows.iter().map(|&i| specs[i].clone()).collect();
-                let part_ids: Vec<u64> = part.flows.iter().map(|&i| ids[i]).collect();
-                let assigned = schedule_flows(&eng, &flows, &part_specs, &part_ids);
+                let issues = (part.flows.iter()).map(|&decl| self.issue(decl, &ids, &factors));
+                let assigned = schedule_flows(&eng, issues);
                 let sub = FaultPlan {
                     events: part.faults.iter().map(|&j| self.faults.events[j]).collect(),
                 };
@@ -293,16 +297,18 @@ impl Scenario {
         let mut partitions = Vec::with_capacity(prepared.len());
         for (part, p) in plan.parts.iter().zip(&prepared) {
             let sub = p.eng.stats();
-            let local_to_global: std::collections::HashMap<u64, u64> =
-                p.assigned.lock().iter().copied().collect();
             let mut sub_trace = p.eng.take_trace();
-            for r in &mut sub_trace {
-                let g = *local_to_global
-                    .get(&r.flow.0)
-                    .expect("trace record for an unmapped flow");
-                r.flow = crate::engine::FlowId(g);
+            if !sub_trace.is_empty() {
+                let local_to_global: std::collections::HashMap<u64, u64> =
+                    p.assigned.lock().iter().copied().collect();
+                for r in &mut sub_trace {
+                    let g = *local_to_global
+                        .get(&r.flow.0)
+                        .expect("trace record for an unmapped flow");
+                    r.flow = crate::engine::FlowId(g);
+                }
+                trace.append(&mut sub_trace);
             }
-            trace.append(&mut sub_trace);
             partitions.push(PartitionRun {
                 root: part.root,
                 flows: part.flows.len(),
@@ -460,20 +466,18 @@ fn sort_canonical(trace: &mut [TraceRecord], seed: u64) {
     trace.sort_by_key(|r| (r.completed, splitmix64(seed ^ r.flow.0), r.flow.0));
 }
 
-/// Schedules `flows` (declaration order) on `eng` as issue timers,
-/// recording `(engine-local id, global id)` pairs as they are assigned.
+/// Schedules `(issue time, spec, global id)` triples, in declaration
+/// order, on `eng` as issue timers, recording `(engine-local id, global
+/// id)` pairs as they are assigned.
 fn schedule_flows(
     eng: &Engine,
-    flows: &[(Secs, FlowSpec)],
-    specs: &[FlowSpec],
-    ids: &[u64],
+    issues: impl ExactSizeIterator<Item = (Secs, FlowSpec, u64)>,
 ) -> Arc<Mutex<Vec<(u64, u64)>>> {
-    let assigned = Arc::new(Mutex::new(Vec::with_capacity(flows.len())));
-    for ((at, _), (spec, &gid)) in flows.iter().zip(specs.iter().zip(ids)) {
-        let spec = spec.clone();
+    let assigned = Arc::new(Mutex::new(Vec::with_capacity(issues.len())));
+    for (at, spec, gid) in issues {
         let sink = assigned.clone();
         eng.schedule_at(
-            SimTime::from_secs(*at),
+            SimTime::from_secs(at),
             OnComplete::Call(Box::new(move |ctx| {
                 let local = ctx.start_flow(spec, OnComplete::Nothing);
                 sink.lock().push((local.0, gid));

@@ -1,6 +1,6 @@
 //! Golden bit-identity of the fluid engine.
 //!
-//! Three fixed scenarios, each reduced to one FNV-1a digest over every
+//! Four fixed scenarios, each reduced to one FNV-1a digest over every
 //! completed flow's `(id, issued, activated, completed)` in completion
 //! order plus the [`StatsSnapshot`] counters (`events_processed`,
 //! `events_scheduled`, per-link bytes as `f64::to_bits`). The constants
@@ -8,12 +8,16 @@
 //! rewritten (slot-indexed flows, in-place completion queue); any change
 //! to event order, tie-breaks, schedule counts or float accumulation
 //! order moves a digest. A legitimate model change re-records them — an
-//! engine-internals change must not.
+//! engine-internals change must not. The fourth scenario walks one link
+//! through every way its component can be re-shared (single-link, joined
+//! by a two-link flow, stalled, re-scaled); its constant was recorded on
+//! the commit before single-link components got a recomputation of their
+//! own.
 //!
 //! [`StatsSnapshot`]: multipath_gpu::sim::StatsSnapshot
 
 use multipath_gpu::prelude::*;
-use multipath_gpu::sim::{StatsSnapshot, TraceRecord};
+use multipath_gpu::sim::{FlowId, StatsSnapshot, TraceRecord};
 use std::sync::Arc;
 
 struct Digest(u64);
@@ -155,12 +159,56 @@ fn cluster_fault_storm() -> (Scenario, LinkId) {
     (sc, flapped)
 }
 
+const JOIN_AT: f64 = 0.4e-3;
+const LINK_FLAP_AT: f64 = 1.5e-3;
+const LINK_FLAP_FOR: f64 = 0.2e-3;
+const SCALE_AT: f64 = 2.0e-3;
+
+/// 32 weighted flows on one NVLink. A two-link staged flow joins the link
+/// at `JOIN_AT` and leaves; a flap takes the link down while only
+/// single-link flows remain; its capacity is scaled between two later
+/// completions. The link's component is single-link, general, single-link,
+/// stalled, single-link again. Returns the staged flow's id with the run.
+fn one_link_through_every_regime() -> (FlowId, Vec<TraceRecord>, StatsSnapshot) {
+    let topo = Arc::new(presets::beluga());
+    let eng = Engine::with_tracing(topo.clone(), true);
+    let g = topo.gpus();
+    let link = |a, b| topo.link_between(a, b).unwrap().id;
+    let shared = link(g[0], g[1]);
+    for i in 0..32usize {
+        let spec = FlowSpec::new(vec![shared], (192 << 10) * (i + 1) + 4_099 * i)
+            .with_weight(1.0 + 0.1 * (i % 7) as f64)
+            .with_extra_latency(1e-6 * (i % 3) as f64);
+        eng.start_flow(spec, OnComplete::Nothing);
+    }
+    let staged = FlowSpec::new(vec![link(g[2], g[0]), shared], 1 << 20).with_weight(2.0);
+    eng.schedule_in(
+        JOIN_AT,
+        OnComplete::Call(Box::new(move |ctx| {
+            ctx.start_flow(staged, OnComplete::Nothing);
+        })),
+    );
+    let faults = FaultPlan::empty()
+        .with(
+            LINK_FLAP_AT,
+            shared,
+            FaultKind::Flap {
+                duration: LINK_FLAP_FOR,
+            },
+        )
+        .with(SCALE_AT, shared, FaultKind::Degrade { factor: 0.6 });
+    FaultInjector::install(&eng, &faults);
+    eng.run_until_idle();
+    (FlowId(32), eng.take_trace(), eng.stats())
+}
+
 const FLAP_AT: f64 = 20e-6;
 const FLAP_FOR: f64 = 200e-6;
 
 const ONE_LINK_WITH_JITTER: u64 = 16_574_888_321_889_940_612;
 const STAGED_PATHS_MIXED_WEIGHTS: u64 = 1_482_018_609_376_296_757;
 const CLUSTER_FAULT_STORM: u64 = 16_606_544_688_250_354_250;
+const ONE_LINK_THROUGH_EVERY_REGIME: u64 = 7_654_190_600_444_986_117;
 
 #[test]
 fn one_link_with_jitter_matches_golden() {
@@ -182,6 +230,36 @@ fn staged_paths_mixed_weights_match_golden() {
     assert_eq!(
         digest(&trace, &stats),
         STAGED_PATHS_MIXED_WEIGHTS,
+        "events {} scheduled {}",
+        stats.events_processed,
+        stats.events_scheduled
+    );
+}
+
+#[test]
+fn one_link_through_every_regime_matches_golden() {
+    let (staged, trace, stats) = one_link_through_every_regime();
+    assert_eq!(trace.len(), 33);
+    let done = |t: f64| {
+        let t = SimTime::from_secs(t);
+        trace.iter().filter(|r| r.completed <= t).count()
+    };
+    // The scenario is what its name says: single-link flows complete
+    // before the staged flow joins, beside it, and after it has left;
+    // the flap stalls everything still there; the scale lands between
+    // two completions.
+    let staged = trace.iter().find(|r| r.flow == staged).unwrap();
+    assert_eq!(staged.route.len(), 2);
+    assert!(done(JOIN_AT) > 0);
+    assert!(done(staged.completed.as_secs()) > done(staged.activated.as_secs()) + 1);
+    assert!(done(LINK_FLAP_AT) > done(staged.completed.as_secs()));
+    assert_eq!(stats.flows_stalled, 33 - done(LINK_FLAP_AT) as u64);
+    assert_eq!(done(LINK_FLAP_AT + LINK_FLAP_FOR), done(LINK_FLAP_AT));
+    assert!(done(SCALE_AT) > done(LINK_FLAP_AT));
+    assert!(done(SCALE_AT) < 32);
+    assert_eq!(
+        digest(&trace, &stats),
+        ONE_LINK_THROUGH_EVERY_REGIME,
         "events {} scheduled {}",
         stats.events_processed,
         stats.events_scheduled
