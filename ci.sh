@@ -9,6 +9,9 @@ cargo build --release -p mpx-bench
 # The scheduler suite first and under a hard wall-clock limit: what it
 # guards against is a lost wake-up, and a lost wake-up hangs.
 timeout 120 cargo test -q --test scheduler
+# Beside it, the stream executor's golden order and the drain's allocation
+# count: a stream-lock inversion does not fail either, it hangs.
+timeout 120 cargo test -q --test stream_golden --test alloc_free_drain
 # Likewise the payload plane: two buffer locks held at once can deadlock.
 timeout 120 cargo test -q --test payload_plane
 # The engine goldens and invariants before the workspace suites: an engine

@@ -49,24 +49,25 @@ impl GpuEvent {
         self.state.lock().complete
     }
 
-    /// Marks the event complete and returns the streams parked on it.
-    /// (Called by the stream executor when a `Record` op retires.)
-    pub(crate) fn complete(&self) -> Vec<Stream> {
+    /// Marks the event complete and moves the streams parked on it onto
+    /// `released`, in parking order; both vectors keep their capacity, so
+    /// a recycled event and a long-lived stream stop allocating. (Called
+    /// by the stream executor when a `Record` op retires.)
+    pub(crate) fn complete(&self, released: &mut Vec<Stream>) {
         let mut st = self.state.lock();
         st.complete = true;
-        std::mem::take(&mut st.waiters)
+        released.append(&mut st.waiters);
     }
 
     /// If already complete returns `true`; otherwise parks `stream` and
-    /// returns `false`. Atomic w.r.t. [`GpuEvent::complete`].
-    pub(crate) fn park_unless_complete(&self, stream: Stream) -> bool {
+    /// returns `false`. Atomic w.r.t. [`GpuEvent::complete`]. The event
+    /// lock is a leaf: callers may hold a stream lock, never the reverse.
+    pub(crate) fn park_unless_complete(&self, stream: &Stream) -> bool {
         let mut st = self.state.lock();
-        if st.complete {
-            true
-        } else {
-            st.waiters.push(stream);
-            false
+        if !st.complete {
+            st.waiters.push(stream.clone());
         }
+        st.complete
     }
 
     /// Rearms a completed (or never-recorded) event so the next `Record`

@@ -27,10 +27,10 @@
 use crate::buffer::Buffer;
 use crate::event::GpuEvent;
 use crate::runtime::GpuRuntime;
-use crate::stream::{Op, Stream};
-use mpx_sim::Waker;
+use crate::stream::{Op, Payload, Stream};
+use mpx_sim::{Route, Waker};
 use mpx_topo::units::Secs;
-use mpx_topo::{DeviceId, LinkId};
+use mpx_topo::DeviceId;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,9 +62,10 @@ struct CopyNode {
     dst: GraphBuf,
     dst_off: usize,
     len: usize,
-    /// Shared with every materialized replay op (refcount bump per
-    /// replay instead of a heap copy — the point of compiling).
-    route: Arc<[LinkId]>,
+    /// Shared with every materialized replay op and the flow it starts
+    /// (refcount bumps per replay instead of heap copies — the point of
+    /// compiling).
+    route: Route,
     /// Fixed software overhead baked at capture (normally 0 for replay).
     extra: Secs,
     /// First op of its path: additionally charged the per-replay
@@ -210,7 +211,7 @@ impl GraphBuilder {
         dst: GraphBuf,
         dst_off: usize,
         len: usize,
-        route: Vec<LinkId>,
+        route: impl Into<Route>,
         extra: Secs,
         first: bool,
         label: String,
@@ -222,7 +223,7 @@ impl GraphBuilder {
             dst,
             dst_off,
             len,
-            route: route.into(),
+            route: Route::shared(&route.into()),
             extra,
             first,
             label: label.into(),
@@ -459,11 +460,13 @@ impl TransferGraph {
                         GraphBuf::Staging(i) => (self.staging[i].clone(), c.dst_off),
                     };
                     programs[c.stream].push(Op::Copy {
-                        src: s,
-                        src_off: so,
-                        dst: d,
-                        dst_off: dfo,
-                        len: c.len,
+                        payload: Payload {
+                            src: s,
+                            src_off: so,
+                            dst: d,
+                            dst_off: dfo,
+                            len: c.len,
+                        },
                         route: c.route.clone(),
                         extra_latency: c.extra + if c.first { first_extra } else { 0.0 },
                         label: c.label.clone(),
@@ -541,7 +544,7 @@ impl fmt::Debug for TransferGraph {
 mod tests {
     use super::*;
     use mpx_sim::Engine;
-    use mpx_topo::presets;
+    use mpx_topo::{presets, LinkId};
 
     fn runtime() -> GpuRuntime {
         GpuRuntime::new(Engine::new(Arc::new(presets::beluga())))

@@ -5,27 +5,30 @@
 //! [`Stream::synchronize`]. The executor is driven in two ways that must
 //! coexist without deadlock:
 //!
-//! * rank threads enqueue ops and kick the stream (no engine lock held
-//!   while the stream lock is held, and vice versa);
-//! * engine callbacks retire the in-flight op and advance the stream
-//!   (engine lock held, stream lock taken inside — the single permitted
-//!   nesting order).
+//! * rank threads enqueue ops and kick an idle stream;
+//! * engine callbacks retire the in-flight op and carry on (engine lock
+//!   held, stream lock taken inside).
 //!
-//! The [`Issuer`] abstraction lets both paths share the same `advance`
-//! loop.
+//! Both run the one loop, [`Stream::run`], which holds the stream lock
+//! across the pop and every op that completes on the spot. The lock order
+//! is engine → stream → event, so the loop gives the stream lock up around
+//! the two things that would invert it — a call that takes the engine lock
+//! (the rank-thread side of [`Issuer`]) and running another stream that a
+//! `Record` released — and marks the stream `busy` for exactly that
+//! window, which keeps everybody else from popping meanwhile.
 
 use crate::buffer::Buffer;
 use crate::event::GpuEvent;
-use mpx_sim::{Ctx, Engine, FlowSpec, OnComplete, Waker};
+use mpx_sim::{Ctx, Engine, FlowSink, FlowSpec, OnComplete, Route, Waker};
 use mpx_topo::units::Secs;
-use mpx_topo::{DeviceId, LinkId};
-use parking_lot::Mutex;
+use mpx_topo::DeviceId;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
 /// Either the public (locking) engine API or an in-callback context.
-pub enum Issuer<'a, 'b> {
+enum Issuer<'a, 'b> {
     /// Issue through the engine's public API (from a rank thread).
     Api(&'a Engine),
     /// Issue through an event-loop context (from a completion callback).
@@ -33,6 +36,15 @@ pub enum Issuer<'a, 'b> {
 }
 
 impl Issuer<'_, '_> {
+    /// Gives `st` up if issuing takes the engine lock, which must never be
+    /// taken under a stream lock; the event loop already holds it.
+    fn release<'g>(&self, st: StreamGuard<'g>) -> Option<StreamGuard<'g>> {
+        match self {
+            Issuer::Api(_) => None,
+            Issuer::Call(_) => Some(st),
+        }
+    }
+
     fn start_flow(&mut self, spec: FlowSpec, done: OnComplete) {
         match self {
             Issuer::Api(e) => {
@@ -50,30 +62,28 @@ impl Issuer<'_, '_> {
             Issuer::Call(ctx) => ctx.schedule_in(delay, done),
         }
     }
-
-    fn signal(&mut self, w: &Waker) {
-        match self {
-            Issuer::Api(e) => e.signal_waker(w),
-            Issuer::Call(ctx) => ctx.signal(w),
-        }
-    }
 }
 
 /// A kernel's completion effect (e.g. the reduction arithmetic). Runs when
 /// the kernel retires; must not block.
 pub type KernelEffect = Box<dyn FnOnce() + Send>;
 
+/// The payload move of a copy: applied when its flow completes.
+pub(crate) struct Payload {
+    pub(crate) src: Buffer,
+    pub(crate) src_off: usize,
+    pub(crate) dst: Buffer,
+    pub(crate) dst_off: usize,
+    pub(crate) len: usize,
+}
+
 pub(crate) enum Op {
     Copy {
-        src: Buffer,
-        src_off: usize,
-        dst: Buffer,
-        dst_off: usize,
-        len: usize,
+        payload: Payload,
         /// Shared, not owned: a compiled graph re-enqueues the same
-        /// route/label on every replay, so cloning an op must be a
-        /// refcount bump, not a heap copy.
-        route: Arc<[LinkId]>,
+        /// route/label on every replay, and the flow takes both as they
+        /// are, so neither costs a heap copy anywhere on the way.
+        route: Route,
         extra_latency: Secs,
         label: Arc<str>,
     },
@@ -91,7 +101,7 @@ pub(crate) enum Op {
 impl fmt::Debug for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Op::Copy { len, label, .. } => write!(f, "Copy({label}, {len}B)"),
+            Op::Copy { payload, label, .. } => write!(f, "Copy({label}, {}B)", payload.len),
             Op::Record(e) => write!(f, "Record({})", e.name()),
             Op::WaitEvent(e) => write!(f, "WaitEvent({})", e.name()),
             Op::Kernel { label, .. } => write!(f, "Kernel({label})"),
@@ -103,11 +113,18 @@ impl fmt::Debug for Op {
 
 struct StreamState {
     queue: VecDeque<Op>,
-    /// An async op (copy/kernel) is in flight.
+    /// An op is executing outside the lock: a copy or kernel in flight, or
+    /// one of the windows [`Stream::unlocked`] opens.
     busy: bool,
     /// Parked on an unrecorded event.
     parked: bool,
+    /// The in-flight copy's payload move, taken back at retirement.
+    in_flight: Option<Payload>,
+    /// Scratch for the streams a `Record` releases, kept for its capacity.
+    released: Vec<Stream>,
 }
+
+type StreamGuard<'a> = MutexGuard<'a, StreamState>;
 
 struct StreamInner {
     name: String,
@@ -135,6 +152,8 @@ impl Stream {
                     queue: VecDeque::new(),
                     busy: false,
                     parked: false,
+                    in_flight: None,
+                    released: Vec::new(),
                 }),
             }),
         }
@@ -158,7 +177,9 @@ impl Stream {
 
     /// Enqueues an asynchronous copy of `len` bytes over `route`,
     /// from `src[src_off..]` to `dst[dst_off..]`. `extra_latency` models
-    /// the launch overhead; `label` appears in traces.
+    /// the launch overhead; `label` appears in traces. A `Vec<LinkId>`
+    /// route is taken as it is; pass a [`Route::shared`] clone when many
+    /// copies use the one route.
     #[allow(clippy::too_many_arguments)]
     pub fn copy(
         &self,
@@ -167,19 +188,21 @@ impl Stream {
         dst: &Buffer,
         dst_off: usize,
         len: usize,
-        route: Vec<LinkId>,
+        route: impl Into<Route>,
         extra_latency: Secs,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) {
         self.enqueue(Op::Copy {
-            src: src.clone(),
-            src_off,
-            dst: dst.clone(),
-            dst_off,
-            len,
+            payload: Payload {
+                src: src.clone(),
+                src_off,
+                dst: dst.clone(),
+                dst_off,
+                len,
+            },
             route: route.into(),
             extra_latency,
-            label: label.into().into(),
+            label: label.into(),
         });
     }
 
@@ -226,59 +249,41 @@ impl Stream {
     }
 
     fn enqueue(&self, op: Op) {
-        self.inner.state.lock().queue.push_back(op);
-        self.advance(&mut Issuer::Api(&self.inner.engine));
+        self.enqueue_batch([op]);
     }
 
-    /// Enqueues a pre-built op sequence with one lock acquisition and one
-    /// advance — the replay fast path of [`crate::TransferGraph`], which
-    /// materializes a whole stream program at once instead of paying a
-    /// lock/advance cycle per op.
+    /// Enqueues a pre-built op sequence and, under the same lock, kicks
+    /// the stream if it was idle — the replay fast path of
+    /// [`crate::TransferGraph`], which materializes a whole stream program
+    /// at once instead of paying a lock cycle per op.
     pub(crate) fn enqueue_batch(&self, ops: impl IntoIterator<Item = Op>) {
-        self.inner.state.lock().queue.extend(ops);
-        self.advance(&mut Issuer::Api(&self.inner.engine));
+        let mut st = self.inner.state.lock();
+        st.queue.extend(ops);
+        if !st.busy && !st.parked {
+            self.run(st, &mut Issuer::Api(&self.inner.engine));
+        }
     }
 
     /// Runs ops until the stream blocks (async op in flight, parked on an
-    /// event, or queue empty). Called from enqueue sites and from
-    /// completion callbacks.
-    pub(crate) fn advance(&self, issuer: &mut Issuer<'_, '_>) {
-        loop {
-            let op = {
-                let mut st = self.inner.state.lock();
-                if st.busy || st.parked {
-                    return;
-                }
-                match st.queue.pop_front() {
-                    None => return,
-                    Some(op) => {
-                        st.busy = true;
-                        op
-                    }
-                }
-            };
+    /// event, or queue empty). The one executor: enqueue sites, completion
+    /// callbacks and releasing `Record`s all enter here, with the lock of
+    /// a stream that is neither busy nor parked.
+    fn run<'a>(&'a self, mut st: StreamGuard<'a>, issuer: &mut Issuer<'_, '_>) {
+        while let Some(op) = st.queue.pop_front() {
             match op {
                 Op::Copy {
-                    src,
-                    src_off,
-                    dst,
-                    dst_off,
-                    len,
+                    payload,
                     route,
                     extra_latency,
                     label,
                 } => {
-                    let this = self.clone();
-                    let spec = FlowSpec::new(route.to_vec(), len)
+                    let spec = FlowSpec::new(route, payload.len)
                         .with_extra_latency(extra_latency)
-                        .labeled(&*label);
-                    issuer.start_flow(
-                        spec,
-                        OnComplete::Call(Box::new(move |ctx| {
-                            Buffer::transfer(&src, src_off, &dst, dst_off, len);
-                            this.retire(ctx);
-                        })),
-                    );
+                        .labeled(label);
+                    st.in_flight = Some(payload);
+                    st.busy = true;
+                    let _held = issuer.release(st);
+                    issuer.start_flow(spec, OnComplete::Sink(self.inner.clone()));
                     return;
                 }
                 Op::Kernel {
@@ -286,6 +291,8 @@ impl Stream {
                     effect,
                     label: _,
                 } => {
+                    st.busy = true;
+                    let _held = issuer.release(st);
                     let this = self.clone();
                     issuer.schedule_in(
                         cost,
@@ -299,50 +306,71 @@ impl Stream {
                     return;
                 }
                 Op::Record(ev) => {
-                    self.inner.state.lock().busy = false;
-                    let parked = ev.complete();
-                    for s in parked {
-                        s.inner.state.lock().parked = false;
-                        s.advance(issuer);
+                    let mut released = std::mem::take(&mut st.released);
+                    ev.complete(&mut released);
+                    if !released.is_empty() {
+                        st = self.unlocked(st, || {
+                            for s in released.drain(..) {
+                                let mut theirs = s.inner.state.lock();
+                                theirs.parked = false;
+                                s.run(theirs, issuer);
+                            }
+                        });
                     }
-                    continue;
+                    st.released = released;
                 }
                 Op::WaitEvent(ev) => {
-                    {
-                        let mut st = self.inner.state.lock();
-                        st.busy = false;
+                    if !ev.park_unless_complete(self) {
                         st.parked = true;
+                        return;
                     }
-                    if ev.park_unless_complete(self.clone()) {
-                        self.inner.state.lock().parked = false;
-                        continue;
-                    }
-                    return;
                 }
-                Op::Signal(w) => {
-                    self.inner.state.lock().busy = false;
-                    issuer.signal(&w);
-                    continue;
-                }
+                Op::Signal(w) => match issuer {
+                    Issuer::Api(e) => st = self.unlocked(st, || e.signal_waker(&w)),
+                    Issuer::Call(ctx) => ctx.signal(&w),
+                },
+                // Unlocked in the event loop too: the callback is foreign
+                // code and may look at this stream.
                 Op::Callback(f) => {
-                    self.inner.state.lock().busy = false;
-                    match issuer {
+                    st = self.unlocked(st, || match issuer {
                         // From a rank thread: defer to the event loop at
                         // the current virtual time.
                         Issuer::Api(e) => e.schedule_in(0.0, OnComplete::Call(f)),
                         Issuer::Call(ctx) => f(ctx),
-                    }
-                    continue;
+                    })
                 }
             }
         }
     }
 
+    /// Runs `f` with the stream lock released and the stream marked busy,
+    /// so that no other thread pops an op meanwhile; returns the lock.
+    fn unlocked<'a>(&'a self, mut st: StreamGuard<'a>, f: impl FnOnce()) -> StreamGuard<'a> {
+        st.busy = true;
+        drop(st);
+        f();
+        let mut st = self.inner.state.lock();
+        st.busy = false;
+        st
+    }
+
     /// Retires the in-flight async op (engine callback context) and
-    /// advances.
+    /// carries on.
     fn retire(&self, ctx: &mut Ctx<'_>) {
-        self.inner.state.lock().busy = false;
-        self.advance(&mut Issuer::Call(ctx));
+        let mut st = self.inner.state.lock();
+        st.busy = false;
+        self.run(st, &mut Issuer::Call(ctx));
+    }
+}
+
+impl FlowSink for StreamInner {
+    /// The in-flight copy's flow completed: move its bytes — outside the
+    /// stream lock, the stream still busy — then retire it.
+    fn flow_done(self: Arc<Self>, ctx: &mut Ctx<'_>) {
+        let in_flight = self.state.lock().in_flight.take();
+        let p = in_flight.expect("a flow completed with no copy in flight");
+        Buffer::transfer(&p.src, p.src_off, &p.dst, p.dst_off, p.len);
+        Stream { inner: self }.retire(ctx);
     }
 }
 
@@ -362,7 +390,7 @@ impl fmt::Debug for Stream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpx_topo::presets;
+    use mpx_topo::{presets, LinkId};
     use parking_lot::Mutex as PlMutex;
     use std::sync::Arc;
 

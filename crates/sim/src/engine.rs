@@ -38,7 +38,7 @@
 //! lock and receive a [`Ctx`] with non-blocking operations only. They
 //! must never touch the public blocking API — doing so would deadlock.
 
-use crate::fairness::{FairShareScratch, FlowDemand};
+use crate::fairness::{fold_links, FairShareScratch, FlowDemand, Links};
 use crate::time::SimTime;
 use crate::waker::Waker;
 use mpx_obs::{Phase, Recorder};
@@ -49,7 +49,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::{Index, IndexMut};
+use std::ops::{Deref, Index, IndexMut};
 use std::sync::Arc;
 
 /// Deterministic latency noise: every flow's startup latency is scaled
@@ -73,6 +73,15 @@ pub struct FlowId(pub u64);
 /// the [`Ctx`] argument, never the blocking `Engine`/`SimThread` API.
 pub type EventFn = Box<dyn FnOnce(&mut Ctx<'_>) + Send>;
 
+/// A completion target that is already shared: what a flow per op would
+/// otherwise box a closure for. The target keeps whatever the completion
+/// needs in its own state; the engine only hands it back its handle.
+pub trait FlowSink: Send + Sync {
+    /// Runs in the event loop, under the engine lock, like an
+    /// [`EventFn`]: use only `ctx`, never the blocking API.
+    fn flow_done(self: Arc<Self>, ctx: &mut Ctx<'_>);
+}
+
 /// What to do when a flow or timer completes.
 pub enum OnComplete {
     /// Do nothing.
@@ -81,6 +90,8 @@ pub enum OnComplete {
     Signal(Waker),
     /// Run a callback in the event loop.
     Call(EventFn),
+    /// Notify a shared sink in the event loop; allocates nothing.
+    Sink(Arc<dyn FlowSink>),
 }
 
 impl std::fmt::Debug for OnComplete {
@@ -89,6 +100,67 @@ impl std::fmt::Debug for OnComplete {
             OnComplete::Nothing => write!(f, "Nothing"),
             OnComplete::Signal(w) => write!(f, "Signal({})", w.name()),
             OnComplete::Call(_) => write!(f, "Call(..)"),
+            OnComplete::Sink(_) => write!(f, "Sink(..)"),
+        }
+    }
+}
+
+/// The directed links a flow occupies, in traversal order; repeated links
+/// count double for contention. Reads as a `[LinkId]`.
+///
+/// One type, two forms. A `Vec<LinkId>` converts for free and is folded
+/// into its fair-share demand when its flow starts, one allocation per
+/// flow — right for a route used once. [`Route::shared`] folds once, up
+/// front; its clones, and every flow started from one, share both lists by
+/// reference count — right for a route that a stream program or a compiled
+/// graph sends flow after flow over.
+#[derive(Debug, Clone)]
+pub struct Route(RouteRepr);
+
+#[derive(Debug, Clone)]
+enum RouteRepr {
+    Owned(Vec<LinkId>),
+    Shared(Arc<[LinkId]>, Arc<[(usize, f64)]>),
+}
+
+impl Route {
+    /// A route that clones, and starts flows, without allocating.
+    pub fn shared(links: &[LinkId]) -> Route {
+        let folded = fold_links(links.iter().map(|l| l.index()));
+        Route(RouteRepr::Shared(links.into(), folded.into()))
+    }
+
+    /// The route's links merged into `(link index, multiplicity)`: the
+    /// shared list, or a fresh fold of an owned route (one allocation).
+    fn folded(&self) -> Links {
+        match &self.0 {
+            RouteRepr::Owned(links) => Links::Owned(fold_links(links.iter().map(|l| l.index()))),
+            RouteRepr::Shared(_, folded) => Links::Shared(folded.clone()),
+        }
+    }
+}
+
+impl From<Vec<LinkId>> for Route {
+    fn from(links: Vec<LinkId>) -> Route {
+        Route(RouteRepr::Owned(links))
+    }
+}
+
+impl From<Route> for Vec<LinkId> {
+    fn from(route: Route) -> Vec<LinkId> {
+        match route.0 {
+            RouteRepr::Owned(links) => links,
+            RouteRepr::Shared(links, _) => links.to_vec(),
+        }
+    }
+}
+
+impl Deref for Route {
+    type Target = [LinkId];
+    fn deref(&self) -> &[LinkId] {
+        match &self.0 {
+            RouteRepr::Owned(links) => links,
+            RouteRepr::Shared(links, _) => links,
         }
     }
 }
@@ -98,7 +170,7 @@ impl std::fmt::Debug for OnComplete {
 pub struct FlowSpec {
     /// Directed links the flow occupies, in traversal order. Repeated
     /// links count double for contention.
-    pub route: Vec<LinkId>,
+    pub route: Route,
     /// Payload size in bytes.
     pub bytes: usize,
     /// Extra startup delay charged before the flow becomes active, *in
@@ -114,20 +186,22 @@ pub struct FlowSpec {
     /// pre-drew in global issue order, so the same factors reach a flow
     /// no matter which partition simulates it (see [`crate::parallel`]).
     pub latency_factor: f64,
-    /// Label recorded in the trace (e.g. `p1.c3.leg2`).
-    pub label: String,
+    /// Label recorded in the trace (e.g. `p1.c3.leg2`), shared with
+    /// whoever issued the flow. `None` reads as the empty label and, unlike
+    /// an empty `Arc<str>`, costs nothing to make.
+    pub label: Option<Arc<str>>,
 }
 
 impl FlowSpec {
     /// A flow over `route` carrying `bytes`, no extra latency, no label.
-    pub fn new(route: Vec<LinkId>, bytes: usize) -> FlowSpec {
+    pub fn new(route: impl Into<Route>, bytes: usize) -> FlowSpec {
         FlowSpec {
-            route,
+            route: route.into(),
             bytes,
             extra_latency: 0.0,
             weight: 1.0,
             latency_factor: 1.0,
-            label: String::new(),
+            label: None,
         }
     }
 
@@ -152,8 +226,8 @@ impl FlowSpec {
     }
 
     /// Sets the trace label.
-    pub fn labeled(mut self, label: impl Into<String>) -> FlowSpec {
-        self.label = label.into();
+    pub fn labeled(mut self, label: impl Into<Arc<str>>) -> FlowSpec {
+        self.label = Some(label.into());
         self
     }
 
@@ -258,7 +332,8 @@ impl StatsSnapshot {
 
 struct FlowState {
     id: FlowId,
-    route: Vec<LinkId>,
+    /// Kept for the trace record only; `demand` is what the engine reads.
+    route: Route,
     demand: FlowDemand,
     remaining: f64,
     rate: f64,
@@ -274,7 +349,7 @@ struct FlowState {
     bytes: usize,
     issued: SimTime,
     activated: SimTime,
-    label: String,
+    label: Option<Arc<str>>,
 }
 
 impl FlowState {
@@ -1247,24 +1322,19 @@ fn run_on_complete(st: &mut State, topo: &Topology, done: OnComplete) {
     match done {
         OnComplete::Nothing => {}
         OnComplete::Signal(w) => fire_waker(st, &w),
-        OnComplete::Call(f) => {
-            let mut ctx = Ctx { st, topo };
-            f(&mut ctx);
-        }
+        OnComplete::Call(f) => f(&mut Ctx { st, topo }),
+        OnComplete::Sink(sink) => sink.flow_done(&mut Ctx { st, topo }),
     }
 }
 
 fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnComplete) -> FlowId {
-    assert!(
-        !spec.route.is_empty(),
-        "flow `{}` has an empty route",
-        spec.label
-    );
+    let label = spec.label.as_deref().unwrap_or("");
+    assert!(!spec.route.is_empty(), "flow `{label}` has an empty route");
     let mut latency = spec.extra_latency;
-    for &lid in &spec.route {
+    for &lid in spec.route.iter() {
         latency += topo
             .link(lid)
-            .unwrap_or_else(|e| panic!("flow `{}`: {e}", spec.label))
+            .unwrap_or_else(|e| panic!("flow `{label}`: {e}"))
             .latency
             * st.latency_scale[lid.index()];
     }
@@ -1276,8 +1346,8 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
     let id = FlowId(st.next_flow);
     st.next_flow += 1;
     st.flows_issued += 1;
-    let demand = FlowDemand::from_links(spec.route.iter().map(|l| l.index()), spec.weight);
-    for &(l, _) in &demand.links {
+    let demand = FlowDemand::new(spec.route.folded(), spec.weight);
+    for &(l, _) in demand.links.iter() {
         st.link_stats[l].flows += 1;
     }
     let now = st.now;
@@ -1339,7 +1409,7 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
             }
             fs.comp_mark = epoch;
             st.comp_flows.push((fs.id, slot));
-            for &(l2, _) in &fs.demand.links {
+            for &(l2, _) in fs.demand.links.iter() {
                 if st.link_mark[l2] != epoch {
                     st.link_mark[l2] = epoch;
                     st.comp_links.push(l2);
@@ -1361,7 +1431,7 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
         let fs = &mut st.flows[st.comp_flows[i].1];
         let drained = fs.drain(now);
         if drained > 0.0 {
-            for &(l, m) in &fs.demand.links {
+            for &(l, m) in fs.demand.links.iter() {
                 st.link_stats[l].bytes += drained * m;
             }
         }
@@ -1477,22 +1547,21 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
     let id = fs.id;
     // Leave the fabric. Zero-byte flows complete without ever having
     // registered on their links.
-    for &(l, _) in &fs.demand.links {
+    for &(l, _) in fs.demand.links.iter() {
         if let Ok(i) = st.link_flows[l].binary_search_by_key(&id, |m| m.id) {
             st.link_flows[l].remove(i);
         }
     }
     // Account the final drain exactly: whatever was left is delivered now.
-    for &(l, m) in &fs.demand.links {
+    for &(l, m) in fs.demand.links.iter() {
         st.link_stats[l].bytes += fs.remaining * m;
     }
     fs.remaining = 0.0;
     st.flows_completed += 1;
     if let Some(rec) = st.recorder.as_ref() {
-        let label = if fs.label.is_empty() {
-            format!("flow{}", id.0)
-        } else {
-            fs.label.clone()
+        let label = match fs.label.as_deref() {
+            None | Some("") => format!("flow{}", id.0),
+            Some(label) => label.to_string(),
         };
         // Probe flows carry a `probe` label prefix; everything else on
         // the fabric is a chunk leg (or direct-path flow) of a transfer.
@@ -1509,7 +1578,7 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
         let (start, end) = (start.as_secs(), st.now.as_secs());
         let detail = format!("{} bytes", fs.bytes);
         rec.span(phase, lane_of(&label), label.clone(), start, end, &detail);
-        for &(l, _) in &fs.demand.links {
+        for &(l, _) in fs.demand.links.iter() {
             rec.span(
                 phase,
                 st.link_tracks[l].clone(),
@@ -1523,8 +1592,8 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
     if let Some(trace) = st.trace.as_mut() {
         trace.push(TraceRecord {
             flow: id,
-            label: std::mem::take(&mut fs.label),
-            route: std::mem::take(&mut fs.route),
+            label: fs.label.as_deref().unwrap_or("").to_string(),
+            route: fs.route.into(),
             bytes: fs.bytes,
             issued: fs.issued,
             activated: fs.activated,
@@ -1571,7 +1640,7 @@ fn process_next_event(st: &mut State, topo: &Topology) -> bool {
                 // flow itself.
                 let (id, weight) = (fs.id, fs.demand.weight);
                 let (seed, multi) = (fs.demand.links[0].0, fs.demand.links.len() > 1);
-                for &(l, mult) in &fs.demand.links {
+                for &(l, mult) in fs.demand.links.iter() {
                     let list = &mut st.link_flows[l];
                     let at = list.partition_point(|m| m.id < id);
                     list.insert(
@@ -1941,7 +2010,10 @@ mod tests {
     #[should_panic(expected = "empty route")]
     fn empty_route_rejected() {
         let eng = engine();
-        eng.start_flow(FlowSpec::new(vec![], 100), OnComplete::Nothing);
+        eng.start_flow(
+            FlowSpec::new(Vec::<LinkId>::new(), 100),
+            OnComplete::Nothing,
+        );
     }
 
     #[test]
@@ -2427,7 +2499,7 @@ mod queue_tests {
                     kib,
                     weight,
                 } => {
-                    let route = route.into_iter().map(|l| links[l]).collect();
+                    let route: Vec<_> = route.into_iter().map(|l| links[l]).collect();
                     let spec = FlowSpec::new(route, kib << 10).with_weight(weight);
                     eng.schedule_in(
                         at(t),

@@ -14,13 +14,40 @@
 //! UPI hop slow each other down exactly in proportion to how many of them
 //! are active.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// A folded route: `(link index, multiplicity)`, sorted by link index, no
+/// link twice. Reads as a slice. Either one flow's own list, or the one
+/// list every flow over a [`crate::Route::shared`] route points at.
+#[derive(Debug, Clone)]
+pub enum Links {
+    /// Folded for this flow. A bare buffer, not an `Arc` with one owner:
+    /// the two counters would move a one-link list into the allocator's
+    /// next size class, which `run_parallel` workers starting a flow per
+    /// owned route measurably pay for (DESIGN §4, "Flow lifecycle").
+    Owned(Box<[(usize, f64)]>),
+    /// Folded once for the route; cloning bumps a reference count.
+    Shared(Arc<[(usize, f64)]>),
+}
+
+impl Deref for Links {
+    type Target = [(usize, f64)];
+    fn deref(&self) -> &[(usize, f64)] {
+        match self {
+            Links::Owned(links) => links,
+            Links::Shared(links) => links,
+        }
+    }
+}
+
 /// A flow's demand: the links it crosses, with multiplicity, and its
 /// QoS weight.
 #[derive(Debug, Clone)]
 pub struct FlowDemand {
     /// `(link index, multiplicity)` — multiplicity counts how many times
     /// the route crosses the link.
-    pub links: Vec<(usize, f64)>,
+    pub links: Links,
     /// Weighted-fair-share weight: where flows contend, rates divide in
     /// proportion to their weights.
     pub weight: f64,
@@ -28,41 +55,46 @@ pub struct FlowDemand {
 
 impl Default for FlowDemand {
     fn default() -> Self {
-        FlowDemand {
-            links: Vec::new(),
-            weight: 1.0,
-        }
+        FlowDemand::new(Links::Owned(Box::new([])), 1.0)
     }
 }
 
-impl FlowDemand {
-    /// Builds a demand from a raw route, merging repeated links into
-    /// multiplicities. Sort-and-fold, so the cost is O(n log n) rather
-    /// than the quadratic scan-per-hop this used to do; the resulting
-    /// link list is sorted by link index (a canonical order downstream
-    /// consumers may rely on for reproducible float accumulation).
-    pub fn from_route(route: &[usize]) -> FlowDemand {
-        FlowDemand::from_links(route.iter().copied(), 1.0)
-    }
+/// Merges the repeated links of a raw route into multiplicities.
+/// Sort-and-fold, O(n log n); the list comes out sorted by link index (a
+/// canonical order downstream consumers may rely on for reproducible
+/// float accumulation). One allocation, unless a link repeats.
+pub(crate) fn fold_links(route: impl Iterator<Item = usize>) -> Box<[(usize, f64)]> {
+    let mut links: Vec<(usize, f64)> = route.map(|l| (l, 1.0)).collect();
+    links.sort_unstable_by_key(|&(l, _)| l);
+    links.dedup_by(|cur, kept| {
+        if cur.0 == kept.0 {
+            kept.1 += cur.1;
+            true
+        } else {
+            false
+        }
+    });
+    links.into_boxed_slice()
+}
 
-    /// [`FlowDemand::from_route_weighted`] over any sequence of link
-    /// indices, so callers holding typed link ids need no index copy.
-    pub fn from_links(route: impl IntoIterator<Item = usize>, weight: f64) -> FlowDemand {
+impl FlowDemand {
+    /// A demand over an already folded link list (sorted by link index,
+    /// no link twice).
+    ///
+    /// # Panics
+    /// Panics unless `weight` is positive and finite.
+    pub fn new(links: Links, weight: f64) -> FlowDemand {
         assert!(
             weight > 0.0 && weight.is_finite(),
             "invalid weight {weight}"
         );
-        let mut links: Vec<(usize, f64)> = route.into_iter().map(|l| (l, 1.0)).collect();
-        links.sort_unstable_by_key(|&(l, _)| l);
-        links.dedup_by(|cur, kept| {
-            if cur.0 == kept.0 {
-                kept.1 += cur.1;
-                true
-            } else {
-                false
-            }
-        });
         FlowDemand { links, weight }
+    }
+
+    /// Builds a weight-1 demand from a raw route, merging repeated links
+    /// into multiplicities.
+    pub fn from_route(route: &[usize]) -> FlowDemand {
+        FlowDemand::from_route_weighted(route, 1.0)
     }
 
     /// Builds a demand with a QoS weight: where flows contend, a flow of
@@ -72,7 +104,7 @@ impl FlowDemand {
     /// # Panics
     /// Panics unless `weight > 0`.
     pub fn from_route_weighted(route: &[usize], weight: f64) -> FlowDemand {
-        FlowDemand::from_links(route.iter().copied(), weight)
+        FlowDemand::new(Links::Owned(fold_links(route.iter().copied())), weight)
     }
 }
 
@@ -105,7 +137,7 @@ pub fn max_min_rates(capacities: &[f64], flows: &[FlowDemand]) -> Vec<f64> {
             frozen[fi] = true; // unconstrained
             continue;
         }
-        for &(l, m) in &f.links {
+        for &(l, m) in f.links.iter() {
             assert!(
                 l < capacities.len(),
                 "flow {fi} references unknown link {l}"
@@ -138,7 +170,7 @@ pub fn max_min_rates(capacities: &[f64], flows: &[FlowDemand]) -> Vec<f64> {
                 frozen[fi] = true;
                 let rate = share_unit * f.weight;
                 rates[fi] = rate;
-                for &(l, m) in &f.links {
+                for &(l, m) in f.links.iter() {
                     residual[l] = (residual[l] - rate * m).max(0.0);
                     load[l] -= f.weight * m;
                 }
@@ -253,7 +285,7 @@ impl FairShareScratch {
                 self.frozen[fi] = true; // unconstrained
                 continue;
             }
-            for &(l, m) in &f.links {
+            for &(l, m) in f.links.iter() {
                 assert!(
                     l < capacities.len(),
                     "flow {fi} references unknown link {l}"
@@ -310,7 +342,7 @@ impl FairShareScratch {
                 self.frozen[fi] = true;
                 let rate = share_unit * f.weight;
                 rates[fi] = rate;
-                for &(l2, m) in &f.links {
+                for &(l2, m) in f.links.iter() {
                     self.residual[l2] = (self.residual[l2] - rate * m).max(0.0);
                     self.load[l2] -= f.weight * m;
                 }
@@ -507,7 +539,7 @@ mod tests {
                 let rates = max_min_rates(&caps, &flows);
                 let mut used = vec![0.0; caps.len()];
                 for (f, r) in flows.iter().zip(&rates) {
-                    for &(l, m) in &f.links {
+                    for &(l, m) in f.links.iter() {
                         used[l] += r * m;
                     }
                 }
@@ -524,7 +556,7 @@ mod tests {
                 let rates = max_min_rates(&caps, &flows);
                 let mut used = vec![0.0; caps.len()];
                 for (f, r) in flows.iter().zip(&rates) {
-                    for &(l, m) in &f.links {
+                    for &(l, m) in f.links.iter() {
                         used[l] += r * m;
                     }
                 }

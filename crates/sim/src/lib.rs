@@ -46,10 +46,10 @@ pub mod time;
 pub mod waker;
 
 pub use engine::{
-    Ctx, Engine, EventFn, FlowId, FlowSpec, JitterModel, LinkStats, OnComplete, SimThread,
-    StatsSnapshot, TraceRecord,
+    Ctx, Engine, EventFn, FlowId, FlowSink, FlowSpec, JitterModel, LinkStats, OnComplete, Route,
+    SimThread, StatsSnapshot, TraceRecord,
 };
-pub use fairness::{max_min_rates, max_min_rates_fast, FairShareScratch, FlowDemand};
+pub use fairness::{max_min_rates, max_min_rates_fast, FairShareScratch, FlowDemand, Links};
 pub use fault::{plan_horizon, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use parallel::{equivalence_diff, PartitionRun, Scenario, ScenarioReport};
 pub use partition::{partition_scenario, Partition, PartitionPlan, Partitioner};

@@ -163,7 +163,7 @@ impl Scenario {
         let routes: Vec<(SimTime, Vec<mpx_topo::LinkId>)> = self
             .flows
             .iter()
-            .map(|(at, s)| (SimTime::from_secs(*at), s.route.clone()))
+            .map(|(at, s)| (SimTime::from_secs(*at), s.route.to_vec()))
             .collect();
         partition_scenario(self.topo.link_count(), &routes, &self.faults)
     }

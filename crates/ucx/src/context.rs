@@ -10,7 +10,7 @@
 use crate::compile::{compile_plan, graph_key, GraphCache, GraphStats, MAX_GRAPHS_PER_KEY};
 use crate::health::{BreakerEvent, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions};
 use crate::pipeline::{execute_plan_at_obs, PathSlot, TransferHandle, TransferObs};
-use crate::probe::probe_all_with;
+use crate::probe::probe_live;
 use crate::recover::{ResilienceCounters, ResilienceStats};
 use crate::tuner::{manual_plan, tune_exhaustive, TuneResult};
 use mpx_gpu::{Buffer, GpuRuntime, GraphLaunchError, TransferGraph};
@@ -382,18 +382,7 @@ impl UcxContext {
                 Some(p) => p,
                 None => {
                     let eng = self.inner.rt.engine();
-                    // Down links report capacity 0, which the probe
-                    // engine rejects; give them a dummy rate instead.
-                    // Supervised planning keeps dead routes out of the
-                    // candidate set, so the dummy never carries a share
-                    // worth anything.
-                    let p = eng.with_capacities(|caps| {
-                        let caps: Vec<f64> = caps
-                            .iter()
-                            .map(|&v| if v > 0.0 { v } else { 1.0 })
-                            .collect();
-                        probe_all_with(eng.topology(), Some(&caps), &paths).map(Arc::new)
-                    })?;
+                    let p = Arc::new(probe_live(eng, &paths)?);
                     if let Some(rec) = &self.inner.obs {
                         rec.instant(
                             Phase::Probe,

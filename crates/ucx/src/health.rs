@@ -29,7 +29,7 @@
 use crate::context::UcxContext;
 use crate::deadline::DeadlinePolicy;
 use crate::pipeline::execute_plan_at_obs;
-use crate::probe::probe_all_with;
+use crate::probe::probe_live;
 use crate::recover::{coalesce, residuals_of, Range, RecoveryError};
 use mpx_gpu::Buffer;
 use mpx_model::{PairKey, TransferPlan};
@@ -618,9 +618,7 @@ impl UcxContext {
 
             // Re-probe the hedge set against current capacities (down
             // links carry a dummy rate; no hedge path routes over them).
-            let caps: Vec<f64> =
-                eng.with_capacities(|c| c.iter().map(|&v| if v > 0.0 { v } else { 1.0 }).collect());
-            let params = probe_all_with(eng.topology(), Some(&caps), &hedge_paths)?;
+            let params = probe_live(&eng, &hedge_paths)?;
 
             let mut handles = Vec::with_capacity(pending.len());
             let mut worst: Secs = 0.0;

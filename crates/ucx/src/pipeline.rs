@@ -20,7 +20,7 @@
 use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::TransferPlan;
 use mpx_obs::{Phase, QuantileHist, Recorder, ResidualTracker};
-use mpx_sim::{SimTime, Waker};
+use mpx_sim::{Route, SimTime, Waker};
 use mpx_topo::path::TransferPath;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -386,6 +386,10 @@ pub(crate) fn execute_plan_at_obs(
                 let base = share / k;
                 let rem = share % k;
                 let mut chunk_off = offset;
+                // Folded once per leg; each chunk's copy, and its flow,
+                // share it by reference count.
+                let route1 = Route::shared(&path.legs[0].route);
+                let route2 = Route::shared(&path.legs[1].route);
                 // A bounded ring of reusable staging slots, each sized
                 // for the largest chunk — staging memory is
                 // RING_DEPTH × chunk regardless of message size. Slots
@@ -420,7 +424,7 @@ pub(crate) fn execute_plan_at_obs(
                         &slot,
                         0,
                         len,
-                        path.legs[0].route.clone(),
+                        route1.clone(),
                         oh.copy_launch + first_extra,
                         format!("xfer{transfer_seq}.p{pi}.c{c}.leg1"),
                     );
@@ -435,7 +439,7 @@ pub(crate) fn execute_plan_at_obs(
                         dst,
                         dst_off + chunk_off,
                         len,
-                        path.legs[1].route.clone(),
+                        route2.clone(),
                         oh.copy_launch + oh.stage_sync,
                         format!("xfer{transfer_seq}.p{pi}.c{c}.leg2"),
                     );

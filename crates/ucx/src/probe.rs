@@ -15,125 +15,104 @@
 //! overhead (`ε`) keep their extracted values — a latency probe would
 //! return the same numbers, since tiny messages don't contend.
 
-use mpx_sim::{Engine, FlowSpec, OnComplete};
+use mpx_sim::{Engine, FlowId, FlowSpec, OnComplete};
 use mpx_topo::params::{extract_path_params, LegParams, PathParams};
 use mpx_topo::path::TransferPath;
-use mpx_topo::{Topology, TopologyError};
+use mpx_topo::{LinkId, Topology, TopologyError};
 use std::sync::Arc;
 
 /// Bytes per probe flow. Large enough that latency is negligible against
 /// the transfer time on any realistic link.
 pub const PROBE_BYTES: usize = 256 << 20;
 
-/// Measures the effective per-leg bandwidths of `path` with all of its
-/// legs active at once. Returns datasheet parameters with the probed
-/// `β` values substituted in.
-pub fn probe_path_params(
-    topo: &Arc<Topology>,
-    path: &TransferPath,
-) -> Result<PathParams, TopologyError> {
-    probe_path_params_with(topo, None, path)
-}
-
-/// [`probe_path_params`] against explicit (possibly degraded) link
-/// capacities.
-pub fn probe_path_params_with(
-    topo: &Arc<Topology>,
-    capacities: Option<&[f64]>,
-    path: &TransferPath,
-) -> Result<PathParams, TopologyError> {
-    let mut params = extract_path_params(topo, path)?;
-    let routes: Vec<Vec<mpx_topo::LinkId>> = path.legs.iter().map(|l| l.route.clone()).collect();
-    if path.legs.len() < 2 {
-        // A direct path has nothing to contend with itself, but its
-        // capacity may still have degraded.
-        if capacities.is_some() {
-            let rates = probe_concurrent_rates_with(topo, capacities, &routes);
-            params.first.beta = rates[0];
-        }
-        return Ok(params);
-    }
-    let betas = probe_concurrent_rates_with(topo, capacities, &routes);
-    params.first.beta = betas[0];
-    if let Some(second) = params.second.as_mut() {
-        second.beta = betas[1];
-    }
-    Ok(params)
-}
-
-/// Probes every path of a candidate set.
-pub fn probe_all(
-    topo: &Arc<Topology>,
+/// [`probe_all_with`] against a live engine's current capacities, copied
+/// out first so the engine is unlocked while the scratch one runs. Down
+/// links report capacity 0, which a probe engine rejects; they read as a
+/// dummy 1 B/s instead — callers keep dead routes out of the path sets
+/// they probe, so the dummy never carries a share worth anything.
+pub(crate) fn probe_live(
+    eng: &Engine,
     paths: &[TransferPath],
 ) -> Result<Vec<PathParams>, TopologyError> {
-    paths.iter().map(|p| probe_path_params(topo, p)).collect()
+    let caps: Vec<f64> =
+        eng.with_capacities(|c| c.iter().map(|&v| if v > 0.0 { v } else { 1.0 }).collect());
+    probe_all_with(eng.topology(), Some(&caps), paths)
 }
 
-/// [`probe_all`] against explicit (possibly degraded) link capacities.
+/// Measures the effective per-leg bandwidths of every path of a candidate
+/// set, each path with all of its legs active at once and nothing else on
+/// the fabric, against `capacities` (the datasheet's when `None`). Returns
+/// datasheet parameters with the probed `β` values substituted in.
+///
+/// One scratch engine serves the whole set, a round per path on the idle
+/// fabric: virtual time is integer nanoseconds and a flow's progress
+/// depends on differences of it only, so a round measures the same rates
+/// whenever it starts.
 pub fn probe_all_with(
     topo: &Arc<Topology>,
     capacities: Option<&[f64]>,
     paths: &[TransferPath],
 ) -> Result<Vec<PathParams>, TopologyError> {
-    paths
-        .iter()
-        .map(|p| probe_path_params_with(topo, capacities, p))
-        .collect()
-}
-
-/// Injects one `PROBE_BYTES` flow per route simultaneously on a fresh
-/// simulation and returns each route's mean achieved rate (bytes/s).
-pub fn probe_concurrent_rates(topo: &Arc<Topology>, routes: &[Vec<mpx_topo::LinkId>]) -> Vec<f64> {
-    probe_concurrent_rates_with(topo, None, routes)
-}
-
-/// [`probe_concurrent_rates`] against explicit link capacities — used to
-/// re-calibrate against a *live* engine whose links have degraded from
-/// their datasheet values (`Engine::set_link_capacity`).
-pub fn probe_concurrent_rates_with(
-    topo: &Arc<Topology>,
-    capacities: Option<&[f64]>,
-    routes: &[Vec<mpx_topo::LinkId>],
-) -> Vec<f64> {
+    let mut all = (paths.iter())
+        .map(|p| extract_path_params(topo, p))
+        .collect::<Result<Vec<_>, _>>()?;
     let eng = Engine::with_tracing(topo.clone(), true);
-    if let Some(caps) = capacities {
-        for (i, &c) in caps.iter().enumerate() {
-            eng.set_link_capacity(mpx_topo::LinkId(i as u32), c);
+    for (link, &c) in topo.links.iter().zip(capacities.unwrap_or(&[])) {
+        if c != link.bandwidth {
+            eng.set_link_capacity(link.id, c);
         }
     }
-    for (i, route) in routes.iter().enumerate() {
-        eng.start_flow(
-            FlowSpec::new(route.clone(), PROBE_BYTES).labeled(format!("probe{i}")),
-            OnComplete::Nothing,
-        );
+    for (path, params) in paths.iter().zip(&mut all) {
+        // A direct path has nothing to contend with itself, but its
+        // capacity may still have degraded.
+        if path.legs.len() < 2 && capacities.is_none() {
+            continue;
+        }
+        let betas = probe_round(&eng, path.legs.iter().map(|l| l.route.clone()));
+        params.first.beta = betas[0];
+        if let Some(second) = params.second.as_mut() {
+            second.beta = betas[1];
+        }
     }
+    Ok(all)
+}
+
+/// [`probe_all_with`] for one path on a scratch engine of its own.
+pub fn probe_path_params_with(
+    topo: &Arc<Topology>,
+    capacities: Option<&[f64]>,
+    path: &TransferPath,
+) -> Result<PathParams, TopologyError> {
+    let mut all = probe_all_with(topo, capacities, std::slice::from_ref(path))?;
+    Ok(all.pop().expect("one path in, one out"))
+}
+
+/// Injects one `PROBE_BYTES` flow per route simultaneously on the idle
+/// `eng` and returns each route's mean achieved rate (bytes/s).
+fn probe_round(eng: &Engine, routes: impl Iterator<Item = Vec<LinkId>>) -> Vec<f64> {
+    let flows: Vec<FlowId> = routes
+        .map(|r| eng.start_flow(FlowSpec::new(r, PROBE_BYTES), OnComplete::Nothing))
+        .collect();
     eng.run_until_idle();
     let trace = eng.take_trace();
-    routes
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let label = format!("probe{i}");
-            let rec = trace
-                .iter()
-                .find(|r| r.label == label)
-                .expect("probe flow traced");
-            rec.bytes as f64 / rec.completed.secs_since(rec.activated)
-        })
-        .collect()
+    let rate = |id: &FlowId| {
+        let rec = (trace.iter().find(|r| r.flow == *id)).expect("probe flow traced");
+        rec.bytes as f64 / rec.completed.secs_since(rec.activated)
+    };
+    flows.iter().map(rate).collect()
 }
 
 /// A probed [`LegParams`] for a single route in isolation (used by tests
 /// and the calibration example to cross-check `mpx_model::fit_hockney`).
-pub fn probe_leg_isolated(topo: &Arc<Topology>, route: Vec<mpx_topo::LinkId>) -> LegParams {
-    let rates = probe_concurrent_rates(topo, std::slice::from_ref(&route));
+pub fn probe_leg_isolated(topo: &Arc<Topology>, route: Vec<LinkId>) -> LegParams {
     let mut alpha = topo.overheads.copy_launch;
     for lid in &route {
         alpha += topo.link(*lid).expect("route link").latency;
     }
+    let eng = Engine::with_tracing(topo.clone(), true);
     LegParams {
         alpha,
-        beta: rates[0],
+        beta: probe_round(&eng, std::iter::once(route))[0],
     }
 }
 
@@ -149,7 +128,7 @@ mod tests {
         let topo = Arc::new(presets::beluga());
         let gpus = topo.gpus();
         let paths = enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::DIRECT_ONLY).unwrap();
-        let probed = probe_path_params(&topo, &paths[0]).unwrap();
+        let probed = probe_path_params_with(&topo, None, &paths[0]).unwrap();
         assert_eq!(probed.first.beta, gb_per_s(48.0));
     }
 
@@ -158,7 +137,7 @@ mod tests {
         let topo = Arc::new(presets::beluga());
         let gpus = topo.gpus();
         let paths = enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::TWO_GPUS).unwrap();
-        let probed = probe_path_params(&topo, &paths[1]).unwrap();
+        let probed = probe_path_params_with(&topo, None, &paths[1]).unwrap();
         assert!((probed.first.beta - gb_per_s(48.0)).abs() < 1e6);
         assert!((probed.second.unwrap().beta - gb_per_s(48.0)).abs() < 1e6);
     }
@@ -171,7 +150,7 @@ mod tests {
         let paths =
             enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::THREE_GPUS_WITH_HOST).unwrap();
         let host = paths.last().unwrap();
-        let probed = probe_path_params(&topo, host).unwrap();
+        let probed = probe_path_params_with(&topo, None, host).unwrap();
         assert!((probed.first.beta - gb_per_s(12.0)).abs() < 1e8);
         assert!((probed.second.unwrap().beta - gb_per_s(12.0)).abs() < 1e8);
     }
@@ -186,7 +165,7 @@ mod tests {
             enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::THREE_GPUS_WITH_HOST).unwrap();
         let host = paths.last().unwrap();
         let datasheet = extract_path_params(&topo, host).unwrap();
-        let probed = probe_path_params(&topo, host).unwrap();
+        let probed = probe_path_params_with(&topo, None, host).unwrap();
         assert!(datasheet.first.beta > gb_per_s(18.0));
         assert!(
             (probed.first.beta - gb_per_s(9.5)).abs() < 1e8,
@@ -194,6 +173,37 @@ mod tests {
             probed.first.beta / 1e9
         );
         assert!(probed.second.unwrap().beta < datasheet.second.unwrap().beta);
+    }
+
+    #[test]
+    fn one_engine_per_set_measures_what_one_per_path_does() {
+        // Rounds back to back on one scratch engine against a fresh engine
+        // per path, to the bit: nominal, and with the first NVLink and the
+        // first PCIe hop of the pair scaled (so rounds differ in which
+        // link binds).
+        for topo in [presets::beluga(), presets::narval()] {
+            let topo = Arc::new(topo);
+            let gpus = topo.gpus();
+            let hm = topo.local_host_memory(gpus[0]).unwrap();
+            let mut scaled: Vec<f64> = topo.links.iter().map(|l| l.bandwidth).collect();
+            scaled[topo.link_between(gpus[0], gpus[1]).unwrap().id.index()] *= 0.37;
+            scaled[topo.link_between(gpus[0], hm).unwrap().id.index()] *= 0.61;
+            for (label, sel) in PathSelection::paper_grid() {
+                let paths = enumerate_paths(&topo, gpus[0], gpus[1], sel).unwrap();
+                for caps in [None, Some(&scaled[..])] {
+                    let set = probe_all_with(&topo, caps, &paths).unwrap();
+                    assert_eq!(set.len(), paths.len());
+                    for (path, got) in paths.iter().zip(&set) {
+                        let want = probe_path_params_with(&topo, caps, path).unwrap();
+                        let bits = |p: &PathParams| {
+                            let second = p.second.map(|l| (l.alpha.to_bits(), l.beta.to_bits()));
+                            (p.first.alpha.to_bits(), p.first.beta.to_bits(), second)
+                        };
+                        assert_eq!(bits(got), bits(&want), "{} {label} {caps:?}", topo.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::context::UcxContext;
 use crate::deadline::DeadlinePolicy;
 use crate::pipeline::{execute_plan_at_obs, TransferHandle};
-use crate::probe::probe_all_with;
+use crate::probe::probe_live;
 use mpx_gpu::Buffer;
 use mpx_model::TransferPlan;
 use mpx_obs::Phase;
@@ -332,14 +332,10 @@ impl UcxContext {
             }
             report.final_paths = survivors.len();
 
-            // Refresh parameters against the fabric's *current* state.
-            // Down links sit at capacity 0 in the engine; the probe
-            // asserts positive capacities, so give them a dummy value —
-            // survivors never route over them, so it cannot influence
-            // the measured rates.
-            let caps: Vec<f64> =
-                eng.with_capacities(|c| c.iter().map(|&v| if v > 0.0 { v } else { 1.0 }).collect());
-            let params = probe_all_with(eng.topology(), Some(&caps), &survivors)?;
+            // Refresh parameters against the fabric's *current* state
+            // (down links carry a dummy rate; survivors never route over
+            // them, so it cannot influence the measured rates).
+            let params = probe_live(&eng, &survivors)?;
             if let Some(rec) = self.recorder() {
                 rec.instant(
                     Phase::Recovery,
