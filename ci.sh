@@ -17,6 +17,10 @@ timeout 120 cargo test -q --test payload_plane
 # The engine goldens and invariants before the workspace suites: an engine
 # divergence fails here in seconds, with the scenario's name on it.
 timeout 120 cargo test -q --test engine_golden --test engine_invariants
+# The static tuner's goldens beside them: winners, bandwidth bits and both
+# search counts (considered, simulated), plus the soundness of the bound
+# it prunes with, on the inputs the paper sweep tunes.
+timeout 180 cargo test -q --test tuner_golden
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
@@ -51,6 +55,19 @@ for scenario in degrade flap kill; do
   esac
 done
 echo "fault-matrix smoke: ok"
+
+# Figure-determinism smoke: the quick fig5/6/7 sweeps, twice, must write
+# byte-identical JSON — the rank threads, the tuner and the wait order may
+# change how long a figure takes, never a digit of it.
+for run in a b; do
+  for fig in fig5_bw fig6_bibw fig7_collectives; do
+    MPX_RESULTS_DIR="$tmp/fig-$run" "./target/release/$fig" > /dev/null
+  done
+done
+for fig in fig5_bw fig6_bibw fig7_collectives; do
+  cmp "$tmp/fig-a/$fig.json" "$tmp/fig-b/$fig.json"
+done
+echo "figure-determinism smoke: ok"
 
 # Trace-export smoke: `mpx trace` must exit cleanly, its trace.json must
 # parse as JSON, and every instrumented phase must contribute at least

@@ -103,21 +103,26 @@ impl Request {
     }
 }
 
-/// Waits for every request (MPI_Waitall).
+/// Waits for every request (MPI_Waitall), newest first: requests mostly
+/// complete in posting order, so the rank parks once, on the last one, and
+/// finds the others already signaled. A rank acts on nothing between the
+/// waits, so the order cannot move virtual time.
 pub fn waitall(thread: &SimThread, requests: &[Request]) {
-    for r in requests {
+    for r in requests.iter().rev() {
         r.wait(thread);
     }
 }
 
 /// [`waitall`] with a virtual-time deadline shared by all requests.
-/// Stops at the first request still pending at the deadline.
+/// Returns `TimedOut` once a wait finds a request still pending at the
+/// deadline — whichever the newest-first order reaches, not the first in
+/// the slice.
 pub fn waitall_deadline(
     thread: &SimThread,
     requests: &[Request],
     deadline: mpx_sim::SimTime,
 ) -> Result<(), mpx_ucx::TimedOut> {
-    for r in requests {
+    for r in requests.iter().rev() {
         r.wait_deadline(thread, deadline)?;
     }
     Ok(())
@@ -247,4 +252,114 @@ fn start_transfer(ctx: &UcxContext, send: &PostedSend, recv: &PostedRecv) {
                 send.from, send.to, send.tag
             )
         });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::World;
+    use mpx_sim::{FaultInjector, FaultKind, FaultPlan, SimTime};
+    use mpx_topo::presets;
+    use mpx_topo::units::MIB;
+    use mpx_ucx::{TimedOut, TuningMode, UcxConfig};
+
+    /// Length of the `i`-th message of a window: all different, so a
+    /// status names its message.
+    fn len(i: usize) -> usize {
+        MIB - 4096 * i
+    }
+
+    /// A window-16 exchange between two ranks, each handing its 32 requests
+    /// to one `waitall` in posting order or reversed. Returns, per rank, the
+    /// virtual time it left the wait at and its receives' statuses.
+    fn exchange(reversed: bool) -> Vec<(SimTime, Vec<MessageStatus>)> {
+        const WINDOW: usize = 16;
+        let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
+        w.run(2, move |r| {
+            let peer = 1 - r.rank;
+            let bufs: Vec<_> = (0..2 * WINDOW).map(|_| r.alloc(MIB)).collect();
+            let recvs: Vec<Request> = (0..WINDOW)
+                .map(|i| r.irecv(&bufs[i], MIB, Some(peer), Some(i as u64)))
+                .collect();
+            // The ranks send at different virtual times, so one thread at a
+            // time makes the matches and the run repeats to the nanosecond.
+            r.compute(1e-5 * (1 + r.rank) as f64);
+            let mut reqs = recvs.clone();
+            reqs.extend((0..WINDOW).map(|i| r.isend(&bufs[WINDOW + i], len(i), peer, i as u64)));
+            if reversed {
+                reqs.reverse();
+            }
+            waitall(r.thread(), &reqs);
+            let statuses = recvs.iter().map(|q| q.status().expect("matched")).collect();
+            (r.now(), statuses)
+        })
+    }
+
+    #[test]
+    fn waitall_order_moves_neither_virtual_time_nor_statuses() {
+        let posted = exchange(false);
+        assert_eq!(posted, exchange(true));
+        for (rank, (done, statuses)) in posted.iter().enumerate() {
+            assert!(
+                *done > SimTime::from_secs(2e-5),
+                "rank {rank} left at {done}"
+            );
+            for (i, st) in statuses.iter().enumerate() {
+                let want = MessageStatus {
+                    source: 1 - rank,
+                    tag: i as u64,
+                    len: len(i),
+                };
+                assert_eq!(*st, want);
+            }
+        }
+    }
+
+    /// One send of four crosses a link that dies and can never complete: the
+    /// wait gives up at the deadline, not before and not never, wherever
+    /// that request sits in the slice.
+    #[test]
+    fn waitall_deadline_times_out_wherever_the_stuck_request_sits() {
+        for pos in 0..4 {
+            let topo = Arc::new(presets::beluga());
+            let gpus = topo.gpus();
+            let cfg = UcxConfig {
+                mode: TuningMode::SinglePath,
+                ..UcxConfig::default()
+            };
+            let w = World::new(topo.clone(), cfg);
+            // Killed mid-flight: the transport refuses to start on a link
+            // that is already down.
+            let dead = topo.link_between(gpus[0], gpus[1]).expect("direct link");
+            let kill = FaultPlan::empty().with(5e-6, dead.id, FaultKind::Kill);
+            FaultInjector::install(w.engine(), &kill);
+            let deadline = SimTime::from_secs(0.5);
+            let out = w.run(3, move |r| {
+                let buf = r.alloc(MIB);
+                let res = match r.rank {
+                    0 => {
+                        let mut reqs: Vec<Request> =
+                            (0..3).map(|tag| r.isend(&buf, MIB, 2, tag)).collect();
+                        reqs.insert(pos, r.isend(&buf, MIB, 1, 9));
+                        waitall_deadline(r.thread(), &reqs, deadline)
+                    }
+                    1 => r
+                        .irecv(&buf, MIB, Some(0), Some(9))
+                        .wait_deadline(r.thread(), deadline),
+                    _ => {
+                        let reqs: Vec<Request> = (0..3)
+                            .map(|tag| r.irecv(&buf, MIB, Some(0), Some(tag)))
+                            .collect();
+                        waitall_deadline(r.thread(), &reqs, deadline)
+                    }
+                };
+                (res, r.now())
+            });
+            let timed_out = (Err(TimedOut { deadline }), deadline);
+            assert_eq!(out[0], timed_out, "sender, stuck request at {pos}");
+            assert_eq!(out[1], timed_out, "receiver behind the dead link");
+            assert_eq!(out[2].0, Ok(()), "healthy receiver");
+            assert!(out[2].1 < deadline);
+        }
+    }
 }

@@ -160,30 +160,37 @@ pub fn collective_panel(
     coll: CollectiveConfig,
 ) -> Vec<Series> {
     let gpus = topo.gpus();
-    let measure = |mode: TuningMode, n: usize, tuned_ref: usize| {
-        let cfg = ucx(mode, sel);
+    // Fixed share policy tuned once per panel at the reference size, as the
+    // offline-tuned engine of [35] would be deployed. Every Static world
+    // starts from what the search leaves behind: the table entry and the
+    // shares.
+    let tuned_ref = *sizes.last().expect("non-empty sizes");
+    let tuned = World::new(topo.clone(), ucx(TuningMode::Static, sel))
+        .context()
+        .tune_static(gpus[0], gpus[1], tuned_ref)
+        .expect("static tuning");
+    let shares: Vec<f64> = tuned
+        .plan
+        .paths
+        .iter()
+        .map(|p| p.share_bytes as f64 / tuned_ref as f64)
+        .collect();
+    let measure = |mode: TuningMode, n: usize| {
+        let world = World::new(topo.clone(), ucx(mode, sel));
         if mode == TuningMode::Static {
-            // Fixed share policy tuned once at the reference size, as the
-            // offline-tuned engine of [35] would be deployed.
-            let world = World::new(topo.clone(), cfg);
-            world
-                .context()
-                .tune_static_shares(gpus[0], gpus[1], tuned_ref)
-                .expect("static tuning");
-            run_collective(&world, kind, n, coll)
-        } else {
-            let world = World::new(topo.clone(), cfg);
-            run_collective(&world, kind, n, coll)
+            let ctx = world.context();
+            ctx.install_static_plan(gpus[0], gpus[1], tuned_ref, tuned.plan.clone());
+            ctx.install_static_shares(shares.clone());
         }
+        run_collective(&world, kind, n, coll)
     };
 
-    let tuned_ref = *sizes.last().expect("non-empty sizes");
     let mut stat = Series::new("Static");
     let mut dynamic = Series::new("Dynamic");
     for &n in sizes {
-        let base = measure(TuningMode::SinglePath, n, tuned_ref);
-        let s = measure(TuningMode::Static, n, tuned_ref);
-        let d = measure(TuningMode::Dynamic, n, tuned_ref);
+        let base = measure(TuningMode::SinglePath, n);
+        let s = measure(TuningMode::Static, n);
+        let d = measure(TuningMode::Dynamic, n);
         stat.push(n, base / s);
         dynamic.push(n, base / d);
     }

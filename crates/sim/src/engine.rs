@@ -1165,9 +1165,15 @@ impl SimThread {
     ///
     /// The timeout is an ordinary engine event, so a wait with a deadline
     /// can never trip the deadlock detector: there is always at least one
-    /// event queued while the thread blocks.
+    /// event queued while the thread blocks. A waker that has already fired
+    /// is consumed without scheduling one, whatever the deadline.
     pub fn wait_until(&self, waker: &Waker, deadline: SimTime) -> bool {
         use std::sync::atomic::{AtomicBool, Ordering};
+        // Already fired: no timeout to race, so none to allocate and queue.
+        if waker.is_signaled() {
+            self.wait(waker);
+            return true;
+        }
         let cancelled = Arc::new(AtomicBool::new(false));
         let timed_out = Arc::new(AtomicBool::new(false));
         let w = waker.clone();
@@ -1987,6 +1993,61 @@ mod tests {
         }
         assert_eq!(eng.now(), SimTime(10_000_000));
         assert!(broadcasts(&eng) <= 8, "{} broadcasts", broadcasts(&eng));
+    }
+
+    /// A `waitall` over requests that complete in posting order: waited
+    /// newest-first, the thread parks once, on the last waker, and takes
+    /// the other fifteen already fired — one timeout event, not sixteen.
+    #[test]
+    fn waiting_newest_first_parks_once_for_sixteen_wakers() {
+        let eng = engine();
+        let waiter = eng.register_thread("waiter");
+        let bystander = eng.register_thread("bystander");
+        let wakers: Vec<Waker> = (0..16).map(|i| Waker::new(format!("req{i}"))).collect();
+        for (i, w) in wakers.iter().enumerate() {
+            eng.schedule_at(
+                SimTime(1_000 * (i as u64 + 1)),
+                OnComplete::Signal(w.clone()),
+            );
+        }
+        let counted = eng.clone();
+        let h = std::thread::spawn(move || {
+            for w in wakers.iter().rev() {
+                assert!(waiter.wait_until(w, SimTime::from_secs(1.0)));
+            }
+            // Counted before `waiter` drops (a drop always broadcasts).
+            (broadcasts(&counted), counted.now(), waiter)
+        });
+        let b = std::thread::spawn(move || bystander.sleep(1e-3));
+        let (woken, done_at, waiter) = h.join().unwrap();
+        // One to release the waiter if the bystander ran the clock, at most
+        // one hand-over while the two were arriving.
+        assert!(woken <= 2, "{woken} broadcasts");
+        assert_eq!(done_at, SimTime(16_000));
+        drop(waiter);
+        b.join().unwrap();
+        // 16 timers, the bystander's sleep, and the one timeout of the one
+        // wait that had to park.
+        assert_eq!(eng.stats().events_scheduled, 18);
+    }
+
+    #[test]
+    fn wait_until_on_a_fired_waker_schedules_nothing() {
+        let eng = engine();
+        let t = eng.register_thread("t");
+        t.sleep(1e-3);
+        let w = Waker::new("fired");
+        eng.signal_waker(&w);
+        let before = eng.stats().events_scheduled;
+        // Even with the deadline already in the past.
+        assert!(t.wait_until(&w, SimTime(5)));
+        assert!(!w.is_signaled(), "the signal is consumed");
+        assert_eq!(eng.stats().events_scheduled, before);
+        // A pending waker still gets its timeout event, and times out.
+        let deadline = t.now().after(1e-6);
+        assert!(!t.wait_until(&w, deadline));
+        assert_eq!(t.now(), deadline);
+        assert_eq!(eng.stats().events_scheduled, before + 1);
     }
 
     #[test]

@@ -458,25 +458,6 @@ impl UcxContext {
         *self.inner.static_shares.write() = Some(shares);
     }
 
-    /// Tunes the fixed share policy by exhaustive search on `(src, dst)`
-    /// at reference size `n`, installs it, and returns the tuned result.
-    pub fn tune_static_shares(
-        &self,
-        src: DeviceId,
-        dst: DeviceId,
-        n: usize,
-    ) -> Result<TuneResult, TopologyError> {
-        let result = self.tune_static(src, dst, n)?;
-        let shares: Vec<f64> = result
-            .plan
-            .paths
-            .iter()
-            .map(|p| p.share_bytes as f64 / n as f64)
-            .collect();
-        self.install_static_shares(shares);
-        Ok(result)
-    }
-
     /// Installs an externally computed plan in the static table.
     pub fn install_static_plan(
         &self,

@@ -4,11 +4,13 @@
 //!
 //! The tuner sweeps share splits over a simplex grid, executes each
 //! candidate on an idle simulation of the same topology, and keeps the
-//! fastest. Chunk counts per candidate come from the model's chunk
-//! formula (validated near-optimal in `mpx-model::pipeline` tests), which
-//! keeps the grid one-dimensional per path. The best measured
-//! configuration doubles as the **observed optimum** against which
-//! model-prediction error is reported (Figures 5/6's error metric).
+//! fastest — exhaustive in result, branch-and-bound in cost: a candidate
+//! the paper's Theorem 1 already rules out is not simulated. Chunk counts
+//! per candidate come from the model's chunk formula (validated
+//! near-optimal in `mpx-model::pipeline` tests), which keeps the grid
+//! one-dimensional per path. The best measured configuration doubles as
+//! the **observed optimum** against which model-prediction error is
+//! reported (Figures 5/6's error metric).
 
 use crate::pipeline::execute_plan;
 use mpx_gpu::{Buffer, GpuRuntime};
@@ -20,10 +22,8 @@ use mpx_topo::params::extract_all;
 use mpx_topo::path::{enumerate_paths_auto, PathSelection, TransferPath};
 use mpx_topo::units::{Bandwidth, Secs};
 use mpx_topo::{DeviceId, Topology, TopologyError};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One evaluated grid candidate: shares, plan, measured bandwidth.
-type Candidate = (Vec<f64>, Arc<TransferPlan>, Bandwidth);
 
 /// Builds a [`TransferPlan`] from explicit share fractions (summing to 1)
 /// using the model's chunk-count formula. Predicted fields are filled
@@ -115,8 +115,11 @@ pub struct TuneResult {
     pub plan: Arc<TransferPlan>,
     /// Its measured single-shot bandwidth (bytes/s).
     pub bandwidth: Bandwidth,
-    /// Candidates evaluated.
+    /// Candidates considered: grid points plus refinement moves.
     pub evaluated: usize,
+    /// How many of them were simulated; the bound or the memo of measured
+    /// plans answered for the rest.
+    pub simulated: usize,
 }
 
 /// Measures one candidate plan: one warmup transfer (absorbing one-time
@@ -190,6 +193,22 @@ impl WarmSim {
     }
 }
 
+/// Relative margin of the refinement's acceptance bar, and of the bound:
+/// wider than any rounding between the bound's floats and the simulator's.
+const SLACK: f64 = 1.0 + 1e-9;
+
+/// Theorem 1 as an upper bound on what `plan` can measure: no split beats
+/// its most loaded path pushing its share through its narrowest link. Why
+/// this simulator cannot beat it, and what would: DESIGN §4 "Static tuner".
+fn bandwidth_bound(plan: &TransferPlan) -> Bandwidth {
+    let slowest = plan
+        .paths
+        .iter()
+        .map(|p| p.share_bytes as f64 / p.params.bottleneck_bandwidth())
+        .fold(0.0, f64::max);
+    plan.n as f64 / slowest
+}
+
 /// Exhaustive offline tuning for an `n`-byte transfer `src → dst` over
 /// the paths selected by `sel`.
 ///
@@ -197,7 +216,9 @@ impl WarmSim {
 /// whole share simplex at granularity `1/grid`, then local refinement —
 /// repeatedly moving small fractions (down to 1/128) between path pairs
 /// while it helps. The refined best stands in for the paper's "observed
-/// optimal performance".
+/// optimal performance". Only candidates that [`bandwidth_bound`] lets
+/// matter and whose realised plan is new are simulated; the result is that
+/// of simulating every one in order.
 pub fn tune_exhaustive(
     topo: &Arc<Topology>,
     src: DeviceId,
@@ -208,71 +229,71 @@ pub fn tune_exhaustive(
     grid: u32,
 ) -> Result<TuneResult, TopologyError> {
     let paths = enumerate_paths_auto(topo, src, dst, sel)?;
-    let mut evaluated = 0usize;
-
-    // Stage 1: coarse grid — every worker thread measures its batch of
-    // candidates on its own private simulation.
-    let candidates = share_grid(paths.len(), grid);
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(candidates.len().max(1));
-    let chunk = candidates.len().div_ceil(workers);
-    let results: Vec<Result<Candidate, TopologyError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|batch| {
-                let paths = &paths;
-                scope.spawn(move || {
-                    let mut sim = WarmSim::new(topo, src, dst, n);
-                    batch
-                        .iter()
-                        .map(|shares| {
-                            let plan = manual_plan(topo, paths, n, shares, cfg)?;
-                            let bw = sim.measure(&plan, paths);
-                            Ok((shares.clone(), Arc::new(plan), bw))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
+    #[cfg(test)]
+    let pruned = !tests::UNPRUNED.get();
+    #[cfg(not(test))]
+    let pruned = true;
+    let mut simulated = 0usize;
+    let mut sim = WarmSim::new(topo, src, dst, n);
+    // Keyed by the realised plan: distinct share vectors quantise to the
+    // same one, and refinement revisits points after every restart.
+    let mut memo: HashMap<Vec<(usize, u32)>, Bandwidth> = HashMap::new();
+    // `plan`'s bandwidth, or `None` if the bound keeps it below `bar`.
+    let mut measure = |plan: &TransferPlan, bar: Bandwidth| {
+        let key: Vec<_> = plan
+            .paths
+            .iter()
+            .map(|p| (p.share_bytes, p.chunks))
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("tuner worker panicked"))
-            .collect()
-    });
-    evaluated += candidates.len();
-    let mut best_shares = vec![1.0];
-    let mut best: Option<(Arc<TransferPlan>, Bandwidth)> = None;
-    for r in results {
-        let (shares, plan, bw) = r?;
-        if best.as_ref().is_none_or(|(_, b)| bw > *b) {
-            best = Some((plan, bw));
-            best_shares = shares;
+        if pruned {
+            if let Some(&bw) = memo.get(&key) {
+                return Some(bw);
+            }
+            if bandwidth_bound(plan) * SLACK < bar {
+                return None;
+            }
+        }
+        simulated += 1;
+        let bw = sim.measure(plan, &paths);
+        memo.insert(key, bw);
+        Some(bw)
+    };
+
+    // Stage 1: coarse grid, best bound first (ties in grid order), until no
+    // remaining bound reaches the best measured. The lowest grid index among
+    // the fastest wins: the first strict maximum of a sweep in grid order.
+    let mut candidates = Vec::new();
+    for shares in share_grid(paths.len(), grid) {
+        let plan = manual_plan(topo, &paths, n, &shares, cfg)?;
+        candidates.push((shares, plan));
+    }
+    let mut evaluated = candidates.len();
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    if pruned {
+        let bounds: Vec<_> = candidates.iter().map(|c| bandwidth_bound(&c.1)).collect();
+        order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
+    }
+    let (mut winner, mut best_bw) = (0, 0.0);
+    for i in order {
+        let Some(bw) = measure(&candidates[i].1, best_bw) else {
+            break;
+        };
+        if bw > best_bw || (bw == best_bw && i < winner) {
+            (winner, best_bw) = (i, bw);
         }
     }
+    let (mut best_shares, mut best_plan) = candidates.swap_remove(winner);
 
     // Stage 2: local refinement — move `delta` between every ordered
-    // path pair; restart from the finest step after any improvement.
-    let mut sim = WarmSim::new(topo, src, dst, n);
-    let mut eval = |shares: &[f64]| -> Result<(Arc<TransferPlan>, Bandwidth), TopologyError> {
-        let plan = manual_plan(topo, &paths, n, shares, cfg)?;
-        let bw = sim.measure(&plan, &paths);
-        evaluated += 1;
-        Ok((Arc::new(plan), bw))
-    };
+    // path pair; restart from the finest step after any improvement
+    // (64 restarts are a safety bound, never reached in practice).
     let deltas = [
         1.0 / grid as f64 / 2.0,
         1.0 / grid as f64 / 4.0,
         1.0 / 64.0,
         1.0 / 128.0,
     ];
-    let mut rounds = 0;
-    'refine: loop {
-        rounds += 1;
-        if rounds > 64 {
-            break; // safety bound; never reached in practice
-        }
+    'refine: for _ in 0..64 {
         for &delta in &deltas {
             for i in 0..paths.len() {
                 for j in 0..paths.len() {
@@ -282,10 +303,11 @@ pub fn tune_exhaustive(
                     let mut candidate = best_shares.clone();
                     candidate[i] -= delta;
                     candidate[j] += delta;
-                    let (plan, bw) = eval(&candidate)?;
-                    if bw > best.as_ref().expect("stage 1 ran").1 * (1.0 + 1e-9) {
-                        best = Some((plan, bw));
-                        best_shares = candidate;
+                    let plan = manual_plan(topo, &paths, n, &candidate, cfg)?;
+                    evaluated += 1;
+                    let bar = best_bw * SLACK;
+                    if let Some(bw) = measure(&plan, bar).filter(|&bw| bw > bar) {
+                        (best_bw, best_plan, best_shares) = (bw, plan, candidate);
                         continue 'refine;
                     }
                 }
@@ -294,11 +316,11 @@ pub fn tune_exhaustive(
         break;
     }
 
-    let (plan, bandwidth) = best.expect("grid is never empty");
     Ok(TuneResult {
-        plan,
-        bandwidth,
+        plan: Arc::new(best_plan),
+        bandwidth: best_bw,
         evaluated,
+        simulated,
     })
 }
 
@@ -308,6 +330,13 @@ mod tests {
     use mpx_topo::path::enumerate_paths;
     use mpx_topo::presets;
     use mpx_topo::units::MIB;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Test oracle: search without bound or memo, every candidate
+        /// simulated in order (as `State::force_general` is to the engine).
+        pub(super) static UNPRUNED: Cell<bool> = const { Cell::new(false) };
+    }
 
     #[test]
     fn share_grid_covers_simplex() {
@@ -410,6 +439,60 @@ mod tests {
         sim.measure(&plan, &paths);
     }
 
+    /// The pruned search against its oracle — the same function with the
+    /// bound and the memo switched off, which simulates every candidate in
+    /// order: same winner, same bits, same `evaluated`, and never more
+    /// simulations.
+    #[test]
+    fn pruned_search_matches_the_unpruned_oracle_bit_for_bit() {
+        let cfg = PlannerConfig::default();
+        let mut selections = PathSelection::paper_grid();
+        selections.push(("direct", PathSelection::DIRECT_ONLY));
+        let realised = |r: &TuneResult| -> Vec<(usize, u32)> {
+            let paths = r.plan.paths.iter();
+            paths.map(|p| (p.share_bytes, p.chunks)).collect()
+        };
+        let (mut simulated, mut evaluated) = (0, 0);
+        for topo in [presets::beluga(), presets::narval()] {
+            let topo = Arc::new(topo);
+            let gpus = topo.gpus();
+            for (src, dst) in [(gpus[0], gpus[1]), (gpus[3], gpus[2]), (gpus[0], gpus[2])] {
+                for &(label, sel) in &selections {
+                    for n in [512 * 1024, 2 * MIB, 5 * MIB + 12_345, 16 * MIB, 128 * MIB] {
+                        for grid in [3, 8] {
+                            let tune = |unpruned: bool| {
+                                UNPRUNED.set(unpruned);
+                                let r = tune_exhaustive(&topo, src, dst, n, sel, &cfg, grid);
+                                UNPRUNED.set(false);
+                                r.unwrap()
+                            };
+                            let (fast, oracle) = (tune(false), tune(true));
+                            let at =
+                                format!("{} {src}->{dst} {label} n={n} grid={grid}", topo.name);
+                            assert_eq!(realised(&fast), realised(&oracle), "{at}");
+                            assert_eq!(
+                                fast.bandwidth.to_bits(),
+                                oracle.bandwidth.to_bits(),
+                                "{at}"
+                            );
+                            assert_eq!(fast.evaluated, oracle.evaluated, "{at}");
+                            assert_eq!(oracle.simulated, oracle.evaluated, "{at}");
+                            assert!(fast.simulated <= fast.evaluated, "{at}");
+                            simulated += fast.simulated;
+                            evaluated += fast.evaluated;
+                        }
+                    }
+                }
+            }
+        }
+        // Losing the pruning must fail here, not only in a benchmark (the
+        // small sizes are latency-bound and prune little: 61 % overall).
+        assert!(
+            4 * simulated < 3 * evaluated,
+            "simulated {simulated} of {evaluated} candidates"
+        );
+    }
+
     #[test]
     fn exhaustive_tuning_beats_direct_only() {
         let topo = Arc::new(presets::beluga());
@@ -426,8 +509,10 @@ mod tests {
             6,
         )
         .unwrap();
-        assert!(result.evaluated >= 28, "coarse stage alone is C(6+2,2)=28"); // + refinement
-                                                                              // Direct-only candidate bandwidth:
+        // Candidates considered, simulated or not: the coarse stage alone
+        // is C(6+2,2) = 28, refinement adds to it.
+        assert!(result.evaluated >= 28);
+        // Direct-only candidate bandwidth:
         let paths = enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::THREE_GPUS).unwrap();
         let direct = manual_plan(&topo, &paths, n, &[1.0, 0.0, 0.0], &cfg).unwrap();
         let direct_bw = measure_plan(&topo, &direct, &paths, gpus[0], gpus[1]);

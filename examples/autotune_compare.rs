@@ -1,7 +1,9 @@
 //! The paper's core argument, head to head: exhaustive static tuning
 //! evaluates dozens of candidate configurations by measurement; the
 //! model picks one analytically. This example counts the work each
-//! spends and compares the bandwidth each achieves.
+//! spends — candidates considered, and how many of them the tuner's
+//! bound and memo still left to simulate — and compares the bandwidth
+//! each achieves.
 //!
 //! ```text
 //! cargo run --example autotune_compare
@@ -20,8 +22,8 @@ fn main() {
     let cfg = PlannerConfig::default();
 
     println!(
-        "{:>8} | {:>22} {:>12} | {:>22} {:>12} | {:>6}",
-        "size", "exhaustive (GB/s)", "evals", "model (GB/s)", "wall", "gap"
+        "{:>8} | {:>22} {:>16} | {:>22} {:>12} | {:>6}",
+        "size", "exhaustive (GB/s)", "simulated/evals", "model (GB/s)", "wall", "gap"
     );
     for n in [4 << 20, 16 << 20, 64 << 20, 256 << 20] {
         // Static: exhaustive grid search over share splits.
@@ -39,9 +41,10 @@ fn main() {
 
         let gap = (tuned.bandwidth - model_bw) / tuned.bandwidth * 100.0;
         println!(
-            "{:>8} | {:>18.2} GB/s {:>8} cfg ({:>6.0?}) | {:>18.2} GB/s {:>12.0?} | {:>5.1}%",
+            "{:>8} | {:>18.2} GB/s {:>4}/{:<3} cfg ({:>6.0?}) | {:>18.2} GB/s {:>12.0?} | {:>5.1}%",
             mpx_topo::units::format_bytes(n),
             tuned.bandwidth / 1e9,
+            tuned.simulated,
             tuned.evaluated,
             tune_wall,
             model_bw / 1e9,
