@@ -12,6 +12,10 @@ timeout 120 cargo test -q --test scheduler
 # Beside it, the stream executor's golden order and the drain's allocation
 # count: a stream-lock inversion does not fail either, it hangs.
 timeout 120 cargo test -q --test stream_golden --test alloc_free_drain
+# The names a trace, a recorder and a deadlock panic read, and the two
+# ledger smokes (the second runs a broker on rank threads: it can hang).
+timeout 120 cargo test -q --test label_golden --test ledgers
+bash -n scripts/bench_pairs.sh
 # Likewise the payload plane: two buffer locks held at once can deadlock.
 timeout 120 cargo test -q --test payload_plane
 # The engine goldens and invariants before the workspace suites: an engine

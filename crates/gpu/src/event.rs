@@ -11,6 +11,7 @@
 //! them rather than allocating fresh ones per launch.
 
 use crate::stream::Stream;
+use mpx_sim::Label;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
@@ -23,15 +24,15 @@ struct EventState {
 /// A one-shot synchronization point between streams.
 #[derive(Clone)]
 pub struct GpuEvent {
-    name: Arc<String>,
+    name: Label,
     state: Arc<Mutex<EventState>>,
 }
 
 impl GpuEvent {
     /// Creates an unrecorded event.
-    pub fn new(name: impl Into<String>) -> GpuEvent {
+    pub fn new(name: impl Into<Label>) -> GpuEvent {
         GpuEvent {
-            name: Arc::new(name.into()),
+            name: name.into(),
             state: Arc::new(Mutex::new(EventState {
                 complete: false,
                 waiters: Vec::new(),
@@ -40,7 +41,7 @@ impl GpuEvent {
     }
 
     /// Debug name.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &Label {
         &self.name
     }
 

@@ -28,7 +28,7 @@ use crate::buffer::Buffer;
 use crate::event::GpuEvent;
 use crate::runtime::GpuRuntime;
 use crate::stream::{Op, Payload, Stream};
-use mpx_sim::{Route, Waker};
+use mpx_sim::{Label, Route, Template, Waker};
 use mpx_topo::units::Secs;
 use mpx_topo::DeviceId;
 use parking_lot::Mutex;
@@ -39,6 +39,9 @@ use std::sync::Arc;
 /// Process-unique graph ids, used only to keep trace labels and waker
 /// names distinguishable across graphs.
 static GRAPH_IDS: AtomicU64 = AtomicU64::new(0);
+
+/// A replay's per-path done-waker: graph id, replay count, path index.
+static PATH_DONE: Template = Template("g{}.r{}.p{}", &[24, 32, 8]);
 
 /// A buffer placeholder inside a compiled graph: patched to a concrete
 /// buffer (plus caller offset) at every [`TransferGraph::launch`].
@@ -71,7 +74,7 @@ struct CopyNode {
     /// First op of its path: additionally charged the per-replay
     /// `first_extra` (graph launch + residual one-time costs).
     first: bool,
-    label: Arc<str>,
+    label: Label,
 }
 
 enum Node {
@@ -482,7 +485,7 @@ impl TransferGraph {
         }
         let mut wakers = Vec::with_capacity(self.ends.len());
         for end in &self.ends {
-            let done = Waker::new(format!("g{}.r{replay}.p{}", self.id, end.path_index));
+            let done = Waker::new(PATH_DONE.label(&[self.id, replay, end.path_index as u64]));
             programs[end.stream].push(Op::Signal(done.clone()));
             programs[end.stream].push(Op::Callback(Box::new(make_tail())));
             wakers.push(done);
@@ -552,6 +555,19 @@ mod tests {
 
     fn route(rt: &GpuRuntime, a: DeviceId, b: DeviceId) -> Vec<LinkId> {
         rt.direct_route(a, b).unwrap()
+    }
+
+    #[test]
+    fn a_replay_waker_is_named_as_the_format_it_replaced() {
+        for i in 0..300u64 {
+            let (g, replay, p) = (i * 55_931 % (1 << 24), i * 14_316_557 % (1 << 32), i % 256);
+            assert_eq!(
+                PATH_DONE.label(&[g, replay, p]).to_string(),
+                format!("g{g}.r{replay}.p{p}")
+            );
+        }
+        let wide = PATH_DONE.label(&[(1 << 24) + 1, (1 << 32) + 2, 256 + 3]);
+        assert_eq!(wide.to_string(), "g1.r2.p3", "wider values wrap");
     }
 
     /// A two-chunk staged program exercising the full capture surface:

@@ -5,8 +5,8 @@ use crate::buffer::Buffer;
 use crate::event::GpuEvent;
 use crate::ipc::IpcCache;
 use crate::memory::{MemTracker, MemoryStats, StagingPool};
-use crate::stream::Stream;
-use mpx_sim::Engine;
+use crate::stream::{Stream, STREAM};
+use mpx_sim::{Engine, Label};
 use mpx_topo::units::Secs;
 use mpx_topo::{DeviceId, LinkId, TopologyError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,11 +155,12 @@ impl GpuRuntime {
     /// Creates a stream on `device`.
     pub fn stream(&self, device: DeviceId) -> Stream {
         let n = self.inner.next_stream.fetch_add(1, Ordering::Relaxed);
-        Stream::new(self.inner.engine.clone(), device, format!("{device}.s{n}"))
+        let name = STREAM.label(&[device.0 as u64, n]);
+        Stream::new(self.inner.engine.clone(), device, name)
     }
 
     /// Creates a one-shot event.
-    pub fn event(&self, name: impl Into<String>) -> GpuEvent {
+    pub fn event(&self, name: impl Into<Label>) -> GpuEvent {
         GpuEvent::new(name)
     }
 
@@ -195,6 +196,19 @@ mod tests {
 
     fn runtime() -> GpuRuntime {
         GpuRuntime::new(Engine::new(Arc::new(presets::synthetic_default())))
+    }
+
+    #[test]
+    fn streams_are_named_as_the_format_they_replaced() {
+        let rt = runtime();
+        let gpus = rt.engine().topology().gpus();
+        for n in 0..300 {
+            let device = gpus[n % gpus.len()];
+            assert_eq!(
+                rt.stream(device).name().to_string(),
+                format!("{device}.s{n}")
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::buffer::Buffer;
 use crate::event::GpuEvent;
-use mpx_sim::{Ctx, Engine, FlowSink, FlowSpec, OnComplete, Route, Waker};
+use mpx_sim::{Ctx, Engine, FlowSink, FlowSpec, Label, OnComplete, Route, Template, Waker};
 use mpx_topo::units::Secs;
 use mpx_topo::DeviceId;
 use parking_lot::{Mutex, MutexGuard};
@@ -64,6 +64,10 @@ impl Issuer<'_, '_> {
     }
 }
 
+/// A runtime-made stream (device index, counter) and its `synchronize` waker.
+pub(crate) static STREAM: Template = Template("dev{}.s{}", &[16, 48]);
+static STREAM_SYNC: Template = Template("dev{}.s{}.sync", &[16, 48]);
+
 /// A kernel's completion effect (e.g. the reduction arithmetic). Runs when
 /// the kernel retires; must not block.
 pub type KernelEffect = Box<dyn FnOnce() + Send>;
@@ -85,7 +89,7 @@ pub(crate) enum Op {
         /// are, so neither costs a heap copy anywhere on the way.
         route: Route,
         extra_latency: Secs,
-        label: Arc<str>,
+        label: Label,
     },
     Record(GpuEvent),
     WaitEvent(GpuEvent),
@@ -127,7 +131,7 @@ struct StreamState {
 type StreamGuard<'a> = MutexGuard<'a, StreamState>;
 
 struct StreamInner {
-    name: String,
+    name: Label,
     device: DeviceId,
     engine: Engine,
     state: Mutex<StreamState>,
@@ -142,7 +146,7 @@ pub struct Stream {
 
 impl Stream {
     /// Creates an idle stream on `device`.
-    pub fn new(engine: Engine, device: DeviceId, name: impl Into<String>) -> Stream {
+    pub fn new(engine: Engine, device: DeviceId, name: impl Into<Label>) -> Stream {
         Stream {
             inner: Arc::new(StreamInner {
                 name: name.into(),
@@ -160,7 +164,7 @@ impl Stream {
     }
 
     /// Stream name (diagnostics).
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &Label {
         &self.inner.name
     }
 
@@ -190,7 +194,7 @@ impl Stream {
         len: usize,
         route: impl Into<Route>,
         extra_latency: Secs,
-        label: impl Into<Arc<str>>,
+        label: impl Into<Label>,
     ) {
         self.enqueue(Op::Copy {
             payload: Payload {
@@ -243,7 +247,11 @@ impl Stream {
     /// Blocks the calling simulated thread until every op enqueued so far
     /// has retired.
     pub fn synchronize(&self, thread: &mpx_sim::SimThread) {
-        let w = Waker::new(format!("{}.sync", self.inner.name));
+        // A stream the runtime numbered; any other lends its own name.
+        let w = Waker::new(match self.inner.name {
+            Label::Numbered(t, n) if std::ptr::eq(t, &STREAM) => Label::Numbered(&STREAM_SYNC, n),
+            ref name => name.clone(),
+        });
         self.signal(&w);
         thread.wait(&w);
     }
@@ -508,6 +516,19 @@ mod tests {
             t.now().as_nanos()
         });
         assert_eq!(h.join().unwrap(), 0, "nothing queued: no time passes");
+    }
+
+    #[test]
+    fn stream_names_render_as_the_format_they_replaced() {
+        for i in 0..300u64 {
+            let (dev, n) = (i * 211 % 65_536, i * 938_249_922_369 % (1 << 48));
+            let name = format!("{}.s{n}", DeviceId(dev as u32));
+            assert_eq!(STREAM.label(&[dev, n]).to_string(), name);
+            assert_eq!(
+                STREAM_SYNC.label(&[dev, n]).to_string(),
+                format!("{name}.sync")
+            );
+        }
     }
 
     #[test]

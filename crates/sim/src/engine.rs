@@ -39,6 +39,7 @@
 //! must never touch the public blocking API — doing so would deadlock.
 
 use crate::fairness::{fold_links, FairShareScratch, FlowDemand, Links};
+use crate::label::Label;
 use crate::time::SimTime;
 use crate::waker::Waker;
 use mpx_obs::{Phase, Recorder};
@@ -186,10 +187,10 @@ pub struct FlowSpec {
     /// pre-drew in global issue order, so the same factors reach a flow
     /// no matter which partition simulates it (see [`crate::parallel`]).
     pub latency_factor: f64,
-    /// Label recorded in the trace (e.g. `p1.c3.leg2`), shared with
-    /// whoever issued the flow. `None` reads as the empty label and, unlike
-    /// an empty `Arc<str>`, costs nothing to make.
-    pub label: Option<Arc<str>>,
+    /// Label recorded in the trace (e.g. `p1.c3.leg2`), rendered only if
+    /// a trace, a recorder or a panic reads it. `None` reads as the empty
+    /// label.
+    pub label: Option<Label>,
 }
 
 impl FlowSpec {
@@ -226,7 +227,7 @@ impl FlowSpec {
     }
 
     /// Sets the trace label.
-    pub fn labeled(mut self, label: impl Into<Arc<str>>) -> FlowSpec {
+    pub fn labeled(mut self, label: impl Into<Label>) -> FlowSpec {
         self.label = Some(label.into());
         self
     }
@@ -349,7 +350,7 @@ struct FlowState {
     bytes: usize,
     issued: SimTime,
     activated: SimTime,
-    label: Option<Arc<str>>,
+    label: Option<Label>,
 }
 
 impl FlowState {
@@ -969,11 +970,14 @@ impl Engine {
     /// for h in handles { h.join().unwrap(); }
     /// ```
     pub fn register_thread(&self, name: impl Into<String>) -> SimThread {
+        let name = name.into();
         let mut st = self.shared.state.lock();
         st.registered += 1;
         SimThread {
             engine: self.clone(),
-            name: name.into(),
+            sleep_name: format!("{name}.sleep").into(),
+            transfer_name: format!("{name}.transfer").into(),
+            name,
         }
     }
 
@@ -1137,6 +1141,9 @@ impl Engine {
 pub struct SimThread {
     engine: Engine,
     name: String,
+    /// Waker names of `sleep` and `transfer`, rendered once per thread.
+    sleep_name: Label,
+    transfer_name: Label,
 }
 
 impl SimThread {
@@ -1203,14 +1210,14 @@ impl SimThread {
 
     /// Sleeps for `d` seconds of virtual time.
     pub fn sleep(&self, d: Secs) {
-        let w = Waker::new(format!("{}.sleep", self.name));
+        let w = Waker::new(self.sleep_name.clone());
         self.engine.schedule_in(d, OnComplete::Signal(w.clone()));
         self.wait(&w);
     }
 
     /// Starts a flow and blocks until it completes.
     pub fn transfer(&self, spec: FlowSpec) {
-        let w = Waker::new(format!("{}.transfer", self.name));
+        let w = Waker::new(self.transfer_name.clone());
         self.engine.start_flow(spec, OnComplete::Signal(w.clone()));
         self.wait(&w);
     }
@@ -1334,13 +1341,13 @@ fn run_on_complete(st: &mut State, topo: &Topology, done: OnComplete) {
 }
 
 fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnComplete) -> FlowId {
-    let label = spec.label.as_deref().unwrap_or("");
-    assert!(!spec.route.is_empty(), "flow `{label}` has an empty route");
+    let label = &spec.label;
+    assert!(!spec.route.is_empty(), "flow {label:?} has an empty route");
     let mut latency = spec.extra_latency;
     for &lid in spec.route.iter() {
         latency += topo
             .link(lid)
-            .unwrap_or_else(|e| panic!("flow `{label}`: {e}"))
+            .unwrap_or_else(|e| panic!("flow {label:?}: {e}"))
             .latency
             * st.latency_scale[lid.index()];
     }
@@ -1565,10 +1572,10 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
     fs.remaining = 0.0;
     st.flows_completed += 1;
     if let Some(rec) = st.recorder.as_ref() {
-        let label = match fs.label.as_deref() {
-            None | Some("") => format!("flow{}", id.0),
-            Some(label) => label.to_string(),
-        };
+        let mut label = fs.label.as_ref().map(Label::to_string).unwrap_or_default();
+        if label.is_empty() {
+            label = format!("flow{}", id.0);
+        }
         // Probe flows carry a `probe` label prefix; everything else on
         // the fabric is a chunk leg (or direct-path flow) of a transfer.
         let phase = if label.starts_with("probe") {
@@ -1598,7 +1605,7 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
     if let Some(trace) = st.trace.as_mut() {
         trace.push(TraceRecord {
             flow: id,
-            label: fs.label.as_deref().unwrap_or("").to_string(),
+            label: fs.label.as_ref().map(Label::to_string).unwrap_or_default(),
             route: fs.route.into(),
             bytes: fs.bytes,
             issued: fs.issued,

@@ -39,6 +39,7 @@
 pub mod engine;
 pub mod fairness;
 pub mod fault;
+pub mod label;
 pub mod parallel;
 pub mod partition;
 pub mod stats;
@@ -51,6 +52,7 @@ pub use engine::{
 };
 pub use fairness::{max_min_rates, max_min_rates_fast, FairShareScratch, FlowDemand, Links};
 pub use fault::{plan_horizon, FaultEvent, FaultInjector, FaultKind, FaultPlan};
+pub use label::{Label, Template};
 pub use parallel::{equivalence_diff, PartitionRun, Scenario, ScenarioReport};
 pub use partition::{partition_scenario, Partition, PartitionPlan, Partitioner};
 pub use stats::{

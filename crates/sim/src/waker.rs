@@ -5,6 +5,7 @@
 //! the atomics below never race; they exist to make [`Waker`] `Sync`
 //! without `unsafe`.
 
+use crate::label::Label;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -16,7 +17,7 @@ const SIGNALED: u8 = 2;
 #[derive(Debug)]
 pub(crate) struct WakerInner {
     state: AtomicU8,
-    name: String,
+    name: Label,
 }
 
 /// A signal a simulated thread can block on and simulation events can
@@ -28,8 +29,8 @@ pub struct Waker {
 
 impl Waker {
     /// Creates a fresh, unsignaled waker. The name shows up in deadlock
-    /// diagnostics.
-    pub fn new(name: impl Into<String>) -> Waker {
+    /// diagnostics, and is rendered only there.
+    pub fn new(name: impl Into<Label>) -> Waker {
         Waker {
             inner: Arc::new(WakerInner {
                 state: AtomicU8::new(IDLE),
@@ -39,7 +40,7 @@ impl Waker {
     }
 
     /// Debug name.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &Label {
         &self.inner.name
     }
 
@@ -141,6 +142,6 @@ mod tests {
         let w2 = w.clone();
         w.fire();
         assert!(w2.is_signaled());
-        assert_eq!(w2.name(), "t");
+        assert_eq!(w2.name().to_string(), "t");
     }
 }

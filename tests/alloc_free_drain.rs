@@ -2,9 +2,10 @@
 //!
 //! A chunk leg that retires must not touch the heap: routes and labels are
 //! shared with the op that carried them, the copy's buffers wait in the
-//! stream, the fair-share demand of a shared route is folded once. This
-//! binary installs a counting global allocator (per thread, so the tests
-//! can run side by side) and holds the drain of a PUT to an exact number.
+//! stream, the fair-share demand of a shared route is folded once; and an
+//! issue must not format a flow label. This binary installs a counting global
+//! allocator (per thread, so the tests can run side by side) and holds the
+//! drain of a PUT to an exact number and its issue to a ceiling.
 
 use multipath_gpu::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,9 +55,10 @@ fn beluga_context() -> UcxContext {
     UcxContext::new(rt, UcxConfig::default())
 }
 
-/// Allocations in the drain of one PUT of each size, after three warm-up
-/// PUTs per size have grown every recycled table to its working size.
-fn drain_allocations(replayed: bool) -> Vec<(usize, u64)> {
+/// Allocations in the issue and in the drain of one PUT of each size,
+/// after three warm-up PUTs per size have grown every recycled table to
+/// its working size: `(MiB, issue, drain)`.
+fn put_allocations(replayed: bool) -> Vec<(usize, u64, u64)> {
     let ctx = beluga_context();
     let eng = ctx.runtime().engine().clone();
     let gpus = eng.topology().gpus();
@@ -80,17 +82,18 @@ fn drain_allocations(replayed: bool) -> Vec<(usize, u64)> {
                 put(&src, &dst, n);
                 eng.run_until_idle();
             }
-            let h = put(&src, &dst, n);
-            let count = allocations_in(|| eng.run_until_idle());
-            assert!(h.is_complete());
-            (mib, count)
+            let mut h = None;
+            let issue = allocations_in(|| h = Some(put(&src, &dst, n)));
+            let drain = allocations_in(|| eng.run_until_idle());
+            assert!(h.unwrap().is_complete());
+            (mib, issue, drain)
         })
         .collect()
 }
 
 #[test]
 fn a_replayed_put_drains_without_allocating() {
-    for (mib, count) in drain_allocations(true) {
+    for (mib, _, count) in put_allocations(true) {
         assert_eq!(count, 0, "{mib} MiB replayed PUT: {count} allocations");
     }
 }
@@ -99,8 +102,26 @@ fn a_replayed_put_drains_without_allocating() {
 /// to park on one grows that event's waiter list; nothing else may.
 #[test]
 fn an_interpreted_put_drain_allocates_only_first_waiters() {
-    for (mib, count) in drain_allocations(false) {
+    for (mib, _, count) in put_allocations(false) {
         assert!(count <= 4, "{mib} MiB put_async: {count} allocations");
+    }
+}
+
+/// An issue formats no flow label, waker name or stream name; what is left
+/// is structure — streams, events, wakers, the handle — and the two event
+/// names per staged chunk, two allocations each, which stay eager until
+/// the benchmark's per-PUT samples stop counting against its RSS bound
+/// (EXPERIMENTS.md "Lazy names": all-lazy issues in 61 / 52 / 103 / 140).
+/// The parent commit made 98 / 94 / 228 / 389 and 27 per replay. A replay
+/// allocates its programs, wakers and tails, whatever the size.
+#[test]
+fn a_put_issue_allocates_within_its_ceiling() {
+    let interpreted = put_allocations(false);
+    for ((mib, issue, _), cap) in interpreted.into_iter().zip([75, 70, 160, 260]) {
+        assert!(issue <= cap, "{mib} MiB put_async: {issue} > {cap}");
+    }
+    for (mib, issue, _) in put_allocations(true) {
+        assert!(issue <= 23, "{mib} MiB put_replayed: {issue} > 23");
     }
 }
 
