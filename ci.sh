@@ -12,6 +12,14 @@ timeout 120 cargo test -q --test scheduler
 # Beside it, the stream executor's golden order and the drain's allocation
 # count: a stream-lock inversion does not fail either, it hangs.
 timeout 120 cargo test -q --test stream_golden --test alloc_free_drain
+# Every name a PUT's issue hands out is a `Label`, rendered only if read.
+# The interpreter's three `format!`s all sit inside the recorder-only tail;
+# a fourth is an eager name back on the issue path (put_interp -30 %).
+# A tripwire only: the allocation ceilings of alloc_free_drain above are
+# the real guard (an eager name per chunk is two allocations per chunk).
+[ "$(awk '/fn execute_plan_at_obs/ { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on' \
+  crates/ucx/src/pipeline.rs | grep -c 'format!')" = 3 ] ||
+  { echo "pipeline.rs: execute_plan_at_obs must hold exactly three format!s" >&2; exit 1; }
 # The names a trace, a recorder and a deadlock panic read, and the two
 # ledger smokes (the second runs a broker on rank threads: it can hang).
 timeout 120 cargo test -q --test label_golden --test ledgers

@@ -4,9 +4,10 @@
 //! the first-leg stream → **wait event** on the second-leg stream → copy"
 //! (paper Section 3.4). Events fire once per cycle: created unrecorded,
 //! completed by a `Record` op, after which waits pass immediately. The
-//! *interpreted* pipeline allocates one per sync point and never touches
-//! it again; compiled [`crate::TransferGraph`]s instead keep their event
-//! set alive across replays and rearm it with [`GpuEvent::reset`] —
+//! *interpreted* pipeline makes one per sync point — its state, nothing
+//! for its name, which is a [`Label`] over the chunk's numbers — and never
+//! touches it again; compiled [`crate::TransferGraph`]s instead keep their
+//! event set alive across replays and rearm it with [`GpuEvent::reset`] —
 //! matching CUDA, where events are reusable and graph replay recycles
 //! them rather than allocating fresh ones per launch.
 

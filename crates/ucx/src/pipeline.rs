@@ -230,11 +230,14 @@ pub fn execute_plan_notify(
 }
 
 /// Names a PUT hands out unformatted, over (transfer sequence, path index,
-/// chunk index): a path's done-waker, its direct copy, a chunk's two legs.
+/// chunk index): a path's done-waker, its direct copy, a chunk's two legs
+/// and its two events (staged and ready to forward, slot freed).
 static PATH_DONE: Template = Template("xfer{}.p{}", &[40, 8]);
 static DIRECT: Template = Template("xfer{}.p{}.direct", &[40, 8]);
 static LEG1: Template = Template("xfer{}.p{}.c{}.leg1", &[40, 8, 16]);
 static LEG2: Template = Template("xfer{}.p{}.c{}.leg2", &[40, 8, 16]);
+static READY: Template = Template("xfer{}.p{}.c{}", &[40, 8, 16]);
+static FREED: Template = Template("xfer{}.p{}.c{}.freed", &[40, 8, 16]);
 
 /// Staging slots available per path: chunk `c`'s first leg cannot start
 /// until chunk `c − RING_DEPTH`'s slot has been forwarded and freed,
@@ -321,18 +324,20 @@ pub(crate) fn execute_plan_at_obs(
     } else {
         0.0
     };
-    let tail_obs = Arc::new(obs);
+    // What the tail reads, built once and shared by every path's copy.
+    let tail_state = Arc::new((obs, notify.to_vec()));
     let predicted = plan.predicted_time;
     let n_total = plan.n;
-    let make_tail = |wakers: Vec<Waker>| {
+    let make_tail = || {
         let remaining = remaining.clone();
-        let tail_obs = tail_obs.clone();
+        let tail_state = tail_state.clone();
         move |ctx: &mut mpx_sim::Ctx<'_>| {
             if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                for w in &wakers {
+                let (obs, notify) = &*tail_state;
+                for w in notify {
                     ctx.signal(w);
                 }
-                if let Some(o) = tail_obs.as_ref() {
+                if let Some(o) = obs {
                     let end = ctx.now().as_secs();
                     let measured = end - issue_secs;
                     o.rec.span(
@@ -382,7 +387,7 @@ pub(crate) fn execute_plan_at_obs(
                 );
                 s.signal(&done);
                 if want_tail {
-                    s.callback(Box::new(make_tail(notify.to_vec())));
+                    s.callback(Box::new(make_tail()));
                 }
             }
             _ => {
@@ -436,9 +441,7 @@ pub(crate) fn execute_plan_at_obs(
                         oh.copy_launch + first_extra,
                         LEG1.label(&chunk),
                     );
-                    // The two event names stay eager until ROADMAP 6(a): lazy,
-                    // `put_interp` runs 1.48× and its samples read +26 % RSS.
-                    let ev = rt.event(format!("xfer{transfer_seq}.p{pi}.c{c}"));
+                    let ev = rt.event(READY.label(&chunk));
                     s1.record(&ev);
                     s2.wait_event(&ev);
                     // The event synchronization cost ε is charged on the
@@ -453,14 +456,14 @@ pub(crate) fn execute_plan_at_obs(
                         oh.copy_launch + oh.stage_sync,
                         LEG2.label(&chunk),
                     );
-                    let freed = rt.event(format!("xfer{transfer_seq}.p{pi}.c{c}.freed"));
+                    let freed = rt.event(FREED.label(&chunk));
                     s2.record(&freed);
                     slot_freed.push(freed);
                     chunk_off += len;
                 }
                 s2.signal(&done);
                 if want_tail {
-                    s2.callback(Box::new(make_tail(notify.to_vec())));
+                    s2.callback(Box::new(make_tail()));
                 }
             }
         }
@@ -502,6 +505,11 @@ mod tests {
             assert_eq!(DIRECT.label(&path).to_string(), format!("{xfer}.direct"));
             assert_eq!(LEG1.label(&chunk).to_string(), format!("{xfer}.c{c}.leg1"));
             assert_eq!(LEG2.label(&chunk).to_string(), format!("{xfer}.c{c}.leg2"));
+            assert_eq!(READY.label(&chunk).to_string(), format!("{xfer}.c{c}"));
+            assert_eq!(
+                FREED.label(&chunk).to_string(),
+                format!("{xfer}.c{c}.freed")
+            );
         }
     }
 
