@@ -37,6 +37,13 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
+# ROADMAP aim 2: crates/ shrinks this round. Raising the ceiling is an edit
+# a change makes on purpose; lower it when a deletion lands.
+crates_lines="$(find crates -name '*.rs' | xargs cat | wc -l)"
+echo "crates/: $crates_lines .rs lines"
+[ "$crates_lines" -le 33300 ] ||
+  { echo "crates/ grew past its 33300-line ceiling" >&2; exit 1; }
+
 # Fault-matrix smoke: each canned degradation scenario must complete with
 # intact data (mpx exits nonzero otherwise) and must actually exercise the
 # recovery loop (nonzero retry stats).
@@ -95,27 +102,17 @@ for phase in plan probe transfer chunk-leg recovery collective fault tune graph.
 done
 echo "trace-export smoke: ok"
 
-# Planning-throughput smoke: a short bench_transport run that fails on a
-# zero cache-hit rate or on falling far below the committed after numbers
-# in results/BENCH_transport.json. Thresholds are generous — this catches
-# a concurrency regression, not run-to-run noise. The same quick run gates
-# the compiled-graph replay path (zero replays or a replay slowdown
-# versus the interpreted pipeline fails the run) and the payload plane,
-# with two ratios taken inside the one process so they hold on any
-# machine: Buffer::transfer of 32 MiB at >= 0.5x a plain copy_from_slice,
-# and a 32 MiB payload PUT issued within 3x of a timing-only one.
-./target/release/bench_transport --quick
-echo "bench_transport smoke: ok"
-
-# Engine smoke: bench_sim --quick proves a cluster scenario with a fault
-# storm bit-identical between serial and 8-worker parallel execution,
-# requires the parallel engine to at least match the serial engine's
-# events/sec on the 100k-flow cell, requires the serial engine at 25k
-# flows to hold at least half its 512-flow events/sec, and bounds the
-# flight recorder's cost per completed flow. Never rewrites
-# results/BENCH_sim.json (full runs do that).
-./target/release/bench_sim --quick
-echo "bench_sim smoke: ok"
+# Benchmark smoke: bench_e2e (its own workspace, declared in
+# BENCHMARK.json) is the only host-time ruler in the tree and the one the
+# pipeline judges a change with, so build it against this checkout and run
+# all seven workloads for a second each. It exits nonzero on any failed
+# operation: a replay count off its put_replayed calls, a graph fallback, a
+# serial/parallel equivalence diff, a payload byte read back wrong, an
+# invalidation count off. Its timings are not gated here; pairs of runs
+# against the parent are (scripts/bench_pairs.sh).
+cargo build --release --offline --manifest-path bench_e2e/Cargo.toml
+./bench_e2e/target/release/bench_e2e --seed 7 --seconds 1
+echo "bench_e2e smoke: ok"
 
 # Chaos-soak smoke: two fixed seeds of randomized degrade/flap/kill over
 # concurrent resilient, plain/replayed, and hedged PUTs. Exits nonzero on

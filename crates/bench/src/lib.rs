@@ -15,8 +15,10 @@
 //! | `ablations` | chunk law, pipelining, contention, collectives, radix, windows, sensitivity, DGX |
 //!
 //! Every binary prints aligned text tables and writes machine-readable
-//! JSON into `results/` next to the workspace root. Criterion
-//! micro-benchmarks live under `benches/`.
+//! JSON into `results/` next to the workspace root. Host-time
+//! performance is judged elsewhere, by `bench_e2e/` (see `BENCHMARK.json`),
+//! the one ruler; `chaos_soak` and `bench_broker` here soak the recovery
+//! and admission paths.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -38,7 +38,6 @@ pub mod cache;
 pub mod calibrate;
 pub mod collectives;
 pub mod contention;
-pub mod crossover;
 pub mod hockney;
 pub mod optimizer;
 pub mod pipeline;
@@ -52,7 +51,6 @@ pub use collectives::{
     predict_alltoall_bruck, predict_bcast_binomial, CollectivePrediction,
 };
 pub use contention::{plan_concurrent, ConcurrentPlan, ConcurrentTransfer};
-pub use crossover::{entry_size, full_activation_size};
 pub use optimizer::{
     optimal_shares, optimal_shares_bisection, optimal_time, OmegaDelta, ShareSolution,
 };
@@ -64,4 +62,4 @@ pub use planner::{
     quantize_shares, PairKey, PipelineMode, PlanCache, PlannedPath, Planner, PlannerConfig,
     PlannerStats, SizeClassConfig, TransferPlan,
 };
-pub use sensitivity::{bandwidth_regret_curve, perturb, regret, Perturb, SensitivityPoint};
+pub use sensitivity::{perturb, regret, Perturb};

@@ -83,40 +83,6 @@ pub fn regret(true_laws: &[OmegaDelta], planning_laws: &[OmegaDelta], n: f64) ->
     achieved / optimal.time - 1.0
 }
 
-/// A sensitivity sweep row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SensitivityPoint {
-    /// Relative perturbation applied.
-    pub delta: f64,
-    /// Resulting relative regret.
-    pub regret: f64,
-}
-
-/// Sweeps `deltas`, returning the regret curve for affine laws derived
-/// from `true_laws` by scaling `Ω` (bandwidth error maps to `Ω` error).
-pub fn bandwidth_regret_curve(
-    true_laws: &[OmegaDelta],
-    n: f64,
-    deltas: &[f64],
-) -> Vec<SensitivityPoint> {
-    deltas
-        .iter()
-        .map(|&delta| {
-            let planning: Vec<OmegaDelta> = true_laws
-                .iter()
-                .map(|p| OmegaDelta {
-                    omega: p.omega / (1.0 + delta),
-                    delta: p.delta,
-                })
-                .collect();
-            SensitivityPoint {
-                delta,
-                regret: regret(true_laws, &planning, n),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,22 +112,6 @@ mod tests {
     fn zero_perturbation_zero_regret() {
         let l = laws();
         assert!(regret(&l, &l, 64e6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uniform_bandwidth_error_is_harmless() {
-        // Scaling every Ω by the same factor leaves the *relative* split
-        // unchanged (for small Δ), so regret stays tiny.
-        let l = laws();
-        let curve = bandwidth_regret_curve(&l, 256e6, &[-0.2, -0.1, 0.1, 0.2]);
-        for p in &curve {
-            assert!(
-                p.regret < 0.01,
-                "uniform ±{:.0}% bandwidth error cost {:.2}%",
-                p.delta * 100.0,
-                p.regret * 100.0
-            );
-        }
     }
 
     #[test]

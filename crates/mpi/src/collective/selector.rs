@@ -57,7 +57,7 @@ pub enum AlltoallChoice {
 /// Block-size threshold between Bruck and pairwise alltoall. Bruck moves
 /// each block ~log₂(p)/2 extra times, so once a block is large enough
 /// that bandwidth dominates latency, pairwise wins. 256 KiB matches the
-/// crossovers measured by `benches/collectives.rs`.
+/// crossovers the `ablations` binary measures (ablation 4).
 pub const ALLTOALL_BRUCK_MAX_BLOCK: usize = 256 << 10;
 
 /// Selects the allreduce algorithm for an `n`-byte buffer on `ranks`

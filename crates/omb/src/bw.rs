@@ -131,53 +131,6 @@ pub fn osu_bibw_on(world: &World, n: usize, cfg: P2pConfig) -> Bandwidth {
     results[0].max(results[1])
 }
 
-/// OMB `osu_mbw_mr`: aggregate multi-pair bandwidth (bytes/s) with
-/// `pairs` sender/receiver pairs (rank `i` sends to rank `i + pairs`).
-/// Also the message-rate test: divide by `n` for messages/s.
-pub fn osu_mbw_mr(
-    topo: &Arc<Topology>,
-    ucx: UcxConfig,
-    n: usize,
-    pairs: usize,
-    cfg: P2pConfig,
-) -> Bandwidth {
-    assert!(n > 0 && pairs > 0 && cfg.window > 0 && cfg.iterations > 0);
-    let world = World::new(topo.clone(), ucx);
-    let results = world.run(2 * pairs, move |r| {
-        let sender = r.rank < pairs;
-        let peer = if sender {
-            r.rank + pairs
-        } else {
-            r.rank - pairs
-        };
-        let bufs: Vec<_> = (0..cfg.window).map(|_| r.alloc(n)).collect();
-        let mut t0 = r.now();
-        for it in 0..cfg.warmup + cfg.iterations {
-            if it == cfg.warmup {
-                r.barrier();
-                t0 = r.now();
-            }
-            let reqs: Vec<_> = bufs
-                .iter()
-                .enumerate()
-                .map(|(k, buf)| {
-                    let tag = (it * cfg.window + k) as u64;
-                    if sender {
-                        r.isend(buf, n, peer, tag)
-                    } else {
-                        r.irecv(buf, n, Some(peer), Some(tag))
-                    }
-                })
-                .collect();
-            waitall_guarded(&r, &reqs);
-        }
-        r.now().secs_since(t0)
-    });
-    // Aggregate: all pairs move window*iters*n bytes in the max elapsed.
-    let elapsed = results.into_iter().fold(0.0f64, f64::max);
-    (pairs * cfg.iterations * cfg.window * n) as f64 / elapsed
-}
-
 /// Ping-pong latency (seconds, one-way) between GPU 0 and GPU 1.
 pub fn osu_latency(topo: &Arc<Topology>, ucx: UcxConfig, n: usize, iterations: usize) -> f64 {
     assert!(n > 0 && iterations > 0);
@@ -292,52 +245,6 @@ mod tests {
             "bibw/bw ratio {ratio} (bibw {:.1}, bw {:.1})",
             bibw / 1e9,
             bw / 1e9
-        );
-    }
-
-    #[test]
-    fn mbw_mr_two_pairs_aggregate() {
-        // Pairs (0→2) and (1→3) on Beluga: disjoint direct links, so the
-        // single-path aggregate is ~2× one link.
-        let topo = Arc::new(presets::beluga());
-        let agg = osu_mbw_mr(
-            &topo,
-            cfg(TuningMode::SinglePath),
-            32 * MIB,
-            2,
-            P2pConfig::default(),
-        );
-        assert!(
-            agg > 1.8 * 48e9 && agg <= 2.0 * 48e9,
-            "aggregate {:.1} GB/s",
-            agg / 1e9
-        );
-    }
-
-    #[test]
-    fn mbw_mr_multipath_shares_the_fabric() {
-        // With both pairs running model-driven multi-path, staged detours
-        // contend; the aggregate must still beat single path.
-        let topo = Arc::new(presets::beluga());
-        let single = osu_mbw_mr(
-            &topo,
-            cfg(TuningMode::SinglePath),
-            32 * MIB,
-            2,
-            P2pConfig::default(),
-        );
-        let multi = osu_mbw_mr(
-            &topo,
-            cfg(TuningMode::Dynamic),
-            32 * MIB,
-            2,
-            P2pConfig::default(),
-        );
-        assert!(
-            multi > 1.1 * single,
-            "multi {:.1} vs single {:.1} GB/s",
-            multi / 1e9,
-            single / 1e9
         );
     }
 

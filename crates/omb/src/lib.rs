@@ -27,18 +27,16 @@
 
 pub mod bw;
 pub mod collective_bench;
-pub mod loaded;
 pub mod panels;
 pub mod pattern;
 pub mod report;
 pub mod tenants;
 
-pub use bw::{osu_bibw, osu_bibw_on, osu_bw, osu_bw_on, osu_latency, osu_mbw_mr, P2pConfig};
+pub use bw::{osu_bibw, osu_bibw_on, osu_bw, osu_bw_on, osu_latency, P2pConfig};
 pub use collective_bench::{
     allreduce_on, alltoall_on, bcast_on, osu_allgather, osu_allreduce, osu_alltoall, osu_bcast,
     AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, CollectiveConfig,
 };
-pub use loaded::{osu_bw_loaded, LoadedConfig};
 pub use panels::{
     collective_panel, degraded_fabric_panel, p2p_panel, put_once, replay_panel, CollectiveKind,
     P2pKind,

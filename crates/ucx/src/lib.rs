@@ -42,10 +42,7 @@ pub use health::{
     BreakerEvent, BreakerState, HealthConfig, HealthStats, HealthSupervisor, HedgeConfig,
     HedgeReport, PathAdmissions,
 };
-pub use pipeline::{
-    execute_plan, execute_plan_at, execute_plan_notify, PathSlot, TimedOut, TransferHandle,
-    RING_DEPTH,
-};
-pub use probe::{probe_all_with, probe_path_params_with, PROBE_BYTES};
+pub use pipeline::{execute_plan, PathSlot, TimedOut, TransferHandle, RING_DEPTH};
+pub use probe::PROBE_BYTES;
 pub use recover::{RecoveryConfig, RecoveryError, RecoveryReport, ResilienceStats};
 pub use tuner::{manual_plan, measure_plan, share_grid, tune_exhaustive, TuneResult};

@@ -209,24 +209,7 @@ pub fn execute_plan(
     dst: &Buffer,
     transfer_seq: u64,
 ) -> TransferHandle {
-    execute_plan_at(rt, plan, paths, src, 0, dst, 0, transfer_seq, &[])
-}
-
-/// Like [`execute_plan`], additionally firing every waker in `notify`
-/// once the *whole* message (all paths) has landed. This is what the MPI
-/// layer uses to complete both the send and the receive request of a
-/// matched message.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_notify(
-    rt: &GpuRuntime,
-    plan: &TransferPlan,
-    paths: &[TransferPath],
-    src: &Buffer,
-    dst: &Buffer,
-    transfer_seq: u64,
-    notify: &[Waker],
-) -> TransferHandle {
-    execute_plan_at(rt, plan, paths, src, 0, dst, 0, transfer_seq, notify)
+    execute_plan_at_obs(rt, plan, paths, src, 0, dst, 0, transfer_seq, &[], None)
 }
 
 /// Names a PUT hands out unformatted, over (transfer sequence, path index,
@@ -248,35 +231,9 @@ pub const RING_DEPTH: usize = 4;
 
 /// The general form: moves `plan.n` bytes from `src[src_off..]` into
 /// `dst[dst_off..]` (sub-range sends are how collectives transmit buffer
-/// slices), firing `notify` when the whole message has landed.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_at(
-    rt: &GpuRuntime,
-    plan: &TransferPlan,
-    paths: &[TransferPath],
-    src: &Buffer,
-    src_off: usize,
-    dst: &Buffer,
-    dst_off: usize,
-    transfer_seq: u64,
-    notify: &[Waker],
-) -> TransferHandle {
-    execute_plan_at_obs(
-        rt,
-        plan,
-        paths,
-        src,
-        src_off,
-        dst,
-        dst_off,
-        transfer_seq,
-        notify,
-        None,
-    )
-}
-
-/// [`execute_plan_at`] with optional per-transfer telemetry (what the
-/// context passes when a recorder is installed on the engine).
+/// slices), firing `notify` when the whole message has landed, with
+/// optional per-transfer telemetry (what the context passes when a
+/// recorder is installed on the engine).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_plan_at_obs(
     rt: &GpuRuntime,

@@ -48,7 +48,7 @@ pub(crate) fn probe_live(
 /// fabric: virtual time is integer nanoseconds and a flow's progress
 /// depends on differences of it only, so a round measures the same rates
 /// whenever it starts.
-pub fn probe_all_with(
+pub(crate) fn probe_all_with(
     topo: &Arc<Topology>,
     capacities: Option<&[f64]>,
     paths: &[TransferPath],
@@ -75,16 +75,6 @@ pub fn probe_all_with(
         }
     }
     Ok(all)
-}
-
-/// [`probe_all_with`] for one path on a scratch engine of its own.
-pub fn probe_path_params_with(
-    topo: &Arc<Topology>,
-    capacities: Option<&[f64]>,
-    path: &TransferPath,
-) -> Result<PathParams, TopologyError> {
-    let mut all = probe_all_with(topo, capacities, std::slice::from_ref(path))?;
-    Ok(all.pop().expect("one path in, one out"))
 }
 
 /// Injects one `PROBE_BYTES` flow per route simultaneously on the idle
@@ -128,7 +118,7 @@ mod tests {
         let topo = Arc::new(presets::beluga());
         let gpus = topo.gpus();
         let paths = enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::DIRECT_ONLY).unwrap();
-        let probed = probe_path_params_with(&topo, None, &paths[0]).unwrap();
+        let probed = probe_all_with(&topo, None, &paths).unwrap()[0];
         assert_eq!(probed.first.beta, gb_per_s(48.0));
     }
 
@@ -137,7 +127,7 @@ mod tests {
         let topo = Arc::new(presets::beluga());
         let gpus = topo.gpus();
         let paths = enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::TWO_GPUS).unwrap();
-        let probed = probe_path_params_with(&topo, None, &paths[1]).unwrap();
+        let probed = probe_all_with(&topo, None, &paths).unwrap()[1];
         assert!((probed.first.beta - gb_per_s(48.0)).abs() < 1e6);
         assert!((probed.second.unwrap().beta - gb_per_s(48.0)).abs() < 1e6);
     }
@@ -149,8 +139,7 @@ mod tests {
         let gpus = topo.gpus();
         let paths =
             enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::THREE_GPUS_WITH_HOST).unwrap();
-        let host = paths.last().unwrap();
-        let probed = probe_path_params_with(&topo, None, host).unwrap();
+        let probed = *probe_all_with(&topo, None, &paths).unwrap().last().unwrap();
         assert!((probed.first.beta - gb_per_s(12.0)).abs() < 1e8);
         assert!((probed.second.unwrap().beta - gb_per_s(12.0)).abs() < 1e8);
     }
@@ -165,7 +154,7 @@ mod tests {
             enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::THREE_GPUS_WITH_HOST).unwrap();
         let host = paths.last().unwrap();
         let datasheet = extract_path_params(&topo, host).unwrap();
-        let probed = probe_path_params_with(&topo, None, host).unwrap();
+        let probed = *probe_all_with(&topo, None, &paths).unwrap().last().unwrap();
         assert!(datasheet.first.beta > gb_per_s(18.0));
         assert!(
             (probed.first.beta - gb_per_s(9.5)).abs() < 1e8,
@@ -194,7 +183,8 @@ mod tests {
                     let set = probe_all_with(&topo, caps, &paths).unwrap();
                     assert_eq!(set.len(), paths.len());
                     for (path, got) in paths.iter().zip(&set) {
-                        let want = probe_path_params_with(&topo, caps, path).unwrap();
+                        let alone = std::slice::from_ref(path);
+                        let want = probe_all_with(&topo, caps, alone).unwrap()[0];
                         let bits = |p: &PathParams| {
                             let second = p.second.map(|l| (l.alpha.to_bits(), l.beta.to_bits()));
                             (p.first.alpha.to_bits(), p.first.beta.to_bits(), second)

@@ -5,7 +5,9 @@
 //! stream, the fair-share demand of a shared route is folded once; and an
 //! issue must not format a flow label. This binary installs a counting global
 //! allocator (per thread, so the tests can run side by side) and holds the
-//! drain of a PUT to an exact number and its issue to a ceiling.
+//! drain of a PUT to an exact number and its issue to a ceiling. The payload
+//! plane and the flight recorder are held the same way: the defects their
+//! timing gates once watched for were each an allocation.
 
 use multipath_gpu::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -18,6 +20,13 @@ thread_local! {
     /// Const-initialised and without a destructor, so reading it inside
     /// the allocator can neither allocate nor run after teardown.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a `realloc` counts what it grows by).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 struct Counting;
@@ -26,7 +35,7 @@ struct Counting;
 // the `GlobalAlloc` contract; the counter is a plain thread-local `Cell`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -35,7 +44,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,11 +52,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations (and reallocations) `f` makes on this thread.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+/// Heap allocations (and reallocations) `f` makes on this thread, and the
+/// bytes they ask for.
+fn heap_use_in(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    (
+        ALLOCATIONS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
+}
+
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    heap_use_in(f).0
 }
 
 fn beluga_context() -> UcxContext {
@@ -55,21 +72,34 @@ fn beluga_context() -> UcxContext {
     UcxContext::new(rt, UcxConfig::default())
 }
 
-/// Allocations in the issue and in the drain of one PUT of each size,
-/// after three warm-up PUTs per size have grown every recycled table to
-/// its working size: `(MiB, issue, drain)`.
-fn put_allocations(replayed: bool) -> Vec<(usize, u64, u64)> {
-    let ctx = beluga_context();
-    let eng = ctx.runtime().engine().clone();
-    let gpus = eng.topology().gpus();
-    let put = |src: &Buffer, dst: &Buffer, n: usize| {
+/// Heap use of the issue and of the drain of one whole-buffer PUT, after
+/// three warm-up PUTs have grown every recycled table to its working size.
+fn warm_put(ctx: &UcxContext, src: &Buffer, dst: &Buffer, replayed: bool) -> [(u64, u64); 2] {
+    let eng = ctx.runtime().engine();
+    let put = || {
         let h = if replayed {
-            ctx.put_replayed(src, dst, n)
+            ctx.put_replayed(src, dst, src.len())
         } else {
-            ctx.put_async(src, dst, n)
+            ctx.put_async(src, dst, src.len())
         };
         h.expect("PUT on a healthy fabric")
     };
+    for _ in 0..3 {
+        put();
+        eng.run_until_idle();
+    }
+    let mut h = None;
+    let issue = heap_use_in(|| h = Some(put()));
+    let drain = heap_use_in(|| eng.run_until_idle());
+    assert!(h.unwrap().is_complete());
+    [issue, drain]
+}
+
+/// Allocations in the issue and in the drain of one timing-only PUT of
+/// each size: `(MiB, issue, drain)`.
+fn put_allocations(replayed: bool) -> Vec<(usize, u64, u64)> {
+    let ctx = beluga_context();
+    let gpus = ctx.runtime().engine().topology().gpus();
     [2, 8, 32, 128]
         .into_iter()
         .map(|mib| {
@@ -78,14 +108,7 @@ fn put_allocations(replayed: bool) -> Vec<(usize, u64, u64)> {
                 ctx.runtime().alloc(gpus[0], n),
                 ctx.runtime().alloc(gpus[1], n),
             );
-            for _ in 0..3 {
-                put(&src, &dst, n);
-                eng.run_until_idle();
-            }
-            let mut h = None;
-            let issue = allocations_in(|| h = Some(put(&src, &dst, n)));
-            let drain = allocations_in(|| eng.run_until_idle());
-            assert!(h.unwrap().is_complete());
+            let [(issue, _), (drain, _)] = warm_put(&ctx, &src, &dst, replayed);
             (mib, issue, drain)
         })
         .collect()
@@ -147,4 +170,91 @@ fn an_owned_route_costs_one_allocation_when_its_flow_starts() {
     });
     assert_eq!(started, 1, "an owned route folds into one demand");
     assert_eq!(allocations_in(|| eng.run_until_idle()), 0);
+}
+
+/// Real bytes add one thing to an issue: taking the staging ring. The
+/// runtime hands its slots back recycled, so a warm issue asks the heap
+/// for less than one slot; a ring allocated and zeroed per PUT asks for
+/// `RING_DEPTH` of them per staged path (and cost an issue +100 us).
+#[test]
+fn a_warm_payload_put_issue_allocates_no_staging_slot() {
+    let ctx = beluga_context();
+    let gpus = ctx.runtime().engine().topology().gpus();
+    let n = 32 * MIB;
+    let data: Vec<u8> = (0..n).map(|i| (i * 131 % 251) as u8).collect();
+    let src = ctx.runtime().alloc_bytes(gpus[0], data);
+    let dst = ctx.runtime().alloc_zeroed(gpus[1], n);
+    let [(_, issue_bytes), _] = warm_put(&ctx, &src, &dst, false);
+
+    let plan = ctx.plan_for(gpus[0], gpus[1], n).unwrap();
+    let slot = (plan.paths.iter())
+        .filter(|p| p.share_bytes > 0 && p.kind.staging_device().is_some())
+        .map(|p| p.share_bytes / p.chunks.max(1) as usize)
+        .min()
+        .expect("a 32 MiB beluga PUT stages part of the message");
+    assert!(
+        issue_bytes < slot as u64,
+        "issue asked for {issue_bytes} B, a staging slot is {slot} B"
+    );
+    let landed = src.with_data(|s| dst.with_data(|d| *s == *d));
+    assert_eq!(landed, Some(Some(true)), "the PUT moved real bytes");
+}
+
+/// The data effect of a simulated copy is one `memcpy` between the two
+/// allocations, under both locks: no temporary.
+#[test]
+fn a_buffer_transfer_allocates_nothing() {
+    let gpus = presets::beluga().gpus();
+    let n = 32 * MIB;
+    let (a, b) = (
+        Buffer::from_bytes(gpus[0], vec![7; n]),
+        Buffer::zeroed(gpus[1], n),
+    );
+    assert_eq!(allocations_in(|| Buffer::transfer(&a, 0, &b, 0, n)), 0);
+    assert_eq!(
+        allocations_in(|| Buffer::transfer(&b, 0, &b, n / 2, n / 2)),
+        0
+    );
+    assert!(b.with_data(|d| d.iter().all(|&x| x == 7)).unwrap());
+}
+
+/// What the always-on flight recorder costs a completed flow, counted where
+/// the engine pays it: the flow's rendered name, its lane, its detail, and
+/// per link of its route a track name and a copy of the other two. Off, a
+/// warm drain allocates nothing; on, a one-link flow costs
+/// `RECORDED_FLOW_ALLOCATIONS` (ROADMAP item 6 lowers this number).
+#[test]
+fn ring_recording_a_flow_allocates_within_its_ceiling() {
+    const FLOWS: usize = 512;
+    const RECORDED_FLOW_ALLOCATIONS: u64 = 9;
+    let topo = Arc::new(presets::beluga());
+    let gpus = topo.gpus();
+    let links: Vec<LinkId> = (gpus.iter().enumerate())
+        .flat_map(|(i, &a)| gpus[i + 1..].iter().map(move |&b| (a, b)))
+        .filter_map(|(a, b)| topo.link_between(a, b).ok().map(|l| l.id))
+        .collect();
+    let eng = Engine::new(topo);
+    // Flows spread over every GPU-pair link, sizes staggered so each
+    // completion recomputes a link that still has live flows.
+    let drain = || {
+        for i in 0..FLOWS {
+            let spec = FlowSpec::new(vec![links[i % links.len()]], MIB + 4096 * i);
+            eng.start_flow(spec, OnComplete::Nothing);
+        }
+        allocations_in(|| eng.run_until_idle())
+    };
+    drain();
+    assert_eq!(drain(), 0, "recorder off");
+
+    let flight = FlightRecorder::default();
+    eng.set_recorder(flight.recorder());
+    // Always on means a full ring: from then on it only overwrites.
+    while flight.overwritten() == 0 {
+        drain();
+    }
+    let on = drain();
+    assert!(
+        on <= FLOWS as u64 * RECORDED_FLOW_ALLOCATIONS,
+        "recorder on: {on} allocations for {FLOWS} flows"
+    );
 }

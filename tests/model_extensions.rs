@@ -1,80 +1,9 @@
-//! Integration coverage for the model-side extensions: crossover
-//! analysis, sensitivity, and their agreement with simulated behaviour.
+//! Integration coverage for the model-side extensions: sensitivity, and
+//! its agreement with simulated behaviour.
 
-use mpx_model::{bandwidth_regret_curve, entry_size, full_activation_size, OmegaDelta};
 use mpx_topo::params::extract_all;
-use mpx_topo::path::enumerate_paths;
 use multipath_gpu::prelude::*;
 use std::sync::Arc;
-
-fn laws_for(topo: &Topology, sel: PathSelection) -> Vec<OmegaDelta> {
-    let gpus = topo.gpus();
-    let paths = enumerate_paths(topo, gpus[0], gpus[1], sel).unwrap();
-    extract_all(topo, &paths)
-        .unwrap()
-        .iter()
-        .map(|p| OmegaDelta {
-            omega: p.omega_unpipelined(),
-            delta: p.delta_unpipelined(),
-        })
-        .collect()
-}
-
-/// The analytic entry size of the host path must match where the *full
-/// planner* (with pipelining and quantization) starts assigning it
-/// bytes, within a factor of a few.
-#[test]
-fn host_path_entry_size_consistent_with_planner() {
-    let topo = Arc::new(presets::beluga());
-    let laws = laws_for(&topo, PathSelection::THREE_GPUS_WITH_HOST);
-    let analytic = entry_size(&laws[0], laws.last().unwrap()).unwrap();
-    assert!(analytic > 0.0);
-
-    let planner = Planner::new(topo.clone());
-    let gpus = topo.gpus();
-    let host_share = |n: usize| {
-        planner
-            .plan(gpus[0], gpus[1], n, PathSelection::THREE_GPUS_WITH_HOST)
-            .unwrap()
-            .paths
-            .last()
-            .unwrap()
-            .share_bytes
-    };
-    // Well below the analytic entry size: no host bytes. Well above: some.
-    let below = (analytic * 0.2) as usize;
-    let above = (analytic * 50.0) as usize;
-    assert_eq!(host_share(below.max(4096)), 0, "below entry ({below} B)");
-    assert!(host_share(above) > 0, "above entry ({above} B)");
-}
-
-#[test]
-fn narval_entry_sizes_larger_than_beluga() {
-    // Narval's host path has larger Δ relative to its very fast direct
-    // link, so it needs bigger messages to become worthwhile.
-    let beluga = laws_for(&presets::beluga(), PathSelection::THREE_GPUS_WITH_HOST);
-    let narval = laws_for(&presets::narval(), PathSelection::THREE_GPUS_WITH_HOST);
-    let be = entry_size(&beluga[0], beluga.last().unwrap()).unwrap();
-    let na = entry_size(&narval[0], narval.last().unwrap()).unwrap();
-    assert!(
-        na > be,
-        "narval host entry {na:.0} B should exceed beluga {be:.0} B"
-    );
-}
-
-#[test]
-fn full_activation_sizes_are_ordered_across_presets() {
-    for (topo, bound) in [(presets::beluga(), 4e6), (presets::narval(), 16e6)] {
-        let laws = laws_for(&topo, PathSelection::THREE_GPUS_WITH_HOST);
-        let n = full_activation_size(&laws, 1e-3, 1e3, 1e10)
-            .unwrap_or_else(|| panic!("{} never activates all paths", topo.name));
-        assert!(
-            n < bound,
-            "{}: all-paths activation at {n:.0} B exceeds {bound:.0}",
-            topo.name
-        );
-    }
-}
 
 /// Sensitivity in vivo: plan with deliberately corrupted parameters and
 /// *execute on the simulator* — the measured slowdown must not exceed
@@ -122,21 +51,4 @@ fn analytic_regret_tracks_simulated_regret() {
         simulated_regret < 0.35,
         "40% second-leg error should stay survivable: {simulated_regret}"
     );
-}
-
-#[test]
-fn uniform_regret_curve_is_flat_on_presets() {
-    for topo in [presets::beluga(), presets::narval()] {
-        let laws = laws_for(&topo, PathSelection::THREE_GPUS);
-        let curve = bandwidth_regret_curve(&laws, 256e6, &[-0.3, -0.1, 0.1, 0.3]);
-        for p in &curve {
-            assert!(
-                p.regret < 0.02,
-                "{}: uniform {:.0}% error cost {:.2}%",
-                topo.name,
-                p.delta * 100.0,
-                p.regret * 100.0
-            );
-        }
-    }
 }
