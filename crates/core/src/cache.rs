@@ -117,21 +117,6 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         self.shard(shard_key).write().insert(key, value);
     }
 
-    /// Inserts `key → value`, first clearing the shard if it already
-    /// holds `cap` entries — epoch eviction. An unbounded plan cache under
-    /// an irregular size sweep grows without limit and every insert then
-    /// touches cold, ever-growing heap; clearing (which keeps the
-    /// allocated table) bounds the footprint so the whole map stays
-    /// cache-resident, at the price of occasionally re-computing entries
-    /// from before the epoch.
-    pub fn insert_bounded(&self, shard_key: &impl Hash, key: K, value: V, cap: usize) {
-        let mut shard = self.shard(shard_key).write();
-        if shard.len() >= cap.max(1) {
-            shard.clear();
-        }
-        shard.insert(key, value);
-    }
-
     /// Removes one entry; returns whether it existed.
     pub fn remove(&self, shard_key: &impl Hash, key: &K) -> bool {
         self.shard(shard_key).write().remove(key).is_some()

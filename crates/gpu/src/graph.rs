@@ -13,8 +13,7 @@
 //! ring it executes on, all owned by the graph and recycled across
 //! replays. [`TransferGraph::launch`] only patches the source/destination
 //! buffer pointers and offsets, rearms the events
-//! ([`GpuEvent::reset`]), and enqueues the pre-built program batch-wise
-//! per stream.
+//! ([`GpuEvent::reset`]), and submits one [`Program`] per stream.
 //!
 //! Replay also strips the per-op software overheads the interpreted
 //! pipeline charges (per-copy launch cost, event-sync ε, rendezvous,
@@ -27,7 +26,7 @@
 use crate::buffer::Buffer;
 use crate::event::GpuEvent;
 use crate::runtime::GpuRuntime;
-use crate::stream::{Op, Payload, Stream};
+use crate::stream::{Program, Stream};
 use mpx_sim::{Label, Route, Template, Waker};
 use mpx_topo::units::Secs;
 use mpx_topo::DeviceId;
@@ -52,7 +51,8 @@ pub enum GraphBuf {
     Src,
     /// The transfer's destination buffer (offsets are message-relative).
     Dst,
-    /// Slot `i` of the graph-owned staging ring (offsets are absolute).
+    /// Staging buffer `i` of the graph's own (offsets are absolute): the
+    /// ring of one staged path, its slots told apart by offset.
     Staging(usize),
 }
 
@@ -188,7 +188,7 @@ impl GraphBuilder {
         self.events.len() - 1
     }
 
-    /// Allocates a persistent staging slot of `len` bytes on `device`
+    /// Allocates a persistent staging buffer of `len` bytes on `device`
     /// (real storage iff the payload is real); returns its
     /// [`GraphBuf::Staging`] index.
     pub fn staging(&mut self, device: DeviceId, len: usize) -> GraphBuf {
@@ -258,12 +258,19 @@ impl GraphBuilder {
     /// Freezes the capture into a replayable [`TransferGraph`].
     ///
     /// # Panics
-    /// Panics if no path was closed, or an op references an undeclared
-    /// stream/event/staging slot — capture bugs, not runtime conditions.
+    /// Panics if no path was closed, an op references an undeclared
+    /// stream/event/staging slot, or an event is never recorded (its
+    /// waiters would hang) or never waited on (every replay would rearm
+    /// and record it for nobody) — capture bugs, not runtime conditions.
     pub fn finish(self) -> TransferGraph {
         assert!(!self.ends.is_empty(), "graph captured without any path");
+        // Per event: [recorded, waited on]. Per stream: its op count
+        // (program + end signal/tail), so a replay allocates each program
+        // exactly once.
+        let mut uses = vec![[false; 2]; self.events.len()];
+        let mut program_len = vec![0usize; self.streams.len()];
         for node in &self.nodes {
-            let (stream, event) = match node {
+            let stream = match node {
                 Node::Copy(c) => {
                     if let GraphBuf::Staging(i) = c.src {
                         assert!(i < self.staging.len(), "undeclared staging slot {i}");
@@ -271,31 +278,21 @@ impl GraphBuilder {
                     if let GraphBuf::Staging(i) = c.dst {
                         assert!(i < self.staging.len(), "undeclared staging slot {i}");
                     }
-                    (c.stream, None)
+                    c.stream
                 }
                 Node::Record { stream, event } | Node::Wait { stream, event } => {
-                    (*stream, Some(*event))
+                    assert!(*event < self.events.len(), "undeclared event {event}");
+                    uses[*event][usize::from(matches!(node, Node::Wait { .. }))] = true;
+                    *stream
                 }
             };
             assert!(stream < self.streams.len(), "undeclared stream {stream}");
-            if let Some(e) = event {
-                assert!(e < self.events.len(), "undeclared event {e}");
-            }
+            program_len[stream] += 1;
         }
+        let idle = uses.iter().position(|u| *u != [true; 2]);
+        assert_eq!(idle, None, "event never recorded, or never waited on");
         for end in &self.ends {
             assert!(end.stream < self.streams.len(), "undeclared end stream");
-        }
-        // Per-stream op counts (program + end signal/tail), so replay
-        // materialization allocates each program exactly once.
-        let mut program_len = vec![0usize; self.streams.len()];
-        for node in &self.nodes {
-            let s = match node {
-                Node::Copy(c) => c.stream,
-                Node::Record { stream, .. } | Node::Wait { stream, .. } => *stream,
-            };
-            program_len[s] += 1;
-        }
-        for end in &self.ends {
             program_len[end.stream] += 2;
         }
         TransferGraph {
@@ -374,15 +371,20 @@ impl TransferGraph {
         &self.ends
     }
 
-    /// Bytes held by the graph's persistent staging ring.
+    /// Events the graph rearms per replay, each recorded and waited on.
+    pub fn event_count(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Bytes held by the graph's persistent staging rings.
     pub fn staging_bytes(&self) -> usize {
         self.staging.iter().map(|b| b.len()).sum()
     }
 
     /// Relaunches the captured program against concrete buffers: rearm
     /// every event, patch `Src`/`Dst` placeholders to
-    /// `src[src_off..]`/`dst[dst_off..]`, and enqueue each stream's
-    /// program as one batch. Returns one fresh done-waker per path
+    /// `src[src_off..]`/`dst[dst_off..]`, and submit each stream's
+    /// program. Returns one fresh done-waker per path
     /// (parallel to [`TransferGraph::ends`]).
     ///
     /// `first_extra` is charged once per path on its first copy — the
@@ -444,56 +446,36 @@ impl TransferGraph {
         // Materialize the program per stream, then append each path's
         // done-signal and tail. Within-stream order is program order;
         // cross-stream order is irrelevant (events serialize it).
-        let mut programs: Vec<Vec<Op>> = self
-            .program_len
-            .iter()
-            .map(|&len| Vec::with_capacity(len))
+        let mut programs: Vec<Program> = (self.program_len.iter())
+            .map(|&len| Program::with_capacity(len))
             .collect();
+        let resolve = |buf: GraphBuf, off: usize| match buf {
+            GraphBuf::Src => (src, src_off + off),
+            GraphBuf::Dst => (dst, dst_off + off),
+            GraphBuf::Staging(i) => (&self.staging[i], off),
+        };
         for node in &self.nodes {
             match node {
                 Node::Copy(c) => {
-                    let (s, so) = match c.src {
-                        GraphBuf::Src => (src.clone(), src_off + c.src_off),
-                        GraphBuf::Dst => (dst.clone(), dst_off + c.src_off),
-                        GraphBuf::Staging(i) => (self.staging[i].clone(), c.src_off),
-                    };
-                    let (d, dfo) = match c.dst {
-                        GraphBuf::Src => (src.clone(), src_off + c.dst_off),
-                        GraphBuf::Dst => (dst.clone(), dst_off + c.dst_off),
-                        GraphBuf::Staging(i) => (self.staging[i].clone(), c.dst_off),
-                    };
-                    programs[c.stream].push(Op::Copy {
-                        payload: Payload {
-                            src: s,
-                            src_off: so,
-                            dst: d,
-                            dst_off: dfo,
-                            len: c.len,
-                        },
-                        route: c.route.clone(),
-                        extra_latency: c.extra + if c.first { first_extra } else { 0.0 },
-                        label: c.label.clone(),
-                    });
+                    let (s, s_off) = resolve(c.src, c.src_off);
+                    let (d, d_off) = resolve(c.dst, c.dst_off);
+                    let extra = c.extra + if c.first { first_extra } else { 0.0 };
+                    let (route, label) = (c.route.clone(), c.label.clone());
+                    programs[c.stream].copy(s, s_off, d, d_off, c.len, route, extra, label);
                 }
-                Node::Record { stream, event } => {
-                    programs[*stream].push(Op::Record(self.events[*event].clone()));
-                }
-                Node::Wait { stream, event } => {
-                    programs[*stream].push(Op::WaitEvent(self.events[*event].clone()));
-                }
+                Node::Record { stream, event } => programs[*stream].record(&self.events[*event]),
+                Node::Wait { stream, event } => programs[*stream].wait_event(&self.events[*event]),
             }
         }
         let mut wakers = Vec::with_capacity(self.ends.len());
         for end in &self.ends {
             let done = Waker::new(PATH_DONE.label(&[self.id, replay, end.path_index as u64]));
-            programs[end.stream].push(Op::Signal(done.clone()));
-            programs[end.stream].push(Op::Callback(Box::new(make_tail())));
+            programs[end.stream].signal(&done);
+            programs[end.stream].callback(Box::new(make_tail()));
             wakers.push(done);
         }
         for (stream, program) in self.streams.iter().zip(programs) {
-            if !program.is_empty() {
-                stream.enqueue_batch(program);
-            }
+            stream.submit(program);
         }
         Ok(wakers)
     }

@@ -42,4 +42,4 @@ pub use ipc::{IpcCache, IpcStats, IPC_OPEN_COST};
 pub use memory::{MemTracker, MemoryStats};
 pub use reduce::ReduceOp;
 pub use runtime::{GpuRuntime, KernelCostModel};
-pub use stream::{KernelEffect, Stream};
+pub use stream::{KernelEffect, Program, Stream};

@@ -2,10 +2,13 @@
 //!
 //! A stream executes its operations strictly in order. Enqueueing never
 //! blocks; completion is observed via events, wakers, or
-//! [`Stream::synchronize`]. The executor is driven in two ways that must
-//! coexist without deadlock:
+//! [`Stream::synchronize`]. Work reaches a stream as a [`Program`] — an op
+//! sequence built with no lock held and handed over by one
+//! [`Stream::submit`]; the per-op calls ([`Stream::copy`],
+//! [`Stream::record`], ...) are its one-op case, a lock cycle each. The
+//! executor is driven in two ways that must coexist without deadlock:
 //!
-//! * rank threads enqueue ops and kick an idle stream;
+//! * rank threads submit ops and kick an idle stream;
 //! * engine callbacks retire the in-flight op and carry on (engine lock
 //!   held, stream lock taken inside).
 //!
@@ -73,15 +76,15 @@ static STREAM_SYNC: Template = Template("dev{}.s{}.sync", &[16, 48]);
 pub type KernelEffect = Box<dyn FnOnce() + Send>;
 
 /// The payload move of a copy: applied when its flow completes.
-pub(crate) struct Payload {
-    pub(crate) src: Buffer,
-    pub(crate) src_off: usize,
-    pub(crate) dst: Buffer,
-    pub(crate) dst_off: usize,
-    pub(crate) len: usize,
+struct Payload {
+    src: Buffer,
+    src_off: usize,
+    dst: Buffer,
+    dst_off: usize,
+    len: usize,
 }
 
-pub(crate) enum Op {
+enum Op {
     Copy {
         payload: Payload,
         /// Shared, not owned: a compiled graph re-enqueues the same
@@ -112,6 +115,66 @@ impl fmt::Debug for Op {
             Op::Signal(w) => write!(f, "Signal({})", w.name()),
             Op::Callback(_) => write!(f, "Callback"),
         }
+    }
+}
+
+/// An op sequence bound for one stream, built with no lock held and
+/// handed over whole by [`Stream::submit`]. Its methods take what the
+/// stream's per-op methods of the same names take.
+#[derive(Debug, Default)]
+pub struct Program(Vec<Op>);
+
+impl Program {
+    /// An empty program with room for `ops` ops.
+    pub fn with_capacity(ops: usize) -> Program {
+        Program(Vec::with_capacity(ops))
+    }
+
+    /// Appends a copy; see [`Stream::copy`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn copy(
+        &mut self,
+        src: &Buffer,
+        src_off: usize,
+        dst: &Buffer,
+        dst_off: usize,
+        len: usize,
+        route: impl Into<Route>,
+        extra_latency: Secs,
+        label: impl Into<Label>,
+    ) {
+        self.0.push(Op::Copy {
+            payload: Payload {
+                src: src.clone(),
+                src_off,
+                dst: dst.clone(),
+                dst_off,
+                len,
+            },
+            route: route.into(),
+            extra_latency,
+            label: label.into(),
+        });
+    }
+
+    /// Appends an event record; see [`Stream::record`].
+    pub fn record(&mut self, ev: &GpuEvent) {
+        self.0.push(Op::Record(ev.clone()));
+    }
+
+    /// Appends an event wait; see [`Stream::wait_event`].
+    pub fn wait_event(&mut self, ev: &GpuEvent) {
+        self.0.push(Op::WaitEvent(ev.clone()));
+    }
+
+    /// Appends a waker signal; see [`Stream::signal`].
+    pub fn signal(&mut self, w: &Waker) {
+        self.0.push(Op::Signal(w.clone()));
+    }
+
+    /// Appends a callback; see [`Stream::callback`].
+    pub fn callback(&mut self, f: mpx_sim::EventFn) {
+        self.0.push(Op::Callback(f));
     }
 }
 
@@ -257,23 +320,32 @@ impl Stream {
     }
 
     fn enqueue(&self, op: Op) {
-        self.enqueue_batch([op]);
+        let mut st = self.inner.state.lock();
+        st.queue.push_back(op);
+        self.kick(st);
     }
 
-    /// Enqueues a pre-built op sequence and, under the same lock, kicks
-    /// the stream if it was idle — the replay fast path of
-    /// [`crate::TransferGraph`], which materializes a whole stream program
-    /// at once instead of paying a lock cycle per op.
-    pub(crate) fn enqueue_batch(&self, ops: impl IntoIterator<Item = Op>) {
+    /// Hands `program` over under one lock cycle and kicks the stream if
+    /// it was idle. An empty queue adopts the program's buffer as it is; a
+    /// stream still holding ops (busy or parked) appends to them.
+    pub fn submit(&self, program: Program) {
         let mut st = self.inner.state.lock();
-        st.queue.extend(ops);
+        if st.queue.is_empty() {
+            st.queue = program.0.into();
+        } else {
+            st.queue.extend(program.0);
+        }
+        self.kick(st);
+    }
+
+    fn kick<'a>(&'a self, st: StreamGuard<'a>) {
         if !st.busy && !st.parked {
             self.run(st, &mut Issuer::Api(&self.inner.engine));
         }
     }
 
     /// Runs ops until the stream blocks (async op in flight, parked on an
-    /// event, or queue empty). The one executor: enqueue sites, completion
+    /// event, or queue empty). The one executor: submit sites, completion
     /// callbacks and releasing `Record`s all enter here, with the lock of
     /// a stream that is neither busy nor parked.
     fn run<'a>(&'a self, mut st: StreamGuard<'a>, issuer: &mut Issuer<'_, '_>) {

@@ -13,7 +13,9 @@
 //!   and without recalibrating the model against the degraded fabric.
 
 use crate::bw::{osu_bibw_on, osu_bw_on, P2pConfig};
-use crate::collective_bench::{AllreduceAlgo, AlltoallAlgo, CollectiveConfig};
+use crate::collective_bench::{
+    allreduce_on, alltoall_on, AllreduceAlgo, AlltoallAlgo, CollectiveConfig,
+};
 use crate::report::Series;
 use mpx_gpu::GpuRuntime;
 use mpx_mpi::World;
@@ -299,7 +301,7 @@ fn run_collective(world: &World, kind: CollectiveKind, n: usize, coll: Collectiv
         CollectiveKind::Allreduce => {
             // Align to 4·ranks for f32 block boundaries.
             let n = n - n % (4 * coll.ranks).max(4);
-            osu_allreduce_on(
+            allreduce_on(
                 world,
                 n.max(4 * coll.ranks),
                 AllreduceAlgo::Rabenseifner,
@@ -309,75 +311,9 @@ fn run_collective(world: &World, kind: CollectiveKind, n: usize, coll: Collectiv
         CollectiveKind::Alltoall => {
             // Per-rank total of `n` bytes spread over `ranks` blocks.
             let block = (n / coll.ranks).max(4);
-            osu_alltoall_on(world, block, AlltoallAlgo::Bruck, coll)
+            alltoall_on(world, block, AlltoallAlgo::Bruck, coll)
         }
     }
-}
-
-/// Partition-scale panel (beyond the paper): simulated-engine event
-/// throughput (events/sec of virtual-event processing, measured in wall
-/// time) of the serial engine vs the component-partitioned parallel
-/// engine ([`mpx_sim::Scenario`]) at `workers` workers, swept over total
-/// flow count on a `nodes`-node disconnected cluster
-/// ([`presets::cluster`]). Every cell first proves the two modes
-/// bit-identical ([`mpx_sim::equivalence_diff`]) — a panel that plots
-/// diverging engines would be meaningless — then reports both rates.
-///
-/// Returns `[Serial, Parallel (W workers)]`; the x-axis carries the flow
-/// count (not bytes, unlike the paper panels).
-pub fn partition_scale_panel(nodes: usize, workers: usize, flow_counts: &[usize]) -> Vec<Series> {
-    use mpx_sim::{equivalence_diff, FlowSpec, Scenario};
-    use mpx_topo::{presets, LinkId};
-    const NODE_LINKS: usize = 21; // links per 4-GPU cluster node
-    let topo = Arc::new(presets::cluster(nodes, 4));
-    let mut serial = Series::new("Serial");
-    let mut parallel = Series::new(format!("Parallel ({workers} workers)"));
-    for &flows in flow_counts {
-        let mut sc = Scenario::new(topo.clone()).with_trace(false);
-        for k in 0..flows {
-            let node = k % nodes;
-            let off = (k / nodes) % 12; // GPU-pair link offsets
-            let wave = k / (nodes * 12 * 16);
-            let route = vec![LinkId((node * NODE_LINKS + off) as u32)];
-            sc = sc.flow_at(
-                wave as f64 * 100e-6,
-                FlowSpec::new(route, (256 << 10) + (k % 64) * 4096),
-            );
-        }
-        let equiv = sc.clone().with_trace(true);
-        assert_eq!(
-            equivalence_diff(&equiv.run_serial(), &equiv.run_parallel(workers)),
-            None,
-            "partition panel cell diverged at {flows} flows"
-        );
-        let t0 = std::time::Instant::now();
-        let s = sc.run_serial();
-        let serial_secs = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        let p = sc.run_parallel(workers);
-        let par_secs = t0.elapsed().as_secs_f64();
-        assert_eq!(s.stats.events_processed, p.stats.events_processed);
-        serial.push(flows, s.stats.events_processed as f64 / serial_secs);
-        parallel.push(flows, p.stats.events_processed as f64 / par_secs);
-    }
-    vec![serial, parallel]
-}
-
-/// [`osu_allreduce`](crate::collective_bench::osu_allreduce) on an
-/// existing world.
-pub fn osu_allreduce_on(
-    world: &World,
-    n: usize,
-    algo: AllreduceAlgo,
-    cfg: CollectiveConfig,
-) -> f64 {
-    crate::collective_bench::allreduce_on(world, n, algo, cfg)
-}
-
-/// [`osu_alltoall`](crate::collective_bench::osu_alltoall) on an existing
-/// world.
-pub fn osu_alltoall_on(world: &World, n: usize, algo: AlltoallAlgo, cfg: CollectiveConfig) -> f64 {
-    crate::collective_bench::alltoall_on(world, n, algo, cfg)
 }
 
 #[cfg(test)]
@@ -525,20 +461,5 @@ mod tests {
             dynamic > 1.05 && dynamic < 2.0,
             "alltoall dynamic speedup {dynamic}"
         );
-    }
-
-    #[test]
-    fn partition_scale_panel_has_pinned_shape() {
-        let counts = [96, 192];
-        let panel = partition_scale_panel(4, 8, &counts);
-        assert_eq!(panel.len(), 2);
-        assert_eq!(panel[0].label, "Serial");
-        assert_eq!(panel[1].label, "Parallel (8 workers)");
-        for s in &panel {
-            assert_eq!(s.points.len(), counts.len(), "{}", s.label);
-            for p in &s.points {
-                assert!(p.value > 0.0, "{} at {} flows", s.label, p.bytes);
-            }
-        }
     }
 }

@@ -206,16 +206,6 @@ impl FlowSpec {
         }
     }
 
-    /// Sets the startup-latency multiplier (must be positive and finite).
-    pub fn with_latency_factor(mut self, factor: f64) -> FlowSpec {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "invalid latency factor {factor}"
-        );
-        self.latency_factor = factor;
-        self
-    }
-
     /// Sets the QoS weight (must be positive).
     pub fn with_weight(mut self, weight: f64) -> FlowSpec {
         assert!(
@@ -923,14 +913,6 @@ impl Engine {
     /// Keep `f` short: it runs under the engine lock.
     pub fn with_capacities<R>(&self, f: impl FnOnce(&[f64]) -> R) -> R {
         f(&self.shared.state.lock().capacities)
-    }
-
-    /// Copies every link's current capacity into `buf` (cleared first) —
-    /// the reusable-buffer alternative to allocating a fresh snapshot
-    /// per call in probe sweeps.
-    pub fn copy_capacities_into(&self, buf: &mut Vec<f64>) {
-        buf.clear();
-        buf.extend_from_slice(&self.shared.state.lock().capacities);
     }
 
     /// Enables deterministic latency jitter for flows issued from now on.

@@ -118,26 +118,6 @@ impl Partitioner {
     pub fn merges(&self) -> &[(SimTime, usize, usize)] {
         &self.merges
     }
-
-    /// Number of occupied partitions under the current unions.
-    pub fn occupied_partitions(&mut self) -> usize {
-        let n = self.parent.len();
-        let mut roots = vec![false; n];
-        let mut count = 0;
-        for l in 0..n {
-            if !self.occupied[l] {
-                continue;
-            }
-            let r = self.find(l);
-            // Occupancy may have been stamped on a pre-merge root; only
-            // count each live root once.
-            if !roots[r] {
-                roots[r] = true;
-                count += 1;
-            }
-        }
-        count
-    }
 }
 
 /// One executable partition of a declared scenario.

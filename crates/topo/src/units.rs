@@ -30,12 +30,6 @@ pub const fn micros(x: f64) -> Secs {
     x * 1e-6
 }
 
-/// Converts nanoseconds into [`Secs`].
-#[inline]
-pub const fn nanos(x: f64) -> Secs {
-    x * 1e-9
-}
-
 /// Formats a byte count with a binary-prefix suffix, OSU-benchmark style
 /// (`4096`, `64K`, `16M`, `1G`).
 pub fn format_bytes(n: usize) -> String {
@@ -48,12 +42,6 @@ pub fn format_bytes(n: usize) -> String {
     } else {
         format!("{n}")
     }
-}
-
-/// Formats a bandwidth in GB/s with two decimals (OSU-style `MB/s` scaled
-/// up: the paper's figures use GB/s axes).
-pub fn format_bandwidth(b: Bandwidth) -> String {
-    format!("{:.2} GB/s", b / 1e9)
 }
 
 #[cfg(test)]
@@ -71,11 +59,6 @@ mod tests {
     }
 
     #[test]
-    fn nanos_scale() {
-        assert!((nanos(250.0) - 2.5e-7).abs() < 1e-18);
-    }
-
-    #[test]
     fn format_bytes_exact_boundaries() {
         assert_eq!(format_bytes(512), "512");
         assert_eq!(format_bytes(KIB), "1K");
@@ -88,10 +71,5 @@ mod tests {
     fn format_bytes_non_aligned_falls_back_to_raw() {
         assert_eq!(format_bytes(KIB + 1), "1025");
         assert_eq!(format_bytes(3 * MIB / 2), "1536K");
-    }
-
-    #[test]
-    fn format_bandwidth_renders_gbps() {
-        assert_eq!(format_bandwidth(gb_per_s(50.0)), "50.00 GB/s");
     }
 }

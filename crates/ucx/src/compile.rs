@@ -1,10 +1,12 @@
 //! Lowering a [`TransferPlan`] into a compiled [`TransferGraph`], and the
 //! context's pool of compiled graphs.
 //!
-//! [`compile_plan`] replays the exact chunk math of
-//! [`crate::pipeline::execute_plan_at_obs`] — per-path shares, the
-//! `share/k` chunk split, the `RING_DEPTH`-bounded staging ring, and the
-//! record/wait sync pattern — into a [`GraphBuilder`] capture instead of
+//! [`compile_plan`] lowers from the same chunk walk as
+//! [`crate::pipeline::execute_plan_at_obs`]
+//! ([`crate::pipeline::StagedWalk`]: per-path shares, the `share/k` chunk
+//! split, one staging buffer per staged path with the ring's slots at
+//! offsets in it, a `READY` event per chunk and a `FREED` one only where a
+//! later chunk waits for the slot) into a [`GraphBuilder`] capture instead of
 //! live stream ops. The resulting graph moves bytes bit-identically to
 //! the interpreter (same copies, same offsets, same ordering
 //! constraints); what changes is the *software* cost model: per-op
@@ -26,7 +28,7 @@
 //! pair's compiled graphs, so a stale graph can never outlive the plan
 //! it was compiled from.
 
-use crate::pipeline::RING_DEPTH;
+use crate::pipeline::StagedWalk;
 use mpx_gpu::{GpuRuntime, GraphBuf, GraphBuilder, TransferGraph};
 use mpx_model::{PairKey, ShardedMap, SizeClassConfig, TransferPlan};
 use mpx_topo::path::TransferPath;
@@ -56,9 +58,10 @@ pub fn graph_key(sc: &SizeClassConfig, n: usize) -> u64 {
     }
 }
 
-/// Lowers `plan` over `paths` into a replayable graph. Mirrors the
-/// interpreted pipeline's structure op for op; see the module docs for
-/// what is deliberately *not* carried over (per-op software overheads).
+/// Lowers `plan` over `paths` into a replayable graph: the interpreted
+/// pipeline's structure op for op, from the one chunk walk; see the module
+/// docs for what is deliberately *not* carried over (per-op software
+/// overheads).
 ///
 /// # Panics
 /// Panics on plan/path disagreement, like the interpreter.
@@ -101,54 +104,45 @@ pub(crate) fn compile_plan(
                 let via = path.kind.staging_device().expect("staged path");
                 let s1 = g.stream(src_device);
                 let s2 = g.stream(via);
-                let k = pp.chunks.max(1) as usize;
-                let base = share / k;
-                let rem = share % k;
-                let slot_len = base + usize::from(rem > 0);
-                let depth = RING_DEPTH.min(k);
-                let ring: Vec<GraphBuf> = (0..depth).map(|_| g.staging(via, slot_len)).collect();
-                let mut slot_freed: Vec<usize> = Vec::with_capacity(k);
-                let mut chunk_off = offset;
-                for c in 0..k {
-                    let len = base + usize::from(c < rem);
-                    if len == 0 {
-                        continue;
+                let walk = StagedWalk::new(offset, share, pp.chunks);
+                let ring = g.staging(via, walk.ring_len);
+                let mut freed = Vec::with_capacity(walk.freed_events);
+                for ch in walk.chunks() {
+                    if let Some(earlier) = ch.waits_freed {
+                        g.wait(s1, freed[earlier]);
                     }
-                    if slot_freed.len() >= RING_DEPTH {
-                        g.wait(s1, slot_freed[slot_freed.len() - RING_DEPTH]);
-                    }
-                    let slot = ring[c % depth];
+                    let c = ch.index;
                     g.copy(
                         s1,
                         GraphBuf::Src,
-                        chunk_off,
-                        slot,
-                        0,
-                        len,
+                        ch.off,
+                        ring,
+                        ch.slot_off,
+                        ch.len,
                         path.legs[0].route.clone(),
                         0.0,
                         c == 0,
                         format!("g{gid}.p{pi}.c{c}.leg1"),
                     );
-                    let sync = g.event();
-                    g.record(s1, sync);
-                    g.wait(s2, sync);
+                    let ready = g.event();
+                    g.record(s1, ready);
+                    g.wait(s2, ready);
                     g.copy(
                         s2,
-                        slot,
-                        0,
+                        ring,
+                        ch.slot_off,
                         GraphBuf::Dst,
-                        chunk_off,
-                        len,
+                        ch.off,
+                        ch.len,
                         path.legs[1].route.clone(),
                         0.0,
                         false,
                         format!("g{gid}.p{pi}.c{c}.leg2"),
                     );
-                    let freed = g.event();
-                    g.record(s2, freed);
-                    slot_freed.push(freed);
-                    chunk_off += len;
+                    if ch.records_freed {
+                        freed.push(g.event());
+                        g.record(s2, freed[c]);
+                    }
                 }
                 g.end_path(s2, pi, offset, share);
             }
@@ -255,6 +249,7 @@ impl GraphCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::RING_DEPTH;
     use mpx_model::Planner;
     use mpx_sim::Engine;
     use mpx_topo::path::{enumerate_paths, PathSelection};
@@ -296,25 +291,28 @@ mod tests {
         assert_eq!(g.replays(), 2);
     }
 
+    /// What a graph owns is what an interpreted issue would build: one ring
+    /// of at most `RING_DEPTH` chunk-sized slots per staged path, a `READY`
+    /// event per chunk and a `FREED` one only where a later chunk waits on
+    /// it (`finish` refuses an event nobody waits on).
     #[test]
-    fn graph_staging_is_ring_bounded_like_the_interpreter() {
+    fn a_compiled_graph_owns_the_interpreters_rings_and_events() {
         let topo = Arc::new(presets::beluga());
         let rt = GpuRuntime::new(Engine::new(topo.clone()));
-        let planner = Planner::new(topo.clone());
         let gpus = topo.gpus();
-        let sel = PathSelection::TWO_GPUS;
-        let n = 64 * MIB;
+        let sel = PathSelection::THREE_GPUS_WITH_HOST;
         let paths = enumerate_paths(&topo, gpus[0], gpus[1], sel).unwrap();
-        let plan = planner.plan(gpus[0], gpus[1], n, sel).unwrap();
-        let staged = &plan.paths[1];
-        let chunk = staged.share_bytes / staged.chunks.max(1) as usize + 1;
+        let plan = (Planner::new(topo.clone()).plan(gpus[0], gpus[1], 128 * MIB, sel)).unwrap();
         let g = compile_plan(&rt, &plan, &paths, gpus[0], gpus[1], true);
-        assert!(
-            g.staging_bytes() <= RING_DEPTH * chunk + 4096,
-            "graph staging {} exceeds ring bound (chunk {chunk})",
-            g.staging_bytes()
-        );
-        assert!(g.staging_bytes() > 0);
+        let staged = || plan.active_paths().filter(|p| !p.kind.is_direct());
+        let ring_bound: usize = staged()
+            .map(|p| RING_DEPTH * (p.share_bytes / p.chunks as usize + 1))
+            .sum();
+        assert!(g.staging_bytes() > 0 && g.staging_bytes() <= ring_bound);
+        let events: usize = staged()
+            .map(|p| p.chunks as usize + (p.chunks as usize).saturating_sub(RING_DEPTH))
+            .sum();
+        assert_eq!((g.event_count(), events), (46, 46));
     }
 
     #[test]

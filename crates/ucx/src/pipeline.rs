@@ -7,17 +7,24 @@
 //! * the **direct** path is one asynchronous copy on a stream of the
 //!   source GPU;
 //! * each **staged** path runs the three-step chunk loop on two streams —
-//!   leg 1 on the source GPU copies chunk `c` into a staging slot and
-//!   records an event; leg 2 on the staging device waits that event and
-//!   forwards the chunk. Stream ordering pipelines the chunks; the event
-//!   sync cost `ε` and the per-copy launch cost are charged exactly where
-//!   the model assumes them.
+//!   leg 1 on the source GPU copies chunk `c` into its slot of the path's
+//!   staging ring and records `READY[c]`; leg 2 on the staging device waits
+//!   that event and forwards the chunk. Stream ordering pipelines the
+//!   chunks; the event sync cost `ε` and the per-copy launch cost are
+//!   charged exactly where the model assumes them.
+//!
+//! An issue builds only what the transfer needs ([`StagedWalk`] is the
+//! arithmetic, shared with the graph compiler): one [`Program`] per stream,
+//! of its exact length, submitted leg 1 before leg 2 in plan order; one
+//! staging buffer per staged path, `min(RING_DEPTH, k)` slots in it; and,
+//! beside the `READY` events, a `FREED[c]` event only where chunk
+//! `c + RING_DEPTH` exists to wait for the slot.
 //!
 //! The engine never blocks: it returns a [`TransferHandle`] whose wakers
 //! fire as paths drain. Rank threads wait on it; callback-structured
 //! tests drain the engine instead.
 
-use mpx_gpu::{Buffer, GpuRuntime};
+use mpx_gpu::{Buffer, GpuRuntime, Program};
 use mpx_model::TransferPlan;
 use mpx_obs::{Phase, QuantileHist, Recorder, ResidualTracker};
 use mpx_sim::{Route, SimTime, Template, Waker};
@@ -222,12 +229,78 @@ static LEG2: Template = Template("xfer{}.p{}.c{}.leg2", &[40, 8, 16]);
 static READY: Template = Template("xfer{}.p{}.c{}", &[40, 8, 16]);
 static FREED: Template = Template("xfer{}.p{}.c{}.freed", &[40, 8, 16]);
 
-/// Staging slots available per path: chunk `c`'s first leg cannot start
-/// until chunk `c − RING_DEPTH`'s slot has been forwarded and freed,
-/// bounding staging memory like the ring buffers of the engine in \[35\].
-/// Deep enough that rate-matched legs never stall on it; it only binds
-/// when the legs are badly mismatched.
+/// Staging slots available per path, all in one buffer: chunk `c` stages
+/// through bytes `[(c % depth)·slot_len ..][..len]` of it, and its first
+/// leg cannot start until chunk `c − RING_DEPTH` has been forwarded out of
+/// them, bounding staging memory like the ring buffers of the engine in
+/// \[35\]. Deep enough that rate-matched legs never stall on it; it only
+/// binds when the legs are badly mismatched.
 pub const RING_DEPTH: usize = 4;
+
+/// The chunk walk of one staged path: how its share splits into chunks and
+/// where each one sits in the message and in the path's staging ring. The
+/// interpreter and [`crate::compile::compile_plan`] both lower from it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StagedWalk {
+    offset: usize,
+    base: usize,
+    rem: usize,
+    /// Slots in the ring, each sized for the largest chunk.
+    depth: usize,
+    slot_len: usize,
+    /// Chunks that carry bytes: `0..live` (an empty chunk is never issued).
+    pub(crate) live: usize,
+    /// Bytes of the path's one staging buffer.
+    pub(crate) ring_len: usize,
+    /// `FREED` events the walk records: one per chunk somebody waits on.
+    pub(crate) freed_events: usize,
+}
+
+/// One live chunk of a [`StagedWalk`].
+pub(crate) struct Chunk {
+    pub(crate) index: usize,
+    /// Where its bytes start in the message, and how many there are.
+    pub(crate) off: usize,
+    pub(crate) len: usize,
+    /// Where its slot starts in the ring.
+    pub(crate) slot_off: usize,
+    /// Leg 1 first waits on the `FREED` event of this earlier chunk, the
+    /// slot's previous occupant.
+    pub(crate) waits_freed: Option<usize>,
+    /// Leg 2 records a `FREED` event: a later chunk waits on it.
+    pub(crate) records_freed: bool,
+}
+
+impl StagedWalk {
+    /// `share` bytes starting `offset` into the message, in `chunks` chunks.
+    pub(crate) fn new(offset: usize, share: usize, chunks: u32) -> StagedWalk {
+        let k = chunks.max(1) as usize;
+        let (base, rem) = (share / k, share % k);
+        let (depth, slot_len) = (RING_DEPTH.min(k), base + usize::from(rem > 0));
+        let live = if base == 0 { rem } else { k };
+        StagedWalk {
+            offset,
+            base,
+            rem,
+            depth,
+            slot_len,
+            live,
+            ring_len: depth * slot_len,
+            freed_events: live.saturating_sub(RING_DEPTH),
+        }
+    }
+
+    pub(crate) fn chunks(self) -> impl Iterator<Item = Chunk> {
+        (0..self.live).map(move |c| Chunk {
+            index: c,
+            off: self.offset + c * self.base + c.min(self.rem),
+            len: self.base + usize::from(c < self.rem),
+            slot_off: c % self.depth * self.slot_len,
+            waits_freed: c.checked_sub(RING_DEPTH),
+            records_freed: c + RING_DEPTH < self.live,
+        })
+    }
+}
 
 /// The general form: moves `plan.n` bytes from `src[src_off..]` into
 /// `dst[dst_off..]` (sub-range sends are how collectives transmit buffer
@@ -257,8 +330,7 @@ pub(crate) fn execute_plan_at_obs(
         "destination buffer smaller than message"
     );
 
-    let topo = rt.engine().topology().clone();
-    let oh = topo.overheads;
+    let oh = rt.engine().topology().overheads;
     let synthetic = src.is_synthetic();
     let mut wakers = Vec::new();
     let mut slots = Vec::new();
@@ -270,38 +342,33 @@ pub(crate) fn execute_plan_at_obs(
     let ipc_cost = rt.ipc().open_cost(src.device().0, dst.id());
     let mut one_time = oh.rendezvous + ipc_cost;
 
-    let active = plan.active_path_count();
-    let remaining = Arc::new(AtomicUsize::new(active));
     // The tail closure fires once per active path; the last one signals
     // the whole-message wakers and (when telemetry is attached) records
     // the transfer span and its model residual.
-    let want_tail = !notify.is_empty() || obs.is_some();
-    let issue_secs = if want_tail {
-        rt.engine().now().as_secs()
-    } else {
-        0.0
-    };
-    // What the tail reads, built once and shared by every path's copy.
-    let tail_state = Arc::new((obs, notify.to_vec()));
+    // What it reads is built once and shared by every path's copy, and not
+    // at all when nobody listens.
+    let tail_state = (!notify.is_empty() || obs.is_some()).then(|| {
+        let (active, issued) = (plan.active_path_count(), rt.engine().now().as_secs());
+        Arc::new((AtomicUsize::new(active), obs, notify.to_vec(), issued))
+    });
     let predicted = plan.predicted_time;
     let n_total = plan.n;
-    let make_tail = || {
-        let remaining = remaining.clone();
-        let tail_state = tail_state.clone();
-        move |ctx: &mut mpx_sim::Ctx<'_>| {
+    let make_tail = || -> Option<mpx_sim::EventFn> {
+        let tail_state = tail_state.clone()?;
+        Some(Box::new(move |ctx| {
+            let (remaining, obs, notify, issue_secs) = &*tail_state;
             if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let (obs, notify) = &*tail_state;
                 for w in notify {
                     ctx.signal(w);
                 }
                 if let Some(o) = obs {
                     let end = ctx.now().as_secs();
-                    let measured = end - issue_secs;
+                    let measured = end - *issue_secs;
                     o.rec.span(
                         Phase::Transfer,
                         format!("pair:{}", o.pair),
                         format!("xfer{transfer_seq} {n_total}B"),
-                        issue_secs,
+                        *issue_secs,
                         end,
                         format!(
                             "predicted_us={:.3} measured_us={:.3}",
@@ -313,7 +380,7 @@ pub(crate) fn execute_plan_at_obs(
                     o.hist.observe(measured);
                 }
             }
-        }
+        }))
     };
 
     for (pi, (pp, path)) in plan.paths.iter().zip(paths).enumerate() {
@@ -328,11 +395,14 @@ pub(crate) fn execute_plan_at_obs(
         // launches of the paths before it (Algorithm 1 line 18).
         let initiation = oh.copy_launch * pi as f64 + std::mem::take(&mut one_time);
 
-        match path.legs.len() {
+        // Each arm leaves the program that ends the path, and its device.
+        let tail = make_tail();
+        let tail_ops = 1 + usize::from(tail.is_some());
+        let (device, mut last) = match path.legs.len() {
             1 => {
                 // Direct: a single copy over the direct route.
-                let s = rt.stream(src.device());
-                s.copy(
+                let mut direct = Program::with_capacity(1 + tail_ops);
+                direct.copy(
                     src,
                     src_off + offset,
                     dst,
@@ -342,88 +412,75 @@ pub(crate) fn execute_plan_at_obs(
                     oh.copy_launch + initiation,
                     DIRECT.label(&[transfer_seq, pi as u64]),
                 );
-                s.signal(&done);
-                if want_tail {
-                    s.callback(Box::new(make_tail()));
-                }
+                (src.device(), direct)
             }
             _ => {
                 let via = path.kind.staging_device().expect("staged path");
-                let s1 = rt.stream(src.device());
-                let s2 = rt.stream(via);
-                let k = pp.chunks.max(1) as usize;
-                let base = share / k;
-                let rem = share % k;
-                let mut chunk_off = offset;
+                let walk = StagedWalk::new(offset, share, pp.chunks);
                 // Folded once per leg; each chunk's copy, and its flow,
                 // share it by reference count.
                 let route1 = Route::shared(&path.legs[0].route);
                 let route2 = Route::shared(&path.legs[1].route);
-                // A bounded ring of reusable staging slots, each sized
-                // for the largest chunk — staging memory is
-                // RING_DEPTH × chunk regardless of message size. Slots
-                // come recycled and unzeroed: leg 2 of a chunk forwards
-                // exactly the bytes its leg 1 just wrote.
-                let slot_len = base + usize::from(rem > 0);
-                let ring: Vec<Buffer> = (0..RING_DEPTH.min(k))
-                    .map(|_| {
-                        if synthetic {
-                            rt.alloc(via, slot_len)
-                        } else {
-                            rt.alloc_staging(via, slot_len)
-                        }
-                    })
-                    .collect();
-                let mut slot_freed: Vec<mpx_gpu::GpuEvent> = Vec::with_capacity(k);
-                for c in 0..k {
-                    let len = base + usize::from(c < rem);
-                    if len == 0 {
-                        continue;
+                // Staging memory is RING_DEPTH × chunk regardless of
+                // message size. It comes recycled and unzeroed: leg 2 of a
+                // chunk forwards exactly the bytes its leg 1 just wrote.
+                let ring = if synthetic {
+                    rt.alloc(via, walk.ring_len)
+                } else {
+                    rt.alloc_staging(via, walk.ring_len)
+                };
+                // One program per leg, each of its exact length.
+                let ops = 2 * walk.live + walk.freed_events;
+                let mut leg1 = Program::with_capacity(ops);
+                let mut leg2 = Program::with_capacity(ops + tail_ops);
+                let mut freed = Vec::with_capacity(walk.freed_events);
+                for ch in walk.chunks() {
+                    if let Some(earlier) = ch.waits_freed {
+                        leg1.wait_event(&freed[earlier]);
                     }
-                    // Slot reuse: wait until its previous occupant was
-                    // forwarded off the staging device.
-                    if slot_freed.len() >= RING_DEPTH {
-                        s1.wait_event(&slot_freed[slot_freed.len() - RING_DEPTH]);
-                    }
-                    let slot = ring[c % RING_DEPTH.min(k)].clone();
-                    let first_extra = if c == 0 { initiation } else { 0.0 };
-                    let chunk = [transfer_seq, pi as u64, c as u64];
-                    s1.copy(
+                    let first_extra = if ch.index == 0 { initiation } else { 0.0 };
+                    let chunk = [transfer_seq, pi as u64, ch.index as u64];
+                    leg1.copy(
                         src,
-                        src_off + chunk_off,
-                        &slot,
-                        0,
-                        len,
+                        src_off + ch.off,
+                        &ring,
+                        ch.slot_off,
+                        ch.len,
                         route1.clone(),
                         oh.copy_launch + first_extra,
                         LEG1.label(&chunk),
                     );
-                    let ev = rt.event(READY.label(&chunk));
-                    s1.record(&ev);
-                    s2.wait_event(&ev);
+                    let ready = rt.event(READY.label(&chunk));
+                    leg1.record(&ready);
+                    leg2.wait_event(&ready);
                     // The event synchronization cost ε is charged on the
                     // forwarding copy.
-                    s2.copy(
-                        &slot,
-                        0,
+                    leg2.copy(
+                        &ring,
+                        ch.slot_off,
                         dst,
-                        dst_off + chunk_off,
-                        len,
+                        dst_off + ch.off,
+                        ch.len,
                         route2.clone(),
                         oh.copy_launch + oh.stage_sync,
                         LEG2.label(&chunk),
                     );
-                    let freed = rt.event(FREED.label(&chunk));
-                    s2.record(&freed);
-                    slot_freed.push(freed);
-                    chunk_off += len;
+                    if ch.records_freed {
+                        freed.push(rt.event(FREED.label(&chunk)));
+                        leg2.record(&freed[ch.index]);
+                    }
                 }
-                s2.signal(&done);
-                if want_tail {
-                    s2.callback(Box::new(make_tail()));
-                }
+                // Leg 1 before leg 2: its first copy starts a flow on the
+                // spot, in plan order; leg 2 parks on the first `READY`.
+                rt.stream(src.device()).submit(leg1);
+                (via, leg2)
             }
+        };
+        last.signal(&done);
+        if let Some(tail) = tail {
+            last.callback(tail);
         }
+        rt.stream(device).submit(last);
         wakers.push(done);
         slots.push(PathSlot {
             path_index: pi,

@@ -130,18 +130,18 @@ fn an_interpreted_put_drain_allocates_only_first_waiters() {
     }
 }
 
-/// An issue formats no name at all: flow labels, wakers, streams and the
-/// two events per staged chunk are all `Label`s. What is left is structure
-/// — streams and their queues, events, wakers, the handle — and reads
-/// 61 / 52 / 103 / 140; the parent commit, with the event names eager (two
-/// allocations each), made 73 / 68 / 159 / 256. Handing each stream its
-/// ops as one pre-sized program would read 61 / 50 / 92 / 122 (parked:
-/// EXPERIMENTS.md "Per-stream programs"). A replay allocates its
-/// programs, wakers and tails, whatever the size.
+/// An issue formats no name at all and builds only what its transfer
+/// needs: a stream and one exact-capacity program per leg, one staging ring
+/// per staged path, a `READY` event per chunk and a `FREED` event only
+/// where a later chunk waits on it, wakers, the handle, and no completion
+/// tail when nobody listens. That reads 50 / 38 / 65 / 96; an op enqueued
+/// at a time, `RING_DEPTH` staging buffers per path and a `FREED` event
+/// per chunk read 61 / 52 / 103 / 140. A replay allocates its programs,
+/// wakers and tails, whatever the size (23 / 19 / 23 / 23).
 #[test]
 fn a_put_issue_allocates_within_its_ceiling() {
     let interpreted = put_allocations(false);
-    for ((mib, issue, _), cap) in interpreted.into_iter().zip([65, 55, 108, 145]) {
+    for ((mib, issue, _), cap) in interpreted.into_iter().zip([55, 43, 70, 102]) {
         assert!(issue <= cap, "{mib} MiB put_async: {issue} > {cap}");
     }
     for (mib, issue, _) in put_allocations(true) {
@@ -172,10 +172,10 @@ fn an_owned_route_costs_one_allocation_when_its_flow_starts() {
     assert_eq!(allocations_in(|| eng.run_until_idle()), 0);
 }
 
-/// Real bytes add one thing to an issue: taking the staging ring. The
-/// runtime hands its slots back recycled, so a warm issue asks the heap
-/// for less than one slot; a ring allocated and zeroed per PUT asks for
-/// `RING_DEPTH` of them per staged path (and cost an issue +100 us).
+/// Real bytes add one thing to an issue: taking the staging rings. The
+/// runtime hands them back recycled, so a warm issue asks the heap for
+/// less than one slot (≈ 10 KB); a ring allocated and zeroed per PUT asks
+/// for `RING_DEPTH` slots per staged path (and cost an issue +100 us).
 #[test]
 fn a_warm_payload_put_issue_allocates_no_staging_slot() {
     let ctx = beluga_context();

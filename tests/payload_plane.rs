@@ -12,6 +12,7 @@ mod common;
 
 use common::watchdog;
 use multipath_gpu::prelude::*;
+use multipath_gpu::ucx::RING_DEPTH;
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -218,6 +219,63 @@ fn free_list_stays_within_its_bound() {
             recycled_anywhere += held.len();
         }
         assert!(recycled_anywhere > 0, "no staging vector was ever recycled");
+    });
+}
+
+/// A path's staging ring is one buffer, and a slot of it is only safe to
+/// refill once its previous chunk has been forwarded. Every GPU-staged
+/// share here is cut into `2·RING_DEPTH + 1` uneven chunks and its second
+/// leg slowed sixteenfold, so leg 1 fills the ring, stalls on `FREED`, and
+/// wraps it twice under back-pressure; interpreted and replayed, the
+/// destination must equal the source. (Without the `FREED` wait, or with
+/// it one chunk late, leg 1 overwrites a slot leg 2 has yet to read.)
+#[test]
+fn a_wrapped_ring_under_back_pressure_stays_bit_exact() {
+    watchdog(|| {
+        let rt = GpuRuntime::new(Engine::new(Arc::new(presets::beluga())));
+        let cfg = UcxConfig {
+            mode: TuningMode::Static,
+            ..UcxConfig::default()
+        };
+        let ctx = UcxContext::new(rt.clone(), cfg);
+        let eng = rt.engine();
+        let gpus = eng.topology().gpus();
+        let n = 4 * MIB + 4093;
+        let sel = ctx.config().selection;
+        let mut plan = (*ctx.planner().plan(gpus[0], gpus[1], n, sel).unwrap()).clone();
+        let paths = ctx.paths_for(gpus[0], gpus[1], sel).unwrap();
+        let mut wrapped = 0;
+        for (pp, path) in plan.paths.iter_mut().zip(paths.iter()) {
+            let gpu_staged = path.legs.len() == 2 && path.legs[1].route.len() == 1;
+            if pp.share_bytes > 0 && gpu_staged {
+                pp.chunks = 2 * RING_DEPTH as u32 + 1;
+                assert_ne!(
+                    pp.share_bytes % pp.chunks as usize,
+                    0,
+                    "chunks must be uneven"
+                );
+                let link = path.legs[1].route[0];
+                eng.set_link_capacity(link, eng.link_capacity(link) / 16.0);
+                wrapped += 1;
+            }
+        }
+        assert!(wrapped > 0, "the plan stages nothing through a GPU");
+        ctx.install_static_plan(gpus[0], gpus[1], n, Arc::new(plan));
+
+        for (salt, replayed) in [false, true, true].into_iter().enumerate() {
+            let data = pattern(n, salt);
+            let src = rt.alloc_bytes(gpus[0], data.clone());
+            let dst = rt.alloc_zeroed(gpus[1], n);
+            let h = if replayed {
+                ctx.put_replayed(&src, &dst, n)
+            } else {
+                ctx.put_async(&src, &dst, n)
+            };
+            eng.run_until_idle();
+            assert!(h.expect("put").is_complete());
+            assert!(dst.to_vec().unwrap() == data, "PUT {salt} corrupted");
+        }
+        assert_eq!(ctx.graph_stats().replays, 2);
     });
 }
 

@@ -18,12 +18,18 @@
 //! closure-free copy retirement); an executor-internals change must not
 //! move them. A failure mode here is a stream-lock inversion, which
 //! hangs, so both tests run under a wall-clock watchdog.
+//!
+//! Beside them, `Stream::submit` is held to the per-op calls: one op
+//! sequence, issued op by op and as one `Program`, must leave the same
+//! flow trace, retirement log and stream states behind, whether it finds
+//! the stream idle, busy or parked.
 
 mod common;
 
 use common::watchdog;
-use multipath_gpu::gpu::{GpuEvent, Stream};
+use multipath_gpu::gpu::{self, GpuEvent, Stream};
 use multipath_gpu::prelude::*;
+use multipath_gpu::sim::{EventFn, TraceRecord};
 use multipath_gpu::ucx::RING_DEPTH;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -299,5 +305,153 @@ fn two_thread_program_retires_in_the_recorded_order_every_time() {
             rig.digest(&prog)
         });
         assert_eq!(got, TWO_THREADS, "run {run}: digest {got:#018x}");
+    }
+}
+
+/// What the sequence under test finds on its stream.
+#[derive(Clone, Copy, Debug)]
+enum Prior {
+    Idle,
+    /// A copy in flight and a callback queued behind it: `submit` appends.
+    Busy,
+    /// Parked on an unrecorded event, nothing queued: `submit` adopts the
+    /// program's buffer but must not run it.
+    Parked,
+}
+
+/// Everything a run leaves behind: completed flows, the `(mark, ns)` log
+/// of its callbacks, and the stream's `Debug` state before the sequence,
+/// right after it was issued, mid-run and drained.
+type Trail = (Vec<TraceRecord>, Vec<(u64, u64)>, Vec<String>);
+
+/// Issues one fixed sequence on a stream in state `prior` — op by op, or as
+/// one `Program` with an empty one submitted before and after it — while a
+/// second stream records the events it parks on and parks on one it
+/// records.
+fn run_sequence(prior: Prior, as_program: bool) -> Trail {
+    let topo = Arc::new(presets::beluga());
+    let rt = GpuRuntime::new(Engine::with_tracing(topo.clone(), true));
+    let eng = rt.engine();
+    let g = topo.gpus();
+    let route = |a: usize, b: usize| vec![topo.link_between(g[a], g[b]).unwrap().id];
+    let buf = |d: usize, kib: usize| Buffer::synthetic(g[d], kib << 10);
+    let (s, other) = (rt.stream(g[0]), rt.stream(g[2]));
+    let (gate, mid, out) = (rt.event("gate"), rt.event("mid"), rt.event("out"));
+    let done = Waker::new("done");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mark = |i: u64| -> EventFn {
+        let log = log.clone();
+        Box::new(move |ctx| log.lock().unwrap().push((i, ctx.now().as_nanos())))
+    };
+
+    match prior {
+        Prior::Idle => {}
+        Prior::Busy => {
+            s.copy(
+                &buf(0, 300),
+                0,
+                &buf(1, 300),
+                0,
+                300 << 10,
+                route(0, 1),
+                1e-6,
+                "prior",
+            );
+            s.callback(mark(0));
+        }
+        Prior::Parked => s.wait_event(&gate),
+    }
+    other.copy(
+        &buf(2, 200),
+        0,
+        &buf(1, 200),
+        0,
+        200 << 10,
+        route(2, 1),
+        1e-6,
+        "o1",
+    );
+    other.record(&gate);
+    other.wait_event(&out);
+    other.copy(
+        &buf(2, 150),
+        0,
+        &buf(1, 150),
+        0,
+        150 << 10,
+        route(2, 1),
+        1e-6,
+        "o2",
+    );
+    other.record(&mid);
+    other.callback(mark(9));
+    let mut states = vec![format!("{s:?}")];
+
+    macro_rules! sequence {
+        ($to:expr) => {{
+            $to.copy(
+                &buf(0, 256),
+                0,
+                &buf(2, 256),
+                0,
+                256 << 10,
+                route(0, 2),
+                1e-6,
+                "a",
+            );
+            $to.record(&out);
+            $to.signal(&done);
+            $to.callback(mark(1));
+            $to.wait_event(&mid);
+            $to.copy(
+                &buf(0, 96),
+                0,
+                &buf(1, 96),
+                0,
+                96 << 10,
+                route(0, 1),
+                1e-6,
+                "b",
+            );
+            $to.callback(mark(2));
+        }};
+    }
+    if as_program {
+        s.submit(gpu::Program::default());
+        assert_eq!(format!("{s:?}"), states[0], "an empty program is a no-op");
+        let mut program = gpu::Program::with_capacity(7);
+        sequence!(program);
+        s.submit(program);
+        s.submit(gpu::Program::default());
+    } else {
+        sequence!(s);
+    }
+    states.push(format!("{s:?}"));
+    eng.run_until(SimTime::from_secs(9e-6));
+    states.push(format!("{s:?}"));
+    eng.run_until_idle();
+    states.push(format!("{s:?}"));
+    assert!(done.is_signaled() && s.pending_ops() + other.pending_ops() == 0);
+    let log = log.lock().unwrap().clone();
+    (eng.take_trace(), log, states)
+}
+
+#[test]
+fn a_program_is_indistinguishable_from_its_ops() {
+    for prior in [Prior::Idle, Prior::Busy, Prior::Parked] {
+        let (by_op, by_program) =
+            watchdog(move || (run_sequence(prior, false), run_sequence(prior, true)));
+        let marks = 3 + u64::from(matches!(prior, Prior::Busy));
+        assert_eq!(
+            by_op.1.len() as u64,
+            marks,
+            "{prior:?}: a callback never ran"
+        );
+        assert_eq!(
+            by_op.0.len(),
+            by_op.1.len() + 1,
+            "{prior:?}: a copy never retired"
+        );
+        assert_eq!(by_op, by_program, "{prior:?}");
     }
 }
