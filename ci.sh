@@ -27,6 +27,14 @@ timeout 120 cargo test -q --test stream_golden --test alloc_free_drain
 if grep -rn 'enqueue_batch' crates/; then
   echo "crates/: enqueue_batch is gone; submit a Program" >&2; exit 1
 fi
+# Rounding to the nanosecond lives once, in `SimTime::from_secs`, without
+# libm: `ceil` is a function call on baseline x86-64, and was a tenth of a
+# fabric event.
+if awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+  live && !/^ *\/\// && /\.ceil\(\)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+  END { exit !found }' crates/sim/src/*.rs; then
+  echo "crates/sim/src: round with SimTime::from_secs, not .ceil()" >&2; exit 1
+fi
 [ "$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/ucx/src/compile.rs |
   grep -c 'RING_DEPTH')" = 0 ] ||
   { echo "compile.rs: the chunk walk owns RING_DEPTH; lower from StagedWalk" >&2; exit 1; }

@@ -71,27 +71,16 @@ pub fn fit_hockney_from_bandwidth(samples: &[(f64, f64)]) -> Result<LegParams, C
     fit_hockney(&times)
 }
 
-/// Goodness-of-fit: RMS relative residual of the fitted law over the
-/// samples. Useful to flag links whose behaviour is not Hockney-linear
-/// (Observation 4's small-message regime).
-pub fn relative_rms_error(params: &LegParams, samples: &[(f64, Secs)]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = samples
-        .iter()
-        .map(|&(n, t)| {
-            let pred = params.time(n);
-            ((pred - t) / t).powi(2)
-        })
-        .sum();
-    (sum / samples.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpx_topo::units::gb_per_s;
+
+    /// RMS relative residual of the fitted law over the samples.
+    fn relative_rms_error(params: &LegParams, samples: &[(f64, Secs)]) -> f64 {
+        let sq = |&(n, t): &(f64, Secs)| ((params.time(n) - t) / t).powi(2);
+        (samples.iter().map(sq).sum::<f64>() / samples.len() as f64).sqrt()
+    }
 
     fn exact_samples(alpha: f64, beta: f64) -> Vec<(f64, Secs)> {
         [1 << 12, 1 << 16, 1 << 20, 1 << 24, 1 << 28]

@@ -16,14 +16,6 @@ pub fn effective_bandwidth(alpha: Secs, beta: Bandwidth, bytes: f64) -> Bandwidt
     bytes / hockney_time(alpha, beta, bytes)
 }
 
-/// The half-performance message size `n_{1/2} = α·β`: the size at which
-/// the channel reaches half its asymptotic bandwidth. A classic Hockney
-/// figure of merit, used in reporting.
-#[inline]
-pub fn half_performance_size(alpha: Secs, beta: Bandwidth) -> f64 {
-    alpha * beta
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,12 +36,13 @@ mod tests {
         assert!(large > 0.999 * beta);
     }
 
+    /// At the half-performance size `n½ = α·β` the channel reaches half
+    /// its asymptotic bandwidth.
     #[test]
     fn half_performance_point() {
         let alpha = 2e-6;
         let beta = gb_per_s(48.0);
-        let n_half = half_performance_size(alpha, beta);
-        let bw = effective_bandwidth(alpha, beta, n_half);
+        let bw = effective_bandwidth(alpha, beta, alpha * beta);
         assert!((bw - beta / 2.0).abs() < 1e-3 * beta);
     }
 }

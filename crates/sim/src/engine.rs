@@ -110,8 +110,9 @@ impl std::fmt::Debug for OnComplete {
 /// count double for contention. Reads as a `[LinkId]`.
 ///
 /// One type, two forms. A `Vec<LinkId>` converts for free and is folded
-/// into its fair-share demand when its flow starts, one allocation per
-/// flow — right for a route used once. [`Route::shared`] folds once, up
+/// into its fair-share demand when its flow starts: inline for one link,
+/// one allocation per flow for more — right for a route used once.
+/// [`Route::shared`] folds once, up
 /// front; its clones, and every flow started from one, share both lists by
 /// reference count — right for a route that a stream program or a compiled
 /// graph sends flow after flow over.
@@ -132,9 +133,11 @@ impl Route {
     }
 
     /// The route's links merged into `(link index, multiplicity)`: the
-    /// shared list, or a fresh fold of an owned route (one allocation).
+    /// shared list, or a fresh fold of an owned route (inline for one
+    /// link, else one allocation).
     fn folded(&self) -> Links {
         match &self.0 {
+            RouteRepr::Owned(links) if links.len() == 1 => Links::One([(links[0].index(), 1.0)]),
             RouteRepr::Owned(links) => Links::Owned(fold_links(links.iter().map(|l| l.index()))),
             RouteRepr::Shared(_, folded) => Links::Shared(folded.clone()),
         }
@@ -258,7 +261,7 @@ pub struct LinkStats {
 }
 
 /// Snapshot of engine counters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Virtual time of the snapshot.
     pub now: SimTime,
@@ -321,19 +324,14 @@ impl StatsSnapshot {
     }
 }
 
+/// A live flow's slab entry: what component discovery, completion and the
+/// trace read. The state every re-share reads and writes is its [`Hot`]
+/// record, at the same slot.
 struct FlowState {
     id: FlowId,
     /// Kept for the trace record only; `demand` is what the engine reads.
     route: Route,
     demand: FlowDemand,
-    remaining: f64,
-    rate: f64,
-    last_update: SimTime,
-    /// Completion `(at, seq)`, drawn when `rate` last changed; means
-    /// nothing while `rate` is zero.
-    key: (SimTime, u64),
-    /// True while a down link on the route holds the flow at rate zero.
-    stalled: bool,
     /// Visit stamp for connected-component discovery (`State::comp_epoch`).
     comp_mark: u64,
     done: OnComplete,
@@ -343,7 +341,22 @@ struct FlowState {
     label: Option<Label>,
 }
 
-impl FlowState {
+/// A flow's draining state, in a dense table beside the slab
+/// (`State::hot`, indexed by slot): a re-share walks a list of these
+/// instead of the far larger slab entries.
+#[derive(Clone, Copy)]
+struct Hot {
+    remaining: f64,
+    rate: f64,
+    last_update: SimTime,
+    /// Completion `(at, seq)`, drawn when `rate` last changed; means
+    /// nothing while `rate` is zero.
+    key: (SimTime, u64),
+    /// True while a down link on the route holds the flow at rate zero.
+    stalled: bool,
+}
+
+impl Hot {
     /// Advances the flow to `now` at its current rate; returns the bytes
     /// it moved.
     fn drain(&mut self, now: SimTime) -> f64 {
@@ -577,6 +590,8 @@ struct State {
     /// its earliest.
     completions: CompletionQueue,
     flows: Slab<FlowState>,
+    /// Every slab slot's [`Hot`] record, live or free: grows with the slab.
+    hot: Vec<Hot>,
     next_flow: u64,
     registered: usize,
     blocked: usize,
@@ -780,6 +795,7 @@ impl Engine {
                         slots: Vec::new(),
                         free: Vec::new(),
                     },
+                    hot: Vec::new(),
                     next_flow: 0,
                     registered: 0,
                     blocked: 0,
@@ -1051,9 +1067,7 @@ impl Engine {
             faults_fired: st.faults_fired,
             flows_stalled: st.flows_stalled,
             links_down: st.down.iter().filter(|&&d| d).count() as u64,
-            partitions: 0,
-            rebalances: 0,
-            cross_component_events: 0,
+            ..StatsSnapshot::default()
         }
     }
 
@@ -1233,14 +1247,9 @@ fn lane_of(label: &str) -> String {
     parts.join(".")
 }
 
-fn next_seq(st: &mut State) -> u64 {
+fn push_event(st: &mut State, at: SimTime, ev: Event) {
     let seq = st.seq;
     st.seq += 1;
-    seq
-}
-
-fn push_event(st: &mut State, at: SimTime, ev: Event) {
-    let seq = next_seq(st);
     st.queue.push(Reverse(QueuedEvent { at, seq, ev }));
 }
 
@@ -1350,11 +1359,6 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
         id,
         route: spec.route,
         demand,
-        remaining: spec.bytes as f64,
-        rate: 0.0,
-        last_update: now,
-        key: (SimTime::NEVER, 0),
-        stalled: false,
         comp_mark: 0,
         done,
         bytes: spec.bytes,
@@ -1362,6 +1366,15 @@ fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnCo
         activated: SimTime::NEVER,
         label: spec.label,
     });
+    let hot = Hot {
+        remaining: spec.bytes as f64,
+        rate: 0.0,
+        last_update: now,
+        key: (SimTime::NEVER, 0),
+        stalled: false,
+    };
+    st.hot.resize(st.flows.slots.len(), hot);
+    st.hot[slot as usize] = hot;
     let at = now.after(latency);
     push_event(st, at, Event::FlowActivate(slot));
     id
@@ -1421,62 +1434,50 @@ fn recompute_component(st: &mut State, seeds: impl IntoIterator<Item = usize>) {
     st.comp_flows.sort_unstable();
 
     let now = st.now;
-    // 1. Drain elapsed progress for component members.
-    for i in 0..st.comp_flows.len() {
-        let fs = &mut st.flows[st.comp_flows[i].1];
-        let drained = fs.drain(now);
-        if drained > 0.0 {
-            for &(l, m) in fs.demand.links.iter() {
-                st.link_stats[l].bytes += drained * m;
-            }
-        }
-    }
-    // 2. Partition out stalled flows. A flow crossing any down link is
-    // parked at rate zero (its queued completion is withdrawn) and
-    // excluded from the allocator, which must only ever see live links
-    // with positive capacity.
+    // 1. Drain elapsed progress for component members, and partition out
+    // stalled flows. A flow crossing any down link is parked at rate zero
+    // (its queued completion is withdrawn) and excluded from the
+    // allocator, which must only ever see live links with positive
+    // capacity.
     st.comp_live.clear();
     for i in 0..st.comp_flows.len() {
         let slot = st.comp_flows[i].1;
-        let fs = &mut st.flows[slot];
-        if st.any_down && fs.demand.links.iter().any(|&(l, _)| st.down[l]) {
-            if !fs.stalled {
-                fs.stalled = true;
+        let (h, links) = (&mut st.hot[slot as usize], &st.flows[slot].demand.links);
+        let drained = h.drain(now);
+        if drained > 0.0 {
+            for &(l, m) in links.iter() {
+                st.link_stats[l].bytes += drained * m;
+            }
+        }
+        if st.any_down && links.iter().any(|&(l, _)| st.down[l]) {
+            if !h.stalled {
+                h.stalled = true;
                 st.flows_stalled += 1;
             }
-            if fs.rate != 0.0 {
-                fs.rate = 0.0;
+            if h.rate != 0.0 {
+                h.rate = 0.0;
                 st.completions.remove(slot);
             }
         } else {
-            fs.stalled = false;
+            h.stalled = false;
             st.comp_live.push(slot);
         }
     }
-    // 3. Fair-share rates for the live members, straight out of the
+    // 2. Fair-share rates for the live members, straight out of the
     // persistent scratch — no capacity clone, no demand clones.
-    {
-        let State {
-            flows,
-            fair,
-            comp_live,
-            capacities,
-            rates_scratch,
-            ..
-        } = st;
-        fair.compute_with(
-            capacities,
-            comp_live.len(),
-            |i| &flows[comp_live[i]].demand,
-            rates_scratch,
-        );
-    }
-    // 4. Apply; re-key only where the rate moved.
+    let (flows, comp_live) = (&st.flows, &st.comp_live);
+    st.fair.compute_with(
+        &st.capacities,
+        comp_live.len(),
+        |i| &flows[comp_live[i]].demand,
+        &mut st.rates_scratch,
+    );
+    // 3. Apply; re-key only where the rate moved.
     for i in 0..st.comp_live.len() {
         let slot = st.comp_live[i];
-        let fs = &mut st.flows[slot];
-        if fs.set_rate(st.rates_scratch[i], now, &mut st.seq) || !st.completions.is_queued(slot) {
-            st.completions.set(slot, fs.key);
+        let h = &mut st.hot[slot as usize];
+        if h.set_rate(st.rates_scratch[i], now, &mut st.seq) || !st.completions.is_queued(slot) {
+            st.completions.set(slot, h.key);
         }
     }
 }
@@ -1520,26 +1521,27 @@ fn recompute_single_link(st: &mut State, l: usize) -> bool {
     assert!(c > 0.0 && c.is_finite(), "link {l} capacity {c} invalid");
     let share = c / load;
     let now = st.now;
+    let mut bytes = st.link_stats[l].bytes;
     let mut first = ((SimTime::NEVER, u64::MAX), 0);
-    for i in 0..st.link_flows[l].len() {
-        let m = st.link_flows[l][i];
-        let fs = &mut st.flows[m.slot];
-        let drained = fs.drain(now);
+    for m in &st.link_flows[l] {
+        let h = &mut st.hot[m.slot as usize];
+        let drained = h.drain(now);
         if drained > 0.0 {
-            st.link_stats[l].bytes += drained * m.mult;
+            bytes += drained * m.mult;
         }
-        fs.stalled = false;
-        fs.set_rate(share * m.weight, now, &mut st.seq);
-        first = first.min((fs.key, m.slot));
+        h.stalled = false;
+        h.set_rate(share * m.weight, now, &mut st.seq);
+        first = first.min((h.key, m.slot));
         st.completions.remove(m.slot);
     }
+    st.link_stats[l].bytes = bytes;
     st.completions.set(first.1, first.0);
     true
 }
 
 fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
     let mut fs = st.flows.remove(slot);
-    let id = fs.id;
+    let (id, remaining) = (fs.id, st.hot[slot as usize].remaining);
     // Leave the fabric. Zero-byte flows complete without ever having
     // registered on their links.
     for &(l, _) in fs.demand.links.iter() {
@@ -1549,9 +1551,8 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
     }
     // Account the final drain exactly: whatever was left is delivered now.
     for &(l, m) in fs.demand.links.iter() {
-        st.link_stats[l].bytes += fs.remaining * m;
+        st.link_stats[l].bytes += remaining * m;
     }
-    fs.remaining = 0.0;
     st.flows_completed += 1;
     if let Some(rec) = st.recorder.as_ref() {
         let mut label = fs.label.as_ref().map(Label::to_string).unwrap_or_default();
@@ -1624,15 +1625,15 @@ fn process_next_event(st: &mut State, topo: &Topology) -> bool {
     match qe.ev {
         Event::Timer(done) => run_on_complete(st, topo, done),
         Event::FlowActivate(slot) => {
-            let fs = &mut st.flows[slot];
-            fs.activated = st.now;
-            fs.last_update = st.now;
-            if fs.remaining <= 0.0 {
+            st.flows[slot].activated = st.now;
+            st.hot[slot as usize].last_update = st.now;
+            if st.hot[slot as usize].remaining <= 0.0 {
                 complete_flow(st, topo, slot);
             } else {
                 // Join the fabric. One seed link suffices: component
                 // discovery reaches the rest of the route through the
                 // flow itself.
+                let fs = &st.flows[slot];
                 let (id, weight) = (fs.id, fs.demand.weight);
                 let (seed, multi) = (fs.demand.links[0].0, fs.demand.links.len() > 1);
                 for &(l, mult) in fs.demand.links.iter() {
@@ -2329,16 +2330,19 @@ mod queue_tests {
         }
     }
 
-    /// The engine's cross-references agree. Every queued entry carries its
-    /// flow's stored key. Each link's list is sorted by id and describes
-    /// the flows in the slab. A joined, non-stalled flow is queued — or its
-    /// one link carries only single-link flows and an earlier-keyed one of
-    /// them is; nothing else is queued. Returns how many draining flows
-    /// were left out of the queue.
+    /// The engine's cross-references agree. The hot table covers every
+    /// slab slot, and every queued entry carries its flow's key from it.
+    /// Each link's list is sorted by id and describes the flows in the slab.
+    /// A flow is stalled, by its hot record, only at rate zero on a down
+    /// link. A joined, non-stalled flow is queued — or its one link carries
+    /// only single-link flows and an earlier-keyed one of them is; nothing
+    /// else is queued. Returns how many draining flows were left out of the
+    /// queue.
     fn assert_consistent(st: &State) -> usize {
         st.completions.assert_consistent();
+        assert_eq!(st.hot.len(), st.flows.slots.len());
         for e in &st.completions.heap {
-            assert_eq!(e.key, st.flows[e.slot].key, "slot {}", e.slot);
+            assert_eq!(e.key, st.hot[e.slot as usize].key, "slot {}", e.slot);
         }
         let mut listed = vec![0; st.flows.slots.len()];
         for (l, list) in st.link_flows.iter().enumerate() {
@@ -2359,18 +2363,20 @@ mod queue_tests {
                 assert!(!queued && listed[slot] == 0, "free slot {slot}");
                 continue;
             };
-            let joined = listed[slot] > 0;
+            let (joined, h) = (listed[slot] > 0, &st.hot[slot]);
             assert!(!joined || listed[slot] == fs.demand.links.len());
-            if !joined || fs.stalled {
+            let on_down_link = fs.demand.links.iter().any(|&(l, _)| st.down[l]);
+            assert!(!h.stalled || (h.rate == 0.0 && on_down_link), "slot {slot}");
+            if !joined || h.stalled {
                 assert!(!queued, "slot {slot}");
             } else if !queued {
                 let [(l, _)] = fs.demand.links[..] else {
                     panic!("multi-link flow in slot {slot} is not queued");
                 };
                 assert!(st.link_flows[l].iter().all(|m| !m.multi), "link {l}");
-                let covered = st.link_flows[l]
-                    .iter()
-                    .any(|m| st.completions.is_queued(m.slot) && st.flows[m.slot].key < fs.key);
+                let covered = st.link_flows[l].iter().any(|m| {
+                    st.completions.is_queued(m.slot) && st.hot[m.slot as usize].key < h.key
+                });
                 assert!(covered, "slot {slot} could be next and is not queued");
                 unqueued += 1;
             }
@@ -2391,6 +2397,7 @@ mod queue_tests {
         );
         let done = OnComplete::Call(Box::new(move |ctx| {
             assert!(ctx.st.flows.slots.len() <= LIVE as usize);
+            assert!(ctx.st.hot.len() <= LIVE as usize);
             assert!(ctx.st.completions.heap.len() <= LIVE as usize);
             assert!(ctx.st.completions.pos.len() <= LIVE as usize);
             if n + LIVE < ISSUED {
@@ -2461,13 +2468,8 @@ mod queue_tests {
         let (mut peak_stalled, mut peak_unqueued) = (0, 0);
         while process_next_event(&mut st, &topo) {
             peak_unqueued = peak_unqueued.max(assert_consistent(&st));
-            let stalled = st
-                .flows
-                .slots
-                .iter()
-                .flatten()
-                .filter(|f| f.stalled)
-                .count();
+            let live = st.flows.slots.iter().zip(&st.hot);
+            let stalled = live.filter(|(f, h)| f.is_some() && h.stalled).count();
             peak_stalled = peak_stalled.max(stalled);
         }
         assert!(peak_stalled > 0 && st.flows_stalled > 0);
@@ -2476,7 +2478,8 @@ mod queue_tests {
         assert!(peak_unqueued > 0);
         assert!(st.flows_completed > 0);
         // Whatever is left sits on a killed link: stalled, nothing queued.
-        assert!(st.flows.slots.iter().flatten().all(|f| f.stalled));
+        let mut live = st.flows.slots.iter().zip(&st.hot);
+        assert!(live.all(|(f, h)| f.is_none() || h.stalled));
         assert!(st.completions.heap.is_empty());
     }
 

@@ -22,10 +22,14 @@ use std::sync::Arc;
 /// list every flow over a [`crate::Route::shared`] route points at.
 #[derive(Debug, Clone)]
 pub enum Links {
-    /// Folded for this flow. A bare buffer, not an `Arc` with one owner:
-    /// the two counters would move a one-link list into the allocator's
-    /// next size class, which `run_parallel` workers starting a flow per
-    /// owned route measurably pay for (DESIGN §4, "Flow lifecycle").
+    /// One link crossed once, inline: a flow over a one-link owned route
+    /// starts without allocating.
+    One([(usize, f64); 1]),
+    /// Folded for this flow, several links. A bare buffer, not an `Arc`
+    /// with one owner: the two counters move a short list into the
+    /// allocator's next size class, which `run_parallel` workers starting
+    /// a flow per owned route measurably pay for (DESIGN §4, "Flow
+    /// lifecycle").
     Owned(Box<[(usize, f64)]>),
     /// Folded once for the route; cloning bumps a reference count.
     Shared(Arc<[(usize, f64)]>),
@@ -35,6 +39,7 @@ impl Deref for Links {
     type Target = [(usize, f64)];
     fn deref(&self) -> &[(usize, f64)] {
         match self {
+            Links::One(link) => link,
             Links::Owned(links) => links,
             Links::Shared(links) => links,
         }

@@ -54,7 +54,7 @@ pub use fairness::{max_min_rates, max_min_rates_fast, FairShareScratch, FlowDema
 pub use fault::{plan_horizon, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use label::{Label, Template};
 pub use parallel::{equivalence_diff, PartitionRun, Scenario, ScenarioReport};
-pub use partition::{partition_scenario, Partition, PartitionPlan, Partitioner};
+pub use partition::{partition_scenario, Partition, PartitionPlan};
 pub use stats::{
     bottleneck_link, link_utilization, summarize_trace, trace_to_chrome_json, LinkUtilization,
     TraceSummary,

@@ -40,7 +40,7 @@
 //! `parallel_equiv` proptest drives it over random fault storms at
 //! 1/2/4/8 workers.
 
-use crate::engine::{Engine, FlowSpec, OnComplete, StatsSnapshot, TraceRecord};
+use crate::engine::{Ctx, Engine, FlowSpec, OnComplete, StatsSnapshot, TraceRecord};
 use crate::engine::{JitterModel, LinkStats};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::partition::{partition_scenario, PartitionPlan};
@@ -160,64 +160,79 @@ impl Scenario {
 
     /// Decomposes the declared workload without running it.
     pub fn partition_plan(&self) -> PartitionPlan {
-        let routes: Vec<(SimTime, Vec<mpx_topo::LinkId>)> = self
-            .flows
-            .iter()
-            .map(|(at, s)| (SimTime::from_secs(*at), s.route.to_vec()))
+        self.plan(&self.issue_order())
+    }
+
+    /// Every flow's issue time, converted once, as `(time, decl)` sorted:
+    /// the one issue order a run derives everything else from. A flow's
+    /// rank in it is its global id.
+    fn issue_order(&self) -> Vec<(SimTime, usize)> {
+        let mut order: Vec<(SimTime, usize)> = (self.flows.iter().enumerate())
+            .map(|(decl, (at, _))| (SimTime::from_secs(*at), decl))
             .collect();
-        partition_scenario(self.topo.link_count(), &routes, &self.faults)
+        order.sort_unstable();
+        order
     }
 
-    /// Global flow ids by issue order: `ids[decl] = rank of (time, decl)`.
-    fn global_ids(&self) -> Vec<u64> {
-        let mut order: Vec<usize> = (0..self.flows.len()).collect();
-        order.sort_by_key(|&i| (SimTime::from_secs(self.flows[i].0), i));
-        let mut ids = vec![0u64; self.flows.len()];
-        for (rank, &decl) in order.iter().enumerate() {
-            ids[decl] = rank as u64;
+    fn plan(&self, order: &[(SimTime, usize)]) -> PartitionPlan {
+        let flows = (order.iter()).map(|&(at, decl)| (at, decl, &*self.flows[decl].1.route));
+        partition_scenario(self.topo.link_count(), flows, &self.faults)
+    }
+
+    /// The run's partition plan, and for each declared flow its issue time,
+    /// global id and jitter factor. The factors are drawn in global-id
+    /// order — the order a serial engine with an installed jitter model
+    /// would consume the stream — in the same pass that numbers the flows.
+    fn prepare(&self) -> (PartitionPlan, Vec<(SimTime, u64, f64)>) {
+        let order = self.issue_order();
+        let mut rng = self
+            .jitter
+            .map(|model| (model, StdRng::seed_from_u64(model.seed)));
+        let mut issues = vec![(SimTime::ZERO, 0, 1.0); order.len()];
+        for (id, &(at, decl)) in order.iter().enumerate() {
+            let factor = match &mut rng {
+                Some((model, rng)) => 1.0 + rng.gen_range(-model.spread..=model.spread),
+                None => 1.0,
+            };
+            issues[decl] = (at, id as u64, factor);
         }
-        ids
+        (self.plan(&order), issues)
     }
 
-    /// Each declared flow's jitter factor, drawn in global-id order.
-    fn jitter_factors(&self, ids: &[u64]) -> Vec<f64> {
-        let mut factors = vec![1.0f64; self.flows.len()];
-        if let Some(model) = self.jitter {
-            let mut rng = StdRng::seed_from_u64(model.seed);
-            // Draw in global issue order — the order a serial engine
-            // with an installed jitter model would consume the stream.
-            let mut by_id: Vec<usize> = (0..factors.len()).collect();
-            by_id.sort_by_key(|&i| ids[i]);
-            for &decl in &by_id {
-                factors[decl] = 1.0 + rng.gen_range(-model.spread..=model.spread);
-            }
-        }
-        factors
-    }
-
-    /// Flow `decl` as one run issues it: `(issue time, this run's own copy
-    /// of the spec with its jitter factor folded in, global id)`. The one
-    /// place a run copies a spec, since the engine consumes what it is
-    /// given.
-    fn issue(&self, decl: usize, ids: &[u64], factors: &[f64]) -> (Secs, FlowSpec, u64) {
-        let (at, spec) = &self.flows[decl];
-        let mut spec = spec.clone();
-        spec.latency_factor *= factors[decl];
-        (*at, spec, ids[decl])
-    }
-
-    /// Runs the scenario on one engine — the determinism oracle.
-    pub fn run_serial(&self) -> ScenarioReport {
-        let plan = self.partition_plan();
-        let ids = self.global_ids();
-        let factors = self.jitter_factors(&ids);
+    /// An engine with `faults` installed and the flows `decls` scheduled
+    /// as this run issues them, and the ids its flows are assigned.
+    fn engine(
+        &self,
+        decls: impl ExactSizeIterator<Item = usize>,
+        issues: &[(SimTime, u64, f64)],
+        faults: &FaultPlan,
+    ) -> (Engine, Assigned) {
         let eng = Engine::with_tracing(self.topo.clone(), self.trace);
         if let Some(rec) = &self.recorder {
             eng.set_recorder(rec.clone());
         }
-        let issues = (0..self.flows.len()).map(|decl| self.issue(decl, &ids, &factors));
-        let assigned = schedule_flows(&eng, issues);
-        FaultInjector::install(&eng, &self.faults);
+        let assigned = Arc::new(Mutex::new(Vec::with_capacity(decls.len())));
+        for decl in decls {
+            // The one place a run copies a spec, since the engine consumes
+            // what it is given; the copy carries the flow's jitter factor.
+            let (at, global, factor) = issues[decl];
+            let mut spec = self.flows[decl].1.clone();
+            spec.latency_factor *= factor;
+            let sink = assigned.clone();
+            let issue = move |ctx: &mut Ctx<'_>| {
+                let local = ctx.start_flow(spec, OnComplete::Nothing);
+                sink.lock().push((local.0, global));
+            };
+            eng.schedule_at(at, OnComplete::Call(Box::new(issue)));
+        }
+        FaultInjector::install(&eng, faults);
+        (eng, assigned)
+    }
+
+    /// Runs the scenario on one engine — the determinism oracle.
+    pub fn run_serial(&self) -> ScenarioReport {
+        let (plan, issues) = self.prepare();
+        let (eng, assigned) = self.engine(0..issues.len(), &issues, &self.faults);
         eng.run_until_idle();
         // The engine must have assigned exactly the precomputed global
         // ids — this is what lets partitions reuse them.
@@ -243,33 +258,18 @@ impl Scenario {
     /// count only bounds concurrency.
     pub fn run_parallel(&self, workers: usize) -> ScenarioReport {
         assert!(workers >= 1, "need at least one worker");
-        let plan = self.partition_plan();
-        let ids = self.global_ids();
-        let factors = self.jitter_factors(&ids);
+        let (plan, issues) = self.prepare();
         // Validate the full plan once up front (sub-plans revalidate
         // cheaply); keeps error surfaces identical to serial.
-        let issues = self.faults.validate(&self.topo);
-        assert!(issues.is_empty(), "invalid fault plan: {issues:?}");
+        let invalid = self.faults.validate(&self.topo);
+        assert!(invalid.is_empty(), "invalid fault plan: {invalid:?}");
 
-        struct Prepared {
-            eng: Engine,
-            assigned: Arc<Mutex<Vec<(u64, u64)>>>,
-        }
-        let prepared: Vec<Prepared> = plan
-            .parts
-            .iter()
+        let prepared: Vec<_> = (plan.parts.iter())
             .map(|part| {
-                let eng = Engine::with_tracing(self.topo.clone(), self.trace);
-                if let Some(rec) = &self.recorder {
-                    eng.set_recorder(rec.clone());
-                }
-                let issues = (part.flows.iter()).map(|&decl| self.issue(decl, &ids, &factors));
-                let assigned = schedule_flows(&eng, issues);
                 let sub = FaultPlan {
                     events: part.faults.iter().map(|&j| self.faults.events[j]).collect(),
                 };
-                FaultInjector::install(&eng, &sub);
-                Prepared { eng, assigned }
+                self.engine(part.flows.iter().copied(), &issues, &sub)
             })
             .collect();
 
@@ -282,25 +282,29 @@ impl Scenario {
         let pool = workers.min(prepared.len()).max(1);
         std::thread::scope(|s| {
             for _ in 0..pool {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(p) = prepared.get(i) else { break };
-                    p.eng.run_until_idle();
+                s.spawn(|| {
+                    while let Some((eng, _)) = prepared.get(cursor.fetch_add(1, Ordering::Relaxed))
+                    {
+                        eng.run_until_idle();
+                    }
                 });
             }
         });
 
         // Deterministic merge, in partition order.
         let nlinks = self.topo.link_count();
-        let mut stats = empty_stats(nlinks);
+        let mut stats = StatsSnapshot {
+            links: vec![LinkStats::default(); nlinks],
+            ..StatsSnapshot::default()
+        };
         let mut trace = Vec::new();
         let mut partitions = Vec::with_capacity(prepared.len());
-        for (part, p) in plan.parts.iter().zip(&prepared) {
-            let sub = p.eng.stats();
-            let mut sub_trace = p.eng.take_trace();
+        for (part, (eng, assigned)) in plan.parts.iter().zip(&prepared) {
+            let sub = eng.stats();
+            let mut sub_trace = eng.take_trace();
             if !sub_trace.is_empty() {
                 let local_to_global: std::collections::HashMap<u64, u64> =
-                    p.assigned.lock().iter().copied().collect();
+                    assigned.lock().iter().copied().collect();
                 for r in &mut sub_trace {
                     let g = *local_to_global
                         .get(&r.flow.0)
@@ -452,6 +456,10 @@ pub fn equivalence_diff(a: &ScenarioReport, b: &ScenarioReport) -> Option<String
     None
 }
 
+/// `(engine-local id, global id)` of each flow an engine has started, in
+/// the order it started them.
+type Assigned = Arc<Mutex<Vec<(u64, u64)>>>;
+
 /// SplitMix64 — the seeded tie-break for merging simultaneous
 /// completions from different partitions into one canonical order.
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -464,44 +472,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 fn sort_canonical(trace: &mut [TraceRecord], seed: u64) {
     trace.sort_by_key(|r| (r.completed, splitmix64(seed ^ r.flow.0), r.flow.0));
-}
-
-/// Schedules `(issue time, spec, global id)` triples, in declaration
-/// order, on `eng` as issue timers, recording `(engine-local id, global
-/// id)` pairs as they are assigned.
-fn schedule_flows(
-    eng: &Engine,
-    issues: impl ExactSizeIterator<Item = (Secs, FlowSpec, u64)>,
-) -> Arc<Mutex<Vec<(u64, u64)>>> {
-    let assigned = Arc::new(Mutex::new(Vec::with_capacity(issues.len())));
-    for (at, spec, gid) in issues {
-        let sink = assigned.clone();
-        eng.schedule_at(
-            SimTime::from_secs(at),
-            OnComplete::Call(Box::new(move |ctx| {
-                let local = ctx.start_flow(spec, OnComplete::Nothing);
-                sink.lock().push((local.0, gid));
-            })),
-        );
-    }
-    assigned
-}
-
-fn empty_stats(nlinks: usize) -> StatsSnapshot {
-    StatsSnapshot {
-        now: SimTime::ZERO,
-        links: vec![LinkStats::default(); nlinks],
-        flows_issued: 0,
-        flows_completed: 0,
-        events_processed: 0,
-        events_scheduled: 0,
-        faults_fired: 0,
-        flows_stalled: 0,
-        links_down: 0,
-        partitions: 0,
-        rebalances: 0,
-        cross_component_events: 0,
-    }
 }
 
 /// Folds a partition's counters into the merged snapshot. Each link is

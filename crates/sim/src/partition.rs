@@ -3,7 +3,7 @@
 //! The engine's fair-share recomputation is already *component-scoped*
 //! (PR 1): only flows transitively sharing a link ever influence each
 //! other's rates, completion times, or byte accounting. This module
-//! turns that isolation into an execution strategy. A [`Partitioner`]
+//! turns that isolation into an execution strategy. A `Partitioner`
 //! is an incremental union-find over the topology's links: admitting a
 //! flow unions every link of its route, admitting a fault pins the
 //! fault to its link's partition. A flow whose route bridges two
@@ -25,8 +25,7 @@ use mpx_topo::LinkId;
 /// Incremental union-find over link indices, with occupancy tracking so
 /// merges of two *working* partitions are distinguishable from a flow
 /// merely growing its own component.
-#[derive(Debug, Clone)]
-pub struct Partitioner {
+struct Partitioner {
     parent: Vec<u32>,
     rank: Vec<u8>,
     /// Root-indexed: the partition carries at least one admitted event.
@@ -38,7 +37,7 @@ pub struct Partitioner {
 
 impl Partitioner {
     /// A partitioner over `nlinks` links, every link its own partition.
-    pub fn new(nlinks: usize) -> Partitioner {
+    fn new(nlinks: usize) -> Partitioner {
         Partitioner {
             parent: (0..nlinks as u32).collect(),
             rank: vec![0; nlinks],
@@ -49,7 +48,7 @@ impl Partitioner {
     }
 
     /// The current partition root of `link` (path-halving find).
-    pub fn find(&mut self, link: usize) -> usize {
+    fn find(&mut self, link: usize) -> usize {
         let mut l = link;
         while self.parent[l] as usize != l {
             let grand = self.parent[self.parent[l] as usize];
@@ -88,9 +87,8 @@ impl Partitioner {
 
     /// Admits a flow at virtual time `at`: unions its route's links and
     /// returns the owning partition root *at admission*. Later merges
-    /// may re-route the flow; resolve with [`Partitioner::find`] after
-    /// all admissions.
-    pub fn admit_flow(&mut self, route: &[LinkId], at: SimTime) -> usize {
+    /// may re-route the flow; resolve with `find` after all admissions.
+    fn admit_flow(&mut self, route: &[LinkId], at: SimTime) -> usize {
         assert!(!route.is_empty(), "cannot partition an empty route");
         let mut root = self.find(route[0].index());
         for l in &route[1..] {
@@ -100,28 +98,17 @@ impl Partitioner {
         root
     }
 
-    /// Admits a fault at virtual time `at`: the fault belongs to its
-    /// link's partition (no unions — a fault cannot bridge components).
-    pub fn admit_fault(&mut self, link: LinkId, _at: SimTime) -> usize {
+    /// Admits a fault: it belongs to its link's partition (no unions — a
+    /// fault cannot bridge components).
+    fn admit_fault(&mut self, link: LinkId) -> usize {
         let root = self.find(link.index());
         self.occupied[root] = true;
         root
     }
-
-    /// Rebalances so far: merges that combined two occupied partitions.
-    pub fn rebalances(&self) -> u64 {
-        self.rebalances
-    }
-
-    /// Recorded merges of occupied partitions, in admission order:
-    /// `(virtual time, absorbed root, surviving root)`.
-    pub fn merges(&self) -> &[(SimTime, usize, usize)] {
-        &self.merges
-    }
 }
 
 /// One executable partition of a declared scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Partition {
     /// Surviving union-find root (a link index) identifying the
     /// partition.
@@ -154,75 +141,70 @@ pub struct PartitionPlan {
     pub merges: Vec<(SimTime, usize, usize)>,
 }
 
-/// Builds the partition plan for a declared workload: `flows` is the
-/// declaration list as `(issue time, route)`, `faults` the fault plan.
+/// Builds the partition plan for a declared workload. `flows` yields each
+/// declared flow once as `(issue time, declaration index, route)`, in
+/// issue order: sorted by `(time, index)`, as a [`crate::Scenario`] run
+/// sorts them once for everything it derives. `faults` is the fault plan.
 /// Admissions are processed in virtual-time order (ties: flows before
 /// faults, then declaration order) — exactly the order the events would
 /// first become visible to a running engine — so a fault admitted
 /// before a later bridging flow genuinely lands mid-rebalance and is
 /// re-routed, which is what `cross_component_events` measures.
-pub fn partition_scenario(
+pub fn partition_scenario<R: AsRef<[LinkId]>>(
     nlinks: usize,
-    flows: &[(SimTime, Vec<LinkId>)],
+    flows: impl ExactSizeIterator<Item = (SimTime, usize, R)>,
     faults: &FaultPlan,
 ) -> PartitionPlan {
     let mut p = Partitioner::new(nlinks);
+    let mut fault_order: Vec<(SimTime, usize)> = (faults.events.iter().enumerate())
+        .map(|(i, ev)| (SimTime::from_secs(ev.at.max(0.0)), i))
+        .collect();
+    fault_order.sort_unstable();
 
-    // Admission stream: (time, category, index). Category 0 = flow,
-    // 1 = fault, matching the serial engine's push order for ties.
-    let mut order: Vec<(SimTime, u8, usize)> =
-        Vec::with_capacity(flows.len() + faults.events.len());
-    for (i, (at, _)) in flows.iter().enumerate() {
-        order.push((*at, 0, i));
-    }
-    for (i, ev) in faults.events.iter().enumerate() {
-        order.push((SimTime::from_secs(ev.at.max(0.0)), 1, i));
-    }
-    order.sort();
-
+    // Merge the two admission streams, a flow first on a tie (the serial
+    // engine's push order).
     let mut flow_admit_root = vec![usize::MAX; flows.len()];
     let mut fault_admit_root = vec![usize::MAX; faults.events.len()];
-    for &(at, cat, idx) in &order {
-        if cat == 0 {
-            flow_admit_root[idx] = p.admit_flow(&flows[idx].1, at);
+    let (mut flows, mut fault_order) = (flows.peekable(), fault_order.into_iter().peekable());
+    let mut last_flow = None;
+    loop {
+        let flow_next = match (flows.peek(), fault_order.peek()) {
+            (None, None) => break,
+            (Some(flow), Some(fault)) => flow.0 <= fault.0,
+            (flow, _) => flow.is_some(),
+        };
+        if flow_next {
+            let (at, decl, route) = flows.next().expect("peeked");
+            assert!(
+                last_flow < Some((at, decl)),
+                "flow {decl} out of issue order"
+            );
+            last_flow = Some((at, decl));
+            flow_admit_root[decl] = p.admit_flow(route.as_ref(), at);
         } else {
-            fault_admit_root[idx] = p.admit_fault(faults.events[idx].link, at);
+            let (_, i) = fault_order.next().expect("peeked");
+            fault_admit_root[i] = p.admit_fault(faults.events[i].link);
         }
     }
 
     // Resolve final owners and count cross-component re-routes.
     let mut cross = 0u64;
-    let mut parts_by_root: std::collections::BTreeMap<usize, Partition> =
-        std::collections::BTreeMap::new();
-    for (i, &root) in flow_admit_root.iter().enumerate() {
-        let fin = p.find(root);
-        if fin != root {
-            cross += 1;
-        }
-        parts_by_root
-            .entry(fin)
-            .or_insert_with(|| Partition {
+    let mut parts_by_root = std::collections::BTreeMap::new();
+    for (is_flow, admit_roots) in [(true, flow_admit_root), (false, fault_admit_root)] {
+        for (i, root) in admit_roots.into_iter().enumerate() {
+            let fin = p.find(root);
+            cross += u64::from(fin != root);
+            let part = (parts_by_root.entry(fin)).or_insert_with(|| Partition {
                 root: fin,
-                flows: Vec::new(),
-                faults: Vec::new(),
-            })
-            .flows
-            .push(i);
-    }
-    for (i, &root) in fault_admit_root.iter().enumerate() {
-        let fin = p.find(root);
-        if fin != root {
-            cross += 1;
+                ..Partition::default()
+            });
+            let list = if is_flow {
+                &mut part.flows
+            } else {
+                &mut part.faults
+            };
+            list.push(i);
         }
-        parts_by_root
-            .entry(fin)
-            .or_insert_with(|| Partition {
-                root: fin,
-                flows: Vec::new(),
-                faults: Vec::new(),
-            })
-            .faults
-            .push(i);
     }
 
     let mut parts: Vec<Partition> = parts_by_root.into_values().collect();
@@ -233,9 +215,9 @@ pub fn partition_scenario(
     PartitionPlan {
         parts,
         partitions,
-        rebalances: p.rebalances(),
+        rebalances: p.rebalances,
         cross_component_events: cross,
-        merges: p.merges().to_vec(),
+        merges: p.merges,
     }
 }
 
@@ -248,6 +230,19 @@ mod tests {
         LinkId(i)
     }
 
+    /// Plans `(issue time, route)` declarations listed in issue order.
+    fn plan_of(
+        nlinks: usize,
+        flows: &[(SimTime, Vec<LinkId>)],
+        faults: &FaultPlan,
+    ) -> PartitionPlan {
+        let issued = flows
+            .iter()
+            .enumerate()
+            .map(|(i, (at, route))| (*at, i, route));
+        partition_scenario(nlinks, issued, faults)
+    }
+
     #[test]
     fn disjoint_routes_stay_separate() {
         let flows = vec![
@@ -255,7 +250,7 @@ mod tests {
             (SimTime::ZERO, vec![lid(1)]),
             (SimTime::ZERO, vec![lid(2), lid(3)]),
         ];
-        let plan = partition_scenario(8, &flows, &FaultPlan::empty());
+        let plan = plan_of(8, &flows, &FaultPlan::empty());
         assert_eq!(plan.partitions, 3);
         assert_eq!(plan.rebalances, 0);
         assert_eq!(plan.cross_component_events, 0);
@@ -273,7 +268,7 @@ mod tests {
             (SimTime::from_secs(0.4), vec![lid(0), lid(1)]),
         ];
         let faults = FaultPlan::empty().with(0.3, lid(1), FaultKind::Kill);
-        let plan = partition_scenario(4, &flows, &faults);
+        let plan = plan_of(4, &flows, &faults);
         assert_eq!(plan.partitions, 1);
         assert_eq!(plan.rebalances, 1);
         // The absorbed side's flow and its fault both crossed; possibly
@@ -295,7 +290,7 @@ mod tests {
     fn fault_on_unused_link_gets_own_partition() {
         let flows = vec![(SimTime::ZERO, vec![lid(0)])];
         let faults = FaultPlan::empty().with(0.1, lid(5), FaultKind::Kill);
-        let plan = partition_scenario(8, &flows, &faults);
+        let plan = plan_of(8, &flows, &faults);
         assert_eq!(plan.partitions, 2);
         let fault_part = plan.parts.iter().find(|p| !p.faults.is_empty()).unwrap();
         assert!(fault_part.flows.is_empty());
@@ -311,7 +306,7 @@ mod tests {
             (SimTime::ZERO, vec![lid(1)]),
             (SimTime::ZERO, vec![lid(2), lid(0)]),
         ];
-        let plan = partition_scenario(4, &flows, &FaultPlan::empty());
+        let plan = plan_of(4, &flows, &FaultPlan::empty());
         assert_eq!(plan.partitions, 1);
         assert_eq!(plan.rebalances, 0);
     }
@@ -324,7 +319,7 @@ mod tests {
             (SimTime::ZERO, vec![lid(1)]),
             (SimTime::ZERO, vec![lid(5)]),
         ];
-        let plan = partition_scenario(8, &flows, &FaultPlan::empty());
+        let plan = plan_of(8, &flows, &FaultPlan::empty());
         assert_eq!(plan.parts[0].root, 1); // two flows
         assert_eq!(plan.parts[0].flows, vec![1, 2]);
         assert_eq!(plan.parts[1].root, 3); // tie on size: smaller root

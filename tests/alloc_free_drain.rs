@@ -149,27 +149,77 @@ fn a_put_issue_allocates_within_its_ceiling() {
     }
 }
 
-#[test]
-fn an_owned_route_costs_one_allocation_when_its_flow_starts() {
-    let topo = Arc::new(presets::beluga());
-    let eng = Engine::new(topo.clone());
-    let g = topo.gpus();
-    let link = topo.link_between(g[0], g[1]).unwrap().id;
-    // Grow the slab, the queues and the link's member list first.
+/// Allocations a warm engine makes to start its next flow over an owned
+/// `route`; building the spec and draining the flow must make none.
+fn owned_route_start_allocations(route: Vec<LinkId>) -> u64 {
+    let eng = Engine::new(Arc::new(presets::beluga()));
+    // Grow the slab, the queues and the links' member lists first.
     for _ in 0..4 {
-        eng.start_flow(FlowSpec::new(vec![link], MIB), OnComplete::Nothing);
+        eng.start_flow(FlowSpec::new(route.clone(), MIB), OnComplete::Nothing);
     }
     eng.run_until_idle();
 
-    let route = vec![link];
     let mut spec = None;
     let built = allocations_in(|| spec = Some(FlowSpec::new(route, MIB)));
     assert_eq!(built, 0, "FlowSpec::new must take the Vec as it is");
     let started = allocations_in(|| {
         eng.start_flow(spec.take().unwrap(), OnComplete::Nothing);
     });
-    assert_eq!(started, 1, "an owned route folds into one demand");
     assert_eq!(allocations_in(|| eng.run_until_idle()), 0);
+    started
+}
+
+#[test]
+fn a_one_link_owned_route_starts_its_flow_without_allocating() {
+    let topo = presets::beluga();
+    let g = topo.gpus();
+    let link = topo.link_between(g[0], g[1]).unwrap().id;
+    let started = owned_route_start_allocations(vec![link]);
+    assert_eq!(started, 0, "a one-link demand is folded inline");
+}
+
+#[test]
+fn a_multi_link_owned_route_costs_one_allocation_when_its_flow_starts() {
+    let topo = presets::beluga();
+    let (g, hm) = (topo.gpus(), topo.host_memories()[0]);
+    let staged = [(g[0], hm), (hm, hm)].map(|(a, b)| topo.link_between(a, b).unwrap().id);
+    let started = owned_route_start_allocations(staged.to_vec());
+    assert_eq!(started, 1, "an owned route folds into one demand");
+}
+
+/// Directed links between every pair of beluga's GPUs.
+fn gpu_pair_links(topo: &Topology) -> Vec<LinkId> {
+    let gpus = topo.gpus();
+    (gpus.iter().enumerate())
+        .flat_map(|(i, &a)| gpus[i + 1..].iter().map(move |&b| (a, b)))
+        .filter_map(|(a, b)| topo.link_between(a, b).ok().map(|l| l.id))
+        .collect()
+}
+
+/// A scenario run copies each spec once and boxes each issue timer; the
+/// engine starts a one-link flow without allocating, and the issue order,
+/// ids, jitter factors and partition plan are a few vectors per run. That
+/// reads 2.04 per flow; folding each route into a demand on start and copying
+/// every route for the partitioner read 4.04.
+#[test]
+fn a_scenario_run_allocates_about_two_per_one_link_flow() {
+    const FLOWS: usize = 4096;
+    let topo = Arc::new(presets::beluga());
+    let links = gpu_pair_links(&topo);
+    let jitter = JitterModel {
+        seed: 7,
+        spread: 0.1,
+    };
+    let mut sc = Scenario::new(topo).with_trace(false).with_jitter(jitter);
+    for i in 0..FLOWS {
+        let spec = FlowSpec::new(vec![links[i % links.len()]], MIB + 4096 * (i % 64));
+        sc = sc.flow_at((i / 512) as f64 * 100e-6, spec);
+    }
+    let per_flow = allocations_in(|| drop(sc.run_serial())) as f64 / FLOWS as f64;
+    assert!(
+        per_flow <= 2.3,
+        "run_serial: {per_flow:.2} allocations per flow"
+    );
 }
 
 /// Real bytes add one thing to an issue: taking the staging rings. The
@@ -228,11 +278,7 @@ fn ring_recording_a_flow_allocates_within_its_ceiling() {
     const FLOWS: usize = 512;
     const RECORDED_FLOW_ALLOCATIONS: u64 = 9;
     let topo = Arc::new(presets::beluga());
-    let gpus = topo.gpus();
-    let links: Vec<LinkId> = (gpus.iter().enumerate())
-        .flat_map(|(i, &a)| gpus[i + 1..].iter().map(move |&b| (a, b)))
-        .filter_map(|(a, b)| topo.link_between(a, b).ok().map(|l| l.id))
-        .collect();
+    let links = gpu_pair_links(&topo);
     let eng = Engine::new(topo);
     // Flows spread over every GPU-pair link, sizes staggered so each
     // completion recomputes a link that still has live flows.
