@@ -12,14 +12,20 @@ timeout 120 cargo test -q --test scheduler
 # Beside it, the stream executor's golden order and the drain's allocation
 # count: a stream-lock inversion does not fail either, it hangs.
 timeout 120 cargo test -q --test stream_golden --test alloc_free_drain
-# Every name a PUT's issue hands out is a `Label`, rendered only if read.
-# The interpreter's three `format!`s all sit inside the recorder-only tail;
-# a fourth is an eager name back on the issue path (put_interp -30 %).
-# A tripwire only: the allocation ceilings of alloc_free_drain above are
-# the real guard (an eager name per chunk is two allocations per chunk).
-[ "$(awk '/fn execute_plan_at_obs/ { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on' \
-  crates/ucx/src/pipeline.rs | grep -c 'format!')" = 3 ] ||
-  { echo "pipeline.rs: execute_plan_at_obs must hold exactly three format!s" >&2; exit 1; }
+# Every name a PUT's launch hands out is a `Label`, rendered only if read.
+# The lowering (compile.rs) and the launch (graph.rs) hold three `format!`s
+# between them, all in the recorder-only record of the whole-message tail;
+# a fourth is an eager name back on the issue path (put_interp -30 %). A
+# tripwire only: the allocation ceilings of alloc_free_drain above are the
+# real guard (an eager name per chunk is two allocations per chunk).
+[ "$(for f in crates/ucx/src/compile.rs crates/gpu/src/graph.rs; do
+  awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"; done | grep -c 'format!')" = 3 ] ||
+  { echo "compile.rs + graph.rs: the launch must hold exactly three format!s" >&2; exit 1; }
+# One walk: a plan's chunk loop is lowered in one place, the lowering every
+# PUT launches, interpreted or replayed.
+[ "$(for f in $(grep -rl 'StagedWalk::new(' crates/); do
+  awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"; done | grep -c 'StagedWalk::new(')" = 1 ] ||
+  { echo "crates/: StagedWalk::new( must have exactly one non-test call site" >&2; exit 1; }
 # Likewise tripwires: a program reaches a stream through `Stream::submit`
 # alone (its crate-private predecessor must not come back beside it), and
 # the staged chunk walk in pipeline.rs owns the ring arithmetic — the graph
@@ -62,8 +68,8 @@ cargo fmt --check
 # a change makes on purpose; lower it when a deletion lands.
 crates_lines="$(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "crates/: $crates_lines .rs lines"
-[ "$crates_lines" -le 33338 ] ||
-  { echo "crates/ grew past its 33338-line ceiling" >&2; exit 1; }
+[ "$crates_lines" -le 33326 ] ||
+  { echo "crates/ grew past its 33326-line ceiling" >&2; exit 1; }
 
 # Fault-matrix smoke: each canned degradation scenario must complete with
 # intact data (mpx exits nonzero otherwise) and must actually exercise the

@@ -890,7 +890,7 @@ impl Broker {
             let dst = rt.alloc(shard.dst, total);
             match self
                 .ctx
-                .put_async_notify(&src, &dst, total, std::slice::from_ref(&self.work))
+                .put_async_at(&src, 0, &dst, 0, total, std::slice::from_ref(&self.work))
             {
                 Ok(handle) => {
                     self.c.dispatches.fetch_add(1, Ordering::Relaxed);

@@ -117,6 +117,16 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         self.shard(shard_key).write().insert(key, value);
     }
 
+    /// Inserts `key → value`, clearing the shard first when it already
+    /// holds `cap` other entries — the bound the plan table keeps.
+    pub fn insert_capped(&self, shard_key: &impl Hash, key: K, value: V, cap: usize) {
+        let mut shard = self.shard(shard_key).write();
+        if shard.len() >= cap.max(1) && !shard.contains_key(&key) {
+            shard.clear();
+        }
+        shard.insert(key, value);
+    }
+
     /// Removes one entry; returns whether it existed.
     pub fn remove(&self, shard_key: &impl Hash, key: &K) -> bool {
         self.shard(shard_key).write().remove(key).is_some()
@@ -198,6 +208,18 @@ mod tests {
         assert!(m.remove(&pair, &(pair, 1)));
         assert!(!m.remove(&pair, &(pair, 1)));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn a_capped_insert_clears_a_full_shard_but_not_for_a_present_key() {
+        let m: ShardedMap<(u64, usize), usize> = ShardedMap::new();
+        for n in 0..3 {
+            m.insert_capped(&0u64, (0, n), n, 3);
+        }
+        m.insert_capped(&0u64, (0, 1), 10, 3);
+        assert_eq!((m.len(), m.get(&0u64, &(0, 1))), (3, Some(10)));
+        m.insert_capped(&0u64, (0, 3), 3, 3);
+        assert_eq!((m.len(), m.get(&0u64, &(0, 3))), (1, Some(3)));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! completed by a `Record` op, after which waits pass immediately. The
 //! *interpreted* pipeline makes one per sync point — its state, nothing
 //! for its name, which is a [`Label`] over the chunk's numbers — and never
-//! touches it again; compiled [`crate::TransferGraph`]s instead keep their
-//! event set alive across replays and rearm it with [`GpuEvent::reset`] —
+//! touches it again; replay [`crate::Instance`]s instead keep their event
+//! set alive across launches and rearm it with [`GpuEvent::reset`] —
 //! matching CUDA, where events are reusable and graph replay recycles
 //! them rather than allocating fresh ones per launch.
 
@@ -73,14 +73,14 @@ impl GpuEvent {
     }
 
     /// Rearms a completed (or never-recorded) event so the next `Record`
-    /// completes it again — the recycling a replayed
-    /// [`crate::TransferGraph`] performs instead of allocating a fresh
-    /// event per sync point per launch.
+    /// completes it again — the recycling a replay [`crate::Instance`]
+    /// performs instead of allocating a fresh event per sync point per
+    /// launch.
     ///
     /// # Panics
     /// Panics if a stream is still parked on the event: resetting under a
     /// live waiter would strand that stream forever, so it is a caller
-    /// bug (a graph must be quiescent before relaunch).
+    /// bug (an instance must be quiescent before relaunch).
     pub fn reset(&self) {
         let mut st = self.state.lock();
         assert!(

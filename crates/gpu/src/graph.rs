@@ -1,151 +1,335 @@
-//! Compiled transfer graphs: capture a stream/event program once, replay
-//! it at near-zero issue cost (CUDA-Graphs style).
+//! Transfer schedules with placeholder resources, the one launch that
+//! materialises them, and the replay instances they launch on
+//! (CUDA-Graphs style: capture → instantiate → replay).
 //!
-//! The interpreted pipeline re-derives its chunk schedule and allocates
-//! streams, events, staging rings, labels, and closures on *every*
-//! transfer. For a training-loop workload that repeats the same
-//! (pair, size) transfer each iteration, that per-PUT orchestration
-//! dominates the small-message regime (the source paper's Obs. 4; the
-//! follow-up CUDA-Graphs paper eliminates it by capture → instantiate →
-//! replay). A [`TransferGraph`] is the instantiated form: the full op
-//! DAG — copy legs, staging hops, event records/waits — precompiled with
-//! *placeholder* buffer references, plus the streams, events, and staging
-//! ring it executes on, all owned by the graph and recycled across
-//! replays. [`TransferGraph::launch`] only patches the source/destination
-//! buffer pointers and offsets, rearms the events
-//! ([`GpuEvent::reset`]), and submits one [`Program`] per stream.
+//! A [`Schedule`] is a transfer's op DAG — copies, event records and
+//! waits, grouped per stream in program order — holding no buffer, stream,
+//! event or ring: events are indices, rings a device and a length, routes
+//! folded. A copy is a tag that the launch asks to describe it as a
+//! [`GraphCopy`]: [`GraphBuf`] placeholders at offsets, a length, a route,
+//! a cost and a name. [`Schedule::launch`] is the only code that turns a
+//! schedule into per-stream [`Program`]s: it patches the placeholders, ends
+//! each path's last program with the path's done-waker and a tail, and
+//! submits the programs in order. What a launch runs on is
+//! the caller's: fresh streams, events and rings per transfer, or an
+//! [`Instance`]'s, recycled across launches (its events rearmed with
+//! [`GpuEvent::reset`]).
 //!
-//! Replay also strips the per-op software overheads the interpreted
-//! pipeline charges (per-copy launch cost, event-sync ε, rendezvous,
-//! sequential path initiation): a replayed graph pays one configurable
-//! `first_extra` on each path's first copy — the single graph-launch
-//! cost plus whatever the caller still owes (e.g. an IPC handle open for
-//! a new destination buffer) — and nothing else. That is the
-//! launch-overhead model of the follow-up paper.
+//! `mpx-ucx` lowers every PUT's plan into a schedule and launches it
+//! interpreted or on an instance. [`GraphBuilder`] captures a schedule by
+//! hand, and [`TransferGraph`] is one instance of it whose launch charges
+//! `first_extra` on each path's first copy and nothing else — the
+//! launch-overhead model of the follow-up CUDA-Graphs paper.
 
 use crate::buffer::Buffer;
 use crate::event::GpuEvent;
 use crate::runtime::GpuRuntime;
 use crate::stream::{Program, Stream};
-use mpx_sim::{Label, Route, Template, Waker};
+use mpx_sim::{Ctx, EventFn, Label, Route, Template, Waker};
 use mpx_topo::units::Secs;
 use mpx_topo::DeviceId;
 use parking_lot::Mutex;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Process-unique graph ids, used only to keep trace labels and waker
-/// names distinguishable across graphs.
+/// Process-unique instance ids, used only to keep trace labels and waker
+/// names distinguishable across instances.
 static GRAPH_IDS: AtomicU64 = AtomicU64::new(0);
 
-/// A replay's per-path done-waker: graph id, replay count, path index.
+/// An instance launch's per-path done-waker: instance id, launch count,
+/// path index.
 static PATH_DONE: Template = Template("g{}.r{}.p{}", &[24, 32, 8]);
+/// An instance's event: instance id, event index.
+static EVENT: Template = Template("g{}.e{}", &[24, 40]);
 
-/// A buffer placeholder inside a compiled graph: patched to a concrete
-/// buffer (plus caller offset) at every [`TransferGraph::launch`].
-/// Staging slots resolve to the graph's own persistent ring.
+/// A buffer placeholder inside a schedule, patched to a concrete buffer
+/// (plus the caller's offset) at every launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphBuf {
     /// The transfer's source buffer (offsets are message-relative).
     Src,
     /// The transfer's destination buffer (offsets are message-relative).
     Dst,
-    /// Staging buffer `i` of the graph's own (offsets are absolute): the
-    /// ring of one staged path, its slots told apart by offset.
+    /// Staging ring `i` (offsets are absolute): the ring of one staged
+    /// path, its slots told apart by offset.
     Staging(usize),
 }
 
-/// One precompiled copy op: everything the interpreted pipeline computes
-/// per chunk, frozen at capture time.
-struct CopyNode {
-    stream: usize,
-    src: GraphBuf,
-    src_off: usize,
-    dst: GraphBuf,
-    dst_off: usize,
-    len: usize,
-    /// Shared with every materialized replay op and the flow it starts
-    /// (refcount bumps per replay instead of heap copies — the point of
-    /// compiling).
-    route: Route,
-    /// Fixed software overhead baked at capture (normally 0 for replay).
-    extra: Secs,
-    /// First op of its path: additionally charged the per-replay
-    /// `first_extra` (graph launch + residual one-time costs).
-    first: bool,
-    label: Label,
+/// One op of a stream's program: a copy, which the launch asks its tag to
+/// describe, or an event record or wait.
+pub enum GraphOp<T> {
+    /// A copy.
+    Copy(T),
+    /// Records event `i`.
+    Record(usize),
+    /// Waits on event `i`.
+    Wait(usize),
 }
 
-enum Node {
-    Copy(CopyNode),
-    Record { stream: usize, event: usize },
-    Wait { stream: usize, event: usize },
+/// A copy as a launch issues it: `len` bytes from `src` to `dst` (each a
+/// placeholder at an offset) over the schedule's route `route`, paying
+/// `extra`, named `label`.
+#[derive(Clone)]
+pub struct GraphCopy {
+    /// Source placeholder and offset.
+    pub src: (GraphBuf, usize),
+    /// Destination placeholder and offset.
+    pub dst: (GraphBuf, usize),
+    /// Bytes copied.
+    pub len: usize,
+    /// Route, folded: every launched op and the flow it starts share it by
+    /// reference count.
+    pub route: Route,
+    /// Software cost charged on top of the copy.
+    pub extra: Secs,
+    /// Trace label.
+    pub label: Label,
 }
 
-/// Where one path's program ends, and which message range it owned — the
-/// graph-side analogue of the interpreted pipeline's `PathSlot`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphPathEnd {
-    /// Stream index (into the graph's stream set) whose drain completes
-    /// the path.
-    pub stream: usize,
-    /// Index into the candidate path set the plan was computed from.
-    pub path_index: usize,
-    /// Start of this path's range within the message.
-    pub offset: usize,
-    /// Bytes assigned to this path.
-    pub bytes: usize,
+/// One stream's program: its device, its ops (a range of
+/// [`Schedule::ops`], in program order) and, for a stream that ends a
+/// path, the path's index — its program then ends with the path's
+/// done-signal.
+pub struct GraphStream {
+    /// The device the stream runs on.
+    pub device: DeviceId,
+    /// Its ops.
+    pub ops: Range<usize>,
+    /// The path it ends, if any.
+    pub ends: Option<usize>,
 }
 
-/// Why a [`TransferGraph::launch`] was refused. Callers fall back to the
-/// interpreted pipeline (or another pooled instance) — a refusal is
-/// never fatal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphLaunchError {
-    /// The graph is still executing a previous replay; a graph instance
-    /// cannot overlap itself (its staging ring and events are single-
-    /// occupancy).
-    Busy,
-    /// The offered buffers don't match what the graph was captured for
-    /// (device, length, or synthetic/real storage class).
-    Mismatch(&'static str),
+/// A transfer's op DAG with every resource a placeholder; see the module
+/// docs.
+pub struct Schedule<T> {
+    /// Bytes of the message.
+    pub n: usize,
+    /// In submission order.
+    pub streams: Vec<GraphStream>,
+    /// Every stream's ops, stream after stream.
+    pub ops: Vec<GraphOp<T>>,
+    /// Each staging ring's device and length.
+    pub rings: Vec<(DeviceId, usize)>,
+    /// Events recorded and waited on.
+    pub events: usize,
 }
 
-impl fmt::Display for GraphLaunchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GraphLaunchError::Busy => write!(f, "graph busy: previous replay still in flight"),
-            GraphLaunchError::Mismatch(what) => write!(f, "graph/buffer mismatch: {what}"),
+impl<T> Schedule<T> {
+    /// The one launch: builds one exact-length program per stream — each
+    /// copy as `copy(tag)` describes it, its `Src` / `Dst` placeholders
+    /// patched to `src` / `dst` (each at its offset), rings and events to
+    /// `rings` / `events` — ends each path's last program with its `done(path)`
+    /// waker and, if any, a `tail()`, and submits program `i` to
+    /// `stream(i, device)`. Returns the done-wakers in path-end order.
+    ///
+    /// # Panics
+    /// Panics if either buffer is smaller than its offset plus the message.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch<F: Fn() -> EventFn>(
+        &self,
+        (src, src_off): (&Buffer, usize),
+        (dst, dst_off): (&Buffer, usize),
+        stream: impl Fn(usize, DeviceId) -> Stream,
+        events: &[GpuEvent],
+        rings: &[Buffer],
+        copy: impl Fn(&T) -> GraphCopy,
+        done: impl Fn(usize) -> Waker,
+        tail: Option<F>,
+    ) -> Vec<Waker> {
+        self.check((src, src_off), (dst, dst_off));
+        let resolve = |(buf, off): (GraphBuf, usize)| match buf {
+            GraphBuf::Src => (src, src_off + off),
+            GraphBuf::Dst => (dst, dst_off + off),
+            GraphBuf::Staging(i) => (&rings[i], off),
+        };
+        let mut wakers = Vec::with_capacity(self.streams.iter().flat_map(|s| s.ends).count());
+        for (i, s) in self.streams.iter().enumerate() {
+            let ends = usize::from(s.ends.is_some());
+            let mut program = Program::with_capacity(s.ops.len() + 2 * ends);
+            for op in &self.ops[s.ops.clone()] {
+                match op {
+                    GraphOp::Copy(tag) => {
+                        let c = copy(tag);
+                        let ((from, from_off), (to, to_off)) = (resolve(c.src), resolve(c.dst));
+                        program.copy(from, from_off, to, to_off, c.len, c.route, c.extra, c.label);
+                    }
+                    GraphOp::Record(e) => program.record(&events[*e]),
+                    GraphOp::Wait(e) => program.wait_event(&events[*e]),
+                }
+            }
+            if let Some(path) = s.ends {
+                let waker = done(path);
+                program.signal(&waker);
+                if let Some(tail) = &tail {
+                    program.callback(tail());
+                }
+                wakers.push(waker);
+            }
+            stream(i, s.device).submit(program);
+        }
+        wakers
+    }
+
+    /// Panics unless `src` and `dst` each hold the message at its offset.
+    fn check(&self, src: (&Buffer, usize), dst: (&Buffer, usize)) {
+        for ((buf, off), which) in [(src, "source"), (dst, "destination")] {
+            let fits = buf.len() >= off + self.n;
+            assert!(fits, "{which} buffer smaller than message");
         }
     }
 }
 
-impl std::error::Error for GraphLaunchError {}
+/// A staging ring of `len` bytes on `device`, of the payload's storage
+/// class. Real storage comes recycled and unzeroed: leg 2 of a chunk
+/// forwards exactly the bytes its leg 1 just wrote.
+pub fn staging_ring(rt: &GpuRuntime, device: DeviceId, len: usize, synthetic: bool) -> Buffer {
+    if synthetic {
+        rt.alloc(device, len)
+    } else {
+        rt.alloc_staging(device, len)
+    }
+}
 
-/// Builds a [`TransferGraph`] by replaying the capture-side API the
-/// interpreted pipeline would have issued: declare streams, events, and
-/// staging slots, then record copies/records/waits in program order and
-/// close each path with [`GraphBuilder::end_path`].
-pub struct GraphBuilder {
-    rt: GpuRuntime,
+/// The whole-message tail: a callback per path end, of which the last to
+/// run signals `notify`, then runs `last`.
+pub fn whole_message(
+    paths: usize,
+    notify: &[Waker],
+    last: impl Fn(&mut Ctx<'_>) + Send + Sync + 'static,
+) -> impl Fn() -> EventFn {
+    let state = Arc::new((AtomicUsize::new(paths), notify.to_vec(), last));
+    move || -> EventFn {
+        let state = state.clone();
+        Box::new(move |ctx| {
+            let (remaining, notify, last) = &*state;
+            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                for w in notify {
+                    ctx.signal(w);
+                }
+                last(ctx);
+            }
+        })
+    }
+}
+
+/// The streams, events and staging rings one launch of a schedule runs
+/// on, recycled across launches. An instance cannot overlap itself (its
+/// rings and events are single-occupancy): a launch claims it and the
+/// launch's tail releases it.
+pub struct Instance {
     id: u64,
-    src_device: DeviceId,
-    dst_device: DeviceId,
-    n: usize,
-    src_synthetic: bool,
     streams: Vec<Stream>,
     events: Vec<GpuEvent>,
-    staging: Vec<Buffer>,
-    nodes: Vec<Node>,
-    ends: Vec<GraphPathEnd>,
+    rings: Vec<Buffer>,
+    /// Claimed by an `AcqRel` swap, released by the tail's `Release`
+    /// store: a launch sees everything the previous one's tail saw.
+    busy: Arc<AtomicBool>,
+    launches: AtomicU64,
+}
+
+impl Instance {
+    /// A new, idle instance of `schedule` for payloads of `synthetic`'s
+    /// storage class, with a fresh process-unique id.
+    pub fn new<T>(rt: &GpuRuntime, schedule: &Schedule<T>, synthetic: bool) -> Instance {
+        let id = GRAPH_IDS.fetch_add(1, Ordering::Relaxed);
+        Instance {
+            id,
+            streams: (schedule.streams.iter())
+                .map(|s| rt.stream(s.device))
+                .collect(),
+            events: (0..schedule.events)
+                .map(|i| rt.event(EVENT.label(&[id, i as u64])))
+                .collect(),
+            rings: (schedule.rings.iter())
+                .map(|&(device, len)| staging_ring(rt, device, len, synthetic))
+                .collect(),
+            busy: Arc::new(AtomicBool::new(false)),
+            launches: AtomicU64::new(0),
+        }
+    }
+
+    /// The instance's process-unique id (appears in labels).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Launches `schedule`, the one this instance was made from, on it —
+    /// or returns `None`, launching nothing, while a launch still holds it.
+    /// Claims it, rearms its events, then [`Schedule::launch`]es over its
+    /// streams, events and rings, with done-wakers named over (id, launch
+    /// count, path) and a [`whole_message`] tail that runs the closure
+    /// `last()` made, then releases it.
+    ///
+    /// # Panics
+    /// Panics, leaving the instance idle, if either buffer is smaller than
+    /// its offset plus the message.
+    pub fn try_launch<T, L: Fn(&mut Ctx<'_>) + Send + Sync + 'static>(
+        &self,
+        schedule: &Schedule<T>,
+        src: (&Buffer, usize),
+        dst: (&Buffer, usize),
+        copy: impl Fn(&T) -> GraphCopy,
+        notify: &[Waker],
+        last: impl FnOnce() -> L,
+    ) -> Option<Vec<Waker>> {
+        schedule.check(src, dst);
+        if self.busy.swap(true, Ordering::AcqRel) {
+            return None;
+        }
+        let launch = self.launches.fetch_add(1, Ordering::Relaxed);
+        for ev in &self.events {
+            ev.reset();
+        }
+        let paths = schedule.streams.iter().flat_map(|s| s.ends).count();
+        let (busy, last) = (self.busy.clone(), last());
+        let tail = whole_message(paths, notify, move |ctx: &mut Ctx<'_>| {
+            last(ctx);
+            busy.store(false, Ordering::Release);
+        });
+        Some(schedule.launch(
+            src,
+            dst,
+            |i, _| self.streams[i].clone(),
+            &self.events,
+            &self.rings,
+            copy,
+            |path| Waker::new(PATH_DONE.label(&[self.id, launch, path as u64])),
+            Some(tail),
+        ))
+    }
+}
+
+/// Why a [`TransferGraph::launch`] was refused; the graph stays usable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphLaunchError {
+    /// The graph is still executing a previous replay.
+    Busy,
+}
+
+/// A hand-captured copy, and whether it is its path's first (and pays the
+/// launch's `first_extra` on top of its own).
+type Captured = (GraphCopy, bool);
+
+/// Captures a [`Schedule`] by hand: declare streams, events, and staging
+/// slots, then record copies/records/waits in program order and close each
+/// path with [`GraphBuilder::end_path`].
+pub struct GraphBuilder {
+    rt: GpuRuntime,
+    src_device: DeviceId,
+    dst_device: DeviceId,
+    src_synthetic: bool,
+    n: usize,
+    /// Per declared stream: its device, ops and the path it ends.
+    streams: Vec<(DeviceId, Vec<GraphOp<Captured>>, Option<usize>)>,
+    rings: Vec<(DeviceId, usize)>,
+    events: usize,
 }
 
 impl GraphBuilder {
     /// Starts a capture of an `n`-byte `src_device → dst_device`
     /// transfer. `src_synthetic` fixes the storage class the graph is
-    /// valid for (staging slots must match the payload's class, exactly
-    /// as the interpreted pipeline chooses per transfer).
+    /// valid for (its staging rings match the payload's class).
     pub fn new(
         rt: &GpuRuntime,
         src_device: DeviceId,
@@ -155,56 +339,40 @@ impl GraphBuilder {
     ) -> GraphBuilder {
         GraphBuilder {
             rt: rt.clone(),
-            id: GRAPH_IDS.fetch_add(1, Ordering::Relaxed),
             src_device,
             dst_device,
-            n,
             src_synthetic,
+            n,
             streams: Vec::new(),
-            events: Vec::new(),
-            staging: Vec::new(),
-            nodes: Vec::new(),
-            ends: Vec::new(),
+            rings: Vec::new(),
+            events: 0,
         }
     }
 
-    /// The graph's process-unique id (appears in labels).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Declares a persistent stream on `device`; returns its index.
+    /// Declares a stream on `device`; returns its index.
     pub fn stream(&mut self, device: DeviceId) -> usize {
-        self.streams.push(self.rt.stream(device));
+        self.streams.push((device, Vec::new(), None));
         self.streams.len() - 1
     }
 
-    /// Declares a persistent, replay-recycled event; returns its index.
+    /// Declares an event; returns its index.
     pub fn event(&mut self) -> usize {
-        self.events.push(
-            self.rt
-                .event(format!("g{}.e{}", self.id, self.events.len())),
-        );
-        self.events.len() - 1
+        self.events += 1;
+        self.events - 1
     }
 
-    /// Allocates a persistent staging buffer of `len` bytes on `device`
-    /// (real storage iff the payload is real); returns its
-    /// [`GraphBuf::Staging`] index.
+    /// Declares a staging ring of `len` bytes on `device`; returns its
+    /// [`GraphBuf::Staging`] placeholder.
     pub fn staging(&mut self, device: DeviceId, len: usize) -> GraphBuf {
-        let buf = if self.src_synthetic {
-            self.rt.alloc(device, len)
-        } else {
-            self.rt.alloc_zeroed(device, len)
-        };
-        self.staging.push(buf);
-        GraphBuf::Staging(self.staging.len() - 1)
+        self.rings.push((device, len));
+        GraphBuf::Staging(self.rings.len() - 1)
     }
 
-    /// Records a copy op. `Src`/`Dst` offsets are message-relative (the
-    /// launch-time buffer offsets are added on replay); staging offsets
-    /// are absolute. `first` marks each path's first copy, which carries
-    /// the per-replay `first_extra` on top of the baked `extra`.
+    /// Records a copy op on `stream`. `Src`/`Dst` offsets are
+    /// message-relative (the launch-time buffer offsets are added on
+    /// replay); staging offsets are absolute. `first` marks each path's
+    /// first copy, which carries the per-replay `first_extra` on top of
+    /// the fixed `extra`.
     #[allow(clippy::too_many_arguments)]
     pub fn copy(
         &mut self,
@@ -217,181 +385,131 @@ impl GraphBuilder {
         route: impl Into<Route>,
         extra: Secs,
         first: bool,
-        label: String,
+        label: Label,
     ) {
-        self.nodes.push(Node::Copy(CopyNode {
-            stream,
+        let (src, dst, route) = ((src, src_off), (dst, dst_off), Route::shared(&route.into()));
+        let copy = GraphCopy {
             src,
-            src_off,
             dst,
-            dst_off,
             len,
-            route: Route::shared(&route.into()),
+            route,
             extra,
-            first,
-            label: label.into(),
-        }));
+            label,
+        };
+        self.op(stream, GraphOp::Copy((copy, first)));
     }
 
     /// Records an event record on `stream`.
     pub fn record(&mut self, stream: usize, event: usize) {
-        self.nodes.push(Node::Record { stream, event });
+        self.op(stream, GraphOp::Record(event));
     }
 
     /// Records an event wait on `stream`.
     pub fn wait(&mut self, stream: usize, event: usize) {
-        self.nodes.push(Node::Wait { stream, event });
+        self.op(stream, GraphOp::Wait(event));
     }
 
-    /// Closes a path: its program drained once `stream` retires every op
-    /// recorded so far; it owned `bytes` bytes of the message starting
-    /// at `offset`.
-    pub fn end_path(&mut self, stream: usize, path_index: usize, offset: usize, bytes: usize) {
-        self.ends.push(GraphPathEnd {
-            stream,
-            path_index,
-            offset,
-            bytes,
-        });
+    fn op(&mut self, stream: usize, op: GraphOp<Captured>) {
+        let s = self.streams.get_mut(stream);
+        s.expect("undeclared stream").1.push(op);
     }
 
-    /// Freezes the capture into a replayable [`TransferGraph`].
+    /// Closes path `path_index`: its program drained once `stream` retires
+    /// every op recorded on it; the path owned `_bytes` bytes of the
+    /// message from `_offset` (the caller's to track).
+    pub fn end_path(&mut self, stream: usize, path_index: usize, _offset: usize, _bytes: usize) {
+        let s = self.streams.get_mut(stream);
+        let ends = &mut s.expect("undeclared end stream").2;
+        assert!(ends.replace(path_index).is_none(), "a stream ends one path");
+    }
+
+    /// Instantiates the capture into a replayable [`TransferGraph`].
     ///
     /// # Panics
     /// Panics if no path was closed, an op references an undeclared
-    /// stream/event/staging slot, or an event is never recorded (its
-    /// waiters would hang) or never waited on (every replay would rearm
-    /// and record it for nobody) — capture bugs, not runtime conditions.
+    /// event/staging slot, or an event is never recorded (its waiters
+    /// would hang) or never waited on (every replay would rearm and record
+    /// it for nobody) — capture bugs, not runtime conditions.
     pub fn finish(self) -> TransferGraph {
-        assert!(!self.ends.is_empty(), "graph captured without any path");
-        // Per event: [recorded, waited on]. Per stream: its op count
-        // (program + end signal/tail), so a replay allocates each program
-        // exactly once.
-        let mut uses = vec![[false; 2]; self.events.len()];
-        let mut program_len = vec![0usize; self.streams.len()];
-        for node in &self.nodes {
-            let stream = match node {
-                Node::Copy(c) => {
-                    if let GraphBuf::Staging(i) = c.src {
-                        assert!(i < self.staging.len(), "undeclared staging slot {i}");
+        assert!(
+            self.streams.iter().any(|s| s.2.is_some()),
+            "graph captured without any path"
+        );
+        let mut schedule = Schedule {
+            n: self.n,
+            streams: Vec::with_capacity(self.streams.len()),
+            ops: Vec::new(),
+            rings: self.rings,
+            events: self.events,
+        };
+        for (device, ops, ends) in self.streams {
+            let start = schedule.ops.len();
+            schedule.ops.extend(ops);
+            let ops = start..schedule.ops.len();
+            schedule.streams.push(GraphStream { device, ops, ends });
+        }
+        let s = &schedule;
+        // Per event: [recorded, waited on].
+        let mut uses = vec![[false; 2]; s.events];
+        for op in &s.ops {
+            match op {
+                GraphOp::Copy((c, _)) => {
+                    for buf in [c.src.0, c.dst.0] {
+                        if let GraphBuf::Staging(i) = buf {
+                            assert!(i < s.rings.len(), "undeclared staging slot {i}");
+                        }
                     }
-                    if let GraphBuf::Staging(i) = c.dst {
-                        assert!(i < self.staging.len(), "undeclared staging slot {i}");
-                    }
-                    c.stream
                 }
-                Node::Record { stream, event } | Node::Wait { stream, event } => {
-                    assert!(*event < self.events.len(), "undeclared event {event}");
-                    uses[*event][usize::from(matches!(node, Node::Wait { .. }))] = true;
-                    *stream
+                GraphOp::Record(e) | GraphOp::Wait(e) => {
+                    uses[*e][usize::from(matches!(op, GraphOp::Wait(_)))] = true;
                 }
-            };
-            assert!(stream < self.streams.len(), "undeclared stream {stream}");
-            program_len[stream] += 1;
+            }
         }
         let idle = uses.iter().position(|u| *u != [true; 2]);
         assert_eq!(idle, None, "event never recorded, or never waited on");
-        for end in &self.ends {
-            assert!(end.stream < self.streams.len(), "undeclared end stream");
-            program_len[end.stream] += 2;
-        }
+        let instance = Instance::new(&self.rt, s, self.src_synthetic);
         TransferGraph {
-            id: self.id,
             src_device: self.src_device,
             dst_device: self.dst_device,
-            n: self.n,
             src_synthetic: self.src_synthetic,
-            streams: self.streams,
-            events: self.events,
-            staging: self.staging,
-            nodes: self.nodes,
-            ends: self.ends,
-            program_len,
-            in_flight: Arc::new(AtomicBool::new(false)),
-            replays: AtomicU64::new(0),
+            schedule,
+            instance,
         }
     }
 }
 
-/// A precompiled, replayable transfer program: the DAG of stream ops the
-/// interpreted pipeline would issue for one `(pair, size)` transfer,
-/// plus the streams, events, and staging ring it runs on — captured once
-/// and relaunched with only buffer-pointer patching. See the module docs
-/// for the replay cost model.
+/// A hand-captured schedule and the one instance it replays on —
+/// relaunched with only buffer-pointer patching. See the module docs for
+/// the replay cost model.
 pub struct TransferGraph {
-    id: u64,
     src_device: DeviceId,
     dst_device: DeviceId,
-    n: usize,
     src_synthetic: bool,
-    streams: Vec<Stream>,
-    events: Vec<GpuEvent>,
-    staging: Vec<Buffer>,
-    nodes: Vec<Node>,
-    ends: Vec<GraphPathEnd>,
-    /// Exact op count of each stream's materialized program (computed at
-    /// capture), so replay allocates each program once.
-    program_len: Vec<usize>,
-    /// A graph instance cannot overlap itself (single-occupancy staging
-    /// ring and events); behind `Arc` so the completion tail — which
-    /// outlives the launch call — can clear it.
-    in_flight: Arc<AtomicBool>,
-    replays: AtomicU64,
+    schedule: Schedule<Captured>,
+    instance: Instance,
 }
 
 impl TransferGraph {
-    /// Process-unique graph id (appears in labels and waker names).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Message size the graph was compiled for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Storage class the graph was compiled for (`true` = synthetic
-    /// payload, synthetic staging).
-    pub fn src_synthetic(&self) -> bool {
-        self.src_synthetic
-    }
-
     /// Times this graph has been launched.
     pub fn replays(&self) -> u64 {
-        self.replays.load(Ordering::Relaxed)
-    }
-
-    /// True while a replay is executing.
-    pub fn is_in_flight(&self) -> bool {
-        self.in_flight.load(Ordering::Acquire)
-    }
-
-    /// Per-path message ranges (parallel to the wakers `launch` returns).
-    pub fn ends(&self) -> &[GraphPathEnd] {
-        &self.ends
-    }
-
-    /// Events the graph rearms per replay, each recorded and waited on.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Bytes held by the graph's persistent staging rings.
-    pub fn staging_bytes(&self) -> usize {
-        self.staging.iter().map(|b| b.len()).sum()
+        self.instance.launches.load(Ordering::Relaxed)
     }
 
     /// Relaunches the captured program against concrete buffers: rearm
     /// every event, patch `Src`/`Dst` placeholders to
     /// `src[src_off..]`/`dst[dst_off..]`, and submit each stream's
-    /// program. Returns one fresh done-waker per path
-    /// (parallel to [`TransferGraph::ends`]).
+    /// program. Returns one fresh done-waker per path, in stream order.
     ///
     /// `first_extra` is charged once per path on its first copy — the
     /// caller-computed per-replay launch cost. `notify` wakers fire when
     /// the *whole* message has landed; `on_complete` (if any) runs in the
     /// engine context at the same instant, before the graph is marked
     /// idle again.
+    ///
+    /// # Panics
+    /// Panics if the buffers are not what the graph was captured for: on
+    /// its devices, of its payload storage class (a synthetic ring would
+    /// silently drop real bytes), and large enough.
     #[allow(clippy::too_many_arguments)]
     pub fn launch(
         &self,
@@ -401,127 +519,36 @@ impl TransferGraph {
         dst_off: usize,
         first_extra: Secs,
         notify: &[Waker],
-        on_complete: Option<mpx_sim::EventFn>,
+        on_complete: Option<EventFn>,
     ) -> Result<Vec<Waker>, GraphLaunchError> {
-        if self
-            .in_flight
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return Err(GraphLaunchError::Busy);
-        }
-        if let Err(e) = self.validate(src, src_off, dst, dst_off) {
-            self.in_flight.store(false, Ordering::Release);
-            return Err(e);
-        }
-        let replay = self.replays.fetch_add(1, Ordering::Relaxed);
-        for ev in &self.events {
-            ev.reset();
-        }
-
-        // Whole-message tail, shared by every path's end: the last one
-        // signals the notify wakers, runs the completion hook, and only
-        // then re-opens the graph for the next replay.
-        let remaining = Arc::new(std::sync::atomic::AtomicUsize::new(self.ends.len()));
-        let notify: Arc<Vec<Waker>> = Arc::new(notify.to_vec());
-        let hook = Arc::new(Mutex::new(on_complete));
-        let make_tail = || {
-            let remaining = remaining.clone();
-            let notify = notify.clone();
-            let hook = hook.clone();
-            let in_flight = self.in_flight.clone();
-            move |ctx: &mut mpx_sim::Ctx<'_>| {
-                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    for w in notify.iter() {
-                        ctx.signal(w);
-                    }
-                    if let Some(f) = hook.lock().take() {
-                        f(ctx);
-                    }
-                    in_flight.store(false, Ordering::Release);
+        let pair = (src.device(), dst.device());
+        assert_eq!(
+            pair,
+            (self.src_device, self.dst_device),
+            "graph/buffer devices"
+        );
+        assert_eq!(
+            src.is_synthetic(),
+            self.src_synthetic,
+            "payload storage class"
+        );
+        let last = || {
+            let hook = Mutex::new(on_complete);
+            move |ctx: &mut Ctx<'_>| {
+                if let Some(f) = hook.lock().take() {
+                    f(ctx);
                 }
             }
         };
-
-        // Materialize the program per stream, then append each path's
-        // done-signal and tail. Within-stream order is program order;
-        // cross-stream order is irrelevant (events serialize it).
-        let mut programs: Vec<Program> = (self.program_len.iter())
-            .map(|&len| Program::with_capacity(len))
-            .collect();
-        let resolve = |buf: GraphBuf, off: usize| match buf {
-            GraphBuf::Src => (src, src_off + off),
-            GraphBuf::Dst => (dst, dst_off + off),
-            GraphBuf::Staging(i) => (&self.staging[i], off),
+        let copy = |(c, first): &Captured| GraphCopy {
+            extra: c.extra + if *first { first_extra } else { 0.0 },
+            ..c.clone()
         };
-        for node in &self.nodes {
-            match node {
-                Node::Copy(c) => {
-                    let (s, s_off) = resolve(c.src, c.src_off);
-                    let (d, d_off) = resolve(c.dst, c.dst_off);
-                    let extra = c.extra + if c.first { first_extra } else { 0.0 };
-                    let (route, label) = (c.route.clone(), c.label.clone());
-                    programs[c.stream].copy(s, s_off, d, d_off, c.len, route, extra, label);
-                }
-                Node::Record { stream, event } => programs[*stream].record(&self.events[*event]),
-                Node::Wait { stream, event } => programs[*stream].wait_event(&self.events[*event]),
-            }
-        }
-        let mut wakers = Vec::with_capacity(self.ends.len());
-        for end in &self.ends {
-            let done = Waker::new(PATH_DONE.label(&[self.id, replay, end.path_index as u64]));
-            programs[end.stream].signal(&done);
-            programs[end.stream].callback(Box::new(make_tail()));
-            wakers.push(done);
-        }
-        for (stream, program) in self.streams.iter().zip(programs) {
-            stream.submit(program);
-        }
-        Ok(wakers)
-    }
-
-    fn validate(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        dst: &Buffer,
-        dst_off: usize,
-    ) -> Result<(), GraphLaunchError> {
-        if src.device() != self.src_device {
-            return Err(GraphLaunchError::Mismatch("source device"));
-        }
-        if dst.device() != self.dst_device {
-            return Err(GraphLaunchError::Mismatch("destination device"));
-        }
-        if src.len() < src_off + self.n {
-            return Err(GraphLaunchError::Mismatch("source buffer too small"));
-        }
-        if dst.len() < dst_off + self.n {
-            return Err(GraphLaunchError::Mismatch("destination buffer too small"));
-        }
-        // A synthetic-staged graph would silently drop real payload
-        // bytes (and vice versa waste real staging): the storage class
-        // is part of the graph's identity, like in the interpreter.
-        if src.is_synthetic() != self.src_synthetic {
-            return Err(GraphLaunchError::Mismatch("payload storage class"));
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Debug for TransferGraph {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TransferGraph")
-            .field("id", &self.id)
-            .field("n", &self.n)
-            .field("pair", &(self.src_device, self.dst_device))
-            .field("streams", &self.streams.len())
-            .field("events", &self.events.len())
-            .field("ops", &self.nodes.len())
-            .field("paths", &self.ends.len())
-            .field("replays", &self.replays())
-            .field("in_flight", &self.is_in_flight())
-            .finish()
+        let (src, dst) = ((src, src_off), (dst, dst_off));
+        let launched = self
+            .instance
+            .try_launch(&self.schedule, src, dst, copy, notify, last);
+        launched.ok_or(GraphLaunchError::Busy)
     }
 }
 
@@ -547,6 +574,7 @@ mod tests {
                 PATH_DONE.label(&[g, replay, p]).to_string(),
                 format!("g{g}.r{replay}.p{p}")
             );
+            assert_eq!(EVENT.label(&[g, p]).to_string(), format!("g{g}.e{p}"));
         }
         let wide = PATH_DONE.label(&[(1 << 24) + 1, (1 << 32) + 2, 256 + 3]);
         assert_eq!(wide.to_string(), "g1.r2.p3", "wider values wrap");
@@ -574,70 +602,51 @@ mod tests {
             "t.p0".into(),
         );
         g.end_path(s0, 0, 0, half);
-        // Path 1: two chunks staged through `via` on one reused slot.
-        let s1 = g.stream(a);
-        let s2 = g.stream(via);
+        // Path 1: two chunks staged through `via` on one reused slot; the
+        // second chunk's first leg waits until the first has left it.
+        let (s1, s2) = (g.stream(a), g.stream(via));
         let chunk = n - half;
-        let c0 = chunk / 2;
-        let c1 = chunk - c0;
+        let (c0, c1) = (chunk / 2, chunk - chunk / 2);
         let slot = g.staging(via, c0.max(c1));
-        let sync0 = g.event();
-        let sync1 = g.event();
         let freed = g.event();
-        g.copy(
-            s1,
-            GraphBuf::Src,
-            half,
-            slot,
-            0,
-            c0,
-            route(rt, a, via),
-            0.0,
-            true,
-            "t.p1.c0.leg1".into(),
-        );
-        g.record(s1, sync0);
-        g.wait(s2, sync0);
-        g.copy(
-            s2,
-            slot,
-            0,
-            GraphBuf::Dst,
-            half,
-            c0,
-            route(rt, via, b),
-            0.0,
-            false,
-            "t.p1.c0.leg2".into(),
-        );
-        g.record(s2, freed);
-        g.wait(s1, freed);
-        g.copy(
-            s1,
-            GraphBuf::Src,
-            half + c0,
-            slot,
-            0,
-            c1,
-            route(rt, a, via),
-            0.0,
-            false,
-            "t.p1.c1.leg1".into(),
-        );
-        g.record(s1, sync1);
-        g.wait(s2, sync1);
-        g.copy(
-            s2,
-            slot,
-            0,
-            GraphBuf::Dst,
-            half + c0,
-            c1,
-            route(rt, via, b),
-            0.0,
-            false,
-            "t.p1.c1.leg2".into(),
-        );
+        for (c, off, len) in [(0, half, c0), (1, half + c0, c1)] {
+            if c == 1 {
+                g.wait(s1, freed);
+            }
+            let (to_via, from_via) = (route(rt, a, via), route(rt, via, b));
+            let leg1 = format!("t.p1.c{c}.leg1").into();
+            g.copy(
+                s1,
+                GraphBuf::Src,
+                off,
+                slot,
+                0,
+                len,
+                to_via,
+                0.0,
+                c == 0,
+                leg1,
+            );
+            let sync = g.event();
+            g.record(s1, sync);
+            g.wait(s2, sync);
+            let leg2 = format!("t.p1.c{c}.leg2").into();
+            g.copy(
+                s2,
+                slot,
+                0,
+                GraphBuf::Dst,
+                off,
+                len,
+                from_via,
+                0.0,
+                false,
+                leg2,
+            );
+            if c == 0 {
+                g.record(s2, freed);
+            }
+        }
         g.end_path(s2, 1, half, chunk);
         g.finish()
     }
@@ -656,7 +665,6 @@ mod tests {
             assert_eq!(wakers.len(), 2);
             rt.engine().run_until_idle();
             assert!(wakers.iter().all(|w| w.is_signaled()));
-            assert!(!g.is_in_flight());
             assert_eq!(dst.to_vec().unwrap(), data, "replay {round} corrupted data");
         }
         assert_eq!(g.replays(), 3);
@@ -692,7 +700,6 @@ mod tests {
         let src = rt.alloc(gpus[0], n);
         let dst = rt.alloc(gpus[1], n);
         g.launch(&src, 0, &dst, 0, 0.0, &[], None).unwrap();
-        assert!(g.is_in_flight());
         assert_eq!(
             g.launch(&src, 0, &dst, 0, 0.0, &[], None).unwrap_err(),
             GraphLaunchError::Busy
@@ -704,33 +711,46 @@ mod tests {
         assert_eq!(g.replays(), 2);
     }
 
+    /// A launch on buffers the graph was not captured for is a caller bug:
+    /// a synthetic ring would silently drop real bytes.
     #[test]
-    fn mismatched_buffers_are_refused_and_graph_stays_usable() {
+    #[should_panic(expected = "payload storage class")]
+    fn a_launch_on_another_storage_class_panics() {
+        let rt = runtime();
+        let gpus = rt.engine().topology().gpus();
+        let g = staged_graph(&rt, 1 << 16, true);
+        let (real, dst) = (
+            rt.alloc_zeroed(gpus[0], 1 << 16),
+            rt.alloc(gpus[1], 1 << 16),
+        );
+        let _ = g.launch(&real, 0, &dst, 0, 0.0, &[], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "graph/buffer devices")]
+    fn a_launch_from_another_device_panics() {
+        let rt = runtime();
+        let gpus = rt.engine().topology().gpus();
+        let g = staged_graph(&rt, 1 << 16, true);
+        let (wrong, dst) = (rt.alloc(gpus[3], 1 << 16), rt.alloc(gpus[1], 1 << 16));
+        let _ = g.launch(&wrong, 0, &dst, 0, 0.0, &[], None);
+    }
+
+    /// An undersized buffer is refused before the graph is claimed: the
+    /// next launch on buffers that fit runs.
+    #[test]
+    fn an_undersized_buffer_panics_and_leaves_the_graph_idle() {
         let rt = runtime();
         let gpus = rt.engine().topology().gpus();
         let n = 1 << 16;
         let g = staged_graph(&rt, n, true);
-        let src = rt.alloc(gpus[0], n);
-        let dst = rt.alloc(gpus[1], n);
-        // Wrong storage class.
-        let real = rt.alloc_zeroed(gpus[0], n);
-        assert!(matches!(
-            g.launch(&real, 0, &dst, 0, 0.0, &[], None),
-            Err(GraphLaunchError::Mismatch(_))
-        ));
-        // Wrong device.
-        let wrong = rt.alloc(gpus[3], n);
-        assert!(matches!(
-            g.launch(&wrong, 0, &dst, 0, 0.0, &[], None),
-            Err(GraphLaunchError::Mismatch(_))
-        ));
-        // Too small for the offset.
-        assert!(matches!(
-            g.launch(&src, 1, &dst, 0, 0.0, &[], None),
-            Err(GraphLaunchError::Mismatch(_))
-        ));
-        // A refused launch must not leave the graph marked busy.
-        assert!(!g.is_in_flight());
+        let (src, dst) = (rt.alloc(gpus[0], n), rt.alloc(gpus[1], n));
+        let short = rt.alloc(gpus[1], n - 1);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.launch(&src, 0, &short, 0, 0.0, &[], None)
+        }));
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(message, "destination buffer smaller than message");
         g.launch(&src, 0, &dst, 0, 0.0, &[], None).unwrap();
         rt.engine().run_until_idle();
         assert_eq!(g.replays(), 1);

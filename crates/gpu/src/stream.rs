@@ -87,9 +87,9 @@ struct Payload {
 enum Op {
     Copy {
         payload: Payload,
-        /// Shared, not owned: a compiled graph re-enqueues the same
-        /// route/label on every replay, and the flow takes both as they
-        /// are, so neither costs a heap copy anywhere on the way.
+        /// Shared, not owned: a lowering re-enqueues the same route on
+        /// every launch, and the flow takes route and label as they are,
+        /// so neither costs a heap copy anywhere on the way.
         route: Route,
         extra_latency: Secs,
         label: Label,

@@ -133,8 +133,11 @@ enum RouteRepr {
 impl Route {
     /// A route that clones, and starts flows, without allocating.
     pub fn shared(links: &[LinkId]) -> Route {
-        let folded = fold_links(links.iter().map(|l| l.index()));
-        Route(RouteRepr::Shared(links.into(), folded.into()))
+        let folded: Arc<[(usize, f64)]> = match links {
+            [one] => Arc::new([(one.index(), 1.0)]),
+            _ => fold_links(links.iter().map(|l| l.index())).into(),
+        };
+        Route(RouteRepr::Shared(links.into(), folded))
     }
 
     /// The route's links merged into `(link index, multiplicity)`: the

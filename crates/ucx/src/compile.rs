@@ -1,46 +1,42 @@
-//! Lowering a [`TransferPlan`] into a compiled [`TransferGraph`], and the
-//! context's pool of compiled graphs.
+//! One lowering per plan, launched interpreted or replayed.
 //!
-//! [`compile_plan`] lowers from the same chunk walk as
-//! [`crate::pipeline::execute_plan_at_obs`]
-//! ([`crate::pipeline::StagedWalk`]: per-path shares, the `share/k` chunk
-//! split, one staging buffer per staged path with the ring's slots at
-//! offsets in it, a `READY` event per chunk and a `FREED` one only where a
-//! later chunk waits for the slot) into a [`GraphBuilder`] capture instead of
-//! live stream ops. The resulting graph moves bytes bit-identically to
-//! the interpreter (same copies, same offsets, same ordering
-//! constraints); what changes is the *software* cost model: per-op
-//! launch/ε/rendezvous/initiation overheads are stripped, and each
-//! path's first copy carries only the per-replay `first_extra` the
-//! context computes at launch (one graph-launch cost plus the current
-//! IPC handle-open cost). That is the capture → instantiate → replay
-//! split of the follow-up CUDA-Graphs paper.
+//! [`Lowering::new`] is the only walk over a [`TransferPlan`]: the direct
+//! copy, or the [`StagedWalk`] chunk loop of a staged path, into an
+//! [`mpx_gpu::Schedule`] that holds no buffer, stream, event or ring. Each
+//! copy is a tag — its path and its role: direct, or leg 1 / leg 2 of chunk
+//! `c` — from which a launch derives placeholders, offsets, length and the
+//! pair's route, folded once. An interpreted PUT and a replayed one differ
+//! only in what they give [`Schedule::launch`]:
 //!
-//! [`GraphCache`] pools compiled graphs per `(pair, graph key)`, sharded
-//! by pair exactly like the PR-3 plan caches, where the graph key is the
-//! exact byte count below [`SizeClassConfig::exact_below`] and the PR-3
-//! size class above it. A pool holds several instances because one graph
-//! cannot overlap itself (windowed workloads replay the same key
-//! concurrently); lookups that find every instance busy capture another,
-//! up to [`MAX_GRAPHS_PER_KEY`], then fall back to the interpreter. The
-//! same drift signals that purge plans and probed parameters
-//! ([`crate::UcxContext::record_observation`], `recalibrate`) evict the
-//! pair's compiled graphs, so a stale graph can never outlive the plan
-//! it was compiled from.
+//! * [`Lowering::interpret`], the source paper's issue: fresh streams,
+//!   events and rings; `copy_launch` on every copy, `ε` more on a
+//!   forwarding copy, the sequential initiation `copy_launch·i` on each
+//!   path's first copy and rendezvous + IPC open on the first active
+//!   path's; `xfer{seq}` names; a `Transfer` span, residual and latency
+//!   sample when a recorder listens.
+//! * [`Lowering::replay`], the CUDA-Graphs follow-up's replay: an idle
+//!   [`Instance`]'s recycled streams, events and rings; the caller's
+//!   `first_extra` on each path's first copy and nothing else; `g{id}`
+//!   names; a `GraphReplay` span.
+//!
+//! [`GraphCache`] keeps one lowering per `(pair, graph key)`, cleared a
+//! shard at a time at `plans_per_shard` entries like the plan table, for
+//! plans of its shape only (byte count, each path's kind, share and chunk
+//! count). Replay instances hang off it, one set per payload storage class.
 
-use crate::pipeline::StagedWalk;
-use mpx_gpu::{GpuRuntime, GraphBuf, GraphBuilder, TransferGraph};
-use mpx_model::{PairKey, ShardedMap, SizeClassConfig, TransferPlan};
+use crate::pipeline::{PathSlot, StagedWalk, TransferHandle, TransferObs};
+use mpx_gpu::{
+    staging_ring, whole_message, Buffer, GpuRuntime, GraphBuf, GraphCopy, GraphOp, GraphStream,
+    Instance, Schedule,
+};
+use mpx_model::{PairKey, PlannedPath, ShardedMap, SizeClassConfig, TransferPlan};
+use mpx_obs::Phase;
+use mpx_sim::{Ctx, Label, Route, Template, Waker};
 use mpx_topo::path::TransferPath;
-use mpx_topo::DeviceId;
+use mpx_topo::units::Secs;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Compiled-graph instances kept per `(pair, graph key)`. Bounds both
-/// memory (each instance owns a staging ring) and capture churn under
-/// deep transfer windows; beyond it the interpreter takes over.
-pub const MAX_GRAPHS_PER_KEY: usize = 16;
+use std::sync::{Arc, OnceLock};
 
 /// Bit marking a graph-cache key as a size class rather than an exact
 /// byte count (sizes never reach 2^63).
@@ -48,8 +44,8 @@ pub const CLASS_TAG: u64 = 1 << 63;
 
 /// The graph-cache key for an `n`-byte transfer: exact bytes below the
 /// quantization threshold, the PR-3 size class above it — identical to
-/// the plan cache's keying rule, so a plan and its compiled graph always
-/// live and die together.
+/// the plan cache's keying rule, so a plan and its lowering always live
+/// and die together.
 pub fn graph_key(sc: &SizeClassConfig, n: usize) -> u64 {
     if sc.enabled && n >= sc.exact_below {
         CLASS_TAG | u64::from(sc.class_of(n))
@@ -58,181 +54,460 @@ pub fn graph_key(sc: &SizeClassConfig, n: usize) -> u64 {
     }
 }
 
-/// Lowers `plan` over `paths` into a replayable graph: the interpreted
-/// pipeline's structure op for op, from the one chunk walk; see the module
-/// docs for what is deliberately *not* carried over (per-op software
-/// overheads).
-///
-/// # Panics
-/// Panics on plan/path disagreement, like the interpreter.
-pub(crate) fn compile_plan(
-    rt: &GpuRuntime,
-    plan: &TransferPlan,
-    paths: &[TransferPath],
-    src_device: DeviceId,
-    dst_device: DeviceId,
-    src_synthetic: bool,
-) -> TransferGraph {
-    assert_eq!(plan.paths.len(), paths.len(), "plan/path set mismatch");
-    let mut g = GraphBuilder::new(rt, src_device, dst_device, plan.n, src_synthetic);
-    let gid = g.id();
-    let mut offset = 0usize;
-    for (pi, (pp, path)) in plan.paths.iter().zip(paths).enumerate() {
-        if pp.share_bytes == 0 {
-            continue;
+/// What a copy is in its path: it decides the copy's placeholders, name
+/// and software costs.
+#[derive(Clone, Copy)]
+enum Role {
+    /// A direct path's one copy.
+    Direct,
+    /// Chunk `c` into its ring slot.
+    Leg1(u32),
+    /// Chunk `c` out of its ring slot, forwarded once its `READY` fired.
+    Leg2(u32),
+}
+
+/// A lowered copy: the index of its path among the active ones, and its
+/// role.
+type CopyTag = (u32, Role);
+
+/// The names a launch gives its copies, unformatted: direct over (number,
+/// path), leg 1 and leg 2 over (number, path, chunk); the number is an
+/// interpreted PUT's sequence or a replay instance's id.
+type Names = [Template; 3];
+
+/// One name set per prefix, so the two cannot drift apart.
+macro_rules! names {
+    ($prefix:literal) => {
+        [
+            Template(concat!($prefix, "{}.p{}.direct"), &[40, 8]),
+            Template(concat!($prefix, "{}.p{}.c{}.leg1"), &[40, 8, 16]),
+            Template(concat!($prefix, "{}.p{}.c{}.leg2"), &[40, 8, 16]),
+        ]
+    };
+}
+
+static XFER: Names = names!("xfer");
+static GRAPH: Names = names!("g");
+
+/// An interpreted PUT's done-waker per path (sequence, path index) and its
+/// events (sequence, event index); a replay instance names its own.
+static PATH_DONE: Template = Template("xfer{}.p{}", &[40, 8]);
+static EVENT: Template = Template("xfer{}.e{}", &[40, 24]);
+
+impl Role {
+    /// The name of this copy of `path` from `names`, over `number`.
+    fn name(self, names: &'static Names, number: u64, path: usize) -> Label {
+        let path = path as u64;
+        match self {
+            Role::Direct => names[0].label(&[number, path]),
+            Role::Leg1(c) => names[1].label(&[number, path, u64::from(c)]),
+            Role::Leg2(c) => names[2].label(&[number, path, u64::from(c)]),
         }
-        assert_eq!(pp.kind, path.kind, "plan/path kind mismatch at {pi}");
-        let share = pp.share_bytes;
-        match path.legs.len() {
-            1 => {
-                let s = g.stream(src_device);
-                g.copy(
-                    s,
-                    GraphBuf::Src,
-                    offset,
-                    GraphBuf::Dst,
-                    offset,
-                    share,
-                    path.legs[0].route.clone(),
-                    0.0,
-                    true,
-                    format!("g{gid}.p{pi}.direct"),
-                );
-                g.end_path(s, pi, offset, share);
-            }
-            _ => {
+    }
+}
+
+/// One active path of a lowering.
+struct ActivePath {
+    /// The message range it owns.
+    slot: PathSlot,
+    /// Its route in the schedule; a staged path's leg 2 has the next one.
+    route: usize,
+    /// A staged path's chunk walk and ring.
+    walk: Option<(StagedWalk, usize)>,
+}
+
+/// A plan lowered into a [`Schedule`], with what its launches need besides;
+/// see the module docs.
+pub(crate) struct Lowering {
+    schedule: Schedule<CopyTag>,
+    /// The plan a cached lowering serves ([`GraphCache`] sets it).
+    plan: Option<Arc<TransferPlan>>,
+    /// Replay instances made from it: real payloads first, synthetic
+    /// second.
+    instances: [Mutex<Vec<Arc<Instance>>>; 2],
+    /// The pair's routes, every path's legs in order.
+    routes: Arc<Vec<Route>>,
+    /// The active paths, in plan order.
+    paths: Vec<ActivePath>,
+}
+
+impl Lowering {
+    /// Lowers `plan` over `paths`, the candidate set it was computed from
+    /// (same order), whose legs' routes `routes` folds ([`fold_routes`]).
+    ///
+    /// # Panics
+    /// Panics if plan and paths disagree.
+    pub(crate) fn new(
+        plan: &TransferPlan,
+        paths: &[TransferPath],
+        routes: &Arc<Vec<Route>>,
+    ) -> Lowering {
+        assert_eq!(plan.paths.len(), paths.len(), "plan/path set mismatch");
+        // Each active path, its offset and, when staged, its chunk walk —
+        // counted first, so that every vector below has its exact size.
+        let active = || {
+            let mut offset = 0;
+            (plan.paths.iter().zip(paths).enumerate())
+                .filter(|(_, (pp, _))| pp.share_bytes > 0)
+                .map(move |(pi, (pp, path))| {
+                    assert_eq!(pp.kind, path.kind, "plan/path kind mismatch at {pi}");
+                    let slot = PathSlot {
+                        path_index: pi,
+                        offset,
+                        bytes: pp.share_bytes,
+                    };
+                    offset += pp.share_bytes;
+                    let walk = || StagedWalk::new(slot.offset, slot.bytes, pp.chunks);
+                    (slot, path, path.is_staged().then(walk))
+                })
+        };
+        let (mut count, mut staged, mut ops, mut events, mut n) = (0, 0, 0, 0, 0);
+        for (slot, _, walk) in active() {
+            let (live, freed) = walk.map_or((0, 0), |w| (w.live, w.freed_events));
+            (count, n, events) = (count + 1, n + slot.bytes, events + live + freed);
+            staged += usize::from(walk.is_some());
+            ops += walk.map_or(1, |_| 4 * live + 2 * freed);
+        }
+        assert_eq!(n, plan.n, "plan shares do not cover the message");
+        let mut s = Schedule {
+            n,
+            streams: Vec::with_capacity(count + staged),
+            ops: Vec::with_capacity(ops),
+            rings: Vec::with_capacity(staged),
+            events,
+        };
+        let (mut lowered, mut first_event) = (Vec::with_capacity(count), 0);
+        // A path's first route: its legs follow those of every path before it.
+        let legs = |pi: usize| paths[..pi].iter().map(|p| p.legs.len()).sum::<usize>();
+        for (k, (slot, path, walk)) in active().enumerate() {
+            let (k, pi, start) = (k as u32, slot.path_index, s.ops.len());
+            let stream = |device, ops, ends| GraphStream { device, ops, ends };
+            let walk = walk.map(|walk| {
                 let via = path.kind.staging_device().expect("staged path");
-                let s1 = g.stream(src_device);
-                let s2 = g.stream(via);
-                let walk = StagedWalk::new(offset, share, pp.chunks);
-                let ring = g.staging(via, walk.ring_len);
-                let mut freed = Vec::with_capacity(walk.freed_events);
+                s.rings.push((via, walk.ring_len));
+                // The path's events: `READY` of each live chunk, then `FREED`
+                // of each chunk a later one waits on. Leg 1's ops, then leg 2's.
+                let (ready, freed) = (first_event, first_event + walk.live);
                 for ch in walk.chunks() {
                     if let Some(earlier) = ch.waits_freed {
-                        g.wait(s1, freed[earlier]);
+                        s.ops.push(GraphOp::Wait(freed + earlier));
                     }
-                    let c = ch.index;
-                    g.copy(
-                        s1,
-                        GraphBuf::Src,
-                        ch.off,
-                        ring,
-                        ch.slot_off,
-                        ch.len,
-                        path.legs[0].route.clone(),
-                        0.0,
-                        c == 0,
-                        format!("g{gid}.p{pi}.c{c}.leg1"),
-                    );
-                    let ready = g.event();
-                    g.record(s1, ready);
-                    g.wait(s2, ready);
-                    g.copy(
-                        s2,
-                        ring,
-                        ch.slot_off,
-                        GraphBuf::Dst,
-                        ch.off,
-                        ch.len,
-                        path.legs[1].route.clone(),
-                        0.0,
-                        false,
-                        format!("g{gid}.p{pi}.c{c}.leg2"),
-                    );
+                    s.ops.push(GraphOp::Copy((k, Role::Leg1(ch.index as u32))));
+                    s.ops.push(GraphOp::Record(ready + ch.index));
+                }
+                let mid = s.ops.len();
+                for ch in walk.chunks() {
+                    s.ops.push(GraphOp::Wait(ready + ch.index));
+                    s.ops.push(GraphOp::Copy((k, Role::Leg2(ch.index as u32))));
                     if ch.records_freed {
-                        freed.push(g.event());
-                        g.record(s2, freed[c]);
+                        s.ops.push(GraphOp::Record(freed + ch.index));
                     }
                 }
-                g.end_path(s2, pi, offset, share);
+                s.streams.push(stream(path.src, start..mid, None));
+                s.streams.push(stream(via, mid..s.ops.len(), Some(pi)));
+                first_event = freed + walk.freed_events;
+                (walk, s.rings.len() - 1)
+            });
+            if walk.is_none() {
+                s.ops.push(GraphOp::Copy((k, Role::Direct)));
+                s.streams.push(stream(path.src, start..start + 1, Some(pi)));
+            }
+            let route = legs(pi);
+            lowered.push(ActivePath { slot, route, walk });
+        }
+        Lowering {
+            schedule: s,
+            plan: None,
+            instances: Default::default(),
+            routes: routes.clone(),
+            paths: lowered,
+        }
+    }
+
+    /// Copy `(k, role)` as a launch issues it, priced by `price(path, role)`
+    /// and named from `names` over `number`.
+    fn copy(
+        &self,
+        (k, role): CopyTag,
+        price: impl Fn(usize, Role) -> Secs,
+        (names, number): (&'static Names, u64),
+    ) -> GraphCopy {
+        let p = &self.paths[k as usize];
+        let pi = p.slot.path_index;
+        let (src, dst) = (GraphBuf::Src, GraphBuf::Dst);
+        let ((src, dst, len), route) = match (role, p.walk) {
+            (Role::Direct, _) => {
+                let (at, len) = (p.slot.offset, p.slot.bytes);
+                (((src, at), (dst, at), len), p.route)
+            }
+            (Role::Leg1(c) | Role::Leg2(c), Some((walk, ring))) => {
+                let ch = walk.chunk(c as usize);
+                let ring = (GraphBuf::Staging(ring), ch.slot_off);
+                match role {
+                    Role::Leg1(_) => (((src, ch.off), ring, ch.len), p.route),
+                    _ => ((ring, (dst, ch.off), ch.len), p.route + 1),
+                }
+            }
+            _ => unreachable!("a leg copy on a direct path"),
+        };
+        let (route, extra) = (self.routes[route].clone(), price(pi, role));
+        let label = role.name(names, number, pi);
+        GraphCopy {
+            src,
+            dst,
+            len,
+            route,
+            extra,
+            label,
+        }
+    }
+
+    /// The message range of each active path, for a handle.
+    fn slots(&self) -> Vec<PathSlot> {
+        self.paths.iter().map(|p| p.slot).collect()
+    }
+
+    /// Launches an interpreted PUT from `src` into `dst` (each a buffer and
+    /// the message's offset in it) under the source paper's per-copy cost model, on
+    /// streams, events and rings made for it; `notify` fires once the whole
+    /// message has landed, and `obs` (if any) records it.
+    ///
+    /// # Panics
+    /// Panics if either buffer is smaller than its offset plus the message.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn interpret(
+        &self,
+        rt: &GpuRuntime,
+        (src, src_off): (&Buffer, usize),
+        (dst, dst_off): (&Buffer, usize),
+        seq: u64,
+        predicted: Secs,
+        notify: &[Waker],
+        obs: Option<TransferObs>,
+    ) -> TransferHandle {
+        let oh = rt.engine().topology().overheads;
+        // One-time software costs, charged on the first active path's first
+        // copy: rendezvous in the cuda_ipc module plus the IPC handle-open
+        // cost for the importing side.
+        let once = oh.rendezvous + rt.ipc().open_cost(src.device().0, dst.id());
+        let first_path = self.paths.first().map_or(0, |p| p.slot.path_index);
+        let extra = |path: usize, role: Role| {
+            oh.copy_launch
+                + match role {
+                    // The event synchronization cost ε is charged on the
+                    // forwarding copy.
+                    Role::Leg2(_) => oh.stage_sync,
+                    // Sequential initiation: path i's first launch waits
+                    // behind the launches of the paths before it
+                    // (Algorithm 1 line 18).
+                    Role::Direct | Role::Leg1(0) => {
+                        oh.copy_launch * path as f64 + if path == first_path { once } else { 0.0 }
+                    }
+                    _ => 0.0,
+                }
+        };
+        let rings: Vec<Buffer> = (self.schedule.rings.iter())
+            .map(|&(via, len)| staging_ring(rt, via, len, src.is_synthetic()))
+            .collect();
+        let events: Vec<_> = (0..self.schedule.events)
+            .map(|i| rt.event(EVENT.label(&[seq, i as u64])))
+            .collect();
+        // A tail only when somebody listens.
+        let tail = (!notify.is_empty() || obs.is_some()).then(|| {
+            let last = self.record(rt, seq, predicted, obs, Phase::Transfer);
+            whole_message(self.paths.len(), notify, last)
+        });
+        let wakers = self.schedule.launch(
+            (src, src_off),
+            (dst, dst_off),
+            |_, device| rt.stream(device),
+            &events,
+            &rings,
+            |&t| self.copy(t, extra, (&XFER, seq)),
+            |pi| Waker::new(PATH_DONE.label(&[seq, pi as u64])),
+            tail,
+        );
+        TransferHandle::from_parts(wakers, self.slots(), self.schedule.n)
+    }
+
+    /// What the whole-message tail records when `obs` is set: a `phase`
+    /// span from now to completion, and — for a `Transfer`, not a replay —
+    /// the model residual and a latency sample.
+    fn record(
+        &self,
+        rt: &GpuRuntime,
+        seq: u64,
+        predicted: Secs,
+        obs: Option<TransferObs>,
+        phase: Phase,
+    ) -> impl Fn(&mut Ctx<'_>) + Send + Sync + 'static {
+        let (n, issued) = (self.schedule.n, rt.engine().now().as_secs());
+        move |ctx| {
+            let Some(o) = &obs else { return };
+            let end = ctx.now().as_secs();
+            let measured = end - issued;
+            let transfer = phase == Phase::Transfer;
+            let what = if transfer { "" } else { "replay " };
+            o.rec.span(
+                phase,
+                format!("pair:{}", o.pair),
+                format!("{what}xfer{seq} {n}B"),
+                issued,
+                end,
+                format!(
+                    "predicted_us={:.3} measured_us={:.3}",
+                    predicted * 1e6,
+                    measured * 1e6
+                ),
+            );
+            if transfer {
+                o.residual.record(&o.pair, n, predicted, measured);
+                o.hist.observe(measured);
             }
         }
-        offset += share;
     }
-    assert_eq!(offset, plan.n, "plan shares do not cover the message");
-    g.finish()
 }
 
-/// The compiled instances of one `(pair, graph key)`: all captured for
-/// the same byte count and payload storage class.
-pub(crate) struct GraphPool {
-    pub(crate) n: usize,
-    pub(crate) src_synthetic: bool,
-    pub(crate) graphs: Mutex<Vec<Arc<TransferGraph>>>,
+/// The routes of `paths`' legs, folded once ([`Route::shared`]), in path and
+/// leg order.
+pub(crate) fn fold_routes(paths: &[TransferPath]) -> Arc<Vec<Route>> {
+    let legs = paths.iter().flat_map(|p| &p.legs);
+    Arc::new(legs.map(|leg| Route::shared(&leg.route)).collect())
 }
 
-/// Counters of the graph-replay fast path (see
-/// [`crate::UcxContext::graph_stats`]).
+/// Lowers `plan` over `paths` (their legs' routes folded in `routes`) and
+/// launches it interpreted, once: a PUT whose lowering no table keeps.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn interpret_once(
+    rt: &GpuRuntime,
+    plan: &TransferPlan,
+    (paths, routes): (&[TransferPath], &Arc<Vec<Route>>),
+    src: (&Buffer, usize),
+    dst: (&Buffer, usize),
+    seq: u64,
+    notify: &[Waker],
+    obs: Option<TransferObs>,
+) -> TransferHandle {
+    let lowering = Lowering::new(plan, paths, routes);
+    lowering.interpret(rt, src, dst, seq, plan.predicted_time, notify, obs)
+}
+
+impl Lowering {
+    /// Whether this lowering serves `plan`: its own plan, or one of the same
+    /// shape — byte count, and per path kind, share and chunk count.
+    fn serves(&self, plan: &Arc<TransferPlan>) -> bool {
+        let shape = |p: &PlannedPath| (p.kind, p.share_bytes, p.chunks);
+        let Some(own) = &self.plan else { return false };
+        let (old, new) = (&own.paths, &plan.paths);
+        Arc::ptr_eq(own, plan)
+            || own.n == plan.n
+                && old.len() == new.len()
+                && old.iter().zip(new).all(|(a, b)| shape(a) == shape(b))
+    }
+
+    /// Launches a replayed PUT on an idle instance, or on a new one when all
+    /// are busy — `created` hears of a new one once it is launched, with
+    /// its id and the count of its storage class. Each path's first copy pays
+    /// `first_extra`, nothing else is charged. Arguments as
+    /// [`Lowering::interpret`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn replay(
+        &self,
+        rt: &GpuRuntime,
+        src: (&Buffer, usize),
+        dst: (&Buffer, usize),
+        seq: u64,
+        predicted: Secs,
+        first_extra: Secs,
+        notify: &[Waker],
+        mut obs: Option<TransferObs>,
+        created: impl FnOnce(u64, usize),
+    ) -> TransferHandle {
+        // Each path's first copy pays the launch; nothing else does.
+        let price = |_, role| match role {
+            Role::Direct | Role::Leg1(0) => first_extra,
+            _ => 0.0,
+        };
+        let mut launch = |i: &Instance| {
+            let copy = |&t: &CopyTag| self.copy(t, price, (&GRAPH, i.id()));
+            let last = || self.record(rt, seq, predicted, obs.take(), Phase::GraphReplay);
+            i.try_launch(&self.schedule, src, dst, copy, notify, last)
+        };
+        let synthetic = src.0.is_synthetic();
+        let set = &self.instances[usize::from(synthetic)];
+        // Locked only to look an instance up, never across a launch.
+        let mut idle = (0..).map_while(|k| set.lock().get(k).cloned());
+        let wakers = idle.find_map(|i| launch(&i)).unwrap_or_else(|| {
+            // Launched before it is shared: no other launch claims it.
+            let fresh = Arc::new(Instance::new(rt, &self.schedule, synthetic));
+            let wakers = launch(&fresh).expect("a new instance is idle");
+            let (id, mut set) = (fresh.id(), set.lock());
+            set.push(fresh);
+            created(id, set.len());
+            wakers
+        });
+        TransferHandle::from_parts(wakers, self.slots(), self.schedule.n)
+    }
+}
+
+/// Counters of the replay path (see [`crate::UcxContext::graph_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphStats {
-    /// Plans compiled into graphs (pool misses and busy-pool growth).
+    /// Replay instances created: a key's first replay, and every replay
+    /// that found all of its key's instances busy.
     pub captures: u64,
-    /// Transfers executed by graph replay (the first launch after a
-    /// capture counts too).
+    /// Transfers executed by replay.
     pub replays: u64,
-    /// Replay-eligible transfers that ran interpreted anyway (pool at
-    /// capacity with every instance busy, or a shape mismatch).
+    /// Always 0: a busy instance spawns another, and no replay-eligible
+    /// transfer runs interpreted. Kept for the readers of the counters.
     pub fallbacks: u64,
-    /// Drift/recalibration events that evicted compiled graphs.
+    /// Drift/recalibration events that evicted lowerings.
     pub invalidations: u64,
 }
 
-/// Pool of compiled graphs, sharded by pair like every other planning
-/// cache, evicted by the same drift signals.
+/// One lowering per `(pair, graph key)`, sharded by pair like every other
+/// planning table, evicted by the same drift signals.
+#[derive(Default)]
 pub(crate) struct GraphCache {
-    pools: ShardedMap<(PairKey, u64), Arc<GraphPool>>,
+    lowered: ShardedMap<(PairKey, u64), Arc<Lowering>>,
     pub(crate) captures: AtomicU64,
     pub(crate) replays: AtomicU64,
-    pub(crate) fallbacks: AtomicU64,
     invalidations: AtomicU64,
 }
 
 impl GraphCache {
-    pub(crate) fn new() -> GraphCache {
-        GraphCache {
-            pools: ShardedMap::new(),
-            captures: AtomicU64::new(0),
-            replays: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
-    }
-
-    /// The pool for `(pair, key)`, created (or replaced, when the cached
-    /// pool was captured for a different byte count or storage class —
-    /// e.g. a size class revisited at a new realized size) on demand.
-    pub(crate) fn pool(
+    /// The lowering that serves `plan` for `(pair, key)`: the cached one if
+    /// `plan` has its shape, else `plan` lowered over `paths` (routes folded
+    /// on first use), replacing it (a full shard is cleared first).
+    pub(crate) fn lowered(
         &self,
         pair: &PairKey,
         key: u64,
-        n: usize,
-        src_synthetic: bool,
-    ) -> Arc<GraphPool> {
-        let full_key = (*pair, key);
-        if let Some(p) = self.pools.get(pair, &full_key) {
-            if p.n == n && p.src_synthetic == src_synthetic {
-                return p;
-            }
+        plan: &Arc<TransferPlan>,
+        (paths, routes): (&[TransferPath], &OnceLock<Arc<Vec<Route>>>),
+        cap: usize,
+    ) -> Arc<Lowering> {
+        let entry = (*pair, key);
+        if let Some(l) = self.lowered.get(pair, &entry).filter(|l| l.serves(plan)) {
+            return l;
         }
-        let fresh = Arc::new(GraphPool {
-            n,
-            src_synthetic,
-            graphs: Mutex::new(Vec::new()),
-        });
-        self.pools.insert(pair, full_key, fresh.clone());
+        let mut fresh = Lowering::new(plan, paths, routes.get_or_init(|| fold_routes(paths)));
+        fresh.plan = Some(plan.clone());
+        let fresh = Arc::new(fresh);
+        self.lowered.insert_capped(pair, entry, fresh.clone(), cap);
         fresh
     }
 
-    /// Drops every compiled graph of `pair` — one shard, same locking
-    /// discipline as the plan caches' `invalidate_pair`.
+    /// Drops every lowering of `pair` — one shard, same locking discipline
+    /// as the plan caches' `invalidate_pair`.
     pub(crate) fn invalidate_pair(&self, pair: &PairKey) {
-        self.pools.retain_in_shard(pair, |k| k.0 != *pair);
+        self.lowered.retain_in_shard(pair, |k| k.0 != *pair);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops everything (recalibration).
     pub(crate) fn clear(&self) {
-        self.pools.clear();
+        self.lowered.clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -240,7 +515,7 @@ impl GraphCache {
         GraphStats {
             captures: self.captures.load(Ordering::Relaxed),
             replays: self.replays.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
+            fallbacks: 0,
             invalidations: self.invalidations.load(Ordering::Relaxed),
         }
     }
@@ -251,68 +526,72 @@ mod tests {
     use super::*;
     use crate::pipeline::RING_DEPTH;
     use mpx_model::Planner;
-    use mpx_sim::Engine;
     use mpx_topo::path::{enumerate_paths, PathSelection};
     use mpx_topo::presets;
     use mpx_topo::units::MIB;
+    use mpx_topo::DeviceId;
 
+    /// Every template against the `format!` it replaced, over wide values:
+    /// a number up to 2^40, a path up to 255, a chunk or event up to 65 535.
     #[test]
-    fn compiled_graph_matches_interpreter_bit_for_bit() {
-        let topo = Arc::new(presets::beluga());
-        let rt = GpuRuntime::new(Engine::new(topo.clone()));
-        let planner = Planner::new(topo.clone());
-        let gpus = topo.gpus();
-        let sel = PathSelection::THREE_GPUS_WITH_HOST;
-        let n = 8 * MIB + 13;
-        let paths = enumerate_paths(&topo, gpus[0], gpus[1], sel).unwrap();
-        let plan = planner.plan(gpus[0], gpus[1], n, sel).unwrap();
-        let data: Vec<u8> = (0..n).map(|i| (i * 7 % 251) as u8).collect();
-
-        // Interpreted reference.
-        let src = rt.alloc_bytes(gpus[0], data.clone());
-        let dst_i = rt.alloc_zeroed(gpus[1], n);
-        crate::pipeline::execute_plan(&rt, &plan, &paths, &src, &dst_i, 0);
-        rt.engine().run_until_idle();
-
-        // Compiled, replayed twice into separate destinations.
-        let g = compile_plan(&rt, &plan, &paths, gpus[0], gpus[1], false);
-        for _ in 0..2 {
-            let dst_g = rt.alloc_zeroed(gpus[1], n);
-            let w = g.launch(&src, 0, &dst_g, 0, 0.0, &[], None).unwrap();
-            rt.engine().run_until_idle();
-            assert!(w.iter().all(|x| x.is_signaled()));
-            assert_eq!(
-                dst_g.to_vec().unwrap(),
-                dst_i.to_vec().unwrap(),
-                "replayed bytes differ from interpreted bytes"
-            );
-            assert_eq!(dst_g.to_vec().unwrap(), data);
+    fn every_name_renders_as_the_format_it_replaced() {
+        for i in 0..300u64 {
+            let (seq, p, c) = (i * 3_665_038_759 % (1 << 40), i % 256, i * 219 % 65_536);
+            let done = PATH_DONE.label(&[seq, p]).to_string();
+            assert_eq!(done, format!("xfer{seq}.p{p}"));
+            let event = EVENT.label(&[seq, c]).to_string();
+            assert_eq!(event, format!("xfer{seq}.e{c}"));
+            for (names, prefix) in [(&XFER, "xfer"), (&GRAPH, "g")] {
+                let path = format!("{prefix}{seq}.p{p}");
+                let copy = |role: Role| role.name(names, seq, p as usize).to_string();
+                assert_eq!(copy(Role::Direct), format!("{path}.direct"));
+                assert_eq!(copy(Role::Leg1(c as u32)), format!("{path}.c{c}.leg1"));
+                assert_eq!(copy(Role::Leg2(c as u32)), format!("{path}.c{c}.leg2"));
+            }
         }
-        assert_eq!(g.replays(), 2);
     }
 
-    /// What a graph owns is what an interpreted issue would build: one ring
-    /// of at most `RING_DEPTH` chunk-sized slots per staged path, a `READY`
-    /// event per chunk and a `FREED` one only where a later chunk waits on
-    /// it (`finish` refuses an event nobody waits on).
-    #[test]
-    fn a_compiled_graph_owns_the_interpreters_rings_and_events() {
+    fn four_paths(n: usize) -> (TransferPlan, Vec<TransferPath>) {
         let topo = Arc::new(presets::beluga());
-        let rt = GpuRuntime::new(Engine::new(topo.clone()));
-        let gpus = topo.gpus();
-        let sel = PathSelection::THREE_GPUS_WITH_HOST;
+        let (gpus, sel) = (topo.gpus(), PathSelection::THREE_GPUS_WITH_HOST);
         let paths = enumerate_paths(&topo, gpus[0], gpus[1], sel).unwrap();
-        let plan = (Planner::new(topo.clone()).plan(gpus[0], gpus[1], 128 * MIB, sel)).unwrap();
-        let g = compile_plan(&rt, &plan, &paths, gpus[0], gpus[1], true);
+        let plan = Planner::new(topo).plan(gpus[0], gpus[1], n, sel).unwrap();
+        ((*plan).clone(), paths)
+    }
+
+    /// A lowering holds what an issue builds: one ring of at most
+    /// `RING_DEPTH` chunk-sized slots per staged path, a `READY` event per
+    /// chunk and a `FREED` one only where a later chunk waits on it (each
+    /// recorded once and waited on once), one stream per direct path and
+    /// two per staged path — every vector at its exact size.
+    #[test]
+    fn a_lowering_holds_the_rings_events_and_streams_an_issue_needs() {
+        let (plan, paths) = four_paths(128 * MIB);
+        let l = Lowering::new(&plan, &paths, &fold_routes(&paths));
+        let s = &l.schedule;
         let staged = || plan.active_paths().filter(|p| !p.kind.is_direct());
         let ring_bound: usize = staged()
             .map(|p| RING_DEPTH * (p.share_bytes / p.chunks as usize + 1))
             .sum();
-        assert!(g.staging_bytes() > 0 && g.staging_bytes() <= ring_bound);
+        let ring_bytes: usize = s.rings.iter().map(|r| r.1).sum();
+        assert!(ring_bytes > 0 && ring_bytes <= ring_bound);
         let events: usize = staged()
             .map(|p| p.chunks as usize + (p.chunks as usize).saturating_sub(RING_DEPTH))
             .sum();
-        assert_eq!((g.event_count(), events), (46, 46));
+        assert_eq!((s.events, events), (46, 46));
+        assert_eq!(s.streams.len(), 1 + 2 * staged().count());
+        assert_eq!(l.paths.len(), l.paths.capacity());
+        assert_eq!(s.streams.len(), s.streams.capacity());
+        assert_eq!(s.ops.len(), s.ops.capacity());
+        let mut uses = vec![[0, 0]; s.events];
+        for op in &s.ops {
+            match op {
+                GraphOp::Record(e) => uses[*e][0] += 1,
+                GraphOp::Wait(e) => uses[*e][1] += 1,
+                GraphOp::Copy(_) => {}
+            }
+        }
+        assert!(uses.iter().all(|u| *u == [1, 1]), "{uses:?}");
     }
 
     #[test]
@@ -330,19 +609,30 @@ mod tests {
         assert_eq!(graph_key(&off, 16 * MIB), (16 * MIB) as u64);
     }
 
+    /// A key's lowering serves every plan of its shape, whatever the plan
+    /// predicts, and a plan of another shape replaces it.
     #[test]
-    fn pool_is_replaced_when_shape_changes() {
-        let cache = GraphCache::new();
+    fn a_plan_of_another_shape_replaces_the_keys_lowering() {
+        let (plan, paths) = four_paths(32 * MIB);
+        let (cache, routes) = (GraphCache::default(), OnceLock::new());
         let pair: PairKey = (DeviceId(0), DeviceId(1), 2, true);
-        let a = cache.pool(&pair, 42, 1024, true);
-        let b = cache.pool(&pair, 42, 1024, true);
-        assert!(Arc::ptr_eq(&a, &b), "same shape must share the pool");
-        let c = cache.pool(&pair, 42, 2048, true);
-        assert!(!Arc::ptr_eq(&a, &c), "size change must replace the pool");
-        let d = cache.pool(&pair, 42, 2048, false);
-        assert!(
-            !Arc::ptr_eq(&c, &d),
-            "storage-class change must replace the pool"
-        );
+        let lower = |plan: &TransferPlan| {
+            let plan = Arc::new(plan.clone());
+            cache.lowered(&pair, 42, &plan, (&paths, &routes), 512)
+        };
+        let a = lower(&plan);
+        let mut slower = plan.clone();
+        slower.predicted_time *= 2.0;
+        assert!(Arc::ptr_eq(&a, &lower(&slower)), "same shape");
+        let mut direct = plan.clone();
+        direct.paths.iter_mut().for_each(|p| p.share_bytes = 0);
+        direct.paths[0].share_bytes = direct.n;
+        let c = lower(&direct);
+        assert!(!Arc::ptr_eq(&a, &c), "a new shape must re-lower");
+        assert_eq!(c.slots().len(), 1);
+        assert!(Arc::ptr_eq(&c, &lower(&direct)), "and it replaced the old");
+        let mut rechunked = plan.clone();
+        rechunked.paths[1].chunks += 1;
+        assert!(!lower(&rechunked).serves(&Arc::new(plan)));
     }
 }

@@ -7,26 +7,26 @@
 //! a statically tuned table — and hands the resulting configuration to
 //! the pipeline engine (Step 5).
 
-use crate::compile::{compile_plan, graph_key, GraphCache, GraphStats, MAX_GRAPHS_PER_KEY};
+use crate::compile::{fold_routes, graph_key, interpret_once, GraphCache, GraphStats};
 use crate::health::{BreakerEvent, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions};
-use crate::pipeline::{execute_plan_at_obs, PathSlot, TransferHandle, TransferObs};
+use crate::pipeline::{TransferHandle, TransferObs};
 use crate::probe::probe_live;
 use crate::recover::{ResilienceCounters, ResilienceStats};
 use crate::tuner::{manual_plan, tune_exhaustive, TuneResult};
-use mpx_gpu::{Buffer, GpuRuntime, GraphLaunchError, TransferGraph};
+use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::{PairKey, PlanCache, Planner, PlannerConfig, ShardedMap, TransferPlan};
 use mpx_obs::{
     AnomalyEngine, Phase, QuantileHist, Recorder, ResidualReport, ResidualTracker,
     TelemetryRegistry, TriggerClass,
 };
-use mpx_sim::SimThread;
+use mpx_sim::{Route, SimThread};
 use mpx_topo::path::{enumerate_paths_auto, PathSelection, TransferPath};
 use mpx_topo::units::Secs;
 use mpx_topo::{DeviceId, TopologyError};
 use parking_lot::RwLock;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How transfer configurations are chosen (the three systems compared in
 /// Section 5).
@@ -74,14 +74,15 @@ pub struct UcxConfig {
     /// assumes a quiescent fabric; this is the escape hatch when it
     /// isn't.
     pub drift_tolerance: f64,
-    /// Compile plans into replayable transfer graphs and serve repeated
-    /// `(pair, size-class)` PUTs from the graph cache (capture →
-    /// instantiate → replay, after the follow-up CUDA-Graphs paper).
-    /// Off by default: the interpreted pipeline reproduces the source
-    /// paper's per-transfer overhead model bit for bit; replay strips
-    /// the per-op software costs, which is exactly its point. Misses,
-    /// busy pools, and recovery traffic fall back to the interpreter —
-    /// see [`UcxContext::put_replayed`] and `DESIGN.md` §4e.
+    /// Launch every PUT's cached lowering as a replay (capture →
+    /// instantiate → replay, after the follow-up CUDA-Graphs paper)
+    /// instead of interpreted. Off by default: the interpreted launch
+    /// reproduces the source paper's per-transfer overhead model bit for
+    /// bit; a replay charges one launch cost per path instead of the
+    /// per-copy software costs, which is exactly its point. Recovery and
+    /// supervised traffic, and pairs whose replays the health layer
+    /// gates, stay interpreted — see [`UcxContext::put_replayed`] and
+    /// `DESIGN.md` §4e.
     pub graph_replay: bool,
     /// Path-health supervision tunables (circuit breakers, replay
     /// gating, hedging) — see `DESIGN.md` §4f.
@@ -157,6 +158,10 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
+/// A pair's candidate paths, and their legs' routes, folded on the pair's
+/// first lowering: planning alone never needs them.
+type PairPaths = (Arc<Vec<TransferPath>>, Arc<OnceLock<Arc<Vec<Route>>>>);
+
 /// The transport context. Cheap to clone (shared internals).
 #[derive(Clone)]
 pub struct UcxContext {
@@ -167,8 +172,9 @@ struct ContextInner {
     rt: GpuRuntime,
     planner: Planner,
     cfg: UcxConfig,
-    /// Candidate-path enumeration per pair (read-mostly, sharded).
-    paths: ShardedMap<PairKey, Arc<Vec<TransferPath>>>,
+    /// Candidate-path enumeration per pair, with its folded routes
+    /// (read-mostly, sharded).
+    paths: ShardedMap<PairKey, PairPaths>,
     /// Probed-parameter plans, driven through the planner's caching
     /// engine so dynamic planning shares its sharding/quantization logic.
     dynamic: PlanCache,
@@ -179,7 +185,7 @@ struct ContextInner {
     /// exact entry — the env-var-style policy of the engine in [35] that
     /// collectives run under.
     static_shares: RwLock<Option<Vec<f64>>>,
-    /// Compiled transfer graphs, pooled per (pair, size-class key) and
+    /// One lowering per (pair, size-class key), with its replay instances,
     /// evicted by the same drift signals as the plan caches.
     graphs: GraphCache,
     seq: AtomicU64,
@@ -223,7 +229,7 @@ impl UcxContext {
                 probed: ShardedMap::new(),
                 static_plans: ShardedMap::new(),
                 static_shares: RwLock::new(None),
-                graphs: GraphCache::new(),
+                graphs: GraphCache::default(),
                 seq: AtomicU64::new(0),
                 resilience: ResilienceCounters::default(),
                 health: HealthSupervisor::new(cfg.health),
@@ -263,18 +269,26 @@ impl UcxContext {
         dst: DeviceId,
         sel: PathSelection,
     ) -> Result<Arc<Vec<TransferPath>>, TopologyError> {
+        Ok(self.pair_paths(src, dst, sel)?.0)
+    }
+
+    /// A pair's candidate paths, and their legs' routes (folded on first
+    /// use) in path and leg order — what every lowering of the pair shares.
+    pub(crate) fn pair_paths(
+        &self,
+        src: DeviceId,
+        dst: DeviceId,
+        sel: PathSelection,
+    ) -> Result<PairPaths, TopologyError> {
         let key = self.pair_key(src, dst, sel);
         if let Some(p) = self.inner.paths.get(&key, &key) {
             return Ok(p);
         }
-        let paths = Arc::new(enumerate_paths_auto(
-            self.inner.rt.engine().topology(),
-            src,
-            dst,
-            sel,
-        )?);
-        self.inner.paths.insert(&key, key, paths.clone());
-        Ok(paths)
+        let topo = self.inner.rt.engine().topology();
+        let paths = Arc::new(enumerate_paths_auto(topo, src, dst, sel)?);
+        let pair = (paths, Arc::default());
+        self.inner.paths.insert(&key, key, pair.clone());
+        Ok(pair)
     }
 
     /// The effective path selection under the current tuning mode.
@@ -446,7 +460,7 @@ impl UcxContext {
     pub fn recalibrate(&self) {
         self.inner.probed.clear();
         self.inner.dynamic.clear();
-        // Compiled graphs bake in chunk schedules derived from the old
+        // Lowerings bake in chunk schedules derived from the old
         // parameters; drop them wholesale with the plans.
         self.inner.graphs.clear();
     }
@@ -473,8 +487,7 @@ impl UcxContext {
 
     /// Starts an asynchronous `n`-byte PUT of `src[..n]` into `dst[..n]`
     /// (both GPU buffers). Returns immediately. When
-    /// [`UcxConfig::graph_replay`] is on, repeated transfers are served
-    /// by compiled-graph replay transparently.
+    /// [`UcxConfig::graph_replay`] is on, the PUT is replayed.
     pub fn put_async(
         &self,
         src: &Buffer,
@@ -484,22 +497,11 @@ impl UcxContext {
         self.put_inner(src, 0, dst, 0, n, &[], false)
     }
 
-    /// Like [`UcxContext::put_async`], additionally firing every waker in
-    /// `notify` once the whole message has landed — the completion hook
-    /// the MPI layer attaches send/receive requests to.
-    pub fn put_async_notify(
-        &self,
-        src: &Buffer,
-        dst: &Buffer,
-        n: usize,
-        notify: &[mpx_sim::Waker],
-    ) -> Result<TransferHandle, TopologyError> {
-        self.put_inner(src, 0, dst, 0, n, notify, false)
-    }
-
     /// The most general PUT: `n` bytes from `src[src_off..]` into
-    /// `dst[dst_off..]` with whole-message completion wakers. Collectives
-    /// transmit buffer slices through this.
+    /// `dst[dst_off..]`, firing every waker in `notify` once the whole
+    /// message has landed — the completion hook the MPI layer attaches
+    /// send/receive requests to. Collectives transmit buffer slices
+    /// through this.
     #[allow(clippy::too_many_arguments)]
     pub fn put_async_at(
         &self,
@@ -513,13 +515,11 @@ impl UcxContext {
         self.put_inner(src, src_off, dst, dst_off, n, notify, false)
     }
 
-    /// An asynchronous PUT forced through the compiled-graph fast path
-    /// regardless of [`UcxConfig::graph_replay`]: the plan is compiled on
-    /// first use and replayed afterwards. Falls back to the interpreted
-    /// pipeline only when the graph pool is exhausted (every pooled
-    /// instance mid-replay at the [`MAX_GRAPHS_PER_KEY`] cap) or the
-    /// buffers don't fit the captured shape — the transfer itself never
-    /// fails for graph reasons.
+    /// An asynchronous PUT replayed regardless of
+    /// [`UcxConfig::graph_replay`]: the key's cached lowering (lowered
+    /// again if the plan changed shape) launches on an idle replay
+    /// instance, or on a new one when every instance is busy. Only a pair
+    /// the health layer gates runs interpreted.
     pub fn put_replayed(
         &self,
         src: &Buffer,
@@ -529,11 +529,11 @@ impl UcxContext {
         self.put_inner(src, 0, dst, 0, n, &[], true)
     }
 
-    /// Every PUT funnels through here: plan (cached), resolve paths,
-    /// then either replay a compiled graph or interpret the plan.
-    /// The graph path still goes through [`UcxContext::plan_for`], so
-    /// plan-cache counters and drift detection see identical traffic
-    /// whichever executor runs the bytes.
+    /// Every PUT funnels through here: plan (cached), resolve paths, fetch
+    /// the key's lowering (lowering it on a miss or a change of shape),
+    /// then launch it replayed or interpreted. Replays still go through
+    /// [`UcxContext::plan_for`], so plan-cache counters and drift
+    /// detection see identical traffic whichever launch runs the bytes.
     #[allow(clippy::too_many_arguments)]
     fn put_inner(
         &self,
@@ -560,15 +560,15 @@ impl UcxContext {
             // probe): fall through to the normal path.
         }
         let plan = self.plan_for(src.device(), dst.device(), n)?;
-        let paths = self.paths_for(src.device(), dst.device(), self.effective_selection())?;
+        let sel = self.effective_selection();
+        let (paths, routes) = self.pair_paths(src.device(), dst.device(), sel)?;
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        if self.inner.cfg.graph_replay || force_graph {
-            // Breaker-open or drift-gated pairs never serve replays: a
-            // compiled graph would put bytes straight back on the sick
-            // path. `is_quiet` short-circuits the per-pair scan on a
-            // healthy fabric.
-            let replay_ok = !hcfg.enabled || self.inner.health.is_quiet() || {
-                let pair = self.pair_key(src.device(), dst.device(), self.effective_selection());
+        let pair = self.pair_key(src.device(), dst.device(), sel);
+        // Breaker-open or drift-gated pairs never replay: an instance would
+        // put bytes straight back on the sick path. `is_quiet`
+        // short-circuits the per-pair scan on a healthy fabric.
+        let replay = (self.inner.cfg.graph_replay || force_graph)
+            && (!hcfg.enabled || self.inner.health.is_quiet() || {
                 let now = self.inner.rt.engine().now().as_secs();
                 let allowed = self.inner.health.replay_allowed(pair, now);
                 if !allowed {
@@ -576,28 +576,33 @@ impl UcxContext {
                     self.inner.graphs.invalidate_pair(&pair);
                 }
                 allowed
-            };
-            if replay_ok {
-                if let Some(h) =
-                    self.try_replay(&plan, &paths, src, src_off, dst, dst_off, seq, notify)
-                {
-                    return Ok(h);
-                }
-                self.inner.graphs.fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
+            });
+        let key = graph_key(&self.inner.cfg.planner.size_classes, plan.n);
+        let cap = self.inner.cfg.planner.plans_per_shard;
+        let lowered = (self.inner.graphs).lowered(&pair, key, &plan, (&paths, &routes), cap);
+        let (rt, predicted) = (&self.inner.rt, plan.predicted_time);
+        let obs = self.transfer_obs(src.device(), dst.device());
+        let (from, to) = ((src, src_off), (dst, dst_off));
+        if !replay {
+            return Ok(lowered.interpret(rt, from, to, seq, predicted, notify, obs));
         }
-        Ok(execute_plan_at_obs(
-            &self.inner.rt,
-            &plan,
-            &paths,
-            src,
-            src_off,
-            dst,
-            dst_off,
-            seq,
-            notify,
-            self.transfer_obs(src.device(), dst.device()),
-        ))
+        // Per-replay first-copy cost: one graph launch plus whatever the
+        // IPC cache still charges for this destination handle. The per-op
+        // launch/ε/rendezvous/initiation costs of an interpreted launch are
+        // compiled away — that is the point of replay.
+        let oh = rt.engine().topology().overheads;
+        let extra = oh.copy_launch + rt.ipc().open_cost(src.device().0, dst.id());
+        let created = |id: u64, instances: usize| {
+            self.inner.graphs.captures.fetch_add(1, Ordering::Relaxed);
+            if let Some(rec) = &self.inner.obs {
+                let track = format!("pair:{}->{}", src.device(), dst.device());
+                let (name, now) = (format!("capture g{id} {n}B"), rt.engine().now().as_secs());
+                let detail = format!("instances={instances}");
+                rec.instant(Phase::GraphCapture, track, name, now, detail);
+            }
+        };
+        self.inner.graphs.replays.fetch_add(1, Ordering::Relaxed);
+        Ok(lowered.replay(rt, from, to, seq, predicted, extra, notify, obs, created))
     }
 
     /// The supervised planning path, taken only when a breaker is open
@@ -660,152 +665,12 @@ impl UcxContext {
         // survivor plan would outlive the exclusions that shaped it.
         let plan = self.inner.planner.compute(n, &survivors)?;
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let mut h = execute_plan_at_obs(
-            &self.inner.rt,
-            &plan,
-            &survivors,
-            src,
-            src_off,
-            dst,
-            dst_off,
-            seq,
-            notify,
-            self.transfer_obs(src.device(), dst.device()),
-        );
+        let obs = self.transfer_obs(src.device(), dst.device());
+        let (rt, routes) = (&self.inner.rt, fold_routes(&survivors));
+        let (from, to) = ((src, src_off), (dst, dst_off));
+        let mut h = interpret_once(rt, &plan, (&survivors, &routes), from, to, seq, notify, obs);
         h.remap_path_indices(&orig_idx);
         Ok(Some(h))
-    }
-
-    /// The replay fast path: find (or capture) a compiled graph for the
-    /// transfer's (pair, graph key) and launch it. `None` means the
-    /// caller should interpret instead — pool exhausted or shape
-    /// mismatch; never an error.
-    #[allow(clippy::too_many_arguments)]
-    fn try_replay(
-        &self,
-        plan: &TransferPlan,
-        paths: &[TransferPath],
-        src: &Buffer,
-        src_off: usize,
-        dst: &Buffer,
-        dst_off: usize,
-        seq: u64,
-        notify: &[mpx_sim::Waker],
-    ) -> Option<TransferHandle> {
-        let pair = self.pair_key(src.device(), dst.device(), self.effective_selection());
-        let gc = &self.inner.graphs;
-        let key = graph_key(&self.inner.cfg.planner.size_classes, plan.n);
-        let pool = gc.pool(&pair, key, plan.n, src.is_synthetic());
-
-        // Per-replay first-copy cost: one graph launch plus whatever the
-        // IPC cache still charges for this destination handle. The per-op
-        // launch/ε/rendezvous/initiation costs the interpreter would add
-        // were compiled away — that is the point of replay.
-        let oh = self.inner.rt.engine().topology().overheads;
-        let first_extra = oh.copy_launch + self.inner.rt.ipc().open_cost(src.device().0, dst.id());
-
-        // Telemetry tail, rebuilt per launch attempt (FnOnce).
-        let make_hook = || -> Option<mpx_sim::EventFn> {
-            self.inner.obs.as_ref().map(|rec| {
-                let rec = rec.clone();
-                let track = format!("pair:{}->{}", src.device(), dst.device());
-                let issue = self.inner.rt.engine().now().as_secs();
-                let predicted = plan.predicted_time;
-                let n = plan.n;
-                Box::new(move |ctx: &mut mpx_sim::Ctx<'_>| {
-                    let end = ctx.now().as_secs();
-                    rec.span(
-                        Phase::GraphReplay,
-                        track,
-                        format!("replay xfer{seq} {n}B"),
-                        issue,
-                        end,
-                        format!(
-                            "predicted_us={:.3} measured_us={:.3}",
-                            predicted * 1e6,
-                            (end - issue) * 1e6
-                        ),
-                    );
-                }) as mpx_sim::EventFn
-            })
-        };
-        let wrap = |g: &TransferGraph, wakers: Vec<mpx_sim::Waker>| {
-            gc.replays.fetch_add(1, Ordering::Relaxed);
-            let slots = g
-                .ends()
-                .iter()
-                .map(|e| PathSlot {
-                    path_index: e.path_index,
-                    offset: e.offset,
-                    bytes: e.bytes,
-                })
-                .collect();
-            TransferHandle::from_parts(wakers, slots, plan.n)
-        };
-
-        let snapshot: Vec<Arc<TransferGraph>> = pool.graphs.lock().clone();
-        for g in &snapshot {
-            match g.launch(src, src_off, dst, dst_off, first_extra, notify, make_hook()) {
-                Ok(w) => return Some(wrap(g, w)),
-                Err(GraphLaunchError::Busy) => continue,
-                Err(GraphLaunchError::Mismatch(_)) => return None,
-            }
-        }
-        // Every pooled instance is mid-replay (deep transfer windows) or
-        // the pool is empty: capture another, up to the cap.
-        if snapshot.len() >= MAX_GRAPHS_PER_KEY {
-            return None;
-        }
-        let wall = std::time::Instant::now();
-        let g = Arc::new(compile_plan(
-            &self.inner.rt,
-            plan,
-            paths,
-            src.device(),
-            dst.device(),
-            src.is_synthetic(),
-        ));
-        gc.captures.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = &self.inner.obs {
-            rec.instant(
-                Phase::GraphCapture,
-                format!("pair:{}->{}", src.device(), dst.device()),
-                format!("capture g{} {}B", g.id(), plan.n),
-                self.inner.rt.engine().now().as_secs(),
-                format!(
-                    "wall_us={:.1} pool_size={}",
-                    wall.elapsed().as_secs_f64() * 1e6,
-                    snapshot.len() + 1
-                ),
-            );
-        }
-        match g.launch(src, src_off, dst, dst_off, first_extra, notify, make_hook()) {
-            Ok(w) => {
-                pool.graphs.lock().push(g.clone());
-                Some(wrap(&g, w))
-            }
-            // A fresh graph can only be refused on a shape race (the
-            // buffers changed class under us). Interpret this one — and
-            // treat the failed replay as a health signal: gate the
-            // pair's replays for a window and drop its pool.
-            Err(_) => {
-                if self.inner.cfg.health.enabled {
-                    let now = self.inner.rt.engine().now().as_secs();
-                    self.inner.health.suspend_replay(pair, now);
-                    self.inner.graphs.invalidate_pair(&pair);
-                    if let Some(rec) = &self.inner.obs {
-                        rec.instant(
-                            Phase::Health,
-                            format!("pair:{}->{}", src.device(), dst.device()),
-                            "replay-failure",
-                            now,
-                            format!("graph=g{} n={}", g.id(), plan.n),
-                        );
-                    }
-                }
-                None
-            }
-        }
     }
 
     /// Counters of the degradation-aware runtime (retries, re-plans,
@@ -842,8 +707,8 @@ impl UcxContext {
         &self.inner.resilience
     }
 
-    /// Snapshot of the compiled-graph cache counters: captures, replays,
-    /// interpreted fallbacks, and invalidation sweeps.
+    /// Snapshot of the replay counters: instances created, replays, and
+    /// invalidation sweeps (`fallbacks` always reads 0).
     pub fn graph_stats(&self) -> GraphStats {
         self.inner.graphs.stats()
     }
@@ -1125,7 +990,7 @@ impl UcxContext {
     /// Charges one failure against `(pair, path)`. Routes over a down
     /// link trip immediately; anything else accumulates strikes. Breaker
     /// transitions become `breaker.*` instants, and a trip purges the
-    /// pair's compiled-graph pool so no replay revisits the sick path.
+    /// pair's lowerings and their replay instances.
     pub(crate) fn health_path_failure(
         &self,
         pair: PairKey,

@@ -7,8 +7,8 @@
 //! breaker** — the classic Closed → Open → HalfOpen machine. Open
 //! breakers bias planning away from the sick path (the context plans the
 //! residual candidate set through `Planner::plan_excluding` semantics),
-//! gate compiled-graph replay for the pair (a stale graph would put
-//! bytes right back on the sick path), and, after a configurable window,
+//! gate replay for the pair (a replay instance would put bytes right back
+//! on the sick path), and, after a configurable window,
 //! re-admit the path as a *half-open probe* carrying bounded trial
 //! traffic: a few clean completions close the breaker, one more failure
 //! re-opens it.
@@ -24,11 +24,11 @@
 //! The supervisor itself is deliberately free of context plumbing (no
 //! recorder, no engine) so the state machine can be property-tested in
 //! isolation; the context glues breaker events to telemetry instants and
-//! graph-pool purges.
+//! purges of the pair's lowerings.
 
+use crate::compile::{fold_routes, interpret_once};
 use crate::context::UcxContext;
 use crate::deadline::DeadlinePolicy;
-use crate::pipeline::execute_plan_at_obs;
 use crate::probe::probe_live;
 use crate::recover::{coalesce, residuals_of, Range, RecoveryError};
 use mpx_gpu::Buffer;
@@ -89,7 +89,7 @@ pub enum BreakerState {
 }
 
 /// What a breaker did in response to a signal — the context maps these
-/// to `breaker.*` telemetry instants and graph-pool purges.
+/// to `breaker.*` telemetry instants and purges of the pair's lowerings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerEvent {
     /// No transition.
@@ -363,22 +363,7 @@ impl HealthSupervisor {
         gated && !was_gated
     }
 
-    /// Gates replay for the pair on the spot (a replay launch failure is
-    /// as definitive as a dead link).
-    pub fn suspend_replay(&self, pair: PairKey, now: Secs) {
-        let mut map = self.suspects.lock();
-        let d = map.entry(pair).or_insert(Drift {
-            strikes: 0,
-            last_at: now,
-        });
-        if d.strikes < self.cfg.drift_strikes.max(1) {
-            self.gated_pairs.fetch_add(1, Ordering::Relaxed);
-        }
-        d.strikes = d.strikes.max(self.cfg.drift_strikes.max(1));
-        d.last_at = now;
-    }
-
-    /// Whether compiled-graph replay may serve the pair at `now`: no
+    /// Whether replay may serve the pair at `now`: no
     /// non-closed breaker on any of its paths and no active drift
     /// suspicion. An expired suspicion (quiet for a full window) is
     /// forgiven here.
@@ -527,21 +512,13 @@ impl UcxContext {
         let pair_track = format!("pair:{}->{}", src.device(), dst.device());
 
         let plan = self.plan_for(src.device(), dst.device(), n)?;
-        let all_paths = self.paths_for(src.device(), dst.device(), sel)?;
+        let (all_paths, routes) = self.pair_paths(src.device(), dst.device(), sel)?;
         let obs = self.transfer_obs(src.device(), dst.device());
         let seq = self.next_seq();
-        let primary = execute_plan_at_obs(
-            self.runtime(),
-            &plan,
-            &all_paths,
-            src,
-            0,
-            dst,
-            0,
-            seq,
-            &[],
-            obs.clone(),
-        );
+        let routes = routes.get_or_init(|| fold_routes(&all_paths));
+        let set = (&all_paths[..], routes);
+        let (rt, from, to) = (self.runtime(), (src, 0), (dst, 0));
+        let primary = interpret_once(rt, &plan, set, from, to, seq, &[], obs.clone());
         let policy: DeadlinePolicy = hcfg.trigger_policy();
         let trigger = policy.budget(plan.predicted_time);
         let mut report = HedgeReport::default();
@@ -621,6 +598,7 @@ impl UcxContext {
             let params = probe_live(&eng, &hedge_paths)?;
 
             let mut handles = Vec::with_capacity(pending.len());
+            let routes = fold_routes(&hedge_paths);
             let mut worst: Secs = 0.0;
             let mut memo: Option<(usize, Arc<TransferPlan>)> = None;
             let round_bytes: u64 = pending.iter().map(|r| r.bytes as u64).sum();
@@ -638,19 +616,9 @@ impl UcxContext {
                     }
                 };
                 worst = worst.max(hplan.predicted_time);
-                let seq = self.next_seq();
-                let mut h = execute_plan_at_obs(
-                    self.runtime(),
-                    &hplan,
-                    &hedge_paths,
-                    src,
-                    r.offset,
-                    dst,
-                    r.offset,
-                    seq,
-                    &[],
-                    obs.clone(),
-                );
+                let (seq, set) = (self.next_seq(), (&hedge_paths[..], &routes));
+                let (from, to) = ((src, r.offset), (dst, r.offset));
+                let mut h = interpret_once(rt, &hplan, set, from, to, seq, &[], obs.clone());
                 h.remap_path_indices(&orig_idx);
                 handles.push((h, r.offset));
             }
@@ -832,16 +800,6 @@ mod tests {
         // Quiet for a full window: forgiven.
         assert!(sup.replay_allowed(pair(), 1.5));
         assert!(sup.is_quiet());
-    }
-
-    #[test]
-    fn suspend_replay_gates_immediately() {
-        let sup = HealthSupervisor::new(HealthConfig::default());
-        sup.suspend_replay(pair(), 0.0);
-        assert!(!sup.replay_allowed(pair(), 0.1));
-        // A different pair is unaffected.
-        let other = (DeviceId(2), DeviceId(3), 2, true);
-        assert!(sup.replay_allowed(other, 0.1));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod probe;
 pub mod recover;
 pub mod tuner;
 
-pub use compile::{graph_key, GraphStats, CLASS_TAG, MAX_GRAPHS_PER_KEY};
+pub use compile::{graph_key, GraphStats, CLASS_TAG};
 pub use context::{CacheStats, ParamSource, TransferError, TuningMode, UcxConfig, UcxContext};
 pub use deadline::DeadlinePolicy;
 pub use health::{

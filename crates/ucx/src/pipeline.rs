@@ -1,36 +1,29 @@
-//! The multi-path pipeline engine (paper Section 3.4 + Fig. 2(b), after
-//! the engine of reference \[35\]).
+//! The multi-path pipeline (paper Section 3.4 + Fig. 2(b), after the
+//! engine of reference \[35\]): each path's share of a [`TransferPlan`]
+//! moves concurrently —
 //!
-//! Given a [`TransferPlan`], the engine executes each path's share
-//! concurrently:
-//!
-//! * the **direct** path is one asynchronous copy on a stream of the
+//! * the **direct** path as one asynchronous copy on a stream of the
 //!   source GPU;
-//! * each **staged** path runs the three-step chunk loop on two streams —
+//! * each **staged** path through the three-step chunk loop on two streams:
 //!   leg 1 on the source GPU copies chunk `c` into its slot of the path's
 //!   staging ring and records `READY[c]`; leg 2 on the staging device waits
 //!   that event and forwards the chunk. Stream ordering pipelines the
-//!   chunks; the event sync cost `ε` and the per-copy launch cost are
-//!   charged exactly where the model assumes them.
+//!   chunks; a `FREED` event holds leg 1 of chunk `c + RING_DEPTH` until the
+//!   slot is forwarded.
 //!
-//! An issue builds only what the transfer needs ([`StagedWalk`] is the
-//! arithmetic, shared with the graph compiler): one [`Program`] per stream,
-//! of its exact length, submitted leg 1 before leg 2 in plan order; one
-//! staging buffer per staged path, `min(RING_DEPTH, k)` slots in it; and,
-//! beside the `READY` events, a `FREED[c]` event only where chunk
-//! `c + RING_DEPTH` exists to wait for the slot.
-//!
-//! The engine never blocks: it returns a [`TransferHandle`] whose wakers
-//! fire as paths drain. Rank threads wait on it; callback-structured
-//! tests drain the engine instead.
+//! This module holds the arithmetic of that loop ([`StagedWalk`]) and the
+//! [`TransferHandle`] a launch returns without blocking, whose wakers fire
+//! as paths drain. Turning a plan into stream programs is
+//! [`crate::compile`]'s; [`execute_plan`] lowers, then launches interpreted.
 
-use mpx_gpu::{Buffer, GpuRuntime, Program};
+use crate::compile::{fold_routes, interpret_once};
+use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::TransferPlan;
-use mpx_obs::{Phase, QuantileHist, Recorder, ResidualTracker};
-use mpx_sim::{Route, SimTime, Template, Waker};
+use mpx_obs::{QuantileHist, Recorder, ResidualTracker};
+use mpx_sim::{SimTime, Waker};
 use mpx_topo::path::TransferPath;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Telemetry attached to one transfer by the context: whole-message
@@ -180,10 +173,7 @@ impl TransferHandle {
         }
     }
 
-    /// Assembles a handle from per-path wakers and their message ranges —
-    /// how the graph-replay fast path wraps a
-    /// [`mpx_gpu::TransferGraph::launch`] so callers see the same handle
-    /// either way.
+    /// Assembles a handle from per-path wakers and their message ranges.
     pub(crate) fn from_parts(
         wakers: Vec<Waker>,
         slots: Vec<PathSlot>,
@@ -199,7 +189,8 @@ impl TransferHandle {
     }
 }
 
-/// Executes `plan` moving `src → dst`, returning immediately.
+/// Executes `plan` moving `src → dst`, returning immediately: lowers it,
+/// then launches it interpreted.
 ///
 /// `paths` must be the candidate set the plan was computed from (same
 /// order). `transfer_seq` tags trace labels so overlapping transfers can
@@ -216,18 +207,10 @@ pub fn execute_plan(
     dst: &Buffer,
     transfer_seq: u64,
 ) -> TransferHandle {
-    execute_plan_at_obs(rt, plan, paths, src, 0, dst, 0, transfer_seq, &[], None)
+    let routes = fold_routes(paths);
+    let (set, from, to) = ((paths, &routes), (src, 0), (dst, 0));
+    interpret_once(rt, plan, set, from, to, transfer_seq, &[], None)
 }
-
-/// Names a PUT hands out unformatted, over (transfer sequence, path index,
-/// chunk index): a path's done-waker, its direct copy, a chunk's two legs
-/// and its two events (staged and ready to forward, slot freed).
-static PATH_DONE: Template = Template("xfer{}.p{}", &[40, 8]);
-static DIRECT: Template = Template("xfer{}.p{}.direct", &[40, 8]);
-static LEG1: Template = Template("xfer{}.p{}.c{}.leg1", &[40, 8, 16]);
-static LEG2: Template = Template("xfer{}.p{}.c{}.leg2", &[40, 8, 16]);
-static READY: Template = Template("xfer{}.p{}.c{}", &[40, 8, 16]);
-static FREED: Template = Template("xfer{}.p{}.c{}.freed", &[40, 8, 16]);
 
 /// Staging slots available per path, all in one buffer: chunk `c` stages
 /// through bytes `[(c % depth)·slot_len ..][..len]` of it, and its first
@@ -238,8 +221,8 @@ static FREED: Template = Template("xfer{}.p{}.c{}.freed", &[40, 8, 16]);
 pub const RING_DEPTH: usize = 4;
 
 /// The chunk walk of one staged path: how its share splits into chunks and
-/// where each one sits in the message and in the path's staging ring. The
-/// interpreter and [`crate::compile::compile_plan`] both lower from it.
+/// where each one sits in the message and in the path's staging ring —
+/// what [`crate::compile`]'s lowering walks.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StagedWalk {
     offset: usize,
@@ -290,212 +273,20 @@ impl StagedWalk {
         }
     }
 
-    pub(crate) fn chunks(self) -> impl Iterator<Item = Chunk> {
-        (0..self.live).map(move |c| Chunk {
+    /// Chunk `c` of `0..live`.
+    pub(crate) fn chunk(self, c: usize) -> Chunk {
+        Chunk {
             index: c,
             off: self.offset + c * self.base + c.min(self.rem),
             len: self.base + usize::from(c < self.rem),
             slot_off: c % self.depth * self.slot_len,
             waits_freed: c.checked_sub(RING_DEPTH),
             records_freed: c + RING_DEPTH < self.live,
-        })
-    }
-}
-
-/// The general form: moves `plan.n` bytes from `src[src_off..]` into
-/// `dst[dst_off..]` (sub-range sends are how collectives transmit buffer
-/// slices), firing `notify` when the whole message has landed, with
-/// optional per-transfer telemetry (what the context passes when a
-/// recorder is installed on the engine).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_plan_at_obs(
-    rt: &GpuRuntime,
-    plan: &TransferPlan,
-    paths: &[TransferPath],
-    src: &Buffer,
-    src_off: usize,
-    dst: &Buffer,
-    dst_off: usize,
-    transfer_seq: u64,
-    notify: &[Waker],
-    obs: Option<TransferObs>,
-) -> TransferHandle {
-    assert_eq!(plan.paths.len(), paths.len(), "plan/path set mismatch");
-    assert!(
-        src.len() >= src_off + plan.n,
-        "source buffer smaller than message"
-    );
-    assert!(
-        dst.len() >= dst_off + plan.n,
-        "destination buffer smaller than message"
-    );
-
-    let oh = rt.engine().topology().overheads;
-    let synthetic = src.is_synthetic();
-    let mut wakers = Vec::new();
-    let mut slots = Vec::new();
-    let mut offset = 0usize;
-
-    // One-time software costs, charged on the direct path's first copy:
-    // rendezvous in the cuda_ipc module plus the IPC handle-open cost for
-    // the importing side.
-    let ipc_cost = rt.ipc().open_cost(src.device().0, dst.id());
-    let mut one_time = oh.rendezvous + ipc_cost;
-
-    // The tail closure fires once per active path; the last one signals
-    // the whole-message wakers and (when telemetry is attached) records
-    // the transfer span and its model residual.
-    // What it reads is built once and shared by every path's copy, and not
-    // at all when nobody listens.
-    let tail_state = (!notify.is_empty() || obs.is_some()).then(|| {
-        let (active, issued) = (plan.active_path_count(), rt.engine().now().as_secs());
-        Arc::new((AtomicUsize::new(active), obs, notify.to_vec(), issued))
-    });
-    let predicted = plan.predicted_time;
-    let n_total = plan.n;
-    let make_tail = || -> Option<mpx_sim::EventFn> {
-        let tail_state = tail_state.clone()?;
-        Some(Box::new(move |ctx| {
-            let (remaining, obs, notify, issue_secs) = &*tail_state;
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                for w in notify {
-                    ctx.signal(w);
-                }
-                if let Some(o) = obs {
-                    let end = ctx.now().as_secs();
-                    let measured = end - *issue_secs;
-                    o.rec.span(
-                        Phase::Transfer,
-                        format!("pair:{}", o.pair),
-                        format!("xfer{transfer_seq} {n_total}B"),
-                        *issue_secs,
-                        end,
-                        format!(
-                            "predicted_us={:.3} measured_us={:.3}",
-                            predicted * 1e6,
-                            measured * 1e6
-                        ),
-                    );
-                    o.residual.record(&o.pair, n_total, predicted, measured);
-                    o.hist.observe(measured);
-                }
-            }
-        }))
-    };
-
-    for (pi, (pp, path)) in plan.paths.iter().zip(paths).enumerate() {
-        if pp.share_bytes == 0 {
-            continue;
         }
-        assert_eq!(pp.kind, path.kind, "plan/path kind mismatch at {pi}");
-        let share = pp.share_bytes;
-        let done = Waker::new(PATH_DONE.label(&[transfer_seq, pi as u64]));
-
-        // Sequential initiation: path i's first launch waits behind the
-        // launches of the paths before it (Algorithm 1 line 18).
-        let initiation = oh.copy_launch * pi as f64 + std::mem::take(&mut one_time);
-
-        // Each arm leaves the program that ends the path, and its device.
-        let tail = make_tail();
-        let tail_ops = 1 + usize::from(tail.is_some());
-        let (device, mut last) = match path.legs.len() {
-            1 => {
-                // Direct: a single copy over the direct route.
-                let mut direct = Program::with_capacity(1 + tail_ops);
-                direct.copy(
-                    src,
-                    src_off + offset,
-                    dst,
-                    dst_off + offset,
-                    share,
-                    path.legs[0].route.clone(),
-                    oh.copy_launch + initiation,
-                    DIRECT.label(&[transfer_seq, pi as u64]),
-                );
-                (src.device(), direct)
-            }
-            _ => {
-                let via = path.kind.staging_device().expect("staged path");
-                let walk = StagedWalk::new(offset, share, pp.chunks);
-                // Folded once per leg; each chunk's copy, and its flow,
-                // share it by reference count.
-                let route1 = Route::shared(&path.legs[0].route);
-                let route2 = Route::shared(&path.legs[1].route);
-                // Staging memory is RING_DEPTH × chunk regardless of
-                // message size. It comes recycled and unzeroed: leg 2 of a
-                // chunk forwards exactly the bytes its leg 1 just wrote.
-                let ring = if synthetic {
-                    rt.alloc(via, walk.ring_len)
-                } else {
-                    rt.alloc_staging(via, walk.ring_len)
-                };
-                // One program per leg, each of its exact length.
-                let ops = 2 * walk.live + walk.freed_events;
-                let mut leg1 = Program::with_capacity(ops);
-                let mut leg2 = Program::with_capacity(ops + tail_ops);
-                let mut freed = Vec::with_capacity(walk.freed_events);
-                for ch in walk.chunks() {
-                    if let Some(earlier) = ch.waits_freed {
-                        leg1.wait_event(&freed[earlier]);
-                    }
-                    let first_extra = if ch.index == 0 { initiation } else { 0.0 };
-                    let chunk = [transfer_seq, pi as u64, ch.index as u64];
-                    leg1.copy(
-                        src,
-                        src_off + ch.off,
-                        &ring,
-                        ch.slot_off,
-                        ch.len,
-                        route1.clone(),
-                        oh.copy_launch + first_extra,
-                        LEG1.label(&chunk),
-                    );
-                    let ready = rt.event(READY.label(&chunk));
-                    leg1.record(&ready);
-                    leg2.wait_event(&ready);
-                    // The event synchronization cost ε is charged on the
-                    // forwarding copy.
-                    leg2.copy(
-                        &ring,
-                        ch.slot_off,
-                        dst,
-                        dst_off + ch.off,
-                        ch.len,
-                        route2.clone(),
-                        oh.copy_launch + oh.stage_sync,
-                        LEG2.label(&chunk),
-                    );
-                    if ch.records_freed {
-                        freed.push(rt.event(FREED.label(&chunk)));
-                        leg2.record(&freed[ch.index]);
-                    }
-                }
-                // Leg 1 before leg 2: its first copy starts a flow on the
-                // spot, in plan order; leg 2 parks on the first `READY`.
-                rt.stream(src.device()).submit(leg1);
-                (via, leg2)
-            }
-        };
-        last.signal(&done);
-        if let Some(tail) = tail {
-            last.callback(tail);
-        }
-        rt.stream(device).submit(last);
-        wakers.push(done);
-        slots.push(PathSlot {
-            path_index: pi,
-            offset,
-            bytes: share,
-        });
-        offset += share;
     }
-    assert_eq!(offset, plan.n, "plan shares do not cover the message");
-    let drained = wakers.iter().map(|_| AtomicBool::new(false)).collect();
-    TransferHandle {
-        wakers,
-        slots,
-        drained,
-        bytes: plan.n,
+
+    pub(crate) fn chunks(self) -> impl Iterator<Item = Chunk> {
+        (0..self.live).map(move |c| self.chunk(c))
     }
 }
 
@@ -508,24 +299,6 @@ mod tests {
     use mpx_topo::presets;
     use mpx_topo::units::MIB;
     use std::sync::Arc;
-
-    #[test]
-    fn every_name_renders_as_the_format_it_replaced() {
-        for i in 0..300u64 {
-            let (seq, p, c) = (i * 3_665_038_759 % (1 << 40), i % 256, i * 219 % 65_536);
-            let (path, chunk) = ([seq, p], [seq, p, c]);
-            let xfer = format!("xfer{seq}.p{p}");
-            assert_eq!(PATH_DONE.label(&path).to_string(), xfer);
-            assert_eq!(DIRECT.label(&path).to_string(), format!("{xfer}.direct"));
-            assert_eq!(LEG1.label(&chunk).to_string(), format!("{xfer}.c{c}.leg1"));
-            assert_eq!(LEG2.label(&chunk).to_string(), format!("{xfer}.c{c}.leg2"));
-            assert_eq!(READY.label(&chunk).to_string(), format!("{xfer}.c{c}"));
-            assert_eq!(
-                FREED.label(&chunk).to_string(),
-                format!("{xfer}.c{c}.freed")
-            );
-        }
-    }
 
     fn setup(topo: mpx_topo::Topology) -> (GpuRuntime, Planner) {
         let topo = Arc::new(topo);

@@ -17,9 +17,10 @@
 //! the residual transfer is again optimal for the degraded fabric, down
 //! to a single surviving path.
 
+use crate::compile::{fold_routes, interpret_once};
 use crate::context::UcxContext;
 use crate::deadline::DeadlinePolicy;
-use crate::pipeline::{execute_plan_at_obs, TransferHandle};
+use crate::pipeline::TransferHandle;
 use crate::probe::probe_live;
 use mpx_gpu::Buffer;
 use mpx_model::TransferPlan;
@@ -236,7 +237,8 @@ impl UcxContext {
         // Attempt 0: the normal cached plan over the full candidate set.
         let plan = self.plan_for(src.device(), dst.device(), n)?;
         let pair = self.pair_key(src.device(), dst.device(), self.effective_selection());
-        let all_paths = self.paths_for(src.device(), dst.device(), self.effective_selection())?;
+        let (all_paths, routes) =
+            self.pair_paths(src.device(), dst.device(), self.effective_selection())?;
         report.final_paths = all_paths.len();
         let seq = self.next_seq();
         // Jitter state: the config seed mixed with this transfer's
@@ -245,18 +247,10 @@ impl UcxContext {
         let mut jitter_state = (rcfg.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
         let obs = self.transfer_obs(src.device(), dst.device());
         let pair_track = format!("pair:{}->{}", src.device(), dst.device());
-        let h = execute_plan_at_obs(
-            self.runtime(),
-            &plan,
-            &all_paths,
-            src,
-            0,
-            dst,
-            0,
-            seq,
-            &[],
-            obs.clone(),
-        );
+        let routes = routes.get_or_init(|| fold_routes(&all_paths));
+        let set = (&all_paths[..], routes);
+        let (rt, from, to) = (self.runtime(), (src, 0), (dst, 0));
+        let h = interpret_once(rt, &plan, set, from, to, seq, &[], obs.clone());
         let deadline = DeadlinePolicy::new(slack, rcfg.min_deadline)
             .deadline(thread.now(), plan.predicted_time);
         let mut pending: Vec<Range> = match h.wait_deadline(thread, deadline) {
@@ -357,6 +351,7 @@ impl UcxContext {
             // equal-size ranges are the common case — reuse the last
             // solve instead of re-running the share system per range.
             let mut handles: Vec<(TransferHandle, usize)> = Vec::with_capacity(pending.len());
+            let routes = fold_routes(&survivors);
             let mut worst: Secs = 0.0;
             let mut memo: Option<(usize, Arc<TransferPlan>)> = None;
             for r in &pending {
@@ -376,19 +371,9 @@ impl UcxContext {
                 };
                 worst = worst.max(plan.predicted_time);
                 report.recovered_bytes += r.bytes as u64;
-                let seq = self.next_seq();
-                let mut h = execute_plan_at_obs(
-                    self.runtime(),
-                    &plan,
-                    &survivors,
-                    src,
-                    r.offset,
-                    dst,
-                    r.offset,
-                    seq,
-                    &[],
-                    obs.clone(),
-                );
+                let (seq, set) = (self.next_seq(), (&survivors[..], &routes));
+                let (from, to) = ((src, r.offset), (dst, r.offset));
+                let mut h = interpret_once(rt, &plan, set, from, to, seq, &[], obs.clone());
                 h.remap_path_indices(&orig_idx);
                 handles.push((h, r.offset));
             }

@@ -12,12 +12,12 @@
 //! the **observed optimum** against which model-prediction error is
 //! reported (Figures 5/6's error metric).
 
-use crate::pipeline::execute_plan;
+use crate::compile::{fold_routes, Lowering};
 use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::{
     chunk_count, quantize_shares, PipelineMode, PlannedPath, PlannerConfig, TransferPlan,
 };
-use mpx_sim::Engine;
+use mpx_sim::{Engine, Route};
 use mpx_topo::params::extract_all;
 use mpx_topo::path::{enumerate_paths_auto, PathSelection, TransferPath};
 use mpx_topo::units::{Bandwidth, Secs};
@@ -124,64 +124,65 @@ pub struct TuneResult {
 
 /// Measures one candidate plan: one warmup transfer (absorbing one-time
 /// IPC-handle costs, as OMB's warmup iterations do) followed by one timed
-/// `src → dst` transfer on a fresh simulation of `topo`. Returns
-/// bandwidth in bytes/s.
+/// `src → dst` transfer, over `paths` of that pair, on a fresh simulation
+/// of `topo`. Returns bandwidth in bytes/s.
 pub fn measure_plan(
     topo: &Arc<Topology>,
     plan: &TransferPlan,
     paths: &[TransferPath],
-    src_dev: DeviceId,
-    dst_dev: DeviceId,
+    src: DeviceId,
+    dst: DeviceId,
 ) -> Bandwidth {
-    let rt = GpuRuntime::new(Engine::new(topo.clone()));
-    let src = rt.alloc(src_dev, plan.n);
-    let dst = rt.alloc(dst_dev, plan.n);
-    execute_plan(&rt, plan, paths, &src, &dst, 0);
-    rt.engine().run_until_idle();
-    let t0 = rt.engine().now();
-    let h = execute_plan(&rt, plan, paths, &src, &dst, 1);
-    rt.engine().run_until_idle();
-    debug_assert!(h.is_complete());
-    plan.n as f64 / rt.engine().now().secs_since(t0)
+    let pair = (paths[0].src, paths[0].dst);
+    assert_eq!(pair, (src, dst), "path/device mismatch");
+    WarmSim::new(topo, paths, plan.n).measure(plan)
 }
 
-/// One simulator for many candidates of the same `(src, dst, n)`: the first
-/// runs twice (its first run is [`measure_plan`]'s warm-up, opening the IPC
-/// handle), every later one is a single transfer on the idle engine. Time
-/// is integer nanoseconds and durations are rounded up before they are
-/// added, so a transfer started at `t0` on an idle fabric is a translation
-/// of the one started at 0: bandwidths are bit-identical to `measure_plan`'s.
-struct WarmSim {
+/// One simulator for many candidates of the same `n` over one path set,
+/// whose routes it folds once: the first candidate runs twice (its first
+/// run is the warm-up, opening the IPC handle), every later one is a single
+/// transfer on the idle engine. Time is integer nanoseconds and durations
+/// are rounded up before they are added, so a transfer started at `t0` on
+/// an idle fabric is a translation of the one started at 0: bandwidths are
+/// bit-identical to a fresh simulator's.
+struct WarmSim<'a> {
     rt: GpuRuntime,
     src: Buffer,
     dst: Buffer,
+    paths: &'a [TransferPath],
+    routes: Arc<Vec<Route>>,
     transfers: u64,
 }
 
-impl WarmSim {
-    fn new(topo: &Arc<Topology>, src: DeviceId, dst: DeviceId, n: usize) -> WarmSim {
+impl<'a> WarmSim<'a> {
+    fn new(topo: &Arc<Topology>, paths: &'a [TransferPath], n: usize) -> WarmSim<'a> {
         let rt = GpuRuntime::new(Engine::new(topo.clone()));
-        let (src, dst) = (rt.alloc(src, n), rt.alloc(dst, n));
+        let (src, dst) = (rt.alloc(paths[0].src, n), rt.alloc(paths[0].dst, n));
         WarmSim {
             rt,
             src,
             dst,
+            paths,
+            routes: fold_routes(paths),
             transfers: 0,
         }
     }
 
-    fn measure(&mut self, plan: &TransferPlan, paths: &[TransferPath]) -> Bandwidth {
+    /// `plan`'s bandwidth; `plan` is computed over the simulator's paths.
+    fn measure(&mut self, plan: &TransferPlan) -> Bandwidth {
+        let lowering = Lowering::new(plan, self.paths, &self.routes);
         if self.transfers == 0 {
-            self.run(plan, paths);
+            self.run(plan, &lowering);
         }
-        plan.n as f64 / self.run(plan, paths)
+        plan.n as f64 / self.run(plan, &lowering)
     }
 
-    /// Runs one transfer to completion and returns its simulated duration.
-    fn run(&mut self, plan: &TransferPlan, paths: &[TransferPath]) -> Secs {
+    /// Runs `plan`, lowered, to completion; returns its simulated duration.
+    fn run(&mut self, plan: &TransferPlan, lowering: &Lowering) -> Secs {
         let eng = self.rt.engine();
         let t0 = eng.now();
-        let h = execute_plan(&self.rt, plan, paths, &self.src, &self.dst, self.transfers);
+        let (src, dst, seq) = ((&self.src, 0), (&self.dst, 0), self.transfers);
+        let h = lowering.interpret(&self.rt, src, dst, seq, plan.predicted_time, &[], None);
         self.transfers += 1;
         eng.run_until_idle();
         // A stuck candidate would leak its flows into the next measurement.
@@ -234,7 +235,7 @@ pub fn tune_exhaustive(
     #[cfg(not(test))]
     let pruned = true;
     let mut simulated = 0usize;
-    let mut sim = WarmSim::new(topo, src, dst, n);
+    let mut sim = WarmSim::new(topo, &paths, n);
     // Keyed by the realised plan: distinct share vectors quantise to the
     // same one, and refinement revisits points after every restart.
     let mut memo: HashMap<Vec<(usize, u32)>, Bandwidth> = HashMap::new();
@@ -254,7 +255,7 @@ pub fn tune_exhaustive(
             }
         }
         simulated += 1;
-        let bw = sim.measure(plan, &paths);
+        let bw = sim.measure(plan);
         memo.insert(key, bw);
         Some(bw)
     };
@@ -407,10 +408,10 @@ mod tests {
             for n in [2 * MIB, 16 * MIB, 128 * MIB] {
                 for (label, sel) in PathSelection::paper_grid() {
                     let paths = enumerate_paths_auto(&topo, gpus[0], gpus[1], sel).unwrap();
-                    let mut sim = WarmSim::new(&topo, gpus[0], gpus[1], n);
+                    let mut sim = WarmSim::new(&topo, &paths, n);
                     for shares in share_grid(paths.len(), 8) {
                         let plan = manual_plan(&topo, &paths, n, &shares, &cfg).unwrap();
-                        let warm = sim.measure(&plan, &paths);
+                        let warm = sim.measure(&plan);
                         let fresh = measure_plan(&topo, &plan, &paths, gpus[0], gpus[1]);
                         assert_eq!(
                             warm.to_bits(),
@@ -431,12 +432,12 @@ mod tests {
         let gpus = topo.gpus();
         let paths = enumerate_paths(&topo, gpus[0], gpus[1], PathSelection::TWO_GPUS).unwrap();
         let plan = manual_plan(&topo, &paths, MIB, &[0.5, 0.5], &PlannerConfig::default()).unwrap();
-        let mut sim = WarmSim::new(&topo, gpus[0], gpus[1], MIB);
+        let mut sim = WarmSim::new(&topo, &paths, MIB);
         // The direct link is dead: the direct share stalls forever, and a
         // release build must notice too.
         let direct = paths[0].legs[0].route[0];
         sim.rt.engine().set_link_down(direct);
-        sim.measure(&plan, &paths);
+        sim.measure(&plan);
     }
 
     /// The pruned search against its oracle — the same function with the
