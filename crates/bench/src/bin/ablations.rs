@@ -176,12 +176,12 @@ fn main() {
                     ..UcxConfig::default()
                 },
             );
-            let times = world.run(4, move |r| {
+            let times = world.run_tasks(4, |r| async move {
                 let buf = r.alloc(n);
-                r.barrier();
+                r.barrier().await;
                 let t0 = r.now();
                 for _ in 0..2 {
-                    allreduce_knomial(&r, &buf, n, mpx_gpu::ReduceOp::Sum, radix);
+                    allreduce_knomial(&r, &buf, n, mpx_gpu::ReduceOp::Sum, radix).await;
                 }
                 r.now().secs_since(t0) / 2.0
             });

@@ -310,13 +310,24 @@ impl Stream {
     /// Blocks the calling simulated thread until every op enqueued so far
     /// has retired.
     pub fn synchronize(&self, thread: &mpx_sim::SimThread) {
+        thread.wait(&self.sync_waker());
+    }
+
+    /// [`Stream::synchronize`] for a task: completes once every op
+    /// enqueued before the call has retired.
+    pub async fn synchronize_async(&self) {
+        mpx_sim::task::wait(&self.sync_waker()).await;
+    }
+
+    /// Enqueues the signal a synchronize waits on.
+    fn sync_waker(&self) -> Waker {
         // A stream the runtime numbered; any other lends its own name.
         let w = Waker::new(match self.inner.name {
             Label::Numbered(t, n) if std::ptr::eq(t, &STREAM) => Label::Numbered(&STREAM_SYNC, n),
             ref name => name.clone(),
         });
         self.signal(&w);
-        thread.wait(&w);
+        w
     }
 
     fn enqueue(&self, op: Op) {

@@ -11,7 +11,7 @@ use crate::world::Rank;
 /// # Panics
 /// Panics if the world size is not a power of two (use
 /// [`allgather_ring`] there).
-pub fn allgather_recursive_doubling(r: &Rank, buf: &mpx_gpu::Buffer, block: usize) {
+pub async fn allgather_recursive_doubling(r: &Rank, buf: &mpx_gpu::Buffer, block: usize) {
     let p = r.size;
     assert!(p.is_power_of_two(), "recursive doubling needs 2^k ranks");
     assert!(buf.len() >= p * block, "buffer smaller than size*block");
@@ -35,7 +35,8 @@ pub fn allgather_recursive_doubling(r: &Rank, buf: &mpx_gpu::Buffer, block: usiz
             group * block,
             partner,
             TAG + round,
-        );
+        )
+        .await;
         group *= 2;
         mask <<= 1;
         round += 1;
@@ -44,7 +45,7 @@ pub fn allgather_recursive_doubling(r: &Rank, buf: &mpx_gpu::Buffer, block: usiz
 
 /// Ring allgather: `size − 1` steps, each forwarding one block to the
 /// right neighbour. Works for any world size.
-pub fn allgather_ring(r: &Rank, buf: &mpx_gpu::Buffer, block: usize) {
+pub async fn allgather_ring(r: &Rank, buf: &mpx_gpu::Buffer, block: usize) {
     let p = r.size;
     assert!(buf.len() >= p * block, "buffer smaller than size*block");
     const TAG: u64 = (1 << 50) + (1 << 20);
@@ -65,7 +66,8 @@ pub fn allgather_ring(r: &Rank, buf: &mpx_gpu::Buffer, block: usize) {
             block,
             left,
             TAG + s as u64,
-        );
+        )
+        .await;
     }
 }
 
@@ -85,20 +87,24 @@ mod tests {
         (0..p).flat_map(|r| pattern(r, block)).collect()
     }
 
-    fn run_allgather(f: fn(&Rank, &mpx_gpu::Buffer, usize)) -> Vec<Vec<u8>> {
+    fn run_allgather(ring: bool) -> Vec<Vec<u8>> {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
         let block = 64 << 10;
-        w.run(4, move |r| {
+        w.run_tasks(4, |r| async move {
             let buf = r.alloc_zeroed(4 * block);
             buf.write(r.rank * block, &pattern(r.rank, block));
-            f(&r, &buf, block);
+            if ring {
+                allgather_ring(&r, &buf, block).await;
+            } else {
+                allgather_recursive_doubling(&r, &buf, block).await;
+            }
             buf.to_vec().unwrap()
         })
     }
 
     #[test]
     fn recursive_doubling_gathers_all_blocks() {
-        let out = run_allgather(allgather_recursive_doubling);
+        let out = run_allgather(false);
         let want = expected(4, 64 << 10);
         for (i, got) in out.iter().enumerate() {
             assert_eq!(got, &want, "rank {i} result wrong");
@@ -107,7 +113,7 @@ mod tests {
 
     #[test]
     fn ring_gathers_all_blocks() {
-        let out = run_allgather(allgather_ring);
+        let out = run_allgather(true);
         let want = expected(4, 64 << 10);
         for (i, got) in out.iter().enumerate() {
             assert_eq!(got, &want, "rank {i} result wrong");
@@ -118,10 +124,10 @@ mod tests {
     fn ring_works_for_non_power_of_two() {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
         let block = 16 << 10;
-        let out = w.run(3, move |r| {
+        let out = w.run_tasks(3, |r| async move {
             let buf = r.alloc_zeroed(3 * block);
             buf.write(r.rank * block, &pattern(r.rank, block));
-            allgather_ring(&r, &buf, block);
+            allgather_ring(&r, &buf, block).await;
             buf.to_vec().unwrap()
         });
         let want = expected(3, block);

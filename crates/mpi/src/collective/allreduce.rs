@@ -18,7 +18,7 @@ const TAG: u64 = 1 << 52;
 ///
 /// `n` must be divisible by `4·size` so f32 block boundaries stay
 /// aligned.
-pub fn allreduce_rabenseifner(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
+pub async fn allreduce_rabenseifner(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
     let p = r.size;
     assert!(
         p.is_power_of_two(),
@@ -58,8 +58,9 @@ pub fn allreduce_rabenseifner(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
             len,
             partner,
             TAG + round,
-        );
-        r.reduce_local(op, &tmp, 0, buf, keep.0, len);
+        )
+        .await;
+        r.reduce_local(op, &tmp, 0, buf, keep.0, len).await;
         lo = keep.0;
         hi = keep.1;
         mask >>= 1;
@@ -69,13 +70,13 @@ pub fn allreduce_rabenseifner(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
     debug_assert_eq!(lo, r.rank * (n / p));
 
     // Phase 2: recursive-doubling allgather of the reduced blocks.
-    allgather_recursive_doubling(r, buf, n / p);
+    allgather_recursive_doubling(r, buf, n / p).await;
 }
 
 /// Ring allreduce (reduce-scatter ring + allgather ring) — the classic
 /// bandwidth-optimal alternative; works for any world size. Ablation
 /// baseline for the K-nomial algorithm above.
-pub fn allreduce_ring(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
+pub async fn allreduce_ring(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
     let p = r.size;
     if p == 1 {
         return;
@@ -101,8 +102,10 @@ pub fn allreduce_ring(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
             block,
             left,
             TAG + (1 << 10) + s as u64,
-        );
-        r.reduce_local(op, &tmp, 0, buf, recv_block * block, block);
+        )
+        .await;
+        r.reduce_local(op, &tmp, 0, buf, recv_block * block, block)
+            .await;
     }
     // Allgather ring over the reduced blocks.
     for s in 0..p - 1 {
@@ -118,7 +121,8 @@ pub fn allreduce_ring(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
             block,
             left,
             TAG + (1 << 11) + s as u64,
-        );
+        )
+        .await;
     }
 }
 
@@ -129,24 +133,26 @@ fn scratch_like(r: &Rank, like: &Buffer, n: usize) -> Buffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::AllreduceChoice;
     use crate::world::World;
     use mpx_gpu::reduce::{bytes_f32, f32_bytes};
     use mpx_topo::presets;
     use mpx_ucx::UcxConfig;
     use std::sync::Arc;
 
-    fn run_allreduce(
-        f: fn(&Rank, &Buffer, usize, ReduceOp),
-        ranks: usize,
-        elems: usize,
-    ) -> Vec<Vec<f32>> {
+    fn run_allreduce(algo: AllreduceChoice, ranks: usize, elems: usize) -> Vec<Vec<f32>> {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-        w.run(ranks, move |r| {
+        w.run_tasks(ranks, |r| async move {
             let vals: Vec<f32> = (0..elems)
                 .map(|i| (r.rank + 1) as f32 * (i + 1) as f32)
                 .collect();
             let buf = r.alloc_bytes(f32_bytes(&vals));
-            f(&r, &buf, elems * 4, ReduceOp::Sum);
+            match algo {
+                AllreduceChoice::Rabenseifner => {
+                    allreduce_rabenseifner(&r, &buf, elems * 4, ReduceOp::Sum).await
+                }
+                AllreduceChoice::Ring => allreduce_ring(&r, &buf, elems * 4, ReduceOp::Sum).await,
+            }
             bytes_f32(&buf.to_vec().unwrap())
         })
     }
@@ -158,7 +164,7 @@ mod tests {
 
     #[test]
     fn rabenseifner_sums_across_four_ranks() {
-        let out = run_allreduce(allreduce_rabenseifner, 4, 256);
+        let out = run_allreduce(AllreduceChoice::Rabenseifner, 4, 256);
         let want = expected_sum(4, 256);
         for (i, got) in out.iter().enumerate() {
             assert_eq!(got, &want, "rank {i} result wrong");
@@ -167,7 +173,7 @@ mod tests {
 
     #[test]
     fn rabenseifner_two_ranks() {
-        let out = run_allreduce(allreduce_rabenseifner, 2, 64);
+        let out = run_allreduce(AllreduceChoice::Rabenseifner, 2, 64);
         let want = expected_sum(2, 64);
         for got in &out {
             assert_eq!(got, &want);
@@ -176,15 +182,15 @@ mod tests {
 
     #[test]
     fn ring_matches_rabenseifner() {
-        let a = run_allreduce(allreduce_ring, 4, 128);
-        let b = run_allreduce(allreduce_rabenseifner, 4, 128);
+        let a = run_allreduce(AllreduceChoice::Ring, 4, 128);
+        let b = run_allreduce(AllreduceChoice::Rabenseifner, 4, 128);
         assert_eq!(a, b);
     }
 
     #[test]
     fn max_reduction() {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-        let out = w.run(4, |r| {
+        let out = w.run_tasks(4, |r| async move {
             let vals = vec![
                 r.rank as f32,
                 10.0 - r.rank as f32,
@@ -192,7 +198,7 @@ mod tests {
                 r.rank as f32 * 2.0,
             ];
             let buf = r.alloc_bytes(f32_bytes(&vals));
-            allreduce_rabenseifner(&r, &buf, 16, ReduceOp::Max);
+            allreduce_rabenseifner(&r, &buf, 16, ReduceOp::Max).await;
             bytes_f32(&buf.to_vec().unwrap())
         });
         for got in &out {
@@ -202,13 +208,13 @@ mod tests {
 
     #[test]
     fn single_rank_is_identity() {
-        let out = run_allreduce(allreduce_rabenseifner, 1, 16);
+        let out = run_allreduce(AllreduceChoice::Rabenseifner, 1, 16);
         assert_eq!(out[0], expected_sum(1, 16));
     }
 
     #[test]
     #[should_panic(expected = "panicked")]
     fn non_power_of_two_rejected() {
-        run_allreduce(allreduce_rabenseifner, 3, 12);
+        run_allreduce(AllreduceChoice::Rabenseifner, 3, 12);
     }
 }

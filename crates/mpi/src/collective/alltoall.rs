@@ -18,11 +18,12 @@ const TAG: u64 = 1 << 54;
 ///
 /// `send`/`recv` each hold `size` blocks of `block` bytes; block `i` of
 /// `send` goes to rank `i`.
-pub fn alltoall_pairwise(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
+pub async fn alltoall_pairwise(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
     let p = r.size;
     assert!(send.len() >= p * block && recv.len() >= p * block);
     // Self block: a local device copy.
-    r.local_copy(send, r.rank * block, recv, r.rank * block, block);
+    r.local_copy(send, r.rank * block, recv, r.rank * block, block)
+        .await;
     for s in 1..p {
         let to = (r.rank + s) % p;
         let from = (r.rank + p - s) % p;
@@ -36,16 +37,17 @@ pub fn alltoall_pairwise(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
             block,
             from,
             TAG + s as u64,
-        );
+        )
+        .await;
     }
 }
 
 /// Bruck alltoall (radix 2) for any world size.
-pub fn alltoall_bruck(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
+pub async fn alltoall_bruck(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
     let p = r.size;
     assert!(send.len() >= p * block && recv.len() >= p * block);
     if p == 1 {
-        r.local_copy(send, 0, recv, 0, block);
+        r.local_copy(send, 0, recv, 0, block).await;
         return;
     }
 
@@ -63,7 +65,8 @@ pub fn alltoall_bruck(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
     // multi-hop blocks ever touch the intermediate `work` buffer.
     let work = scratch(r, send, p * block, 0);
     // Own block (index 0) never ships.
-    r.local_copy(send, r.rank * block, recv, r.rank * block, block);
+    r.local_copy(send, r.rank * block, recv, r.rank * block, block)
+        .await;
 
     let pack_max = p.div_ceil(2);
     let staging_out = scratch(r, send, pack_max * block, 1);
@@ -78,9 +81,11 @@ pub fn alltoall_bruck(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
             let first_hop = i & (dist - 1) == 0; // bit j is i's lowest set bit
             if first_hop {
                 let src_block = (r.rank + i) % p;
-                r.local_copy(send, src_block * block, &staging_out, slot * block, block);
+                r.local_copy(send, src_block * block, &staging_out, slot * block, block)
+                    .await;
             } else {
-                r.local_copy(&work, i * block, &staging_out, slot * block, block);
+                r.local_copy(&work, i * block, &staging_out, slot * block, block)
+                    .await;
             }
         }
         let bytes = idx.len() * block;
@@ -94,15 +99,18 @@ pub fn alltoall_bruck(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
             bytes,
             from,
             TAG + (1 << 8) + j as u64,
-        );
+        )
+        .await;
         for (slot, &i) in idx.iter().enumerate() {
             let last_hop = i >> (j + 1) == 0; // no set bits above j
             if last_hop {
                 // The block came i hops from rank − i: its final slot.
                 let origin = (r.rank + p - i) % p;
-                r.local_copy(&staging_in, slot * block, recv, origin * block, block);
+                r.local_copy(&staging_in, slot * block, recv, origin * block, block)
+                    .await;
             } else {
-                r.local_copy(&staging_in, slot * block, &work, i * block, block);
+                r.local_copy(&staging_in, slot * block, &work, i * block, block)
+                    .await;
             }
         }
         j += 1;
@@ -116,6 +124,7 @@ fn scratch(r: &Rank, like: &Buffer, n: usize, slot: usize) -> Buffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::AlltoallChoice;
     use crate::world::World;
     use mpx_topo::presets;
     use mpx_ucx::UcxConfig;
@@ -126,19 +135,18 @@ mod tests {
         (src * 16 + dst + 1) as u8
     }
 
-    fn run_alltoall(
-        f: fn(&Rank, &Buffer, &Buffer, usize),
-        ranks: usize,
-        block: usize,
-    ) -> Vec<Vec<u8>> {
+    fn run_alltoall(algo: AlltoallChoice, ranks: usize, block: usize) -> Vec<Vec<u8>> {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-        w.run(ranks, move |r| {
+        w.run_tasks(ranks, |r| async move {
             let sdata: Vec<u8> = (0..ranks)
                 .flat_map(|dst| vec![block_byte(r.rank, dst); block])
                 .collect();
             let send = r.alloc_bytes(sdata);
             let recv = r.alloc_zeroed(ranks * block);
-            f(&r, &send, &recv, block);
+            match algo {
+                AlltoallChoice::Bruck => alltoall_bruck(&r, &send, &recv, block).await,
+                AlltoallChoice::Pairwise => alltoall_pairwise(&r, &send, &recv, block).await,
+            }
             recv.to_vec().unwrap()
         })
     }
@@ -151,7 +159,7 @@ mod tests {
 
     #[test]
     fn pairwise_exchanges_all_blocks() {
-        let out = run_alltoall(alltoall_pairwise, 4, 4 << 10);
+        let out = run_alltoall(AlltoallChoice::Pairwise, 4, 4 << 10);
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got, &expected(rank, 4, 4 << 10), "rank {rank}");
         }
@@ -159,7 +167,7 @@ mod tests {
 
     #[test]
     fn bruck_matches_pairwise_power_of_two() {
-        let a = run_alltoall(alltoall_bruck, 4, 4 << 10);
+        let a = run_alltoall(AlltoallChoice::Bruck, 4, 4 << 10);
         for (rank, got) in a.iter().enumerate() {
             assert_eq!(got, &expected(rank, 4, 4 << 10), "rank {rank}");
         }
@@ -167,7 +175,7 @@ mod tests {
 
     #[test]
     fn bruck_handles_non_power_of_two() {
-        let out = run_alltoall(alltoall_bruck, 3, 1 << 10);
+        let out = run_alltoall(AlltoallChoice::Bruck, 3, 1 << 10);
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got, &expected(rank, 3, 1 << 10), "rank {rank}");
         }
@@ -175,7 +183,7 @@ mod tests {
 
     #[test]
     fn bruck_two_ranks() {
-        let out = run_alltoall(alltoall_bruck, 2, 8 << 10);
+        let out = run_alltoall(AlltoallChoice::Bruck, 2, 8 << 10);
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got, &expected(rank, 2, 8 << 10), "rank {rank}");
         }
@@ -183,7 +191,7 @@ mod tests {
 
     #[test]
     fn single_rank_alltoall_is_local_copy() {
-        let out = run_alltoall(alltoall_bruck, 1, 1 << 10);
+        let out = run_alltoall(AlltoallChoice::Bruck, 1, 1 << 10);
         assert_eq!(out[0], expected(0, 1, 1 << 10));
     }
 }

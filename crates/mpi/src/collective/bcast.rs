@@ -11,7 +11,7 @@ use mpx_gpu::Buffer;
 const TAG: u64 = 1 << 56;
 
 /// Binomial-tree broadcast of `buf[..n]` from `root` (any world size).
-pub fn bcast_binomial(r: &Rank, buf: &Buffer, n: usize, root: usize) {
+pub async fn bcast_binomial(r: &Rank, buf: &Buffer, n: usize, root: usize) {
     let p = r.size;
     if p == 1 {
         return;
@@ -23,7 +23,7 @@ pub fn bcast_binomial(r: &Rank, buf: &Buffer, n: usize, root: usize) {
     if vrank != 0 {
         let parent_v = vrank & (vrank - 1); // clear lowest set bit
         let parent = (parent_v + root) % p;
-        r.recv(buf, n, Some(parent), Some(TAG + vrank as u64));
+        r.recv(buf, n, Some(parent), Some(TAG + vrank as u64)).await;
     }
     // …then forward to children: vrank | 2^k for 2^k above vrank's
     // lowest set bit (descending order maximizes pipeline overlap).
@@ -39,7 +39,7 @@ pub fn bcast_binomial(r: &Rank, buf: &Buffer, n: usize, root: usize) {
             let child_v = vrank | bit;
             if child_v < p {
                 let child = (child_v + root) % p;
-                r.send(buf, n, child, TAG + child_v as u64);
+                r.send(buf, n, child, TAG + child_v as u64).await;
             }
         }
         k -= 1;
@@ -48,7 +48,13 @@ pub fn bcast_binomial(r: &Rank, buf: &Buffer, n: usize, root: usize) {
 
 /// Linear scatter: the root sends block `i` of `sendbuf` to rank `i`'s
 /// `recvbuf`. Root's own block is a local device copy.
-pub fn scatter_linear(r: &Rank, sendbuf: &Buffer, recvbuf: &Buffer, block: usize, root: usize) {
+pub async fn scatter_linear(
+    r: &Rank,
+    sendbuf: &Buffer,
+    recvbuf: &Buffer,
+    block: usize,
+    root: usize,
+) {
     let p = r.size;
     assert!(root < p, "root {root} out of range");
     if r.rank == root {
@@ -56,7 +62,7 @@ pub fn scatter_linear(r: &Rank, sendbuf: &Buffer, recvbuf: &Buffer, block: usize
         let mut reqs = Vec::with_capacity(p - 1);
         for dst in 0..p {
             if dst == root {
-                r.local_copy(sendbuf, root * block, recvbuf, 0, block);
+                r.local_copy(sendbuf, root * block, recvbuf, 0, block).await;
             } else {
                 reqs.push(r.isend_at(
                     sendbuf,
@@ -67,14 +73,15 @@ pub fn scatter_linear(r: &Rank, sendbuf: &Buffer, recvbuf: &Buffer, block: usize
                 ));
             }
         }
-        crate::p2p::waitall(r.thread(), &reqs);
+        r.waitall(&reqs).await;
     } else {
         r.recv(
             recvbuf,
             block,
             Some(root),
             Some(TAG + (1 << 8) + r.rank as u64),
-        );
+        )
+        .await;
     }
 }
 
@@ -82,7 +89,7 @@ pub fn scatter_linear(r: &Rank, sendbuf: &Buffer, recvbuf: &Buffer, block: usize
 /// `size` blocks of `buf`; afterwards rank `i` holds block `i` at offset
 /// `i·block` of its own same-size buffer (the first phase of the van de
 /// Geijn broadcast).
-pub fn scatter_linear_inplace(r: &Rank, buf: &Buffer, block: usize, root: usize) {
+pub async fn scatter_linear_inplace(r: &Rank, buf: &Buffer, block: usize, root: usize) {
     let p = r.size;
     assert!(root < p, "root {root} out of range");
     assert!(buf.len() >= p * block, "buffer smaller than size*block");
@@ -94,7 +101,7 @@ pub fn scatter_linear_inplace(r: &Rank, buf: &Buffer, block: usize, root: usize)
                 reqs.push(r.isend_at(buf, dst * block, block, dst, STAG + dst as u64));
             }
         }
-        crate::p2p::waitall(r.thread(), &reqs);
+        r.waitall(&reqs).await;
     } else {
         r.irecv_at(
             buf,
@@ -103,13 +110,20 @@ pub fn scatter_linear_inplace(r: &Rank, buf: &Buffer, block: usize, root: usize)
             Some(root),
             Some(STAG + r.rank as u64),
         )
-        .wait(r.thread());
+        .wait()
+        .await;
     }
 }
 
 /// Linear gather: rank `i`'s `sendbuf` lands in block `i` of the root's
 /// `recvbuf`.
-pub fn gather_linear(r: &Rank, sendbuf: &Buffer, recvbuf: &Buffer, block: usize, root: usize) {
+pub async fn gather_linear(
+    r: &Rank,
+    sendbuf: &Buffer,
+    recvbuf: &Buffer,
+    block: usize,
+    root: usize,
+) {
     let p = r.size;
     assert!(root < p, "root {root} out of range");
     if r.rank == root {
@@ -117,7 +131,7 @@ pub fn gather_linear(r: &Rank, sendbuf: &Buffer, recvbuf: &Buffer, block: usize,
         let mut reqs = Vec::with_capacity(p - 1);
         for src in 0..p {
             if src == root {
-                r.local_copy(sendbuf, 0, recvbuf, root * block, block);
+                r.local_copy(sendbuf, 0, recvbuf, root * block, block).await;
             } else {
                 reqs.push(r.irecv_at(
                     recvbuf,
@@ -128,9 +142,10 @@ pub fn gather_linear(r: &Rank, sendbuf: &Buffer, recvbuf: &Buffer, block: usize,
                 ));
             }
         }
-        crate::p2p::waitall(r.thread(), &reqs);
+        r.waitall(&reqs).await;
     } else {
-        r.send(sendbuf, block, root, TAG + (1 << 9) + r.rank as u64);
+        r.send(sendbuf, block, root, TAG + (1 << 9) + r.rank as u64)
+            .await;
     }
 }
 
@@ -150,14 +165,14 @@ mod tests {
     fn bcast_reaches_every_rank_from_every_root() {
         for root in 0..4 {
             let w = world();
-            let out = w.run(4, move |r| {
+            let out = w.run_tasks(4, |r| async move {
                 let n = 256 << 10;
                 let buf = if r.rank == root {
                     r.alloc_bytes(vec![0xC3; n])
                 } else {
                     r.alloc_zeroed(n)
                 };
-                bcast_binomial(&r, &buf, n, root);
+                bcast_binomial(&r, &buf, n, root).await;
                 buf.to_vec().unwrap()
             });
             for (rank, data) in out.iter().enumerate() {
@@ -172,14 +187,14 @@ mod tests {
     #[test]
     fn bcast_three_ranks_non_power_of_two() {
         let w = world();
-        let out = w.run(3, |r| {
+        let out = w.run_tasks(3, |r| async move {
             let n = 4096;
             let buf = if r.rank == 1 {
                 r.alloc_bytes(vec![7; n])
             } else {
                 r.alloc_zeroed(n)
             };
-            bcast_binomial(&r, &buf, n, 1);
+            bcast_binomial(&r, &buf, n, 1).await;
             buf.to_vec().unwrap()
         });
         for data in &out {
@@ -191,7 +206,7 @@ mod tests {
     fn scatter_distributes_blocks() {
         let w = world();
         let block = 64 << 10;
-        let out = w.run(4, move |r| {
+        let out = w.run_tasks(4, |r| async move {
             let send = if r.rank == 0 {
                 let data: Vec<u8> = (0..4).flat_map(|i| vec![(i + 1) as u8; block]).collect();
                 r.alloc_bytes(data)
@@ -199,7 +214,7 @@ mod tests {
                 r.alloc(0)
             };
             let recv = r.alloc_zeroed(block);
-            scatter_linear(&r, &send, &recv, block, 0);
+            scatter_linear(&r, &send, &recv, block, 0).await;
             recv.to_vec().unwrap()
         });
         for (rank, data) in out.iter().enumerate() {
@@ -214,14 +229,14 @@ mod tests {
     fn gather_collects_blocks() {
         let w = world();
         let block = 64 << 10;
-        let out = w.run(4, move |r| {
+        let out = w.run_tasks(4, |r| async move {
             let send = r.alloc_bytes(vec![(r.rank + 10) as u8; block]);
             let recv = if r.rank == 2 {
                 r.alloc_zeroed(4 * block)
             } else {
                 r.alloc(0)
             };
-            gather_linear(&r, &send, &recv, block, 2);
+            gather_linear(&r, &send, &recv, block, 2).await;
             recv.to_vec()
         });
         let root_data = out[2].as_ref().unwrap();
@@ -239,7 +254,7 @@ mod tests {
     fn scatter_then_gather_roundtrips() {
         let w = world();
         let block = 16 << 10;
-        let out = w.run(4, move |r| {
+        let out = w.run_tasks(4, |r| async move {
             let original: Vec<u8> = (0..4 * block).map(|i| (i % 255) as u8).collect();
             let send = if r.rank == 0 {
                 r.alloc_bytes(original.clone())
@@ -247,13 +262,13 @@ mod tests {
                 r.alloc(0)
             };
             let mine = r.alloc_zeroed(block);
-            scatter_linear(&r, &send, &mine, block, 0);
+            scatter_linear(&r, &send, &mine, block, 0).await;
             let back = if r.rank == 0 {
                 r.alloc_zeroed(4 * block)
             } else {
                 r.alloc(0)
             };
-            gather_linear(&r, &mine, &back, block, 0);
+            gather_linear(&r, &mine, &back, block, 0).await;
             if r.rank == 0 {
                 assert_eq!(back.to_vec().unwrap(), original);
             }

@@ -11,7 +11,6 @@
 //! the other `k−1` sub-blocks with its digit-group peers, reducing what
 //! it receives. The allgather phase runs the same exchanges in reverse.
 
-use crate::p2p::waitall;
 use crate::world::Rank;
 use mpx_gpu::{Buffer, ReduceOp};
 
@@ -35,7 +34,7 @@ fn log_base(p: usize, k: usize) -> Option<u32> {
 ///
 /// # Panics
 /// Panics unless `size == k^m` and `n` is divisible by `4·size`.
-pub fn allreduce_knomial(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp, k: usize) {
+pub async fn allreduce_knomial(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp, k: usize) {
     let p = r.size;
     if p == 1 {
         return;
@@ -87,9 +86,9 @@ pub fn allreduce_knomial(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp, k: usiz
             ));
             slot += 1;
         }
-        waitall(r.thread(), &reqs);
+        r.waitall(&reqs).await;
         for t in tmps.iter().take(k - 1) {
-            r.reduce_local(op, t, 0, buf, keep_lo, sub);
+            r.reduce_local(op, t, 0, buf, keep_lo, sub).await;
         }
         lo = keep_lo;
         len = sub;
@@ -130,7 +129,7 @@ pub fn allreduce_knomial(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp, k: usiz
                 TAG + (1 << 10) + (round as u64) * 64 + my_digit as u64,
             ));
         }
-        waitall(r.thread(), &reqs);
+        r.waitall(&reqs).await;
         lo = region_lo;
         len *= k;
         group *= k;
@@ -142,7 +141,7 @@ pub fn allreduce_knomial(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp, k: usiz
 /// Van de Geijn large-message broadcast: scatter from the root (binomial
 /// over blocks) then ring allgather — bandwidth-optimal for big buffers
 /// and another multi-path beneficiary.
-pub fn bcast_scatter_allgather(r: &Rank, buf: &Buffer, n: usize, root: usize) {
+pub async fn bcast_scatter_allgather(r: &Rank, buf: &Buffer, n: usize, root: usize) {
     let p = r.size;
     if p == 1 {
         return;
@@ -151,9 +150,9 @@ pub fn bcast_scatter_allgather(r: &Rank, buf: &Buffer, n: usize, root: usize) {
     let block = n / p;
     // Scatter: root sends block i to rank i (linear; the binomial variant
     // changes latency, not volume).
-    crate::collective::scatter_linear_inplace(r, buf, block, root);
+    crate::collective::scatter_linear_inplace(r, buf, block, root).await;
     // Allgather ring completes the broadcast.
-    crate::collective::allgather_ring(r, buf, block);
+    crate::collective::allgather_ring(r, buf, block).await;
 }
 
 #[cfg(test)]
@@ -172,12 +171,12 @@ mod tests {
             presets::beluga()
         };
         let w = World::new(Arc::new(topo), UcxConfig::default());
-        w.run(ranks, move |r| {
+        w.run_tasks(ranks, |r| async move {
             let vals: Vec<f32> = (0..elems)
                 .map(|i| (r.rank + 1) as f32 * (i + 1) as f32)
                 .collect();
             let buf = r.alloc_bytes(f32_bytes(&vals));
-            allreduce_knomial(&r, &buf, elems * 4, ReduceOp::Sum, k);
+            allreduce_knomial(&r, &buf, elems * 4, ReduceOp::Sum, k).await;
             bytes_f32(&buf.to_vec().unwrap())
         })
     }
@@ -233,13 +232,13 @@ mod tests {
     fn vdg_bcast_reaches_everyone() {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
         let n = 1 << 20;
-        let out = w.run(4, move |r| {
+        let out = w.run_tasks(4, |r| async move {
             let buf = if r.rank == 2 {
                 r.alloc_bytes((0..n).map(|i| (i % 251) as u8).collect())
             } else {
                 r.alloc_zeroed(n)
             };
-            bcast_scatter_allgather(&r, &buf, n, 2);
+            bcast_scatter_allgather(&r, &buf, n, 2).await;
             buf.to_vec().unwrap()
         });
         let want: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();

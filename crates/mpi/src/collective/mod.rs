@@ -9,7 +9,6 @@ pub mod allreduce;
 pub mod alltoall;
 pub mod bcast;
 pub mod knomial;
-pub mod reduce;
 pub mod selector;
 
 pub use allgather::{allgather_recursive_doubling, allgather_ring};
@@ -17,7 +16,6 @@ pub use allreduce::{allreduce_rabenseifner, allreduce_ring};
 pub use alltoall::{alltoall_bruck, alltoall_pairwise};
 pub use bcast::{bcast_binomial, gather_linear, scatter_linear, scatter_linear_inplace};
 pub use knomial::{allreduce_knomial, bcast_scatter_allgather};
-pub use reduce::{reduce_binomial, reduce_scatter_ring};
 pub use selector::{
     allreduce, alltoall, bcast, select_allreduce, select_alltoall, select_bcast, AllreduceChoice,
     AlltoallChoice, BcastChoice,

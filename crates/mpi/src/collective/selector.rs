@@ -11,15 +11,16 @@ use crate::collective::{
 use crate::world::Rank;
 use mpx_gpu::{Buffer, ReduceOp};
 use mpx_obs::Phase;
+use std::future::Future;
 
 /// Runs `f` as a `collective` span on this rank's telemetry track
 /// (`rank{i}`) when a recorder is attached; otherwise just runs it.
-fn with_span<R>(r: &Rank, name: &str, detail: String, f: impl FnOnce() -> R) -> R {
+async fn with_span<R>(r: &Rank, name: &str, detail: String, f: impl Future<Output = R>) -> R {
     match r.context().recorder().cloned() {
-        None => f(),
+        None => f.await,
         Some(rec) => {
             let t0 = r.now().as_secs();
-            let out = f();
+            let out = f.await;
             rec.span(
                 Phase::Collective,
                 format!("rank{}", r.rank),
@@ -109,45 +110,39 @@ pub fn select_bcast(ranks: usize, n: usize) -> BcastChoice {
 }
 
 /// MPI_Bcast with automatic algorithm selection.
-pub fn bcast(r: &Rank, buf: &Buffer, n: usize, root: usize) {
+pub async fn bcast(r: &Rank, buf: &Buffer, n: usize, root: usize) {
     let choice = select_bcast(r.size, n);
-    with_span(
-        r,
-        "bcast",
-        format!("{choice:?} n={n} root={root}"),
-        || match choice {
-            BcastChoice::Binomial => bcast_binomial(r, buf, n, root),
-            BcastChoice::ScatterAllgather => bcast_scatter_allgather(r, buf, n, root),
-        },
-    )
+    let run = async {
+        match choice {
+            BcastChoice::Binomial => bcast_binomial(r, buf, n, root).await,
+            BcastChoice::ScatterAllgather => bcast_scatter_allgather(r, buf, n, root).await,
+        }
+    };
+    with_span(r, "bcast", format!("{choice:?} n={n} root={root}"), run).await
 }
 
 /// MPI_Allreduce with automatic algorithm selection.
-pub fn allreduce(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
+pub async fn allreduce(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
     let choice = select_allreduce(r.size, n);
-    with_span(
-        r,
-        "allreduce",
-        format!("{choice:?} n={n}"),
-        || match choice {
-            AllreduceChoice::Rabenseifner => allreduce_rabenseifner(r, buf, n, op),
-            AllreduceChoice::Ring => allreduce_ring(r, buf, n, op),
-        },
-    )
+    let run = async {
+        match choice {
+            AllreduceChoice::Rabenseifner => allreduce_rabenseifner(r, buf, n, op).await,
+            AllreduceChoice::Ring => allreduce_ring(r, buf, n, op).await,
+        }
+    };
+    with_span(r, "allreduce", format!("{choice:?} n={n}"), run).await
 }
 
 /// MPI_Alltoall with automatic algorithm selection.
-pub fn alltoall(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
+pub async fn alltoall(r: &Rank, send: &Buffer, recv: &Buffer, block: usize) {
     let choice = select_alltoall(r.size, block);
-    with_span(
-        r,
-        "alltoall",
-        format!("{choice:?} block={block}"),
-        || match choice {
-            AlltoallChoice::Bruck => alltoall_bruck(r, send, recv, block),
-            AlltoallChoice::Pairwise => alltoall_pairwise(r, send, recv, block),
-        },
-    )
+    let run = async {
+        match choice {
+            AlltoallChoice::Bruck => alltoall_bruck(r, send, recv, block).await,
+            AlltoallChoice::Pairwise => alltoall_pairwise(r, send, recv, block).await,
+        }
+    };
+    with_span(r, "alltoall", format!("{choice:?} block={block}"), run).await
 }
 
 #[cfg(test)]
@@ -187,13 +182,13 @@ mod tests {
     fn auto_bcast_correct_in_both_regimes() {
         for n in [64 << 10, 16 << 20] {
             let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-            let out = w.run(4, move |r| {
+            let out = w.run_tasks(4, |r| async move {
                 let buf = if r.rank == 1 {
                     r.alloc_bytes((0..n).map(|i| (i % 249) as u8).collect())
                 } else {
                     r.alloc_zeroed(n)
                 };
-                bcast(&r, &buf, n, 1);
+                bcast(&r, &buf, n, 1).await;
                 buf.to_vec().unwrap()
             });
             let want: Vec<u8> = (0..n).map(|i| (i % 249) as u8).collect();
@@ -207,14 +202,16 @@ mod tests {
     fn vdg_beats_binomial_for_large_messages() {
         let time_bcast = |n: usize, choice: BcastChoice| {
             let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-            let times = w.run(4, move |r| {
+            let times = w.run_tasks(4, |r| async move {
                 let buf = r.alloc(n);
-                r.barrier();
+                r.barrier().await;
                 let t0 = r.now();
                 match choice {
-                    BcastChoice::Binomial => crate::collective::bcast_binomial(&r, &buf, n, 0),
+                    BcastChoice::Binomial => {
+                        crate::collective::bcast_binomial(&r, &buf, n, 0).await
+                    }
                     BcastChoice::ScatterAllgather => {
-                        crate::collective::bcast_scatter_allgather(&r, &buf, n, 0)
+                        crate::collective::bcast_scatter_allgather(&r, &buf, n, 0).await
                     }
                 }
                 r.now().secs_since(t0)
@@ -233,9 +230,9 @@ mod tests {
     #[test]
     fn auto_allreduce_works_for_non_power_of_two() {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-        let out = w.run(3, |r| {
+        let out = w.run_tasks(3, |r| async move {
             let buf = r.alloc_bytes(f32_bytes(&[(r.rank + 1) as f32; 12]));
-            allreduce(&r, &buf, 48, ReduceOp::Sum);
+            allreduce(&r, &buf, 48, ReduceOp::Sum).await;
             bytes_f32(&buf.to_vec().unwrap())
         });
         for got in &out {
@@ -253,9 +250,9 @@ mod tests {
         eng.set_recorder(rec.clone());
         let w = World::over(GpuRuntime::new(eng), UcxConfig::default());
         let n = 1 << 20;
-        w.run(4, move |r| {
+        w.run_tasks(4, |r| async move {
             let buf = r.alloc(n);
-            allreduce(&r, &buf, n, ReduceOp::Sum);
+            allreduce(&r, &buf, n, ReduceOp::Sum).await;
         });
         let events = rec.drain();
         let collective_tracks: Vec<&str> = events
@@ -276,13 +273,13 @@ mod tests {
     fn auto_alltoall_matches_fixed_algorithms() {
         let run = |block: usize| {
             let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-            w.run(4, move |r| {
+            w.run_tasks(4, |r| async move {
                 let sdata: Vec<u8> = (0..4)
                     .flat_map(|d| vec![(r.rank * 4 + d + 1) as u8; block])
                     .collect();
                 let send = r.alloc_bytes(sdata);
                 let recv = r.alloc_zeroed(4 * block);
-                alltoall(&r, &send, &recv, block);
+                alltoall(&r, &send, &recv, block).await;
                 recv.to_vec().unwrap()
             })
         };

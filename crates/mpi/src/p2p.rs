@@ -8,7 +8,7 @@
 //! landed (one-sided cuda_ipc style, paper Section 2.1).
 
 use mpx_gpu::Buffer;
-use mpx_sim::{SimThread, Waker};
+use mpx_sim::{Engine, SimThread, SimTime, Waker};
 use mpx_ucx::UcxContext;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -61,31 +61,30 @@ impl Request {
         self.status.clone()
     }
 
-    /// Blocks the simulated thread until the request completes.
-    pub fn wait(&self, thread: &SimThread) {
-        thread.wait(&self.done);
+    /// Waits until the request completes.
+    pub async fn wait(&self) {
+        mpx_sim::task::wait(&self.done).await;
     }
 
-    /// Blocks until completion **or** virtual time `deadline`, whichever
+    /// Waits until completion **or** virtual time `deadline`, whichever
     /// comes first. A peer stalled on a dead link then surfaces as an
-    /// `Err` instead of hanging the rank thread (and the test run)
-    /// forever.
-    pub fn wait_deadline(
+    /// `Err` instead of hanging the rank (and the test run) forever.
+    pub async fn wait_deadline(
         &self,
-        thread: &SimThread,
-        deadline: mpx_sim::SimTime,
+        engine: &Engine,
+        deadline: SimTime,
     ) -> Result<(), mpx_ucx::TimedOut> {
-        if thread.wait_until(&self.done, deadline) {
+        if mpx_sim::task::wait_until(engine, &self.done, deadline).await {
             Ok(())
         } else {
             Err(mpx_ucx::TimedOut { deadline })
         }
     }
 
-    /// Blocks until completion and returns the matched status
+    /// Waits until completion and returns the matched status
     /// (meaningful for receives — this is `MPI_Wait` with a status).
-    pub fn wait_status(&self, thread: &SimThread) -> MessageStatus {
-        self.wait(thread);
+    pub async fn wait_status(&self) -> MessageStatus {
+        self.wait().await;
         *self
             .status
             .get()
@@ -103,29 +102,13 @@ impl Request {
     }
 }
 
-/// Waits for every request (MPI_Waitall), newest first: requests mostly
-/// complete in posting order, so the rank parks once, on the last one, and
-/// finds the others already signaled. A rank acts on nothing between the
-/// waits, so the order cannot move virtual time.
+/// MPI_Waitall on the thread front end ([`crate::World::run`]): blocks
+/// `thread` until every request completes, newest first like
+/// [`crate::Rank::waitall`].
 pub fn waitall(thread: &SimThread, requests: &[Request]) {
     for r in requests.iter().rev() {
-        r.wait(thread);
+        thread.wait(&r.done);
     }
-}
-
-/// [`waitall`] with a virtual-time deadline shared by all requests.
-/// Returns `TimedOut` once a wait finds a request still pending at the
-/// deadline — whichever the newest-first order reaches, not the first in
-/// the slice.
-pub fn waitall_deadline(
-    thread: &SimThread,
-    requests: &[Request],
-    deadline: mpx_sim::SimTime,
-) -> Result<(), mpx_ucx::TimedOut> {
-    for r in requests.iter().rev() {
-        r.wait_deadline(thread, deadline)?;
-    }
-    Ok(())
 }
 
 pub(crate) struct PostedSend {
@@ -258,7 +241,7 @@ fn start_transfer(ctx: &UcxContext, send: &PostedSend, recv: &PostedRecv) {
 mod tests {
     use super::*;
     use crate::World;
-    use mpx_sim::{FaultInjector, FaultKind, FaultPlan, SimTime};
+    use mpx_sim::{FaultInjector, FaultKind, FaultPlan};
     use mpx_topo::presets;
     use mpx_topo::units::MIB;
     use mpx_ucx::{TimedOut, TuningMode, UcxConfig};
@@ -275,21 +258,21 @@ mod tests {
     fn exchange(reversed: bool) -> Vec<(SimTime, Vec<MessageStatus>)> {
         const WINDOW: usize = 16;
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-        w.run(2, move |r| {
+        w.run_tasks(2, |r| async move {
             let peer = 1 - r.rank;
             let bufs: Vec<_> = (0..2 * WINDOW).map(|_| r.alloc(MIB)).collect();
             let recvs: Vec<Request> = (0..WINDOW)
                 .map(|i| r.irecv(&bufs[i], MIB, Some(peer), Some(i as u64)))
                 .collect();
-            // The ranks send at different virtual times, so one thread at a
-            // time makes the matches and the run repeats to the nanosecond.
-            r.compute(1e-5 * (1 + r.rank) as f64);
+            // The ranks send at different virtual times, so each side's
+            // sends find the other's receives already posted.
+            r.compute(1e-5 * (1 + r.rank) as f64).await;
             let mut reqs = recvs.clone();
             reqs.extend((0..WINDOW).map(|i| r.isend(&bufs[WINDOW + i], len(i), peer, i as u64)));
             if reversed {
                 reqs.reverse();
             }
-            waitall(r.thread(), &reqs);
+            r.waitall(&reqs).await;
             let statuses = recvs.iter().map(|q| q.status().expect("matched")).collect();
             (r.now(), statuses)
         })
@@ -334,23 +317,25 @@ mod tests {
             let kill = FaultPlan::empty().with(5e-6, dead.id, FaultKind::Kill);
             FaultInjector::install(w.engine(), &kill);
             let deadline = SimTime::from_secs(0.5);
-            let out = w.run(3, move |r| {
+            let out = w.run_tasks(3, |r| async move {
                 let buf = r.alloc(MIB);
                 let res = match r.rank {
                     0 => {
                         let mut reqs: Vec<Request> =
                             (0..3).map(|tag| r.isend(&buf, MIB, 2, tag)).collect();
                         reqs.insert(pos, r.isend(&buf, MIB, 1, 9));
-                        waitall_deadline(r.thread(), &reqs, deadline)
+                        r.waitall_deadline(&reqs, deadline).await
                     }
-                    1 => r
-                        .irecv(&buf, MIB, Some(0), Some(9))
-                        .wait_deadline(r.thread(), deadline),
+                    1 => {
+                        r.irecv(&buf, MIB, Some(0), Some(9))
+                            .wait_deadline(r.engine(), deadline)
+                            .await
+                    }
                     _ => {
                         let reqs: Vec<Request> = (0..3)
                             .map(|tag| r.irecv(&buf, MIB, Some(0), Some(tag)))
                             .collect();
-                        waitall_deadline(r.thread(), &reqs, deadline)
+                        r.waitall_deadline(&reqs, deadline).await
                     }
                 };
                 (res, r.now())

@@ -4,168 +4,50 @@
 //! scenario the paper's Section 3 discusses — two tenants each running
 //! their own collectives over the same fabric.
 
-use crate::p2p::Request;
 use crate::world::Rank;
-use mpx_gpu::{Buffer, ReduceOp};
 
-/// A communicator over a subset of a world's ranks.
-///
-/// Holds a reference to the underlying world [`Rank`]; all traffic still
-/// flows through the same matching engine, but tags are salted with the
-/// group's color so groups cannot intercept each other's messages, and
-/// rank indices are local to the group.
-pub struct SubComm<'a> {
-    world: &'a Rank,
-    /// Global ranks of the members, sorted; defines local numbering.
-    members: Vec<usize>,
-    /// This rank's index within `members`.
-    local_rank: usize,
-    /// Tag salt derived from the split color.
-    salt: u64,
-}
-
-impl<'a> SubComm<'a> {
+impl Rank {
     /// Splits by `color`: every world rank calling with the same color
     /// lands in the same group. All world ranks must call `split`
     /// (collectively, as in MPI) with `colors[world_rank]` consistent
     /// across callers — the color table is passed explicitly so no
     /// communication round is needed.
     ///
+    /// Returns this rank's view of its group: a [`Rank`] whose `rank` and
+    /// `size` are local to the group and whose tags are salted with the
+    /// color, so groups cannot intercept each other's messages. Traffic
+    /// still flows through the world's matching engine, and every
+    /// collective runs on the view unchanged.
+    ///
     /// # Panics
-    /// Panics if the table is inconsistent with the world size or the
-    /// caller's color is missing.
-    pub fn split(world: &'a Rank, colors: &[u32]) -> SubComm<'a> {
-        assert_eq!(colors.len(), world.size, "one color per world rank");
-        let my_color = colors[world.rank];
-        let members: Vec<usize> = (0..world.size).filter(|&r| colors[r] == my_color).collect();
-        let local_rank = members
-            .iter()
-            .position(|&r| r == world.rank)
-            .expect("caller is a member of its own color group");
-        SubComm {
-            world,
-            members,
-            local_rank,
+    /// Panics if the table is inconsistent with the world size.
+    pub fn split(&self, colors: &[u32]) -> Rank {
+        assert_eq!(colors.len(), self.size, "one color per world rank");
+        let my_color = colors[self.rank];
+        let members: Vec<usize> = (0..self.size).filter(|&r| colors[r] == my_color).collect();
+        Rank {
+            rank: members
+                .iter()
+                .position(|&r| r == self.rank)
+                .expect("own group"),
+            size: members.len(),
+            device: self.device,
+            thread: None,
+            ctx: self.ctx.clone(),
+            matching: self.matching.clone(),
+            scratch: Default::default(),
+            group: Some(members.iter().map(|&r| self.world_rank(r)).collect()),
             salt: ((my_color as u64) + 1) << 44,
-        }
-    }
-
-    /// Local rank within the group.
-    pub fn rank(&self) -> usize {
-        self.local_rank
-    }
-
-    /// Group size.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The underlying world rank handle.
-    pub fn world(&self) -> &Rank {
-        self.world
-    }
-
-    fn global(&self, local: usize) -> usize {
-        self.members[local]
-    }
-
-    /// Non-blocking send to a *local* rank.
-    pub fn isend_at(&self, buf: &Buffer, off: usize, n: usize, to: usize, tag: u64) -> Request {
-        self.world
-            .isend_at(buf, off, n, self.global(to), self.salt | tag)
-    }
-
-    /// Non-blocking receive from a *local* rank (no wildcards across
-    /// groups: the salt pins the group).
-    pub fn irecv_at(
-        &self,
-        buf: &Buffer,
-        off: usize,
-        n: usize,
-        from: Option<usize>,
-        tag: Option<u64>,
-    ) -> Request {
-        self.world.irecv_at(
-            buf,
-            off,
-            n,
-            from.map(|f| self.global(f)),
-            tag.map(|t| self.salt | t),
-        )
-    }
-
-    /// Blocking sendrecv within the group (local ranks).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
-        &self,
-        sbuf: &Buffer,
-        soff: usize,
-        sn: usize,
-        to: usize,
-        rbuf: &Buffer,
-        roff: usize,
-        rn: usize,
-        from: usize,
-        tag: u64,
-    ) {
-        let r = self.irecv_at(rbuf, roff, rn, Some(from), Some(tag));
-        let s = self.isend_at(sbuf, soff, sn, to, tag);
-        r.wait(self.world.thread());
-        s.wait(self.world.thread());
-    }
-
-    /// Ring allreduce within the group (works for any group size).
-    pub fn allreduce_ring(&self, buf: &Buffer, n: usize, op: ReduceOp) {
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        assert_eq!(n % (4 * p), 0, "n must be a multiple of 4*group size");
-        let block = n / p;
-        let tmp = self.world.scratch(block, !buf.is_synthetic(), 32);
-        let right = (self.local_rank + 1) % p;
-        let left = (self.local_rank + p - 1) % p;
-        const TAG: u64 = 1 << 30;
-        for s in 0..p - 1 {
-            let send_block = (self.local_rank + p - s) % p;
-            let recv_block = (self.local_rank + p - s - 1) % p;
-            self.sendrecv(
-                buf,
-                send_block * block,
-                block,
-                right,
-                &tmp,
-                0,
-                block,
-                left,
-                TAG + s as u64,
-            );
-            self.world
-                .reduce_local(op, &tmp, 0, buf, recv_block * block, block);
-        }
-        for s in 0..p - 1 {
-            let send_block = (self.local_rank + 1 + p - s) % p;
-            let recv_block = (self.local_rank + p - s) % p;
-            self.sendrecv(
-                buf,
-                send_block * block,
-                block,
-                right,
-                buf,
-                recv_block * block,
-                block,
-                left,
-                TAG + (1 << 10) + s as u64,
-            );
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::collective::allreduce_ring;
     use crate::world::World;
     use mpx_gpu::reduce::{bytes_f32, f32_bytes};
+    use mpx_gpu::ReduceOp;
     use mpx_topo::presets;
     use mpx_ucx::UcxConfig;
     use std::sync::Arc;
@@ -173,10 +55,10 @@ mod tests {
     #[test]
     fn split_assigns_local_ranks() {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-        let out = w.run(4, |r| {
+        let out = w.run_tasks(4, |r| async move {
             let colors = [0u32, 1, 0, 1];
-            let sub = SubComm::split(&r, &colors);
-            (r.rank, sub.rank(), sub.size())
+            let sub = r.split(&colors);
+            (r.rank, sub.rank, sub.size)
         });
         assert_eq!(out, vec![(0, 0, 2), (1, 0, 2), (2, 1, 2), (3, 1, 2)]);
     }
@@ -184,14 +66,14 @@ mod tests {
     #[test]
     fn groups_exchange_independently() {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-        let out = w.run(4, |r| {
+        let out = w.run_tasks(4, |r| async move {
             let colors = [0u32, 1, 0, 1];
-            let sub = SubComm::split(&r, &colors);
-            let peer = 1 - sub.rank();
+            let sub = r.split(&colors);
+            let peer = 1 - sub.rank;
             // Both groups use THE SAME tag; the salt keeps them apart.
             let sbuf = r.alloc_bytes(vec![(r.rank * 10 + 1) as u8; 8]);
             let rbuf = r.alloc_zeroed(8);
-            sub.sendrecv(&sbuf, 0, 8, peer, &rbuf, 0, 8, peer, 7);
+            sub.sendrecv(&sbuf, 0, 8, peer, &rbuf, 0, 8, peer, 7).await;
             rbuf.to_vec().unwrap()[0]
         });
         // Group 0 = {0, 2}: world rank 0 hears from 2 (21), rank 2 from 0 (1).
@@ -203,12 +85,12 @@ mod tests {
     fn two_groups_run_allreduce_concurrently() {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
         let elems = 64usize;
-        let out = w.run(4, move |r| {
+        let out = w.run_tasks(4, |r| async move {
             let colors = [0u32, 0, 1, 1];
-            let sub = SubComm::split(&r, &colors);
-            let vals = vec![(sub.rank() + 1) as f32; elems];
+            let sub = r.split(&colors);
+            let vals = vec![(sub.rank + 1) as f32; elems];
             let buf = r.alloc_bytes(f32_bytes(&vals));
-            sub.allreduce_ring(&buf, elems * 4, ReduceOp::Sum);
+            allreduce_ring(&sub, &buf, elems * 4, ReduceOp::Sum).await;
             bytes_f32(&buf.to_vec().unwrap())
         });
         // Each 2-rank group sums 1 + 2 = 3 in every element.
@@ -233,14 +115,14 @@ mod tests {
             },
         );
         let n = 8 << 20;
-        let times = w.run(4, move |r| {
+        let times = w.run_tasks(4, |r| async move {
             let colors = [0u32, 0, 1, 1];
-            let sub = SubComm::split(&r, &colors);
+            let sub = r.split(&colors);
             let buf = r.alloc(n);
-            r.barrier();
+            r.barrier().await;
             let t0 = r.now();
             for _ in 0..3 {
-                sub.allreduce_ring(&buf, n, ReduceOp::Sum);
+                allreduce_ring(&sub, &buf, n, ReduceOp::Sum).await;
             }
             r.now().secs_since(t0) / 3.0
         });
@@ -250,14 +132,14 @@ mod tests {
         assert!(max / min < 1.25, "tenant imbalance: {times:?}");
     }
 
-    // The assert fires inside a rank thread; World::run rethrows as
+    // The assert fires inside a rank task; World::run_tasks rethrows as
     // "rank N panicked".
     #[test]
     #[should_panic(expected = "panicked")]
     fn wrong_color_table_rejected() {
         let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-        w.run(2, |r| {
-            let _ = SubComm::split(&r, &[0u32; 5]);
+        w.run_tasks(2, |r| async move {
+            let _ = r.split(&[0u32; 5]);
         });
     }
 }

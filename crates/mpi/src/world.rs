@@ -1,19 +1,25 @@
-//! The communicator: thread-per-rank execution over the simulated node.
+//! The communicator: one task per rank over the simulated node.
 //!
-//! [`World::run`] registers every rank with the virtual clock *before*
-//! spawning any of them (the quorum rule of `mpx-sim`), runs the closure
-//! on one OS thread per rank, and joins. Each rank owns one GPU, in id
-//! order — the standard one-process-per-GPU MPI launch.
+//! [`World::run_tasks`] runs each rank body as a future on the calling
+//! thread (`mpx_sim::task`), so a run repeats to the bit. Each rank owns
+//! one GPU, in id order — the standard one-process-per-GPU MPI launch.
+//! [`World::run`] is the thread front end (one OS thread per rank).
 
 use crate::p2p::{Matching, PostedRecv, PostedSend, Request};
 use mpx_gpu::{Buffer, GpuRuntime, ReduceOp};
-use mpx_sim::{Engine, SimThread, SimTime};
+use mpx_sim::{Engine, Label, SimThread, SimTime, Template};
 use mpx_topo::units::Secs;
 use mpx_topo::{DeviceId, Topology};
-use mpx_ucx::{UcxConfig, UcxContext};
+use mpx_ucx::{TimedOut, UcxConfig, UcxContext};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::future::Future;
 use std::sync::Arc;
+
+/// A rank task's name: what a rank panic and a deadlock report.
+static RANK: Template = Template("rank {}", &[32]);
+/// The waker of a rank's [`Rank::compute`].
+static RANK_SLEEP: Template = Template("rank{}.sleep", &[32]);
 
 /// A simulated MPI world over one multi-GPU node.
 pub struct World {
@@ -52,56 +58,73 @@ impl World {
         self.matching.pending()
     }
 
-    /// Runs `f` on `nranks` rank threads; returns their results in rank
-    /// order. Rank `i` owns GPU `i`.
+    /// Runs the future `f` makes of each of `nranks` ranks, as tasks on the
+    /// calling thread; returns their results in rank order. Rank `i` owns
+    /// GPU `i`.
     ///
     /// # Panics
-    /// Panics if `nranks` exceeds the GPU count, or if a rank panics
-    /// (e.g. a simulated deadlock).
-    pub fn run<R, F>(&self, nranks: usize, f: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(Rank) -> R + Send + Sync + 'static,
-    {
+    /// Panics if `nranks` exceeds the GPU count, with "rank N panicked" if
+    /// a rank panics, on a simulated deadlock, and if a `SimThread` is
+    /// registered on the engine.
+    pub fn run_tasks<R, Fut: Future<Output = R>>(
+        &self,
+        nranks: usize,
+        f: impl Fn(Rank) -> Fut,
+    ) -> Vec<R> {
+        let tasks = self.ranks(nranks).into_iter();
+        mpx_sim::task::run(
+            self.engine(),
+            tasks.map(|r| (RANK.label(&[r.rank as u64]), f(r))),
+        )
+    }
+
+    /// The thread front end: runs `f` on `nranks` OS threads registered on
+    /// the quorum clock; returns their results in rank order. A body may
+    /// post requests and wait with [`crate::waitall`] on [`Rank::thread`].
+    ///
+    /// # Panics
+    /// Panics if `nranks` exceeds the GPU count, or if a rank panics.
+    pub fn run<R: Send, F: Fn(Rank) -> R + Sync>(&self, nranks: usize, f: F) -> Vec<R> {
+        let mut ranks = self.ranks(nranks);
+        // Register every rank before any thread starts (quorum rule).
+        for r in &mut ranks {
+            r.thread = Some(self.engine().register_thread(format!("rank{}", r.rank)));
+        }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = ranks.into_iter().map(|r| s.spawn(|| f(r))).collect();
+            let joined = handles.into_iter().map(|h| h.join());
+            joined
+                .enumerate()
+                .map(|(i, out)| out.unwrap_or_else(|_| panic!("rank {i} panicked")))
+                .collect()
+        })
+    }
+
+    fn ranks(&self, nranks: usize) -> Vec<Rank> {
         let gpus = self.engine().topology().gpus();
         assert!(
             nranks <= gpus.len(),
             "{nranks} ranks but only {} GPUs",
             gpus.len()
         );
-        // Register every rank before any thread starts (quorum rule).
-        let ranks: Vec<Rank> = (0..nranks)
+        (0..nranks)
             .map(|i| Rank {
                 rank: i,
                 size: nranks,
                 device: gpus[i],
-                thread: self.engine().register_thread(format!("rank{i}")),
+                thread: None,
                 ctx: self.ctx.clone(),
                 matching: self.matching.clone(),
-                scratch: Mutex::new(HashMap::new()),
+                scratch: Mutex::default(),
+                group: None,
+                salt: 0,
             })
-            .collect();
-        let f = Arc::new(f);
-        let handles: Vec<_> = ranks
-            .into_iter()
-            .map(|r| {
-                let f = f.clone();
-                std::thread::Builder::new()
-                    .name(format!("mpx-rank{}", r.rank))
-                    .spawn(move || f(r))
-                    .expect("spawn rank thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| h.join().unwrap_or_else(|_| panic!("rank {i} panicked")))
             .collect()
     }
 }
 
-/// A rank's handle: its identity, its GPU, and the blocking communication
-/// API. Lives on the rank's own OS thread.
+/// A rank's handle: its identity, its GPU, and the communication API —
+/// posting is immediate, every wait is a future a rank task awaits.
 pub struct Rank {
     /// This rank's index.
     pub rank: usize,
@@ -109,16 +132,28 @@ pub struct Rank {
     pub size: usize,
     /// The GPU this rank owns.
     pub device: DeviceId,
-    thread: SimThread,
-    ctx: UcxContext,
-    matching: Arc<Matching>,
-    scratch: Mutex<HashMap<(usize, bool, usize), Buffer>>,
+    /// Set on the thread front end only.
+    pub(crate) thread: Option<SimThread>,
+    pub(crate) ctx: UcxContext,
+    pub(crate) matching: Arc<Matching>,
+    pub(crate) scratch: Mutex<HashMap<(usize, bool, usize), Buffer>>,
+    /// World ranks of the members by local rank, on a [`Rank::split`]
+    /// view; `None` on the world itself.
+    pub(crate) group: Option<Arc<[usize]>>,
+    /// Tag salt of a split view: its messages match only its group's.
+    pub(crate) salt: u64,
 }
 
 impl Rank {
-    /// The simulated-thread handle (for waiting on custom wakers).
+    /// The simulated-thread handle of a [`World::run`] rank, to block on
+    /// with [`crate::waitall`].
+    ///
+    /// # Panics
+    /// Panics on a rank task, which has no thread to block.
     pub fn thread(&self) -> &SimThread {
-        &self.thread
+        self.thread
+            .as_ref()
+            .expect("a rank task has no SimThread: await the rank API instead")
     }
 
     /// The transport context.
@@ -126,9 +161,14 @@ impl Rank {
         &self.ctx
     }
 
+    /// The simulation engine.
+    pub fn engine(&self) -> &Engine {
+        self.ctx.runtime().engine()
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.thread.now()
+        self.engine().now()
     }
 
     /// Allocates a synthetic buffer on this rank's GPU.
@@ -166,6 +206,11 @@ impl Rank {
             .clone()
     }
 
+    /// The world rank of local rank `local`.
+    pub(crate) fn world_rank(&self, local: usize) -> usize {
+        self.group.as_ref().map_or(local, |members| members[local])
+    }
+
     // --- point-to-point ---------------------------------------------------
 
     /// Non-blocking send of `buf[off..off+n]` to `to` with `tag`.
@@ -175,9 +220,9 @@ impl Rank {
         self.matching.post_send(
             &self.ctx,
             PostedSend {
-                from: self.rank,
-                to,
-                tag,
+                from: self.world_rank(self.rank),
+                to: self.world_rank(to),
+                tag: self.salt | tag,
                 buf: buf.clone(),
                 off,
                 n,
@@ -207,9 +252,9 @@ impl Rank {
         self.matching.post_recv(
             &self.ctx,
             PostedRecv {
-                at: self.rank,
-                src: from,
-                tag,
+                at: self.world_rank(self.rank),
+                src: from.map(|f| self.world_rank(f)),
+                tag: tag.map(|t| self.salt | t),
                 buf: buf.clone(),
                 off,
                 n,
@@ -225,19 +270,44 @@ impl Rank {
         self.irecv_at(buf, 0, n, from, tag)
     }
 
+    /// Waits for every request (MPI_Waitall), newest first: requests mostly
+    /// complete in posting order, so the rank waits once, on the last one,
+    /// and finds the others already signaled. A rank acts on nothing
+    /// between the waits, so the order cannot move virtual time.
+    pub async fn waitall(&self, requests: &[Request]) {
+        for r in requests.iter().rev() {
+            r.wait().await;
+        }
+    }
+
+    /// [`Rank::waitall`] with a virtual-time deadline shared by all
+    /// requests. Returns `TimedOut` once a wait finds a request still
+    /// pending at the deadline — whichever the newest-first order reaches,
+    /// not the first in the slice.
+    pub async fn waitall_deadline(
+        &self,
+        requests: &[Request],
+        deadline: SimTime,
+    ) -> Result<(), TimedOut> {
+        for r in requests.iter().rev() {
+            r.wait_deadline(self.engine(), deadline).await?;
+        }
+        Ok(())
+    }
+
     /// Blocking send.
-    pub fn send(&self, buf: &Buffer, n: usize, to: usize, tag: u64) {
-        self.isend(buf, n, to, tag).wait(&self.thread);
+    pub async fn send(&self, buf: &Buffer, n: usize, to: usize, tag: u64) {
+        self.isend(buf, n, to, tag).wait().await;
     }
 
     /// Blocking receive.
-    pub fn recv(&self, buf: &Buffer, n: usize, from: Option<usize>, tag: Option<u64>) {
-        self.irecv(buf, n, from, tag).wait(&self.thread);
+    pub async fn recv(&self, buf: &Buffer, n: usize, from: Option<usize>, tag: Option<u64>) {
+        self.irecv(buf, n, from, tag).wait().await;
     }
 
     /// Deadlock-free combined send+receive (MPI_Sendrecv).
     #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
+    pub async fn sendrecv(
         &self,
         sbuf: &Buffer,
         soff: usize,
@@ -251,12 +321,12 @@ impl Rank {
     ) {
         let r = self.irecv_at(rbuf, roff, rn, Some(from), Some(tag));
         let s = self.isend_at(sbuf, soff, sn, to, tag);
-        r.wait(&self.thread);
-        s.wait(&self.thread);
+        r.wait().await;
+        s.wait().await;
     }
 
     /// Dissemination barrier (zero-byte message rounds).
-    pub fn barrier(&self) {
+    pub async fn barrier(&self) {
         const BARRIER_TAG_BASE: u64 = 1 << 60;
         let dummy = self.alloc(0);
         let mut k = 1usize;
@@ -267,8 +337,8 @@ impl Rank {
             let tag = BARRIER_TAG_BASE + round;
             let r = self.irecv(&dummy, 0, Some(from), Some(tag));
             let s = self.isend(&dummy, 0, to, tag);
-            r.wait(&self.thread);
-            s.wait(&self.thread);
+            r.wait().await;
+            s.wait().await;
             k <<= 1;
             round += 1;
         }
@@ -276,7 +346,7 @@ impl Rank {
 
     /// Runs a reduction kernel `dst[doff..doff+n] op= src[soff..]` on this
     /// rank's GPU, charging the kernel cost model, and waits for it.
-    pub fn reduce_local(
+    pub async fn reduce_local(
         &self,
         op: ReduceOp,
         src: &Buffer,
@@ -295,12 +365,12 @@ impl Rank {
             })),
             format!("reduce r{}", self.rank),
         );
-        s.synchronize(&self.thread);
+        s.synchronize_async().await;
     }
 
     /// Runs a local device-to-device pack/copy (e.g. Bruck rotations),
     /// charging kernel cost for the bytes touched, and waits for it.
-    pub fn local_copy(&self, src: &Buffer, soff: usize, dst: &Buffer, doff: usize, n: usize) {
+    pub async fn local_copy(&self, src: &Buffer, soff: usize, dst: &Buffer, doff: usize, n: usize) {
         let cost = self.ctx.runtime().kernel_cost().cost_copy(n);
         let s = self.ctx.runtime().stream(self.device);
         let (src, dst) = (src.clone(), dst.clone());
@@ -311,19 +381,19 @@ impl Rank {
             })),
             format!("pack r{}", self.rank),
         );
-        s.synchronize(&self.thread);
+        s.synchronize_async().await;
     }
 
     /// Sleeps in virtual time (compute phases in app-level examples).
-    pub fn compute(&self, d: Secs) {
-        self.thread.sleep(d);
+    pub async fn compute(&self, d: Secs) {
+        let name: Label = RANK_SLEEP.label(&[self.rank as u64]);
+        mpx_sim::task::sleep(self.engine(), name, d).await;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::p2p::waitall;
     use mpx_topo::presets;
     use mpx_topo::units::MIB;
 
@@ -334,16 +404,16 @@ mod tests {
     #[test]
     fn two_rank_send_recv_moves_data() {
         let w = world();
-        let results = w.run(2, |r| {
+        let results = w.run_tasks(2, |r| async move {
             let n = MIB;
             if r.rank == 0 {
                 let data: Vec<u8> = (0..n).map(|i| (i % 256) as u8).collect();
                 let buf = r.alloc_bytes(data);
-                r.send(&buf, n, 1, 7);
+                r.send(&buf, n, 1, 7).await;
                 None
             } else {
                 let buf = r.alloc_zeroed(n);
-                r.recv(&buf, n, Some(0), Some(7));
+                r.recv(&buf, n, Some(0), Some(7)).await;
                 buf.to_vec()
             }
         });
@@ -359,16 +429,16 @@ mod tests {
     #[test]
     fn recv_before_send_matches() {
         let w = world();
-        let times = w.run(2, |r| {
+        let times = w.run_tasks(2, |r| async move {
             if r.rank == 1 {
                 let buf = r.alloc_zeroed(4);
                 // Receiver posts first (it has nothing else to do).
-                r.recv(&buf, 4, Some(0), Some(1));
+                r.recv(&buf, 4, Some(0), Some(1)).await;
             } else {
                 // Sender dawdles, then sends.
-                r.compute(1e-3);
+                r.compute(1e-3).await;
                 let buf = r.alloc_bytes(vec![9, 9, 9, 9]);
-                r.send(&buf, 4, 1, 1);
+                r.send(&buf, 4, 1, 1).await;
             }
             r.now().as_secs()
         });
@@ -379,18 +449,20 @@ mod tests {
     #[test]
     fn wildcard_receive_matches_any_source_and_tag() {
         let w = world();
-        let results = w.run(3, |r| {
+        let results = w.run_tasks(3, |r| async move {
             if r.rank == 0 {
                 let a = r.alloc_zeroed(4);
                 let b = r.alloc_zeroed(4);
-                r.recv(&a, 4, crate::p2p::ANY_SOURCE, crate::p2p::ANY_TAG);
-                r.recv(&b, 4, crate::p2p::ANY_SOURCE, crate::p2p::ANY_TAG);
+                r.recv(&a, 4, crate::p2p::ANY_SOURCE, crate::p2p::ANY_TAG)
+                    .await;
+                r.recv(&b, 4, crate::p2p::ANY_SOURCE, crate::p2p::ANY_TAG)
+                    .await;
                 let mut got = vec![a.to_vec().unwrap()[0], b.to_vec().unwrap()[0]];
                 got.sort_unstable();
                 Some(got)
             } else {
                 let buf = r.alloc_bytes(vec![r.rank as u8; 4]);
-                r.send(&buf, 4, 0, 100 + r.rank as u64);
+                r.send(&buf, 4, 0, 100 + r.rank as u64).await;
                 None
             }
         });
@@ -400,20 +472,20 @@ mod tests {
     #[test]
     fn tag_matching_keeps_streams_separate() {
         let w = world();
-        let results = w.run(2, |r| {
+        let results = w.run_tasks(2, |r| async move {
             if r.rank == 0 {
                 let a = r.alloc_bytes(vec![1; 4]);
                 let b = r.alloc_bytes(vec![2; 4]);
                 // Send tag 2 first, then tag 1.
                 let s1 = r.isend(&b, 4, 1, 2);
                 let s2 = r.isend(&a, 4, 1, 1);
-                waitall(r.thread(), &[s1, s2]);
+                r.waitall(&[s1, s2]).await;
                 None
             } else {
                 let want1 = r.alloc_zeroed(4);
                 let want2 = r.alloc_zeroed(4);
-                r.recv(&want1, 4, Some(0), Some(1));
-                r.recv(&want2, 4, Some(0), Some(2));
+                r.recv(&want1, 4, Some(0), Some(1)).await;
+                r.recv(&want2, 4, Some(0), Some(2)).await;
                 Some((want1.to_vec().unwrap()[0], want2.to_vec().unwrap()[0]))
             }
         });
@@ -423,17 +495,17 @@ mod tests {
     #[test]
     fn wildcard_receive_reports_matched_status() {
         let w = world();
-        let results = w.run(3, |r| {
+        let results = w.run_tasks(3, |r| async move {
             if r.rank == 0 {
                 let buf = r.alloc_zeroed(8);
                 let req = r.irecv(&buf, 8, crate::p2p::ANY_SOURCE, crate::p2p::ANY_TAG);
-                let status = req.wait_status(r.thread());
+                let status = req.wait_status().await;
                 Some(status)
             } else {
                 // Only rank 2 sends.
                 if r.rank == 2 {
                     let buf = r.alloc_bytes(vec![5; 8]);
-                    r.send(&buf, 8, 0, 77);
+                    r.send(&buf, 8, 0, 77).await;
                 }
                 None
             }
@@ -447,18 +519,18 @@ mod tests {
     #[test]
     fn status_absent_before_match() {
         let w = world();
-        w.run(2, |r| {
+        w.run_tasks(2, |r| async move {
             if r.rank == 0 {
                 let buf = r.alloc_zeroed(4);
                 let req = r.irecv(&buf, 4, Some(1), Some(1));
                 assert!(req.status().is_none(), "unmatched recv has no status");
-                r.compute(1e-4); // give the sender time
-                req.wait(r.thread());
+                r.compute(1e-4).await; // give the sender time
+                req.wait().await;
                 assert!(req.status().is_some());
             } else {
-                r.compute(5e-5);
+                r.compute(5e-5).await;
                 let buf = r.alloc(4);
-                r.send(&buf, 4, 0, 1);
+                r.send(&buf, 4, 0, 1).await;
             }
         });
     }
@@ -466,11 +538,11 @@ mod tests {
     #[test]
     fn sendrecv_exchanges_without_deadlock() {
         let w = world();
-        let results = w.run(2, |r| {
+        let results = w.run_tasks(2, |r| async move {
             let peer = 1 - r.rank;
             let sbuf = r.alloc_bytes(vec![r.rank as u8 + 10; 8]);
             let rbuf = r.alloc_zeroed(8);
-            r.sendrecv(&sbuf, 0, 8, peer, &rbuf, 0, 8, peer, 5);
+            r.sendrecv(&sbuf, 0, 8, peer, &rbuf, 0, 8, peer, 5).await;
             rbuf.to_vec().unwrap()[0]
         });
         assert_eq!(results, vec![11, 10]);
@@ -479,10 +551,10 @@ mod tests {
     #[test]
     fn barrier_synchronizes_ranks() {
         let w = world();
-        let times = w.run(4, |r| {
+        let times = w.run_tasks(4, |r| async move {
             // Rank i computes i milliseconds, then everyone barriers.
-            r.compute(r.rank as f64 * 1e-3);
-            r.barrier();
+            r.compute(r.rank as f64 * 1e-3).await;
+            r.barrier().await;
             r.now().as_secs()
         });
         // All ranks leave the barrier at (or after) the slowest arrival.
@@ -496,14 +568,14 @@ mod tests {
         let w = world();
         let n = 4 * MIB;
         let window = 8;
-        let bw = w.run(2, move |r| {
+        let bw = w.run_tasks(2, |r| async move {
             if r.rank == 0 {
                 let bufs: Vec<_> = (0..window).map(|_| r.alloc(n)).collect();
                 let t0 = r.now();
                 let reqs: Vec<_> = (0..window)
                     .map(|i| r.isend(&bufs[i], n, 1, i as u64))
                     .collect();
-                waitall(r.thread(), &reqs);
+                r.waitall(&reqs).await;
                 let dt = r.now().secs_since(t0);
                 Some((window * n) as f64 / dt)
             } else {
@@ -511,7 +583,7 @@ mod tests {
                 let reqs: Vec<_> = (0..window)
                     .map(|i| r.irecv(&bufs[i], n, Some(0), Some(i as u64)))
                     .collect();
-                waitall(r.thread(), &reqs);
+                r.waitall(&reqs).await;
                 None
             }
         });
@@ -523,12 +595,12 @@ mod tests {
     #[test]
     fn zero_byte_message_synchronizes() {
         let w = world();
-        w.run(2, |r| {
+        w.run_tasks(2, |r| async move {
             let buf = r.alloc(0);
             if r.rank == 0 {
-                r.send(&buf, 0, 1, 9);
+                r.send(&buf, 0, 1, 9).await;
             } else {
-                r.recv(&buf, 0, Some(0), Some(9));
+                r.recv(&buf, 0, Some(0), Some(9)).await;
             }
         });
         assert_eq!(w.pending_messages(), (0, 0));
@@ -537,11 +609,11 @@ mod tests {
     #[test]
     fn reduce_local_charges_time_and_computes() {
         let w = world();
-        let out = w.run(1, |r| {
+        let out = w.run_tasks(1, |r| async move {
             let a = r.alloc_bytes(mpx_gpu::reduce::f32_bytes(&[1.0, 2.0]));
             let b = r.alloc_bytes(mpx_gpu::reduce::f32_bytes(&[10.0, 20.0]));
             let t0 = r.now();
-            r.reduce_local(ReduceOp::Sum, &a, 0, &b, 0, 8);
+            r.reduce_local(ReduceOp::Sum, &a, 0, &b, 0, 8).await;
             let dt = r.now().secs_since(t0);
             (mpx_gpu::reduce::bytes_f32(&b.to_vec().unwrap()), dt)
         });
@@ -554,22 +626,22 @@ mod tests {
     #[should_panic(expected = "ranks but only")]
     fn too_many_ranks_panics() {
         let w = world();
-        w.run(5, |_| ());
+        w.run_tasks(5, |_| async {});
     }
 
-    // The assert fires inside a rank thread; World::run rethrows as
+    // The assert fires inside a rank task; World::run_tasks rethrows as
     // "rank N panicked".
     #[test]
     #[should_panic(expected = "panicked")]
     fn oversized_send_into_small_recv_panics() {
         let w = world();
-        w.run(2, |r| {
+        w.run_tasks(2, |r| async move {
             if r.rank == 0 {
                 let buf = r.alloc(8);
-                r.send(&buf, 8, 1, 0);
+                r.send(&buf, 8, 1, 0).await;
             } else {
                 let buf = r.alloc(4);
-                r.recv(&buf, 4, Some(0), Some(0));
+                r.recv(&buf, 4, Some(0), Some(0)).await;
             }
         });
     }

@@ -2,7 +2,7 @@
 //! and bidirectional (`osu_bibw`), with the window sizes the paper sweeps
 //! (1 and 16).
 
-use mpx_mpi::{waitall_deadline, Rank, Request, World};
+use mpx_mpi::{Rank, Request, World};
 use mpx_topo::units::Bandwidth;
 use mpx_topo::Topology;
 use mpx_ucx::UcxConfig;
@@ -13,9 +13,9 @@ use std::sync::Arc;
 /// benchmark with a diagnostic instead of hanging the test run.
 const WAIT_GUARD: f64 = 600.0;
 
-fn waitall_guarded(r: &Rank, reqs: &[Request]) {
+async fn waitall_guarded(r: &Rank, reqs: &[Request]) {
     let deadline = r.now().after(WAIT_GUARD);
-    if let Err(e) = waitall_deadline(r.thread(), reqs, deadline) {
+    if let Err(e) = r.waitall_deadline(reqs, deadline).await {
         panic!("rank {}: benchmark wait stuck ({e})", r.rank);
     }
 }
@@ -67,12 +67,12 @@ pub fn osu_bw(topo: &Arc<Topology>, ucx: UcxConfig, n: usize, cfg: P2pConfig) ->
 /// and — for static mode — its tuned table).
 pub fn osu_bw_on(world: &World, n: usize, cfg: P2pConfig) -> Bandwidth {
     assert!(n > 0 && cfg.window > 0 && cfg.iterations > 0);
-    let results = world.run(2, move |r| {
+    let results = world.run_tasks(2, |r| async move {
         let bufs: Vec<_> = (0..cfg.window).map(|_| r.alloc(n)).collect();
         let mut t0 = r.now();
         for it in 0..cfg.warmup + cfg.iterations {
             if it == cfg.warmup {
-                r.barrier();
+                r.barrier().await;
                 t0 = r.now();
             }
             let reqs: Vec<_> = (0..cfg.window)
@@ -85,7 +85,7 @@ pub fn osu_bw_on(world: &World, n: usize, cfg: P2pConfig) -> Bandwidth {
                     }
                 })
                 .collect();
-            waitall_guarded(&r, &reqs);
+            waitall_guarded(&r, &reqs).await;
         }
         let dt = r.now().secs_since(t0);
         (cfg.iterations * cfg.window * n) as f64 / dt
@@ -102,14 +102,14 @@ pub fn osu_bibw(topo: &Arc<Topology>, ucx: UcxConfig, n: usize, cfg: P2pConfig) 
 /// [`osu_bibw`] on an existing world.
 pub fn osu_bibw_on(world: &World, n: usize, cfg: P2pConfig) -> Bandwidth {
     assert!(n > 0 && cfg.window > 0 && cfg.iterations > 0);
-    let results = world.run(2, move |r| {
+    let results = world.run_tasks(2, |r| async move {
         let peer = 1 - r.rank;
         let sbufs: Vec<_> = (0..cfg.window).map(|_| r.alloc(n)).collect();
         let rbufs: Vec<_> = (0..cfg.window).map(|_| r.alloc(n)).collect();
         let mut t0 = r.now();
         for it in 0..cfg.warmup + cfg.iterations {
             if it == cfg.warmup {
-                r.barrier();
+                r.barrier().await;
                 t0 = r.now();
             }
             // Tag encodes (direction, iteration, slot).
@@ -123,7 +123,7 @@ pub fn osu_bibw_on(world: &World, n: usize, cfg: P2pConfig) -> Bandwidth {
                 let idx = (it * cfg.window + k) as u64;
                 reqs.push(r.isend(sbuf, n, peer, dir(r.rank) | idx));
             }
-            waitall_guarded(&r, &reqs);
+            waitall_guarded(&r, &reqs).await;
         }
         let dt = r.now().secs_since(t0);
         (2 * cfg.iterations * cfg.window * n) as f64 / dt
@@ -135,17 +135,17 @@ pub fn osu_bibw_on(world: &World, n: usize, cfg: P2pConfig) -> Bandwidth {
 pub fn osu_latency(topo: &Arc<Topology>, ucx: UcxConfig, n: usize, iterations: usize) -> f64 {
     assert!(n > 0 && iterations > 0);
     let world = World::new(topo.clone(), ucx);
-    let results = world.run(2, move |r| {
+    let results = world.run_tasks(2, |r| async move {
         let buf = r.alloc(n);
-        r.barrier();
+        r.barrier().await;
         let t0 = r.now();
         for it in 0..iterations as u64 {
             if r.rank == 0 {
-                r.send(&buf, n, 1, 2 * it);
-                r.recv(&buf, n, Some(1), Some(2 * it + 1));
+                r.send(&buf, n, 1, 2 * it).await;
+                r.recv(&buf, n, Some(1), Some(2 * it + 1)).await;
             } else {
-                r.recv(&buf, n, Some(0), Some(2 * it));
-                r.send(&buf, n, 0, 2 * it + 1);
+                r.recv(&buf, n, Some(0), Some(2 * it)).await;
+                r.send(&buf, n, 0, 2 * it + 1).await;
             }
         }
         r.now().secs_since(t0) / (2.0 * iterations as f64)

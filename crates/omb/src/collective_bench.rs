@@ -65,17 +65,19 @@ pub fn osu_allreduce(
 pub fn allreduce_on(world: &World, n: usize, algo: AllreduceAlgo, cfg: CollectiveConfig) -> f64 {
     assert!(n > 0 && cfg.iterations > 0);
     assert_eq!(n % (4 * cfg.ranks), 0, "n must be a multiple of 4*ranks");
-    let results = world.run(cfg.ranks, move |r| {
+    let results = world.run_tasks(cfg.ranks, |r| async move {
         let buf = r.alloc(n);
         let mut t0 = r.now();
         for it in 0..cfg.warmup + cfg.iterations {
             if it == cfg.warmup {
-                r.barrier();
+                r.barrier().await;
                 t0 = r.now();
             }
             match algo {
-                AllreduceAlgo::Rabenseifner => allreduce_rabenseifner(&r, &buf, n, ReduceOp::Sum),
-                AllreduceAlgo::Ring => allreduce_ring(&r, &buf, n, ReduceOp::Sum),
+                AllreduceAlgo::Rabenseifner => {
+                    allreduce_rabenseifner(&r, &buf, n, ReduceOp::Sum).await
+                }
+                AllreduceAlgo::Ring => allreduce_ring(&r, &buf, n, ReduceOp::Sum).await,
             }
         }
         r.now().secs_since(t0) / cfg.iterations as f64
@@ -98,18 +100,18 @@ pub fn osu_alltoall(
 /// [`osu_alltoall`] on an existing world.
 pub fn alltoall_on(world: &World, n: usize, algo: AlltoallAlgo, cfg: CollectiveConfig) -> f64 {
     assert!(n > 0 && cfg.iterations > 0);
-    let results = world.run(cfg.ranks, move |r| {
+    let results = world.run_tasks(cfg.ranks, |r| async move {
         let send = r.alloc(cfg.ranks * n);
         let recv = r.alloc(cfg.ranks * n);
         let mut t0 = r.now();
         for it in 0..cfg.warmup + cfg.iterations {
             if it == cfg.warmup {
-                r.barrier();
+                r.barrier().await;
                 t0 = r.now();
             }
             match algo {
-                AlltoallAlgo::Bruck => alltoall_bruck(&r, &send, &recv, n),
-                AlltoallAlgo::Pairwise => alltoall_pairwise(&r, &send, &recv, n),
+                AlltoallAlgo::Bruck => alltoall_bruck(&r, &send, &recv, n).await,
+                AlltoallAlgo::Pairwise => alltoall_pairwise(&r, &send, &recv, n).await,
             }
         }
         r.now().secs_since(t0) / cfg.iterations as f64
@@ -134,15 +136,15 @@ pub fn osu_bcast(topo: &Arc<Topology>, ucx: UcxConfig, n: usize, cfg: Collective
 /// [`osu_bcast`] on an existing world.
 pub fn bcast_on(world: &World, n: usize, cfg: CollectiveConfig) -> f64 {
     assert!(n > 0 && cfg.iterations > 0);
-    let results = world.run(cfg.ranks, move |r| {
+    let results = world.run_tasks(cfg.ranks, |r| async move {
         let buf = r.alloc(n);
         let mut t0 = r.now();
         for it in 0..cfg.warmup + cfg.iterations {
             if it == cfg.warmup {
-                r.barrier();
+                r.barrier().await;
                 t0 = r.now();
             }
-            bcast_binomial(&r, &buf, n, 0);
+            bcast_binomial(&r, &buf, n, 0).await;
         }
         r.now().secs_since(t0) / cfg.iterations as f64
     });
@@ -159,17 +161,17 @@ pub fn osu_allgather(
 ) -> f64 {
     assert!(n > 0 && cfg.iterations > 0);
     let world = World::new(topo.clone(), ucx);
-    let results = world.run(cfg.ranks, move |r| {
+    let results = world.run_tasks(cfg.ranks, |r| async move {
         let buf = r.alloc(cfg.ranks * n);
         let mut t0 = r.now();
         for it in 0..cfg.warmup + cfg.iterations {
             if it == cfg.warmup {
-                r.barrier();
+                r.barrier().await;
                 t0 = r.now();
             }
             match algo {
-                AllgatherAlgo::RecursiveDoubling => allgather_recursive_doubling(&r, &buf, n),
-                AllgatherAlgo::Ring => allgather_ring(&r, &buf, n),
+                AllgatherAlgo::RecursiveDoubling => allgather_recursive_doubling(&r, &buf, n).await,
+                AllgatherAlgo::Ring => allgather_ring(&r, &buf, n).await,
             }
         }
         r.now().secs_since(t0) / cfg.iterations as f64

@@ -17,7 +17,7 @@
 
 use mpx_broker::{Broker, Outcome};
 use mpx_gpu::ReduceOp;
-use mpx_mpi::{SubComm, World};
+use mpx_mpi::{allreduce_ring, World};
 use mpx_topo::units::Secs;
 use mpx_topo::{DeviceId, Topology};
 use mpx_ucx::UcxConfig;
@@ -58,16 +58,16 @@ pub fn two_tenant_allreduce(
 ) -> TenantResult {
     assert!(topo.gpus().len() >= 4 && n.is_multiple_of(8) && iterations > 0);
     let world = World::new(topo.clone(), ucx);
-    let times = world.run(4, move |r| {
+    let times = world.run_tasks(4, |r| async move {
         let colors = [0u32, 0, 1, 1];
-        let sub = SubComm::split(&r, &colors);
+        let sub = r.split(&colors);
         let tenant_b = r.rank >= 2;
         let buf = r.alloc(n);
-        r.barrier();
+        r.barrier().await;
         let t0 = r.now();
         if !tenant_b || active_b {
             for _ in 0..iterations {
-                sub.allreduce_ring(&buf, n, ReduceOp::Sum);
+                allreduce_ring(&sub, &buf, n, ReduceOp::Sum).await;
             }
         }
         r.now().secs_since(t0) / iterations as f64

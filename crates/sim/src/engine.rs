@@ -1,17 +1,22 @@
 //! The discrete-event engine: virtual time, fluid flows with max-min fair
-//! bandwidth sharing, and a blocked-thread quorum protocol that lets
-//! simulated ranks be written as ordinary blocking Rust threads.
+//! bandwidth sharing, and the two ways simulated actors wait on it.
 //!
 //! # Execution model
 //!
-//! Simulated actors are OS threads registered via
-//! [`Engine::register_thread`]. Every blocking operation funnels into
-//! [`SimThread::wait`] on a [`Waker`]. Virtual time only advances when
-//! *all* registered threads are blocked: the last thread to block becomes
-//! the coordinator, pops the earliest event, advances `now`, and handles
-//! it. Handling an event may fire wakers, making threads runnable again;
-//! the clock then stays frozen until they all block once more. This gives
-//! deterministic-enough virtual time while keeping rank code straight-line.
+//! MPI ranks are tasks: futures that [`crate::task::run`] polls on the
+//! calling thread in task-id order, handling the next event whenever no
+//! task can move; a task waits by awaiting [`crate::task::wait`] on a
+//! [`Waker`], and a run repeats to the bit.
+//!
+//! The actors still on OS threads (the broker's scheduler, the tenants'
+//! open-loop generators, blocking `put_resilient` / `put_hedged` callers)
+//! register via [`Engine::register_thread`] and block in
+//! [`SimThread::wait`]. Virtual time then only advances when *all*
+//! registered threads are blocked: the last thread to block becomes the
+//! coordinator, pops the earliest event, advances `now`, and handles it.
+//! Handling an event may fire wakers, making threads runnable again (in OS
+//! order); the clock then stays frozen until they all block once more. The
+//! executor refuses an engine with a thread registered.
 //!
 //! # Flows
 //!
@@ -56,6 +61,8 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::{Deref, Index, IndexMut};
+use std::sync::atomic::AtomicU8;
+use std::sync::atomic::Ordering::{AcqRel, Acquire};
 use std::sync::Arc;
 
 /// Deterministic latency noise: every flow's startup latency is scaled
@@ -1125,6 +1132,29 @@ impl Engine {
         self.shared.state.lock().flows.len()
     }
 
+    /// Registered [`SimThread`]s.
+    pub(crate) fn threads_registered(&self) -> usize {
+        self.shared.state.lock().registered
+    }
+
+    /// Handles events back to back while `idle` holds — the task executor's
+    /// clock, called when no task can move. Returns `false` if the queue
+    /// ran dry first. Not generic: the event loop stays private to this
+    /// crate's code.
+    pub(crate) fn run_while(&self, idle: &mut dyn FnMut() -> bool) -> bool {
+        let mut st = self.shared.state.lock();
+        assert_eq!(
+            st.registered, 0,
+            "tasks with registered threads would corrupt the quorum"
+        );
+        while idle() {
+            if !process_next_event(&mut st, &self.shared.topo) {
+                return false;
+            }
+        }
+        true
+    }
+
     fn block_on(&self, waker: &Waker, who: &str) {
         let sh = &self.shared;
         let mut st = sh.state.lock();
@@ -1171,6 +1201,33 @@ impl Engine {
     }
 }
 
+/// The timeout event of a wait with a deadline: it fires the waiter's waker
+/// at the deadline unless the wait is disarmed first.
+pub(crate) struct Timeout(Arc<AtomicU8>);
+
+impl Timeout {
+    pub(crate) fn arm(engine: &Engine, waker: &Waker, deadline: SimTime) -> Timeout {
+        let (state, w) = (Arc::new(AtomicU8::new(0)), waker.clone());
+        let s = state.clone();
+        engine.schedule_at(
+            deadline,
+            OnComplete::Call(Box::new(move |ctx| {
+                // A dud if the wait was over (and disarmed) first.
+                if s.compare_exchange(0, 2, AcqRel, Acquire).is_ok() {
+                    ctx.signal(&w);
+                }
+            })),
+        );
+        Timeout(state)
+    }
+
+    /// `true` if the waker fired before the deadline; the still-queued
+    /// timeout is then defused, so it cannot misfire the (reusable) waker.
+    pub(crate) fn disarm(self) -> bool {
+        self.0.compare_exchange(0, 1, AcqRel, Acquire).is_ok()
+    }
+}
+
 /// A registered simulated thread. Dropping deregisters it.
 pub struct SimThread {
     engine: Engine,
@@ -1209,37 +1266,14 @@ impl SimThread {
     /// event queued while the thread blocks. A waker that has already fired
     /// is consumed without scheduling one, whatever the deadline.
     pub fn wait_until(&self, waker: &Waker, deadline: SimTime) -> bool {
-        use std::sync::atomic::{AtomicBool, Ordering};
         // Already fired: no timeout to race, so none to allocate and queue.
         if waker.is_signaled() {
             self.wait(waker);
             return true;
         }
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let timed_out = Arc::new(AtomicBool::new(false));
-        let w = waker.clone();
-        let c = cancelled.clone();
-        let t = timed_out.clone();
-        self.engine.schedule_at(
-            deadline,
-            OnComplete::Call(Box::new(move |ctx| {
-                // The waiter may have been woken (and the wait cancelled)
-                // before this event fires; in that case it is a dud.
-                if !c.load(Ordering::Acquire) {
-                    t.store(true, Ordering::Release);
-                    ctx.signal(&w);
-                }
-            })),
-        );
+        let timeout = Timeout::arm(&self.engine, waker, deadline);
         self.wait(waker);
-        if timed_out.load(Ordering::Acquire) {
-            false
-        } else {
-            // Won the race: defuse the still-queued timeout event so it
-            // cannot misfire the (reusable) waker later.
-            cancelled.store(true, Ordering::Release);
-            true
-        }
+        timeout.disarm()
     }
 
     /// Sleeps for `d` seconds of virtual time.

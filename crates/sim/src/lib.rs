@@ -7,17 +7,24 @@
 //! host-staged bidirectional degradation) without any per-experiment
 //! tuning.
 //!
-//! Two ways to drive a simulation:
+//! Three ways to drive a simulation:
 //!
 //! * **Callback-structured** — inject flows/timers with
 //!   [`Engine::start_flow`] / [`Engine::schedule_in`] and drain with
 //!   [`Engine::run_until_idle`]. Deterministic; used by unit tests and the
 //!   GPU stream layer.
+//! * **Task-structured** — write each actor as a future that awaits
+//!   [`task::wait`], [`task::wait_until`] or [`task::sleep`], and run the
+//!   set with [`task::run`] on the calling thread. The executor polls every
+//!   task that can move in task-id order and handles the next event when
+//!   none can, so a run repeats to the bit. This is how `mpx-mpi` runs
+//!   ranks.
 //! * **Thread-structured** — register OS threads as simulated actors
 //!   ([`Engine::register_thread`]) and write straight-line blocking code
 //!   ([`SimThread::sleep`], [`SimThread::wait`], [`SimThread::transfer`]).
 //!   Virtual time advances only when every registered thread is blocked.
-//!   This is how `mpx-mpi` runs ranks.
+//!   What is left on it: the broker's scheduler, the tenants' open-loop
+//!   generators and the blocking `put_resilient` / `put_hedged` drivers.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -43,6 +50,7 @@ pub mod label;
 pub mod parallel;
 pub mod partition;
 pub mod stats;
+pub mod task;
 pub mod time;
 pub mod waker;
 

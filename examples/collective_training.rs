@@ -20,15 +20,15 @@ fn train(topo: &Arc<Topology>, mode: TuningMode, grad_bytes: usize, steps: usize
         ..UcxConfig::default()
     };
     let world = World::new(topo.clone(), cfg);
-    let times = world.run(4, move |rank| {
+    let times = world.run_tasks(4, |rank| async move {
         let grads = rank.alloc(grad_bytes);
-        rank.barrier();
+        rank.barrier().await;
         let t0 = rank.now();
         for _ in 0..steps {
             // Backward pass: ~2 ms of compute.
-            rank.compute(2e-3);
+            rank.compute(2e-3).await;
             // Gradient allreduce (K-nomial scatter-reduce + allgather).
-            mpx_mpi::allreduce_rabenseifner(&rank, &grads, grad_bytes, ReduceOp::Sum);
+            mpx_mpi::allreduce_rabenseifner(&rank, &grads, grad_bytes, ReduceOp::Sum).await;
         }
         rank.now().secs_since(t0) / steps as f64
     });

@@ -18,7 +18,7 @@ use multipath_gpu::prelude::*;
 use std::sync::Arc;
 
 /// One halo-exchange iteration for rank `r` on a 2×2 grid.
-fn exchange(rank: &Rank, halo: usize, iter: u64) {
+async fn exchange(rank: &Rank, halo: usize, iter: u64) {
     let (row, col) = (rank.rank / 2, rank.rank % 2);
     let row_peer = row * 2 + (1 - col); // horizontal neighbour
     let col_peer = (1 - row) * 2 + col; // vertical neighbour
@@ -35,7 +35,7 @@ fn exchange(rank: &Rank, halo: usize, iter: u64) {
         rank.isend(&send_h, halo, row_peer, tag | 1),
         rank.isend(&send_v, halo, col_peer, tag | 2),
     ];
-    waitall(rank.thread(), &reqs);
+    rank.waitall(&reqs).await;
 }
 
 /// The halo pattern as a concurrent-transfer set (both directions of
@@ -76,12 +76,12 @@ fn run(topo: &Arc<Topology>, mode: TuningMode, sel: PathSelection, halo: usize) 
         world.context().install_static_shares(shares);
     }
     let steps = 5u64;
-    let times = world.run(4, move |rank| {
-        rank.barrier();
+    let times = world.run_tasks(4, |rank| async move {
+        rank.barrier().await;
         let t0 = rank.now();
         for it in 0..steps {
-            rank.compute(100e-6); // stencil update
-            exchange(&rank, halo, it);
+            rank.compute(100e-6).await; // stencil update
+            exchange(&rank, halo, it).await;
         }
         rank.now().secs_since(t0) / steps as f64
     });

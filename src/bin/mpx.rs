@@ -821,9 +821,9 @@ fn main() {
             let w = World::over(ctx.runtime().clone(), cfg);
             let ranks = topo.gpus().len().min(4);
             let cn = 1usize << 20;
-            w.run(ranks, move |r| {
+            w.run_tasks(ranks, |r| async move {
                 let buf = r.alloc(cn);
-                allreduce(&r, &buf, cn, ReduceOp::Sum);
+                allreduce(&r, &buf, cn, ReduceOp::Sum).await;
             });
 
             // One snapshot unifying engine and transport counters.

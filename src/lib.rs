@@ -45,7 +45,7 @@ pub mod prelude {
     };
     pub use mpx_gpu::{Buffer, GpuRuntime, ReduceOp};
     pub use mpx_model::{Planner, PlannerConfig, SizeClassConfig, TransferPlan};
-    pub use mpx_mpi::{waitall, Rank, World};
+    pub use mpx_mpi::{Rank, World};
     pub use mpx_obs::{
         export_chrome_trace, phases_present, render_openmetrics, AnomalyConfig, AnomalyEngine,
         BlackBoxDump, FlightRecorder, MetricsSnapshot, Phase, QuantileHist, Recorder,

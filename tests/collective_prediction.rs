@@ -188,12 +188,12 @@ fn radix4_prediction_tracks_simulation() {
             ..UcxConfig::default()
         },
     );
-    let times = world.run(4, move |r| {
+    let times = world.run_tasks(4, |r| async move {
         let buf = r.alloc(n);
-        r.barrier();
+        r.barrier().await;
         let t0 = r.now();
         for _ in 0..2 {
-            mpx_mpi::allreduce_knomial(&r, &buf, n, ReduceOp::Sum, 4);
+            mpx_mpi::allreduce_knomial(&r, &buf, n, ReduceOp::Sum, 4).await;
         }
         r.now().secs_since(t0) / 2.0
     });

@@ -1,12 +1,13 @@
 //! Reproducibility of the simulation substrate.
 //!
-//! Callback-structured runs are exactly deterministic: the event queue
-//! orders ties by insertion sequence and nothing depends on OS thread
-//! scheduling. Thread-structured runs admit bounded nondeterminism (two
-//! ranks can reach the matching table in either OS order within the same
-//! virtual instant), so their *virtual-time results* are asserted equal
-//! across runs, not their event orders.
+//! Every run is exactly deterministic. Callback-structured runs order
+//! event ties by insertion sequence; rank runs poll their rank tasks in
+//! rank order on one thread, so two ranks acting at one virtual instant
+//! reach the matching table in the same order every time. The tests below
+//! therefore compare results bit for bit, and the engine's event counts
+//! with them.
 
+use mpx_omb::osu_bw_on;
 use multipath_gpu::prelude::*;
 use std::sync::Arc;
 
@@ -32,26 +33,27 @@ fn callback_driven_runs_are_bit_identical() {
     }
 }
 
-fn run_threaded_bw() -> f64 {
-    let topo = Arc::new(presets::beluga());
-    osu_bw(
-        &topo,
-        UcxConfig::default(),
-        16 << 20,
-        P2pConfig::with_window(4),
+/// A result's bits and the work the engine did for it.
+fn fingerprint(results: &[f64], engine: &Engine) -> (Vec<u64>, u64, u64) {
+    let s = engine.stats();
+    (
+        results.iter().map(|v| v.to_bits()).collect(),
+        s.events_processed,
+        s.events_scheduled,
     )
+}
+
+fn run_threaded_bw() -> (Vec<u64>, u64, u64) {
+    let world = World::new(Arc::new(presets::beluga()), UcxConfig::default());
+    let bw = osu_bw_on(&world, 16 << 20, P2pConfig::with_window(4));
+    fingerprint(&[bw], world.engine())
 }
 
 #[test]
 fn threaded_runs_agree_in_virtual_time() {
     let first = run_threaded_bw();
     for i in 0..3 {
-        let next = run_threaded_bw();
-        let rel = (next - first).abs() / first;
-        assert!(
-            rel < 1e-6,
-            "run {i}: {next} vs {first} ({rel:.2e} relative drift)"
-        );
+        assert_eq!(run_threaded_bw(), first, "run {i}");
     }
 }
 
@@ -59,18 +61,16 @@ fn threaded_runs_agree_in_virtual_time() {
 fn collective_results_stable_across_runs() {
     let run = || {
         let world = World::new(Arc::new(presets::narval()), UcxConfig::default());
-
-        world.run(4, |r| {
+        let done = world.run_tasks(4, |r| async move {
             let buf = r.alloc(8 << 20);
-            mpx_mpi::allreduce_rabenseifner(&r, &buf, 8 << 20, ReduceOp::Sum);
-            r.now().as_nanos()
-        })
+            mpx_mpi::allreduce_rabenseifner(&r, &buf, 8 << 20, ReduceOp::Sum).await;
+            r.now().as_secs()
+        });
+        fingerprint(&done, world.engine())
     };
-    let a = run();
-    let b = run();
-    for (x, y) in a.iter().zip(&b) {
-        let rel = (*x as f64 - *y as f64).abs() / *x as f64;
-        assert!(rel < 1e-6, "{a:?} vs {b:?}");
+    let first = run();
+    for i in 0..3 {
+        assert_eq!(run(), first, "run {i}");
     }
 }
 

@@ -20,15 +20,15 @@ fn multi_path_message_integrity_through_mpi() {
         let name = topo.name.clone();
         let world = World::new(Arc::new(topo), ucx(TuningMode::Dynamic));
         let n = (6 << 20) + 4093; // odd size: exercises alignment leftovers
-        let results = world.run(2, move |r| {
+        let results = world.run_tasks(2, |r| async move {
             if r.rank == 0 {
                 let data: Vec<u8> = (0..n).map(|i| (i * 7 % 253) as u8).collect();
                 let buf = r.alloc_bytes(data);
-                r.send(&buf, n, 1, 42);
+                r.send(&buf, n, 1, 42).await;
                 None
             } else {
                 let buf = r.alloc_zeroed(n);
-                r.recv(&buf, n, Some(0), Some(42));
+                r.recv(&buf, n, Some(0), Some(42)).await;
                 buf.to_vec()
             }
         });
@@ -99,10 +99,10 @@ fn prediction_tracks_simulation_for_large_messages() {
 fn allreduce_correct_over_multipath() {
     let world = World::new(Arc::new(presets::narval()), ucx(TuningMode::Dynamic));
     let elems = 1024;
-    let results = world.run(4, move |r| {
+    let results = world.run_tasks(4, |r| async move {
         let vals: Vec<f32> = (0..elems).map(|i| (r.rank * elems + i) as f32).collect();
         let buf = r.alloc_bytes(mpx_gpu::reduce::f32_bytes(&vals));
-        mpx_mpi::allreduce_rabenseifner(&r, &buf, elems * 4, ReduceOp::Sum);
+        mpx_mpi::allreduce_rabenseifner(&r, &buf, elems * 4, ReduceOp::Sum).await;
         mpx_gpu::reduce::bytes_f32(&buf.to_vec().unwrap())
     });
     let want: Vec<f32> = (0..elems)
@@ -120,16 +120,16 @@ fn alltoall_algorithms_agree_over_multipath() {
     let run = |bruck: bool| {
         let world = World::new(Arc::new(presets::beluga()), ucx(TuningMode::Dynamic));
         let block = 64 << 10;
-        world.run(4, move |r| {
+        world.run_tasks(4, |r| async move {
             let sdata: Vec<u8> = (0..4)
                 .flat_map(|dst| vec![(r.rank * 4 + dst + 1) as u8; block])
                 .collect();
             let send = r.alloc_bytes(sdata);
             let recv = r.alloc_zeroed(4 * block);
             if bruck {
-                mpx_mpi::alltoall_bruck(&r, &send, &recv, block);
+                mpx_mpi::alltoall_bruck(&r, &send, &recv, block).await;
             } else {
-                mpx_mpi::alltoall_pairwise(&r, &send, &recv, block);
+                mpx_mpi::alltoall_pairwise(&r, &send, &recv, block).await;
             }
             recv.to_vec().unwrap()
         })
@@ -225,14 +225,14 @@ fn pcie_only_box_communicates_through_host() {
     let topo = Arc::new(presets::pcie_only(2));
     let world = World::new(topo, ucx(TuningMode::Dynamic));
     let n = 1 << 20;
-    let results = world.run(2, move |r| {
+    let results = world.run_tasks(2, |r| async move {
         if r.rank == 0 {
             let buf = r.alloc_bytes(vec![0xAB; n]);
-            r.send(&buf, n, 1, 1);
+            r.send(&buf, n, 1, 1).await;
             None
         } else {
             let buf = r.alloc_zeroed(n);
-            r.recv(&buf, n, Some(0), Some(1));
+            r.recv(&buf, n, Some(0), Some(1)).await;
             buf.to_vec()
         }
     });
@@ -246,15 +246,15 @@ fn disjoint_pairs_do_not_interfere_single_path() {
     let topo = Arc::new(presets::beluga());
     let world = World::new(topo, ucx(TuningMode::SinglePath));
     let n = 32 << 20;
-    let times = world.run(4, move |r| {
+    let times = world.run_tasks(4, |r| async move {
         let peer = r.rank ^ 1; // pairs (0,1) and (2,3)
         let buf = r.alloc(n);
-        r.barrier();
+        r.barrier().await;
         let t0 = r.now();
         if r.rank % 2 == 0 {
-            r.send(&buf, n, peer, 0);
+            r.send(&buf, n, peer, 0).await;
         } else {
-            r.recv(&buf, n, Some(peer), Some(0));
+            r.recv(&buf, n, Some(peer), Some(0)).await;
         }
         r.now().secs_since(t0)
     });

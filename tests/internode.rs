@@ -82,11 +82,11 @@ fn mpi_ranks_span_nodes() {
     let topo = Arc::new(presets::two_node_beluga(2));
     let world = World::new(topo, UcxConfig::default());
     let n = 4 << 20;
-    let results = world.run(8, move |r| {
+    let results = world.run_tasks(8, |r| async move {
         let peer = (r.rank + 4) % 8; // cross-node partner
         let sbuf = r.alloc_bytes(vec![r.rank as u8 + 1; n]);
         let rbuf = r.alloc_zeroed(n);
-        r.sendrecv(&sbuf, 0, n, peer, &rbuf, 0, n, peer, 7);
+        r.sendrecv(&sbuf, 0, n, peer, &rbuf, 0, n, peer, 7).await;
         rbuf.to_vec().unwrap()[0]
     });
     for (rank, got) in results.iter().enumerate() {
@@ -100,10 +100,10 @@ fn cross_node_allreduce_correct() {
     let topo = Arc::new(presets::two_node_beluga(1));
     let world = World::new(topo, UcxConfig::default());
     let elems = 256;
-    let results = world.run(8, move |r| {
+    let results = world.run_tasks(8, |r| async move {
         let vals = vec![(r.rank + 1) as f32; elems];
         let buf = r.alloc_bytes(mpx_gpu::reduce::f32_bytes(&vals));
-        mpx_mpi::allreduce_rabenseifner(&r, &buf, elems * 4, ReduceOp::Sum);
+        mpx_mpi::allreduce_rabenseifner(&r, &buf, elems * 4, ReduceOp::Sum).await;
         mpx_gpu::reduce::bytes_f32(&buf.to_vec().unwrap())
     });
     let want = (1..=8).sum::<i32>() as f32;

@@ -72,9 +72,9 @@ fn eight_rank_collectives_on_eight_gpu_presets() {
     ] {
         let world = World::new(topo.clone(), UcxConfig::default());
         let elems = 64usize;
-        let out = world.run(8, move |r| {
+        let out = world.run_tasks(8, |r| async move {
             let buf = r.alloc_bytes(mpx_gpu::reduce::f32_bytes(&vec![1.0f32; elems]));
-            mpx_mpi::allreduce_rabenseifner(&r, &buf, elems * 4, ReduceOp::Sum);
+            mpx_mpi::allreduce_rabenseifner(&r, &buf, elems * 4, ReduceOp::Sum).await;
             mpx_gpu::reduce::bytes_f32(&buf.to_vec().unwrap())[0]
         });
         for (rank, v) in out.iter().enumerate() {

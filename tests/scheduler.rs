@@ -167,9 +167,9 @@ fn an_unregistered_thread_can_release_a_parked_rank() {
 fn rank_threaded_results_repeat_in_virtual_time() {
     let allreduce = || {
         let world = World::new(Arc::new(presets::narval()), UcxConfig::default());
-        world.run(4, |r| {
+        world.run_tasks(4, |r| async move {
             let buf = r.alloc(4 << 20);
-            mpx_mpi::allreduce_rabenseifner(&r, &buf, 4 << 20, ReduceOp::Sum);
+            mpx_mpi::allreduce_rabenseifner(&r, &buf, 4 << 20, ReduceOp::Sum).await;
             r.now().as_nanos() as f64
         })
     };
@@ -178,19 +178,12 @@ fn rank_threaded_results_repeat_in_virtual_time() {
         let cfg = P2pConfig::with_window(16);
         vec![osu_bw(&topo, UcxConfig::default(), 8 << 20, cfg)]
     };
-    // Ranks reach the matching table in OS order within one virtual
-    // instant, so (as in tests/determinism.rs) results agree to 1e-6, not
-    // necessarily to the bit.
+    // Rank tasks move in rank order, so every run repeats to the bit.
     let agree = |what: &str, run: &dyn Fn() -> Vec<f64>| {
-        let first = run();
+        let first: Vec<u64> = run().iter().map(|v| v.to_bits()).collect();
         for i in 1..20 {
-            let next = run();
-            for (a, b) in first.iter().zip(&next) {
-                assert!(
-                    ((a - b) / a).abs() < 1e-6,
-                    "{what}, run {i}: {next:?} vs {first:?}"
-                );
-            }
+            let next: Vec<u64> = run().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(next, first, "{what}, run {i}");
         }
     };
     watchdog(move || {

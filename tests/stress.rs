@@ -45,8 +45,8 @@ fn randomized_message_storm_arrives_intact() {
     let sizes = Arc::new(sizes);
 
     let world = World::new(Arc::new(presets::beluga()), UcxConfig::default());
-    let sizes2 = sizes.clone();
-    let results = world.run(ranks, move |r| {
+    let sizes2 = &sizes;
+    let results = world.run_tasks(ranks, |r| async move {
         // Post all receives (half of them wildcard-source to stress the
         // matching), then all sends, then wait everything.
         let mut reqs = Vec::new();
@@ -76,7 +76,7 @@ fn randomized_message_storm_arrives_intact() {
                 reqs.push(r.isend(&buf, n, dst, tag));
             }
         }
-        waitall(r.thread(), &reqs);
+        r.waitall(&reqs).await;
         // Verify every received payload.
         for (src, k, buf) in recv_bufs {
             let data = buf.to_vec().unwrap();
@@ -97,26 +97,21 @@ fn randomized_message_storm_arrives_intact() {
 
 #[test]
 fn storm_is_virtually_deterministic() {
-    // The same storm twice: virtual completion times agree (thread
-    // interleaving must not leak into simulated time).
+    // The same storm twice: virtual completion times agree to the
+    // nanosecond (rank tasks move in rank order).
     let run = || {
         let world = World::new(Arc::new(presets::narval()), UcxConfig::default());
-        world.run(4, |r| {
+        world.run_tasks(4, |r| async move {
             let n = 1 << 20;
             let peer = (r.rank + 1) % 4;
             let from = (r.rank + 3) % 4;
             for it in 0..5u64 {
                 let sbuf = r.alloc(n);
                 let rbuf = r.alloc(n);
-                r.sendrecv(&sbuf, 0, n, peer, &rbuf, 0, n, from, it);
+                r.sendrecv(&sbuf, 0, n, peer, &rbuf, 0, n, from, it).await;
             }
             r.now().as_nanos()
         })
     };
-    let a = run();
-    let b = run();
-    for (x, y) in a.iter().zip(&b) {
-        let rel = (*x as f64 - *y as f64).abs() / *x as f64;
-        assert!(rel < 1e-6, "{a:?} vs {b:?}");
-    }
+    assert_eq!(run(), run());
 }
