@@ -13,12 +13,7 @@
 //!   on; a stuck pipeline surfaces as [`mpx_ucx::TransferError::Stuck`]
 //!   and escalates to `put_resilient`),
 //! * a **hedged** driver (`put_hedged`: stalled primaries race their
-//!   residual on healthy paths),
-//! * a **broker** driver (an admission-controlled [`mpx_broker::Broker`]
-//!   on the remaining GPU pair): submissions under the storm must keep
-//!   the broker's books balanced — every submission accounted as
-//!   admitted or shed, every admitted ticket resolved, and a shed never
-//!   surfacing as a transfer failure.
+//!   residual on healthy paths).
 //!
 //! After every storm the harness asserts: every byte bit-exact, the run
 //! bounded in virtual time (no deadlock, no unbounded recovery), the
@@ -49,7 +44,6 @@
 //!                        # artifact overwrite; exits nonzero on any
 //!                        # violation
 
-use mpx_broker::{Broker, BrokerConfig, Outcome, TenantSpec};
 use mpx_gpu::GpuRuntime;
 use mpx_obs::{AnomalyConfig, AnomalyEngine, Event, FlightRecorder, Phase, TelemetryRegistry};
 use mpx_sim::{Engine, FaultInjector, FaultKind, FaultPlan, SimTime};
@@ -71,9 +65,6 @@ const MAX_VIRTUAL_SECS: f64 = 60.0;
 /// Transfers per driver per seed.
 const PUTS_PER_DRIVER: usize = 8;
 
-/// Requests the broker driver submits per seed.
-const BROKER_SUBMITS: usize = 12;
-
 /// Per-thread flight-recorder ring capacity for one soak. Sized so a
 /// full storm fits without overwrites — the replay-gate audit walks the
 /// ring snapshot and is only exact over complete history, which the
@@ -83,15 +74,13 @@ const FLIGHT_CAPACITY: usize = 1 << 15;
 /// Trigger classes a `random_soak` storm can legitimately fire through
 /// this harness: breaker trips/retrips from kills and stuck puts,
 /// stuck-transfer dumps from the plain driver, deadline-miss bursts from
-/// the resilient retry loop, residual drift from degraded links, and
-/// shed-regime entries when the storm backs the broker's queue up.
-const STORM_CLASSES: [&str; 6] = [
+/// the resilient retry loop, and residual drift from degraded links.
+const STORM_CLASSES: [&str; 5] = [
     "breaker.trip",
     "breaker.retrip",
     "transfer.stuck",
     "deadline.miss-burst",
     "residual.drift",
-    "shed.regime",
 ];
 
 fn main() {
@@ -263,14 +252,14 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
     // allows, so per-pair health state is single-writer.
     let pairs: [(DeviceId, DeviceId); 3] =
         [(gpus[0], gpus[1]), (gpus[2], gpus[3]), (gpus[1], gpus[3])];
-    // The broker drives the remaining ordered pair.
-    let broker_pair = (gpus[3], gpus[0]);
     // Protect each driver pair's direct link from kills and flaps: a
     // usable route always survives, so recovery stays bounded by
-    // construction and anything unbounded is a harness bug.
+    // construction and anything unbounded is a harness bug. The
+    // (gpus[3], gpus[0]) link stays protected so each committed seed
+    // keeps the storm it has always drawn.
     let protect: Vec<LinkId> = pairs
         .iter()
-        .chain(std::iter::once(&broker_pair))
+        .chain(std::iter::once(&(gpus[3], gpus[0])))
         .filter_map(|&(a, b)| topo.link_between(a, b).ok().map(|l| l.id))
         .collect();
     let storm = FaultPlan::random_soak(topo, seed, 0.01, 24, &protect);
@@ -280,18 +269,8 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
     let threads: Vec<_> = (0..3)
         .map(|d| ctx.runtime().engine().register_thread(format!("chaos{d}")))
         .collect();
-    let broker = Broker::new(
-        ctx.clone(),
-        BrokerConfig::default(),
-        vec![TenantSpec::new("soak", 1.0)],
-    );
-    broker.set_producers(1);
-    let sched_thread = ctx.runtime().engine().register_thread("broker-sched");
-    let client_thread = ctx.runtime().engine().register_thread("broker-client");
     let escalations = AtomicU64::new(0);
     let hedge_rounds = AtomicU64::new(0);
-    let broker_rejected = AtomicU64::new(0);
-    let broker_failed = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for (driver, thread) in threads.into_iter().enumerate() {
             let ctx = ctx.clone();
@@ -356,62 +335,7 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
                 out
             });
         }
-        {
-            let broker = broker.clone();
-            scope.spawn(move || broker.run(sched_thread));
-        }
-        {
-            let broker = broker.clone();
-            let (bsrc, bdst) = broker_pair;
-            let broker_rejected = &broker_rejected;
-            let broker_failed = &broker_failed;
-            scope.spawn(move || {
-                let mut tickets = Vec::new();
-                for iter in 0..BROKER_SUBMITS {
-                    let n = MIB + 4 * ((iter * 2411) % (7 * MIB / 4));
-                    match broker.submit("soak", bsrc, bdst, n) {
-                        Ok(t) => tickets.push(t),
-                        Err(_) => {
-                            broker_rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // Space submissions out so the storm overlaps them.
-                    client_thread.sleep(2e-4);
-                }
-                broker.producer_done();
-                for t in tickets {
-                    if let Outcome::Failed { .. } = t.wait(&client_thread) {
-                        broker_failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                drop(client_thread);
-            });
-        }
     });
-
-    // The broker's books must balance under the storm: every submission
-    // admitted or shed with a typed reason, every admitted ticket
-    // resolved, and sheds distinct from transfer failures.
-    let bs = broker.stats();
-    if !bs.accounting_ok() || !bs.drained_ok() {
-        violations.push(format!("seed {seed}: broker accounting violated: {bs:?}"));
-    }
-    if bs.shed_total() != broker_rejected.load(Ordering::Relaxed) {
-        violations.push(format!(
-            "seed {seed}: {} sheds but {} door rejections — a shed must surface as a typed \
-             rejection, never anything else",
-            bs.shed_total(),
-            broker_rejected.load(Ordering::Relaxed)
-        ));
-    }
-    if bs.failed != broker_failed.load(Ordering::Relaxed) {
-        violations.push(format!(
-            "seed {seed}: {} failed tickets but {} Failed outcomes observed — a shed must \
-             never be double-counted as a transfer failure",
-            bs.failed,
-            broker_failed.load(Ordering::Relaxed)
-        ));
-    }
 
     let virtual_secs = ctx.runtime().engine().stats().now.as_secs();
     if virtual_secs > MAX_VIRTUAL_SECS {
@@ -454,11 +378,7 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
             escalations.load(Ordering::Relaxed)
         ));
     }
-    let pair_labels: Vec<String> = pairs
-        .iter()
-        .chain(std::iter::once(&broker_pair))
-        .map(|&(a, b)| format!("{a}->{b}"))
-        .collect();
+    let pair_labels: Vec<String> = pairs.iter().map(|&(a, b)| format!("{a}->{b}")).collect();
     for d in &dumps {
         if !STORM_CLASSES.contains(&d.trigger.as_str()) {
             violations.push(format!(
@@ -535,13 +455,6 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
         },
         "ring_events_recorded": flight.events_recorded(),
         "ring_overwritten": flight.overwritten(),
-        "broker": json!({
-            "submitted": bs.submitted,
-            "admitted": bs.admitted,
-            "shed": bs.shed_total(),
-            "completed": bs.completed,
-            "failed": bs.failed,
-        }),
     })
 }
 

@@ -17,8 +17,7 @@
 //! Every binary prints aligned text tables and writes machine-readable
 //! JSON into `results/` next to the workspace root. Host-time
 //! performance is judged elsewhere, by `bench_e2e/` (see `BENCHMARK.json`),
-//! the one ruler; `chaos_soak` and `bench_broker` here soak the recovery
-//! and admission paths.
+//! the one ruler; `chaos_soak` here soaks the recovery paths.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -3,11 +3,10 @@
 //! flight-recorder ring snapshot + metrics snapshot + trigger cause +
 //! residual report — rate-limited per trigger class.
 //!
-//! Producers stay dumb: the UCX context, broker, and parallel scenario
-//! runner call [`AnomalyEngine::signal`] at the places they already
-//! detect trouble (a breaker transition, a `TransferError::Stuck`, a
-//! deadline miss, a shed-regime entry, a partition rebalance, a drift
-//! invalidation). The engine decides whether the signal crosses a
+//! Producers stay dumb: the UCX context and the parallel scenario runner
+//! call [`AnomalyEngine::signal`] at the places they already detect
+//! trouble (a breaker transition, a `TransferError::Stuck`, a deadline
+//! miss, a partition rebalance, a drift invalidation). The engine decides whether the signal crosses a
 //! trigger threshold (burst classes accumulate over a sliding
 //! virtual-time window), applies the per-class rate limit, and on
 //! firing freezes everything an incident review needs into a
@@ -37,8 +36,6 @@ pub enum TriggerClass {
     StuckTransfer,
     /// Recovery deadline misses clustered inside the burst window.
     DeadlineMissBurst,
-    /// The broker entered the Shedding (or Drain) load regime.
-    ShedRegime,
     /// A residual-drift cache invalidation (model no longer tracks the
     /// fabric).
     ResidualDrift,
@@ -46,12 +43,11 @@ pub enum TriggerClass {
 
 impl TriggerClass {
     /// Every class, in severity-agnostic declaration order.
-    pub const ALL: [TriggerClass; 6] = [
+    pub const ALL: [TriggerClass; 5] = [
         TriggerClass::BreakerTrip,
         TriggerClass::BreakerRetrip,
         TriggerClass::StuckTransfer,
         TriggerClass::DeadlineMissBurst,
-        TriggerClass::ShedRegime,
         TriggerClass::ResidualDrift,
     ];
 
@@ -63,7 +59,6 @@ impl TriggerClass {
             TriggerClass::BreakerRetrip => "breaker.retrip",
             TriggerClass::StuckTransfer => "transfer.stuck",
             TriggerClass::DeadlineMissBurst => "deadline.miss-burst",
-            TriggerClass::ShedRegime => "shed.regime",
             TriggerClass::ResidualDrift => "residual.drift",
         }
     }
@@ -537,12 +532,12 @@ mod tests {
             ..AnomalyConfig::default()
         };
         let eng = engine(cfg);
-        eng.signal(TriggerClass::ShedRegime, 0.5, None, None, "occupancy=0.97");
+        eng.signal(TriggerClass::ResidualDrift, 0.5, None, None, "err=0.97");
         assert_eq!(eng.write_failures(), 0);
-        let file = dir.join("dump-0000-shed_regime.json");
+        let file = dir.join("dump-0000-residual_drift.json");
         let text = std::fs::read_to_string(&file).expect("dump written");
         let back: BlackBoxDump = serde_json::from_str(&text).expect("dump parses");
-        assert_eq!(back.trigger, "shed.regime");
+        assert_eq!(back.trigger, "residual.drift");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -556,9 +551,9 @@ mod tests {
         let eng = engine(cfg);
         let rec = eng.flight_recorder().recorder();
         for i in 0..20 {
-            rec.instant(Phase::Broker, "broker", format!("e{i}"), i as f64 * 0.1, "");
+            rec.instant(Phase::Health, "health", format!("e{i}"), i as f64 * 0.1, "");
         }
-        eng.signal(TriggerClass::ShedRegime, 1.9, None, None, "x");
+        eng.signal(TriggerClass::ResidualDrift, 1.9, None, None, "x");
         let d = &eng.dumps()[0];
         // Window keeps ts >= 0.9 (11 events), cap keeps the newest 3.
         assert_eq!(d.events.len(), 3);

@@ -91,14 +91,14 @@ mod tests {
     fn counters_gauges_histograms_render() {
         let reg = TelemetryRegistry::new();
         reg.set_counter("sim.flows_completed", 42);
-        reg.set_gauge("broker.regime", 1.0);
+        reg.set_gauge("sim.now_secs", 1.0);
         reg.observe("ucx.transfer.latency_secs", 1e-3);
         reg.observe("ucx.transfer.latency_secs", 2e-3);
         let text = render_openmetrics(&reg);
         assert!(text.contains("# TYPE sim_flows_completed counter\n"));
         assert!(text.contains("sim_flows_completed_total 42\n"));
-        assert!(text.contains("# TYPE broker_regime gauge\n"));
-        assert!(text.contains("broker_regime 1\n"));
+        assert!(text.contains("# TYPE sim_now_secs gauge\n"));
+        assert!(text.contains("sim_now_secs 1\n"));
         assert!(text.contains("# TYPE ucx_transfer_latency_secs histogram\n"));
         assert!(text.contains("ucx_transfer_latency_secs_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("ucx_transfer_latency_secs_count 2\n"));

@@ -164,7 +164,7 @@ mod tests {
         let hostile = "\"},{\"pwn\":1}\n\r\t\\ \u{0001}\u{001f} end\"";
         let r = Recorder::new();
         r.span(Phase::Transfer, hostile, hostile, 0.0, 1e-6, hostile);
-        r.instant(Phase::Broker, "t\"r\\ack", hostile, 2e-6, hostile);
+        r.instant(Phase::Health, "t\"r\\ack", hostile, 2e-6, hostile);
         let json = export_chrome_trace(&r.drain());
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let arr = parsed.as_array().unwrap();

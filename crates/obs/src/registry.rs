@@ -244,13 +244,13 @@ mod tests {
         let h = crate::hist::QuantileHist::new();
         h.observe(2.0);
         h.observe(4.0);
-        reg.set_hist("broker.sojourn", &h);
+        reg.set_hist("ucx.plan.cost_secs", &h);
         let snap = reg.snapshot();
-        assert_eq!(snap.get("broker.sojourn.count"), Some(2.0));
-        assert_eq!(snap.get("broker.sojourn.sum"), Some(6.0));
+        assert_eq!(snap.get("ucx.plan.cost_secs.count"), Some(2.0));
+        assert_eq!(snap.get("ucx.plan.cost_secs.sum"), Some(6.0));
         // Replacement, not accumulation.
-        reg.set_hist("broker.sojourn", &h);
-        assert_eq!(reg.snapshot().get("broker.sojourn.count"), Some(2.0));
+        reg.set_hist("ucx.plan.cost_secs", &h);
+        assert_eq!(reg.snapshot().get("ucx.plan.cost_secs.count"), Some(2.0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A [`FlightRecorder`] wraps a fixed-capacity-per-thread [`Recorder`]
 //! (see [`Recorder::with_capacity`]), so it installs anywhere a plain
-//! recorder does — `Engine::set_recorder`, `UcxContext`, the broker —
+//! recorder does — `Engine::set_recorder`, `UcxContext` —
 //! while guaranteeing bounded memory no matter how long the process
 //! runs: once a thread's ring fills, the oldest event is overwritten
 //! and counted. [`FlightRecorder::snapshot`] clones the rings without
@@ -42,8 +42,8 @@ impl FlightRecorder {
         }
     }
 
-    /// The underlying recorder handle — install this into engines,
-    /// contexts, and brokers exactly like a drain-style recorder.
+    /// The underlying recorder handle — install this into engines and
+    /// contexts exactly like a drain-style recorder.
     pub fn recorder(&self) -> Recorder {
         self.rec.clone()
     }

@@ -45,9 +45,6 @@ pub enum Phase {
     Health,
     /// Hedged-transfer activity: hedge launches, wins, and losses.
     Hedge,
-    /// Transfer-broker activity: admissions, sheds, dispatch batches,
-    /// and load-regime transitions.
-    Broker,
     /// Parallel simulation partitioning: per-partition lanes and
     /// rebalance (partition-merge) instants.
     Partition,
@@ -55,7 +52,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 14] = [
+    pub const ALL: [Phase; 13] = [
         Phase::Plan,
         Phase::Probe,
         Phase::Transfer,
@@ -68,7 +65,6 @@ impl Phase {
         Phase::GraphReplay,
         Phase::Health,
         Phase::Hedge,
-        Phase::Broker,
         Phase::Partition,
     ];
 
@@ -87,7 +83,6 @@ impl Phase {
             Phase::GraphReplay => "graph.replay",
             Phase::Health => "health",
             Phase::Hedge => "hedge",
-            Phase::Broker => "broker",
             Phase::Partition => "partition",
         }
     }
@@ -576,7 +571,6 @@ mod tests {
                 "graph.replay",
                 "health",
                 "hedge",
-                "broker",
                 "partition"
             ]
         );

@@ -43,6 +43,4 @@ pub use panels::{
 };
 pub use pattern::{ring_pairs, run_pattern, PatternPlanning, PatternResult};
 pub use report::{mean_relative_error, size_ladder, Series, SeriesPoint};
-pub use tenants::{
-    run_open_loop, two_tenant_allreduce, OpenLoopReport, OpenLoopTenant, TenantResult,
-};
+pub use tenants::{two_tenant_allreduce, TenantResult};

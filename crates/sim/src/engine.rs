@@ -8,15 +8,15 @@
 //! task can move; a task waits by awaiting [`crate::task::wait`] on a
 //! [`Waker`], and a run repeats to the bit.
 //!
-//! The actors still on OS threads (the broker's scheduler, the tenants'
-//! open-loop generators, blocking `put_resilient` / `put_hedged` callers)
-//! register via [`Engine::register_thread`] and block in
-//! [`SimThread::wait`]. Virtual time then only advances when *all*
-//! registered threads are blocked: the last thread to block becomes the
-//! coordinator, pops the earliest event, advances `now`, and handles it.
-//! Handling an event may fire wakers, making threads runnable again (in OS
-//! order); the clock then stays frozen until they all block once more. The
-//! executor refuses an engine with a thread registered.
+//! The actors still on OS threads (blocking `put_resilient` /
+//! `put_hedged` callers and the rank threads of `World::run`) register
+//! via [`Engine::register_thread`] and block in [`SimThread::wait`].
+//! Virtual time then only advances when *all* registered threads are
+//! blocked: the last thread to block becomes the coordinator, pops the
+//! earliest event, advances `now`, and handles it. Handling an event may
+//! fire wakers, making threads runnable again (in OS order); the clock
+//! then stays frozen until they all block once more. The executor refuses
+//! an engine with a thread registered.
 //!
 //! # Flows
 //!

@@ -23,8 +23,8 @@
 //!   ([`Engine::register_thread`]) and write straight-line blocking code
 //!   ([`SimThread::sleep`], [`SimThread::wait`], [`SimThread::transfer`]).
 //!   Virtual time advances only when every registered thread is blocked.
-//!   What is left on it: the broker's scheduler, the tenants' open-loop
-//!   generators and the blocking `put_resilient` / `put_hedged` drivers.
+//!   What is left on it: the blocking `put_resilient` / `put_hedged`
+//!   drivers and the rank threads of `World::run`.
 //!
 //! ```
 //! use std::sync::Arc;

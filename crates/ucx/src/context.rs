@@ -738,11 +738,6 @@ impl UcxContext {
         *self.inner.anomaly.write() = Some(sink);
     }
 
-    /// The installed anomaly sink, if any.
-    pub fn anomaly_sink(&self) -> Option<Arc<AnomalyEngine>> {
-        self.inner.anomaly.read().clone()
-    }
-
     /// Routes one failure signal to the installed anomaly sink (no-op
     /// without one), stamped with the engine's current virtual time.
     pub(crate) fn anomaly_signal(

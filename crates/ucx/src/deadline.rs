@@ -5,8 +5,7 @@
 //! (`predicted × slack` with a `min_deadline` floor), the hedging layer
 //! (`predicted × factor` with a `min_trigger` floor), and the plain
 //! blocking PUT (`predicted × 1024` with a one-second floor). A
-//! [`DeadlinePolicy`] captures that rule once, so every consumer —
-//! including the admission-control math in `mpx-broker` — derives
+//! [`DeadlinePolicy`] captures that rule once, so every consumer derives
 //! budgets from the same two numbers and backs off by scaling the same
 //! policy rather than re-deriving the formula.
 

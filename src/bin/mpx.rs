@@ -18,14 +18,11 @@
 //! mpx metrics --topo beluga --size 64M              # metrics snapshot to stdout
 //! mpx metrics --topo beluga --size 64M --openmetrics  # Prometheus/OpenMetrics text exposition
 //! mpx report --dump dump-0000-breaker_trip.json     # render a black-box dump as a timeline
-//! mpx serve --topo beluga --size 4M --load 2 --horizon 0.05   # multi-tenant broker under load
-//! mpx submit --topo beluga --size 64M [--deadline S]  # one brokered request; rejection exits 1
 //! mpx partition --faults faults.json [--nodes N] [--workers W] [--count FLOWS]
 //!                                                  # partitioned engine; divergence exits 1
 //! ```
 
 use multipath_gpu::mpi::allreduce;
-use multipath_gpu::omb::{run_open_loop, OpenLoopTenant};
 use multipath_gpu::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -70,7 +67,7 @@ fn selection(name: &str) -> PathSelection {
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: mpx <topo|export|plan|bw|bibw|collective|fault-plan|put|resilient|trace|metrics|report|serve|submit|partition> [--topo T | --topo-file F] [--size N] [--window W] [--mode M] [--paths P] [--src I] [--dst J] [--op C] [--scenario S] [--faults F] [--slack X] [--retries R] [--seed N] [--count N] [--horizon T] [--load X] [--deadline S] [--tenant NAME] [--nodes N] [--workers W] [--dump F] [--json] [--replay] [--openmetrics] [--trace-out F] [--metrics-out F]");
+    eprintln!("usage: mpx <topo|export|plan|bw|bibw|collective|fault-plan|put|resilient|trace|metrics|report|partition> [--topo T | --topo-file F] [--size N] [--window W] [--mode M] [--paths P] [--src I] [--dst J] [--op C] [--scenario S] [--faults F] [--slack X] [--retries R] [--seed N] [--count N] [--horizon T] [--nodes N] [--workers W] [--dump F] [--json] [--replay] [--openmetrics] [--trace-out F] [--metrics-out F]");
     std::process::exit(2)
 }
 
@@ -491,179 +488,6 @@ fn main() {
                 }
             }
         }
-        "serve" => {
-            // Multi-tenant broker under a built-in open-loop mix:
-            // weighted gold/silver/bronze tenants plus a zero-weight
-            // scavenger, at `--load` times the pair's modeled capacity.
-            let horizon = get("horizon", "0.05")
-                .parse::<f64>()
-                .unwrap_or_else(|_| die("bad --horizon"));
-            let loadx = get("load", "2")
-                .parse::<f64>()
-                .unwrap_or_else(|_| die("bad --load"));
-            let seed = get("seed", "42")
-                .parse::<u64>()
-                .unwrap_or_else(|_| die("bad --seed"));
-            let ctx = UcxContext::new(
-                GpuRuntime::new(Engine::new(topo.clone())),
-                UcxConfig {
-                    mode,
-                    selection: sel,
-                    ..UcxConfig::default()
-                },
-            );
-            let plan = ctx
-                .plan_for(src, dst, n)
-                .unwrap_or_else(|e| die(&e.to_string()));
-            let cap_hz = 1.0 / plan.predicted_time.max(1e-12);
-            let broker = Broker::new(
-                ctx,
-                BrokerConfig::default(),
-                vec![
-                    TenantSpec::new("gold", 3.0),
-                    TenantSpec::new("silver", 2.0),
-                    TenantSpec::new("bronze", 1.0),
-                    TenantSpec::new("scav", 0.0),
-                ],
-            );
-            let mut specs: Vec<OpenLoopTenant> = ["gold", "silver", "bronze"]
-                .iter()
-                .map(|name| OpenLoopTenant {
-                    name: (*name).to_string(),
-                    rate_hz: loadx * cap_hz / 3.0,
-                    mean_bytes: n,
-                    deadline: None,
-                })
-                .collect();
-            specs.push(OpenLoopTenant {
-                name: "scav".to_string(),
-                rate_hz: 0.2 * cap_hz,
-                mean_bytes: n,
-                deadline: None,
-            });
-            let reports = run_open_loop(&broker, src, dst, &specs, horizon, seed);
-            let s = broker.stats();
-            println!(
-                "serve {} mean={} load={loadx}x ({:.0} req/s capacity) horizon={horizon}s",
-                get("topo", "beluga"),
-                mpx_topo::units::format_bytes(n),
-                cap_hz,
-            );
-            println!(
-                "{:>8} {:>9} {:>9} {:>7} {:>9} {:>7} {:>10} {:>9} {:>9}",
-                "tenant",
-                "submitted",
-                "admitted",
-                "shed",
-                "completed",
-                "failed",
-                "goodput",
-                "p50_us",
-                "p99_us"
-            );
-            for r in &reports {
-                println!(
-                    "{:>8} {:>9} {:>9} {:>7} {:>9} {:>7} {:>10} {:>9.1} {:>9.1}",
-                    r.name,
-                    r.submitted,
-                    r.admitted,
-                    r.shed,
-                    r.completed,
-                    r.failed,
-                    format!("{:.2}GB/s", r.completed_bytes as f64 / horizon / 1e9),
-                    r.latency_quantile(0.50).unwrap_or(f64::NAN) * 1e6,
-                    r.latency_quantile(0.99).unwrap_or(f64::NAN) * 1e6,
-                );
-            }
-            println!(
-                "broker: regime={} changes={} | shed: queue_full={} deadline={} regime={} | dispatches={} coalesced={} queue_peak={} | books {}",
-                broker.regime().label(),
-                s.regime_changes,
-                s.shed_queue_full,
-                s.shed_deadline,
-                s.shed_regime,
-                s.dispatches,
-                s.coalesced,
-                s.queue_peak,
-                if s.accounting_ok() && s.drained_ok() {
-                    "balanced"
-                } else {
-                    "UNBALANCED"
-                },
-            );
-            if opts.contains_key("json") {
-                let reg = TelemetryRegistry::new();
-                broker.fill_registry(&reg);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&reg.snapshot()).expect("snapshot serializes")
-                );
-            }
-            if !s.accounting_ok() || !s.drained_ok() {
-                eprintln!("error: broker accounting violated: {s:?}");
-                std::process::exit(1);
-            }
-        }
-        "submit" => {
-            // One brokered request end to end: admission (optionally
-            // against an explicit `--deadline` in seconds), dispatch,
-            // and the ticket outcome. A typed rejection exits 1.
-            let deadline = opts
-                .get("deadline")
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| die("bad --deadline")));
-            let tenant = get("tenant", "cli");
-            let ctx = UcxContext::new(
-                GpuRuntime::new(Engine::new(topo.clone())),
-                UcxConfig {
-                    mode,
-                    selection: sel,
-                    ..UcxConfig::default()
-                },
-            );
-            let engine = ctx.runtime().engine().clone();
-            let broker = Broker::new(
-                ctx,
-                BrokerConfig::default(),
-                vec![TenantSpec::new(tenant.clone(), 1.0)],
-            );
-            broker.set_producers(1);
-            let sched_thread = engine.register_thread("mpx-serve");
-            let client_thread = engine.register_thread("mpx-submit");
-            let ticket = match broker.submit_with_deadline(&tenant, src, dst, n, deadline) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: rejected ({}): {e}", e.label());
-                    std::process::exit(1);
-                }
-            };
-            broker.producer_done();
-            let sched = {
-                let broker = broker.clone();
-                std::thread::spawn(move || broker.run(sched_thread))
-            };
-            let outcome = std::thread::spawn(move || {
-                let o = ticket.wait(&client_thread);
-                drop(client_thread);
-                o
-            })
-            .join()
-            .expect("client thread panicked");
-            sched.join().expect("scheduler thread panicked");
-            match outcome {
-                Outcome::Completed { latency, bytes } => {
-                    println!(
-                        "submit {} as `{tenant}`: completed in {:.3} ms virtual ({:.2}GB/s)",
-                        mpx_topo::units::format_bytes(bytes),
-                        latency * 1e3,
-                        bytes as f64 / latency.max(1e-12) / 1e9,
-                    );
-                }
-                Outcome::Failed { waited } => {
-                    eprintln!("error: transfer failed after {waited:.3}s virtual");
-                    std::process::exit(1);
-                }
-            }
-        }
         "trace" | "metrics" => {
             // Instrumented workload: install a recorder on the engine,
             // run a resilient PUT through a synthesized mid-transfer
@@ -762,45 +586,6 @@ fn main() {
             if hdst.to_vec().map(|v| v != hdata).unwrap_or(true) {
                 die("hedged trace workload corrupted data");
             }
-            // Broker segment: a few admitted requests through the
-            // multi-tenant broker on the same engine, so the trace
-            // carries broker dispatch spans and the snapshot carries
-            // the broker.* counters.
-            let broker = Broker::new(
-                ctx.clone(),
-                BrokerConfig::default(),
-                vec![TenantSpec::new("gold", 1.0)],
-            );
-            broker.set_producers(1);
-            let bsched = ctx.runtime().engine().register_thread("mpx-broker-sched");
-            let bclient = ctx.runtime().engine().register_thread("mpx-broker-client");
-            let bn = (n / 4).max(1 << 20);
-            let sched = {
-                let broker = broker.clone();
-                std::thread::spawn(move || broker.run(bsched))
-            };
-            {
-                let broker = broker.clone();
-                std::thread::spawn(move || {
-                    let mut tickets = Vec::new();
-                    for _ in 0..3 {
-                        match broker.submit("gold", src, dst, bn) {
-                            Ok(t) => tickets.push(t),
-                            Err(e) => die(&format!("broker trace segment rejected: {e}")),
-                        }
-                    }
-                    broker.producer_done();
-                    for t in tickets {
-                        if let Outcome::Failed { .. } = t.wait(&bclient) {
-                            die("broker trace segment failed");
-                        }
-                    }
-                    drop(bclient);
-                })
-                .join()
-                .expect("broker client panicked");
-            }
-            sched.join().expect("broker scheduler panicked");
             // Partition segment: a small component-partitioned scenario
             // over a two-node cluster sharing the recorder — per-
             // partition lanes plus a rebalance instant from a bridging
@@ -830,7 +615,6 @@ fn main() {
             let reg = TelemetryRegistry::new();
             ctx.runtime().engine().stats().fill_registry(&reg);
             ctx.fill_registry(&reg);
-            broker.fill_registry(&reg);
             let snapshot = reg.snapshot();
             let metrics_json =
                 serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use mpx_broker as broker;
 pub use mpx_gpu as gpu;
 pub use mpx_model as model;
 pub use mpx_mpi as mpi;
@@ -40,9 +39,6 @@ pub use mpx_ucx as ucx;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use mpx_broker::{
-        Broker, BrokerConfig, BrokerStats, LoadRegime, Outcome, Rejected, TenantSpec,
-    };
     pub use mpx_gpu::{Buffer, GpuRuntime, ReduceOp};
     pub use mpx_model::{Planner, PlannerConfig, SizeClassConfig, TransferPlan};
     pub use mpx_mpi::{Rank, World};

@@ -127,6 +127,70 @@ fn trace_writes_perfetto_trace_and_metrics() {
     assert!(text.contains("health.trips"), "{text}");
 }
 
+/// Blanks the host-timed `wall_us=<x>` field of the planner's trace
+/// records; everything else in a trace is simulated.
+fn mask_wall_us(trace: &str) -> String {
+    let mut out = String::with_capacity(trace.len());
+    let mut rest = trace;
+    while let Some(i) = rest.find("wall_us=") {
+        let (head, tail) = rest.split_at(i + "wall_us=".len());
+        out.push_str(head);
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn trace_repeats_every_simulated_metric_and_record() {
+    let dir = std::env::temp_dir().join(format!("mpx-cli-repeat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, metrics) = (dir.join("trace.json"), dir.join("metrics.json"));
+    let runs: Vec<(Vec<serde_json::Value>, String)> = (0..5)
+        .map(|_| {
+            let (stdout, stderr, ok) = mpx(&[
+                "trace",
+                "--topo",
+                "beluga",
+                "--size",
+                "8M",
+                "--trace-out",
+                trace.to_str().unwrap(),
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+            ]);
+            assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+            let m: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+            // `ucx.plan.cost_secs` times `plan_for` on the host clock.
+            let simulated = m["entries"]
+                .as_array()
+                .expect("snapshot entries")
+                .iter()
+                .filter(|e| {
+                    !e["name"]
+                        .as_str()
+                        .unwrap()
+                        .starts_with("ucx.plan.cost_secs.")
+                })
+                .cloned()
+                .collect();
+            (
+                simulated,
+                mask_wall_us(&std::fs::read_to_string(&trace).unwrap()),
+            )
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    for (i, (m, t)) in runs.iter().enumerate().skip(1) {
+        assert_eq!(
+            m, &runs[0].0,
+            "run {i}: simulated metrics differ from run 0"
+        );
+        assert!(t == &runs[0].1, "run {i}: trace records differ from run 0");
+    }
+}
+
 #[test]
 fn put_succeeds_on_a_healthy_fabric() {
     let (stdout, _, ok) = mpx(&["put", "--topo", "beluga", "--size", "32M"]);
