@@ -197,7 +197,7 @@ fn pattern(driver: usize, iter: usize, n: usize) -> Vec<u8> {
 }
 
 /// Message size walk per driver: 4-byte aligned, 4–24 MiB, irregular so
-/// planning, size classes, and graph keying all churn.
+/// planning and graph keying churn.
 fn size_at(driver: usize, iter: usize) -> usize {
     4 * MIB + 4 * (((iter * 37987 + driver * 104729) * 1021) % (20 * MIB / 4))
 }

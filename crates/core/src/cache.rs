@@ -3,16 +3,16 @@
 //!
 //! The configuration cache (paper Section 4) is consulted on every
 //! transfer; under concurrent rank threads a single `Mutex<HashMap>`
-//! serializes all of them. This module provides the two building blocks
-//! the planner and the transport share instead:
+//! serializes all of them. The plan table and the transport's tables
+//! build on this module instead:
 //!
 //! * [`ShardedMap`] — a hash map split into shards, each behind its own
 //!   `RwLock`. Cache hits take a shard *read* lock (shared, no exclusive
 //!   contention between readers) and the shard index is derived from a
 //!   caller-chosen *shard key* — the `(src, dst, selection)` pair — so
 //!   drift-based invalidation locks only the affected pair's shard.
-//! * [`CacheCounters`] — relaxed atomic hit/miss/size-class/invalidation
-//!   counters, readable concurrently without touching any map lock.
+//! * [`CacheCounters`] — relaxed atomic hit/miss/invalidation counters,
+//!   readable concurrently without touching any map lock.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -81,8 +81,7 @@ pub(crate) fn fx_hash_of(key: &impl Hash) -> u64 {
 ///
 /// Every operation takes an explicit *shard key* (hashable, typically a
 /// prefix of the entry key such as the device pair) that selects the
-/// shard; the entry key itself may carry more detail (message size,
-/// size class). Entries whose shard key differ must never share an
+/// shard; the entry key itself may carry more detail (a message size). Entries whose shard key differ must never share an
 /// entry key, which holds whenever the shard key is a function of the
 /// entry key.
 pub struct ShardedMap<K, V> {
@@ -127,11 +126,6 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         shard.insert(key, value);
     }
 
-    /// Removes one entry; returns whether it existed.
-    pub fn remove(&self, shard_key: &impl Hash, key: &K) -> bool {
-        self.shard(shard_key).write().remove(key).is_some()
-    }
-
     /// Drops every entry of `shard_key`'s shard whose key fails the
     /// predicate — the per-pair invalidation primitive. Only the one
     /// shard is locked; other pairs' lookups proceed untouched.
@@ -167,15 +161,10 @@ impl<K: Eq + Hash, V: Clone> Default for ShardedMap<K, V> {
 /// the planning hot path (no lock is shared with the maps).
 #[derive(Debug, Default)]
 pub struct CacheCounters {
-    /// Plans served straight from the exact-size cache.
+    /// Plans served from a pair's memo.
     pub hits: AtomicU64,
-    /// Plans computed from scratch.
+    /// Plans solved.
     pub misses: AtomicU64,
-    /// Plans realized cheaply from a cached size-class entry.
-    pub class_hits: AtomicU64,
-    /// Size-class candidates rejected by the ε guard (fell back to an
-    /// exact solve).
-    pub class_fallbacks: AtomicU64,
     /// Drift-triggered invalidations.
     pub invalidations: AtomicU64,
 }
@@ -197,7 +186,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn get_insert_remove_roundtrip() {
+    fn get_insert_roundtrip() {
         let m: ShardedMap<(u64, usize), Arc<String>> = ShardedMap::new();
         let pair = 7u64;
         assert!(m.get(&pair, &(pair, 1)).is_none());
@@ -205,9 +194,6 @@ mod tests {
         m.insert(&pair, (pair, 2), Arc::new("b".into()));
         assert_eq!(m.get(&pair, &(pair, 1)).unwrap().as_str(), "a");
         assert_eq!(m.len(), 2);
-        assert!(m.remove(&pair, &(pair, 1)));
-        assert!(!m.remove(&pair, &(pair, 1)));
-        assert_eq!(m.len(), 1);
     }
 
     #[test]

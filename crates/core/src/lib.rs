@@ -13,8 +13,8 @@
 //! | Eq. 2–4 (per-path time) | `mpx_topo::params::PathParams` + [`optimizer::OmegaDelta`] |
 //! | Theorem 1 + Eq. 8/11/24 (optimal shares) | [`optimizer::optimal_shares`] (closed form) and [`optimizer::optimal_shares_bisection`] (numeric cross-check) |
 //! | Eq. 12–18 (pipelined chunks) | [`pipeline::time_pipelined`], [`pipeline::optimal_chunks_exact`] |
-//! | Eq. 19–23 (φ linearization) | [`pipeline::topology_constant`], [`pipeline::omega_delta_pipelined`] |
-//! | Algorithm 1 (+ config cache) | [`planner::Planner`] |
+//! | Eq. 19–23 (φ linearization) | [`pipeline::PipelinedLaw`] |
+//! | Algorithm 1 (+ config cache) | [`planner::Planner`], [`planner::PlanTable`] |
 //! | Fig. 2(a) Step 1 (parameter extraction) | [`calibrate::fit_hockney`] |
 //!
 //! ```
@@ -51,15 +51,13 @@ pub use collectives::{
     predict_alltoall_bruck, predict_bcast_binomial, CollectivePrediction,
 };
 pub use contention::{plan_concurrent, ConcurrentPlan, ConcurrentTransfer};
-pub use optimizer::{
-    optimal_shares, optimal_shares_bisection, optimal_time, OmegaDelta, ShareSolution,
-};
+pub use optimizer::{optimal_shares, optimal_shares_bisection, OmegaDelta, ShareSolution};
 pub use pipeline::{
-    chunk_count, omega_delta_pipelined, omega_delta_unpipelined, optimal_chunks_exact,
-    time_pipelined, time_pipelined_opt, topology_constant,
+    chunk_count, omega_delta_unpipelined, optimal_chunks_exact, time_pipelined, time_pipelined_opt,
+    PipelinedLaw,
 };
 pub use planner::{
-    quantize_shares, PairKey, PipelineMode, PlanCache, PlannedPath, Planner, PlannerConfig,
-    PlannerStats, SizeClassConfig, TransferPlan,
+    quantize_shares, PairEntry, PairKey, PipelineMode, PlanTable, PlannedPath, Planner,
+    PlannerConfig, PlannerStats, TransferPlan, MAX_PATHS, MEMO_CAP,
 };
 pub use sensitivity::{perturb, regret, Perturb};

@@ -76,113 +76,62 @@ impl ShareSolution {
 /// # Panics
 /// Panics if `paths` is empty, `n ≤ 0`, or any `Ωᵢ ≤ 0` / `Δᵢ < 0`.
 pub fn optimal_shares(paths: &[OmegaDelta], n: f64) -> ShareSolution {
+    let mut shares = vec![0.0; paths.len()];
+    let time = equalize(paths, n, &mut vec![true; paths.len()], &mut shares);
+    ShareSolution { shares, time }
+}
+
+/// [`optimal_shares`] on caller storage (one slot per path in `included`
+/// and `shares`): writes the shares and returns the equalized time. The
+/// planner runs it on the stack, once per straggler round.
+pub(crate) fn equalize(
+    paths: &[OmegaDelta],
+    n: f64,
+    included: &mut [bool],
+    shares: &mut [f64],
+) -> f64 {
     validate(paths, n);
-    let mut included: Vec<usize> = (0..paths.len()).collect();
+    included.fill(true);
     loop {
-        let sol = closed_form(paths, &included, n);
+        // Eq. (24) over the included paths: S = Σ 1/Ωⱼ, D = Σ Δⱼ/Ωⱼ.
+        let (mut s, mut d) = (0.0, 0.0);
+        for (p, _) in paths.iter().zip(&*included).filter(|(_, &inc)| inc) {
+            s += 1.0 / p.omega;
+            d += p.delta / p.omega;
+        }
+        let d_n = d / n;
         // Drop the most negative share and re-solve. (In the paper only
         // non-direct paths can be excluded; that holds automatically on
         // real topologies because the direct path has the smallest Δ, but
         // the solver stays correct for adversarial inputs by allowing any
         // exclusion — except the last remaining path.)
-        let mut worst: Option<(usize, f64)> = None;
-        for (&pi, &theta) in included.iter().zip(&sol) {
+        let (mut worst, mut count): (Option<(usize, f64)>, usize) = (None, 0);
+        for (i, p) in paths.iter().enumerate().filter(|&(i, _)| included[i]) {
+            let theta = (1.0 - p.delta / n * s + d_n) / (p.omega * s);
+            shares[i] = theta;
+            count += 1;
             if theta < 0.0 && worst.is_none_or(|(_, w)| theta < w) {
-                worst = Some((pi, theta));
+                worst = Some((i, theta));
             }
         }
         match worst {
-            Some((pi, _)) if included.len() > 1 => included.retain(|&x| x != pi),
-            _ => {
-                let mut shares = vec![0.0; paths.len()];
-                for (&pi, &theta) in included.iter().zip(&sol) {
-                    shares[pi] = theta.max(0.0);
-                }
-                // Normalize away rounding residue.
-                let sum: f64 = shares.iter().sum();
-                debug_assert!((sum - 1.0).abs() < 1e-9, "shares sum to {sum}");
-                for s in &mut shares {
-                    *s /= sum;
-                }
-                let time = shares
-                    .iter()
-                    .zip(paths)
-                    .filter(|(s, _)| **s > 0.0)
-                    .map(|(s, p)| p.time(*s, n))
-                    .fold(0.0f64, f64::max);
-                return ShareSolution { shares, time };
-            }
+            Some((i, _)) if count > 1 => included[i] = false,
+            _ => break,
         }
     }
-}
-
-/// The equalized completion time of [`optimal_shares`] without
-/// materializing the shares — the allocation-free form the plan cache's
-/// ε guard runs on every size-class hit.
-///
-/// Mirrors the closed form's exclusion loop over an inclusion bitmask:
-/// each round computes `T = (n + Σ Δⱼ/Ωⱼ) / Σ 1/Ωⱼ` over the included
-/// set (algebraically the equalized time of Eq. 24) and drops the path
-/// with the most negative share, i.e. the largest `Δᵢ > T`.
-///
-/// # Panics
-/// Panics on invalid inputs (as [`optimal_shares`]) or on more than 128
-/// candidate paths.
-pub fn optimal_time(paths: &[OmegaDelta], n: f64) -> f64 {
-    validate(paths, n);
-    assert!(paths.len() <= 128, "too many candidate paths");
-    let mut included: u128 = if paths.len() == 128 {
-        u128::MAX
-    } else {
-        (1u128 << paths.len()) - 1
-    };
-    loop {
-        let mut s = 0.0;
-        let mut d = 0.0;
-        for (i, p) in paths.iter().enumerate() {
-            if included & (1 << i) != 0 {
-                s += 1.0 / p.omega;
-                d += p.delta / p.omega;
-            }
-        }
-        let t = (n + d) / s;
-        // θᵢ < 0 ⇔ Δᵢ > T; drop the most negative share, i.e. the
-        // largest (Δᵢ − T)/Ωᵢ... the same ordering as the largest
-        // (T − Δᵢ) deficit scaled by 1/Ωᵢ used in `optimal_shares`.
-        let mut worst: Option<(usize, f64)> = None;
-        for (i, p) in paths.iter().enumerate() {
-            if included & (1 << i) == 0 {
-                continue;
-            }
-            let raw = (t - p.delta) / (n * p.omega);
-            if raw < 0.0 && worst.is_none_or(|(_, w)| raw < w) {
-                worst = Some((i, raw));
-            }
-        }
-        match worst {
-            Some((i, _)) if included.count_ones() > 1 => included &= !(1 << i),
-            _ => return t,
-        }
+    for (s, &inc) in shares.iter_mut().zip(&*included) {
+        *s = if inc { s.max(0.0) } else { 0.0 };
     }
-}
-
-/// Eq. (24) restricted to `included` (indices into `paths`): returns the
-/// raw, possibly-negative shares in `included` order.
-fn closed_form(paths: &[OmegaDelta], included: &[usize], n: f64) -> Vec<f64> {
-    assert!(!included.is_empty());
-    // S = Σ 1/Ωⱼ,   D = Σ Δⱼ/Ωⱼ
-    let s: f64 = included.iter().map(|&j| 1.0 / paths[j].omega).sum();
-    let d: f64 = included
-        .iter()
-        .map(|&j| paths[j].delta / paths[j].omega)
-        .sum();
-    included
-        .iter()
-        .map(|&i| {
-            let p = &paths[i];
-            (1.0 - p.delta / n * s + d / n) / (p.omega * s)
-        })
-        .collect()
+    // Normalize away rounding residue.
+    let sum: f64 = shares.iter().sum();
+    debug_assert!((sum - 1.0).abs() < 1e-9, "shares sum to {sum}");
+    for s in shares.iter_mut() {
+        *s /= sum;
+    }
+    (shares.iter().zip(paths))
+        .filter(|(s, _)| **s > 0.0)
+        .map(|(s, p)| p.time(*s, n))
+        .fold(0.0f64, f64::max)
 }
 
 /// Numeric reference solver: bisection on the completion time `T`.
@@ -357,35 +306,6 @@ mod tests {
         assert!(sol.shares[1] > 0.0, "large n should re-include the path");
     }
 
-    /// `optimal_time` must reproduce `optimal_shares`' equalized time
-    /// exactly — it is the same exclusion loop without the shares.
-    #[test]
-    fn optimal_time_matches_optimal_shares() {
-        let cases: Vec<Vec<OmegaDelta>> = vec![
-            vec![od(1.0 / 48e9, 2e-6)],
-            vec![od(1.0 / 48e9, 3e-6), od(1.0 / 48e9, 9e-6)],
-            vec![od(1.0 / 48e9, 2e-6), od(1.0 / 12e9, 500e-6)],
-            vec![
-                od(1.0 / 48e9, 3e-6),
-                od(1.05 / 48e9, 9e-6),
-                od(1.05 / 48e9, 9e-6),
-                od(1.0 / 6e9, 20e-6),
-            ],
-        ];
-        for paths in &cases {
-            for n in [4e3, 64e3, 1e6, 16e6, 256e6, 512e6] {
-                let full = optimal_shares(paths, n);
-                let fast = optimal_time(paths, n);
-                assert!(
-                    (full.time - fast).abs() <= 1e-12 * full.time.max(1e-12),
-                    "n={n}: {} vs {}",
-                    full.time,
-                    fast
-                );
-            }
-        }
-    }
-
     /// The closed form (Eq. 24) and the bisection reference must agree.
     #[test]
     fn closed_form_matches_bisection() {
@@ -515,14 +435,6 @@ mod tests {
                 let b = optimal_shares_bisection(&paths, n);
                 prop_assert!((a.time - b.time).abs() < 1e-6 * b.time.max(1e-12),
                     "{} vs {}", a.time, b.time);
-            }
-
-            #[test]
-            fn optimal_time_agrees_with_shares(paths in arb_paths(), n in 1e3f64..1e9) {
-                let full = optimal_shares(&paths, n);
-                let fast = optimal_time(&paths, n);
-                prop_assert!((full.time - fast).abs() <= 1e-9 * full.time.max(1e-12),
-                    "{} vs {}", full.time, fast);
             }
 
             #[test]

@@ -92,56 +92,94 @@ pub fn time_pipelined_opt(p: &PathParams, theta: f64, n: f64) -> Secs {
     }
 }
 
-/// Topology constant `φ` (Eq. 19) for one path at reference load
-/// `θ_ref·n`: chosen so the linear chunk law `k = φ·x` meets the exact
-/// optimum `k = √x` at the reference point, i.e. `φ = 1/√x_ref`.
+/// The φ-linearized law of a pipelined staged path (Eqs. 19 and 22) at
+/// reference share `θ_ref`, with every term that does not depend on the
+/// message size computed once.
 ///
-/// The paper's "constants in the form of c·f(n)" are exactly this: `φ`
-/// depends on the topology through `(α, β′, ε)` and on the operating
-/// point through `√(θ_ref·n)`.
-pub fn topology_constant(p: &PathParams, theta_ref: f64, n: f64) -> f64 {
-    let x = x_ref(p, theta_ref, n);
-    if !x.is_finite() {
-        // Zero per-chunk cost (α = 0 or ε + α′ = 0): the optimum is
-        // infinitely fine chunking; a vanishing φ makes the linearized
-        // law degenerate to the bottleneck-leg rate with zero fixed
-        // cost, which is the correct limit.
-        return 1e-12;
-    }
-    if x <= 0.0 {
-        1.0
-    } else {
-        1.0 / x.sqrt()
-    }
-}
-
-/// The dimensionless reference operating point `x_ref` of Eqs. 14/15.
-fn x_ref(p: &PathParams, theta_ref: f64, n: f64) -> f64 {
-    let second = p.second.expect("pipelining applies to staged paths only");
-    let load = theta_ref * n;
-    match bottleneck(p) {
-        Bottleneck::FirstLeg => load / (p.first.alpha * second.beta),
-        Bottleneck::SecondLeg => load / (p.first.beta * (p.eps + second.alpha)),
-    }
-}
-
-/// The linearized affine coefficients of a pipelined staged path
-/// (Eq. 22), given its topology constant `φ`:
+/// With `cost` the per-chunk startup product of Eqs. 14/15 (`α·β′` or
+/// `β(ε+α′)`), the topology constant at `n` bytes is `φ = 1/√x_ref`,
+/// `x_ref = θ_ref·n / cost`: the linear chunk law `k = φ·x` meets the
+/// exact optimum `k = √x` at the reference point. The paper's "constants
+/// in the form of c·f(n)" are exactly this: `φ` depends on the topology
+/// through `(α, β′, ε)` and on the operating point through `√(θ_ref·n)`.
+/// The affine coefficients are then
 ///
 /// * case 1 (`β < β′`): `Ω = 1/β + φ/β′`, `Δ = ε + α′ + α/φ`;
-/// * case 2 (`β ≥ β′`): `Ω = φ/β + 1/β′`, `Δ = α + (ε + α′)/φ`.
-pub fn omega_delta_pipelined(p: &PathParams, phi: f64) -> OmegaDelta {
-    let second = p.second.expect("pipelining applies to staged paths only");
-    assert!(phi > 0.0 && phi.is_finite(), "invalid phi {phi}");
-    match bottleneck(p) {
-        Bottleneck::FirstLeg => OmegaDelta {
-            omega: 1.0 / p.first.beta + phi / second.beta,
-            delta: p.eps + second.alpha + p.first.alpha / phi,
-        },
-        Bottleneck::SecondLeg => OmegaDelta {
-            omega: phi / p.first.beta + 1.0 / second.beta,
-            delta: p.first.alpha + (p.eps + second.alpha) / phi,
-        },
+/// * case 2 (`β ≥ β′`): `Ω = 1/β′ + φ/β`, `Δ = α + (ε + α′)/φ`.
+#[derive(Debug, Clone, Copy)]
+pub struct PipelinedLaw {
+    theta_ref: f64,
+    /// `α·β′` or `β(ε+α′)`.
+    cost: f64,
+    /// `1/β` or `1/β′`: the bottleneck leg's per-byte time.
+    omega: f64,
+    /// `β′` or `β`: what `φ` is divided by in `Ω`.
+    omega_div: f64,
+    /// `ε + α′` or `α`: the fixed part of `Δ`.
+    delta: f64,
+    /// `α` or `ε + α′`: what is divided by `φ` in `Δ`.
+    delta_num: f64,
+}
+
+impl PipelinedLaw {
+    /// The law of staged path `p` linearized at reference share
+    /// `theta_ref`.
+    ///
+    /// # Panics
+    /// Panics on a direct (single-leg) path.
+    pub fn new(p: &PathParams, theta_ref: f64) -> PipelinedLaw {
+        let second = p.second.expect("pipelining applies to staged paths only");
+        let eps_alpha = p.eps + second.alpha;
+        let (cost, omega, omega_div, delta, delta_num) = match bottleneck(p) {
+            Bottleneck::FirstLeg => (
+                p.first.alpha * second.beta,
+                1.0 / p.first.beta,
+                second.beta,
+                eps_alpha,
+                p.first.alpha,
+            ),
+            Bottleneck::SecondLeg => (
+                p.first.beta * eps_alpha,
+                1.0 / second.beta,
+                p.first.beta,
+                p.first.alpha,
+                eps_alpha,
+            ),
+        };
+        PipelinedLaw {
+            theta_ref,
+            cost,
+            omega,
+            omega_div,
+            delta,
+            delta_num,
+        }
+    }
+
+    /// Topology constant `φ` (Eq. 19) at `n` bytes.
+    pub fn phi(&self, n: f64) -> f64 {
+        let x = self.theta_ref * n / self.cost;
+        if !x.is_finite() {
+            // Zero per-chunk cost (α = 0 or ε + α′ = 0): the optimum is
+            // infinitely fine chunking; a vanishing φ makes the linearized
+            // law degenerate to the bottleneck-leg rate with zero fixed
+            // cost, which is the correct limit.
+            1e-12
+        } else if x <= 0.0 {
+            1.0
+        } else {
+            1.0 / x.sqrt()
+        }
+    }
+
+    /// The linearized affine coefficients `Ω, Δ` at `n` bytes (Eq. 22).
+    #[inline]
+    pub fn at(&self, n: f64) -> OmegaDelta {
+        let phi = self.phi(n);
+        OmegaDelta {
+            omega: self.omega + phi / self.omega_div,
+            delta: self.delta + self.delta_num / phi,
+        }
     }
 }
 
@@ -270,8 +308,7 @@ mod tests {
         ] {
             let n = 64e6;
             let theta = 0.4;
-            let phi = topology_constant(&p, theta, n);
-            let od = omega_delta_pipelined(&p, phi);
+            let od = PipelinedLaw::new(&p, theta).at(n);
             let linear = od.time(theta, n);
             let exact = time_pipelined_opt(&p, theta, n);
             assert!(
@@ -285,8 +322,7 @@ mod tests {
     fn phi_linearization_close_off_reference() {
         let p = staged(2e-6, gb_per_s(12.0), 4e-6, 2e-6, gb_per_s(48.0));
         let n = 64e6;
-        let phi = topology_constant(&p, 0.5, n);
-        let od = omega_delta_pipelined(&p, phi);
+        let od = PipelinedLaw::new(&p, 0.5).at(n);
         for theta in [0.25, 0.4, 0.6, 0.75] {
             let linear = od.time(theta, n);
             let exact = time_pipelined_opt(&p, theta, n);

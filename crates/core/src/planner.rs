@@ -13,26 +13,24 @@
 //! 4. converts shares to aligned byte counts, giving the remainder to the
 //!    direct path (lines 27–29), and picks per-path chunk counts
 //!    (Eqs. 14/15 rounded);
-//! 5. caches the result per `(src, dst, selection, n)` in a sharded,
-//!    read-mostly [`PlanCache`], optionally quantized into geometric
-//!    size classes (see [`SizeClassConfig`]) so an irregular size sweep
-//!    costs O(size classes) solves instead of O(distinct sizes).
+//! 5. keeps one [`PlanTable`] entry per `(src, dst, selection)`: steps 1
+//!    and 2 done once, as every n-independent constant of Eqs. 14/15, 19
+//!    and 22, and an exact memo `n → plan`, so a repeated size is one
+//!    lookup and a new size solves steps 3 and 4 on the stack.
+//!
+//! θ(n) is not piecewise-affine for a pipelined staged path (φ ∝ 1/√n,
+//! Eqs. 19 and 22), so the entry keeps coefficients, not segments.
 
-use crate::cache::{BuildFxHasher, CacheCounters, ShardedMap};
-use crate::optimizer::{optimal_shares, optimal_time, OmegaDelta};
-use crate::pipeline::{
-    bottleneck, chunk_count, omega_delta_pipelined, omega_delta_unpipelined, time_pipelined,
-    topology_constant, Bottleneck,
-};
+use crate::cache::{BuildFxHasher, CacheCounters};
+use crate::optimizer::{equalize, OmegaDelta};
+use crate::pipeline::{chunk_count, omega_delta_unpipelined, time_pipelined, PipelinedLaw};
 use mpx_topo::params::{extract_all, PathParams};
 use mpx_topo::path::{enumerate_paths_auto, PathKind, PathSelection, TransferPath};
 use mpx_topo::units::{Bandwidth, Secs};
-use mpx_topo::{DeviceId, Topology, TopologyError};
+use mpx_topo::{DeviceId, LinkId, Topology, TopologyError};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Whether staged paths are modeled (and executed) with chunk pipelining.
@@ -44,74 +42,24 @@ pub enum PipelineMode {
     Pipelined,
 }
 
-/// Size-class quantization of the plan-cache key.
-///
-/// With quantization enabled, messages above [`exact_below`] share one
-/// cache entry per geometric size class ([`per_octave`] classes per
-/// doubling): the first size in a class pays the full Algorithm-1 solve
-/// and its share distribution is reused — rescaled to the exact byte
-/// count — for every later size in the class. A guard keeps the
-/// shortcut honest: the rescaled plan is accepted only if its
-/// model-predicted time stays within `(1 + ε)` of the equalized-time
-/// optimum computed (cheaply, in closed form) for the exact size;
-/// otherwise the planner falls back to an exact solve. Below
-/// [`exact_below`] the key is always the exact byte count — the paper's
-/// Observation 4 nonlinearity (path activation thresholds) makes
-/// bucketing unsafe for small messages.
-///
-/// [`exact_below`]: SizeClassConfig::exact_below
-/// [`per_octave`]: SizeClassConfig::per_octave
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SizeClassConfig {
-    /// Quantize cache keys at all. Off by default: exact keying
-    /// reproduces the paper's per-`(pair, n)` cache bit for bit.
-    pub enabled: bool,
-    /// Guard tolerance ε: a class-derived plan may predict at most
-    /// `(1 + ε)×` the exact plan's equalized time.
-    pub epsilon: f64,
-    /// Size classes per size doubling (geometric granularity).
-    pub per_octave: u32,
-    /// Messages below this many bytes always use exact keys.
-    pub exact_below: usize,
-}
+/// Plans memoised per pair before the pair's memo is cleared, and
+/// lowerings kept per graph-cache shard: the bound on what an irregular
+/// size sweep can leave behind.
+pub const MEMO_CAP: usize = 512;
 
-// Not derivable: the default must keep the recommended tunables so
-// flipping `enabled` alone yields a sane configuration.
-#[allow(clippy::derivable_impls)]
-impl Default for SizeClassConfig {
-    fn default() -> Self {
-        SizeClassConfig {
-            enabled: false,
-            ..SizeClassConfig::ENABLED
-        }
-    }
-}
-
-impl SizeClassConfig {
-    /// The recommended quantizing configuration: 4 classes per octave,
-    /// ε = 5%, exact keys below 4 MiB.
-    pub const ENABLED: SizeClassConfig = SizeClassConfig {
-        enabled: true,
-        epsilon: 0.05,
-        per_octave: 4,
-        exact_below: 4 << 20,
-    };
-
-    /// The class index of an `n`-byte message.
-    #[inline]
-    pub fn class_of(&self, n: usize) -> u32 {
-        debug_assert!(n > 0);
-        (self.per_octave.max(1) as f64 * (n as f64).log2()).floor() as u32
-    }
-}
+/// Candidate paths per pair the stack-resident solve has room for (a
+/// node's pair has at most a handful; the paper grid's widest selection
+/// has four). A larger candidate set is refused with
+/// [`TopologyError::TooManyPaths`].
+pub const MAX_PATHS: usize = 16;
 
 /// Quantizes fractional path shares of an `n`-byte message into
 /// `alignment`-aligned byte counts (each rounded down), writing them into
 /// `bytes` and returning the total assigned. Callers give the rounding
 /// remainder `n - total` to path 0 — the direct path, the only one free
 /// of the alignment constraint. The single Lines 27–29 implementation
-/// shared by the planner's solve loop, the size-class realization, and
-/// the exhaustive tuner's manual plans.
+/// shared by the planner's solve loop and the exhaustive tuner's manual
+/// plans.
 pub fn quantize_shares(
     bytes: &mut [usize],
     shares: impl IntoIterator<Item = f64>,
@@ -142,18 +90,6 @@ pub struct PlannerConfig {
     /// Share byte counts are rounded down to this alignment (element
     /// size); the remainder goes to the direct path.
     pub alignment: usize,
-    /// Size-class quantization of the plan-cache key.
-    #[serde(default)]
-    pub size_classes: SizeClassConfig,
-    /// Exact plans retained per cache shard before the shard's epoch is
-    /// cleared (bounds the cache footprint under irregular size sweeps;
-    /// the steady-state working set stays resident).
-    #[serde(default = "default_plans_per_shard")]
-    pub plans_per_shard: usize,
-}
-
-fn default_plans_per_shard() -> usize {
-    512
 }
 
 impl Default for PlannerConfig {
@@ -163,9 +99,35 @@ impl Default for PlannerConfig {
             max_chunks: 32,
             min_chunk_bytes: 256 << 10,
             alignment: 4,
-            size_classes: SizeClassConfig::default(),
-            plans_per_shard: default_plans_per_shard(),
         }
+    }
+}
+
+impl PlannerConfig {
+    /// Whether a path with these parameters runs as a chunk pipeline.
+    fn pipelines(&self, p: &PathParams) -> bool {
+        p.is_staged() && self.mode == PipelineMode::Pipelined
+    }
+
+    /// Chunk count and model-predicted time of one path given its byte
+    /// share: the quantized realization of a solved share.
+    fn assignment(&self, p: &PathParams, share: usize, nf: f64) -> (u32, Secs) {
+        let theta = share as f64 / nf;
+        let chunks = if share == 0 || !self.pipelines(p) {
+            1
+        } else {
+            let by_overhead = chunk_count(p, theta, nf, self.max_chunks);
+            let by_size = (share / self.min_chunk_bytes.max(1)).max(1) as u32;
+            by_overhead.min(by_size)
+        };
+        let predicted_time = if share == 0 {
+            0.0
+        } else if self.pipelines(p) {
+            time_pipelined(p, theta, nf, chunks)
+        } else {
+            p.time_unpipelined(share as f64)
+        };
+        (chunks, predicted_time)
     }
 }
 
@@ -279,169 +241,239 @@ impl TransferPlan {
 /// them never blocks planning).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlannerStats {
-    /// Plans served from the exact-size cache.
+    /// Plans served from a pair's memo.
     pub hits: u64,
-    /// Plans computed from scratch.
+    /// Plans solved.
     pub misses: u64,
-    /// Plans realized cheaply from a cached size-class entry.
-    pub class_hits: u64,
-    /// Size-class candidates rejected by the ε guard (fell back to an
-    /// exact solve).
-    pub class_fallbacks: u64,
     /// Drift-triggered pair invalidations.
     pub invalidations: u64,
 }
 
 impl PlannerStats {
-    /// Component-wise sum (for aggregating several caches).
+    /// Component-wise sum (for aggregating several tables).
     pub fn merged(self, other: PlannerStats) -> PlannerStats {
         PlannerStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
-            class_hits: self.class_hits + other.class_hits,
-            class_fallbacks: self.class_fallbacks + other.class_fallbacks,
             invalidations: self.invalidations + other.invalidations,
         }
     }
 }
 
 /// The pair-level cache key — `(src, dst, max_gpu_staged, host_staged)`,
-/// i.e. everything that determines the candidate path set. It doubles as
-/// the shard key of every map in a [`PlanCache`], so invalidating one
-/// pair locks exactly one shard.
+/// i.e. everything that determines the candidate path set. It also picks
+/// the [`PlanTable`] shard, so invalidating one pair locks one shard.
 pub type PairKey = (DeviceId, DeviceId, usize, bool);
 
-type ExactKey = (PairKey, usize);
-type ClassKey = (PairKey, u32);
-
-/// One path's slice of a cached size-class solution: the launch-corrected
-/// parameters, the solved share fraction, and the memoized affine-law
-/// coefficients — everything needed to re-realize the distribution (and
-/// re-check its optimality bound) at a nearby exact size without touching
-/// the topology or the pair memo.
-///
-/// The Eq. 22 φ-linearization factors as `Ω(φ) = ob + oc·φ` and
-/// `Δ(φ) = db + dc/φ`, and the topology constant scales as
-/// `φ(n) = phi_scale/√n` (it is `1/√x_ref` with `x_ref ∝ n`), so the
-/// coefficients at any message size cost a handful of flops. Direct or
-/// unpipelined paths are constants: `oc = dc = 0`, `phi_scale = 0`.
-#[derive(Debug, Clone)]
-struct ClassPath {
-    kind: PathKind,
-    params: PathParams,
-    theta: f64,
-    ob: f64,
-    oc: f64,
-    db: f64,
-    dc: f64,
-    phi_scale: f64,
+/// A path's time law at message size `n`, as its n-independent part.
+#[derive(Debug, Clone, Copy)]
+enum Law {
+    /// Direct, or staged without pipelining: Eq. 11's `Ω, Δ` as they are.
+    Fixed(OmegaDelta),
+    /// A pipelined staged path: Eq. 22 at the Eq. 19 constant `φ`.
+    Piped(PipelinedLaw),
 }
 
-/// A size-class cache entry: the share distribution Algorithm 1 solved at
-/// the first size seen in the class.
-#[derive(Debug)]
-struct ClassEntry {
-    paths: Vec<ClassPath>,
-}
+impl Law {
+    /// The law of a path with (launch-corrected) parameters `p`, whose
+    /// pair's bottleneck bandwidths sum to `beta_sum`.
+    fn new(cfg: &PlannerConfig, p: &PathParams, beta_sum: f64) -> Law {
+        if !cfg.pipelines(p) {
+            return Law::Fixed(omega_delta_unpipelined(p));
+        }
+        // Reference share for φ: bandwidth-proportional.
+        let theta_ref = (p.bottleneck_bandwidth() / beta_sum).max(1e-6);
+        Law::Piped(PipelinedLaw::new(p, theta_ref))
+    }
 
-/// Outcome of one locked cache probe.
-enum Lookup {
-    Exact(Arc<TransferPlan>),
-    Class(Arc<ClassEntry>),
-    Miss,
-}
-
-/// One cache shard: the exact and size-class tables of the pairs hashing
-/// here, behind a single `RwLock` so a probe costs one read acquisition.
-#[derive(Default)]
-struct CacheShard {
-    exact: HashMap<ExactKey, Arc<TransferPlan>, BuildFxHasher>,
-    class: HashMap<ClassKey, Arc<ClassEntry>, BuildFxHasher>,
-}
-
-/// A sharded, read-mostly configuration cache: exact `(pair, n)` plans
-/// plus (when quantization is on) per-size-class share distributions,
-/// with lock-free atomic counters. Shards are selected by the device
-/// pair, so invalidating one pair locks exactly one shard.
-///
-/// The planner owns one for datasheet-parameter plans; the transport
-/// layer owns a second one for probed-parameter plans and drives it
-/// through [`Planner::plan_in_cache`], so both share the identical
-/// caching and quantization logic.
-pub struct PlanCache {
-    shards: Box<[RwLock<CacheShard>]>,
-    counters: CacheCounters,
-    /// Process-unique id, distinguishing this cache's entries in the
-    /// thread-local L0 (addresses can be reused; ids never are).
-    id: u64,
-    /// Bumped after every invalidation/clear. Thread-local L0 entries
-    /// remember the epoch they were filled under and are ignored once it
-    /// moves on, so no stale plan survives an invalidation.
-    epoch: AtomicU64,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
+    /// `Ω, Δ` at `nf` bytes.
+    #[inline]
+    fn at(&self, nf: f64) -> OmegaDelta {
+        match self {
+            Law::Fixed(od) => *od,
+            Law::Piped(law) => law.at(nf),
+        }
     }
 }
 
-/// Source of process-unique [`PlanCache::id`]s.
-static CACHE_IDS: AtomicU64 = AtomicU64::new(1);
+/// One candidate path of a [`PairEntry`].
+#[derive(Debug, Clone, Copy)]
+struct PathLaw {
+    kind: PathKind,
+    /// Hockney parameters after the line-18 launch correction.
+    params: PathParams,
+    law: Law,
+}
 
-impl PlanCache {
-    /// Creates an empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache {
+/// Everything Algorithm 1 needs about one pair that does not depend on
+/// the message size: its candidate paths, their corrected parameters and
+/// time laws — and the links that were down when the parameters were
+/// measured, so the entry can be rebuilt once one of them is back up.
+#[derive(Debug)]
+pub struct PairEntry {
+    paths: Box<[PathLaw]>,
+    down: Box<[LinkId]>,
+}
+
+impl PairEntry {
+    /// Whether the entry still describes the fabric: it was measured with
+    /// every link up, or every link it saw down is down still. An entry
+    /// measured on a healthy fabric pays one branch.
+    #[inline]
+    fn current(&self, is_up: &impl Fn(LinkId) -> bool) -> bool {
+        self.down.is_empty() || !self.down.iter().any(|&l| is_up(l))
+    }
+
+    /// Algorithm 1 lines 16–30 at `n` bytes: per-path `Ω, Δ`, the optimal
+    /// shares, aligned bytes, chunk counts and predicted times, with the
+    /// straggler re-solve. Every intermediate lives on the stack; the
+    /// returned plan is the only allocation.
+    fn solve(&self, cfg: &PlannerConfig, n: usize) -> TransferPlan {
+        assert!(n > 0, "cannot plan a zero-byte transfer");
+        let m = self.paths.len();
+        let nf = n as f64;
+        let mut ods = [OmegaDelta {
+            omega: 1.0,
+            delta: 0.0,
+        }; MAX_PATHS];
+        for (od, p) in ods.iter_mut().zip(&*self.paths) {
+            *od = p.law.at(nf);
+        }
+        let ods = &mut ods[..m];
+        let mut included = [true; MAX_PATHS];
+        let mut shares = [0.0; MAX_PATHS];
+        let mut bytes = [0usize; MAX_PATHS];
+        // Per path: share bytes, chunk count, predicted time — of the best
+        // round so far.
+        let mut best = [(0usize, 1u32, 0.0); MAX_PATHS];
+        let mut best_time: Option<Secs> = None;
+
+        // Lines 22–30 with a quantization-aware exclusion loop: the
+        // optimizer's affine law assumes continuous chunk counts, but the
+        // executed config rounds `k` and enforces the min-chunk-size
+        // floor. A path whose share is so small that it ends up with one
+        // unpipelinable chunk can overshoot the equalized time and
+        // straggle the whole transfer; such paths are dropped (by
+        // inflating their fixed cost — the optimizer's natural exclusion
+        // mechanism) and the shares re-solved.
+        for _round in 0..m + 1 {
+            // Lines 22–26: optimal shares.
+            let time = equalize(ods, nf, &mut included[..m], &mut shares[..m]);
+
+            // Lines 27–29: shares → aligned bytes, remainder to the
+            // first path (the direct one when it exists).
+            let assigned = quantize_shares(
+                &mut bytes[..m],
+                shares[..m].iter().copied(),
+                n,
+                cfg.alignment,
+            );
+            bytes[0] += n - assigned;
+
+            // Chunk counts and exact (quantized) per-path predictions.
+            let mut round = [(0usize, 1u32, 0.0); MAX_PATHS];
+            let mut worst: Secs = 0.0;
+            for ((r, p), &share) in round.iter_mut().zip(&*self.paths).zip(&bytes[..m]) {
+                let (chunks, predicted_time) = cfg.assignment(&p.params, share, nf);
+                worst = worst.max(predicted_time);
+                *r = (share, chunks, predicted_time);
+            }
+            if best_time.is_none_or(|b| worst < b) {
+                best_time = Some(worst);
+                best = round;
+            }
+
+            // Straggler check: a non-first active path whose quantized
+            // time overshoots the optimizer's equalized target by more
+            // than 2% poisons the makespan — drop it and re-solve,
+            // keeping the best plan seen so far. At termination either no
+            // path overshoots (so the makespan is within 2% of the
+            // equalized optimum, which never exceeds the direct-only
+            // time) or the best earlier round wins. Only a straggler of
+            // *this* round's plan is re-solved (otherwise we already
+            // improved past it); of equally late ones, the last.
+            let this_round = (worst - best_time.expect("just set")).abs() < 1e-18;
+            if !this_round {
+                break;
+            }
+            let mut straggler: Option<(usize, Secs)> = None;
+            for (i, &(share, _, t)) in best[..m].iter().enumerate().skip(1) {
+                if share > 0 && t > time * 1.02 + 1e-9 && straggler.is_none_or(|(_, w)| t >= w) {
+                    straggler = Some((i, t));
+                }
+            }
+            match straggler {
+                Some((i, _)) => {
+                    ods[i] = OmegaDelta {
+                        omega: ods[i].omega,
+                        delta: nf * ods[i].omega + time * 1e3,
+                    };
+                }
+                None => break,
+            }
+        }
+        let worst = best_time.expect("at least one round ran");
+        TransferPlan {
+            n,
+            paths: (self.paths.iter().zip(&best[..m]).enumerate())
+                .map(
+                    |(index, (p, &(share_bytes, chunks, predicted_time)))| PlannedPath {
+                        index,
+                        kind: p.kind,
+                        params: p.params,
+                        theta: share_bytes as f64 / nf,
+                        share_bytes,
+                        chunks,
+                        predicted_time,
+                    },
+                )
+                .collect(),
+            predicted_time: worst,
+            predicted_bandwidth: nf / worst,
+        }
+    }
+}
+
+/// One pair's slot: its entry and the plans solved from it.
+struct Slot {
+    entry: Arc<PairEntry>,
+    memo: HashMap<usize, Arc<TransferPlan>, BuildFxHasher>,
+}
+
+/// The configuration cache: one [`PairEntry`] per [`PairKey`] with an
+/// exact memo `n → plan`, in shards selected by the pair, so a hit is
+/// one shard read lock and two lookups. Drift drops one pair
+/// ([`PlanTable::invalidate_pair`]), recalibration all of them
+/// ([`PlanTable::clear`]).
+///
+/// The planner owns one for datasheet-parameter plans; the transport
+/// owns a second one for probed-parameter plans and drives it through
+/// [`Planner::plan_in`].
+pub struct PlanTable {
+    shards: Box<[RwLock<HashMap<PairKey, Slot, BuildFxHasher>>]>,
+    counters: CacheCounters,
+}
+
+impl Default for PlanTable {
+    fn default() -> Self {
+        PlanTable::new()
+    }
+}
+
+impl PlanTable {
+    /// Creates an empty table.
+    pub fn new() -> PlanTable {
+        PlanTable {
             shards: (0..crate::cache::SHARDS)
-                .map(|_| RwLock::new(CacheShard::default()))
+                .map(|_| RwLock::new(HashMap::default()))
                 .collect(),
             counters: CacheCounters::default(),
-            id: CACHE_IDS.fetch_add(1, Ordering::Relaxed),
-            epoch: AtomicU64::new(0),
         }
     }
 
     #[inline]
-    fn shard(&self, pair: &PairKey) -> &RwLock<CacheShard> {
-        let idx = crate::cache::fx_hash_of(pair) as usize % self.shards.len();
-        &self.shards[idx]
-    }
-
-    /// One shard read acquisition: the exact plan if cached, else the
-    /// size-class entry if `class_key` was given and is cached.
-    fn probe(&self, exact_key: &ExactKey, class_key: Option<&ClassKey>) -> Lookup {
-        let shard = self.shard(&exact_key.0).read();
-        if let Some(p) = shard.exact.get(exact_key) {
-            return Lookup::Exact(p.clone());
-        }
-        if let Some(ck) = class_key {
-            if let Some(e) = shard.class.get(ck) {
-                return Lookup::Class(e.clone());
-            }
-        }
-        Lookup::Miss
-    }
-
-    /// Inserts an exact plan (and, on a solve that seeds a new size
-    /// class, its class entry), epoch-clearing the exact table at `cap`
-    /// entries so an irregular size sweep cannot grow the cache — and
-    /// its allocation footprint — without bound.
-    fn store(
-        &self,
-        exact_key: ExactKey,
-        plan: Arc<TransferPlan>,
-        class: Option<(ClassKey, Arc<ClassEntry>)>,
-        cap: usize,
-    ) {
-        let mut shard = self.shard(&exact_key.0).write();
-        if shard.exact.len() >= cap.max(1) {
-            shard.exact.clear();
-        }
-        shard.exact.insert(exact_key, plan);
-        if let Some((ck, entry)) = class {
-            shard.class.insert(ck, entry);
-        }
+    fn shard(&self, pair: &PairKey) -> &RwLock<HashMap<PairKey, Slot, BuildFxHasher>> {
+        &self.shards[crate::cache::fx_hash_of(pair) as usize % self.shards.len()]
     }
 
     /// A snapshot of the counters. Reads relaxed atomics only — never
@@ -451,86 +483,43 @@ impl PlanCache {
         PlannerStats {
             hits: CacheCounters::read(&c.hits),
             misses: CacheCounters::read(&c.misses),
-            class_hits: CacheCounters::read(&c.class_hits),
-            class_fallbacks: CacheCounters::read(&c.class_fallbacks),
             invalidations: CacheCounters::read(&c.invalidations),
         }
     }
 
-    /// Drops every cached plan and class entry of one device pair,
-    /// locking only that pair's shard. The drift-invalidation primitive.
-    /// The epoch bump (after the purge, so a concurrent planner can never
-    /// re-validate a pre-purge plan under the new epoch) retires every
-    /// thread's L0 entries for this cache.
+    /// Drops one pair's entry and plans, locking only its shard. The
+    /// drift-invalidation primitive.
     pub fn invalidate_pair(&self, pair: PairKey) {
-        let mut shard = self.shard(&pair).write();
-        shard.exact.retain(|k, _| k.0 != pair);
-        shard.class.retain(|k, _| k.0 != pair);
-        drop(shard);
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.shard(&pair).write().remove(&pair);
         CacheCounters::bump(&self.counters.invalidations);
     }
 
-    /// Drops every cached plan (counters are kept).
+    /// Drops every entry (counters are kept).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut s = shard.write();
-            s.exact.clear();
-            s.class.clear();
+            shard.write().clear();
         }
-        self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Number of exact plans currently cached.
+    /// Number of plans currently memoised.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().exact.len()).sum()
+        let pairs = |s: &RwLock<HashMap<PairKey, Slot, BuildFxHasher>>| {
+            s.read().values().map(|slot| slot.memo.len()).sum::<usize>()
+        };
+        self.shards.iter().map(pairs).sum()
     }
 
-    /// Whether no exact plans are cached.
+    /// Whether no plan is memoised.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-/// One entry of the thread-local L0: the plan this thread last obtained
-/// for `(cache, pair, n)`, valid only while the cache's epoch stands
-/// still. Serving from it costs no lock at all — the steady-state repeat
-/// workload of a rank thread never touches the shared shards.
-struct L0Slot {
-    cache_id: u64,
-    pair: PairKey,
-    n: usize,
-    epoch: u64,
-    plan: Arc<TransferPlan>,
-}
-
-/// Direct-mapped thread-local slots (power of two for mask indexing).
-const L0_SLOTS: usize = 64;
-
-thread_local! {
-    static L0: RefCell<Vec<Option<L0Slot>>> =
-        RefCell::new((0..L0_SLOTS).map(|_| None).collect());
-}
-
-/// Memoized per-pair candidate paths and datasheet parameters: a cache
-/// miss re-solves only the share system instead of re-walking the
-/// topology.
-struct PairMemo {
-    paths: Vec<TransferPath>,
-    params: Vec<PathParams>,
-}
-
-/// Paths per pair above which size-class realization bails out to an
-/// exact solve (stack buffers in the guard are this large; real nodes
-/// have ≤ 5 candidate paths per pair).
-const MAX_CLASS_PATHS: usize = 16;
-
 /// Algorithm 1 with its configuration cache.
 pub struct Planner {
     topo: Arc<Topology>,
     cfg: PlannerConfig,
-    cache: PlanCache,
-    pairs: ShardedMap<PairKey, Arc<PairMemo>>,
+    table: PlanTable,
 }
 
 impl Planner {
@@ -544,8 +533,7 @@ impl Planner {
         Planner {
             topo,
             cfg,
-            cache: PlanCache::new(),
-            pairs: ShardedMap::new(),
+            table: PlanTable::new(),
         }
     }
 
@@ -561,19 +549,13 @@ impl Planner {
 
     /// Cache counters (atomic snapshot; never blocks planning).
     pub fn stats(&self) -> PlannerStats {
-        self.cache.stats()
+        self.table.stats()
     }
 
-    /// The datasheet-parameter plan cache.
-    pub fn cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
-    /// Forgets everything cached about one device pair — plans, class
-    /// entries, and the memoized path set/parameters.
+    /// Forgets everything cached about one device pair: its entry and its
+    /// plans.
     pub fn invalidate_pair(&self, pair: PairKey) {
-        self.pairs.remove(&pair, &pair);
-        self.cache.invalidate_pair(pair);
+        self.table.invalidate_pair(pair);
     }
 
     /// `populate_path_config` (Algorithm 1): the optimal configuration for
@@ -586,107 +568,106 @@ impl Planner {
         sel: PathSelection,
     ) -> Result<Arc<TransferPlan>, TopologyError> {
         let pair: PairKey = (src, dst, sel.max_gpu_staged, sel.host_staged);
-        self.plan_in_cache(&self.cache, pair, n, || {
-            let memo = self.pair_memo(pair, src, dst, sel)?;
-            Ok(self.compute_with_params(n, &memo.paths, memo.params.clone()))
-        })
+        self.plan_in(
+            &self.table,
+            pair,
+            n,
+            |_| true,
+            || {
+                let paths = enumerate_paths_auto(&self.topo, src, dst, sel)?;
+                let params = extract_all(&self.topo, &paths)?;
+                self.entry(&paths, params, Vec::new())
+            },
+        )
     }
 
-    /// The memoized candidate path set and datasheet parameters of one
-    /// pair: only the first plan per pair walks the topology.
-    fn pair_memo(
-        &self,
-        pair: PairKey,
-        src: DeviceId,
-        dst: DeviceId,
-        sel: PathSelection,
-    ) -> Result<Arc<PairMemo>, TopologyError> {
-        if let Some(m) = self.pairs.get(&pair, &pair) {
-            return Ok(m);
-        }
-        let paths = enumerate_paths_auto(&self.topo, src, dst, sel)?;
-        let params = extract_all(&self.topo, &paths)?;
-        let memo = Arc::new(PairMemo { paths, params });
-        self.pairs.insert(&pair, pair, memo.clone());
-        Ok(memo)
-    }
-
-    /// The caching engine behind [`Planner::plan`], parameterized over the
-    /// cache and the solve: probes `(pair, n)` exactly, then — with
-    /// quantization on and `n` above the exact-keying threshold — tries to
-    /// realize the pair's cached size-class distribution at `n` (accepted
-    /// only within the ε guard, see [`SizeClassConfig`]), and only then
-    /// runs `solve` for the full Algorithm-1 answer. Both lookups share
-    /// one shard read acquisition, and `solve` is never called on a hit —
+    /// The table lookup behind [`Planner::plan`], over any table and any
+    /// source of parameters: the pair's memoised plan for `n`, else one
+    /// solved from the pair's entry, else from the entry `build` makes —
+    /// called only when the pair has no entry, or one measured over a
+    /// link `is_up` now reports restored. A hit never calls `build`, so
     /// the transport's probe/enumerate work stays off the hot path.
-    pub fn plan_in_cache(
+    pub fn plan_in(
         &self,
-        cache: &PlanCache,
+        table: &PlanTable,
         pair: PairKey,
         n: usize,
-        solve: impl FnOnce() -> Result<TransferPlan, TopologyError>,
+        is_up: impl Fn(LinkId) -> bool,
+        build: impl FnOnce() -> Result<PairEntry, TopologyError>,
     ) -> Result<Arc<TransferPlan>, TopologyError> {
         assert!(n > 0, "cannot plan a zero-byte transfer");
-        // L0: this thread's own last answer for (cache, pair, n) — no
-        // lock, no shared-line traffic beyond the epoch load. The epoch
-        // is read *before* any shared state so a concurrent invalidation
-        // can only make us conservatively re-probe, never serve stale.
-        let idx = crate::cache::fx_hash_of(&(cache.id, pair, n)) as usize & (L0_SLOTS - 1);
-        let epoch = cache.epoch.load(Ordering::Acquire);
-        let l0_hit = L0.with(|l0| match &l0.borrow()[idx] {
-            Some(s) if s.cache_id == cache.id && s.pair == pair && s.n == n && s.epoch == epoch => {
-                Some(s.plan.clone())
+        let shard = table.shard(&pair);
+        let known = match shard.read().get(&pair) {
+            Some(slot) if slot.entry.current(&is_up) => {
+                if let Some(plan) = slot.memo.get(&n) {
+                    CacheCounters::bump(&table.counters.hits);
+                    return Ok(plan.clone());
+                }
+                Some(slot.entry.clone())
             }
             _ => None,
-        });
-        if let Some(plan) = l0_hit {
-            CacheCounters::bump(&cache.counters.hits);
-            return Ok(plan);
-        }
-
-        let sc = self.cfg.size_classes;
-        let quantize = sc.enabled && n >= sc.exact_below;
-        let exact_key: ExactKey = (pair, n);
-        let class_key: Option<ClassKey> = if quantize {
-            Some((pair, sc.class_of(n)))
-        } else {
-            None
         };
-        let plan = 'plan: {
-            match cache.probe(&exact_key, class_key.as_ref()) {
-                Lookup::Exact(hit) => {
-                    CacheCounters::bump(&cache.counters.hits);
-                    break 'plan hit;
+        CacheCounters::bump(&table.counters.misses);
+        let (entry, fresh) = match known {
+            Some(entry) => (entry, false),
+            None => (Arc::new(build()?), true),
+        };
+        let plan = Arc::new(entry.solve(&self.cfg, n));
+        let mut map = shard.write();
+        if fresh {
+            let mut memo = HashMap::default();
+            memo.insert(n, plan.clone());
+            map.insert(pair, Slot { entry, memo });
+        } else if let Some(slot) = map.get_mut(&pair) {
+            // Memoised only under the entry it was solved from: a drift or
+            // a rebuild in the meantime means the pair moved on.
+            if Arc::ptr_eq(&slot.entry, &entry) {
+                if slot.memo.len() >= MEMO_CAP {
+                    slot.memo.clear();
                 }
-                Lookup::Class(entry) => {
-                    if let Some(plan) = self.realize_guarded(&entry, n) {
-                        // Not written back to the shared exact table:
-                        // realization is cheap and deterministic, and a
-                        // sweep of distinct sizes would only churn the
-                        // shard; repeats are served by the L0 below.
-                        CacheCounters::bump(&cache.counters.class_hits);
-                        break 'plan Arc::new(plan);
-                    }
-                    CacheCounters::bump(&cache.counters.class_fallbacks);
-                }
-                Lookup::Miss => {}
+                slot.memo.insert(n, plan.clone());
             }
-            CacheCounters::bump(&cache.counters.misses);
-            let plan = Arc::new(solve()?);
-            let class = class_key.map(|ck| (ck, Arc::new(self.class_entry(&plan))));
-            cache.store(exact_key, plan.clone(), class, self.cfg.plans_per_shard);
-            plan
-        };
-        L0.with(|l0| {
-            l0.borrow_mut()[idx] = Some(L0Slot {
-                cache_id: cache.id,
-                pair,
-                n,
-                epoch,
-                plan: plan.clone(),
-            })
-        });
+        }
         Ok(plan)
+    }
+
+    /// A pair's table entry: Algorithm 1 lines 16–21 for `paths` with the
+    /// given per-path parameters, which were measured while the `down`
+    /// links were down. Errors with [`TopologyError::TooManyPaths`] on
+    /// more than [`MAX_PATHS`] candidate paths.
+    ///
+    /// # Panics
+    /// Panics unless there is one parameter set per path.
+    pub fn entry(
+        &self,
+        paths: &[TransferPath],
+        mut params: Vec<PathParams>,
+        down: Vec<LinkId>,
+    ) -> Result<PairEntry, TopologyError> {
+        assert_eq!(paths.len(), params.len(), "one parameter set per path");
+        if paths.len() > MAX_PATHS {
+            return Err(TopologyError::TooManyPaths {
+                paths: paths.len(),
+                max: MAX_PATHS,
+            });
+        }
+        // Line 18: sequential initiation — path i's first chunk cannot
+        // launch before the launches of paths 0..i have been issued.
+        let launch = self.topo.overheads.copy_launch;
+        for (i, p) in params.iter_mut().enumerate() {
+            p.first.alpha += launch * i as f64;
+        }
+        let beta_sum: f64 = params.iter().map(|p| p.bottleneck_bandwidth()).sum();
+        Ok(PairEntry {
+            paths: (paths.iter().zip(params))
+                .map(|(path, params)| PathLaw {
+                    kind: path.kind,
+                    params,
+                    law: Law::new(&self.cfg, &params, beta_sum),
+                })
+                .collect(),
+            down: down.into(),
+        })
     }
 
     /// Re-plan entry point for degraded fabrics: like [`Planner::plan`]
@@ -726,319 +707,29 @@ impl Planner {
     /// description.
     pub fn compute(&self, n: usize, paths: &[TransferPath]) -> Result<TransferPlan, TopologyError> {
         let params = extract_all(&self.topo, paths)?;
-        Ok(self.compute_with_params(n, paths, params))
+        Ok(self.entry(paths, params, Vec::new())?.solve(&self.cfg, n))
     }
 
     /// The uncached Algorithm-1 body with externally supplied per-path
     /// Hockney parameters — the hook for runtime-calibrated ("probed")
     /// parameters, which is how the paper's Dynamic Path Distribution
-    /// obtains them.
+    /// obtains them. The same solve a table miss runs.
+    ///
+    /// # Panics
+    /// Panics unless there is one parameter set per path, or on more than
+    /// [`MAX_PATHS`] candidate paths ([`Planner::compute`] reports that as
+    /// an error).
     pub fn compute_with_params(
         &self,
         n: usize,
         paths: &[TransferPath],
-        mut params: Vec<PathParams>,
+        params: Vec<PathParams>,
     ) -> TransferPlan {
         assert!(n > 0, "cannot plan a zero-byte transfer");
-        assert_eq!(paths.len(), params.len(), "one parameter set per path");
-
-        // Line 18: sequential initiation — path i's first chunk cannot
-        // launch before the launches of paths 0..i have been issued.
-        let launch = self.topo.overheads.copy_launch;
-        for (i, p) in params.iter_mut().enumerate() {
-            p.first.alpha += launch * i as f64;
+        match self.entry(paths, params, Vec::new()) {
+            Ok(entry) => entry.solve(&self.cfg, n),
+            Err(e) => panic!("{e}"),
         }
-
-        // Lines 16–21: per-path affine coefficients.
-        let nf = n as f64;
-        let beta_sum: f64 = params.iter().map(|p| p.bottleneck_bandwidth()).sum();
-        let ods: Vec<OmegaDelta> = params
-            .iter()
-            .map(|p| {
-                if !p.is_staged() || self.cfg.mode == PipelineMode::Unpipelined {
-                    omega_delta_unpipelined(p)
-                } else {
-                    // Reference share for φ: bandwidth-proportional.
-                    let theta_ref = (p.bottleneck_bandwidth() / beta_sum).max(1e-6);
-                    let phi = topology_constant(p, theta_ref, nf);
-                    omega_delta_pipelined(p, phi)
-                }
-            })
-            .collect();
-
-        // Lines 22–30 with a quantization-aware exclusion loop: the
-        // optimizer's affine law assumes continuous chunk counts, but the
-        // executed config rounds `k` and enforces the min-chunk-size
-        // floor. A path whose share is so small that it ends up with one
-        // unpipelinable chunk can overshoot the equalized time and
-        // straggle the whole transfer; such paths are dropped (by
-        // inflating their fixed cost — the optimizer's natural exclusion
-        // mechanism) and the shares re-solved.
-        let mut ods = ods;
-        let mut best: Option<TransferPlan> = None;
-        for _round in 0..paths.len() + 1 {
-            // Lines 22–26: optimal shares.
-            let sol = optimal_shares(&ods, nf);
-
-            // Lines 27–29: shares → aligned bytes, remainder to the
-            // first path (the direct one when it exists).
-            let mut bytes = vec![0usize; sol.shares.len()];
-            let assigned = quantize_shares(
-                &mut bytes,
-                sol.shares.iter().copied(),
-                n,
-                self.cfg.alignment,
-            );
-            bytes[0] += n - assigned;
-
-            // Chunk counts and exact (quantized) per-path predictions.
-            let mut planned = Vec::with_capacity(paths.len());
-            let mut worst: Secs = 0.0;
-            for (i, ((path, p), share)) in paths.iter().zip(&params).zip(&bytes).enumerate() {
-                let (chunks, predicted_time) = self.path_assignment(p, *share, nf);
-                worst = worst.max(predicted_time);
-                planned.push(PlannedPath {
-                    index: i,
-                    kind: path.kind,
-                    params: *p,
-                    theta: *share as f64 / nf,
-                    share_bytes: *share,
-                    chunks,
-                    predicted_time,
-                });
-            }
-
-            // Straggler check: a non-first active path whose quantized
-            // time overshoots the optimizer's equalized target by more
-            // than 2% poisons the makespan — drop it and re-solve,
-            // keeping the best plan seen so far. At termination either no
-            // path overshoots (so the makespan is within 2% of the
-            // equalized optimum, which never exceeds the direct-only
-            // time) or the best earlier round wins.
-            let candidate = TransferPlan {
-                n,
-                paths: planned,
-                predicted_time: worst,
-                predicted_bandwidth: nf / worst,
-            };
-            let candidate_time = candidate.predicted_time;
-            if best
-                .as_ref()
-                .is_none_or(|b| candidate_time < b.predicted_time)
-            {
-                best = Some(candidate);
-            }
-            let straggler = best
-                .as_ref()
-                .expect("just set")
-                .paths
-                .iter()
-                .skip(1)
-                .filter(|pp| pp.share_bytes > 0 && pp.index < ods.len())
-                .filter(|pp| pp.predicted_time > sol.time * 1.02 + 1e-9)
-                .max_by(|a, b| {
-                    a.predicted_time
-                        .partial_cmp(&b.predicted_time)
-                        .expect("finite times")
-                })
-                .map(|pp| pp.index);
-            // Only re-solve if the straggler came from *this* round's
-            // plan (otherwise we already improved past it).
-            let this_round_straggler =
-                if (candidate_time - best.as_ref().expect("set").predicted_time).abs() < 1e-18 {
-                    straggler
-                } else {
-                    None
-                };
-            match this_round_straggler {
-                Some(idx) => {
-                    ods[idx] = OmegaDelta {
-                        omega: ods[idx].omega,
-                        delta: nf * ods[idx].omega + sol.time * 1e3,
-                    };
-                }
-                None => break,
-            }
-        }
-        best.expect("at least one round ran")
-    }
-
-    /// Chunk count and model-predicted time of one path given its byte
-    /// share — the quantized realization step shared by the full solve
-    /// and the size-class shortcut.
-    fn path_assignment(&self, p: &PathParams, share: usize, nf: f64) -> (u32, Secs) {
-        let theta = share as f64 / nf;
-        let chunks = if share == 0 || !p.is_staged() || self.cfg.mode == PipelineMode::Unpipelined {
-            1
-        } else {
-            let by_overhead = chunk_count(p, theta, nf, self.cfg.max_chunks);
-            let by_size = (share / self.cfg.min_chunk_bytes.max(1)).max(1) as u32;
-            by_overhead.min(by_size)
-        };
-        let predicted_time = if share == 0 {
-            0.0
-        } else if p.is_staged() && self.cfg.mode == PipelineMode::Pipelined {
-            time_pipelined(p, theta, nf, chunks)
-        } else {
-            p.time_unpipelined(share as f64)
-        };
-        (chunks, predicted_time)
-    }
-
-    /// Builds the size-class cache entry of a freshly solved plan,
-    /// memoizing each path's affine-law coefficients so later
-    /// realizations in the class never touch the pipeline math.
-    fn class_entry(&self, plan: &TransferPlan) -> ClassEntry {
-        let beta_sum: f64 = plan
-            .paths
-            .iter()
-            .map(|pp| pp.params.bottleneck_bandwidth())
-            .sum();
-        ClassEntry {
-            paths: plan
-                .paths
-                .iter()
-                .map(|pp| self.class_path(pp, beta_sum))
-                .collect(),
-        }
-    }
-
-    /// One path's memoized coefficients. For a pipelined staged path the
-    /// Eq. 22 law splits by the Eq. 13 bottleneck case into
-    /// `Ω = ob + oc·φ`, `Δ = db + dc/φ` with `φ = √(c/θ_ref)/√n` — the
-    /// per-chunk cost product `c` is `α·β′` (first-leg-bound) or
-    /// `β(ε+α′)` (second-leg-bound), exactly [`topology_constant`]'s
-    /// `1/√x_ref`. Direct/unpipelined paths (and the `c = 0`
-    /// zero-chunk-cost degenerate, where `dc` vanishes too) are constant:
-    /// `oc = dc = phi_scale = 0`.
-    fn class_path(&self, pp: &PlannedPath, beta_sum: f64) -> ClassPath {
-        let p = pp.params;
-        let (ob, oc, db, dc, phi_scale) =
-            if p.is_staged() && self.cfg.mode == PipelineMode::Pipelined {
-                let second = p.second.expect("staged path has a second leg");
-                let theta_ref = (p.bottleneck_bandwidth() / beta_sum).max(1e-6);
-                let (ob, oc, db, dc, c) = match bottleneck(&p) {
-                    Bottleneck::FirstLeg => (
-                        1.0 / p.first.beta,
-                        1.0 / second.beta,
-                        p.eps + second.alpha,
-                        p.first.alpha,
-                        p.first.alpha * second.beta,
-                    ),
-                    Bottleneck::SecondLeg => (
-                        1.0 / second.beta,
-                        1.0 / p.first.beta,
-                        p.first.alpha,
-                        p.eps + second.alpha,
-                        p.first.beta * (p.eps + second.alpha),
-                    ),
-                };
-                let scale = (c / theta_ref).sqrt();
-                if scale.is_finite() && scale > 0.0 {
-                    (ob, oc, db, dc, scale)
-                } else {
-                    // c = 0 (zero per-chunk cost): φ pins to the 1e-12 floor
-                    // independently of n, so fold the constant in. `dc` is
-                    // zero exactly in this case, keeping Δ finite.
-                    let od = omega_delta_pipelined(&p, 1e-12);
-                    (od.omega, 0.0, od.delta, 0.0, 0.0)
-                }
-            } else {
-                let od = omega_delta_unpipelined(&p);
-                (od.omega, 0.0, od.delta, 0.0, 0.0)
-            };
-        ClassPath {
-            kind: pp.kind,
-            params: p,
-            theta: pp.theta,
-            ob,
-            oc,
-            db,
-            dc,
-            phi_scale,
-        }
-    }
-
-    /// The equalized completion time (Eq. 24's `T`, via the memoized
-    /// affine Ω/Δ coefficients) of `entry`'s path set at message size
-    /// `nf` — the reference the ε guard compares against. Allocation-free
-    /// and a handful of flops per path.
-    fn equalized_bound(&self, entry: &ClassEntry, nf: f64) -> f64 {
-        let inv_sqrt_n = 1.0 / nf.sqrt();
-        let mut ods = [OmegaDelta {
-            omega: 1.0,
-            delta: 0.0,
-        }; MAX_CLASS_PATHS];
-        for (od, cp) in ods.iter_mut().zip(&entry.paths) {
-            *od = if cp.phi_scale > 0.0 {
-                let phi = cp.phi_scale * inv_sqrt_n;
-                OmegaDelta {
-                    omega: cp.ob + cp.oc * phi,
-                    delta: cp.db + cp.dc / phi,
-                }
-            } else {
-                OmegaDelta {
-                    omega: cp.ob,
-                    delta: cp.db,
-                }
-            };
-        }
-        optimal_time(&ods[..entry.paths.len()], nf)
-    }
-
-    /// Realizes a cached size-class share distribution at the exact size
-    /// `n`: shares → aligned bytes → chunk counts and predicted times,
-    /// then the ε guard — the plan is returned only if its makespan stays
-    /// within `(1 + ε)` of the equalized-time optimum recomputed for `n`.
-    /// `None` means "solve exactly instead".
-    fn realize_guarded(&self, entry: &ClassEntry, n: usize) -> Option<TransferPlan> {
-        let m = entry.paths.len();
-        if m == 0 || m > MAX_CLASS_PATHS {
-            return None;
-        }
-        let nf = n as f64;
-        let mut bytes = [0usize; MAX_CLASS_PATHS];
-        let assigned = quantize_shares(
-            &mut bytes[..m],
-            entry.paths.iter().map(|cp| cp.theta),
-            n,
-            self.cfg.alignment,
-        );
-        if assigned > n {
-            // Floating-point overshoot (θ sums above 1 by rounding residue):
-            // bail out rather than hand out more bytes than the message has.
-            return None;
-        }
-        bytes[0] += n - assigned;
-
-        let mut planned = Vec::with_capacity(m);
-        let mut worst: Secs = 0.0;
-        for (i, (cp, share)) in entry.paths.iter().zip(&bytes).enumerate() {
-            let (chunks, predicted_time) = self.path_assignment(&cp.params, *share, nf);
-            worst = worst.max(predicted_time);
-            planned.push(PlannedPath {
-                index: i,
-                kind: cp.kind,
-                params: cp.params,
-                theta: *share as f64 / nf,
-                share_bytes: *share,
-                chunks,
-                predicted_time,
-            });
-        }
-
-        let bound = self.equalized_bound(entry, nf);
-        if !(bound.is_finite() && bound > 0.0)
-            || worst > bound * (1.0 + self.cfg.size_classes.epsilon) + 1e-12
-        {
-            return None;
-        }
-        Some(TransferPlan {
-            n,
-            paths: planned,
-            predicted_time: worst,
-            predicted_bandwidth: nf / worst,
-        })
     }
 }
 
@@ -1188,7 +879,7 @@ mod tests {
         let gpus = p.topology().gpus();
         p.plan(gpus[0], gpus[1], 2 * MIB, PathSelection::TWO_GPUS)
             .unwrap();
-        let _guards: Vec<_> = p.cache.shards.iter().map(|s| s.write()).collect();
+        let _guards: Vec<_> = p.table.shards.iter().map(|s| s.write()).collect();
         let s = p.stats();
         assert_eq!((s.hits, s.misses), (0, 1));
     }
@@ -1294,84 +985,6 @@ mod tests {
         assert!(lift(&large) < 1.01, "256 MB is latency-insensitive");
     }
 
-    fn quantizing_planner(topo: Topology) -> Planner {
-        Planner::with_config(
-            Arc::new(topo),
-            PlannerConfig {
-                size_classes: SizeClassConfig::ENABLED,
-                ..PlannerConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn size_classes_are_geometric() {
-        let sc = SizeClassConfig::ENABLED;
-        // Same octave, same quarter → same class.
-        assert_eq!(sc.class_of(16 * MIB), sc.class_of(16 * MIB + 4096));
-        // A doubling advances by `per_octave` classes.
-        assert_eq!(sc.class_of(32 * MIB), sc.class_of(16 * MIB) + sc.per_octave);
-    }
-
-    #[test]
-    fn nearby_sizes_share_one_solve() {
-        let p = quantizing_planner(presets::beluga());
-        let gpus = p.topology().gpus();
-        let a = p
-            .plan(gpus[0], gpus[1], 64 * MIB, PathSelection::THREE_GPUS)
-            .unwrap();
-        // A size in the same class: realized from the class entry, not
-        // re-solved.
-        let n2 = 64 * MIB + 8192;
-        let b = p
-            .plan(gpus[0], gpus[1], n2, PathSelection::THREE_GPUS)
-            .unwrap();
-        let stats = p.stats();
-        assert_eq!(stats.misses, 1, "{stats:?}");
-        assert_eq!(stats.class_hits, 1, "{stats:?}");
-        // The realized plan is exact in the ways that matter: every byte
-        // assigned, and predicted time within ε of the exact solve.
-        assert_eq!(b.paths.iter().map(|pp| pp.share_bytes).sum::<usize>(), n2);
-        let exact = Planner::new(p.topology().clone())
-            .plan(gpus[0], gpus[1], n2, PathSelection::THREE_GPUS)
-            .unwrap();
-        let eps = p.config().size_classes.epsilon;
-        assert!(
-            b.predicted_time <= exact.predicted_time * (1.0 + eps) + 1e-12,
-            "quantized {} vs exact {}",
-            b.predicted_time,
-            exact.predicted_time
-        );
-        assert!(a.predicted_time > 0.0);
-    }
-
-    #[test]
-    fn small_messages_keep_exact_keys() {
-        let p = quantizing_planner(presets::beluga());
-        let gpus = p.topology().gpus();
-        let below = p.config().size_classes.exact_below;
-        p.plan(gpus[0], gpus[1], below / 2, PathSelection::THREE_GPUS)
-            .unwrap();
-        p.plan(gpus[0], gpus[1], below / 2 + 64, PathSelection::THREE_GPUS)
-            .unwrap();
-        let stats = p.stats();
-        assert_eq!(stats.misses, 2, "{stats:?}");
-        assert_eq!(stats.class_hits, 0, "{stats:?}");
-    }
-
-    #[test]
-    fn quantization_off_by_default() {
-        let p = planner(presets::beluga());
-        let gpus = p.topology().gpus();
-        p.plan(gpus[0], gpus[1], 64 * MIB, PathSelection::THREE_GPUS)
-            .unwrap();
-        p.plan(gpus[0], gpus[1], 64 * MIB + 8192, PathSelection::THREE_GPUS)
-            .unwrap();
-        let stats = p.stats();
-        assert_eq!(stats.misses, 2, "exact keying must re-solve: {stats:?}");
-        assert_eq!(stats.class_hits, 0);
-    }
-
     #[test]
     fn invalidate_pair_forgets_only_that_pair() {
         let p = planner(presets::beluga());
@@ -1410,5 +1023,85 @@ mod tests {
             "direct share should shrink: {small} -> {large}"
         );
         assert!(large > 0.3, "direct keeps the largest share: {large}");
+    }
+
+    #[test]
+    fn a_full_memo_is_cleared_before_the_next_plan() {
+        let p = planner(presets::beluga());
+        let gpus = p.topology().gpus();
+        let plan = |n: usize| {
+            p.plan(gpus[0], gpus[1], n, PathSelection::THREE_GPUS)
+                .unwrap()
+        };
+        for k in 0..MEMO_CAP {
+            plan(MIB + 4 * k);
+        }
+        assert_eq!(p.table.len(), MEMO_CAP);
+        plan(MIB);
+        assert_eq!(p.table.len(), MEMO_CAP, "a memoised size is a hit");
+        plan(2 * MIB);
+        assert_eq!(p.table.len(), 1);
+    }
+
+    /// An entry measured while a link was down is rebuilt once that link
+    /// is back, and not before; a healthy entry never asks about links.
+    #[test]
+    fn an_entry_measured_over_a_down_link_is_rebuilt_when_it_heals() {
+        use std::cell::Cell;
+        let p = planner(presets::beluga());
+        let gpus = p.topology().gpus();
+        let sel = PathSelection::THREE_GPUS;
+        let pair: PairKey = (gpus[0], gpus[1], sel.max_gpu_staged, sel.host_staged);
+        let paths = enumerate_paths_auto(p.topology(), gpus[0], gpus[1], sel).unwrap();
+        let dead = paths[1].legs[0].route[0];
+        let (table, up, builds) = (PlanTable::new(), Cell::new(false), Cell::new(0));
+        let plan = |n: usize| {
+            let is_up = |l: LinkId| l != dead || up.get();
+            p.plan_in(&table, pair, n, is_up, || {
+                builds.set(builds.get() + 1);
+                let params = extract_all(p.topology(), &paths)?;
+                p.entry(&paths, params, if up.get() { vec![] } else { vec![dead] })
+            })
+            .unwrap()
+        };
+        let a = plan(64 * MIB);
+        assert!(Arc::ptr_eq(&a, &plan(64 * MIB)));
+        plan(32 * MIB);
+        assert_eq!(builds.get(), 1, "still down: the entry stands");
+        up.set(true);
+        let b = plan(64 * MIB);
+        assert!(!Arc::ptr_eq(&a, &b), "healed: re-planned");
+        assert_eq!(builds.get(), 2);
+        let never = |_: LinkId| -> bool { panic!("a healthy entry asked about a link") };
+        let c = p.plan_in(&table, pair, 64 * MIB, never, || unreachable!());
+        assert!(Arc::ptr_eq(&b, &c.unwrap()));
+        assert_eq!(
+            table.stats(),
+            PlannerStats {
+                hits: 2,
+                misses: 3,
+                invalidations: 0
+            }
+        );
+    }
+
+    /// A candidate set wider than the stack-resident solve is refused
+    /// with an error, not planned past its arrays.
+    #[test]
+    fn too_many_candidate_paths_is_an_error() {
+        let p = planner(presets::beluga());
+        let gpus = p.topology().gpus();
+        let sel = PathSelection::DIRECT_ONLY;
+        let direct = enumerate_paths_auto(p.topology(), gpus[0], gpus[1], sel).unwrap();
+        let wide = vec![direct[0].clone(); MAX_PATHS + 1];
+        assert_eq!(
+            p.compute(MIB, &wide).unwrap_err(),
+            TopologyError::TooManyPaths {
+                paths: MAX_PATHS + 1,
+                max: MAX_PATHS
+            }
+        );
+        let plan = p.compute(MIB, &wide[..MAX_PATHS]).unwrap();
+        assert_eq!(plan.paths.len(), MAX_PATHS);
     }
 }

@@ -35,6 +35,13 @@ pub enum TopologyError {
     SharesNotNormalized(f64),
     /// Every candidate path between the pair is excluded or down.
     NoUsablePath(DeviceId, DeviceId),
+    /// More candidate paths than the planner solves for.
+    TooManyPaths {
+        /// Number of candidate paths.
+        paths: usize,
+        /// The planner's limit.
+        max: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -55,6 +62,9 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::NoUsablePath(a, b) => {
                 write!(f, "no usable path from {a} to {b} (all excluded or down)")
+            }
+            TopologyError::TooManyPaths { paths, max } => {
+                write!(f, "{paths} candidate paths, more than the {max} planned")
             }
         }
     }

@@ -19,8 +19,8 @@
 //!   `first_extra` on each path's first copy and nothing else; `g{id}`
 //!   names; a `GraphReplay` span.
 //!
-//! [`GraphCache`] keeps one lowering per `(pair, graph key)`, cleared a
-//! shard at a time at `plans_per_shard` entries like the plan table, for
+//! [`GraphCache`] keeps one lowering per `(pair, n)`, cleared a shard at a
+//! time at [`MEMO_CAP`] entries, the bound of a pair's plan memo, for
 //! plans of its shape only (byte count, each path's kind, share and chunk
 //! count). Replay instances hang off it, one set per payload storage class.
 
@@ -29,7 +29,7 @@ use mpx_gpu::{
     staging_ring, whole_message, Buffer, GpuRuntime, GraphBuf, GraphCopy, GraphOp, GraphStream,
     Instance, Schedule,
 };
-use mpx_model::{PairKey, PlannedPath, ShardedMap, SizeClassConfig, TransferPlan};
+use mpx_model::{PairKey, PlannedPath, ShardedMap, TransferPlan, MEMO_CAP};
 use mpx_obs::Phase;
 use mpx_sim::{Ctx, Label, Route, Template, Waker};
 use mpx_topo::path::TransferPath;
@@ -37,22 +37,6 @@ use mpx_topo::units::Secs;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Bit marking a graph-cache key as a size class rather than an exact
-/// byte count (sizes never reach 2^63).
-pub const CLASS_TAG: u64 = 1 << 63;
-
-/// The graph-cache key for an `n`-byte transfer: exact bytes below the
-/// quantization threshold, the PR-3 size class above it — identical to
-/// the plan cache's keying rule, so a plan and its lowering always live
-/// and die together.
-pub fn graph_key(sc: &SizeClassConfig, n: usize) -> u64 {
-    if sc.enabled && n >= sc.exact_below {
-        CLASS_TAG | u64::from(sc.class_of(n))
-    } else {
-        n as u64
-    }
-}
 
 /// What a copy is in its path: it decides the copy's placeholders, name
 /// and software costs.
@@ -465,41 +449,40 @@ pub struct GraphStats {
     pub invalidations: u64,
 }
 
-/// One lowering per `(pair, graph key)`, sharded by pair like every other
-/// planning table, evicted by the same drift signals.
+/// One lowering per `(pair, n)`, sharded by pair like the plan tables,
+/// evicted by the same drift signals.
 #[derive(Default)]
 pub(crate) struct GraphCache {
-    lowered: ShardedMap<(PairKey, u64), Arc<Lowering>>,
+    lowered: ShardedMap<(PairKey, usize), Arc<Lowering>>,
     pub(crate) captures: AtomicU64,
     pub(crate) replays: AtomicU64,
     invalidations: AtomicU64,
 }
 
 impl GraphCache {
-    /// The lowering that serves `plan` for `(pair, key)`: the cached one if
-    /// `plan` has its shape, else `plan` lowered over `paths` (routes folded
-    /// on first use), replacing it (a full shard is cleared first).
+    /// The lowering that serves `plan` for `(pair, plan.n)`: the cached one
+    /// if `plan` has its shape, else `plan` lowered over `paths` (routes
+    /// folded on first use), replacing it (a full shard is cleared first).
     pub(crate) fn lowered(
         &self,
         pair: &PairKey,
-        key: u64,
         plan: &Arc<TransferPlan>,
         (paths, routes): (&[TransferPath], &OnceLock<Arc<Vec<Route>>>),
-        cap: usize,
     ) -> Arc<Lowering> {
-        let entry = (*pair, key);
+        let entry = (*pair, plan.n);
         if let Some(l) = self.lowered.get(pair, &entry).filter(|l| l.serves(plan)) {
             return l;
         }
         let mut fresh = Lowering::new(plan, paths, routes.get_or_init(|| fold_routes(paths)));
         fresh.plan = Some(plan.clone());
         let fresh = Arc::new(fresh);
-        self.lowered.insert_capped(pair, entry, fresh.clone(), cap);
+        self.lowered
+            .insert_capped(pair, entry, fresh.clone(), MEMO_CAP);
         fresh
     }
 
     /// Drops every lowering of `pair` — one shard, same locking discipline
-    /// as the plan caches' `invalidate_pair`.
+    /// as the plan tables' `invalidate_pair`.
     pub(crate) fn invalidate_pair(&self, pair: &PairKey) {
         self.lowered.retain_in_shard(pair, |k| k.0 != *pair);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -594,21 +577,6 @@ mod tests {
         assert!(uses.iter().all(|u| *u == [1, 1]), "{uses:?}");
     }
 
-    #[test]
-    fn graph_key_is_exact_below_threshold_and_classed_above() {
-        let sc = SizeClassConfig::ENABLED;
-        let below = sc.exact_below - 4;
-        assert_eq!(graph_key(&sc, below), below as u64);
-        let at = sc.exact_below;
-        assert_eq!(graph_key(&sc, at), CLASS_TAG | u64::from(sc.class_of(at)));
-        // Same class ⇒ same key; different exact sizes below ⇒ different.
-        assert_eq!(graph_key(&sc, 16 * MIB), graph_key(&sc, 16 * MIB + 4096));
-        assert_ne!(graph_key(&sc, below), graph_key(&sc, below - 4));
-        // Disabled quantization: always exact.
-        let off = SizeClassConfig::default();
-        assert_eq!(graph_key(&off, 16 * MIB), (16 * MIB) as u64);
-    }
-
     /// A key's lowering serves every plan of its shape, whatever the plan
     /// predicts, and a plan of another shape replaces it.
     #[test]
@@ -618,7 +586,7 @@ mod tests {
         let pair: PairKey = (DeviceId(0), DeviceId(1), 2, true);
         let lower = |plan: &TransferPlan| {
             let plan = Arc::new(plan.clone());
-            cache.lowered(&pair, 42, &plan, (&paths, &routes), 512)
+            cache.lowered(&pair, &plan, (&paths, &routes))
         };
         let a = lower(&plan);
         let mut slower = plan.clone();

@@ -7,14 +7,14 @@
 //! a statically tuned table — and hands the resulting configuration to
 //! the pipeline engine (Step 5).
 
-use crate::compile::{fold_routes, graph_key, interpret_once, GraphCache, GraphStats};
+use crate::compile::{fold_routes, interpret_once, GraphCache, GraphStats};
 use crate::health::{BreakerEvent, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions};
 use crate::pipeline::{TransferHandle, TransferObs};
 use crate::probe::probe_live;
 use crate::recover::{ResilienceCounters, ResilienceStats};
 use crate::tuner::{manual_plan, tune_exhaustive, TuneResult};
 use mpx_gpu::{Buffer, GpuRuntime};
-use mpx_model::{PairKey, PlanCache, Planner, PlannerConfig, ShardedMap, TransferPlan};
+use mpx_model::{PairKey, PlanTable, Planner, PlannerConfig, ShardedMap, TransferPlan};
 use mpx_obs::{
     AnomalyEngine, Phase, QuantileHist, Recorder, ResidualReport, ResidualTracker,
     TelemetryRegistry, TriggerClass,
@@ -142,17 +142,18 @@ impl From<TopologyError> for TransferError {
     }
 }
 
-/// Aggregated plan-cache counters across the context's caching layers
-/// (the core planner's configuration cache plus the probed-plan cache).
+/// Aggregated plan-cache counters across the context's two plan tables
+/// (datasheet parameters in the core planner, probed ones here).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Plans served straight from cache.
+    /// Plans served from a pair's memo.
     pub hits: u64,
-    /// Plans computed from scratch.
+    /// Plans solved.
     pub misses: u64,
-    /// Plans realized from a cached size-class entry.
+    /// Always 0: plans are keyed by exact size. Kept for the readers of
+    /// the counters.
     pub class_hits: u64,
-    /// Size-class candidates rejected by the ε guard (exact re-solve).
+    /// Always 0, as `class_hits`.
     pub class_fallbacks: u64,
     /// Drift-triggered cache invalidations.
     pub invalidations: u64,
@@ -175,17 +176,15 @@ struct ContextInner {
     /// Candidate-path enumeration per pair, with its folded routes
     /// (read-mostly, sharded).
     paths: ShardedMap<PairKey, PairPaths>,
-    /// Probed-parameter plans, driven through the planner's caching
-    /// engine so dynamic planning shares its sharding/quantization logic.
-    dynamic: PlanCache,
-    /// Probe-calibrated per-pair Hockney parameters.
-    probed: ShardedMap<PairKey, Arc<Vec<mpx_topo::params::PathParams>>>,
+    /// Probed-parameter plans: one entry per pair, built from a probe of
+    /// the live fabric, driven through [`Planner::plan_in`].
+    probed: PlanTable,
     static_plans: ShardedMap<(PairKey, usize), Arc<TransferPlan>>,
     /// Fixed share distribution applied when the static table has no
     /// exact entry — the env-var-style policy of the engine in [35] that
     /// collectives run under.
     static_shares: RwLock<Option<Vec<f64>>>,
-    /// One lowering per (pair, size-class key), with its replay instances,
+    /// One lowering per (pair, size), with its replay instances,
     /// evicted by the same drift signals as the plan caches.
     graphs: GraphCache,
     seq: AtomicU64,
@@ -225,8 +224,7 @@ impl UcxContext {
                 planner,
                 cfg,
                 paths: ShardedMap::new(),
-                dynamic: PlanCache::new(),
-                probed: ShardedMap::new(),
+                probed: PlanTable::new(),
                 static_plans: ShardedMap::new(),
                 static_shares: RwLock::new(None),
                 graphs: GraphCache::default(),
@@ -377,10 +375,11 @@ impl UcxContext {
     }
 
     /// Dynamic planning with probe-calibrated parameters, cached in the
-    /// context's own [`PlanCache`] through the planner's caching engine
-    /// (sharded exact cache plus, when enabled, size-class reuse). Path
-    /// enumeration and probing happen inside the solve closure, so a
-    /// cache hit touches neither.
+    /// context's own [`PlanTable`]. Path enumeration and probing happen
+    /// only when the pair has no entry, so a hit touches neither. A link
+    /// down while the pair is probed reads a dummy rate and leaves its
+    /// paths share 0; the entry remembers such links and is probed again
+    /// once one of them is back up.
     fn plan_probed(
         &self,
         src: DeviceId,
@@ -389,29 +388,32 @@ impl UcxContext {
         sel: PathSelection,
     ) -> Result<Arc<TransferPlan>, TopologyError> {
         let pair = self.pair_key(src, dst, sel);
-        let planner = &self.inner.planner;
-        planner.plan_in_cache(&self.inner.dynamic, pair, n, || {
-            let paths = self.paths_for(src, dst, sel)?;
-            let params = match self.inner.probed.get(&pair, &pair) {
-                Some(p) => p,
-                None => {
-                    let eng = self.inner.rt.engine();
-                    let p = Arc::new(probe_live(eng, &paths)?);
-                    if let Some(rec) = &self.inner.obs {
-                        rec.instant(
-                            Phase::Probe,
-                            format!("pair:{src}->{dst}"),
-                            "probe-calibrate",
-                            eng.now().as_secs(),
-                            format!("paths={}", paths.len()),
-                        );
-                    }
-                    self.inner.probed.insert(&pair, pair, p.clone());
-                    p
+        let (planner, eng) = (&self.inner.planner, self.inner.rt.engine());
+        planner.plan_in(
+            &self.inner.probed,
+            pair,
+            n,
+            |l| eng.link_is_up(l),
+            || {
+                let paths = self.paths_for(src, dst, sel)?;
+                let params = probe_live(eng, &paths)?;
+                if let Some(rec) = &self.inner.obs {
+                    rec.instant(
+                        Phase::Probe,
+                        format!("pair:{src}->{dst}"),
+                        "probe-calibrate",
+                        eng.now().as_secs(),
+                        format!("paths={}", paths.len()),
+                    );
                 }
-            };
-            Ok(planner.compute_with_params(n, &paths, params.to_vec()))
-        })
+                let mut down = Vec::new();
+                if eng.any_link_down() {
+                    let routes = paths.iter().flat_map(|p| &p.legs).flat_map(|l| &l.route);
+                    down.extend(routes.copied().filter(|&l| !eng.link_is_up(l)));
+                }
+                planner.entry(&paths, params, down)
+            },
+        )
     }
 
     /// Runs the exhaustive offline tuner for `(src, dst, n)` and installs
@@ -459,7 +461,6 @@ impl UcxContext {
     /// that offline static tuning cannot offer.
     pub fn recalibrate(&self) {
         self.inner.probed.clear();
-        self.inner.dynamic.clear();
         // Lowerings bake in chunk schedules derived from the old
         // parameters; drop them wholesale with the plans.
         self.inner.graphs.clear();
@@ -577,9 +578,7 @@ impl UcxContext {
                 }
                 allowed
             });
-        let key = graph_key(&self.inner.cfg.planner.size_classes, plan.n);
-        let cap = self.inner.cfg.planner.plans_per_shard;
-        let lowered = (self.inner.graphs).lowered(&pair, key, &plan, (&paths, &routes), cap);
+        let lowered = (self.inner.graphs).lowered(&pair, &plan, (&paths, &routes));
         let (rt, predicted) = (&self.inner.rt, plan.predicted_time);
         let obs = self.transfer_obs(src.device(), dst.device());
         let (from, to) = ((src, src_off), (dst, dst_off));
@@ -679,22 +678,18 @@ impl UcxContext {
         self.inner.resilience.snapshot()
     }
 
-    /// Aggregated plan-cache counters (core planner cache + probed-plan
-    /// cache) — the telemetry the CLI surfaces. `invalidations` counts
-    /// drift *events* (each may purge several caches), matching
+    /// Aggregated plan-table counters (the core planner's table + the
+    /// probed one) — the telemetry the CLI surfaces. `invalidations` counts
+    /// drift *events* (each purges both tables and the lowerings), matching
     /// [`ResilienceStats::cache_invalidations`]. Reads atomics only;
     /// never blocks concurrent planning.
     pub fn cache_stats(&self) -> CacheStats {
-        let s = self
-            .inner
-            .planner
-            .stats()
-            .merged(self.inner.dynamic.stats());
+        let s = self.inner.planner.stats().merged(self.inner.probed.stats());
         CacheStats {
             hits: s.hits,
             misses: s.misses,
-            class_hits: s.class_hits,
-            class_fallbacks: s.class_fallbacks,
+            class_hits: 0,
+            class_fallbacks: 0,
             invalidations: self
                 .inner
                 .resilience
@@ -783,8 +778,6 @@ impl UcxContext {
         let c = self.cache_stats();
         reg.set_counter("ucx.cache.hits", c.hits);
         reg.set_counter("ucx.cache.misses", c.misses);
-        reg.set_counter("ucx.cache.class_hits", c.class_hits);
-        reg.set_counter("ucx.cache.class_fallbacks", c.class_fallbacks);
         reg.set_counter("ucx.cache.invalidations", c.invalidations);
         let r = self.resilience_stats();
         reg.set_counter("ucx.resilience.retries", r.retries);
@@ -856,9 +849,8 @@ impl UcxContext {
             return false;
         }
         // Purge everything derived from the stale parameters, one shard
-        // per cache — concurrent planning for other pairs never blocks.
-        self.inner.probed.remove(&pair, &pair);
-        self.inner.dynamic.invalidate_pair(pair);
+        // per table — concurrent planning for other pairs never blocks.
+        self.inner.probed.invalidate_pair(pair);
         self.inner.planner.invalidate_pair(pair);
         self.inner.graphs.invalidate_pair(&pair);
         self.inner

@@ -35,7 +35,7 @@ pub mod probe;
 pub mod recover;
 pub mod tuner;
 
-pub use compile::{graph_key, GraphStats, CLASS_TAG};
+pub use compile::GraphStats;
 pub use context::{CacheStats, ParamSource, TransferError, TuningMode, UcxConfig, UcxContext};
 pub use deadline::DeadlinePolicy;
 pub use health::{

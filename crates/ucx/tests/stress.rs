@@ -9,7 +9,6 @@
 //! transfer issued through the churned context is still bit-identical).
 
 use mpx_gpu::GpuRuntime;
-use mpx_model::{PlannerConfig, SizeClassConfig};
 use mpx_sim::Engine;
 use mpx_topo::presets;
 use mpx_topo::units::MIB;
@@ -28,10 +27,6 @@ fn stress_context() -> UcxContext {
         UcxConfig {
             mode: TuningMode::Dynamic,
             params: ParamSource::Probed,
-            planner: PlannerConfig {
-                size_classes: SizeClassConfig::ENABLED,
-                ..PlannerConfig::default()
-            },
             ..UcxConfig::default()
         },
     )
@@ -51,10 +46,6 @@ fn graph_stress_context() -> UcxContext {
         UcxConfig {
             mode: TuningMode::Dynamic,
             params: ParamSource::Probed,
-            planner: PlannerConfig {
-                size_classes: SizeClassConfig::ENABLED,
-                ..PlannerConfig::default()
-            },
             graph_replay: true,
             health: mpx_ucx::HealthConfig {
                 drift_strikes: u32::MAX,
@@ -77,9 +68,8 @@ fn ordered_pairs(ctx: &UcxContext) -> Vec<(DeviceId, DeviceId)> {
         .collect()
 }
 
-/// An irregular but deterministic 4-byte-aligned size walk spanning the
-/// size-class threshold, so every thread exercises exact keys, class
-/// realization, and class misses.
+/// An irregular but deterministic 4-byte-aligned size walk from 1 MiB to
+/// 61 MiB, so every thread mixes memo hits and misses.
 fn size_at(thread: usize, i: usize) -> usize {
     let span = 60 * MIB / 4;
     MIB + 4 * ((i * 37987 + thread * 104729) % span)
@@ -128,10 +118,10 @@ fn concurrent_planning_survives_drift_invalidations() {
         "lost invalidation: {purged} purges reported, {} recorded",
         stats.invalidations
     );
-    // Every plan request resolves to exactly one of hit / class-hit /
-    // miss (a guard fallback re-counts as a miss, not a fourth outcome).
-    // record_observation issues one internal plan request per call to
-    // fetch the prediction it compares against.
+    // Every plan request resolves to exactly one of hit / miss
+    // (`class_hits` always reads 0). record_observation issues one
+    // internal plan request per call to fetch the prediction it compares
+    // against.
     let observations = (THREADS * (ITERS / 50)) as u64;
     assert_eq!(
         stats.hits + stats.misses + stats.class_hits,
@@ -142,8 +132,8 @@ fn concurrent_planning_survives_drift_invalidations() {
 
 /// Plans computed under invalidation churn must still move bytes
 /// bit-identically: after the storm, a fresh transfer through the same
-/// context (whose caches now hold a mix of surviving, repopulated, and
-/// class-realized plans) is verified against the source pattern.
+/// context (whose tables now hold a mix of surviving and repopulated
+/// plans) is verified against the source pattern.
 #[test]
 fn data_stays_deterministic_after_cache_churn() {
     let ctx = stress_context();
@@ -206,8 +196,8 @@ fn graph_eviction_is_not_lost_under_concurrent_replay() {
             let ctx = ctx.clone();
             let purges = &purges;
             scope.spawn(move || {
-                // Fixed per-thread size (4-aligned, spanning the class
-                // threshold across threads) and persistent buffers, so
+                // Fixed per-thread size (4-aligned, 2 to 23 MiB across
+                // threads) and persistent buffers, so
                 // each thread replays one compiled graph repeatedly.
                 let n = (2 * MIB + t * 3 * MIB + 4 * t) & !3;
                 let data: Vec<u8> = (0..n).map(|i| ((i * 17 + t) % 251) as u8).collect();

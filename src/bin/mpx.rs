@@ -6,7 +6,7 @@
 //! mpx export --topo dgx1 --format dot | dot -Tsvg   # render the graph
 //! mpx plan  --topo-file my_node.json --size 64M   # plan on a custom node
 //! mpx plan  --topo narval --size 64M [--paths 3_GPUs_w_host] [--src 0 --dst 1]
-//! mpx plan  --topo beluga --size 64M --quantize --stats   # size-class reuse + cache counters
+//! mpx plan  --topo beluga --size 64M --stats     # plan + plan-table counters
 //! mpx bw    --topo beluga --size 64M [--window 16] [--mode single|dynamic] [--replay]
 //! mpx bibw  --topo beluga --size 64M [--window 16] [--mode single|dynamic] [--replay]
 //! mpx collective --op allreduce|alltoall --size 64M [--topo T] [--paths P]
@@ -77,7 +77,7 @@ fn main() {
         die("missing command");
     };
     // Boolean flags take no value; everything else is `--key value`.
-    const BOOL_FLAGS: [&str; 5] = ["stats", "quantize", "json", "replay", "openmetrics"];
+    const BOOL_FLAGS: [&str; 4] = ["stats", "json", "replay", "openmetrics"];
     let mut opts: HashMap<String, String> = HashMap::new();
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
@@ -148,18 +148,7 @@ fn main() {
             }
         }
         "plan" => {
-            let quantize = opts.contains_key("quantize");
-            let planner = Planner::with_config(
-                topo.clone(),
-                PlannerConfig {
-                    size_classes: if quantize {
-                        SizeClassConfig::ENABLED
-                    } else {
-                        SizeClassConfig::default()
-                    },
-                    ..PlannerConfig::default()
-                },
-            );
+            let planner = Planner::new(topo.clone());
             let plan = planner
                 .plan(src, dst, n, sel)
                 .unwrap_or_else(|e| die(&e.to_string()));
@@ -175,8 +164,6 @@ fn main() {
                 let s = planner.stats();
                 reg.set_counter("cache.hits", s.hits);
                 reg.set_counter("cache.misses", s.misses);
-                reg.set_counter("cache.class_hits", s.class_hits);
-                reg.set_counter("cache.class_fallbacks", s.class_fallbacks);
                 reg.set_counter("cache.invalidations", s.invalidations);
                 println!(
                     "{}",
@@ -188,8 +175,8 @@ fn main() {
                 if opts.contains_key("stats") {
                     let s = planner.stats();
                     println!(
-                        "cache: hits={} misses={} class_hits={} class_fallbacks={} invalidations={}",
-                        s.hits, s.misses, s.class_hits, s.class_fallbacks, s.invalidations
+                        "cache: hits={} misses={} invalidations={}",
+                        s.hits, s.misses, s.invalidations
                     );
                 }
             }

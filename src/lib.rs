@@ -40,7 +40,7 @@ pub use mpx_ucx as ucx;
 /// The names most programs need.
 pub mod prelude {
     pub use mpx_gpu::{Buffer, GpuRuntime, ReduceOp};
-    pub use mpx_model::{Planner, PlannerConfig, SizeClassConfig, TransferPlan};
+    pub use mpx_model::{Planner, PlannerConfig, TransferPlan};
     pub use mpx_mpi::{Rank, World};
     pub use mpx_obs::{
         export_chrome_trace, phases_present, render_openmetrics, AnomalyConfig, AnomalyEngine,

@@ -306,3 +306,26 @@ fn ring_recording_a_flow_allocates_within_its_ceiling() {
         "recorder on: {on} allocations for {FLOWS} flows"
     );
 }
+
+/// Planning is one table lookup per transfer (paper Section 4). A hit
+/// clones the memoised plan and feeds the plan-cost histogram: nothing on
+/// the heap. A miss solves Algorithm 1 on the stack from the pair's
+/// entry and allocates only the plan it returns, its path vector and its
+/// `Arc`. The misses are counted after enough warm ones that the pair's
+/// memo has room for them. The three tiers this table replaced read 0 for
+/// a thread-local hit and 8 per miss (a `Vec` per solve step).
+#[test]
+fn a_plan_hit_allocates_nothing_and_a_miss_only_its_plan() {
+    let ctx = beluga_context();
+    let gpus = ctx.runtime().engine().topology().gpus();
+    let (a, b) = (gpus[0], gpus[1]);
+    let plan = |n: usize| {
+        ctx.plan_for(a, b, n).expect("plan");
+    };
+    for k in 0..9 {
+        plan(64 * MIB + 4 * k);
+    }
+    let hits = allocations_in(|| (0..9).for_each(|k| plan(64 * MIB + 4 * k)));
+    let misses = allocations_in(|| (9..13).for_each(|k| plan(64 * MIB + 4 * k)));
+    assert_eq!((hits, misses), (0, 4 * 2), "9 hits, 4 misses");
+}
