@@ -308,14 +308,23 @@ struct PathLaw {
 /// Everything Algorithm 1 needs about one pair that does not depend on
 /// the message size: its candidate paths, their corrected parameters and
 /// time laws — and the links that were down when the parameters were
-/// measured, so the entry can be rebuilt once one of them is back up.
+/// measured, so the entry can be rebuilt once one of them is back up, and
+/// the link capacities they were measured against, so a drift on an
+/// unchanged fabric can keep them.
 #[derive(Debug)]
 pub struct PairEntry {
     paths: Box<[PathLaw]>,
     down: Box<[LinkId]>,
+    capacities: Box<[f64]>,
 }
 
 impl PairEntry {
+    /// Whether the parameters were measured against exactly `capacities`
+    /// (never, for datasheet parameters).
+    pub fn measured_on(&self, capacities: &[f64]) -> bool {
+        !self.capacities.is_empty() && *self.capacities == *capacities
+    }
+
     /// Whether the entry still describes the fabric: it was measured with
     /// every link up, or every link it saw down is down still. An entry
     /// measured on a healthy fabric pays one branch.
@@ -437,6 +446,9 @@ impl PairEntry {
 /// One pair's slot: its entry and the plans solved from it.
 struct Slot {
     entry: Arc<PairEntry>,
+    /// A drift dropped the plans: the entry is rebuilt before its next
+    /// use, from itself if the builder finds it still true.
+    stale: bool,
     memo: HashMap<usize, Arc<TransferPlan>, BuildFxHasher>,
 }
 
@@ -487,10 +499,13 @@ impl PlanTable {
         }
     }
 
-    /// Drops one pair's entry and plans, locking only its shard. The
-    /// drift-invalidation primitive.
+    /// Drops one pair's plans and marks its entry stale, locking only its
+    /// shard. The drift-invalidation primitive.
     pub fn invalidate_pair(&self, pair: PairKey) {
-        self.shard(&pair).write().remove(&pair);
+        if let Some(slot) = self.shard(&pair).write().get_mut(&pair) {
+            slot.memo.clear();
+            slot.stale = true;
+        }
         CacheCounters::bump(&self.counters.invalidations);
     }
 
@@ -573,51 +588,55 @@ impl Planner {
             pair,
             n,
             |_| true,
-            || {
+            |_| {
                 let paths = enumerate_paths_auto(&self.topo, src, dst, sel)?;
                 let params = extract_all(&self.topo, &paths)?;
-                self.entry(&paths, params, Vec::new())
+                self.entry(&paths, params, Vec::new(), Vec::new())
+                    .map(Arc::new)
             },
         )
     }
 
     /// The table lookup behind [`Planner::plan`], over any table and any
     /// source of parameters: the pair's memoised plan for `n`, else one
-    /// solved from the pair's entry, else from the entry `build` makes —
-    /// called only when the pair has no entry, or one measured over a
-    /// link `is_up` now reports restored. A hit never calls `build`, so
-    /// the transport's probe/enumerate work stays off the hot path.
+    /// solved from the pair's entry, else from the entry `build` returns —
+    /// called only when the pair has no entry, a stale one (which it is
+    /// handed, and may return as it is) or one measured over a link
+    /// `is_up` now reports restored. A hit never calls `build`, so the
+    /// transport's probe/enumerate work stays off the hot path.
     pub fn plan_in(
         &self,
         table: &PlanTable,
         pair: PairKey,
         n: usize,
         is_up: impl Fn(LinkId) -> bool,
-        build: impl FnOnce() -> Result<PairEntry, TopologyError>,
+        build: impl FnOnce(Option<Arc<PairEntry>>) -> Result<Arc<PairEntry>, TopologyError>,
     ) -> Result<Arc<TransferPlan>, TopologyError> {
         assert!(n > 0, "cannot plan a zero-byte transfer");
         let shard = table.shard(&pair);
-        let known = match shard.read().get(&pair) {
+        let (known, stale) = match shard.read().get(&pair) {
+            Some(slot) if slot.stale => (None, Some(slot.entry.clone())),
             Some(slot) if slot.entry.current(&is_up) => {
                 if let Some(plan) = slot.memo.get(&n) {
                     CacheCounters::bump(&table.counters.hits);
                     return Ok(plan.clone());
                 }
-                Some(slot.entry.clone())
+                (Some(slot.entry.clone()), None)
             }
-            _ => None,
+            _ => (None, None),
         };
         CacheCounters::bump(&table.counters.misses);
         let (entry, fresh) = match known {
             Some(entry) => (entry, false),
-            None => (Arc::new(build()?), true),
+            None => (build(stale)?, true),
         };
         let plan = Arc::new(entry.solve(&self.cfg, n));
         let mut map = shard.write();
         if fresh {
             let mut memo = HashMap::default();
             memo.insert(n, plan.clone());
-            map.insert(pair, Slot { entry, memo });
+            let stale = false;
+            map.insert(pair, Slot { entry, stale, memo });
         } else if let Some(slot) = map.get_mut(&pair) {
             // Memoised only under the entry it was solved from: a drift or
             // a rebuild in the meantime means the pair moved on.
@@ -633,8 +652,9 @@ impl Planner {
 
     /// A pair's table entry: Algorithm 1 lines 16–21 for `paths` with the
     /// given per-path parameters, which were measured while the `down`
-    /// links were down. Errors with [`TopologyError::TooManyPaths`] on
-    /// more than [`MAX_PATHS`] candidate paths.
+    /// links were down, against `capacities` (empty for the datasheet's).
+    /// Errors with [`TopologyError::TooManyPaths`] on more than
+    /// [`MAX_PATHS`] candidate paths.
     ///
     /// # Panics
     /// Panics unless there is one parameter set per path.
@@ -643,6 +663,7 @@ impl Planner {
         paths: &[TransferPath],
         mut params: Vec<PathParams>,
         down: Vec<LinkId>,
+        capacities: Vec<f64>,
     ) -> Result<PairEntry, TopologyError> {
         assert_eq!(paths.len(), params.len(), "one parameter set per path");
         if paths.len() > MAX_PATHS {
@@ -667,6 +688,7 @@ impl Planner {
                 })
                 .collect(),
             down: down.into(),
+            capacities: capacities.into(),
         })
     }
 
@@ -707,7 +729,9 @@ impl Planner {
     /// description.
     pub fn compute(&self, n: usize, paths: &[TransferPath]) -> Result<TransferPlan, TopologyError> {
         let params = extract_all(&self.topo, paths)?;
-        Ok(self.entry(paths, params, Vec::new())?.solve(&self.cfg, n))
+        Ok(self
+            .entry(paths, params, Vec::new(), Vec::new())?
+            .solve(&self.cfg, n))
     }
 
     /// The uncached Algorithm-1 body with externally supplied per-path
@@ -726,7 +750,7 @@ impl Planner {
         params: Vec<PathParams>,
     ) -> TransferPlan {
         assert!(n > 0, "cannot plan a zero-byte transfer");
-        match self.entry(paths, params, Vec::new()) {
+        match self.entry(paths, params, Vec::new(), Vec::new()) {
             Ok(entry) => entry.solve(&self.cfg, n),
             Err(e) => panic!("{e}"),
         }
@@ -1057,10 +1081,11 @@ mod tests {
         let (table, up, builds) = (PlanTable::new(), Cell::new(false), Cell::new(0));
         let plan = |n: usize| {
             let is_up = |l: LinkId| l != dead || up.get();
-            p.plan_in(&table, pair, n, is_up, || {
+            p.plan_in(&table, pair, n, is_up, |_| {
                 builds.set(builds.get() + 1);
                 let params = extract_all(p.topology(), &paths)?;
-                p.entry(&paths, params, if up.get() { vec![] } else { vec![dead] })
+                let down = if up.get() { vec![] } else { vec![dead] };
+                p.entry(&paths, params, down, vec![]).map(Arc::new)
             })
             .unwrap()
         };
@@ -1073,7 +1098,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b), "healed: re-planned");
         assert_eq!(builds.get(), 2);
         let never = |_: LinkId| -> bool { panic!("a healthy entry asked about a link") };
-        let c = p.plan_in(&table, pair, 64 * MIB, never, || unreachable!());
+        let c = p.plan_in(&table, pair, 64 * MIB, never, |_| unreachable!());
         assert!(Arc::ptr_eq(&b, &c.unwrap()));
         assert_eq!(
             table.stats(),

@@ -19,6 +19,8 @@ struct BufferInner {
     id: u64,
     device: DeviceId,
     len: usize,
+    /// `data` is `None`, fixed at allocation: read without its lock.
+    synthetic: bool,
     data: Mutex<Option<Vec<u8>>>,
     tracker: Option<Arc<MemTracker>>,
     /// Where a staging slot's storage goes when the slot is retired.
@@ -71,6 +73,7 @@ impl Buffer {
                 id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
                 device,
                 len,
+                synthetic: data.is_none(),
                 data: Mutex::new(data),
                 tracker,
                 pool,
@@ -105,7 +108,7 @@ impl Buffer {
 
     /// True if this buffer carries no real bytes.
     pub fn is_synthetic(&self) -> bool {
-        self.inner.data.lock().is_none()
+        self.inner.synthetic
     }
 
     /// Panics unless `[off, off + len)` lies inside the allocation.

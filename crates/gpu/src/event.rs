@@ -2,101 +2,87 @@
 //!
 //! The multi-path pipeline's chunk protocol is "copy → **record event** on
 //! the first-leg stream → **wait event** on the second-leg stream → copy"
-//! (paper Section 3.4). Events fire once per cycle: created unrecorded,
-//! completed by a `Record` op, after which waits pass immediately. The
-//! *interpreted* pipeline makes one per sync point — its state, nothing
-//! for its name, which is a [`Label`] over the chunk's numbers — and never
-//! touches it again; replay [`crate::Instance`]s instead keep their event
-//! set alive across launches and rearm it with [`GpuEvent::reset`] —
-//! matching CUDA, where events are reusable and graph replay recycles
-//! them rather than allocating fresh ones per launch.
+//! (paper Section 3.4). An event is created unrecorded and completed by a
+//! `Record` op, after which waits pass immediately; [`GpuEvent::reset`]
+//! rearms it, as CUDA reuses events. It is a front end over an engine flag
+//! ([`mpx_sim::Lanes`]), bound when a stream first uses it.
 
-use crate::stream::Stream;
-use mpx_sim::Label;
-use parking_lot::Mutex;
+use mpx_sim::{Engine, FlagId, Handle, Label, Lanes};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-struct EventState {
-    complete: bool,
-    waiters: Vec<Stream>,
+struct EventInner {
+    name: Label,
+    /// The engine flag, once a stream used the event.
+    flag: OnceLock<(Engine, FlagId)>,
 }
 
-/// A one-shot synchronization point between streams.
+impl Drop for EventInner {
+    fn drop(&mut self) {
+        if let Some((engine, flag)) = self.flag.get() {
+            engine.release(Handle::Flag(*flag));
+        }
+    }
+}
+
+/// A one-shot synchronization point between streams. Cloning shares it.
 #[derive(Clone)]
 pub struct GpuEvent {
-    name: Label,
-    state: Arc<Mutex<EventState>>,
+    inner: Arc<EventInner>,
 }
 
 impl GpuEvent {
     /// Creates an unrecorded event.
     pub fn new(name: impl Into<Label>) -> GpuEvent {
         GpuEvent {
-            name: name.into(),
-            state: Arc::new(Mutex::new(EventState {
-                complete: false,
-                waiters: Vec::new(),
-            })),
+            inner: Arc::new(EventInner {
+                name: name.into(),
+                flag: OnceLock::new(),
+            }),
         }
     }
 
     /// Debug name.
     pub fn name(&self) -> &Label {
-        &self.name
+        &self.inner.name
     }
 
     /// True once the recorded point has completed.
     pub fn is_complete(&self) -> bool {
-        self.state.lock().complete
+        let flag = self.inner.flag.get();
+        flag.is_some_and(|(engine, flag)| engine.with_lanes(|l| l.is_complete(*flag)))
     }
 
-    /// Marks the event complete and moves the streams parked on it onto
-    /// `released`, in parking order; both vectors keep their capacity, so
-    /// a recycled event and a long-lived stream stop allocating. (Called
-    /// by the stream executor when a `Record` op retires.)
-    pub(crate) fn complete(&self, released: &mut Vec<Stream>) {
-        let mut st = self.state.lock();
-        st.complete = true;
-        released.append(&mut st.waiters);
-    }
-
-    /// If already complete returns `true`; otherwise parks `stream` and
-    /// returns `false`. Atomic w.r.t. [`GpuEvent::complete`]. The event
-    /// lock is a leaf: callers may hold a stream lock, never the reverse.
-    pub(crate) fn park_unless_complete(&self, stream: &Stream) -> bool {
-        let mut st = self.state.lock();
-        if !st.complete {
-            st.waiters.push(stream.clone());
-        }
-        st.complete
+    /// The event's flag among `lanes`, `engine`'s, bound on first use.
+    pub(crate) fn flag(&self, engine: &Engine, lanes: &mut Lanes<'_>) -> FlagId {
+        let bind = || (engine.clone(), lanes.flag(true));
+        self.inner.flag.get_or_init(bind).1
     }
 
     /// Rearms a completed (or never-recorded) event so the next `Record`
-    /// completes it again — the recycling a replay [`crate::Instance`]
-    /// performs instead of allocating a fresh event per sync point per
-    /// launch.
+    /// completes it again.
     ///
     /// # Panics
     /// Panics if a stream is still parked on the event: resetting under a
     /// live waiter would strand that stream forever, so it is a caller
-    /// bug (an instance must be quiescent before relaunch).
+    /// bug.
     pub fn reset(&self) {
-        let mut st = self.state.lock();
+        let Some((engine, flag)) = self.inner.flag.get() else {
+            return;
+        };
+        let parked = engine.with_lanes(|l| l.rearm(*flag));
         assert!(
-            st.waiters.is_empty(),
-            "reset of event '{}' with {} stream(s) still parked on it",
-            self.name,
-            st.waiters.len()
+            parked == 0,
+            "reset of event '{}' with {parked} stream(s) still parked on it",
+            self.inner.name
         );
-        st.complete = false;
     }
 }
 
 impl fmt::Debug for GpuEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GpuEvent")
-            .field("name", &self.name)
+            .field("name", &self.inner.name)
             .field("complete", &self.is_complete())
             .finish()
     }
@@ -106,7 +92,7 @@ impl fmt::Debug for GpuEvent {
 mod tests {
     use super::*;
     use crate::stream::Stream;
-    use mpx_sim::Engine;
+    use mpx_sim::Waker;
     use mpx_topo::presets;
     use std::sync::Arc;
 
@@ -124,11 +110,16 @@ mod tests {
         p.record(&ev);
         eng.run_until_idle();
         assert!(ev.is_complete());
-        // Rearm: a fresh waiter must park again instead of passing.
+        // A wait on the completed event passes at once.
+        let (w, passed) = (Stream::new(eng.clone(), gpus[1], "w"), Waker::new("cycle1"));
+        w.wait_event(&ev);
+        w.signal(&passed);
+        eng.run_until_idle();
+        assert!(passed.is_signaled());
+        // Rearm: the waiter must park again instead of passing.
         ev.reset();
         assert!(!ev.is_complete());
-        let w = Stream::new(eng.clone(), gpus[1], "w");
-        let done = mpx_sim::Waker::new("cycle2");
+        let done = Waker::new("cycle2");
         w.wait_event(&ev);
         w.signal(&done);
         eng.run_until_idle();
@@ -141,17 +132,5 @@ mod tests {
         p2.record(&ev);
         eng.run_until_idle();
         assert!(done.is_signaled());
-    }
-
-    #[test]
-    #[should_panic(expected = "still parked")]
-    fn reset_with_parked_waiter_panics() {
-        let eng = engine();
-        let gpus = eng.topology().gpus();
-        let ev = GpuEvent::new("live");
-        let w = Stream::new(eng.clone(), gpus[0], "w");
-        w.wait_event(&ev);
-        eng.run_until_idle();
-        ev.reset();
     }
 }

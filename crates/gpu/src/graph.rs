@@ -8,12 +8,11 @@
 //! folded. A copy is a tag that the launch asks to describe it as a
 //! [`GraphCopy`]: [`GraphBuf`] placeholders at offsets, a length, a route,
 //! a cost and a name. [`Schedule::launch`] is the only code that turns a
-//! schedule into per-stream [`Program`]s: it patches the placeholders, ends
-//! each path's last program with the path's done-waker and a tail, and
-//! submits the programs in order. What a launch runs on is
-//! the caller's: fresh streams, events and rings per transfer, or an
-//! [`Instance`]'s, recycled across launches (its events rearmed with
-//! [`GpuEvent::reset`]).
+//! schedule into work: an engine flag per event and lane per stream
+//! ([`mpx_sim::Lanes`]), no [`crate::Stream`] or [`crate::GpuEvent`], each
+//! path's last lane ended with its done-waker, one more lane for a tail.
+//! The rings are the caller's: made per transfer, or an [`Instance`]'s,
+//! recycled across launches.
 //!
 //! `mpx-ucx` lowers every PUT's plan into a schedule and launches it
 //! interpreted or on an instance. [`GraphBuilder`] captures a schedule by
@@ -22,15 +21,13 @@
 //! launch-overhead model of the follow-up CUDA-Graphs paper.
 
 use crate::buffer::Buffer;
-use crate::event::GpuEvent;
 use crate::runtime::GpuRuntime;
-use crate::stream::{Program, Stream};
-use mpx_sim::{Ctx, EventFn, Label, Route, Template, Waker};
+use crate::stream::copy_op;
+use mpx_sim::{Ctx, Engine, EventFn, Handle, Label, LaneOp, Route, Template, Waker};
 use mpx_topo::units::Secs;
 use mpx_topo::DeviceId;
-use parking_lot::Mutex;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Process-unique instance ids, used only to keep trace labels and waker
@@ -40,8 +37,6 @@ static GRAPH_IDS: AtomicU64 = AtomicU64::new(0);
 /// An instance launch's per-path done-waker: instance id, launch count,
 /// path index.
 static PATH_DONE: Template = Template("g{}.r{}.p{}", &[24, 32, 8]);
-/// An instance's event: instance id, event index.
-static EVENT: Template = Template("g{}.e{}", &[24, 40]);
 
 /// A buffer placeholder inside a schedule, patched to a concrete buffer
 /// (plus the caller's offset) at every launch.
@@ -87,13 +82,10 @@ pub struct GraphCopy {
     pub label: Label,
 }
 
-/// One stream's program: its device, its ops (a range of
-/// [`Schedule::ops`], in program order) and, for a stream that ends a
-/// path, the path's index — its program then ends with the path's
-/// done-signal.
+/// One stream's program: its ops (a range of [`Schedule::ops`], in
+/// program order) and, for a stream that ends a path, the path's index —
+/// its program then ends with the path's done-signal.
 pub struct GraphStream {
-    /// The device the stream runs on.
-    pub device: DeviceId,
     /// Its ops.
     pub ops: Range<usize>,
     /// The path it ends, if any.
@@ -116,26 +108,28 @@ pub struct Schedule<T> {
 }
 
 impl<T> Schedule<T> {
-    /// The one launch: builds one exact-length program per stream — each
-    /// copy as `copy(tag)` describes it, its `Src` / `Dst` placeholders
-    /// patched to `src` / `dst` (each at its offset), rings and events to
-    /// `rings` / `events` — ends each path's last program with its `done(path)`
-    /// waker and, if any, a `tail()`, and submits program `i` to
-    /// `stream(i, device)`. Returns the done-wakers in path-end order.
+    /// The one launch, on `engine`: every copy as `copy(tag)` describes
+    /// it, its `Src` / `Dst` placeholders patched to `src` / `dst` (each at
+    /// its offset) and rings to `rings`; each path's last lane ends with its
+    /// `done(path)` waker. Lanes start in stream order, each as soon as its
+    /// ops are in. A `tail` — wakers and a callback — gets a lane of its
+    /// own that waits for every path's end, then signals the wakers and
+    /// runs the callback, once the whole message has landed. Returns the
+    /// done-wakers in path-end order. `copy` and `done` run under the
+    /// engine lock and must not call the engine.
     ///
     /// # Panics
     /// Panics if either buffer is smaller than its offset plus the message.
     #[allow(clippy::too_many_arguments)]
-    pub fn launch<F: Fn() -> EventFn>(
+    pub fn launch(
         &self,
+        engine: &Engine,
         (src, src_off): (&Buffer, usize),
         (dst, dst_off): (&Buffer, usize),
-        stream: impl Fn(usize, DeviceId) -> Stream,
-        events: &[GpuEvent],
         rings: &[Buffer],
         copy: impl Fn(&T) -> GraphCopy,
         done: impl Fn(usize) -> Waker,
-        tail: Option<F>,
+        tail: Option<(&[Waker], EventFn)>,
     ) -> Vec<Waker> {
         self.check((src, src_off), (dst, dst_off));
         let resolve = |(buf, off): (GraphBuf, usize)| match buf {
@@ -143,31 +137,54 @@ impl<T> Schedule<T> {
             GraphBuf::Dst => (dst, dst_off + off),
             GraphBuf::Staging(i) => (&rings[i], off),
         };
-        let mut wakers = Vec::with_capacity(self.streams.iter().flat_map(|s| s.ends).count());
-        for (i, s) in self.streams.iter().enumerate() {
-            let ends = usize::from(s.ends.is_some());
-            let mut program = Program::with_capacity(s.ops.len() + 2 * ends);
-            for op in &self.ops[s.ops.clone()] {
-                match op {
-                    GraphOp::Copy(tag) => {
-                        let c = copy(tag);
-                        let ((from, from_off), (to, to_off)) = (resolve(c.src), resolve(c.dst));
-                        program.copy(from, from_off, to, to_off, c.len, c.route, c.extra, c.label);
+        let paths = self.streams.iter().flat_map(|s| s.ends).count();
+        let mut wakers = Vec::with_capacity(paths);
+        engine.with_lanes(|lanes| {
+            // A flag per event, then one per path end if a tail waits on
+            // them; held until every lane is in, so that a record run early
+            // cannot recycle a flag a later lane still waits on.
+            let ends = if tail.is_some() { paths } else { 0 };
+            let flags: Vec<_> = (0..self.events + ends).map(|_| lanes.flag(true)).collect();
+            let (events, ends) = flags.split_at(self.events);
+            let mut end = ends.iter();
+            for s in &self.streams {
+                let signals = usize::from(s.ends.is_some()) * (1 + usize::from(tail.is_some()));
+                let lane = lanes.lane(false, s.ops.len() + signals);
+                for op in &self.ops[s.ops.clone()] {
+                    let op = match op {
+                        GraphOp::Copy(tag) => {
+                            let c = copy(tag);
+                            let ((from, from_off), (to, to_off)) = (resolve(c.src), resolve(c.dst));
+                            copy_op(from, from_off, to, to_off, c.len, c.route, c.extra, c.label)
+                        }
+                        GraphOp::Record(e) => LaneOp::Record(events[*e]),
+                        GraphOp::Wait(e) => LaneOp::Wait(events[*e]),
+                    };
+                    lanes.push(lane, op);
+                }
+                if let Some(path) = s.ends {
+                    let waker = done(path);
+                    lanes.push(lane, LaneOp::Signal(waker.clone()));
+                    if let Some(&flag) = end.next() {
+                        lanes.push(lane, LaneOp::Record(flag));
                     }
-                    GraphOp::Record(e) => program.record(&events[*e]),
-                    GraphOp::Wait(e) => program.wait_event(&events[*e]),
+                    wakers.push(waker);
                 }
+                lanes.kick(lane);
             }
-            if let Some(path) = s.ends {
-                let waker = done(path);
-                program.signal(&waker);
-                if let Some(tail) = &tail {
-                    program.callback(tail());
+            if let Some((notify, last)) = tail {
+                let lane = lanes.lane(false, ends.len() + notify.len() + 1);
+                let waits = ends.iter().map(|&flag| LaneOp::Wait(flag));
+                let signals = notify.iter().map(|w| LaneOp::Signal(w.clone()));
+                for op in waits.chain(signals).chain([LaneOp::Call(last)]) {
+                    lanes.push(lane, op);
                 }
-                wakers.push(waker);
+                lanes.kick(lane);
             }
-            stream(i, s.device).submit(program);
-        }
+            for &flag in &flags {
+                lanes.release(Handle::Flag(flag));
+            }
+        });
         wakers
     }
 
@@ -191,36 +208,12 @@ pub fn staging_ring(rt: &GpuRuntime, device: DeviceId, len: usize, synthetic: bo
     }
 }
 
-/// The whole-message tail: a callback per path end, of which the last to
-/// run signals `notify`, then runs `last`.
-pub fn whole_message(
-    paths: usize,
-    notify: &[Waker],
-    last: impl Fn(&mut Ctx<'_>) + Send + Sync + 'static,
-) -> impl Fn() -> EventFn {
-    let state = Arc::new((AtomicUsize::new(paths), notify.to_vec(), last));
-    move || -> EventFn {
-        let state = state.clone();
-        Box::new(move |ctx| {
-            let (remaining, notify, last) = &*state;
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                for w in notify {
-                    ctx.signal(w);
-                }
-                last(ctx);
-            }
-        })
-    }
-}
-
-/// The streams, events and staging rings one launch of a schedule runs
-/// on, recycled across launches. An instance cannot overlap itself (its
-/// rings and events are single-occupancy): a launch claims it and the
-/// launch's tail releases it.
+/// The staging rings one launch of a schedule runs on, recycled across
+/// launches. An instance cannot overlap itself (its rings are
+/// single-occupancy): a launch claims it and the launch's tail releases it.
 pub struct Instance {
     id: u64,
-    streams: Vec<Stream>,
-    events: Vec<GpuEvent>,
+    engine: Engine,
     rings: Vec<Buffer>,
     /// Claimed by an `AcqRel` swap, released by the tail's `Release`
     /// store: a launch sees everything the previous one's tail saw.
@@ -232,15 +225,9 @@ impl Instance {
     /// A new, idle instance of `schedule` for payloads of `synthetic`'s
     /// storage class, with a fresh process-unique id.
     pub fn new<T>(rt: &GpuRuntime, schedule: &Schedule<T>, synthetic: bool) -> Instance {
-        let id = GRAPH_IDS.fetch_add(1, Ordering::Relaxed);
         Instance {
-            id,
-            streams: (schedule.streams.iter())
-                .map(|s| rt.stream(s.device))
-                .collect(),
-            events: (0..schedule.events)
-                .map(|i| rt.event(EVENT.label(&[id, i as u64])))
-                .collect(),
+            id: GRAPH_IDS.fetch_add(1, Ordering::Relaxed),
+            engine: rt.engine().clone(),
             rings: (schedule.rings.iter())
                 .map(|&(device, len)| staging_ring(rt, device, len, synthetic))
                 .collect(),
@@ -256,15 +243,14 @@ impl Instance {
 
     /// Launches `schedule`, the one this instance was made from, on it —
     /// or returns `None`, launching nothing, while a launch still holds it.
-    /// Claims it, rearms its events, then [`Schedule::launch`]es over its
-    /// streams, events and rings, with done-wakers named over (id, launch
-    /// count, path) and a [`whole_message`] tail that runs the closure
-    /// `last()` made, then releases it.
+    /// Claims it, then [`Schedule::launch`]es over its rings, with
+    /// done-wakers named over (id, launch count, path) and a tail that
+    /// signals `notify`, runs the closure `last()` made and releases it.
     ///
     /// # Panics
     /// Panics, leaving the instance idle, if either buffer is smaller than
     /// its offset plus the message.
-    pub fn try_launch<T, L: Fn(&mut Ctx<'_>) + Send + Sync + 'static>(
+    pub fn try_launch<T, L: FnOnce(&mut Ctx<'_>) + Send + 'static>(
         &self,
         schedule: &Schedule<T>,
         src: (&Buffer, usize),
@@ -278,24 +264,19 @@ impl Instance {
             return None;
         }
         let launch = self.launches.fetch_add(1, Ordering::Relaxed);
-        for ev in &self.events {
-            ev.reset();
-        }
-        let paths = schedule.streams.iter().flat_map(|s| s.ends).count();
         let (busy, last) = (self.busy.clone(), last());
-        let tail = whole_message(paths, notify, move |ctx: &mut Ctx<'_>| {
+        let tail: EventFn = Box::new(move |ctx| {
             last(ctx);
             busy.store(false, Ordering::Release);
         });
         Some(schedule.launch(
+            &self.engine,
             src,
             dst,
-            |i, _| self.streams[i].clone(),
-            &self.events,
             &self.rings,
             copy,
             |path| Waker::new(PATH_DONE.label(&[self.id, launch, path as u64])),
-            Some(tail),
+            Some((notify, tail)),
         ))
     }
 }
@@ -320,8 +301,8 @@ pub struct GraphBuilder {
     dst_device: DeviceId,
     src_synthetic: bool,
     n: usize,
-    /// Per declared stream: its device, ops and the path it ends.
-    streams: Vec<(DeviceId, Vec<GraphOp<Captured>>, Option<usize>)>,
+    /// Per declared stream: its ops and the path it ends.
+    streams: Vec<(Vec<GraphOp<Captured>>, Option<usize>)>,
     rings: Vec<(DeviceId, usize)>,
     events: usize,
 }
@@ -349,9 +330,10 @@ impl GraphBuilder {
         }
     }
 
-    /// Declares a stream on `device`; returns its index.
-    pub fn stream(&mut self, device: DeviceId) -> usize {
-        self.streams.push((device, Vec::new(), None));
+    /// Declares a stream on `_device` (a lane has no device: it names
+    /// the capture for its reader); returns its index.
+    pub fn stream(&mut self, _device: DeviceId) -> usize {
+        self.streams.push((Vec::new(), None));
         self.streams.len() - 1
     }
 
@@ -411,7 +393,7 @@ impl GraphBuilder {
 
     fn op(&mut self, stream: usize, op: GraphOp<Captured>) {
         let s = self.streams.get_mut(stream);
-        s.expect("undeclared stream").1.push(op);
+        s.expect("undeclared stream").0.push(op);
     }
 
     /// Closes path `path_index`: its program drained once `stream` retires
@@ -419,7 +401,7 @@ impl GraphBuilder {
     /// message from `_offset` (the caller's to track).
     pub fn end_path(&mut self, stream: usize, path_index: usize, _offset: usize, _bytes: usize) {
         let s = self.streams.get_mut(stream);
-        let ends = &mut s.expect("undeclared end stream").2;
+        let ends = &mut s.expect("undeclared end stream").1;
         assert!(ends.replace(path_index).is_none(), "a stream ends one path");
     }
 
@@ -432,7 +414,7 @@ impl GraphBuilder {
     /// it for nobody) — capture bugs, not runtime conditions.
     pub fn finish(self) -> TransferGraph {
         assert!(
-            self.streams.iter().any(|s| s.2.is_some()),
+            self.streams.iter().any(|s| s.1.is_some()),
             "graph captured without any path"
         );
         let mut schedule = Schedule {
@@ -442,11 +424,11 @@ impl GraphBuilder {
             rings: self.rings,
             events: self.events,
         };
-        for (device, ops, ends) in self.streams {
+        for (ops, ends) in self.streams {
             let start = schedule.ops.len();
             schedule.ops.extend(ops);
             let ops = start..schedule.ops.len();
-            schedule.streams.push(GraphStream { device, ops, ends });
+            schedule.streams.push(GraphStream { ops, ends });
         }
         let s = &schedule;
         // Per event: [recorded, waited on].
@@ -495,8 +477,8 @@ impl TransferGraph {
         self.instance.launches.load(Ordering::Relaxed)
     }
 
-    /// Relaunches the captured program against concrete buffers: rearm
-    /// every event, patch `Src`/`Dst` placeholders to
+    /// Relaunches the captured program against concrete buffers: patch
+    /// `Src`/`Dst` placeholders to
     /// `src[src_off..]`/`dst[dst_off..]`, and submit each stream's
     /// program. Returns one fresh done-waker per path, in stream order.
     ///
@@ -532,14 +514,7 @@ impl TransferGraph {
             self.src_synthetic,
             "payload storage class"
         );
-        let last = || {
-            let hook = Mutex::new(on_complete);
-            move |ctx: &mut Ctx<'_>| {
-                if let Some(f) = hook.lock().take() {
-                    f(ctx);
-                }
-            }
-        };
+        let last = || move |ctx: &mut Ctx<'_>| on_complete.into_iter().for_each(|f| f(ctx));
         let copy = |(c, first): &Captured| GraphCopy {
             extra: c.extra + if *first { first_extra } else { 0.0 },
             ..c.clone()
@@ -574,7 +549,6 @@ mod tests {
                 PATH_DONE.label(&[g, replay, p]).to_string(),
                 format!("g{g}.r{replay}.p{p}")
             );
-            assert_eq!(EVENT.label(&[g, p]).to_string(), format!("g{g}.e{p}"));
         }
         let wide = PATH_DONE.label(&[(1 << 24) + 1, (1 << 32) + 2, 256 + 3]);
         assert_eq!(wide.to_string(), "g1.r2.p3", "wider values wrap");

@@ -38,8 +38,8 @@ pub mod stream;
 pub use buffer::Buffer;
 pub use event::GpuEvent;
 pub use graph::{
-    staging_ring, whole_message, GraphBuf, GraphBuilder, GraphCopy, GraphLaunchError, GraphOp,
-    GraphStream, Instance, Schedule, TransferGraph,
+    staging_ring, GraphBuf, GraphBuilder, GraphCopy, GraphLaunchError, GraphOp, GraphStream,
+    Instance, Schedule, TransferGraph,
 };
 pub use ipc::{IpcCache, IpcStats, IPC_OPEN_COST};
 pub use memory::{MemTracker, MemoryStats};

@@ -33,7 +33,6 @@
 
 pub mod collective;
 pub mod p2p;
-pub mod subcomm;
 pub mod world;
 
 pub use collective::{

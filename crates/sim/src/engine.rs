@@ -42,11 +42,18 @@
 //! earlier one close enough to round to the same nanosecond. A pending
 //! time is stored before a drain that keeps the rate.
 //!
-//! # Callbacks
+//! # Callbacks and lanes
 //!
 //! Completion handlers ([`OnComplete::Call`]) run *inside* the engine
 //! lock and receive a [`Ctx`] with non-blocking operations only. They
 //! must never touch the public blocking API — doing so would deadlock.
+//! GPU stream programs need no handler at all: they run on the engine's
+//! own lanes and flags ([`Lanes`], `engine/lane.rs`), which the event loop
+//! advances itself.
+
+mod lane;
+
+pub use lane::{Effect, FlagId, Handle, LaneId, LaneOp, Lanes};
 
 use crate::fairness::{fold_links, FairShareScratch, FlowDemand, Links};
 use crate::label::Label;
@@ -86,15 +93,6 @@ pub struct FlowId(pub u64);
 /// the [`Ctx`] argument, never the blocking `Engine`/`SimThread` API.
 pub type EventFn = Box<dyn FnOnce(&mut Ctx<'_>) + Send>;
 
-/// A completion target that is already shared: what a flow per op would
-/// otherwise box a closure for. The target keeps whatever the completion
-/// needs in its own state; the engine only hands it back its handle.
-pub trait FlowSink: Send + Sync {
-    /// Runs in the event loop, under the engine lock, like an
-    /// [`EventFn`]: use only `ctx`, never the blocking API.
-    fn flow_done(self: Arc<Self>, ctx: &mut Ctx<'_>);
-}
-
 /// What to do when a flow or timer completes.
 pub enum OnComplete {
     /// Do nothing.
@@ -103,8 +101,13 @@ pub enum OnComplete {
     Signal(Waker),
     /// Run a callback in the event loop.
     Call(EventFn),
-    /// Notify a shared sink in the event loop; allocates nothing.
-    Sink(Arc<dyn FlowSink>),
+}
+
+/// What a completed flow or timer does: the caller's [`OnComplete`], or
+/// retire the op its lane has in flight.
+enum Done {
+    Then(OnComplete),
+    Lane(u32),
 }
 
 impl std::fmt::Debug for OnComplete {
@@ -113,7 +116,6 @@ impl std::fmt::Debug for OnComplete {
             OnComplete::Nothing => write!(f, "Nothing"),
             OnComplete::Signal(w) => write!(f, "Signal({})", w.name()),
             OnComplete::Call(_) => write!(f, "Call(..)"),
-            OnComplete::Sink(_) => write!(f, "Sink(..)"),
         }
     }
 }
@@ -349,7 +351,7 @@ struct FlowState {
     demand: FlowDemand,
     /// Visit stamp for connected-component discovery (`State::comp_epoch`).
     comp_mark: u64,
-    done: OnComplete,
+    done: Done,
     bytes: usize,
     issued: SimTime,
     activated: SimTime,
@@ -447,7 +449,7 @@ struct Member {
 }
 
 enum Event {
-    Timer(OnComplete),
+    Timer(Done),
     /// Activation of the flow in this slab slot.
     FlowActivate(u32),
 }
@@ -687,6 +689,8 @@ struct State {
     /// which keeps the always-on flight recorder off the hot path's back.
     /// Rendered by [`Engine::set_recorder`]: only a recorder reads them.
     link_tracks: Vec<String>,
+    /// Stream programs: the lanes and flags of [`lane`].
+    programs: lane::Programs,
     /// Sends every recomputation down the general path, for the test that
     /// holds the single-link one to it bit for bit.
     #[cfg(test)]
@@ -697,6 +701,9 @@ struct Shared {
     topo: Arc<Topology>,
     state: Mutex<State>,
     cv: Condvar,
+    /// Lanes and flags whose front ends were dropped, swept by the next
+    /// [`Engine::with_lanes`]: a drop may happen in the event loop.
+    orphans: Mutex<Vec<Handle>>,
     #[cfg(test)]
     broadcasts: std::sync::atomic::AtomicU64,
 }
@@ -740,13 +747,13 @@ impl<'a> Ctx<'a> {
     /// Schedules `done` to run after `delay` seconds of virtual time.
     pub fn schedule_in(&mut self, delay: Secs, done: OnComplete) {
         let at = self.st.now.after(delay);
-        push_event(self.st, at, Event::Timer(done));
+        push_event(self.st, at, Event::Timer(Done::Then(done)));
     }
 
     /// Schedules `done` at absolute virtual time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: SimTime, done: OnComplete) {
         let at = at.max(self.st.now);
-        push_event(self.st, at, Event::Timer(done));
+        push_event(self.st, at, Event::Timer(Done::Then(done)));
     }
 
     /// Fires a waker immediately.
@@ -756,7 +763,7 @@ impl<'a> Ctx<'a> {
 
     /// Injects a flow; `done` runs/fires when the last byte lands.
     pub fn start_flow(&mut self, spec: FlowSpec, done: OnComplete) -> FlowId {
-        start_flow_locked(self.st, self.topo, spec, done)
+        start_flow_locked(self.st, self.topo, spec, Done::Then(done))
     }
 
     /// Takes a link down: capacity drops to zero and every flow crossing
@@ -867,10 +874,12 @@ impl Engine {
                     flows_stalled: 0,
                     recorder: None,
                     link_tracks: Vec::new(),
+                    programs: lane::Programs::default(),
                     #[cfg(test)]
                     force_general: false,
                 }),
                 cv: Condvar::new(),
+                orphans: Mutex::new(Vec::new()),
                 #[cfg(test)]
                 broadcasts: std::sync::atomic::AtomicU64::new(0),
             }),
@@ -1029,7 +1038,7 @@ impl Engine {
     pub fn schedule_in(&self, delay: Secs, done: OnComplete) {
         let mut st = self.shared.state.lock();
         let at = st.now.after(delay);
-        push_event(&mut st, at, Event::Timer(done));
+        push_event(&mut st, at, Event::Timer(Done::Then(done)));
     }
 
     /// Schedules `done` at absolute virtual time `at` (clamped to now;
@@ -1037,7 +1046,7 @@ impl Engine {
     pub fn schedule_at(&self, at: SimTime, done: OnComplete) {
         let mut st = self.shared.state.lock();
         let at = at.max(st.now);
-        push_event(&mut st, at, Event::Timer(done));
+        push_event(&mut st, at, Event::Timer(Done::Then(done)));
     }
 
     /// Fires a waker immediately (non-blocking; callable from any
@@ -1051,10 +1060,35 @@ impl Engine {
         }
     }
 
+    /// Runs `f` on the engine's lanes and flags under one lock cycle, from
+    /// outside the event loop: a `Call` op a lane meets here is deferred to
+    /// the loop at the current time, and a `Signal` wakes the threads it
+    /// released, as [`Engine::signal_waker`] does. `f` must not call back
+    /// into the engine.
+    pub fn with_lanes<R>(&self, f: impl FnOnce(&mut Lanes<'_>) -> R) -> R {
+        let mut st = self.shared.state.lock();
+        for handle in self.shared.orphans.lock().drain(..) {
+            st.programs.release(handle);
+        }
+        let blocked_before = st.blocked;
+        let topo = &self.shared.topo;
+        let out = f(&mut Lanes { st: &mut st, topo });
+        if st.blocked < blocked_before {
+            self.shared.wake_parked();
+        }
+        out
+    }
+
+    /// Hands back the lane or flag of a dropped front end; callable
+    /// anywhere, the event loop included.
+    pub fn release(&self, handle: Handle) {
+        self.shared.orphans.lock().push(handle);
+    }
+
     /// Injects a flow (non-blocking). `done` fires when it completes.
     pub fn start_flow(&self, spec: FlowSpec, done: OnComplete) -> FlowId {
         let mut st = self.shared.state.lock();
-        start_flow_locked(&mut st, &self.shared.topo, spec, done)
+        start_flow_locked(&mut st, &self.shared.topo, spec, Done::Then(done))
     }
 
     /// Drains the event queue without any registered threads — the
@@ -1394,16 +1428,16 @@ fn set_latency_scale_locked(st: &mut State, link: LinkId, scale: f64) {
     st.latency_scale[l] = scale;
 }
 
-fn run_on_complete(st: &mut State, topo: &Topology, done: OnComplete) {
+fn run_on_complete(st: &mut State, topo: &Topology, done: Done) {
     match done {
-        OnComplete::Nothing => {}
-        OnComplete::Signal(w) => fire_waker(st, &w),
-        OnComplete::Call(f) => f(&mut Ctx { st, topo }),
-        OnComplete::Sink(sink) => sink.flow_done(&mut Ctx { st, topo }),
+        Done::Then(OnComplete::Nothing) => {}
+        Done::Then(OnComplete::Signal(w)) => fire_waker(st, &w),
+        Done::Then(OnComplete::Call(f)) => f(&mut Ctx { st, topo }),
+        Done::Lane(lane) => lane::retire(st, topo, lane),
     }
 }
 
-fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: OnComplete) -> FlowId {
+fn start_flow_locked(st: &mut State, topo: &Topology, spec: FlowSpec, done: Done) -> FlowId {
     let label = &spec.label;
     assert!(!spec.route.is_empty(), "flow {label:?} has an empty route");
     let mut latency = spec.extra_latency;
@@ -1643,7 +1677,7 @@ fn recompute_single_link(st: &mut State, l: usize) -> bool {
 }
 
 fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
-    let mut fs = st.flows.remove(slot);
+    let fs = st.flows.remove(slot);
     let (id, remaining) = (fs.id, st.hot[slot as usize].remaining);
     // Leave the fabric. Zero-byte flows complete without ever having
     // registered on their links.
@@ -1699,8 +1733,7 @@ fn complete_flow(st: &mut State, topo: &Topology, slot: u32) {
             completed: st.now,
         });
     }
-    let done = std::mem::replace(&mut fs.done, OnComplete::Nothing);
-    run_on_complete(st, topo, done);
+    run_on_complete(st, topo, fs.done);
     // The departed flow's links may now span several components; seed
     // with all of them so each gets re-shared.
     match fs.demand.links[..] {

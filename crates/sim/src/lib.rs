@@ -11,8 +11,9 @@
 //!
 //! * **Callback-structured** — inject flows/timers with
 //!   [`Engine::start_flow`] / [`Engine::schedule_in`] and drain with
-//!   [`Engine::run_until_idle`]. Deterministic; used by unit tests and the
-//!   GPU stream layer.
+//!   [`Engine::run_until_idle`]. Deterministic; used by unit tests. The
+//!   GPU stream layer submits op queues the event loop runs itself
+//!   ([`Engine::with_lanes`]).
 //! * **Task-structured** — write each actor as a future that awaits
 //!   [`task::wait`], [`task::wait_until`] or [`task::sleep`], and run the
 //!   set with [`task::run`] on the calling thread. The executor polls every
@@ -55,8 +56,8 @@ pub mod time;
 pub mod waker;
 
 pub use engine::{
-    Ctx, Engine, EventFn, FlowId, FlowSink, FlowSpec, JitterModel, LinkStats, OnComplete, Route,
-    SimThread, StatsSnapshot, TraceRecord,
+    Ctx, Effect, Engine, EventFn, FlagId, FlowId, FlowSpec, Handle, JitterModel, LaneId, LaneOp,
+    Lanes, LinkStats, OnComplete, Route, SimThread, StatsSnapshot, TraceRecord,
 };
 pub use fairness::{max_min_rates, max_min_rates_fast, FairShareScratch, FlowDemand, Links};
 pub use fault::{plan_horizon, FaultEvent, FaultInjector, FaultKind, FaultPlan};

@@ -8,16 +8,18 @@
 //! pair's route, folded once. An interpreted PUT and a replayed one differ
 //! only in what they give [`Schedule::launch`]:
 //!
-//! * [`Lowering::interpret`], the source paper's issue: fresh streams,
-//!   events and rings; `copy_launch` on every copy, `ε` more on a
-//!   forwarding copy, the sequential initiation `copy_launch·i` on each
-//!   path's first copy and rendezvous + IPC open on the first active
-//!   path's; `xfer{seq}` names; a `Transfer` span, residual and latency
-//!   sample when a recorder listens.
+//! * [`Lowering::interpret`], the source paper's issue: fresh rings;
+//!   `copy_launch` on every copy, `ε` more on a forwarding copy, the
+//!   sequential initiation `copy_launch·i` on each path's first copy and
+//!   rendezvous + IPC open on the first active path's; `xfer{seq}` names;
+//!   a `Transfer` span, residual and latency sample when a recorder listens.
 //! * [`Lowering::replay`], the CUDA-Graphs follow-up's replay: an idle
-//!   [`Instance`]'s recycled streams, events and rings; the caller's
-//!   `first_extra` on each path's first copy and nothing else; `g{id}`
-//!   names; a `GraphReplay` span.
+//!   [`Instance`]'s recycled rings; the caller's `first_extra` on each
+//!   path's first copy and nothing else; `g{id}` names; a `GraphReplay`
+//!   span.
+//!
+//! Either launch runs on engine lanes and flags: a PUT makes no stream or
+//! event.
 //!
 //! [`GraphCache`] keeps one lowering per `(pair, n)`, cleared a shard at a
 //! time at [`MEMO_CAP`] entries, the bound of a pair's plan memo, for
@@ -26,12 +28,11 @@
 
 use crate::pipeline::{PathSlot, StagedWalk, TransferHandle, TransferObs};
 use mpx_gpu::{
-    staging_ring, whole_message, Buffer, GpuRuntime, GraphBuf, GraphCopy, GraphOp, GraphStream,
-    Instance, Schedule,
+    staging_ring, Buffer, GpuRuntime, GraphBuf, GraphCopy, GraphOp, GraphStream, Instance, Schedule,
 };
 use mpx_model::{PairKey, PlannedPath, ShardedMap, TransferPlan, MEMO_CAP};
 use mpx_obs::Phase;
-use mpx_sim::{Ctx, Label, Route, Template, Waker};
+use mpx_sim::{Ctx, EventFn, Label, Route, Template, Waker};
 use mpx_topo::path::TransferPath;
 use mpx_topo::units::Secs;
 use parking_lot::Mutex;
@@ -73,10 +74,9 @@ macro_rules! names {
 static XFER: Names = names!("xfer");
 static GRAPH: Names = names!("g");
 
-/// An interpreted PUT's done-waker per path (sequence, path index) and its
-/// events (sequence, event index); a replay instance names its own.
+/// An interpreted PUT's done-waker per path (sequence, path index); a
+/// replay instance names its own.
 static PATH_DONE: Template = Template("xfer{}.p{}", &[40, 8]);
-static EVENT: Template = Template("xfer{}.e{}", &[40, 24]);
 
 impl Role {
     /// The name of this copy of `path` from `names`, over `number`.
@@ -165,7 +165,7 @@ impl Lowering {
         let legs = |pi: usize| paths[..pi].iter().map(|p| p.legs.len()).sum::<usize>();
         for (k, (slot, path, walk)) in active().enumerate() {
             let (k, pi, start) = (k as u32, slot.path_index, s.ops.len());
-            let stream = |device, ops, ends| GraphStream { device, ops, ends };
+            let stream = |ops, ends| GraphStream { ops, ends };
             let walk = walk.map(|walk| {
                 let via = path.kind.staging_device().expect("staged path");
                 s.rings.push((via, walk.ring_len));
@@ -187,14 +187,14 @@ impl Lowering {
                         s.ops.push(GraphOp::Record(freed + ch.index));
                     }
                 }
-                s.streams.push(stream(path.src, start..mid, None));
-                s.streams.push(stream(via, mid..s.ops.len(), Some(pi)));
+                s.streams.push(stream(start..mid, None));
+                s.streams.push(stream(mid..s.ops.len(), Some(pi)));
                 first_event = freed + walk.freed_events;
                 (walk, s.rings.len() - 1)
             });
             if walk.is_none() {
                 s.ops.push(GraphOp::Copy((k, Role::Direct)));
-                s.streams.push(stream(path.src, start..start + 1, Some(pi)));
+                s.streams.push(stream(start..start + 1, Some(pi)));
             }
             let route = legs(pi);
             lowered.push(ActivePath { slot, route, walk });
@@ -253,7 +253,7 @@ impl Lowering {
 
     /// Launches an interpreted PUT from `src` into `dst` (each a buffer and
     /// the message's offset in it) under the source paper's per-copy cost model, on
-    /// streams, events and rings made for it; `notify` fires once the whole
+    /// rings made for it; `notify` fires once the whole
     /// message has landed, and `obs` (if any) records it.
     ///
     /// # Panics
@@ -293,19 +293,15 @@ impl Lowering {
         let rings: Vec<Buffer> = (self.schedule.rings.iter())
             .map(|&(via, len)| staging_ring(rt, via, len, src.is_synthetic()))
             .collect();
-        let events: Vec<_> = (0..self.schedule.events)
-            .map(|i| rt.event(EVENT.label(&[seq, i as u64])))
-            .collect();
         // A tail only when somebody listens.
         let tail = (!notify.is_empty() || obs.is_some()).then(|| {
             let last = self.record(rt, seq, predicted, obs, Phase::Transfer);
-            whole_message(self.paths.len(), notify, last)
+            (notify, Box::new(last) as EventFn)
         });
         let wakers = self.schedule.launch(
+            rt.engine(),
             (src, src_off),
             (dst, dst_off),
-            |_, device| rt.stream(device),
-            &events,
             &rings,
             |&t| self.copy(t, extra, (&XFER, seq)),
             |pi| Waker::new(PATH_DONE.label(&[seq, pi as u64])),
@@ -515,15 +511,13 @@ mod tests {
     use mpx_topo::DeviceId;
 
     /// Every template against the `format!` it replaced, over wide values:
-    /// a number up to 2^40, a path up to 255, a chunk or event up to 65 535.
+    /// a number up to 2^40, a path up to 255, a chunk up to 65 535.
     #[test]
     fn every_name_renders_as_the_format_it_replaced() {
         for i in 0..300u64 {
             let (seq, p, c) = (i * 3_665_038_759 % (1 << 40), i % 256, i * 219 % 65_536);
             let done = PATH_DONE.label(&[seq, p]).to_string();
             assert_eq!(done, format!("xfer{seq}.p{p}"));
-            let event = EVENT.label(&[seq, c]).to_string();
-            assert_eq!(event, format!("xfer{seq}.e{c}"));
             for (names, prefix) in [(&XFER, "xfer"), (&GRAPH, "g")] {
                 let path = format!("{prefix}{seq}.p{p}");
                 let copy = |role: Role| role.name(names, seq, p as usize).to_string();

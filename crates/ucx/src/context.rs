@@ -379,7 +379,9 @@ impl UcxContext {
     /// only when the pair has no entry, so a hit touches neither. A link
     /// down while the pair is probed reads a dummy rate and leaves its
     /// paths share 0; the entry remembers such links and is probed again
-    /// once one of them is back up.
+    /// once one of them is back up. A probe is a function of the paths and
+    /// the live capacities only, so an entry a drift made stale is kept
+    /// as it is while the capacities it was probed at still hold.
     fn plan_probed(
         &self,
         src: DeviceId,
@@ -394,9 +396,12 @@ impl UcxContext {
             pair,
             n,
             |l| eng.link_is_up(l),
-            || {
+            |stale| {
+                if let Some(entry) = stale.filter(|e| eng.with_capacities(|c| e.measured_on(c))) {
+                    return Ok(entry);
+                }
                 let paths = self.paths_for(src, dst, sel)?;
-                let params = probe_live(eng, &paths)?;
+                let (params, capacities) = probe_live(eng, &paths)?;
                 if let Some(rec) = &self.inner.obs {
                     rec.instant(
                         Phase::Probe,
@@ -411,7 +416,9 @@ impl UcxContext {
                     let routes = paths.iter().flat_map(|p| &p.legs).flat_map(|l| &l.route);
                     down.extend(routes.copied().filter(|&l| !eng.link_is_up(l)));
                 }
-                planner.entry(&paths, params, down)
+                planner
+                    .entry(&paths, params, down, capacities)
+                    .map(Arc::new)
             },
         )
     }
@@ -733,19 +740,20 @@ impl UcxContext {
         *self.inner.anomaly.write() = Some(sink);
     }
 
-    /// Routes one failure signal to the installed anomaly sink (no-op
-    /// without one), stamped with the engine's current virtual time.
+    /// Routes one failure signal to the installed anomaly sink, stamped
+    /// with the engine's current virtual time. `describe` builds its pair
+    /// name and cause, and runs only when a sink is installed.
     pub(crate) fn anomaly_signal(
         &self,
         class: TriggerClass,
-        pair: Option<&str>,
         path: Option<usize>,
-        cause: &str,
+        describe: impl FnOnce() -> (String, String),
     ) {
         let sink = self.inner.anomaly.read().clone();
         if let Some(sink) = sink {
             let now = self.inner.rt.engine().now().as_secs();
-            sink.signal(class, now, pair, path, cause);
+            let (pair, cause) = describe();
+            sink.signal(class, now, Some(&pair), path, &cause);
         }
     }
 
@@ -874,6 +882,7 @@ impl UcxContext {
                 }
             }
         }
+        let (drift_pct, tolerance_pct) = (drift * 100.0, self.inner.cfg.drift_tolerance * 100.0);
         if let Some(rec) = &self.inner.obs {
             // Make the invalidation explainable: cite the drift that
             // tripped it and what the residual tracker has seen for the
@@ -891,23 +900,13 @@ impl UcxContext {
                 format!("pair:{pair_label}"),
                 "cache-invalidate",
                 self.inner.rt.engine().now().as_secs(),
-                format!(
-                    "drift_pct={:.1} tolerance_pct={:.1}{residual}",
-                    drift * 100.0,
-                    self.inner.cfg.drift_tolerance * 100.0
-                ),
+                format!("drift_pct={drift_pct:.1} tolerance_pct={tolerance_pct:.1}{residual}"),
             );
         }
-        self.anomaly_signal(
-            TriggerClass::ResidualDrift,
-            Some(&format!("{src}->{dst}")),
-            None,
-            &format!(
-                "drift_pct={:.1} tolerance_pct={:.1}",
-                drift * 100.0,
-                self.inner.cfg.drift_tolerance * 100.0
-            ),
-        );
+        self.anomaly_signal(TriggerClass::ResidualDrift, None, || {
+            let cause = format!("drift_pct={drift_pct:.1} tolerance_pct={tolerance_pct:.1}");
+            (format!("{src}->{dst}"), cause)
+        });
         true
     }
 
@@ -952,12 +951,14 @@ impl UcxContext {
                     }
                 }
                 let elapsed = thread.now().secs_since(t0);
-                self.anomaly_signal(
-                    TriggerClass::StuckTransfer,
-                    Some(&format!("{}->{}", src.device(), dst.device())),
-                    h.unfinished().first().map(|s| s.path_index),
-                    &format!("bytes={bytes} elapsed_us={:.3}", elapsed * 1e6),
-                );
+                let path = h.unfinished().first().map(|s| s.path_index);
+                self.anomaly_signal(TriggerClass::StuckTransfer, path, || {
+                    let pair = format!("{}->{}", src.device(), dst.device());
+                    (
+                        pair,
+                        format!("bytes={bytes} elapsed_us={:.3}", elapsed * 1e6),
+                    )
+                });
                 Err(TransferError::Stuck { bytes, elapsed })
             }
         }
@@ -1002,11 +1003,11 @@ impl UcxContext {
         match ev {
             BreakerEvent::Tripped | BreakerEvent::Retripped => {
                 self.inner.graphs.invalidate_pair(&pair);
-                let pair_label = format!("{}->{}", pair.0, pair.1);
+                let pair_label = || format!("{}->{}", pair.0, pair.1);
                 if let Some(rec) = &self.inner.obs {
                     rec.instant(
                         Phase::Health,
-                        format!("pair:{pair_label}"),
+                        format!("pair:{}", pair_label()),
                         if ev == BreakerEvent::Tripped {
                             "breaker.trip"
                         } else {
@@ -1016,16 +1017,14 @@ impl UcxContext {
                         format!("path={path_index} why={why} dead_link={dead}"),
                     );
                 }
-                self.anomaly_signal(
-                    if ev == BreakerEvent::Tripped {
-                        TriggerClass::BreakerTrip
-                    } else {
-                        TriggerClass::BreakerRetrip
-                    },
-                    Some(&pair_label),
-                    Some(path_index),
-                    &format!("why={why} dead_link={dead}"),
-                );
+                let class = if ev == BreakerEvent::Tripped {
+                    TriggerClass::BreakerTrip
+                } else {
+                    TriggerClass::BreakerRetrip
+                };
+                self.anomaly_signal(class, Some(path_index), || {
+                    (pair_label(), format!("why={why} dead_link={dead}"))
+                });
             }
             BreakerEvent::Reset | BreakerEvent::None => {}
         }
@@ -1214,6 +1213,23 @@ mod tests {
         assert!(h.is_complete());
         assert!(c.recorder().is_none());
         assert_eq!(c.residuals().count(), 0);
+    }
+
+    /// Without a sink a signal formats nothing: its description never runs.
+    #[test]
+    fn a_sinkless_context_never_describes_a_signal() {
+        let c = ctx(TuningMode::Dynamic);
+        let ran = std::cell::Cell::new(0);
+        let describe = || {
+            ran.set(ran.get() + 1);
+            ("dev0->dev1".to_string(), "test".to_string())
+        };
+        c.anomaly_signal(TriggerClass::ResidualDrift, None, describe);
+        assert_eq!(ran.get(), 0);
+        let fr = mpx_obs::FlightRecorder::new(16);
+        c.set_anomaly_sink(Arc::new(AnomalyEngine::new(fr, Default::default())));
+        c.anomaly_signal(TriggerClass::ResidualDrift, None, describe);
+        assert_eq!(ran.get(), 1);
     }
 
     #[test]

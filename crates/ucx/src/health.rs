@@ -595,7 +595,7 @@ impl UcxContext {
 
             // Re-probe the hedge set against current capacities (down
             // links carry a dummy rate; no hedge path routes over them).
-            let params = probe_live(&eng, &hedge_paths)?;
+            let params = probe_live(&eng, &hedge_paths)?.0;
 
             let mut handles = Vec::with_capacity(pending.len());
             let routes = fold_routes(&hedge_paths);

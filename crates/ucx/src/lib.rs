@@ -43,6 +43,5 @@ pub use health::{
     HedgeReport, PathAdmissions,
 };
 pub use pipeline::{execute_plan, PathSlot, TimedOut, TransferHandle, RING_DEPTH};
-pub use probe::PROBE_BYTES;
 pub use recover::{RecoveryConfig, RecoveryError, RecoveryReport, ResilienceStats};
 pub use tuner::{manual_plan, measure_plan, share_grid, tune_exhaustive, TuneResult};

@@ -16,7 +16,7 @@
 //! return the same numbers, since tiny messages don't contend.
 
 use mpx_sim::{Engine, FlowId, FlowSpec, OnComplete};
-use mpx_topo::params::{extract_path_params, LegParams, PathParams};
+use mpx_topo::params::{extract_path_params, PathParams};
 use mpx_topo::path::TransferPath;
 use mpx_topo::{LinkId, Topology, TopologyError};
 use std::sync::Arc;
@@ -26,17 +26,21 @@ use std::sync::Arc;
 pub const PROBE_BYTES: usize = 256 << 20;
 
 /// [`probe_all_with`] against a live engine's current capacities, copied
-/// out first so the engine is unlocked while the scratch one runs. Down
-/// links report capacity 0, which a probe engine rejects; they read as a
-/// dummy 1 B/s instead — callers keep dead routes out of the path sets
-/// they probe, so the dummy never carries a share worth anything.
+/// out first so the engine is unlocked while the scratch one runs; returns
+/// them with the result. Down links report capacity 0, which a probe
+/// engine rejects; they read as a dummy 1 B/s instead — callers keep dead
+/// routes out of the path sets they probe, so the dummy never carries a
+/// share worth anything.
 pub(crate) fn probe_live(
     eng: &Engine,
     paths: &[TransferPath],
-) -> Result<Vec<PathParams>, TopologyError> {
-    let caps: Vec<f64> =
-        eng.with_capacities(|c| c.iter().map(|&v| if v > 0.0 { v } else { 1.0 }).collect());
-    probe_all_with(eng.topology(), Some(&caps), paths)
+) -> Result<(Vec<PathParams>, Vec<f64>), TopologyError> {
+    let live = eng.with_capacities(<[f64]>::to_vec);
+    let caps: Vec<f64> = live
+        .iter()
+        .map(|&v| if v > 0.0 { v } else { 1.0 })
+        .collect();
+    Ok((probe_all_with(eng.topology(), Some(&caps), paths)?, live))
 }
 
 /// Measures the effective per-leg bandwidths of every path of a candidate
@@ -90,20 +94,6 @@ fn probe_round(eng: &Engine, routes: impl Iterator<Item = Vec<LinkId>>) -> Vec<f
         rec.bytes as f64 / rec.completed.secs_since(rec.activated)
     };
     flows.iter().map(rate).collect()
-}
-
-/// A probed [`LegParams`] for a single route in isolation (used by tests
-/// and the calibration example to cross-check `mpx_model::fit_hockney`).
-pub fn probe_leg_isolated(topo: &Arc<Topology>, route: Vec<LinkId>) -> LegParams {
-    let mut alpha = topo.overheads.copy_launch;
-    for lid in &route {
-        alpha += topo.link(*lid).expect("route link").latency;
-    }
-    let eng = Engine::with_tracing(topo.clone(), true);
-    LegParams {
-        alpha,
-        beta: probe_round(&eng, std::iter::once(route))[0],
-    }
 }
 
 #[cfg(test)]
@@ -194,20 +184,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn isolated_leg_probe_matches_bottleneck() {
-        let topo = Arc::new(presets::narval());
-        let gpus = topo.gpus();
-        let hm = topo.local_host_memory(gpus[0]).unwrap();
-        let route = vec![
-            topo.link_between(gpus[0], hm).unwrap().id,
-            topo.link_between(hm, hm).unwrap().id,
-        ];
-        let leg = probe_leg_isolated(&topo, route);
-        // Alone, the leg runs at min(PCIe 24, DRAM 19) = 19 GB/s.
-        assert!((leg.beta - gb_per_s(19.0)).abs() < 1e8, "{}", leg.beta);
-        assert!(leg.alpha > 0.0);
     }
 }

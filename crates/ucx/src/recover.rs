@@ -279,12 +279,14 @@ impl UcxContext {
                         format!("unfinished_bytes={unfinished} slack={slack:.1}"),
                     );
                 }
-                self.anomaly_signal(
-                    mpx_obs::TriggerClass::DeadlineMissBurst,
-                    Some(&format!("{}->{}", src.device(), dst.device())),
-                    h.unfinished().first().map(|s| s.path_index),
-                    &format!("xfer{seq} unfinished_bytes={unfinished} slack={slack:.1}"),
-                );
+                let path = h.unfinished().first().map(|s| s.path_index);
+                self.anomaly_signal(mpx_obs::TriggerClass::DeadlineMissBurst, path, || {
+                    let pair = format!("{}->{}", src.device(), dst.device());
+                    (
+                        pair,
+                        format!("xfer{seq} unfinished_bytes={unfinished} slack={slack:.1}"),
+                    )
+                });
                 residuals
             }
         };
@@ -329,7 +331,7 @@ impl UcxContext {
             // Refresh parameters against the fabric's *current* state
             // (down links carry a dummy rate; survivors never route over
             // them, so it cannot influence the measured rates).
-            let params = probe_live(&eng, &survivors)?;
+            let params = probe_live(&eng, &survivors)?.0;
             if let Some(rec) = self.recorder() {
                 rec.instant(
                     Phase::Recovery,
@@ -391,12 +393,11 @@ impl UcxContext {
                             "deadline-miss",
                         );
                     }
-                    self.anomaly_signal(
-                        mpx_obs::TriggerClass::DeadlineMissBurst,
-                        Some(&format!("{}->{}", src.device(), dst.device())),
-                        h.unfinished().first().map(|s| s.path_index),
-                        &format!("retry round{round} slack={slack:.1}"),
-                    );
+                    let path = h.unfinished().first().map(|s| s.path_index);
+                    self.anomaly_signal(mpx_obs::TriggerClass::DeadlineMissBurst, path, || {
+                        let pair = format!("{}->{}", src.device(), dst.device());
+                        (pair, format!("retry round{round} slack={slack:.1}"))
+                    });
                     next.extend(residuals_of(h, *base));
                 } else {
                     self.health_mark_success(pair, h);

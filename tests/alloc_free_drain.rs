@@ -1,9 +1,10 @@
 //! What a flow's life allocates, counted.
 //!
 //! A chunk leg that retires must not touch the heap: routes and labels are
-//! shared with the op that carried them, the copy's buffers wait in the
-//! stream, the fair-share demand of a shared route is folded once; and an
-//! issue must not format a flow label. This binary installs a counting global
+//! shared with the op that carried them, a timing-only copy carries no
+//! buffer, the engine recycles its lanes and flags, the fair-share demand
+//! of a shared route is folded once; and an issue must not format a flow
+//! label. This binary installs a counting global
 //! allocator (per thread, so the tests can run side by side) and holds the
 //! drain of a PUT to an exact number and its issue to a ceiling. The payload
 //! plane and the flight recorder are held the same way: the defects their
@@ -121,33 +122,36 @@ fn a_replayed_put_drains_without_allocating() {
     }
 }
 
-/// The interpreted pipeline makes its events per PUT, so the first stream
-/// to park on one grows that event's waiter list; nothing else may.
+/// The engine runs the interpreted pipeline's lanes and flags too, and
+/// recycles them: its drain allocates nothing either. Per-PUT events
+/// with their own waiter lists read up to 4.
 #[test]
-fn an_interpreted_put_drain_allocates_only_first_waiters() {
+fn an_interpreted_put_drains_without_allocating() {
     for (mib, _, count) in put_allocations(false) {
-        assert!(count <= 4, "{mib} MiB put_async: {count} allocations");
+        assert_eq!(count, 0, "{mib} MiB put_async: {count} allocations");
     }
 }
 
 /// An issue formats no name at all and builds only what its transfer
-/// needs: a stream and one exact-capacity program per leg, one staging ring
-/// per staged path, a `READY` event per chunk and a `FREED` event only
-/// where a later chunk waits on it, wakers, the handle, and no completion
-/// tail when nobody listens; the key's cached lowering holds the routes,
-/// folded once. That reads 32 / 26 / 45 / 75; folding the routes per PUT
-/// read 49 / 37 / 64 / 95, and an op enqueued at a time, `RING_DEPTH`
-/// staging buffers per path and a `FREED` event per chunk on top of that
-/// 61 / 52 / 103 / 140. A replay allocates its programs, wakers and tails,
-/// whatever the size (19 / 15 / 19 / 19).
+/// needs: an exact-capacity op queue per lane (one per leg), one staging
+/// ring per staged path, a done-waker per path, the handle, the launch's
+/// list of flags, and no completion tail when nobody listens. Lanes and
+/// flags are the engine's, and the key's cached lowering holds the routes,
+/// folded once. That reads 19 / 15 / 19 / 19; a `Stream` per leg and a
+/// `GpuEvent` per sync point on top of that read 32 / 26 / 45 / 75,
+/// folding the routes per PUT 49 / 37 / 64 / 95, and an op enqueued at a
+/// time, `RING_DEPTH` staging buffers per path and a `FREED` event per
+/// chunk 61 / 52 / 103 / 140. A replay allocates its queues, wakers, tail
+/// and flag list, whatever the size (17 / 14 / 17 / 17; 19 / 15 / 19 / 19
+/// with a tail callback per path).
 #[test]
 fn a_put_issue_allocates_within_its_ceiling() {
     let interpreted = put_allocations(false);
-    for ((mib, issue, _), cap) in interpreted.into_iter().zip([37, 31, 50, 80]) {
+    for ((mib, issue, _), cap) in interpreted.into_iter().zip([19, 15, 19, 19]) {
         assert!(issue <= cap, "{mib} MiB put_async: {issue} > {cap}");
     }
     for (mib, issue, _) in put_allocations(true) {
-        assert!(issue <= 23, "{mib} MiB put_replayed: {issue} > 23");
+        assert!(issue <= 17, "{mib} MiB put_replayed: {issue} > 17");
     }
 }
 

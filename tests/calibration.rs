@@ -3,9 +3,25 @@
 //! topology's ground-truth link parameters (paper Fig. 2(a) Step 1).
 
 use mpx_model::fit_hockney;
-use mpx_ucx::probe::probe_leg_isolated;
+use mpx_topo::params::LegParams;
 use multipath_gpu::prelude::*;
 use std::sync::Arc;
+
+/// A single route's Hockney parameters in isolation: `α` from its links'
+/// latencies plus the copy launch, `β` from one 256 MiB flow's achieved
+/// rate on an idle scratch engine.
+fn probe_leg_isolated(topo: &Arc<Topology>, route: Vec<LinkId>) -> LegParams {
+    let mut alpha = topo.overheads.copy_launch;
+    for lid in &route {
+        alpha += topo.link(*lid).expect("route link").latency;
+    }
+    let eng = Engine::with_tracing(topo.clone(), true);
+    eng.start_flow(FlowSpec::new(route, 256 << 20), OnComplete::Nothing);
+    eng.run_until_idle();
+    let rec = &eng.take_trace()[0];
+    let beta = rec.bytes as f64 / rec.completed.secs_since(rec.activated);
+    LegParams { alpha, beta }
+}
 
 /// Sweep a single link with flows of increasing size; fit Hockney; the
 /// fitted (α, β) must match the link's declared parameters.
@@ -135,4 +151,20 @@ fn probed_parameters_beat_datasheet_on_narval_host_path() {
         probed / 1e9,
         datasheet / 1e9
     );
+}
+
+/// Alone, a host-staged leg runs at its narrowest link: on narval
+/// min(PCIe 24, DRAM 19) = 19 GB/s.
+#[test]
+fn isolated_leg_probe_matches_bottleneck() {
+    let topo = Arc::new(presets::narval());
+    let gpus = topo.gpus();
+    let hm = topo.local_host_memory(gpus[0]).unwrap();
+    let route = vec![
+        topo.link_between(gpus[0], hm).unwrap().id,
+        topo.link_between(hm, hm).unwrap().id,
+    ];
+    let leg = probe_leg_isolated(&topo, route);
+    assert!((leg.beta - 19e9).abs() < 1e8, "{}", leg.beta);
+    assert!(leg.alpha > 0.0);
 }

@@ -336,3 +336,66 @@ fn a_healed_link_gets_its_share_back() {
         healed.describe()
     );
 }
+
+/// A probed context on beluga with a recorder, and its first GPU pair.
+fn recorded_context() -> (UcxContext, Recorder, DeviceId, DeviceId) {
+    let topo = Arc::new(preset("beluga"));
+    let eng = Engine::new(topo.clone());
+    let rec = Recorder::new();
+    eng.set_recorder(rec.clone());
+    let ctx = UcxContext::new(GpuRuntime::new(eng), UcxConfig::default());
+    (ctx, rec, topo.gpus()[0], topo.gpus()[1])
+}
+
+/// The probes a recorder saw run.
+fn probes(rec: &Recorder) -> usize {
+    let calibrations = rec.snapshot().into_iter();
+    calibrations
+        .filter(|e| e.name() == "probe-calibrate")
+        .count()
+}
+
+/// Plans of four sizes, every field.
+fn plans(ctx: &UcxContext, a: DeviceId, b: DeviceId) -> Vec<String> {
+    let sizes = [2 * MIB, 8 * MIB, 32 * MIB, 128 * MIB];
+    sizes
+        .map(|n| exact(&ctx.plan_for(a, b, n).unwrap()))
+        .to_vec()
+}
+
+/// A probe is a function of the paths and the live capacities: a drift on
+/// an unchanged fabric still drops the pair's plans, but its next plans
+/// come from the entry it had, bit for bit, and no probe runs.
+#[test]
+fn plans_after_a_drift_on_an_unchanged_fabric_are_bit_identical() {
+    let (ctx, rec, a, b) = recorded_context();
+    let before = plans(&ctx, a, b);
+    assert!(ctx.record_observation(a, b, 32 * MIB, 1e6), "a drift");
+    assert_eq!(ctx.cache_stats().invalidations, 1, "one invalidation");
+    assert_eq!(plans(&ctx, a, b), before);
+    assert_eq!(probes(&rec), 1);
+}
+
+/// A capacity that moves between the drift and the next plan is probed
+/// again: the plan is a fresh context's on the changed fabric.
+#[test]
+fn a_capacity_change_after_a_drift_still_reprobes() {
+    let (ctx, rec, a, b) = recorded_context();
+    plans(&ctx, a, b);
+    assert!(ctx.record_observation(a, b, 32 * MIB, 1e6), "a drift");
+    let eng = ctx.runtime().engine();
+    let link = ctx
+        .paths_for(a, b, PathSelection::THREE_GPUS_WITH_HOST)
+        .unwrap()[1]
+        .legs[0]
+        .route[0];
+    eng.set_link_capacity(link, eng.link_capacity(link) * 0.5);
+    let fresh = UcxContext::new(
+        GpuRuntime::new(Engine::new(eng.topology().clone())),
+        UcxConfig::default(),
+    );
+    let fresh_eng = fresh.runtime().engine();
+    fresh_eng.set_link_capacity(link, eng.link_capacity(link));
+    assert_eq!(plans(&ctx, a, b), plans(&fresh, a, b));
+    assert_eq!(probes(&rec), 2);
+}
