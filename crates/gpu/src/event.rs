@@ -5,7 +5,7 @@
 //! (paper Section 3.4). An event is created unrecorded and completed by a
 //! `Record` op, after which waits pass immediately; [`GpuEvent::reset`]
 //! rearms it, as CUDA reuses events. It is a front end over an engine flag
-//! ([`mpx_sim::Lanes`]), bound when a stream first uses it.
+//! ([`mpx_sim::Lanes`]) of the engine whose stream first uses it.
 
 use mpx_sim::{Engine, FlagId, Handle, Label, Lanes};
 use std::fmt;

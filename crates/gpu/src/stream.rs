@@ -238,8 +238,8 @@ impl Stream {
     }
 
     /// Enqueues a callback run in the event loop once every earlier op has
-    /// retired. The callback receives the engine context and must not
-    /// block.
+    /// retired. The callback receives the engine context and must neither
+    /// block nor call a stream: it runs under the engine lock.
     pub fn callback(&self, f: EventFn) {
         self.submit_ops([Op::Lane(LaneOp::Call(f))]);
     }
