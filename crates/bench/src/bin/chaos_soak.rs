@@ -5,14 +5,16 @@
 //! Per seed, a [`mpx_sim::FaultPlan::random_soak`] storm (degrades,
 //! latency spikes, flaps, rationed kills — the drivers' direct links are
 //! protected so a route always survives) rains on one engine while three
-//! driver threads push transfers through it concurrently:
+//! driver tasks (`mpx_sim::task`, run in task order, so a seed repeats to
+//! the bit) push transfers through it concurrently:
 //!
-//! * a **resilient** driver (`put_resilient`: deadlines, retries,
-//!   re-plans),
-//! * a **plain** driver (`put` with the compiled-graph replay fast path
-//!   on; a stuck pipeline surfaces as [`mpx_ucx::TransferError::Stuck`]
-//!   and escalates to `put_resilient`),
-//! * a **hedged** driver (`put_hedged`: stalled primaries race their
+//! * a **resilient** driver ([`TransferPolicy::RESILIENT`]: deadlines,
+//!   retries, re-plans),
+//! * a **plain** driver ([`TransferPolicy::PLAIN`] with the
+//!   compiled-graph replay fast path on; a stuck pipeline surfaces as
+//!   [`mpx_ucx::TransferError::Stuck`] and escalates to the resilient
+//!   policy),
+//! * a **hedged** driver (a racing policy: stalled attempts race their
 //!   residual on healthy paths).
 //!
 //! After every storm the harness asserts: every byte bit-exact, the run
@@ -46,12 +48,11 @@
 
 use mpx_gpu::GpuRuntime;
 use mpx_obs::{AnomalyConfig, AnomalyEngine, Event, FlightRecorder, Phase, TelemetryRegistry};
-use mpx_sim::{Engine, FaultInjector, FaultKind, FaultPlan, SimTime};
+use mpx_sim::{task, Engine, FaultInjector, FaultKind, FaultPlan, Label, SimTime};
 use mpx_topo::units::MIB;
 use mpx_topo::{presets, DeviceId, LinkId, PathSelection, Topology};
-use mpx_ucx::{HealthConfig, HedgeConfig, RecoveryConfig, TransferError, UcxConfig, UcxContext};
+use mpx_ucx::{DeadlinePolicy, HealthConfig, TransferPolicy, UcxConfig, UcxContext};
 use serde_json::{json, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Committed seeds: the acceptance runs exactly these.
@@ -202,9 +203,10 @@ fn size_at(driver: usize, iter: usize) -> usize {
     4 * MIB + 4 * (((iter * 37987 + driver * 104729) * 1021) % (20 * MIB / 4))
 }
 
+#[derive(Default)]
 struct DriverOutcome {
-    puts: u64,
     escalations: u64,
+    hedge_rounds: u64,
 }
 
 /// One seeded storm over one engine with three concurrent drivers.
@@ -265,77 +267,52 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
     let storm = FaultPlan::random_soak(topo, seed, 0.01, 24, &protect);
     FaultInjector::install(ctx.runtime().engine(), &storm);
 
-    // Quorum rule: register every driver thread before spawning any.
-    let threads: Vec<_> = (0..3)
-        .map(|d| ctx.runtime().engine().register_thread(format!("chaos{d}")))
-        .collect();
-    let escalations = AtomicU64::new(0);
-    let hedge_rounds = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for (driver, thread) in threads.into_iter().enumerate() {
-            let ctx = ctx.clone();
-            let (src_dev, dst_dev) = pairs[driver];
-            let escalations = &escalations;
-            let hedge_rounds = &hedge_rounds;
-            scope.spawn(move || {
-                let mut out = DriverOutcome {
-                    puts: 0,
-                    escalations: 0,
+    let hedged = TransferPolicy {
+        deadline: DeadlinePolicy::new(TransferPolicy::HEDGED.deadline.slack, 1e-5),
+        retries: 4,
+        race: true,
+    };
+    let drivers = (0..3).map(|driver| {
+        let (ctx, (src_dev, dst_dev)) = (&ctx, pairs[driver]);
+        let body = async move {
+            let mut out = DriverOutcome::default();
+            for iter in 0..PUTS_PER_DRIVER {
+                let n = size_at(driver, iter);
+                let data = pattern(driver, iter, n);
+                let src = ctx.runtime().alloc_bytes(src_dev, data.clone());
+                let dst = ctx.runtime().alloc_zeroed(dst_dev, n);
+                let policy = match driver {
+                    // Resilient driver: deadline/retry/re-plan loop.
+                    0 => TransferPolicy::RESILIENT,
+                    // Plain driver: replay fast path; a stuck pipeline
+                    // escalates instead of panicking.
+                    1 => TransferPolicy::PLAIN,
+                    // Hedged driver: race stalled residuals.
+                    _ => hedged,
                 };
-                for iter in 0..PUTS_PER_DRIVER {
-                    let n = size_at(driver, iter);
-                    let data = pattern(driver, iter, n);
-                    let src = ctx.runtime().alloc_bytes(src_dev, data.clone());
-                    let dst = ctx.runtime().alloc_zeroed(dst_dev, n);
-                    let rcfg = RecoveryConfig::default();
-                    match driver {
-                        // Resilient driver: deadline/retry/re-plan loop.
-                        0 => {
-                            ctx.put_resilient(&thread, &src, &dst, n, &rcfg)
-                                .expect("resilient put must survive the storm");
-                        }
-                        // Plain driver: replay fast path; a stuck
-                        // pipeline escalates instead of panicking.
-                        1 => {
-                            if let Err(TransferError::Stuck { .. }) =
-                                ctx.put(&thread, &src, &dst, n)
-                            {
-                                out.escalations += 1;
-                                ctx.put_resilient(&thread, &src, &dst, n, &rcfg)
-                                    .expect("escalated put must survive");
-                            }
-                        }
-                        // Hedged driver: race stalled residuals.
-                        _ => {
-                            let hcfg = HedgeConfig {
-                                min_trigger: 1e-5,
-                                max_hedges: 4,
-                                ..HedgeConfig::default()
-                            };
-                            match ctx.put_hedged(&thread, &src, &dst, n, &hcfg) {
-                                Ok(r) => {
-                                    hedge_rounds.fetch_add(r.hedges, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    out.escalations += 1;
-                                    ctx.put_resilient(&thread, &src, &dst, n, &rcfg)
-                                        .expect("escalated hedge must survive");
-                                }
-                            }
-                        }
+                match ctx.transfer(&src, &dst, n, &policy).await {
+                    Ok(r) => out.hedge_rounds += if policy.race { r.retries } else { 0 },
+                    Err(e) => {
+                        assert!(driver > 0, "resilient put must survive the storm: {e}");
+                        out.escalations += 1;
+                        ctx.transfer(&src, &dst, n, &TransferPolicy::RESILIENT)
+                            .await
+                            .expect("escalated put must survive");
                     }
-                    assert_eq!(
-                        dst.to_vec().expect("readback"),
-                        data,
-                        "seed {seed} driver {driver} iter {iter}: bytes corrupted"
-                    );
-                    out.puts += 1;
                 }
-                escalations.fetch_add(out.escalations, Ordering::Relaxed);
-                out
-            });
-        }
+                assert_eq!(
+                    dst.to_vec().expect("readback"),
+                    data,
+                    "seed {seed} driver {driver} iter {iter}: bytes corrupted"
+                );
+            }
+            out
+        };
+        (Label::from(format!("chaos{driver}")), body)
     });
+    let outcomes = task::run(ctx.runtime().engine(), drivers);
+    let escalations: u64 = outcomes.iter().map(|o| o.escalations).sum();
+    let hedge_rounds: u64 = outcomes.iter().map(|o| o.hedge_rounds).sum();
 
     let virtual_secs = ctx.runtime().engine().stats().now.as_secs();
     if virtual_secs > MAX_VIRTUAL_SECS {
@@ -374,8 +351,7 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
     if dumps.is_empty() {
         violations.push(format!(
             "seed {seed}: storm fired no black-box dump ({} trips, {} escalations)",
-            h.trips,
-            escalations.load(Ordering::Relaxed)
+            h.trips, escalations
         ));
     }
     let pair_labels: Vec<String> = pairs.iter().map(|&(a, b)| format!("{a}->{b}")).collect();
@@ -417,7 +393,7 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
     println!(
         "{seed:>6} {:>7} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9.2} {:>10}",
         3 * PUTS_PER_DRIVER as u64,
-        escalations.load(Ordering::Relaxed),
+        escalations,
         h.trips,
         h.resets,
         h.breakers_open,
@@ -434,7 +410,7 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
     json!({
         "seed": seed,
         "puts": 3 * PUTS_PER_DRIVER as u64,
-        "escalations": escalations.load(Ordering::Relaxed),
+        "escalations": escalations,
         "trips": h.trips,
         "retrips": h.retrips,
         "resets": h.resets,
@@ -443,7 +419,7 @@ fn soak_one(topo: &Arc<Topology>, seed: u64, violations: &mut Vec<String>) -> Va
         "replays_gated": h.replays_gated,
         "hedges": h.hedges,
         "hedge_wins": h.hedge_wins,
-        "hedge_rounds_observed": hedge_rounds.load(Ordering::Relaxed),
+        "hedge_rounds_observed": hedge_rounds,
         "virtual_secs": virtual_secs,
         "replay_gate_violations": gate_violations,
         "dumps": dumps.len(),
@@ -520,10 +496,8 @@ fn replay_gate_violations(events: &[Event]) -> u64 {
 fn tail_latency_phase(topo: &Arc<Topology>, violations: &mut Vec<String>) -> Value {
     const SAMPLES: usize = 100;
     let n = 16 * MIB;
-    let hcfg = HedgeConfig {
-        min_trigger: 1e-5,
-        ..HedgeConfig::default()
-    };
+    let mut hedged = TransferPolicy::HEDGED;
+    hedged.deadline.floor = 1e-5;
 
     let run = |degrade: bool| -> (Vec<f64>, u64) {
         let ctx = UcxContext::new(
@@ -549,13 +523,13 @@ fn tail_latency_phase(topo: &Arc<Topology>, violations: &mut Vec<String>) -> Val
             FaultInjector::install(ctx.runtime().engine(), &fault);
             ctx.runtime().engine().run_until(SimTime::from_secs(1e-9));
         }
-        let thread = ctx.runtime().engine().register_thread(if degrade {
+        let name = if degrade {
             "tail-degraded"
         } else {
             "tail-healthy"
-        });
-        let c = ctx.clone();
-        std::thread::spawn(move || {
+        };
+        let c = &ctx;
+        let driver = async move {
             let mut elapsed = Vec::with_capacity(SAMPLES);
             let mut hedges = 0u64;
             for iter in 0..SAMPLES {
@@ -563,7 +537,8 @@ fn tail_latency_phase(topo: &Arc<Topology>, violations: &mut Vec<String>) -> Val
                 let src = c.runtime().alloc_bytes(gpus[0], data.clone());
                 let dst = c.runtime().alloc_zeroed(gpus[1], n);
                 let r = c
-                    .put_hedged(&thread, &src, &dst, n, &hcfg)
+                    .transfer(&src, &dst, n, &hedged)
+                    .await
                     .expect("tail-latency put");
                 assert_eq!(
                     dst.to_vec().expect("readback"),
@@ -571,12 +546,12 @@ fn tail_latency_phase(topo: &Arc<Topology>, violations: &mut Vec<String>) -> Val
                     "tail bytes corrupted"
                 );
                 elapsed.push(r.elapsed);
-                hedges += r.hedges;
+                hedges += r.retries;
             }
             (elapsed, hedges)
-        })
-        .join()
-        .expect("tail driver")
+        };
+        let mut out = task::run(ctx.runtime().engine(), [(Label::from(name), driver)]);
+        out.pop().expect("one driver")
     };
 
     let p99 = |samples: &mut Vec<f64>| -> f64 {

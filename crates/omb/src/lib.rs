@@ -37,10 +37,7 @@ pub use collective_bench::{
     allreduce_on, alltoall_on, bcast_on, osu_allgather, osu_allreduce, osu_alltoall, osu_bcast,
     AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, CollectiveConfig,
 };
-pub use panels::{
-    collective_panel, degraded_fabric_panel, p2p_panel, put_once, replay_panel, CollectiveKind,
-    P2pKind,
-};
+pub use panels::{collective_panel, p2p_panel, replay_panel, CollectiveKind, P2pKind};
 pub use pattern::{ring_pairs, run_pattern, PatternPlanning, PatternResult};
 pub use report::{mean_relative_error, size_ladder, Series, SeriesPoint};
 pub use tenants::{two_tenant_allreduce, TenantResult};

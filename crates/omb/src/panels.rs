@@ -8,22 +8,16 @@
 //! * [`collective_panel`] — one panel of Figure 7: `Static` and
 //!   `Dynamic` latency speedups of MPI_Alltoall / MPI_Allreduce over the
 //!   single-path baseline.
-//! * [`degraded_fabric_panel`] — beyond the paper: achieved bandwidth of
-//!   a resilient transfer when the direct link degrades mid-run, with
-//!   and without recalibrating the model against the degraded fabric.
 
 use crate::bw::{osu_bibw_on, osu_bw_on, P2pConfig};
 use crate::collective_bench::{
     allreduce_on, alltoall_on, AllreduceAlgo, AlltoallAlgo, CollectiveConfig,
 };
 use crate::report::Series;
-use mpx_gpu::GpuRuntime;
 use mpx_mpi::World;
-use mpx_sim::{Engine, FaultInjector, FaultKind, FaultPlan, SimTime};
 use mpx_topo::path::PathSelection;
-use mpx_topo::units::Bandwidth;
 use mpx_topo::Topology;
-use mpx_ucx::{RecoveryConfig, TransferError, TuningMode, UcxConfig, UcxContext};
+use mpx_ucx::{TuningMode, UcxConfig};
 use std::sync::Arc;
 
 /// Unidirectional or bidirectional P2P panel.
@@ -199,102 +193,6 @@ pub fn collective_panel(
     vec![stat, dynamic]
 }
 
-/// One resilient transfer of `n` bytes GPU 0 → GPU 1 on a fresh fabric.
-/// `degrade` scales the direct link's bandwidth via an injected fault at
-/// t = 0; `recalibrate` lets the fault land *before* planning, so the
-/// model probes the degraded fabric instead of planning from stale
-/// healthy-fabric parameters.
-fn run_degraded(
-    topo: &Arc<Topology>,
-    sel: PathSelection,
-    n: usize,
-    degrade: Option<f64>,
-    recalibrate: bool,
-) -> Bandwidth {
-    let rt = GpuRuntime::new(Engine::new(topo.clone()));
-    let ctx = UcxContext::new(
-        rt,
-        UcxConfig {
-            selection: sel,
-            ..UcxConfig::default()
-        },
-    );
-    let gpus = topo.gpus();
-    let link = topo.link_between(gpus[0], gpus[1]).expect("direct link").id;
-    if let Some(factor) = degrade {
-        let plan = FaultPlan::empty().with(0.0, link, FaultKind::Degrade { factor });
-        FaultInjector::install(ctx.runtime().engine(), &plan);
-        if recalibrate {
-            // Fire the fault now (callback mode, before any thread
-            // registers); the first plan then probes degraded capacities.
-            ctx.runtime().engine().run_until(SimTime::from_secs(1e-9));
-        }
-    }
-    let src = ctx.runtime().alloc(gpus[0], n);
-    let dst = ctx.runtime().alloc(gpus[1], n);
-    let thread = ctx.runtime().engine().register_thread("degraded-driver");
-    let ctx2 = ctx.clone();
-    let worker = std::thread::spawn(move || {
-        let t0 = thread.now();
-        ctx2.put_resilient(&thread, &src, &dst, n, &RecoveryConfig::default())
-            .expect("resilient put");
-        n as f64 / thread.now().secs_since(t0)
-    });
-    worker.join().expect("driver thread")
-}
-
-/// The degraded-fabric panel: achieved bandwidth over message sizes for
-/// three regimes — `Healthy` fabric, `Stale Plan` (direct link degraded
-/// to `degrade_factor` at t = 0 but planned with healthy parameters),
-/// and `Recalibrated` (same fault, parameters re-probed after it).
-/// All three run through the resilient PUT path, so deadline/retry
-/// machinery is exercised even when it never has to fire.
-pub fn degraded_fabric_panel(
-    topo: &Arc<Topology>,
-    sel: PathSelection,
-    sizes: &[usize],
-    degrade_factor: f64,
-) -> Vec<Series> {
-    let mut healthy = Series::new("Healthy");
-    let mut stale = Series::new("Stale Plan");
-    let mut recal = Series::new("Recalibrated");
-    for &n in sizes {
-        healthy.push(n, run_degraded(topo, sel, n, None, false));
-        stale.push(n, run_degraded(topo, sel, n, Some(degrade_factor), false));
-        recal.push(n, run_degraded(topo, sel, n, Some(degrade_factor), true));
-    }
-    vec![healthy, stale, recal]
-}
-
-/// One plain (non-resilient) PUT of `n` bytes GPU 0 → GPU 1 on a fresh
-/// fabric, with an optional fault plan installed before launch. Returns
-/// the achieved bandwidth — or the transport's typed error when the
-/// fabric strands the transfer, so benchmark drivers can report a
-/// degraded-fabric run as a result instead of dying mid-suite (plain
-/// `put` used to panic on a stuck pipeline).
-pub fn put_once(
-    topo: &Arc<Topology>,
-    ucx_cfg: UcxConfig,
-    n: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<Bandwidth, TransferError> {
-    let rt = GpuRuntime::new(Engine::new(topo.clone()));
-    let ctx = UcxContext::new(rt, ucx_cfg);
-    if let Some(plan) = faults {
-        FaultInjector::install(ctx.runtime().engine(), plan);
-    }
-    let gpus = topo.gpus();
-    let src = ctx.runtime().alloc(gpus[0], n);
-    let dst = ctx.runtime().alloc(gpus[1], n);
-    let thread = ctx.runtime().engine().register_thread("put-once-driver");
-    let worker = std::thread::spawn(move || {
-        let t0 = thread.now();
-        ctx.put(&thread, &src, &dst, n)?;
-        Ok(n as f64 / thread.now().secs_since(t0))
-    });
-    worker.join().expect("driver thread")
-}
-
 fn run_collective(world: &World, kind: CollectiveKind, n: usize, coll: CollectiveConfig) -> f64 {
     // `n` is the per-rank message size (the paper's Fig. 7 x-axis).
     match kind {
@@ -383,60 +281,6 @@ mod tests {
                 "replay must never regress: {:.3}x at {n} B",
                 gain(n)
             );
-        }
-    }
-
-    #[test]
-    fn degraded_panel_orders_regimes() {
-        let topo = Arc::new(presets::beluga());
-        let sizes = [32 * MIB];
-        let panel = degraded_fabric_panel(&topo, PathSelection::THREE_GPUS, &sizes, 0.35);
-        assert_eq!(panel.len(), 3);
-        let healthy = panel[0].at(32 * MIB).unwrap();
-        let stale = panel[1].at(32 * MIB).unwrap();
-        let recal = panel[2].at(32 * MIB).unwrap();
-        assert!(
-            healthy > stale,
-            "healthy {healthy} must beat stale-plan degraded {stale}"
-        );
-        assert!(
-            recal >= 0.98 * stale,
-            "recalibrated {recal} must not trail stale plan {stale}"
-        );
-        assert!(recal < healthy, "degraded fabric cannot reach healthy bw");
-    }
-
-    #[test]
-    fn put_once_measures_a_healthy_fabric() {
-        let topo = Arc::new(presets::beluga());
-        let bw = put_once(&topo, UcxConfig::default(), 32 * MIB, None)
-            .expect("healthy fabric must not strand a put");
-        assert!(bw > 0.0);
-    }
-
-    /// A mid-transfer kill with no surviving path surfaces as the typed
-    /// stuck error, naming the stranded bytes — not a panic.
-    #[test]
-    fn put_once_surfaces_a_stuck_fabric_as_an_error() {
-        let topo = Arc::new(presets::beluga());
-        let gpus = topo.gpus();
-        let link = topo.link_between(gpus[0], gpus[1]).expect("direct").id;
-        let cfg = UcxConfig {
-            selection: PathSelection::DIRECT_ONLY,
-            mode: TuningMode::SinglePath,
-            ..UcxConfig::default()
-        };
-        // Kill well inside any plausible transfer time of 32 MiB over a
-        // single NVLink, so the pipeline is stranded mid-flight.
-        let faults = FaultPlan::empty().with(2e-5, link, FaultKind::Kill);
-        let err = put_once(&topo, cfg, 32 * MIB, Some(&faults))
-            .expect_err("severed direct-only fabric must strand the put");
-        match err {
-            TransferError::Stuck { bytes, elapsed } => {
-                assert!(bytes > 0, "stuck error must name the stranded bytes");
-                assert!(elapsed > 0.0);
-            }
-            other => panic!("expected Stuck, got {other}"),
         }
     }
 

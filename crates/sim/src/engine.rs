@@ -8,9 +8,9 @@
 //! task can move; a task waits by awaiting [`crate::task::wait`] on a
 //! [`Waker`], and a run repeats to the bit.
 //!
-//! The actors still on OS threads (blocking `put_resilient` /
-//! `put_hedged` callers and the rank threads of `World::run`) register
-//! via [`Engine::register_thread`] and block in [`SimThread::wait`].
+//! The actors still on OS threads (the rank threads of `World::run` and
+//! `Stream::synchronize` callers) register via [`Engine::register_thread`]
+//! and block in [`SimThread::wait`].
 //! Virtual time then only advances when *all* registered threads are
 //! blocked: the last thread to block becomes the coordinator, pops the
 //! earliest event, advances `now`, and handles it. Handling an event may

@@ -24,8 +24,8 @@
 //!   ([`Engine::register_thread`]) and write straight-line blocking code
 //!   ([`SimThread::sleep`], [`SimThread::wait`], [`SimThread::transfer`]).
 //!   Virtual time advances only when every registered thread is blocked.
-//!   What is left on it: the blocking `put_resilient` / `put_hedged`
-//!   drivers and the rank threads of `World::run`.
+//!   What is left on it: the rank threads of `World::run` (and their
+//!   `waitall`) and `Stream::synchronize` callers.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -11,7 +11,7 @@ use crate::compile::{fold_routes, interpret_once, GraphCache, GraphStats};
 use crate::health::{BreakerEvent, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions};
 use crate::pipeline::{TransferHandle, TransferObs};
 use crate::probe::probe_live;
-use crate::recover::{ResilienceCounters, ResilienceStats};
+use crate::transfer::{ResilienceCounters, ResilienceStats};
 use crate::tuner::{manual_plan, tune_exhaustive, TuneResult};
 use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::{PairKey, PlanTable, Planner, PlannerConfig, ShardedMap, TransferPlan};
@@ -19,12 +19,10 @@ use mpx_obs::{
     AnomalyEngine, Phase, QuantileHist, Recorder, ResidualReport, ResidualTracker,
     TelemetryRegistry, TriggerClass,
 };
-use mpx_sim::{Route, SimThread};
+use mpx_sim::Route;
 use mpx_topo::path::{enumerate_paths_auto, PathSelection, TransferPath};
-use mpx_topo::units::Secs;
 use mpx_topo::{DeviceId, TopologyError};
 use parking_lot::RwLock;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -79,13 +77,13 @@ pub struct UcxConfig {
     /// instead of interpreted. Off by default: the interpreted launch
     /// reproduces the source paper's per-transfer overhead model bit for
     /// bit; a replay charges one launch cost per path instead of the
-    /// per-copy software costs, which is exactly its point. Recovery and
-    /// supervised traffic, and pairs whose replays the health layer
-    /// gates, stay interpreted — see [`UcxContext::put_replayed`] and
-    /// `DESIGN.md` §4e.
+    /// per-copy software costs, which is exactly its point. A
+    /// [`UcxContext::transfer`] with a retry budget, supervised traffic,
+    /// and pairs whose replays the health layer gates stay interpreted —
+    /// see [`UcxContext::put_replayed`] and `DESIGN.md` §4e.
     pub graph_replay: bool,
     /// Path-health supervision tunables (circuit breakers, replay
-    /// gating, hedging) — see `DESIGN.md` §4f.
+    /// gating) — see `DESIGN.md` §4f.
     pub health: HealthConfig,
 }
 
@@ -101,44 +99,6 @@ impl Default for UcxConfig {
             graph_replay: false,
             health: HealthConfig::default(),
         }
-    }
-}
-
-/// A plain (non-resilient) PUT that could not complete.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TransferError {
-    /// Planning/topology failure.
-    Topology(TopologyError),
-    /// The transfer wedged: bytes still unfinished long past the plan's
-    /// prediction (three orders of magnitude of slack). The fabric is
-    /// degraded — escalate to [`UcxContext::put_resilient`] or
-    /// [`UcxContext::put_hedged`].
-    Stuck {
-        /// Bytes that never landed.
-        bytes: u64,
-        /// Virtual-time seconds spent waiting.
-        elapsed: Secs,
-    },
-}
-
-impl fmt::Display for TransferError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransferError::Topology(e) => write!(f, "transfer planning failed: {e}"),
-            TransferError::Stuck { bytes, elapsed } => write!(
-                f,
-                "transfer stuck: {bytes} bytes unfinished after {elapsed:.6}s; \
-                 fabric degraded? escalate to put_resilient or put_hedged"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TransferError {}
-
-impl From<TopologyError> for TransferError {
-    fn from(e: TopologyError) -> TransferError {
-        TransferError::Topology(e)
     }
 }
 
@@ -502,7 +462,7 @@ impl UcxContext {
         dst: &Buffer,
         n: usize,
     ) -> Result<TransferHandle, TopologyError> {
-        self.put_inner(src, 0, dst, 0, n, &[], false)
+        Ok(self.put_inner(src, 0, dst, 0, n, &[], false)?.0)
     }
 
     /// The most general PUT: `n` bytes from `src[src_off..]` into
@@ -520,7 +480,8 @@ impl UcxContext {
         n: usize,
         notify: &[mpx_sim::Waker],
     ) -> Result<TransferHandle, TopologyError> {
-        self.put_inner(src, src_off, dst, dst_off, n, notify, false)
+        let (h, _) = self.put_inner(src, src_off, dst, dst_off, n, notify, false)?;
+        Ok(h)
     }
 
     /// An asynchronous PUT replayed regardless of
@@ -534,16 +495,17 @@ impl UcxContext {
         dst: &Buffer,
         n: usize,
     ) -> Result<TransferHandle, TopologyError> {
-        self.put_inner(src, 0, dst, 0, n, &[], true)
+        Ok(self.put_inner(src, 0, dst, 0, n, &[], true)?.0)
     }
 
     /// Every PUT funnels through here: plan (cached), resolve paths, fetch
     /// the key's lowering (lowering it on a miss or a change of shape),
-    /// then launch it replayed or interpreted. Replays still go through
+    /// then launch it replayed or interpreted; returns the handle and the
+    /// transfer's sequence number. Replays still go through
     /// [`UcxContext::plan_for`], so plan-cache counters and drift
     /// detection see identical traffic whichever launch runs the bytes.
     #[allow(clippy::too_many_arguments)]
-    fn put_inner(
+    pub(crate) fn put_inner(
         &self,
         src: &Buffer,
         src_off: usize,
@@ -552,7 +514,7 @@ impl UcxContext {
         n: usize,
         notify: &[mpx_sim::Waker],
         force_graph: bool,
-    ) -> Result<TransferHandle, TopologyError> {
+    ) -> Result<(TransferHandle, u64), TopologyError> {
         // Fast-path guard: on a healthy fabric with every breaker Closed
         // the supervision layer costs two relaxed atomic loads and one
         // lock-free engine flag — nothing else.
@@ -590,7 +552,8 @@ impl UcxContext {
         let obs = self.transfer_obs(src.device(), dst.device());
         let (from, to) = ((src, src_off), (dst, dst_off));
         if !replay {
-            return Ok(lowered.interpret(rt, from, to, seq, predicted, notify, obs));
+            let h = lowered.interpret(rt, from, to, seq, predicted, notify, obs);
+            return Ok((h, seq));
         }
         // Per-replay first-copy cost: one graph launch plus whatever the
         // IPC cache still charges for this destination handle. The per-op
@@ -608,15 +571,16 @@ impl UcxContext {
             }
         };
         self.inner.graphs.replays.fetch_add(1, Ordering::Relaxed);
-        Ok(lowered.replay(rt, from, to, seq, predicted, extra, notify, obs, created))
+        let h = lowered.replay(rt, from, to, seq, predicted, extra, notify, obs, created);
+        Ok((h, seq))
     }
 
     /// The supervised planning path, taken only when a breaker is open
-    /// somewhere or a link is down: trips breakers on dead routes,
-    /// collects this pair's exclusions, and — when any exist — plans the
-    /// transfer over the surviving candidates only (order-preserving, as
-    /// `Planner::plan_excluding` guarantees). Returns `Ok(None)` when
-    /// the pair has no exclusions and the normal cached path should run.
+    /// somewhere or a link is down: collects this pair's exclusions and —
+    /// when any exist — plans the transfer over the surviving candidates
+    /// only (order-preserving, as `Planner::plan_excluding` guarantees).
+    /// Returns `Ok(None)` when the pair has no exclusions and the normal
+    /// cached path should run.
     #[allow(clippy::too_many_arguments)]
     fn put_supervised(
         &self,
@@ -626,57 +590,53 @@ impl UcxContext {
         dst_off: usize,
         n: usize,
         notify: &[mpx_sim::Waker],
-    ) -> Result<Option<TransferHandle>, TopologyError> {
+    ) -> Result<Option<(TransferHandle, u64)>, TopologyError> {
+        let (sd, dd) = (src.device(), dst.device());
         let sel = self.effective_selection();
-        let pair = self.pair_key(src.device(), dst.device(), sel);
-        let eng = self.inner.rt.engine();
-        let paths = self.paths_for(src.device(), dst.device(), sel)?;
-        let now = eng.now().as_secs();
-        let adm = self.inner.health.admissions(pair, paths.len(), now);
-        self.health_record_probes(
-            &format!("pair:{}->{}", src.device(), dst.device()),
-            &adm,
-            now,
-        );
-        let mut excluded = adm.excluded;
-        if eng.any_link_down() {
-            for (i, p) in paths.iter().enumerate() {
-                if excluded.contains(&i) {
-                    continue;
-                }
-                if p.legs
-                    .iter()
-                    .any(|leg| leg.route.iter().any(|&l| !eng.link_is_up(l)))
-                {
-                    self.health_path_failure(pair, i, p, "link-down");
-                    excluded.push(i);
-                }
-            }
-        }
-        if excluded.is_empty() {
+        let pair = self.pair_key(sd, dd, sel);
+        let paths = self.paths_for(sd, dd, sel)?;
+        let adm = self.admissions(pair, paths.len(), &format!("pair:{sd}->{dd}"));
+        let (survivors, orig_idx) = self.survivors(pair, &paths, |i| adm.excluded.contains(&i));
+        if survivors.len() == paths.len() {
             return Ok(None);
         }
-        let mut survivors: Vec<TransferPath> = Vec::new();
-        let mut orig_idx: Vec<usize> = Vec::new();
-        for (i, p) in paths.iter().enumerate() {
-            if !excluded.contains(&i) {
-                survivors.push(p.clone());
-                orig_idx.push(i);
-            }
-        }
         if survivors.is_empty() {
-            return Err(TopologyError::NoUsablePath(src.device(), dst.device()));
+            return Err(TopologyError::NoUsablePath(sd, dd));
         }
         // Deliberately uncached: the fabric is in flux, and a cached
         // survivor plan would outlive the exclusions that shaped it.
         let plan = self.inner.planner.compute(n, &survivors)?;
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let obs = self.transfer_obs(src.device(), dst.device());
+        let obs = self.transfer_obs(sd, dd);
         let (rt, routes) = (&self.inner.rt, fold_routes(&survivors));
         let (from, to) = ((src, src_off), (dst, dst_off));
         let mut h = interpret_once(rt, &plan, (&survivors, &routes), from, to, seq, notify, obs);
         h.remap_path_indices(&orig_idx);
-        Ok(Some(h))
+        Ok(Some((h, seq)))
+    }
+
+    /// The candidates a plan may use: every path with `skip(index)` false
+    /// and all its links up, with its candidate index. A path over a down
+    /// link is charged to its breaker as it is dropped.
+    pub(crate) fn survivors(
+        &self,
+        pair: PairKey,
+        paths: &[TransferPath],
+        skip: impl Fn(usize) -> bool,
+    ) -> (Vec<TransferPath>, Vec<usize>) {
+        let eng = self.inner.rt.engine();
+        let any_down = eng.any_link_down();
+        let (mut survivors, mut orig_idx) = (Vec::new(), Vec::new());
+        for (i, p) in paths.iter().enumerate().filter(|&(i, _)| !skip(i)) {
+            let mut links = p.legs.iter().flat_map(|leg| &leg.route);
+            if any_down && links.any(|&l| !eng.link_is_up(l)) {
+                self.health_path_failure(pair, i, p, "link-down");
+                continue;
+            }
+            survivors.push(p.clone());
+            orig_idx.push(i);
+        }
+        (survivors, orig_idx)
     }
 
     /// Counters of the degradation-aware runtime (retries, re-plans,
@@ -910,60 +870,6 @@ impl UcxContext {
         true
     }
 
-    /// Blocking PUT from a simulated rank thread.
-    ///
-    /// Guarded: waits with a deadline three orders of magnitude beyond
-    /// the plan's prediction, then returns [`TransferError::Stuck`] with
-    /// the residual byte count instead of hanging the rank thread
-    /// forever. A stuck PUT charges the stalled paths' circuit breakers,
-    /// so even plain traffic feeds the supervision layer. Callers that
-    /// want in-line recovery use [`UcxContext::put_resilient`] or
-    /// [`UcxContext::put_hedged`].
-    pub fn put(
-        &self,
-        thread: &SimThread,
-        src: &Buffer,
-        dst: &Buffer,
-        n: usize,
-    ) -> Result<(), TransferError> {
-        let plan = self.plan_for(src.device(), dst.device(), n)?;
-        let pair = self.pair_key(src.device(), dst.device(), self.effective_selection());
-        let t0 = thread.now();
-        let h = self.put_async(src, dst, n)?;
-        let deadline = crate::deadline::DeadlinePolicy::STUCK.deadline(t0, plan.predicted_time);
-        match h.wait_deadline(thread, deadline) {
-            Ok(()) => {
-                self.health_mark_success(pair, &h);
-                Ok(())
-            }
-            Err(_) => {
-                let mut bytes = 0u64;
-                let paths = self.paths_for(src.device(), dst.device(), self.effective_selection());
-                for s in h.unfinished() {
-                    bytes += s.bytes as u64;
-                    if let Ok(paths) = &paths {
-                        self.health_path_failure(
-                            pair,
-                            s.path_index,
-                            &paths[s.path_index],
-                            "stuck-put",
-                        );
-                    }
-                }
-                let elapsed = thread.now().secs_since(t0);
-                let path = h.unfinished().first().map(|s| s.path_index);
-                self.anomaly_signal(TriggerClass::StuckTransfer, path, || {
-                    let pair = format!("{}->{}", src.device(), dst.device());
-                    (
-                        pair,
-                        format!("bytes={bytes} elapsed_us={:.3}", elapsed * 1e6),
-                    )
-                });
-                Err(TransferError::Stuck { bytes, elapsed })
-            }
-        }
-    }
-
     /// The path-health supervisor: breaker states, admissions, counter
     /// snapshots.
     pub fn health(&self) -> &HealthSupervisor {
@@ -989,45 +895,35 @@ impl UcxContext {
         if !self.inner.cfg.health.enabled {
             return;
         }
-        let eng = self.inner.rt.engine();
+        let (eng, health) = (self.inner.rt.engine(), &self.inner.health);
         let now = eng.now().as_secs();
-        let dead = path
-            .legs
-            .iter()
-            .any(|leg| leg.route.iter().any(|&l| !eng.link_is_up(l)));
+        let mut links = path.legs.iter().flat_map(|leg| &leg.route);
+        let dead = links.any(|&l| !eng.link_is_up(l));
         let ev = if dead {
-            self.inner.health.trip(pair, path_index, now)
+            health.trip(pair, path_index, now)
         } else {
-            self.inner.health.note_failure(pair, path_index, now)
+            health.note_failure(pair, path_index, now)
         };
-        match ev {
-            BreakerEvent::Tripped | BreakerEvent::Retripped => {
-                self.inner.graphs.invalidate_pair(&pair);
-                let pair_label = || format!("{}->{}", pair.0, pair.1);
-                if let Some(rec) = &self.inner.obs {
-                    rec.instant(
-                        Phase::Health,
-                        format!("pair:{}", pair_label()),
-                        if ev == BreakerEvent::Tripped {
-                            "breaker.trip"
-                        } else {
-                            "breaker.retrip"
-                        },
-                        now,
-                        format!("path={path_index} why={why} dead_link={dead}"),
-                    );
-                }
-                let class = if ev == BreakerEvent::Tripped {
-                    TriggerClass::BreakerTrip
-                } else {
-                    TriggerClass::BreakerRetrip
-                };
-                self.anomaly_signal(class, Some(path_index), || {
-                    (pair_label(), format!("why={why} dead_link={dead}"))
-                });
-            }
-            BreakerEvent::Reset | BreakerEvent::None => {}
+        let (name, class) = match ev {
+            BreakerEvent::Tripped => ("breaker.trip", TriggerClass::BreakerTrip),
+            BreakerEvent::Retripped => ("breaker.retrip", TriggerClass::BreakerRetrip),
+            BreakerEvent::Reset | BreakerEvent::None => return,
+        };
+        self.inner.graphs.invalidate_pair(&pair);
+        let pair_label = || format!("{}->{}", pair.0, pair.1);
+        if let Some(rec) = &self.inner.obs {
+            let detail = format!("path={path_index} why={why} dead_link={dead}");
+            rec.instant(
+                Phase::Health,
+                format!("pair:{}", pair_label()),
+                name,
+                now,
+                detail,
+            );
         }
+        self.anomaly_signal(class, Some(path_index), || {
+            (pair_label(), format!("why={why} dead_link={dead}"))
+        });
     }
 
     /// Credits every active path of a cleanly completed handle; a
@@ -1052,29 +948,33 @@ impl UcxContext {
         }
     }
 
-    /// Records a `breaker.probe` instant for each Open → HalfOpen
-    /// re-admission an admissions query just performed.
-    pub(crate) fn health_record_probes(&self, track: &str, adm: &PathAdmissions, now: Secs) {
-        if adm.probing.is_empty() {
-            return;
-        }
-        if let Some(rec) = &self.inner.obs {
+    /// Which of the pair's candidates its breakers admit now, recording a
+    /// `breaker.probe` instant on `track` for each Open → HalfOpen
+    /// re-admission the query performs.
+    pub(crate) fn admissions(&self, pair: PairKey, paths: usize, track: &str) -> PathAdmissions {
+        let now = self.inner.rt.engine().now().as_secs();
+        let adm = self.inner.health.admissions(pair, paths, now);
+        if let (Some(rec), false) = (&self.inner.obs, adm.probing.is_empty()) {
+            let trials = self.inner.cfg.health.half_open_trials;
             for &i in &adm.probing {
+                let detail = format!("path={i} trials={trials}");
                 rec.instant(
                     Phase::Health,
                     track.to_string(),
                     "breaker.probe",
                     now,
-                    format!("path={i} trials={}", self.inner.cfg.health.half_open_trials),
+                    detail,
                 );
             }
         }
+        adm
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transfer::TransferPolicy;
     use mpx_sim::Engine;
     use mpx_topo::presets;
     use mpx_topo::units::MIB;
@@ -1134,19 +1034,15 @@ mod tests {
     }
 
     #[test]
-    fn blocking_put_from_thread() {
+    fn plain_transfer_from_a_task() {
         let c = ctx(TuningMode::Dynamic);
         let gpus = c.runtime().engine().topology().gpus();
         let n = 32 * MIB;
         let src = c.runtime().alloc(gpus[0], n);
         let dst = c.runtime().alloc(gpus[1], n);
-        let t = c.runtime().engine().register_thread("rank0");
-        let c2 = c.clone();
-        let h = std::thread::spawn(move || {
-            c2.put(&t, &src, &dst, n).unwrap();
-            t.now().as_secs()
-        });
-        let elapsed = h.join().unwrap();
+        let put = c.transfer(&src, &dst, n, &TransferPolicy::PLAIN);
+        let report = mpx_sim::task::run(c.runtime().engine(), [("rank0".into(), put)]);
+        let elapsed = report[0].as_ref().unwrap().elapsed;
         assert!(elapsed > 0.0);
         // Multi-path: faster than the direct link alone would allow.
         let direct_floor = n as f64 / 48e9;

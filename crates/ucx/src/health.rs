@@ -1,9 +1,8 @@
-//! Path-health supervision: per-path circuit breakers and hedged
-//! transfers (DESIGN §4f).
+//! Path-health supervision: per-path circuit breakers (DESIGN §4f).
 //!
-//! The recovery loop in [`crate::recover`] reacts *after* a deadline
-//! miss; this layer remembers. Every deadline miss, dead link, and
-//! sustained residual drift charges a per-`(pair, path)` **circuit
+//! A [`UcxContext::transfer`](crate::UcxContext::transfer) reacts *after*
+//! a deadline miss; this layer remembers. Every deadline miss, dead link,
+//! and sustained residual drift charges a per-`(pair, path)` **circuit
 //! breaker** — the classic Closed → Open → HalfOpen machine. Open
 //! breakers bias planning away from the sick path (the context plans the
 //! residual candidate set through `Planner::plan_excluding` semantics),
@@ -13,42 +12,24 @@
 //! traffic: a few clean completions close the breaker, one more failure
 //! re-opens it.
 //!
-//! On top of the breaker sits [`UcxContext::put_hedged`]: a blocking PUT
-//! that waits `predicted_time × factor` for the primary attempt, then
-//! launches the residual byte ranges on the healthiest paths *not*
-//! implicated in the stall and takes the first completion per range.
-//! Duplicate writes are byte-identical by construction, so "cancelling
-//! the loser" is pure accounting — a stalled loser flow on a dead link
-//! never completes and never corrupts.
-//!
 //! The supervisor itself is deliberately free of context plumbing (no
 //! recorder, no engine) so the state machine can be property-tested in
 //! isolation; the context glues breaker events to telemetry instants and
 //! purges of the pair's lowerings.
 
-use crate::compile::{fold_routes, interpret_once};
-use crate::context::UcxContext;
-use crate::deadline::DeadlinePolicy;
-use crate::probe::probe_live;
-use crate::recover::{coalesce, residuals_of, Range, RecoveryError};
-use mpx_gpu::Buffer;
-use mpx_model::{PairKey, TransferPlan};
-use mpx_obs::Phase;
-use mpx_sim::SimThread;
-use mpx_topo::path::TransferPath;
+use mpx_model::PairKey;
 use mpx_topo::units::Secs;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Tunables of the supervision layer, embedded in
 /// [`crate::UcxConfig::health`].
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
-    /// Master switch. Off, the context behaves exactly as before this
-    /// layer existed (and `put` still returns a typed error on a stuck
-    /// transfer rather than panicking).
+    /// Master switch. Off, no breaker is charged, consulted or gated on,
+    /// and a stuck [`crate::UcxContext::transfer`] still returns its
+    /// typed error.
     pub enabled: bool,
     /// Consecutive failures that trip a Closed breaker. Dead links trip
     /// immediately regardless (a down route is definitive, not noise).
@@ -131,10 +112,9 @@ pub struct HealthStats {
     /// Graph replays skipped because the pair had a non-closed breaker
     /// or an active drift suspicion.
     pub replays_gated: u64,
-    /// Hedge rounds launched.
+    /// Racing rounds launched (hedges).
     pub hedges: u64,
-    /// Hedge rounds where the hedge (not the primary) finished the
-    /// residual.
+    /// Racing transfers a hedge, not the missed attempt, finished.
     pub hedge_wins: u64,
 }
 
@@ -217,70 +197,45 @@ impl HealthSupervisor {
         }
     }
 
-    /// Charges one failure (deadline miss, stalled hedge leg). Closed
+    /// Charges one failure (deadline miss, stalled race leg). Closed
     /// breakers accumulate strikes up to the threshold; half-open
     /// breakers re-open on the spot; open breakers extend their window
     /// (the sickness is evidently ongoing).
     pub fn note_failure(&self, pair: PairKey, path: usize, now: Secs) -> BreakerEvent {
-        let mut map = self.breakers.lock();
-        let e = map.entry((pair, path)).or_insert_with(|| {
-            self.entries.fetch_add(1, Ordering::Relaxed);
-            BState::Closed { strikes: 0 }
-        });
-        match e {
-            BState::Closed { strikes } => {
-                *strikes += 1;
-                if *strikes >= self.cfg.failure_threshold.max(1) {
-                    *e = BState::Open {
-                        until: now + self.cfg.open_window,
-                    };
-                    self.non_closed.fetch_add(1, Ordering::Relaxed);
-                    self.trips.fetch_add(1, Ordering::Relaxed);
-                    BreakerEvent::Tripped
-                } else {
-                    BreakerEvent::None
-                }
-            }
-            BState::HalfOpen { .. } => {
-                *e = BState::Open {
-                    until: now + self.cfg.open_window,
-                };
-                self.retrips.fetch_add(1, Ordering::Relaxed);
-                BreakerEvent::Retripped
-            }
-            BState::Open { until } => {
-                *until = now + self.cfg.open_window;
-                BreakerEvent::None
-            }
-        }
+        self.strike(pair, path, now, false)
     }
 
     /// Trips the breaker immediately, bypassing the strike threshold — a
     /// route over a down link is definitive, not noise.
     pub fn trip(&self, pair: PairKey, path: usize, now: Secs) -> BreakerEvent {
+        self.strike(pair, path, now, true)
+    }
+
+    fn strike(&self, pair: PairKey, path: usize, now: Secs, definitive: bool) -> BreakerEvent {
         let mut map = self.breakers.lock();
         let e = map.entry((pair, path)).or_insert_with(|| {
             self.entries.fetch_add(1, Ordering::Relaxed);
             BState::Closed { strikes: 0 }
         });
+        let until = now + self.cfg.open_window;
         match e {
-            BState::Closed { .. } => {
-                *e = BState::Open {
-                    until: now + self.cfg.open_window,
-                };
+            BState::Closed { strikes } => {
+                *strikes += 1;
+                if !definitive && *strikes < self.cfg.failure_threshold.max(1) {
+                    return BreakerEvent::None;
+                }
+                *e = BState::Open { until };
                 self.non_closed.fetch_add(1, Ordering::Relaxed);
                 self.trips.fetch_add(1, Ordering::Relaxed);
                 BreakerEvent::Tripped
             }
             BState::HalfOpen { .. } => {
-                *e = BState::Open {
-                    until: now + self.cfg.open_window,
-                };
+                *e = BState::Open { until };
                 self.retrips.fetch_add(1, Ordering::Relaxed);
                 BreakerEvent::Retripped
             }
-            BState::Open { until } => {
-                *until = now + self.cfg.open_window;
+            BState::Open { until: open_until } => {
+                *open_until = until;
                 BreakerEvent::None
             }
         }
@@ -422,294 +377,6 @@ impl HealthSupervisor {
     }
 }
 
-/// Tunables of a hedged PUT.
-#[derive(Debug, Clone, Copy)]
-pub struct HedgeConfig {
-    /// Hedge trigger: the primary gets `predicted_time × factor` before
-    /// the residual is raced on other paths.
-    pub factor: f64,
-    /// Hedge rounds allowed after the primary attempt.
-    pub max_hedges: u32,
-    /// Floor for every wait, so tiny transfers don't hedge on
-    /// scheduling noise.
-    pub min_trigger: Secs,
-    /// Multiplier on each successive hedge round's wait.
-    pub backoff: f64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            factor: 1.5,
-            max_hedges: 3,
-            min_trigger: 1e-3,
-            backoff: 2.0,
-        }
-    }
-}
-
-/// What a hedged PUT went through.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HedgeReport {
-    /// Hedge rounds launched (0 = the primary met its trigger).
-    pub hedges: u64,
-    /// Bytes raced through hedge rounds (double-sent by design).
-    pub hedged_bytes: u64,
-    /// True when a hedge round, not the primary catching up, finished
-    /// the residual.
-    pub hedge_won: bool,
-    /// End-to-end virtual-time duration.
-    pub elapsed: Secs,
-}
-
-/// Intersection of two sorted, coalesced range lists — the bytes still
-/// missing are exactly those unfinished by *both* the primary and the
-/// hedge (first completion wins per range).
-fn intersect(a: &[Range], b: &[Range]) -> Vec<Range> {
-    let (mut i, mut j) = (0, 0);
-    let mut out = Vec::new();
-    while i < a.len() && j < b.len() {
-        let lo = a[i].offset.max(b[j].offset);
-        let hi = (a[i].offset + a[i].bytes).min(b[j].offset + b[j].bytes);
-        if lo < hi {
-            out.push(Range {
-                offset: lo,
-                bytes: hi - lo,
-            });
-        }
-        if a[i].offset + a[i].bytes <= b[j].offset + b[j].bytes {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    out
-}
-
-impl UcxContext {
-    /// Blocking PUT with tail-latency hedging: the primary attempt gets
-    /// `predicted_time × factor`; past that, the residual ranges are
-    /// raced on the healthiest paths not implicated in the stall and the
-    /// first completion wins per range. Stalled paths charge their
-    /// breakers, so subsequent transfers plan around them before any
-    /// deadline fires.
-    ///
-    /// Duplicate writes are byte-identical, so the losing flow needs no
-    /// cancellation beyond accounting; on a dead link it simply never
-    /// completes.
-    pub fn put_hedged(
-        &self,
-        thread: &SimThread,
-        src: &Buffer,
-        dst: &Buffer,
-        n: usize,
-        hcfg: &HedgeConfig,
-    ) -> Result<HedgeReport, RecoveryError> {
-        let eng = self.runtime().engine().clone();
-        let t0 = thread.now();
-        let sel = self.effective_selection();
-        let pair = self.pair_key(src.device(), dst.device(), sel);
-        let pair_track = format!("pair:{}->{}", src.device(), dst.device());
-
-        let plan = self.plan_for(src.device(), dst.device(), n)?;
-        let (all_paths, routes) = self.pair_paths(src.device(), dst.device(), sel)?;
-        let obs = self.transfer_obs(src.device(), dst.device());
-        let seq = self.next_seq();
-        let routes = routes.get_or_init(|| fold_routes(&all_paths));
-        let set = (&all_paths[..], routes);
-        let (rt, from, to) = (self.runtime(), (src, 0), (dst, 0));
-        let primary = interpret_once(rt, &plan, set, from, to, seq, &[], obs.clone());
-        let policy: DeadlinePolicy = hcfg.trigger_policy();
-        let trigger = policy.budget(plan.predicted_time);
-        let mut report = HedgeReport::default();
-        if primary.wait_deadline(thread, t0.after(trigger)).is_ok() {
-            self.health_mark_success(pair, &primary);
-            report.elapsed = thread.now().secs_since(t0);
-            return Ok(report);
-        }
-
-        // The primary blew its budget: charge the stalled paths and race
-        // the residual.
-        let mut sick: Vec<usize> = Vec::new();
-        for s in primary.unfinished() {
-            sick.push(s.path_index);
-            self.health_path_failure(
-                pair,
-                s.path_index,
-                &all_paths[s.path_index],
-                "hedge-trigger",
-            );
-        }
-        let mut pending = coalesce(residuals_of(&primary, 0));
-        let mut round = 0u32;
-        let mut hedge_finished_last = false;
-        while !pending.is_empty() {
-            if round >= hcfg.max_hedges {
-                return Err(RecoveryError::RetriesExhausted {
-                    retries: round as u64,
-                    unfinished_bytes: pending.iter().map(|r| r.bytes as u64).sum(),
-                });
-            }
-            round += 1;
-            let now = thread.now().as_secs();
-            let adm = self.health().admissions(pair, all_paths.len(), now);
-            self.health_record_probes(&pair_track, &adm, now);
-
-            // Hedge candidates: up, not implicated in this transfer's
-            // stall, and not excluded by an open breaker.
-            let mut hedge_paths: Vec<TransferPath> = Vec::new();
-            let mut orig_idx: Vec<usize> = Vec::new();
-            for (i, p) in all_paths.iter().enumerate() {
-                if sick.contains(&i) || adm.excluded.contains(&i) {
-                    continue;
-                }
-                if !p
-                    .legs
-                    .iter()
-                    .all(|leg| leg.route.iter().all(|&l| eng.link_is_up(l)))
-                {
-                    self.health_path_failure(pair, i, p, "link-down");
-                    continue;
-                }
-                hedge_paths.push(p.clone());
-                orig_idx.push(i);
-            }
-
-            let wait_scale = hcfg.backoff.max(1.0).powi(round as i32 - 1);
-            if hedge_paths.is_empty() {
-                // Nothing healthy to race on: give the primary one
-                // backed-off window (a flapped link may come back) and
-                // re-assess.
-                let extra = policy.scaled(wait_scale).budget(plan.predicted_time);
-                if primary
-                    .wait_deadline(thread, thread.now().after(extra))
-                    .is_ok()
-                {
-                    pending.clear();
-                    hedge_finished_last = false;
-                    break;
-                }
-                pending = coalesce(residuals_of(&primary, 0));
-                continue;
-            }
-
-            // Re-probe the hedge set against current capacities (down
-            // links carry a dummy rate; no hedge path routes over them).
-            let params = probe_live(&eng, &hedge_paths)?.0;
-
-            let mut handles = Vec::with_capacity(pending.len());
-            let routes = fold_routes(&hedge_paths);
-            let mut worst: Secs = 0.0;
-            let mut memo: Option<(usize, Arc<TransferPlan>)> = None;
-            let round_bytes: u64 = pending.iter().map(|r| r.bytes as u64).sum();
-            for r in &pending {
-                let hplan = match &memo {
-                    Some((bytes, p)) if *bytes == r.bytes => p.clone(),
-                    _ => {
-                        let p = Arc::new(self.planner().compute_with_params(
-                            r.bytes,
-                            &hedge_paths,
-                            params.clone(),
-                        ));
-                        memo = Some((r.bytes, p.clone()));
-                        p
-                    }
-                };
-                worst = worst.max(hplan.predicted_time);
-                let (seq, set) = (self.next_seq(), (&hedge_paths[..], &routes));
-                let (from, to) = ((src, r.offset), (dst, r.offset));
-                let mut h = interpret_once(rt, &hplan, set, from, to, seq, &[], obs.clone());
-                h.remap_path_indices(&orig_idx);
-                handles.push((h, r.offset));
-            }
-            report.hedges += 1;
-            report.hedged_bytes += round_bytes;
-            self.health().note_hedge();
-            if let Some(rec) = self.recorder() {
-                rec.instant(
-                    Phase::Hedge,
-                    pair_track.clone(),
-                    format!("hedge.launch round{round}"),
-                    thread.now().as_secs(),
-                    format!(
-                        "bytes={round_bytes} paths={} ranges={}",
-                        hedge_paths.len(),
-                        pending.len()
-                    ),
-                );
-            }
-
-            let deadline = policy.scaled(wait_scale).deadline(thread.now(), worst);
-            let mut hedge_resid: Vec<Range> = Vec::new();
-            let mut all_ok = true;
-            for (h, base) in &handles {
-                if h.wait_deadline(thread, deadline).is_err() {
-                    all_ok = false;
-                    hedge_resid.extend(residuals_of(h, *base));
-                    for s in h.unfinished() {
-                        self.health_path_failure(
-                            pair,
-                            s.path_index,
-                            &all_paths[s.path_index],
-                            "hedge-stall",
-                        );
-                    }
-                } else {
-                    self.health_mark_success(pair, h);
-                }
-            }
-            if all_ok {
-                pending.clear();
-                hedge_finished_last = true;
-            } else {
-                // Still missing: only bytes neither the hedge nor the
-                // (still running) primary have landed.
-                let prim = coalesce(residuals_of(&primary, 0));
-                pending = intersect(&coalesce(hedge_resid), &prim);
-                // If the message is now whole but the primary alone
-                // still has residual, the hedge's bytes were decisive.
-                hedge_finished_last = pending.is_empty() && !prim.is_empty();
-            }
-        }
-
-        report.elapsed = thread.now().secs_since(t0);
-        report.hedge_won = report.hedges > 0 && hedge_finished_last;
-        if report.hedges > 0 {
-            if report.hedge_won {
-                self.health().note_hedge_win();
-                // The tail the hedge clipped: how far past the plan's
-                // prediction the message finally landed.
-                self.hedge_win_hist()
-                    .observe(report.elapsed - plan.predicted_time);
-            }
-            if let Some(rec) = self.recorder() {
-                rec.instant(
-                    Phase::Hedge,
-                    pair_track,
-                    if report.hedge_won {
-                        "hedge.win"
-                    } else {
-                        "hedge.loss"
-                    },
-                    thread.now().as_secs(),
-                    format!(
-                        "rounds={} hedged_bytes={} elapsed_us={:.3}",
-                        report.hedges,
-                        report.hedged_bytes,
-                        report.elapsed * 1e6
-                    ),
-                );
-            }
-            // A hedged transfer is by definition far off its prediction;
-            // let the drift machinery re-probe the pair.
-            if report.elapsed > 0.0 {
-                self.record_observation(src.device(), dst.device(), n, n as f64 / report.elapsed);
-            }
-        }
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,37 +479,5 @@ mod tests {
         assert!(!sup.replay_allowed(pair(), 0.1));
         let other = (DeviceId(2), DeviceId(3), 2, true);
         assert!(sup.replay_allowed(other, 0.1));
-    }
-
-    #[test]
-    fn intersect_is_exact() {
-        let a = [
-            Range {
-                offset: 0,
-                bytes: 10,
-            },
-            Range {
-                offset: 20,
-                bytes: 10,
-            },
-        ];
-        let b = [Range {
-            offset: 5,
-            bytes: 20,
-        }];
-        assert_eq!(
-            intersect(&a, &b),
-            vec![
-                Range {
-                    offset: 5,
-                    bytes: 5
-                },
-                Range {
-                    offset: 20,
-                    bytes: 5
-                }
-            ]
-        );
-        assert!(intersect(&a, &[]).is_empty());
     }
 }

@@ -28,20 +28,19 @@
 
 pub mod compile;
 pub mod context;
-pub mod deadline;
 pub mod health;
 pub mod pipeline;
 pub mod probe;
-pub mod recover;
+pub mod transfer;
 pub mod tuner;
 
 pub use compile::GraphStats;
-pub use context::{CacheStats, ParamSource, TransferError, TuningMode, UcxConfig, UcxContext};
-pub use deadline::DeadlinePolicy;
+pub use context::{CacheStats, ParamSource, TuningMode, UcxConfig, UcxContext};
 pub use health::{
-    BreakerEvent, BreakerState, HealthConfig, HealthStats, HealthSupervisor, HedgeConfig,
-    HedgeReport, PathAdmissions,
+    BreakerEvent, BreakerState, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions,
 };
 pub use pipeline::{execute_plan, PathSlot, TimedOut, TransferHandle, RING_DEPTH};
-pub use recover::{RecoveryConfig, RecoveryError, RecoveryReport, ResilienceStats};
+pub use transfer::{
+    DeadlinePolicy, ResilienceStats, TransferError, TransferPolicy, TransferReport,
+};
 pub use tuner::{manual_plan, measure_plan, share_grid, tune_exhaustive, TuneResult};

@@ -20,7 +20,7 @@ use crate::compile::{fold_routes, interpret_once};
 use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::TransferPlan;
 use mpx_obs::{QuantileHist, Recorder, ResidualTracker};
-use mpx_sim::{SimTime, Waker};
+use mpx_sim::{task, Engine, SimTime, Waker};
 use mpx_topo::path::TransferPath;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,7 +77,7 @@ pub struct TransferHandle {
     /// Parallel to `wakers`: which message range each active path owns.
     slots: Vec<PathSlot>,
     /// Parallel to `wakers`: set once the corresponding waker has been
-    /// consumed by a successful `wait`/`wait_deadline` (waiting consumes
+    /// consumed by a successful `wait` (waiting consumes
     /// the signal, so `is_signaled` alone cannot tell "drained").
     drained: Vec<AtomicBool>,
     /// Total bytes of the message.
@@ -85,28 +85,23 @@ pub struct TransferHandle {
 }
 
 impl TransferHandle {
-    /// Blocks the simulated thread until every path has drained.
-    pub fn wait(&self, thread: &mpx_sim::SimThread) {
-        for (w, d) in self.wakers.iter().zip(&self.drained) {
-            thread.wait(w);
-            d.store(true, Ordering::Release);
-        }
-    }
-
-    /// Blocks until every path has drained **or** virtual time reaches
-    /// `deadline`, whichever comes first. On timeout the handle remembers
-    /// which paths did drain; [`TransferHandle::unfinished`] returns the
-    /// rest so a recovery pass can re-send their residual ranges.
-    pub fn wait_deadline(
-        &self,
-        thread: &mpx_sim::SimThread,
-        deadline: SimTime,
-    ) -> Result<(), TimedOut> {
+    /// Waits, from a task on `engine` (`mpx_sim::task`), until every path
+    /// has drained **or** virtual time reaches `deadline`, whichever comes
+    /// first. On timeout the handle remembers which paths did drain;
+    /// [`TransferHandle::unfinished`] returns the rest so a recovery round
+    /// can re-send their residual ranges. Without a deadline no timeout
+    /// event is scheduled.
+    pub async fn wait(&self, engine: &Engine, deadline: Option<SimTime>) -> Result<(), TimedOut> {
         for (w, d) in self.wakers.iter().zip(&self.drained) {
             if d.load(Ordering::Acquire) {
                 continue;
             }
-            if !thread.wait_until(w, deadline) {
+            let Some(deadline) = deadline else {
+                task::wait(w).await;
+                d.store(true, Ordering::Release);
+                continue;
+            };
+            if !task::wait_until(engine, w, deadline).await {
                 // A path may have completed in the same instant the
                 // deadline fired, or while we were draining earlier
                 // wakers — sweep so `unfinished` is exact.

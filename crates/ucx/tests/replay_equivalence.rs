@@ -7,17 +7,30 @@
 //! 2. Drift invalidation and a plan of another shape (a static install)
 //!    make the next put lower and replay again, never a stale schedule.
 //! 3. A busy instance spawns another: no same-key replay runs interpreted.
-//! 4. The fault-matrix fallback rule: `put_resilient` stays fully
+//! 4. The fault-matrix fallback rule: a resilient transfer stays fully
 //!    interpreted even with `graph_replay` on, recovered bytes are
 //!    intact, and replay resumes cleanly once the fabric is healthy.
 
-use mpx_gpu::GpuRuntime;
-use mpx_sim::{Engine, FaultInjector, FaultKind, FaultPlan};
+use mpx_gpu::{Buffer, GpuRuntime};
+use mpx_sim::{task, Engine, FaultInjector, FaultKind, FaultPlan};
 use mpx_topo::presets;
 use mpx_topo::units::MIB;
 use mpx_topo::PathSelection;
-use mpx_ucx::{manual_plan, RecoveryConfig, TuningMode, UcxConfig, UcxContext};
+use mpx_ucx::{manual_plan, TransferError, TransferPolicy, TransferReport};
+use mpx_ucx::{TuningMode, UcxConfig, UcxContext};
 use std::sync::Arc;
+
+/// One resilient transfer, run to completion as a task.
+fn resilient(
+    ctx: &UcxContext,
+    src: &Buffer,
+    dst: &Buffer,
+    n: usize,
+) -> Result<TransferReport, TransferError> {
+    let put = ctx.transfer(src, dst, n, &TransferPolicy::RESILIENT);
+    let mut out = task::run(ctx.runtime().engine(), [("driver".into(), put)]);
+    out.pop().expect("one task, one output")
+}
 
 fn ctx_with(selection: PathSelection, graph_replay: bool) -> UcxContext {
     let topo = Arc::new(presets::beluga());
@@ -202,7 +215,7 @@ fn a_deep_window_of_one_key_spawns_instances_not_fallbacks() {
 }
 
 /// The fault matrix's fallback rule end to end: warm the graph cache,
-/// kill a path mid-`put_resilient` (which is interpreted by design —
+/// kill a path mid resilient transfer (which is interpreted by design —
 /// its re-plans would invalidate any captured schedule), verify the
 /// recovered bytes, then flap a link and confirm replay resumes with
 /// intact data once the outage passes.
@@ -240,15 +253,8 @@ fn fault_matrix_fallback_keeps_data_equivalence() {
 
     let killed: Vec<u8> = (0..n).map(|i| (i * 13 % 251) as u8).collect();
     src.write(0, &killed);
-    let thread = ctx.runtime().engine().register_thread("driver");
-    let c = ctx.clone();
-    let (s, d) = (src.clone(), dst.clone());
-    let report = std::thread::spawn(move || {
-        c.put_resilient(&thread, &s, &d, n, &RecoveryConfig::default())
-            .expect("recovery must survive a single path failure")
-    })
-    .join()
-    .unwrap();
+    let report =
+        resilient(&ctx, &src, &dst, n).expect("recovery must survive a single path failure");
     assert!(report.replans >= 1, "kill must force a re-plan");
     assert_eq!(
         dst.to_vec().unwrap(),
@@ -258,7 +264,7 @@ fn fault_matrix_fallback_keeps_data_equivalence() {
     assert_eq!(
         ctx.graph_stats().replays,
         warm_stats.replays,
-        "put_resilient must stay fully interpreted (no graph replay)"
+        "a resilient transfer must stay fully interpreted (no graph replay)"
     );
 }
 
@@ -300,15 +306,7 @@ fn replay_resumes_with_intact_data_after_transient_flap() {
 
     let flapped: Vec<u8> = (0..n).map(|i| (i * 29 % 251) as u8).collect();
     src.write(0, &flapped);
-    let thread = ctx.runtime().engine().register_thread("driver");
-    let c = ctx.clone();
-    let (s, d) = (src.clone(), dst.clone());
-    std::thread::spawn(move || {
-        c.put_resilient(&thread, &s, &d, n, &RecoveryConfig::default())
-            .expect("recovery must ride out a transient flap")
-    })
-    .join()
-    .unwrap();
+    resilient(&ctx, &src, &dst, n).expect("recovery must ride out a transient flap");
     assert_eq!(
         dst.to_vec().unwrap(),
         flapped,

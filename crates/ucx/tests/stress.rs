@@ -9,11 +9,11 @@
 //! transfer issued through the churned context is still bit-identical).
 
 use mpx_gpu::GpuRuntime;
-use mpx_sim::Engine;
+use mpx_sim::{task, Engine, Label};
 use mpx_topo::presets;
 use mpx_topo::units::MIB;
 use mpx_topo::DeviceId;
-use mpx_ucx::{ParamSource, TuningMode, UcxConfig, UcxContext};
+use mpx_ucx::{ParamSource, TransferPolicy, TuningMode, UcxConfig, UcxContext};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -171,9 +171,9 @@ fn data_stays_deterministic_after_cache_churn() {
 }
 
 /// Drift invalidation must evict *compiled graphs*, not just plans,
-/// under the full 8-thread harness: eight rank threads replay their own
-/// (pair, size) through blocking PUTs while periodically reporting a
-/// 10× drifted bandwidth. With per-thread pairs and sequential puts the
+/// under eight concurrent ranks: eight rank tasks replay their own
+/// (pair, size) through plain transfers while periodically reporting a
+/// 10× drifted bandwidth. With per-rank pairs and sequential puts the
 /// counters are exactly determined: every put replays a graph, every
 /// purge forces exactly one re-capture, and nothing ever falls back to
 /// the interpreter — a stale graph surviving an eviction would surface
@@ -185,49 +185,39 @@ fn graph_eviction_is_not_lost_under_concurrent_replay() {
     let pairs = ordered_pairs(&ctx);
     let purges = AtomicU64::new(0);
 
-    // Quorum rule: register every rank thread before spawning any.
-    let threads: Vec<_> = (0..THREADS)
-        .map(|t| ctx.runtime().engine().register_thread(format!("rank{t}")))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for (t, sim) in threads.into_iter().enumerate() {
-            let (src_dev, dst_dev) = pairs[t];
-            let ctx = ctx.clone();
-            let purges = &purges;
-            scope.spawn(move || {
-                // Fixed per-thread size (4-aligned, 2 to 23 MiB across
-                // threads) and persistent buffers, so
-                // each thread replays one compiled graph repeatedly.
-                let n = (2 * MIB + t * 3 * MIB + 4 * t) & !3;
-                let data: Vec<u8> = (0..n).map(|i| ((i * 17 + t) % 251) as u8).collect();
-                let src = ctx.runtime().alloc_bytes(src_dev, data.clone());
-                let dst = ctx.runtime().alloc_zeroed(dst_dev, n);
-                for i in 0..GRAPH_ITERS {
-                    ctx.put(&sim, &src, &dst, n).expect("replayed put");
-                    assert_eq!(
-                        dst.to_vec().expect("readback"),
-                        data,
-                        "thread {t} iter {i}: replayed bytes corrupted"
-                    );
-                    // Purge points sit mid-run (never on the final
-                    // iteration), so every eviction is followed by at
-                    // least one put that must re-capture.
-                    if i % 20 == 9 {
-                        let plan = ctx.plan_for(src_dev, dst_dev, n).expect("plan");
-                        if ctx.record_observation(
-                            src_dev,
-                            dst_dev,
-                            n,
-                            plan.predicted_bandwidth * 10.0,
-                        ) {
-                            purges.fetch_add(1, Ordering::Relaxed);
-                        }
+    let ranks = (0..THREADS).map(|t| {
+        let (src_dev, dst_dev) = pairs[t];
+        let (ctx, purges) = (&ctx, &purges);
+        let rank = async move {
+            // Fixed per-rank size (4-aligned, 2 to 23 MiB across ranks)
+            // and persistent buffers, so each rank replays one compiled
+            // graph repeatedly.
+            let n = (2 * MIB + t * 3 * MIB + 4 * t) & !3;
+            let data: Vec<u8> = (0..n).map(|i| ((i * 17 + t) % 251) as u8).collect();
+            let src = ctx.runtime().alloc_bytes(src_dev, data.clone());
+            let dst = ctx.runtime().alloc_zeroed(dst_dev, n);
+            for i in 0..GRAPH_ITERS {
+                (ctx.transfer(&src, &dst, n, &TransferPolicy::PLAIN).await).expect("replayed put");
+                assert_eq!(
+                    dst.to_vec().expect("readback"),
+                    data,
+                    "rank {t} iter {i}: replayed bytes corrupted"
+                );
+                // Purge points sit mid-run (never on the final
+                // iteration), so every eviction is followed by at
+                // least one put that must re-capture.
+                if i % 20 == 9 {
+                    let plan = ctx.plan_for(src_dev, dst_dev, n).expect("plan");
+                    if ctx.record_observation(src_dev, dst_dev, n, plan.predicted_bandwidth * 10.0)
+                    {
+                        purges.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            });
-        }
+            }
+        };
+        (Label::from(format!("rank{t}")), rank)
     });
+    task::run(ctx.runtime().engine(), ranks);
 
     let purged = purges.load(Ordering::Relaxed);
     assert!(purged > 0, "drift observations never purged anything");

@@ -65,6 +65,12 @@ fn selection(name: &str) -> PathSelection {
     }
 }
 
+/// Runs one transfer to completion as a task on the context's engine.
+fn drive<F: std::future::Future>(ctx: &UcxContext, name: &str, put: F) -> F::Output {
+    let mut out = multipath_gpu::sim::task::run(ctx.runtime().engine(), [(name.into(), put)]);
+    out.pop().expect("one task, one output")
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: mpx <topo|export|plan|bw|bibw|collective|fault-plan|put|resilient|trace|metrics|report|partition> [--topo T | --topo-file F] [--size N] [--window W] [--mode M] [--paths P] [--src I] [--dst J] [--op C] [--scenario S] [--faults F] [--slack X] [--retries R] [--seed N] [--count N] [--horizon T] [--nodes N] [--workers W] [--dump F] [--json] [--replay] [--openmetrics] [--trace-out F] [--metrics-out F]");
@@ -345,18 +351,9 @@ fn main() {
             let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
             let srcb = ctx.runtime().alloc_bytes(src, data.clone());
             let dstb = ctx.runtime().alloc_zeroed(dst, n);
-            let thread = ctx.runtime().engine().register_thread("mpx-put");
-            let c = ctx.clone();
-            let d = dstb.clone();
-            let result = std::thread::spawn(move || {
-                let t0 = thread.now();
-                c.put(&thread, &srcb, &d, n)
-                    .map(|()| thread.now().secs_since(t0))
-            })
-            .join()
-            .expect("driver thread panicked");
-            match result {
-                Ok(elapsed) => {
+            let put = ctx.transfer(&srcb, &dstb, n, &TransferPolicy::PLAIN);
+            match drive(&ctx, "mpx-put", put) {
+                Ok(TransferReport { elapsed, .. }) => {
                     let intact = dstb.to_vec().map(|v| v == data).unwrap_or(false);
                     println!(
                         "put {} paths={} mode={mode:?}: {:.3} ms virtual, {:.2} GB/s | data {}",
@@ -392,15 +389,13 @@ fn main() {
                 }
                 std::process::exit(2);
             }
-            let rcfg = RecoveryConfig {
-                slack: get("slack", "4")
-                    .parse::<f64>()
-                    .unwrap_or_else(|_| die("bad --slack")),
-                max_retries: get("retries", "4")
-                    .parse::<u32>()
-                    .unwrap_or_else(|_| die("bad --retries")),
-                ..RecoveryConfig::default()
-            };
+            let mut policy = TransferPolicy::RESILIENT;
+            policy.deadline.slack = get("slack", "4")
+                .parse::<f64>()
+                .unwrap_or_else(|_| die("bad --slack"));
+            policy.retries = get("retries", "4")
+                .parse::<u32>()
+                .unwrap_or_else(|_| die("bad --retries"));
 
             let rt = GpuRuntime::new(Engine::new(topo.clone()));
             let ctx = UcxContext::new(
@@ -415,12 +410,8 @@ fn main() {
             let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
             let srcb = ctx.runtime().alloc_bytes(src, data.clone());
             let dstb = ctx.runtime().alloc_zeroed(dst, n);
-            let thread = ctx.runtime().engine().register_thread("mpx-resilient");
-            let c = ctx.clone();
-            let d = dstb.clone();
-            let result = std::thread::spawn(move || c.put_resilient(&thread, &srcb, &d, n, &rcfg))
-                .join()
-                .expect("driver thread panicked");
+            let put = ctx.transfer(&srcb, &dstb, n, &policy);
+            let result = drive(&ctx, "mpx-resilient", put);
 
             let stats = ctx.runtime().engine().stats();
             let res = ctx.resilience_stats();
@@ -531,13 +522,8 @@ fn main() {
             let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
             let srcb = ctx.runtime().alloc_bytes(src, data.clone());
             let dstb = ctx.runtime().alloc_zeroed(dst, n);
-            let thread = ctx.runtime().engine().register_thread("mpx-trace");
-            let c = ctx.clone();
-            let d = dstb.clone();
-            let rcfg = RecoveryConfig::default();
-            let report = std::thread::spawn(move || c.put_resilient(&thread, &srcb, &d, n, &rcfg))
-                .join()
-                .expect("driver thread panicked")
+            let put = ctx.transfer(&srcb, &dstb, n, &TransferPolicy::RESILIENT);
+            let report = drive(&ctx, "mpx-trace", put)
                 .unwrap_or_else(|e| die(&format!("trace workload failed: {e}")));
             if dstb.to_vec().map(|v| v != data).unwrap_or(true) {
                 die("trace workload corrupted data");
@@ -561,15 +547,9 @@ fn main() {
             let hdata: Vec<u8> = (0..n).map(|i| (i * 7 % 251) as u8).collect();
             let hsrc = ctx.runtime().alloc_bytes(src, hdata.clone());
             let hdst = ctx.runtime().alloc_zeroed(dst, n);
-            let hthread = ctx.runtime().engine().register_thread("mpx-hedge");
-            let c = ctx.clone();
-            let hd = hdst.clone();
-            let hreport = std::thread::spawn(move || {
-                c.put_hedged(&hthread, &hsrc, &hd, n, &HedgeConfig::default())
-            })
-            .join()
-            .expect("hedge driver panicked")
-            .unwrap_or_else(|e| die(&format!("hedged trace workload failed: {e}")));
+            let put = ctx.transfer(&hsrc, &hdst, n, &TransferPolicy::HEDGED);
+            let hreport = drive(&ctx, "mpx-hedge", put)
+                .unwrap_or_else(|e| die(&format!("hedged trace workload failed: {e}")));
             if hdst.to_vec().map(|v| v != hdata).unwrap_or(true) {
                 die("hedged trace workload corrupted data");
             }
@@ -637,7 +617,7 @@ fn main() {
                 snapshot.entries.len(),
                 report.retries,
                 report.replans,
-                hreport.hedges,
+                hreport.retries,
                 hreport.hedge_won,
             );
             print!("{}", ctx.residual_report().render());

@@ -1,12 +1,20 @@
 //! End-to-end graceful degradation: transfers planned over a multi-path
 //! fabric survive injected link faults by re-planning residual bytes
-//! over the surviving paths (the PR-2 acceptance scenario).
+//! over the surviving paths, and the breakers that remember the faults
+//! close again once the fabric heals.
 
 use mpx_obs::Event;
-use mpx_sim::plan_horizon;
+use mpx_sim::{plan_horizon, task};
 use mpx_ucx::TuningMode;
 use multipath_gpu::prelude::*;
+use std::future::Future;
 use std::sync::Arc;
+
+/// Runs one transfer to completion as a task on the context's engine.
+fn drive<F: Future>(ctx: &UcxContext, put: F) -> F::Output {
+    let mut out = task::run(ctx.runtime().engine(), [("driver".into(), put)]);
+    out.pop().expect("one task, one output")
+}
 
 fn ctx_three_paths() -> UcxContext {
     let topo = Arc::new(presets::beluga());
@@ -46,15 +54,8 @@ fn kill_one_of_three_paths_recovers_via_replan() {
     let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
     let src = ctx.runtime().alloc_bytes(gpus[0], data.clone());
     let dst = ctx.runtime().alloc_zeroed(gpus[1], n);
-    let thread = ctx.runtime().engine().register_thread("driver");
-    let c = ctx.clone();
-    let d = dst.clone();
-    let report = std::thread::spawn(move || {
-        c.put_resilient(&thread, &src, &d, n, &RecoveryConfig::default())
-            .expect("transfer must survive a single path failure")
-    })
-    .join()
-    .unwrap();
+    let put = ctx.transfer(&src, &dst, n, &TransferPolicy::RESILIENT);
+    let report = drive(&ctx, put).expect("transfer must survive a single path failure");
 
     assert!(report.retries >= 1, "deadline miss must trigger a retry");
     assert!(report.replans >= 1, "residual bytes must be re-planned");
@@ -94,15 +95,8 @@ fn degrades_to_single_path() {
     let data: Vec<u8> = (0..n).map(|i| (i * 7 % 253) as u8).collect();
     let src = ctx.runtime().alloc_bytes(gpus[0], data.clone());
     let dst = ctx.runtime().alloc_zeroed(gpus[1], n);
-    let thread = ctx.runtime().engine().register_thread("driver");
-    let c = ctx.clone();
-    let d = dst.clone();
-    let report = std::thread::spawn(move || {
-        c.put_resilient(&thread, &src, &d, n, &RecoveryConfig::default())
-            .expect("direct path alone must finish the job")
-    })
-    .join()
-    .unwrap();
+    let put = ctx.transfer(&src, &dst, n, &TransferPolicy::RESILIENT);
+    let report = drive(&ctx, put).expect("direct path alone must finish the job");
 
     assert_eq!(report.final_paths, 1, "only the direct path survives");
     assert_eq!(dst.to_vec().unwrap(), data);
@@ -136,15 +130,8 @@ fn flap_within_slack_needs_no_retry() {
     let data: Vec<u8> = (0..n).map(|i| (i % 241) as u8).collect();
     let src = ctx.runtime().alloc_bytes(gpus[0], data.clone());
     let dst = ctx.runtime().alloc_zeroed(gpus[1], n);
-    let thread = ctx.runtime().engine().register_thread("driver");
-    let c = ctx.clone();
-    let d = dst.clone();
-    let report = std::thread::spawn(move || {
-        c.put_resilient(&thread, &src, &d, n, &RecoveryConfig::default())
-            .expect("flap must not kill the transfer")
-    })
-    .join()
-    .unwrap();
+    let put = ctx.transfer(&src, &dst, n, &TransferPolicy::RESILIENT);
+    let report = drive(&ctx, put).expect("flap must not kill the transfer");
 
     assert_eq!(report.retries, 0, "outage inside slack: no retry needed");
     assert_eq!(dst.to_vec().unwrap(), data);
@@ -187,24 +174,17 @@ fn mid_transfer_kill_completes_via_hedge() {
     let data: Vec<u8> = (0..n).map(|i| (i * 13 % 251) as u8).collect();
     let src = ctx.runtime().alloc_bytes(gpus[0], data.clone());
     let dst = ctx.runtime().alloc_zeroed(gpus[1], n);
-    let thread = ctx.runtime().engine().register_thread("driver");
-    let c = ctx.clone();
-    let d = dst.clone();
-    let report = std::thread::spawn(move || {
-        c.put_hedged(&thread, &src, &d, n, &HedgeConfig::default())
-            .expect("hedge must finish what the primary cannot")
-    })
-    .join()
-    .unwrap();
+    let put = ctx.transfer(&src, &dst, n, &TransferPolicy::HEDGED);
+    let report = drive(&ctx, put).expect("hedge must finish what the primary cannot");
 
-    assert!(report.hedges >= 1, "kill must push past the hedge trigger");
+    assert!(report.retries >= 1, "kill must push past the hedge trigger");
     assert!(report.hedge_won, "the dead primary path cannot catch up");
-    assert!(report.hedged_bytes > 0);
+    assert!(report.recovered_bytes > 0);
     assert_eq!(dst.to_vec().unwrap(), data, "hedged bytes corrupted");
 
     let health = ctx.health_stats();
     assert!(health.trips >= 1, "dead path must trip its breaker");
-    assert_eq!(health.hedges, report.hedges);
+    assert_eq!(health.hedges, report.retries);
     assert_eq!(health.hedge_wins, 1);
 
     let events = rec.drain();
@@ -226,7 +206,7 @@ fn mid_transfer_kill_completes_via_hedge() {
 }
 
 /// When every path dies and stays dead, the retry budget bounds the
-/// failure: put_resilient errors out instead of hanging.
+/// failure: the resilient transfer errors out instead of hanging.
 #[test]
 fn total_fabric_loss_errors_out() {
     let topo = Arc::new(presets::beluga());
@@ -248,25 +228,172 @@ fn total_fabric_loss_errors_out() {
 
     let src = ctx.runtime().alloc(gpus[0], n);
     let dst = ctx.runtime().alloc(gpus[1], n);
-    let thread = ctx.runtime().engine().register_thread("driver");
-    let c = ctx.clone();
-    let err = std::thread::spawn(move || {
-        c.put_resilient(
-            &thread,
-            &src,
-            &dst,
-            n,
-            &RecoveryConfig {
-                max_retries: 2,
-                ..RecoveryConfig::default()
-            },
-        )
-        .expect_err("no surviving path: must error, not hang")
-    })
-    .join()
-    .unwrap();
+    let policy = TransferPolicy {
+        retries: 2,
+        ..TransferPolicy::RESILIENT
+    };
+    let put = ctx.transfer(&src, &dst, n, &policy);
+    let err = drive(&ctx, put).expect_err("no surviving path: must error, not hang");
     match err {
-        RecoveryError::Topology(_) => {}
+        TransferError::Topology(_) => {}
         other => panic!("expected NoUsablePath topology error, got {other:?}"),
     }
+}
+
+/// One PUT of `n` bytes GPU 0 → GPU 1 on a fresh fabric under `policy`,
+/// with `faults` installed first; `settle` fires them before planning, so
+/// the first probe sees the faulted fabric. Returns the achieved
+/// bandwidth, or the transport's typed error.
+fn put_once(
+    cfg: UcxConfig,
+    n: usize,
+    faults: Option<&FaultPlan>,
+    settle: bool,
+    policy: &TransferPolicy,
+) -> Result<f64, TransferError> {
+    let topo = Arc::new(presets::beluga());
+    let ctx = UcxContext::new(GpuRuntime::new(Engine::new(topo.clone())), cfg);
+    if let Some(plan) = faults {
+        FaultInjector::install(ctx.runtime().engine(), plan);
+        if settle {
+            ctx.runtime().engine().run_until(SimTime::from_secs(1e-9));
+        }
+    }
+    let gpus = topo.gpus();
+    let src = ctx.runtime().alloc(gpus[0], n);
+    let dst = ctx.runtime().alloc(gpus[1], n);
+    let report = drive(&ctx, ctx.transfer(&src, &dst, n, policy))?;
+    Ok(n as f64 / report.elapsed)
+}
+
+#[test]
+fn a_plain_put_measures_a_healthy_fabric() {
+    let bw = put_once(
+        UcxConfig::default(),
+        32 << 20,
+        None,
+        false,
+        &TransferPolicy::PLAIN,
+    )
+    .expect("healthy fabric must not strand a put");
+    assert!(bw > 0.0);
+}
+
+/// A mid-transfer kill with no surviving path surfaces as the typed
+/// stuck error, naming the stranded bytes — not a panic.
+#[test]
+fn a_plain_put_surfaces_a_stuck_fabric_as_an_error() {
+    let topo = presets::beluga();
+    let gpus = topo.gpus();
+    let link = topo.link_between(gpus[0], gpus[1]).expect("direct").id;
+    let cfg = UcxConfig {
+        selection: PathSelection::DIRECT_ONLY,
+        mode: TuningMode::SinglePath,
+        ..UcxConfig::default()
+    };
+    // Kill well inside any plausible transfer time of 32 MiB over a
+    // single NVLink, so the pipeline is stranded mid-flight.
+    let faults = FaultPlan::empty().with(2e-5, link, FaultKind::Kill);
+    let err = put_once(cfg, 32 << 20, Some(&faults), false, &TransferPolicy::PLAIN)
+        .expect_err("severed direct-only fabric must strand the put");
+    match err {
+        TransferError::Stuck { bytes, elapsed, .. } => {
+            assert!(bytes > 0, "stuck error must name the stranded bytes");
+            assert!(elapsed > 0.0);
+        }
+        other => panic!("expected Stuck, got {other}"),
+    }
+}
+
+/// The degraded-fabric regimes (EXPERIMENTS "Fig. 10"): a resilient PUT
+/// on a `Healthy` fabric beats one whose direct link degraded to 35 % at
+/// t = 0 under a plan probed on the healthy fabric (`Stale Plan`), and
+/// probing the degraded fabric first (`Recalibrated`) never trails the
+/// stale plan nor reaches the healthy fabric.
+#[test]
+fn a_degraded_fabric_orders_healthy_stale_and_recalibrated() {
+    let topo = presets::beluga();
+    let gpus = topo.gpus();
+    let link = topo.link_between(gpus[0], gpus[1]).expect("direct").id;
+    let degrade = FaultPlan::empty().with(0.0, link, FaultKind::Degrade { factor: 0.35 });
+    let cfg = UcxConfig {
+        selection: PathSelection::THREE_GPUS,
+        ..UcxConfig::default()
+    };
+    let run = |faults, settle| {
+        let policy = &TransferPolicy::RESILIENT;
+        put_once(cfg, 32 << 20, faults, settle, policy).expect("resilient put")
+    };
+    let healthy = run(None, false);
+    let stale = run(Some(&degrade), false);
+    let recal = run(Some(&degrade), true);
+    assert!(
+        healthy > stale,
+        "healthy {healthy} must beat stale-plan degraded {stale}"
+    );
+    assert!(
+        recal >= 0.98 * stale,
+        "recalibrated {recal} must not trail stale plan {stale}"
+    );
+    assert!(recal < healthy, "degraded fabric cannot reach healthy bw");
+}
+
+/// The breaker's recovery half end to end: a flap on one staged path
+/// outlasts a resilient PUT's deadline and trips the path's breaker;
+/// once `open_window` of virtual time has passed with the link back up,
+/// the next PUT re-admits the path as a half-open probe and
+/// `half_open_trials` clean completions close the breaker again. The
+/// ledger `trips == resets + breakers_open` holds after every transfer.
+#[test]
+fn a_flapped_path_trips_then_probes_and_resets_its_breaker() {
+    let ctx = ctx_three_paths();
+    let eng = ctx.runtime().engine().clone();
+    let gpus = eng.topology().gpus();
+    let n = 64 << 20;
+    let plan = ctx.plan_for(gpus[0], gpus[1], n).unwrap();
+    assert_eq!(plan.active_path_count(), 3, "scenario needs 3 live paths");
+    let paths = ctx
+        .paths_for(gpus[0], gpus[1], PathSelection::THREE_GPUS)
+        .unwrap();
+    // Down from mid-transfer until well past the 4× deadline.
+    let fault = FaultPlan::empty().with(
+        plan.predicted_time * 0.5,
+        paths[1].legs[1].route[0],
+        FaultKind::Flap {
+            duration: plan.predicted_time * 8.0,
+        },
+    );
+    FaultInjector::install(&eng, &fault);
+    let data: Vec<u8> = (0..n).map(|i| (i * 17 % 251) as u8).collect();
+    let src = ctx.runtime().alloc_bytes(gpus[0], data.clone());
+    let dst = ctx.runtime().alloc_zeroed(gpus[1], n);
+    let health = ctx.config().health;
+    let balanced = |what: &str| {
+        let s = ctx.health_stats();
+        assert_eq!(s.trips, s.resets + s.breakers_open, "{what}: {s:?}");
+        s
+    };
+    let body = async {
+        let report = (ctx
+            .transfer(&src, &dst, n, &TransferPolicy::RESILIENT)
+            .await)
+            .expect("the flap leaves two paths up");
+        assert!(report.retries >= 1, "the flap must outlast the deadline");
+        let s = balanced("tripped");
+        assert!(s.trips >= 1 && s.breakers_open >= 1, "{s:?}");
+        assert_eq!((s.probes, s.resets), (0, 0));
+
+        task::sleep(&eng, "heal".into(), health.open_window).await;
+        assert_eq!(eng.stats().links_down, 0, "the flap is over");
+        for trial in 0..health.half_open_trials {
+            (ctx.transfer(&src, &dst, n, &TransferPolicy::PLAIN).await).expect("healed fabric");
+            balanced(&format!("trial {trial}"));
+        }
+        let s = balanced("reset");
+        assert!(s.probes >= 1, "the open path must be re-admitted: {s:?}");
+        assert!(s.resets >= 1, "clean trials must close the breaker: {s:?}");
+        assert_eq!(s.breakers_open, 0, "{s:?}");
+    };
+    drive(&ctx, body);
+    assert_eq!(dst.to_vec().unwrap(), data);
 }

@@ -11,6 +11,7 @@
 //! on.
 
 use multipath_gpu::prelude::*;
+use multipath_gpu::sim::task;
 use multipath_gpu::ucx::execute_plan;
 use std::sync::Arc;
 
@@ -152,7 +153,7 @@ fn flow_labels_and_lanes_render_as_recorded() {
 /// Path 1's first link is down, so its flows stall and its done-waker
 /// never fires: the rank that waits on the handle deadlocks on it.
 #[test]
-#[should_panic(expected = "thread `rank0` waiting on `xfer0.p1`")]
+#[should_panic(expected = "`rank0` waiting on `xfer0.p1`")]
 fn a_deadlock_names_the_path_waker_it_waited_on() {
     let eng = Engine::new(Arc::new(presets::beluga()));
     let ctx = UcxContext::new(GpuRuntime::new(eng.clone()), UcxConfig::default());
@@ -168,8 +169,8 @@ fn a_deadlock_names_the_path_waker_it_waited_on() {
         ctx.runtime().alloc(gpus[0], n),
         ctx.runtime().alloc(gpus[1], n),
     );
-    let rank = eng.register_thread("rank0");
-    execute_plan(ctx.runtime(), &plan, &paths, &src, &dst, 0).wait(&rank);
+    let h = execute_plan(ctx.runtime(), &plan, &paths, &src, &dst, 0);
+    task::run(&eng, [("rank0".into(), h.wait(&eng, None))]);
 }
 
 #[test]
