@@ -2177,7 +2177,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "simulated deadlock")]
+    #[should_panic(expected = "thread `stuck` waiting on `never-fired`")]
     fn deadlock_is_detected() {
         let eng = engine();
         let t = eng.register_thread("stuck");

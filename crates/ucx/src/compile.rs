@@ -307,7 +307,7 @@ impl Lowering {
             |pi| Waker::new(PATH_DONE.label(&[seq, pi as u64])),
             tail,
         );
-        TransferHandle::from_parts(wakers, self.slots(), self.schedule.n)
+        TransferHandle::from_parts(wakers, self.slots(), self.schedule.n, seq)
     }
 
     /// What the whole-message tail records when `obs` is set: a `phase`
@@ -426,7 +426,7 @@ impl Lowering {
             created(id, set.len());
             wakers
         });
-        TransferHandle::from_parts(wakers, self.slots(), self.schedule.n)
+        TransferHandle::from_parts(wakers, self.slots(), self.schedule.n, seq)
     }
 }
 

@@ -462,7 +462,7 @@ impl UcxContext {
         dst: &Buffer,
         n: usize,
     ) -> Result<TransferHandle, TopologyError> {
-        Ok(self.put_inner(src, 0, dst, 0, n, &[], false)?.0)
+        self.put_inner(src, 0, dst, 0, n, &[], false)
     }
 
     /// The most general PUT: `n` bytes from `src[src_off..]` into
@@ -480,8 +480,7 @@ impl UcxContext {
         n: usize,
         notify: &[mpx_sim::Waker],
     ) -> Result<TransferHandle, TopologyError> {
-        let (h, _) = self.put_inner(src, src_off, dst, dst_off, n, notify, false)?;
-        Ok(h)
+        self.put_inner(src, src_off, dst, dst_off, n, notify, false)
     }
 
     /// An asynchronous PUT replayed regardless of
@@ -495,13 +494,12 @@ impl UcxContext {
         dst: &Buffer,
         n: usize,
     ) -> Result<TransferHandle, TopologyError> {
-        Ok(self.put_inner(src, 0, dst, 0, n, &[], true)?.0)
+        self.put_inner(src, 0, dst, 0, n, &[], true)
     }
 
     /// Every PUT funnels through here: plan (cached), resolve paths, fetch
     /// the key's lowering (lowering it on a miss or a change of shape),
-    /// then launch it replayed or interpreted; returns the handle and the
-    /// transfer's sequence number. Replays still go through
+    /// then launch it replayed or interpreted. Replays still go through
     /// [`UcxContext::plan_for`], so plan-cache counters and drift
     /// detection see identical traffic whichever launch runs the bytes.
     #[allow(clippy::too_many_arguments)]
@@ -514,7 +512,7 @@ impl UcxContext {
         n: usize,
         notify: &[mpx_sim::Waker],
         force_graph: bool,
-    ) -> Result<(TransferHandle, u64), TopologyError> {
+    ) -> Result<TransferHandle, TopologyError> {
         // Fast-path guard: on a healthy fabric with every breaker Closed
         // the supervision layer costs two relaxed atomic loads and one
         // lock-free engine flag — nothing else.
@@ -552,8 +550,7 @@ impl UcxContext {
         let obs = self.transfer_obs(src.device(), dst.device());
         let (from, to) = ((src, src_off), (dst, dst_off));
         if !replay {
-            let h = lowered.interpret(rt, from, to, seq, predicted, notify, obs);
-            return Ok((h, seq));
+            return Ok(lowered.interpret(rt, from, to, seq, predicted, notify, obs));
         }
         // Per-replay first-copy cost: one graph launch plus whatever the
         // IPC cache still charges for this destination handle. The per-op
@@ -571,8 +568,7 @@ impl UcxContext {
             }
         };
         self.inner.graphs.replays.fetch_add(1, Ordering::Relaxed);
-        let h = lowered.replay(rt, from, to, seq, predicted, extra, notify, obs, created);
-        Ok((h, seq))
+        Ok(lowered.replay(rt, from, to, seq, predicted, extra, notify, obs, created))
     }
 
     /// The supervised planning path, taken only when a breaker is open
@@ -590,7 +586,7 @@ impl UcxContext {
         dst_off: usize,
         n: usize,
         notify: &[mpx_sim::Waker],
-    ) -> Result<Option<(TransferHandle, u64)>, TopologyError> {
+    ) -> Result<Option<TransferHandle>, TopologyError> {
         let (sd, dd) = (src.device(), dst.device());
         let sel = self.effective_selection();
         let pair = self.pair_key(sd, dd, sel);
@@ -612,7 +608,7 @@ impl UcxContext {
         let (from, to) = ((src, src_off), (dst, dst_off));
         let mut h = interpret_once(rt, &plan, (&survivors, &routes), from, to, seq, notify, obs);
         h.remap_path_indices(&orig_idx);
-        Ok(Some((h, seq)))
+        Ok(Some(h))
     }
 
     /// The candidates a plan may use: every path with `skip(index)` false

@@ -82,6 +82,8 @@ pub struct TransferHandle {
     drained: Vec<AtomicBool>,
     /// Total bytes of the message.
     pub bytes: usize,
+    /// The transfer's sequence number (its `xfer{seq}` labels).
+    pub(crate) seq: u64,
 }
 
 impl TransferHandle {
@@ -173,6 +175,7 @@ impl TransferHandle {
         wakers: Vec<Waker>,
         slots: Vec<PathSlot>,
         bytes: usize,
+        seq: u64,
     ) -> TransferHandle {
         let drained = wakers.iter().map(|_| AtomicBool::new(false)).collect();
         TransferHandle {
@@ -180,6 +183,7 @@ impl TransferHandle {
             slots,
             drained,
             bytes,
+            seq,
         }
     }
 }

@@ -6,9 +6,9 @@
 //! expires, the [`crate::pipeline::TransferHandle`] reports exactly which
 //! paths drained, the stalled paths are charged to their circuit breakers,
 //! and each round re-plans the residual byte ranges with Algorithm 1 over
-//! the paths that survive — links up, breaker admitted — with parameters
-//! re-probed against the fabric's current capacities. The deadline backs
-//! off every round; the retry budget is bounded.
+//! the survivors (links up; a race also skips breaker-excluded paths),
+//! with parameters re-probed against the fabric's current capacities. The
+//! deadline backs off every round; the retry budget is bounded.
 //!
 //! A policy either *replaces* a missed attempt (its residual is re-sent
 //! over every survivor) or *races* it: the residual runs on the survivors
@@ -77,9 +77,9 @@ impl DeadlinePolicy {
 pub struct TransferPolicy {
     /// Attempt 0's budget; round `k` backs its slack off (floor kept).
     pub deadline: DeadlinePolicy,
-    /// Rounds allowed after attempt 0. With none, attempt 0 launches as
-    /// [`UcxContext::put_async`] does (replay, supervised survivor plan)
-    /// and a miss is final.
+    /// Rounds allowed after attempt 0. With none the transfer is the plain
+    /// PUT: attempt 0 launches as [`UcxContext::put_async`] does (replay,
+    /// supervised survivor plan), a miss is final and no drift is fed back.
     pub retries: u32,
     /// Race a missed attempt's residual on the paths its stall did not
     /// implicate, first completion winning per range, instead of
@@ -315,17 +315,16 @@ impl UcxContext {
         let (all, routes) = self.pair_paths(sd, dd, sel)?;
         let obs = self.transfer_obs(sd, dd);
         let track = format!("pair:{sd}->{dd}");
-        // A policy that can recover launches attempt 0 interpreted over the
-        // full candidate set; replays and survivor plans are the plain
-        // PUT's (DESIGN §4f).
-        let (primary, seq) = if policy.retries == 0 {
+        // With a retry budget attempt 0 runs interpreted over every
+        // candidate; without, it launches as `put_async` does (DESIGN §4f).
+        let primary = if policy.retries == 0 {
             self.put_inner(src, 0, dst, 0, n, &[], false)?
         } else {
-            let seq = self.next_seq();
-            let set = (&all[..], routes.get_or_init(|| fold_routes(&all)));
-            let h = interpret_once(rt, &plan, set, (src, 0), (dst, 0), seq, &[], obs.clone());
-            (h, seq)
+            let (seq, routes) = (self.next_seq(), routes.get_or_init(|| fold_routes(&all)));
+            let set = (&all[..], routes);
+            interpret_once(rt, &plan, set, (src, 0), (dst, 0), seq, &[], obs.clone())
         };
+        let seq = primary.seq;
         let signal = |class, h: &TransferHandle, cause: &dyn Fn() -> String| {
             let path = h.unfinished().first().map(|s| s.path_index);
             self.anomaly_signal(class, path, || (format!("{sd}->{dd}"), cause()));
@@ -388,8 +387,10 @@ impl UcxContext {
                 slack = jittered_slack(slack, policy.deadline.slack, &mut jitter);
                 self.resilience().retries.fetch_add(1, Ordering::Relaxed);
             }
-            let adm = self.admissions(pair, all.len(), &track);
-            let skip = |i| sick.contains(&i) || adm.excluded.contains(&i);
+            // Only a race consults the breakers; a replacing round keeps
+            // every path whose links are up, however slow (DESIGN §4f).
+            let adm = race.then(|| self.admissions(pair, all.len(), &track).excluded);
+            let skip = |i| sick.contains(&i) || adm.as_ref().is_some_and(|x| x.contains(&i));
             let (survivors, orig_idx) = self.survivors(pair, &all, skip);
             if survivors.is_empty() && !race {
                 return Err(TopologyError::NoUsablePath(sd, dd).into());
@@ -494,10 +495,7 @@ impl UcxContext {
         }
 
         report.elapsed = eng.now().secs_since(t0);
-        if report.retries == 0 {
-            return Ok(report);
-        }
-        if race {
+        if race && report.retries > 0 {
             if report.hedge_won {
                 self.health().note_hedge_win();
                 // The tail the hedge clipped: how far past the plan's
@@ -518,9 +516,11 @@ impl UcxContext {
                 rec.instant(Phase::Hedge, track, name, eng.now().as_secs(), detail);
             }
         }
-        // A transfer that needed a round is by definition far off its
-        // prediction: feed the observation back so the cache re-probes.
-        if report.elapsed > 0.0 {
+        // Feed the observation back so the cache notices drift: after
+        // every transfer that may replace (a clean one can still land far
+        // off its prediction) and after a race that needed a round.
+        let feedback = report.retries > 0 || !race && policy.retries > 0;
+        if feedback && report.elapsed > 0.0 {
             self.record_observation(sd, dd, n, n as f64 / report.elapsed);
         }
         Ok(report)

@@ -13,6 +13,7 @@
 //! mpx fault-plan --topo beluga --scenario degrade|flap|kill|random > faults.json
 //! mpx put   --topo beluga --size 64M [--faults faults.json]   # plain PUT; stuck fabric exits 1
 //! mpx resilient --topo beluga --size 64M --faults faults.json [--slack S] [--retries R]
+//!                                                  # --retries 0 launches as `mpx put` does
 //! mpx plan --topo beluga --size 64M --json          # machine-readable snapshot
 //! mpx trace --topo beluga --size 64M [--trace-out trace.json] [--metrics-out metrics.json]
 //! mpx metrics --topo beluga --size 64M              # metrics snapshot to stdout
