@@ -59,6 +59,13 @@ fi
 if grep -rn 'SimThread' crates/ucx/src || grep -n 'register_thread' src/bin/mpx.rs; then
   echo "crates/ucx/src, src/bin/mpx.rs: drive transfers from a task, not a SimThread" >&2; exit 1
 fi
+# One PUT request, one launcher: every launch of a lowering takes a
+# `PutRequest` and goes through `compile::launch`, so no transport function
+# needs a long argument list, and the offset-taking PUT is gone for good.
+if grep -rn 'too_many_arguments' crates/ucx/src || grep -rn 'put_async_at' crates/ src/; then
+  echo "crates/ucx/src: pass a PutRequest to the one launcher; put_async_at is put(&PutRequest)" >&2
+  exit 1
+fi
 # The names a trace, a recorder and a deadlock panic read, and the
 # breaker-ledger smoke (a killed link drives a context through recovery).
 timeout 120 cargo test -q --test label_golden --test ledgers
@@ -83,8 +90,8 @@ cargo fmt --check
 # a change makes on purpose; lower it when a deletion lands.
 crates_lines="$(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "crates/: $crates_lines .rs lines"
-[ "$crates_lines" -le 29322 ] ||
-  { echo "crates/ grew past its 29322-line ceiling" >&2; exit 1; }
+[ "$crates_lines" -le 29321 ] ||
+  { echo "crates/ grew past its 29321-line ceiling" >&2; exit 1; }
 
 # Fault-matrix smoke: each canned degradation scenario must complete with
 # intact data (mpx exits nonzero otherwise) and must actually exercise the

@@ -9,7 +9,7 @@
 
 use mpx_gpu::Buffer;
 use mpx_sim::{Engine, SimThread, SimTime, Waker};
-use mpx_ucx::UcxContext;
+use mpx_ucx::{PutRequest, UcxContext};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -228,13 +228,15 @@ fn start_transfer(ctx: &UcxContext, send: &PostedSend, recv: &PostedRecv) {
         }
         return;
     }
-    ctx.put_async_at(&send.buf, send.off, &recv.buf, recv.off, send.n, &notify)
-        .unwrap_or_else(|e| {
-            panic!(
-                "transfer {}→{} tag {} failed: {e}",
-                send.from, send.to, send.tag
-            )
-        });
+    let req = PutRequest {
+        src: (&send.buf, send.off),
+        dst: (&recv.buf, recv.off),
+        n: send.n,
+        notify: &notify,
+    };
+    let (from, to, tag) = (send.from, send.to, send.tag);
+    ctx.put(&req)
+        .unwrap_or_else(|e| panic!("transfer {from}→{to} tag {tag} failed: {e}"));
 }
 
 #[cfg(test)]

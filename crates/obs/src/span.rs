@@ -174,25 +174,9 @@ static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 /// [`Recorder::with_capacity`]) `events` is capped and `head` is the
 /// oldest slot — the next one overwritten.
 struct RingBuf {
-    events: Vec<Event>,
+    /// Each event beside its place in the recorder's issue order.
+    events: Vec<(u64, Event)>,
     head: usize,
-}
-
-impl RingBuf {
-    /// The buffered events, oldest first, leaving the buffer empty.
-    fn take(&mut self) -> Vec<Event> {
-        let mut out = std::mem::take(&mut self.events);
-        out.rotate_left(self.head);
-        self.head = 0;
-        out
-    }
-
-    /// Clones the buffered events, oldest first, without consuming.
-    fn peek(&self) -> Vec<Event> {
-        let mut out = self.events.clone();
-        out.rotate_left(self.head);
-        out
-    }
 }
 
 /// One thread's event buffer, shared with the owning recorder.
@@ -320,19 +304,15 @@ impl Recorder {
     }
 
     /// Collects every buffered event in canonical order — sorted by
-    /// `(timestamp, phase, name)`, so equal-timestamp events order
-    /// deterministically regardless of which thread recorded them —
-    /// leaving the buffers empty. Safe to call while other threads keep
-    /// recording (their new events land in the next drain).
+    /// `(timestamp, phase, name)`, ties in the order they were recorded,
+    /// whichever thread recorded them — leaving the buffers empty. Safe to
+    /// call while other threads keep recording (their new events land in
+    /// the next drain).
     pub fn drain(&self) -> Vec<Event> {
-        let buffers = self.inner.buffers.lock();
-        let mut out = Vec::new();
-        for buf in buffers.iter() {
-            out.extend(buf.lock().take());
-        }
-        drop(buffers);
-        sort_events_canonical(&mut out);
-        out
+        self.collect(|b| {
+            b.head = 0;
+            std::mem::take(&mut b.events)
+        })
     }
 
     /// Clones every buffered event in canonical order *without*
@@ -340,18 +320,32 @@ impl Recorder {
     /// remain visible to later snapshots or a final drain. This is how
     /// an anomaly dump captures the flight-recorder ring mid-run.
     pub fn snapshot(&self) -> Vec<Event> {
-        let buffers = self.inner.buffers.lock();
+        self.collect(|b| b.events.clone())
+    }
+
+    /// What `read` takes from every buffer, in the canonical order:
+    /// `(timestamp, phase, name)` — equal timestamps broken by phase
+    /// (pipeline order) then name — and events equal on all three in the
+    /// order they were recorded. The order is total, so it depends neither on
+    /// buffer (thread) registration order nor on where a ring wrapped.
+    fn collect(&self, read: impl Fn(&mut RingBuf) -> Vec<(u64, Event)>) -> Vec<Event> {
         let mut out = Vec::new();
-        for buf in buffers.iter() {
-            out.extend(buf.lock().peek());
+        for buf in self.inner.buffers.lock().iter() {
+            out.extend(read(&mut buf.lock()));
         }
-        drop(buffers);
-        sort_events_canonical(&mut out);
-        out
+        out.sort_by(|(i, a), (j, b)| {
+            a.at()
+                .partial_cmp(&b.at())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.phase().cmp(&b.phase()))
+                .then_with(|| a.name().cmp(b.name()))
+                .then(i.cmp(j))
+        });
+        out.into_iter().map(|(_, ev)| ev).collect()
     }
 
     fn push(&self, ev: Event) {
-        self.inner.recorded.fetch_add(1, Ordering::Relaxed);
+        let ev = (self.inner.recorded.fetch_add(1, Ordering::Relaxed), ev);
         LOCAL_BUFFERS.with(|cache| {
             let mut cache = cache.borrow_mut();
             let buf = match cache.iter().position(|(id, _)| *id == self.inner.id) {
@@ -378,19 +372,6 @@ impl Recorder {
             }
         });
     }
-}
-
-/// The canonical event order: `(timestamp, phase, name)`. Ties on equal
-/// timestamps are broken by phase (pipeline order) then name, so the
-/// order is independent of buffer (thread) registration order.
-pub(crate) fn sort_events_canonical(events: &mut [Event]) {
-    events.sort_by(|a, b| {
-        a.at()
-            .partial_cmp(&b.at())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.phase().cmp(&b.phase()))
-            .then_with(|| a.name().cmp(b.name()))
-    });
 }
 
 #[cfg(test)]
@@ -498,6 +479,26 @@ mod tests {
         }
         let names: Vec<String> = r.drain().iter().map(|e| e.name().to_string()).collect();
         assert_eq!(names, ["a-plan", "b-plan", "m-xfer", "z-fault"]);
+    }
+
+    /// Records tied on `(ts, phase, name)` drain in the order they were
+    /// recorded, not in the order their threads registered buffers.
+    #[test]
+    fn tied_records_drain_in_issue_order() {
+        let (r, turn) = (Recorder::new(), Arc::new(std::sync::Barrier::new(2)));
+        let (rb, tb) = (r.clone(), turn.clone());
+        let b = std::thread::spawn(move || {
+            rb.instant(Phase::Plan, "b", "register", 0.0, "");
+            tb.wait(); // B's buffer is registered,
+            tb.wait(); // and A has recorded its tie.
+            rb.instant(Phase::Health, "b", "tie", 1.0, "");
+        });
+        turn.wait();
+        r.instant(Phase::Health, "a", "tie", 1.0, "");
+        turn.wait();
+        b.join().unwrap();
+        let tracks: Vec<String> = r.drain().iter().map(|e| e.track().to_string()).collect();
+        assert_eq!(tracks, ["b", "a", "b"]);
     }
 
     #[test]

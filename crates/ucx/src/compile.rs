@@ -5,8 +5,10 @@
 //! [`mpx_gpu::Schedule`] that holds no buffer, stream, event or ring. Each
 //! copy is a tag — its path and its role: direct, or leg 1 / leg 2 of chunk
 //! `c` — from which a launch derives placeholders, offsets, length and the
-//! pair's route, folded once. An interpreted PUT and a replayed one differ
-//! only in what they give [`Schedule::launch`]:
+//! pair's route, folded once. Every PUT goes through one launcher,
+//! [`launch`], whichever lowering it runs ([`Lowered`]). An interpreted
+//! launch and a replayed one differ only in what they give
+//! [`Schedule::launch`]:
 //!
 //! * [`Lowering::interpret`], the source paper's issue: fresh rings;
 //!   `copy_launch` on every copy, `ε` more on a forwarding copy, the
@@ -14,9 +16,9 @@
 //!   rendezvous + IPC open on the first active path's; `xfer{seq}` names;
 //!   a `Transfer` span, residual and latency sample when a recorder listens.
 //! * [`Lowering::replay`], the CUDA-Graphs follow-up's replay: an idle
-//!   [`Instance`]'s recycled rings; the caller's `first_extra` on each
-//!   path's first copy and nothing else; `g{id}` names; a `GraphReplay`
-//!   span.
+//!   [`Instance`]'s recycled rings; one graph launch plus the IPC open on
+//!   each path's first copy and nothing else; `g{id}` names; a
+//!   `GraphReplay` span.
 //!
 //! Either launch runs on engine lanes and flags: a PUT makes no stream or
 //! event.
@@ -26,7 +28,7 @@
 //! plans of its shape only (byte count, each path's kind, share and chunk
 //! count). Replay instances hang off it, one set per payload storage class.
 
-use crate::pipeline::{PathSlot, StagedWalk, TransferHandle, TransferObs};
+use crate::pipeline::{PathSlot, PutRequest, StagedWalk, TransferHandle, TransferObs};
 use mpx_gpu::{
     staging_ring, Buffer, GpuRuntime, GraphBuf, GraphCopy, GraphOp, GraphStream, Instance, Schedule,
 };
@@ -246,30 +248,23 @@ impl Lowering {
         }
     }
 
-    /// The message range of each active path, for a handle.
-    fn slots(&self) -> Vec<PathSlot> {
-        self.paths.iter().map(|p| p.slot).collect()
-    }
-
-    /// Launches an interpreted PUT from `src` into `dst` (each a buffer and
-    /// the message's offset in it) under the source paper's per-copy cost model, on
-    /// rings made for it; `notify` fires once the whole
-    /// message has landed, and `obs` (if any) records it.
+    /// Launches an interpreted PUT of `req` under the source paper's
+    /// per-copy cost model, on rings made for it; `req.notify` fires once the
+    /// whole message has landed, and `obs` (if any) records it. Returns one
+    /// waker per active path.
     ///
     /// # Panics
     /// Panics if either buffer is smaller than its offset plus the message.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn interpret(
+    fn interpret(
         &self,
         rt: &GpuRuntime,
-        (src, src_off): (&Buffer, usize),
-        (dst, dst_off): (&Buffer, usize),
+        req: &PutRequest<'_>,
         seq: u64,
         predicted: Secs,
-        notify: &[Waker],
         obs: Option<TransferObs>,
-    ) -> TransferHandle {
+    ) -> Vec<Waker> {
         let oh = rt.engine().topology().overheads;
+        let (src, dst) = (req.src.0, req.dst.0);
         // One-time software costs, charged on the first active path's first
         // copy: rendezvous in the cuda_ipc module plus the IPC handle-open
         // cost for the importing side.
@@ -294,20 +289,19 @@ impl Lowering {
             .map(|&(via, len)| staging_ring(rt, via, len, src.is_synthetic()))
             .collect();
         // A tail only when somebody listens.
-        let tail = (!notify.is_empty() || obs.is_some()).then(|| {
+        let tail = (!req.notify.is_empty() || obs.is_some()).then(|| {
             let last = self.record(rt, seq, predicted, obs, Phase::Transfer);
-            (notify, Box::new(last) as EventFn)
+            (req.notify, Box::new(last) as EventFn)
         });
-        let wakers = self.schedule.launch(
+        self.schedule.launch(
             rt.engine(),
-            (src, src_off),
-            (dst, dst_off),
+            req.src,
+            req.dst,
             &rings,
             |&t| self.copy(t, extra, (&XFER, seq)),
             |pi| Waker::new(PATH_DONE.label(&[seq, pi as u64])),
             tail,
-        );
-        TransferHandle::from_parts(wakers, self.slots(), self.schedule.n, seq)
+        )
     }
 
     /// What the whole-message tail records when `obs` is set: a `phase`
@@ -355,23 +349,6 @@ pub(crate) fn fold_routes(paths: &[TransferPath]) -> Arc<Vec<Route>> {
     Arc::new(legs.map(|leg| Route::shared(&leg.route)).collect())
 }
 
-/// Lowers `plan` over `paths` (their legs' routes folded in `routes`) and
-/// launches it interpreted, once: a PUT whose lowering no table keeps.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn interpret_once(
-    rt: &GpuRuntime,
-    plan: &TransferPlan,
-    (paths, routes): (&[TransferPath], &Arc<Vec<Route>>),
-    src: (&Buffer, usize),
-    dst: (&Buffer, usize),
-    seq: u64,
-    notify: &[Waker],
-    obs: Option<TransferObs>,
-) -> TransferHandle {
-    let lowering = Lowering::new(plan, paths, routes);
-    lowering.interpret(rt, src, dst, seq, plan.predicted_time, notify, obs)
-}
-
 impl Lowering {
     /// Whether this lowering serves `plan`: its own plan, or one of the same
     /// shape — byte count, and per path kind, share and chunk count.
@@ -385,25 +362,25 @@ impl Lowering {
                 && old.iter().zip(new).all(|(a, b)| shape(a) == shape(b))
     }
 
-    /// Launches a replayed PUT on an idle instance, or on a new one when all
-    /// are busy — `created` hears of a new one once it is launched, with
-    /// its id and the count of its storage class. Each path's first copy pays
-    /// `first_extra`, nothing else is charged. Arguments as
-    /// [`Lowering::interpret`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay(
+    /// Launches a replayed PUT of `req` on an idle instance, or on a new one
+    /// when all are busy — `created` hears of a new one once it is launched,
+    /// with its id and the count of its storage class. Each path's first
+    /// copy pays one graph launch plus whatever the IPC cache still charges
+    /// for this destination handle; the per-op launch, ε, rendezvous and
+    /// initiation costs of an interpreted launch are compiled away — that is
+    /// the point of replay. Arguments as [`Lowering::interpret`].
+    fn replay(
         &self,
         rt: &GpuRuntime,
-        src: (&Buffer, usize),
-        dst: (&Buffer, usize),
+        req: &PutRequest<'_>,
         seq: u64,
         predicted: Secs,
-        first_extra: Secs,
-        notify: &[Waker],
         mut obs: Option<TransferObs>,
-        created: impl FnOnce(u64, usize),
-    ) -> TransferHandle {
-        // Each path's first copy pays the launch; nothing else does.
+        created: &dyn Fn(u64, usize),
+    ) -> Vec<Waker> {
+        let (src, dst) = (req.src.0, req.dst.0);
+        let oh = rt.engine().topology().overheads;
+        let first_extra = oh.copy_launch + rt.ipc().open_cost(src.device().0, dst.id());
         let price = |_, role| match role {
             Role::Direct | Role::Leg1(0) => first_extra,
             _ => 0.0,
@@ -411,13 +388,13 @@ impl Lowering {
         let mut launch = |i: &Instance| {
             let copy = |&t: &CopyTag| self.copy(t, price, (&GRAPH, i.id()));
             let last = || self.record(rt, seq, predicted, obs.take(), Phase::GraphReplay);
-            i.try_launch(&self.schedule, src, dst, copy, notify, last)
+            i.try_launch(&self.schedule, req.src, req.dst, copy, req.notify, last)
         };
-        let synthetic = src.0.is_synthetic();
+        let synthetic = src.is_synthetic();
         let set = &self.instances[usize::from(synthetic)];
         // Locked only to look an instance up, never across a launch.
         let mut idle = (0..).map_while(|k| set.lock().get(k).cloned());
-        let wakers = idle.find_map(|i| launch(&i)).unwrap_or_else(|| {
+        idle.find_map(|i| launch(&i)).unwrap_or_else(|| {
             // Launched before it is shared: no other launch claims it.
             let fresh = Arc::new(Instance::new(rt, &self.schedule, synthetic));
             let wakers = launch(&fresh).expect("a new instance is idle");
@@ -425,9 +402,55 @@ impl Lowering {
             set.push(fresh);
             created(id, set.len());
             wakers
-        });
-        TransferHandle::from_parts(wakers, self.slots(), self.schedule.n, seq)
+        })
     }
+}
+
+/// Paths of a pair and their legs' routes, folded ([`fold_routes`]).
+pub(crate) type Candidates<'a> = (&'a [TransferPath], &'a Arc<Vec<Route>>);
+
+/// What [`launch`] runs.
+pub(crate) enum Lowered<'a> {
+    /// A lowering kept across launches — a key's cached one, over every
+    /// candidate of the pair, or the static tuner's — and the prediction of
+    /// the plan it serves now: replayed when given the hook that hears of
+    /// each instance made ([`Lowering::replay`]), else interpreted.
+    Cached(&'a Lowering, Secs, Option<&'a dyn Fn(u64, usize)>),
+    /// A plan over a subset of the pair's candidates and, unless they are all
+    /// of them, each one's candidate index: lowered for this launch alone,
+    /// interpreted.
+    Plan(&'a TransferPlan, Candidates<'a>, Option<&'a [usize]>),
+}
+
+/// The one launch of a PUT: `req` as sequence `seq`, on `lowered`, recorded
+/// by `obs` (if any). The handle's slots speak candidate indices whatever
+/// subset the lowering covers.
+pub(crate) fn launch(
+    rt: &GpuRuntime,
+    req: &PutRequest<'_>,
+    seq: u64,
+    lowered: Lowered<'_>,
+    obs: Option<TransferObs>,
+) -> TransferHandle {
+    let once;
+    let (lowering, predicted, created, index) = match lowered {
+        Lowered::Cached(lowering, predicted, created) => (lowering, predicted, created, None),
+        Lowered::Plan(plan, (paths, routes), index) => {
+            once = Lowering::new(plan, paths, routes);
+            (&once, plan.predicted_time, None, index)
+        }
+    };
+    debug_assert_eq!(req.n, lowering.schedule.n, "request/lowering size mismatch");
+    let wakers = match created {
+        None => lowering.interpret(rt, req, seq, predicted, obs),
+        Some(created) => lowering.replay(rt, req, seq, predicted, obs, created),
+    };
+    let candidate = |s: &ActivePath| PathSlot {
+        path_index: index.map_or(s.slot.path_index, |ix| ix[s.slot.path_index]),
+        ..s.slot
+    };
+    let slots = lowering.paths.iter().map(candidate).collect();
+    TransferHandle::from_parts(wakers, slots, lowering.schedule.n, seq)
 }
 
 /// Counters of the replay path (see [`crate::UcxContext::graph_stats`]).
@@ -591,7 +614,7 @@ mod tests {
         direct.paths[0].share_bytes = direct.n;
         let c = lower(&direct);
         assert!(!Arc::ptr_eq(&a, &c), "a new shape must re-lower");
-        assert_eq!(c.slots().len(), 1);
+        assert_eq!(c.paths.len(), 1);
         assert!(Arc::ptr_eq(&c, &lower(&direct)), "and it replaced the old");
         let mut rechunked = plan.clone();
         rechunked.paths[1].chunks += 1;

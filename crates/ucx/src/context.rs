@@ -7,9 +7,9 @@
 //! a statically tuned table — and hands the resulting configuration to
 //! the pipeline engine (Step 5).
 
-use crate::compile::{fold_routes, interpret_once, GraphCache, GraphStats};
+use crate::compile::{fold_routes, launch, GraphCache, GraphStats, Lowered};
 use crate::health::{BreakerEvent, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions};
-use crate::pipeline::{TransferHandle, TransferObs};
+use crate::pipeline::{PutRequest, TransferHandle, TransferObs};
 use crate::probe::probe_live;
 use crate::transfer::{ResilienceCounters, ResilienceStats};
 use crate::tuner::{manual_plan, tune_exhaustive, TuneResult};
@@ -80,7 +80,7 @@ pub struct UcxConfig {
     /// per-copy software costs, which is exactly its point. A
     /// [`UcxContext::transfer`] with a retry budget, supervised traffic,
     /// and pairs whose replays the health layer gates stay interpreted —
-    /// see [`UcxContext::put_replayed`] and `DESIGN.md` §4e.
+    /// see [`UcxContext::put`] (whose request has no launch field), §4e.
     pub graph_replay: bool,
     /// Path-health supervision tunables (circuit breakers, replay
     /// gating) — see `DESIGN.md` §4f.
@@ -453,91 +453,91 @@ impl UcxContext {
         self.inner.static_plans.insert(&pair, (pair, n), plan);
     }
 
-    /// Starts an asynchronous `n`-byte PUT of `src[..n]` into `dst[..n]`
-    /// (both GPU buffers). Returns immediately. When
-    /// [`UcxConfig::graph_replay`] is on, the PUT is replayed.
+    /// Starts the non-blocking PUT `req` and returns its handle at once: the
+    /// one entry point every GPU-to-GPU message goes through (Fig. 2(a)
+    /// Step 5). When [`UcxConfig::graph_replay`] is on, the PUT is replayed.
+    pub fn put(&self, req: &PutRequest<'_>) -> Result<TransferHandle, TopologyError> {
+        self.issue(req, self.inner.cfg.graph_replay, None)
+    }
+
+    /// [`UcxContext::put`] of `src[..n]` into `dst[..n]`.
     pub fn put_async(
         &self,
         src: &Buffer,
         dst: &Buffer,
         n: usize,
     ) -> Result<TransferHandle, TopologyError> {
-        self.put_inner(src, 0, dst, 0, n, &[], false)
+        self.put(&PutRequest::new(src, dst, n))
     }
 
-    /// The most general PUT: `n` bytes from `src[src_off..]` into
-    /// `dst[dst_off..]`, firing every waker in `notify` once the whole
-    /// message has landed — the completion hook the MPI layer attaches
-    /// send/receive requests to. Collectives transmit buffer slices
-    /// through this.
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_async_at(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        dst: &Buffer,
-        dst_off: usize,
-        n: usize,
-        notify: &[mpx_sim::Waker],
-    ) -> Result<TransferHandle, TopologyError> {
-        self.put_inner(src, src_off, dst, dst_off, n, notify, false)
-    }
-
-    /// An asynchronous PUT replayed regardless of
-    /// [`UcxConfig::graph_replay`]: the key's cached lowering (lowered
-    /// again if the plan changed shape) launches on an idle replay
-    /// instance, or on a new one when every instance is busy. Only a pair
-    /// the health layer gates runs interpreted.
+    /// [`UcxContext::put_async`] replayed whatever
+    /// [`UcxConfig::graph_replay`] says: the key's cached lowering launches
+    /// on an idle replay instance, or on a new one when every instance is
+    /// busy. Only a pair the health layer gates runs interpreted.
     pub fn put_replayed(
         &self,
         src: &Buffer,
         dst: &Buffer,
         n: usize,
     ) -> Result<TransferHandle, TopologyError> {
-        self.put_inner(src, 0, dst, 0, n, &[], true)
+        self.issue(&PutRequest::new(src, dst, n), true, None)
     }
 
-    /// Every PUT funnels through here: plan (cached), resolve paths, fetch
-    /// the key's lowering (lowering it on a miss or a change of shape),
-    /// then launch it replayed or interpreted. Replays still go through
-    /// [`UcxContext::plan_for`], so plan-cache counters and drift
-    /// detection see identical traffic whichever launch runs the bytes.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn put_inner(
+    /// Every PUT funnels through here: the supervised survivor plan, else the
+    /// plan (cached) and the key's lowering (lowered on a miss or a change
+    /// of shape), replayed if `replay` and the health layer allow. Replays
+    /// still go through [`UcxContext::plan_for`], so plan-cache counters and
+    /// drift see identical traffic whichever launch runs the bytes.
+    /// `planned` is a recovering transfer's attempt 0: that plan over every
+    /// candidate, breakers unconsulted (DESIGN §4f).
+    pub(crate) fn issue(
         &self,
-        src: &Buffer,
-        src_off: usize,
-        dst: &Buffer,
-        dst_off: usize,
-        n: usize,
-        notify: &[mpx_sim::Waker],
-        force_graph: bool,
+        req: &PutRequest<'_>,
+        replay: bool,
+        planned: Option<&Arc<TransferPlan>>,
     ) -> Result<TransferHandle, TopologyError> {
+        let (sd, dd) = (req.src.0.device(), req.dst.0.device());
+        let (rt, sel) = (&self.inner.rt, self.effective_selection());
+        let pair = self.pair_key(sd, dd, sel);
         // Fast-path guard: on a healthy fabric with every breaker Closed
         // the supervision layer costs two relaxed atomic loads and one
         // lock-free engine flag — nothing else.
         let hcfg = &self.inner.cfg.health;
-        let suspect = hcfg.enabled
-            && (!self.inner.health.is_quiet() || self.inner.rt.engine().any_link_down());
+        let suspect = planned.is_none()
+            && hcfg.enabled
+            && (!self.inner.health.is_quiet() || rt.engine().any_link_down());
         if suspect {
-            if let Some(h) = self.put_supervised(src, src_off, dst, dst_off, n, notify)? {
-                return Ok(h);
+            // Plan over the pair's surviving candidates only (in order, as
+            // `Planner::plan_excluding`). No exclusions after all (the down
+            // link serves other pairs, or every open breaker just flipped to
+            // a half-open probe): the normal path runs.
+            let paths = self.paths_for(sd, dd, sel)?;
+            let adm = self.admissions(pair, paths.len(), &format!("pair:{sd}->{dd}"));
+            let (survivors, index) = self.survivors(pair, &paths, |i| adm.excluded.contains(&i));
+            if survivors.len() < paths.len() {
+                if survivors.is_empty() {
+                    return Err(TopologyError::NoUsablePath(sd, dd));
+                }
+                // Deliberately uncached: the fabric is in flux, and a cached
+                // survivor plan would outlive the exclusions that shaped it.
+                let plan = self.inner.planner.compute(req.n, &survivors)?;
+                let (seq, routes) = (self.next_seq(), fold_routes(&survivors));
+                let lowered = Lowered::Plan(&plan, (&survivors, &routes), Some(&index));
+                return Ok(launch(rt, req, seq, lowered, self.transfer_obs(sd, dd)));
             }
-            // No exclusions after all (e.g. the down link serves other
-            // pairs, or every open breaker just flipped to a half-open
-            // probe): fall through to the normal path.
         }
-        let plan = self.plan_for(src.device(), dst.device(), n)?;
-        let sel = self.effective_selection();
-        let (paths, routes) = self.pair_paths(src.device(), dst.device(), sel)?;
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let pair = self.pair_key(src.device(), dst.device(), sel);
+        let plan = match planned {
+            Some(plan) => plan.clone(),
+            None => self.plan_for(sd, dd, req.n)?,
+        };
+        let (paths, routes) = self.pair_paths(sd, dd, sel)?;
+        let seq = self.next_seq();
         // Breaker-open or drift-gated pairs never replay: an instance would
         // put bytes straight back on the sick path. `is_quiet`
         // short-circuits the per-pair scan on a healthy fabric.
-        let replay = (self.inner.cfg.graph_replay || force_graph)
+        let replay = replay
             && (!hcfg.enabled || self.inner.health.is_quiet() || {
-                let now = self.inner.rt.engine().now().as_secs();
+                let now = rt.engine().now().as_secs();
                 let allowed = self.inner.health.replay_allowed(pair, now);
                 if !allowed {
                     self.inner.health.note_replay_gated();
@@ -545,70 +545,23 @@ impl UcxContext {
                 }
                 allowed
             });
-        let lowered = (self.inner.graphs).lowered(&pair, &plan, (&paths, &routes));
-        let (rt, predicted) = (&self.inner.rt, plan.predicted_time);
-        let obs = self.transfer_obs(src.device(), dst.device());
-        let (from, to) = ((src, src_off), (dst, dst_off));
-        if !replay {
-            return Ok(lowered.interpret(rt, from, to, seq, predicted, notify, obs));
-        }
-        // Per-replay first-copy cost: one graph launch plus whatever the
-        // IPC cache still charges for this destination handle. The per-op
-        // launch/ε/rendezvous/initiation costs of an interpreted launch are
-        // compiled away — that is the point of replay.
-        let oh = rt.engine().topology().overheads;
-        let extra = oh.copy_launch + rt.ipc().open_cost(src.device().0, dst.id());
+        let lowering = (self.inner.graphs).lowered(&pair, &plan, (&paths, &routes));
+        let obs = self.transfer_obs(sd, dd);
         let created = |id: u64, instances: usize| {
             self.inner.graphs.captures.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = &self.inner.obs {
-                let track = format!("pair:{}->{}", src.device(), dst.device());
-                let (name, now) = (format!("capture g{id} {n}B"), rt.engine().now().as_secs());
+                let track = format!("pair:{sd}->{dd}");
+                let (name, now) = (format!("capture g{id} {}B", req.n), rt.engine().now());
                 let detail = format!("instances={instances}");
-                rec.instant(Phase::GraphCapture, track, name, now, detail);
+                rec.instant(Phase::GraphCapture, track, name, now.as_secs(), detail);
             }
         };
-        self.inner.graphs.replays.fetch_add(1, Ordering::Relaxed);
-        Ok(lowered.replay(rt, from, to, seq, predicted, extra, notify, obs, created))
-    }
-
-    /// The supervised planning path, taken only when a breaker is open
-    /// somewhere or a link is down: collects this pair's exclusions and —
-    /// when any exist — plans the transfer over the surviving candidates
-    /// only (order-preserving, as `Planner::plan_excluding` guarantees).
-    /// Returns `Ok(None)` when the pair has no exclusions and the normal
-    /// cached path should run.
-    #[allow(clippy::too_many_arguments)]
-    fn put_supervised(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        dst: &Buffer,
-        dst_off: usize,
-        n: usize,
-        notify: &[mpx_sim::Waker],
-    ) -> Result<Option<TransferHandle>, TopologyError> {
-        let (sd, dd) = (src.device(), dst.device());
-        let sel = self.effective_selection();
-        let pair = self.pair_key(sd, dd, sel);
-        let paths = self.paths_for(sd, dd, sel)?;
-        let adm = self.admissions(pair, paths.len(), &format!("pair:{sd}->{dd}"));
-        let (survivors, orig_idx) = self.survivors(pair, &paths, |i| adm.excluded.contains(&i));
-        if survivors.len() == paths.len() {
-            return Ok(None);
-        }
-        if survivors.is_empty() {
-            return Err(TopologyError::NoUsablePath(sd, dd));
-        }
-        // Deliberately uncached: the fabric is in flux, and a cached
-        // survivor plan would outlive the exclusions that shaped it.
-        let plan = self.inner.planner.compute(n, &survivors)?;
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let obs = self.transfer_obs(sd, dd);
-        let (rt, routes) = (&self.inner.rt, fold_routes(&survivors));
-        let (from, to) = ((src, src_off), (dst, dst_off));
-        let mut h = interpret_once(rt, &plan, (&survivors, &routes), from, to, seq, notify, obs);
-        h.remap_path_indices(&orig_idx);
-        Ok(Some(h))
+        let created = replay.then(|| {
+            self.inner.graphs.replays.fetch_add(1, Ordering::Relaxed);
+            &created as &dyn Fn(u64, usize)
+        });
+        let lowered = Lowered::Cached(&lowering, plan.predicted_time, created);
+        Ok(launch(rt, req, seq, lowered, obs))
     }
 
     /// The candidates a plan may use: every path with `skip(index)` false

@@ -10,7 +10,7 @@
 //! use mpx_gpu::GpuRuntime;
 //! use mpx_sim::Engine;
 //! use mpx_topo::presets;
-//! use mpx_ucx::{UcxConfig, UcxContext};
+//! use mpx_ucx::{PutRequest, UcxConfig, UcxContext};
 //!
 //! let rt = GpuRuntime::new(Engine::new(Arc::new(presets::beluga())));
 //! let ctx = UcxContext::new(rt, UcxConfig::default());
@@ -18,7 +18,7 @@
 //! let n = 16 << 20;
 //! let src = ctx.runtime().alloc(gpus[0], n);
 //! let dst = ctx.runtime().alloc(gpus[1], n);
-//! let handle = ctx.put_async(&src, &dst, n).unwrap();
+//! let handle = ctx.put(&PutRequest::new(&src, &dst, n)).unwrap();
 //! ctx.runtime().engine().run_until_idle();
 //! assert!(handle.is_complete());
 //! ```
@@ -39,7 +39,7 @@ pub use context::{CacheStats, ParamSource, TuningMode, UcxConfig, UcxContext};
 pub use health::{
     BreakerEvent, BreakerState, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions,
 };
-pub use pipeline::{execute_plan, PathSlot, TimedOut, TransferHandle, RING_DEPTH};
+pub use pipeline::{execute_plan, PathSlot, PutRequest, TimedOut, TransferHandle, RING_DEPTH};
 pub use transfer::{
     DeadlinePolicy, ResilienceStats, TransferError, TransferPolicy, TransferReport,
 };

@@ -11,12 +11,12 @@
 //!   chunks; a `FREED` event holds leg 1 of chunk `c + RING_DEPTH` until the
 //!   slot is forwarded.
 //!
-//! This module holds the arithmetic of that loop ([`StagedWalk`]) and the
-//! [`TransferHandle`] a launch returns without blocking, whose wakers fire
-//! as paths drain. Turning a plan into stream programs is
-//! [`crate::compile`]'s; [`execute_plan`] lowers, then launches interpreted.
+//! This module holds the arithmetic of that loop ([`StagedWalk`]), the
+//! [`PutRequest`] a PUT is and the [`TransferHandle`] its launch returns
+//! without blocking, whose wakers fire as paths drain. Lowering a plan and
+//! launching it is [`crate::compile`]'s one launcher, [`execute_plan`]'s too.
 
-use crate::compile::{fold_routes, interpret_once};
+use crate::compile::{fold_routes, launch, Lowered};
 use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::TransferPlan;
 use mpx_obs::{QuantileHist, Recorder, ResidualTracker};
@@ -56,13 +56,41 @@ impl fmt::Display for TimedOut {
 
 impl std::error::Error for TimedOut {}
 
+/// One non-blocking PUT: `n` bytes from `src.0[src.1..]` into
+/// `dst.0[dst.1..]` (both GPU buffers), firing every waker in `notify` once
+/// the whole message has landed — the completion hook the MPI layer
+/// attaches send and receive requests to.
+#[derive(Debug, Clone, Copy)]
+pub struct PutRequest<'a> {
+    /// The source buffer and the message's offset in it.
+    pub src: (&'a Buffer, usize),
+    /// The destination buffer and the message's offset in it.
+    pub dst: (&'a Buffer, usize),
+    /// Bytes of the message.
+    pub n: usize,
+    /// Signaled once each, after the message's last byte.
+    pub notify: &'a [Waker],
+}
+
+impl<'a> PutRequest<'a> {
+    /// `src[..n]` into `dst[..n]`, nobody notified.
+    pub fn new(src: &'a Buffer, dst: &'a Buffer, n: usize) -> PutRequest<'a> {
+        PutRequest {
+            src: (src, 0),
+            dst: (dst, 0),
+            n,
+            notify: &[],
+        }
+    }
+}
+
 /// The message range one active path was responsible for. Offsets are
 /// relative to the message (add the caller's `src_off`/`dst_off` to get
 /// buffer offsets) — this is exactly what a recovery pass needs to
 /// re-send a path's residual bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathSlot {
-    /// Index into the *candidate path set* the plan was computed from.
+    /// Index into the pair's *candidate path set*, whatever subset planned.
     pub path_index: usize,
     /// Start of this path's range within the message.
     pub offset: usize,
@@ -112,7 +140,7 @@ impl TransferHandle {
                         d2.store(true, Ordering::Release);
                     }
                 }
-                if self.drained_count() == self.wakers.len() {
+                if self.drained.iter().all(|d| d.load(Ordering::Acquire)) {
                     return Ok(());
                 }
                 return Err(TimedOut { deadline });
@@ -120,13 +148,6 @@ impl TransferHandle {
             d.store(true, Ordering::Release);
         }
         Ok(())
-    }
-
-    fn drained_count(&self) -> usize {
-        self.drained
-            .iter()
-            .filter(|d| d.load(Ordering::Acquire))
-            .count()
     }
 
     /// True once every path has signaled or been drained by a wait.
@@ -160,16 +181,6 @@ impl TransferHandle {
         &self.slots
     }
 
-    /// Rewrites each slot's `path_index` through `orig`, mapping indices
-    /// into a filtered survivor set back into the full candidate set —
-    /// so breaker attribution always speaks candidate-set indices no
-    /// matter which subset a plan executed over.
-    pub(crate) fn remap_path_indices(&mut self, orig: &[usize]) {
-        for s in &mut self.slots {
-            s.path_index = orig[s.path_index];
-        }
-    }
-
     /// Assembles a handle from per-path wakers and their message ranges.
     pub(crate) fn from_parts(
         wakers: Vec<Waker>,
@@ -188,8 +199,8 @@ impl TransferHandle {
     }
 }
 
-/// Executes `plan` moving `src → dst`, returning immediately: lowers it,
-/// then launches it interpreted.
+/// Executes `plan` moving `src → dst`, returning immediately: the one
+/// launcher lowers it for this launch alone and runs it interpreted.
 ///
 /// `paths` must be the candidate set the plan was computed from (same
 /// order). `transfer_seq` tags trace labels so overlapping transfers can
@@ -206,9 +217,14 @@ pub fn execute_plan(
     dst: &Buffer,
     transfer_seq: u64,
 ) -> TransferHandle {
-    let routes = fold_routes(paths);
-    let (set, from, to) = ((paths, &routes), (src, 0), (dst, 0));
-    interpret_once(rt, plan, set, from, to, transfer_seq, &[], None)
+    let (req, routes) = (PutRequest::new(src, dst, plan.n), fold_routes(paths));
+    launch(
+        rt,
+        &req,
+        transfer_seq,
+        Lowered::Plan(plan, (paths, &routes), None),
+        None,
+    )
 }
 
 /// Staging slots available per path, all in one buffer: chunk `c` stages

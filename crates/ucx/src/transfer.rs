@@ -24,9 +24,9 @@
 //! the residual transfer is again optimal for the degraded fabric, down
 //! to a single surviving path.
 
-use crate::compile::{fold_routes, interpret_once};
+use crate::compile::{fold_routes, launch, Lowered};
 use crate::context::UcxContext;
-use crate::pipeline::TransferHandle;
+use crate::pipeline::{PutRequest, TransferHandle};
 use crate::probe::probe_live;
 use mpx_gpu::Buffer;
 use mpx_model::TransferPlan;
@@ -78,8 +78,10 @@ pub struct TransferPolicy {
     /// Attempt 0's budget; round `k` backs its slack off (floor kept).
     pub deadline: DeadlinePolicy,
     /// Rounds allowed after attempt 0. With none the transfer is the plain
-    /// PUT: attempt 0 launches as [`UcxContext::put_async`] does (replay,
+    /// PUT: attempt 0 launches as [`UcxContext::put`] does (replay,
     /// supervised survivor plan), a miss is final and no drift is fed back.
+    /// With some, attempt 0 runs the key's cached lowering interpreted over
+    /// every candidate, breakers unconsulted.
     pub retries: u32,
     /// Race a missed attempt's residual on the paths its stall did not
     /// implicate, first completion winning per range, instead of
@@ -312,18 +314,14 @@ impl UcxContext {
         let plan = self.plan_for(sd, dd, n)?;
         let sel = self.effective_selection();
         let pair = self.pair_key(sd, dd, sel);
-        let (all, routes) = self.pair_paths(sd, dd, sel)?;
+        let all = self.paths_for(sd, dd, sel)?;
         let obs = self.transfer_obs(sd, dd);
         let track = format!("pair:{sd}->{dd}");
-        // With a retry budget attempt 0 runs interpreted over every
-        // candidate; without, it launches as `put_async` does (DESIGN §4f).
-        let primary = if policy.retries == 0 {
-            self.put_inner(src, 0, dst, 0, n, &[], false)?
-        } else {
-            let (seq, routes) = (self.next_seq(), routes.get_or_init(|| fold_routes(&all)));
-            let set = (&all[..], routes);
-            interpret_once(rt, &plan, set, (src, 0), (dst, 0), seq, &[], obs.clone())
-        };
+        // With a retry budget attempt 0 runs this plan interpreted over every
+        // candidate; without, it launches as `put` does (DESIGN §4f).
+        let recovering = (policy.retries > 0).then_some(&plan);
+        let replay = recovering.is_none() && self.config().graph_replay;
+        let primary = self.issue(&PutRequest::new(src, dst, n), replay, recovering)?;
         let seq = primary.seq;
         let signal = |class, h: &TransferHandle, cause: &dyn Fn() -> String| {
             let path = h.unfinished().first().map(|s| s.path_index);
@@ -449,10 +447,14 @@ impl UcxContext {
                 };
                 worst = worst.max(plan.predicted_time);
                 report.recovered_bytes += r.bytes as u64;
-                let (seq, set) = (self.next_seq(), (&survivors[..], &routes));
-                let (from, to) = ((src, r.offset), (dst, r.offset));
-                let mut h = interpret_once(rt, &plan, set, from, to, seq, &[], obs.clone());
-                h.remap_path_indices(&orig_idx);
+                let req = PutRequest {
+                    src: (src, r.offset),
+                    dst: (dst, r.offset),
+                    n: r.bytes,
+                    notify: &[],
+                };
+                let lowered = Lowered::Plan(&plan, (&survivors, &routes), Some(&orig_idx));
+                let h = launch(rt, &req, self.next_seq(), lowered, obs.clone());
                 handles.push((h, r.offset));
             }
             report.retries += 1;

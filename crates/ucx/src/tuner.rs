@@ -12,7 +12,8 @@
 //! the **observed optimum** against which model-prediction error is
 //! reported (Figures 5/6's error metric).
 
-use crate::compile::{fold_routes, Lowering};
+use crate::compile::{fold_routes, launch, Lowered, Lowering};
+use crate::pipeline::PutRequest;
 use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::{
     chunk_count, quantize_shares, PipelineMode, PlannedPath, PlannerConfig, TransferPlan,
@@ -181,8 +182,9 @@ impl<'a> WarmSim<'a> {
     fn run(&mut self, plan: &TransferPlan, lowering: &Lowering) -> Secs {
         let eng = self.rt.engine();
         let t0 = eng.now();
-        let (src, dst, seq) = ((&self.src, 0), (&self.dst, 0), self.transfers);
-        let h = lowering.interpret(&self.rt, src, dst, seq, plan.predicted_time, &[], None);
+        let req = PutRequest::new(&self.src, &self.dst, plan.n);
+        let lowered = Lowered::Cached(lowering, plan.predicted_time, None);
+        let h = launch(&self.rt, &req, self.transfers, lowered, None);
         self.transfers += 1;
         eng.run_until_idle();
         // A stuck candidate would leak its flows into the next measurement.

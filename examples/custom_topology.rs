@@ -68,7 +68,7 @@ fn main() {
     let n = 64 << 20;
     let src = ctx.runtime().alloc(g0, n);
     let dst = ctx.runtime().alloc(g1, n);
-    ctx.put_async(&src, &dst, n).unwrap();
+    ctx.put(&PutRequest::new(&src, &dst, n)).unwrap();
     ctx.runtime().engine().run_until_idle();
     println!(
         "simulated g0 -> g1: {:.2} GB/s",

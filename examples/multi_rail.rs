@@ -28,10 +28,10 @@ fn measure(topo: &Arc<Topology>, rails: usize, n: usize) -> f64 {
     let s = ctx.runtime().alloc(src, n);
     let d = ctx.runtime().alloc(dst, n);
     // Warm, then measure.
-    ctx.put_async(&s, &d, n).unwrap();
+    ctx.put(&PutRequest::new(&s, &d, n)).unwrap();
     ctx.runtime().engine().run_until_idle();
     let t0 = ctx.runtime().engine().now();
-    ctx.put_async(&s, &d, n).unwrap();
+    ctx.put(&PutRequest::new(&s, &d, n)).unwrap();
     ctx.runtime().engine().run_until_idle();
     n as f64 / ctx.runtime().engine().now().secs_since(t0)
 }

@@ -23,11 +23,11 @@ fn main() {
     let dst = ctx.runtime().alloc(gpus[1], n);
     // Warmup transfer: absorbs the one-time IPC handle open (~80 µs) so
     // the traced schedule shows steady-state behaviour.
-    ctx.put_async(&src, &dst, n).unwrap();
+    ctx.put(&PutRequest::new(&src, &dst, n)).unwrap();
     ctx.runtime().engine().run_until_idle();
     let _ = ctx.runtime().engine().take_trace();
     let t_base = ctx.runtime().engine().now();
-    ctx.put_async(&src, &dst, n).unwrap();
+    ctx.put(&PutRequest::new(&src, &dst, n)).unwrap();
     ctx.runtime().engine().run_until_idle();
 
     let mut trace = ctx.runtime().engine().take_trace();

@@ -39,7 +39,7 @@ fn main() {
     let src = ctx.runtime().alloc(gpus[0], n);
     let dst = ctx.runtime().alloc(gpus[1], n);
     let t0 = ctx.runtime().engine().now();
-    ctx.put_async(&src, &dst, n).unwrap();
+    ctx.put(&PutRequest::new(&src, &dst, n)).unwrap();
     ctx.runtime().engine().run_until_idle();
     let measured = ctx.runtime().engine().now().secs_since(t0);
     println!(

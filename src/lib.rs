@@ -54,7 +54,7 @@ pub mod prelude {
     };
     pub use mpx_topo::{presets, LinkId, PathSelection, Topology, TopologyBuilder};
     pub use mpx_ucx::{
-        DeadlinePolicy, HealthConfig, TransferError, TransferPolicy, TransferReport, TuningMode,
-        UcxConfig, UcxContext,
+        DeadlinePolicy, HealthConfig, PutRequest, TransferError, TransferPolicy, TransferReport,
+        TuningMode, UcxConfig, UcxContext,
     };
 }
