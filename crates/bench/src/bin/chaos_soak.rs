@@ -109,7 +109,6 @@ fn main() {
         seed_rows.push(soak_one(&topo, seed, &mut violations));
     }
 
-    let parallel = parallel_engine_phase(seeds, &mut violations);
     let tail = tail_latency_phase(&topo, &mut violations);
 
     if !violations.is_empty() {
@@ -122,71 +121,10 @@ fn main() {
     if !quick {
         let report = json!({
             "seeds": seed_rows,
-            "parallel_engine": parallel,
             "tail_latency": tail
         });
         mpx_bench::emit_json("BENCH_chaos", &report);
     }
-}
-
-/// Storm-under-partitioning phase: the same seeded `random_soak`
-/// campaigns, but driven through the component-partitioned scenario
-/// runner on a multi-node cluster — per seed, flows on every node plus
-/// partition-bridging flows, the storm overlapping the bridges'
-/// rebalances. Serial and 8-worker parallel execution must be
-/// bit-identical ([`mpx_sim::equivalence_diff`]); any divergence is a
-/// violation.
-fn parallel_engine_phase(seeds: &[u64], violations: &mut Vec<String>) -> Value {
-    use mpx_sim::{equivalence_diff, FlowSpec, JitterModel, Scenario};
-    const NODES: usize = 6;
-    const NODE_LINKS: usize = 21;
-    let topo = Arc::new(presets::cluster(NODES, 4));
-    let mut rows = Vec::new();
-    for &seed in seeds {
-        let storm = FaultPlan::random_soak(&topo, seed, 0.02, 24, &[]);
-        let mut sc = Scenario::new(topo.clone())
-            .with_tie_seed(seed)
-            .with_jitter(JitterModel { seed, spread: 0.2 })
-            .with_faults(storm);
-        for node in 0..NODES {
-            for k in 0..6usize {
-                let off = (seed as usize + 5 * k) % 12;
-                let route = vec![LinkId((node * NODE_LINKS + off) as u32)];
-                let bytes = MIB + (node << 12) + k;
-                sc = sc.flow_at(k as f64 * 1e-3, FlowSpec::new(route, bytes));
-            }
-        }
-        // A late bridging flow per adjacent node pair: rebalances land
-        // mid-storm.
-        for node in 0..NODES - 1 {
-            let route = vec![
-                LinkId((node * NODE_LINKS) as u32),
-                LinkId(((node + 1) * NODE_LINKS) as u32),
-            ];
-            sc = sc.flow_at(8e-3, FlowSpec::new(route, 2 * MIB));
-        }
-        let serial = sc.run_serial();
-        let par = sc.run_parallel(8);
-        if let Some(diff) = equivalence_diff(&serial, &par) {
-            violations.push(format!(
-                "seed {seed}: parallel engine diverged from serial under storm: {diff}"
-            ));
-        }
-        rows.push(json!({
-            "seed": seed,
-            "flows_completed": serial.stats.flows_completed,
-            "faults_fired": serial.stats.faults_fired,
-            "partitions": serial.stats.partitions,
-            "rebalances": serial.stats.rebalances,
-            "cross_component_events": serial.stats.cross_component_events,
-            "bit_identical": true
-        }));
-    }
-    println!(
-        "parallel engine: {} storm seeds serial-vs-parallel bit-identical",
-        seeds.len()
-    );
-    json!(rows)
 }
 
 /// Data pattern for one (driver, iteration) — distinct across drivers so

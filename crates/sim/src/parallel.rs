@@ -17,10 +17,11 @@
 //! pinned:
 //!
 //! * **Flow identity.** Global flow ids are assigned by issue order
-//!   `(time, declaration index)` before execution. Each partition issues
-//!   its flows in declaration order, so its engine-local ids are
-//!   order-isomorphic to the global ids; the engine's canonical
-//!   sorted-by-id float accumulation therefore visits flows in the same
+//!   `(time, declaration index)` before execution. Every engine a run
+//!   builds schedules its flows in that order and checks, at each start,
+//!   that the k-th flow got engine-local id k; a partition's local ids are
+//!   therefore order-isomorphic to the global ids, and the engine's
+//!   canonical sorted-by-id float accumulation visits flows in the same
 //!   relative order either way.
 //! * **Event interleaving.** Within a partition, queue tie-breaks
 //!   (insertion sequence) replay the serial engine's relative order,
@@ -40,7 +41,7 @@
 //! `parallel_equiv` proptest drives it over random fault storms at
 //! 1/2/4/8 workers.
 
-use crate::engine::{Ctx, Engine, FlowSpec, OnComplete, StatsSnapshot, TraceRecord};
+use crate::engine::{Ctx, Engine, FlowId, FlowSpec, OnComplete, StatsSnapshot, TraceRecord};
 use crate::engine::{JitterModel, LinkStats};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::partition::{partition_scenario, PartitionPlan};
@@ -48,11 +49,10 @@ use crate::time::SimTime;
 use mpx_obs::{Phase, Recorder};
 use mpx_topo::units::Secs;
 use mpx_topo::Topology;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A workload declared up front: flows with issue times plus faults.
 /// Build with the fluent methods, then [`Scenario::run_serial`] or
@@ -168,11 +168,16 @@ impl Scenario {
         partition_scenario(self.topo.link_count(), flows, &self.faults)
     }
 
-    /// The run's partition plan, and for each declared flow its issue time,
-    /// global id and jitter factor. The factors are drawn in global-id
-    /// order — the order a serial engine with an installed jitter model
-    /// would consume the stream — in the same pass that numbers the flows.
-    fn prepare(&self) -> (PartitionPlan, Vec<(SimTime, u64, f64)>) {
+    /// The run's partition plan, the declared flows in issue order, and
+    /// for each declared flow its issue time, global id and jitter factor.
+    /// The factors are drawn in global-id order — the order a serial engine
+    /// with an installed jitter model would consume the stream — in the same
+    /// pass that numbers the flows.
+    fn prepare(&self) -> (PartitionPlan, Vec<usize>, Vec<(SimTime, u64, f64)>) {
+        // Validate the whole plan before the partitioner indexes links by it;
+        // each engine revalidates its sub-plan, under renumbered events.
+        let invalid = self.faults.validate(&self.topo);
+        assert!(invalid.is_empty(), "invalid fault plan: {invalid:?}");
         let order = self.issue_order();
         let mut rng = self
             .jitter
@@ -185,61 +190,83 @@ impl Scenario {
             };
             issues[decl] = (at, id as u64, factor);
         }
-        (self.plan(&order), issues)
+        let decls = order.iter().map(|&(_, decl)| decl).collect();
+        (self.plan(&order), decls, issues)
     }
 
-    /// An engine with `faults` installed and the flows `decls` scheduled
-    /// as this run issues them, and the ids its flows are assigned.
-    fn engine(
+    /// Simulates the flows `decls` (declaration indices, in issue order)
+    /// under `faults` on one engine, and returns its counters and its trace
+    /// under global ids. The k-th flow an engine starts is `decls[k]`, so it
+    /// must get engine-local id k: each start checks that, and the trace
+    /// maps back to global ids through `decls` alone.
+    fn simulate(
         &self,
-        decls: impl ExactSizeIterator<Item = usize>,
+        decls: &[usize],
         issues: &[(SimTime, u64, f64)],
         faults: &FaultPlan,
-    ) -> (Engine, Assigned) {
+    ) -> (StatsSnapshot, Vec<TraceRecord>) {
         let eng = Engine::with_tracing(self.topo.clone(), self.trace);
         if let Some(rec) = &self.recorder {
             eng.set_recorder(rec.clone());
         }
-        let assigned = Arc::new(Mutex::new(Vec::with_capacity(decls.len())));
-        for decl in decls {
+        for (rank, &decl) in decls.iter().enumerate() {
             // The one place a run copies a spec, since the engine consumes
             // what it is given; the copy carries the flow's jitter factor.
-            let (at, global, factor) = issues[decl];
+            let (at, _, factor) = issues[decl];
             let mut spec = self.flows[decl].1.clone();
             spec.latency_factor *= factor;
-            let sink = assigned.clone();
             let issue = move |ctx: &mut Ctx<'_>| {
                 let local = ctx.start_flow(spec, OnComplete::Nothing);
-                sink.lock().push((local.0, global));
+                let rank = FlowId(rank as u64);
+                assert_eq!(local, rank, "flow id diverged from issue-order rank");
             };
             eng.schedule_at(at, OnComplete::Call(Box::new(issue)));
         }
         FaultInjector::install(&eng, faults);
-        (eng, assigned)
+        eng.run_until_idle();
+        let mut trace = eng.take_trace();
+        for r in &mut trace {
+            r.flow = FlowId(issues[decls[r.flow.0 as usize]].1);
+        }
+        (eng.stats(), trace)
     }
 
-    /// Runs the scenario on one engine — the determinism oracle.
-    pub fn run_serial(&self) -> ScenarioReport {
-        let (plan, issues) = self.prepare();
-        let (eng, assigned) = self.engine(0..issues.len(), &issues, &self.faults);
-        eng.run_until_idle();
-        // The engine must have assigned exactly the precomputed global
-        // ids — this is what lets partitions reuse them.
-        for &(local, global) in assigned.lock().iter() {
-            assert_eq!(
-                local, global,
-                "serial flow id diverged from issue-order rank"
-            );
+    /// Merges the engines' results into one report. Each link is owned by
+    /// exactly one engine, so per-link f64 byte totals pick up exactly one
+    /// non-zero contribution — adding the others' zeros cannot change the
+    /// bit pattern. The partition counters come from the plan in both
+    /// modes; the trace is put in canonical order.
+    fn report(
+        &self,
+        plan: &PartitionPlan,
+        runs: Vec<(StatsSnapshot, Vec<TraceRecord>)>,
+        partitions: Vec<PartitionRun>,
+    ) -> ScenarioReport {
+        let mut stats = StatsSnapshot {
+            links: vec![LinkStats::default(); self.topo.link_count()],
+            partitions: plan.partitions,
+            rebalances: plan.rebalances,
+            cross_component_events: plan.cross_component_events,
+            ..StatsSnapshot::default()
+        };
+        let mut trace = Vec::new();
+        for (sub, mut sub_trace) in runs {
+            accumulate_stats(&mut stats, &sub);
+            trace.append(&mut sub_trace);
         }
-        let mut stats = eng.stats();
-        apply_partition_counters(&mut stats, &plan);
-        let mut trace = eng.take_trace();
         sort_canonical(&mut trace, self.tie_seed);
         ScenarioReport {
             stats,
             trace,
-            partitions: Vec::new(),
+            partitions,
         }
+    }
+
+    /// Runs the scenario on one engine — the determinism oracle.
+    pub fn run_serial(&self) -> ScenarioReport {
+        let (plan, decls, issues) = self.prepare();
+        let run = self.simulate(&decls, &issues, &self.faults);
+        self.report(&plan, vec![run], Vec::new())
     }
 
     /// Runs the scenario partitioned across `workers` threads. Any
@@ -247,72 +274,38 @@ impl Scenario {
     /// count only bounds concurrency.
     pub fn run_parallel(&self, workers: usize) -> ScenarioReport {
         assert!(workers >= 1, "need at least one worker");
-        let (plan, issues) = self.prepare();
-        // Validate the full plan once up front (sub-plans revalidate
-        // cheaply); keeps error surfaces identical to serial.
-        let invalid = self.faults.validate(&self.topo);
-        assert!(invalid.is_empty(), "invalid fault plan: {invalid:?}");
+        let (plan, _, issues) = self.prepare();
 
-        let prepared: Vec<_> = (plan.parts.iter())
-            .map(|part| {
-                let sub = FaultPlan {
-                    events: part.faults.iter().map(|&j| self.faults.events[j]).collect(),
-                };
-                self.engine(part.flows.iter().copied(), &issues, &sub)
-            })
-            .collect();
-
-        // Worker pool: threads claim partitions off a shared cursor.
-        // Partition order is largest-first (see `partition_scenario`),
-        // so the long pole starts immediately; results are read back in
-        // partition order afterwards, so scheduling cannot perturb the
-        // merge.
+        // Worker pool: a worker claims a partition off a shared cursor,
+        // builds its engine, runs it and drops it. Partition order is
+        // largest-first (see `partition_scenario`), so the long pole starts
+        // immediately; results are put back in partition order afterwards,
+        // so scheduling cannot perturb the merge.
         let cursor = AtomicUsize::new(0);
-        let pool = workers.min(prepared.len()).max(1);
+        let runs: Vec<OnceLock<_>> = plan.parts.iter().map(|_| OnceLock::new()).collect();
         std::thread::scope(|s| {
-            for _ in 0..pool {
-                s.spawn(|| {
-                    while let Some((eng, _)) = prepared.get(cursor.fetch_add(1, Ordering::Relaxed))
-                    {
-                        eng.run_until_idle();
-                    }
+            for _ in 0..workers.min(plan.parts.len()).max(1) {
+                s.spawn(|| loop {
+                    let k = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(part) = plan.parts.get(k) else { break };
+                    let events = part.faults.iter().map(|&j| self.faults.events[j]).collect();
+                    let sub = FaultPlan { events };
+                    let _ = runs[k].set(self.simulate(&part.flows, &issues, &sub));
                 });
             }
         });
+        let runs: Vec<_> = (runs.into_iter())
+            .map(|run| run.into_inner().expect("every partition ran"))
+            .collect();
 
-        // Deterministic merge, in partition order.
-        let nlinks = self.topo.link_count();
-        let mut stats = StatsSnapshot {
-            links: vec![LinkStats::default(); nlinks],
-            ..StatsSnapshot::default()
-        };
-        let mut trace = Vec::new();
-        let mut partitions = Vec::with_capacity(prepared.len());
-        for (part, (eng, assigned)) in plan.parts.iter().zip(&prepared) {
-            let sub = eng.stats();
-            let mut sub_trace = eng.take_trace();
-            if !sub_trace.is_empty() {
-                let local_to_global: std::collections::HashMap<u64, u64> =
-                    assigned.lock().iter().copied().collect();
-                for r in &mut sub_trace {
-                    let g = *local_to_global
-                        .get(&r.flow.0)
-                        .expect("trace record for an unmapped flow");
-                    r.flow = crate::engine::FlowId(g);
-                }
-                trace.append(&mut sub_trace);
-            }
-            partitions.push(PartitionRun {
+        let partitions: Vec<PartitionRun> = (plan.parts.iter().zip(&runs))
+            .map(|(part, (sub, _))| PartitionRun {
                 root: part.root,
                 flows: part.flows.len(),
                 events_processed: sub.events_processed,
                 now: sub.now,
-            });
-            accumulate_stats(&mut stats, &sub);
-        }
-        apply_partition_counters(&mut stats, &plan);
-        sort_canonical(&mut trace, self.tie_seed);
-
+            })
+            .collect();
         if let Some(rec) = &self.recorder {
             for (k, pr) in partitions.iter().enumerate() {
                 rec.span(
@@ -334,12 +327,7 @@ impl Scenario {
                 );
             }
         }
-
-        ScenarioReport {
-            stats,
-            trace,
-            partitions,
-        }
+        self.report(&plan, runs, partitions)
     }
 }
 
@@ -434,10 +422,6 @@ pub fn equivalence_diff(a: &ScenarioReport, b: &ScenarioReport) -> Option<String
     None
 }
 
-/// `(engine-local id, global id)` of each flow an engine has started, in
-/// the order it started them.
-type Assigned = Arc<Mutex<Vec<(u64, u64)>>>;
-
 /// SplitMix64 — the seeded tie-break for merging simultaneous
 /// completions from different partitions into one canonical order.
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -452,10 +436,7 @@ fn sort_canonical(trace: &mut [TraceRecord], seed: u64) {
     trace.sort_by_key(|r| (r.completed, splitmix64(seed ^ r.flow.0), r.flow.0));
 }
 
-/// Folds a partition's counters into the merged snapshot. Each link is
-/// owned by exactly one partition, so per-link f64 byte totals pick up
-/// exactly one non-zero contribution — adding the others' zeros cannot
-/// change the bit pattern.
+/// Folds one engine's counters into the merged snapshot.
 fn accumulate_stats(into: &mut StatsSnapshot, sub: &StatsSnapshot) {
     into.now = into.now.max(sub.now);
     for (a, b) in into.links.iter_mut().zip(&sub.links) {
@@ -469,12 +450,6 @@ fn accumulate_stats(into: &mut StatsSnapshot, sub: &StatsSnapshot) {
     into.faults_fired += sub.faults_fired;
     into.flows_stalled += sub.flows_stalled;
     into.links_down += sub.links_down;
-}
-
-fn apply_partition_counters(stats: &mut StatsSnapshot, plan: &PartitionPlan) {
-    stats.partitions = plan.partitions;
-    stats.rebalances = plan.rebalances;
-    stats.cross_component_events = plan.cross_component_events;
 }
 
 #[cfg(test)]
@@ -619,6 +594,15 @@ mod tests {
             t != base
         });
         assert!(flipped, "tie-break ignores the seed");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault plan")]
+    fn a_fault_on_an_unknown_link_is_reported_before_partitioning() {
+        let topo = Arc::new(presets::synthetic_default());
+        let ghost = mpx_topo::LinkId(topo.link_count() as u32);
+        let plan = FaultPlan::empty().with(0.1, ghost, FaultKind::Kill);
+        Scenario::new(topo).with_faults(plan).run_serial();
     }
 
     #[test]

@@ -114,7 +114,8 @@ pub struct Partition {
     /// partition.
     pub root: usize,
     /// Declaration indices of the flows this partition simulates, in
-    /// declaration order (the order the serial engine would push them).
+    /// issue order (the order its engine starts them, so the k-th flow
+    /// listed gets engine-local id k).
     pub flows: Vec<usize>,
     /// Indices into the scenario's [`FaultPlan`] routed here, in plan
     /// order.
@@ -162,8 +163,8 @@ pub fn partition_scenario<R: AsRef<[LinkId]>>(
     fault_order.sort_unstable();
 
     // Merge the two admission streams, a flow first on a tie (the serial
-    // engine's push order).
-    let mut flow_admit_root = vec![usize::MAX; flows.len()];
+    // engine's push order); flows keep `(decl, root)` in issue order.
+    let mut flow_admit_root = Vec::with_capacity(flows.len());
     let mut fault_admit_root = vec![usize::MAX; faults.events.len()];
     let (mut flows, mut fault_order) = (flows.peekable(), fault_order.into_iter().peekable());
     let mut last_flow = None;
@@ -180,7 +181,7 @@ pub fn partition_scenario<R: AsRef<[LinkId]>>(
                 "flow {decl} out of issue order"
             );
             last_flow = Some((at, decl));
-            flow_admit_root[decl] = p.admit_flow(route.as_ref(), at);
+            flow_admit_root.push((decl, p.admit_flow(route.as_ref(), at)));
         } else {
             let (_, i) = fault_order.next().expect("peeked");
             fault_admit_root[i] = p.admit_fault(faults.events[i].link);
@@ -190,8 +191,9 @@ pub fn partition_scenario<R: AsRef<[LinkId]>>(
     // Resolve final owners and count cross-component re-routes.
     let mut cross = 0u64;
     let mut parts_by_root = std::collections::BTreeMap::new();
+    let fault_admit_root = fault_admit_root.into_iter().enumerate().collect();
     for (is_flow, admit_roots) in [(true, flow_admit_root), (false, fault_admit_root)] {
-        for (i, root) in admit_roots.into_iter().enumerate() {
+        for (i, root) in admit_roots {
             let fin = p.find(root);
             cross += u64::from(fin != root);
             let part = (parts_by_root.entry(fin)).or_insert_with(|| Partition {
@@ -309,6 +311,18 @@ mod tests {
         let plan = plan_of(4, &flows, &FaultPlan::empty());
         assert_eq!(plan.partitions, 1);
         assert_eq!(plan.rebalances, 0);
+    }
+
+    #[test]
+    fn a_partition_lists_its_flows_in_issue_order() {
+        // Declared 0, 1, 2 on one link; issued 2, 0, 1.
+        let issued = [
+            (SimTime::ZERO, 2, vec![lid(0)]),
+            (SimTime::from_secs(0.1), 0, vec![lid(0)]),
+            (SimTime::from_secs(0.2), 1, vec![lid(0)]),
+        ];
+        let plan = partition_scenario(4, issued.into_iter(), &FaultPlan::empty());
+        assert_eq!(plan.parts[0].flows, vec![2, 0, 1]);
     }
 
     #[test]

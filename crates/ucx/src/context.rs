@@ -457,7 +457,7 @@ impl UcxContext {
     /// one entry point every GPU-to-GPU message goes through (Fig. 2(a)
     /// Step 5). When [`UcxConfig::graph_replay`] is on, the PUT is replayed.
     pub fn put(&self, req: &PutRequest<'_>) -> Result<TransferHandle, TopologyError> {
-        self.issue(req, self.inner.cfg.graph_replay, None)
+        self.issue(req, self.inner.cfg.graph_replay, None, true)
     }
 
     /// [`UcxContext::put`] of `src[..n]` into `dst[..n]`.
@@ -480,21 +480,24 @@ impl UcxContext {
         dst: &Buffer,
         n: usize,
     ) -> Result<TransferHandle, TopologyError> {
-        self.issue(&PutRequest::new(src, dst, n), true, None)
+        self.issue(&PutRequest::new(src, dst, n), true, None, true)
     }
 
     /// Every PUT funnels through here: the supervised survivor plan, else the
     /// plan (cached) and the key's lowering (lowered on a miss or a change
     /// of shape), replayed if `replay` and the health layer allow. Replays
     /// still go through [`UcxContext::plan_for`], so plan-cache counters and
-    /// drift see identical traffic whichever launch runs the bytes.
-    /// `planned` is a recovering transfer's attempt 0: that plan over every
-    /// candidate, breakers unconsulted (DESIGN §4f).
+    /// drift see identical traffic whichever launch runs the bytes. A
+    /// transfer hands over the plan it resolved (`planned`), so it resolves
+    /// it once; `supervised` is off for a recovering transfer's attempt 0,
+    /// which runs that plan over every candidate, breakers unconsulted
+    /// (DESIGN §4f).
     pub(crate) fn issue(
         &self,
         req: &PutRequest<'_>,
         replay: bool,
         planned: Option<&Arc<TransferPlan>>,
+        supervised: bool,
     ) -> Result<TransferHandle, TopologyError> {
         let (sd, dd) = (req.src.0.device(), req.dst.0.device());
         let (rt, sel) = (&self.inner.rt, self.effective_selection());
@@ -503,7 +506,7 @@ impl UcxContext {
         // the supervision layer costs two relaxed atomic loads and one
         // lock-free engine flag — nothing else.
         let hcfg = &self.inner.cfg.health;
-        let suspect = planned.is_none()
+        let suspect = supervised
             && hcfg.enabled
             && (!self.inner.health.is_quiet() || rt.engine().any_link_down());
         if suspect {

@@ -318,10 +318,10 @@ impl UcxContext {
         let obs = self.transfer_obs(sd, dd);
         let track = format!("pair:{sd}->{dd}");
         // With a retry budget attempt 0 runs this plan interpreted over every
-        // candidate; without, it launches as `put` does (DESIGN §4f).
-        let recovering = (policy.retries > 0).then_some(&plan);
-        let replay = recovering.is_none() && self.config().graph_replay;
-        let primary = self.issue(&PutRequest::new(src, dst, n), replay, recovering)?;
+        // candidate; without, it launches this plan as `put` would (DESIGN §4f).
+        let plain = policy.retries == 0;
+        let replay = plain && self.config().graph_replay;
+        let primary = self.issue(&PutRequest::new(src, dst, n), replay, Some(&plan), plain)?;
         let seq = primary.seq;
         let signal = |class, h: &TransferHandle, cause: &dyn Fn() -> String| {
             let path = h.unfinished().first().map(|s| s.path_index);

@@ -240,6 +240,40 @@ fn put_on_a_severed_fabric_exits_with_stuck_error() {
     assert!(stderr.contains("transfer stuck"), "{stderr}");
 }
 
+/// The canned fault plans through the partitioned runner: `mpx partition`
+/// replays each on a multi-component cluster serially and partitioned, and
+/// exits nonzero unless the two runs are bit-identical. Each plan's faults
+/// must fire there too.
+#[test]
+fn partition_replays_each_canned_fault_plan_bit_identically() {
+    let dir = std::env::temp_dir().join(format!("mpx-cli-partition-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for scenario in ["degrade", "flap", "kill"] {
+        let (plan, stderr, ok) = mpx(&[
+            "fault-plan",
+            "--topo",
+            "beluga",
+            "--paths",
+            "3_GPUs",
+            "--size",
+            "64M",
+            "--scenario",
+            scenario,
+        ]);
+        assert!(ok, "{scenario}: {stderr}");
+        let path = dir.join(format!("{scenario}.json"));
+        std::fs::write(&path, &plan).unwrap();
+        let (out, stderr, ok) = mpx(&["partition", "--faults", path.to_str().unwrap()]);
+        assert!(ok, "{scenario}: stdout: {out}\nstderr: {stderr}");
+        assert!(
+            out.contains("bit-identical"),
+            "{scenario}: not verified: {out}"
+        );
+        assert!(!out.contains("faults=0"), "{scenario}: never fired: {out}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let (_, stderr, ok) = mpx(&["frobnicate"]);

@@ -279,6 +279,37 @@ fn a_plain_put_measures_a_healthy_fabric() {
     assert!(bw > 0.0);
 }
 
+/// A plain transfer resolves its plan once: attempt 0 launches the plan
+/// the transfer took its deadline from, interpreted or replayed, as a `put`
+/// launches the one it resolves. Each resolution is one plan-cost sample.
+#[test]
+fn a_plain_transfer_resolves_its_plan_once() {
+    for graph_replay in [false, true] {
+        let topo = Arc::new(presets::beluga());
+        let cfg = UcxConfig {
+            graph_replay,
+            ..UcxConfig::default()
+        };
+        let ctx = UcxContext::new(GpuRuntime::new(Engine::new(topo.clone())), cfg);
+        let (gpus, n) = (topo.gpus(), 16 << 20);
+        let src = ctx.runtime().alloc(gpus[0], n);
+        let dst = ctx.runtime().alloc(gpus[1], n);
+        let before = ctx.plan_cost_hist().count();
+        let plain = ctx.transfer(&src, &dst, n, &TransferPolicy::PLAIN);
+        drive(&ctx, plain).expect("healthy fabric");
+        let plans = ctx.plan_cost_hist().count() - before;
+        assert_eq!(
+            plans, 1,
+            "graph_replay={graph_replay}: a plain transfer plans once"
+        );
+        let before = ctx.plan_cost_hist().count();
+        let put = ctx.put(&PutRequest::new(&src, &dst, n)).expect("put");
+        ctx.runtime().engine().run_until_idle();
+        assert!(put.is_complete());
+        assert_eq!(ctx.plan_cost_hist().count() - before, 1, "a put plans once");
+    }
+}
+
 /// A mid-transfer kill with no surviving path surfaces as the typed
 /// stuck error, naming the stranded bytes — not a panic.
 #[test]
