@@ -5,7 +5,8 @@
 //! * maximum P2P speedup of multi-path over the direct path (paper: up
 //!   to 2.9×) and maximum collective speedup (paper: up to 1.4×);
 //! * Algorithm-1 runtime overhead relative to the transfer it configures
-//!   (paper: <0.1% for large messages).
+//!   (paper: <0.1% for large messages): the median of 21 batches of 1 000
+//!   misses on a warm planner, beside one cold batch.
 
 use mpx_bench::{emit_json, paper_sizes};
 use mpx_model::Planner;
@@ -99,29 +100,30 @@ fn main() {
     }
 
     // Algorithm-1 overhead: wall-clock cost of an uncached plan vs the
-    // virtual duration of the transfer it configures.
+    // virtual duration of the transfer it configures. Every size is
+    // distinct, so every plan is a miss: the production miss path (pair
+    // memo lookup + the Eq. 24 share solve) without planner construction.
+    // One batch on a fresh planner is the cold reading; the reported cost
+    // is the median batch on the warm planner that follows.
     let topo = Arc::new(presets::beluga());
     let gpus = topo.gpus();
     let n = 64 << 20;
-    // Vary n to defeat the plan cache: with quantization off (the
-    // default here) every distinct size is a miss, so this times the
-    // production miss path — pair memo lookup + the Eq. 24 share solve —
-    // without re-measuring planner construction each rep.
     let planner = Planner::new(topo.clone());
-    let t0 = Instant::now();
     let reps = 1000;
-    for i in 0..reps {
-        let _ = planner
-            .plan(
-                gpus[0],
-                gpus[1],
-                n + i * 4,
-                PathSelection::THREE_GPUS_WITH_HOST,
-            )
-            .unwrap();
-    }
-    let plan_cost = t0.elapsed().as_secs_f64() / reps as f64;
-    let planner = Planner::new(topo.clone());
+    let mut next = 0;
+    let mut batch = || {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            let sel = PathSelection::THREE_GPUS_WITH_HOST;
+            let _ = planner.plan(gpus[0], gpus[1], n + next * 4, sel).unwrap();
+            next += 1;
+        }
+        t0.elapsed().as_secs_f64() / reps as f64
+    };
+    let cold_cost = batch();
+    let mut warm: Vec<f64> = (0..21).map(|_| batch()).collect();
+    warm.sort_by(f64::total_cmp);
+    let plan_cost = warm[warm.len() / 2];
     let plan = planner
         .plan(gpus[0], gpus[1], n, PathSelection::THREE_GPUS_WITH_HOST)
         .unwrap();
@@ -135,9 +137,10 @@ fn main() {
     println!("max P2P speedup over direct path:       {best_p2p:.2}x (paper: up to 2.9x)");
     println!("max collective speedup:                 {best_coll:.2}x (paper: up to 1.4x)");
     println!(
-        "Algorithm-1 cost per uncached plan:     {:.2} us = {:.4}% of a 64MB transfer (paper: <0.1%)",
+        "Algorithm-1 cost per uncached plan:     {:.2} us = {:.4}% of a 64MB transfer (paper: <0.1%; cold {:.2} us)",
         plan_cost * 1e6,
-        overhead_pct
+        overhead_pct,
+        cold_cost * 1e6
     );
 
     #[derive(Serialize)]
@@ -148,6 +151,7 @@ fn main() {
         max_collective_speedup: f64,
         algorithm1_cost_us: f64,
         algorithm1_overhead_pct: f64,
+        algorithm1_cold_us: f64,
     }
     emit_json(
         "table_error",
@@ -158,6 +162,7 @@ fn main() {
             max_collective_speedup: best_coll,
             algorithm1_cost_us: plan_cost * 1e6,
             algorithm1_overhead_pct: overhead_pct,
+            algorithm1_cold_us: cold_cost * 1e6,
         },
     );
 }

@@ -28,9 +28,10 @@ use mpx_topo::params::{extract_all, PathParams};
 use mpx_topo::path::{enumerate_paths_auto, PathKind, PathSelection, TransferPath};
 use mpx_topo::units::{Bandwidth, Secs};
 use mpx_topo::{DeviceId, LinkId, Topology, TopologyError};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Whether staged paths are modeled (and executed) with chunk pipelining.
@@ -338,6 +339,35 @@ impl PairEntry {
     /// straggler re-solve. Every intermediate lives on the stack; the
     /// returned plan is the only allocation.
     fn solve(&self, cfg: &PlannerConfig, n: usize) -> TransferPlan {
+        let mut plan = TransferPlan {
+            n,
+            paths: Vec::with_capacity(self.paths.len()),
+            predicted_time: 0.0,
+            predicted_bandwidth: 0.0,
+        };
+        self.solve_into(cfg, n, &mut plan);
+        plan
+    }
+
+    /// A shared plan for `n` bytes, solved into `spare` when there is one
+    /// (no allocation) and into a new plan otherwise.
+    fn solve_shared(
+        &self,
+        cfg: &PlannerConfig,
+        n: usize,
+        spare: Option<Arc<TransferPlan>>,
+    ) -> Arc<TransferPlan> {
+        let Some(mut plan) = spare else {
+            return Arc::new(self.solve(cfg, n));
+        };
+        let owned = Arc::get_mut(&mut plan).expect("a spare is held by its slot alone");
+        self.solve_into(cfg, n, owned);
+        plan
+    }
+
+    /// [`PairEntry::solve`] into an existing plan: every field is
+    /// rewritten and the path vector is reused.
+    fn solve_into(&self, cfg: &PlannerConfig, n: usize, plan: &mut TransferPlan) {
         assert!(n > 0, "cannot plan a zero-byte transfer");
         let m = self.paths.len();
         let nf = n as f64;
@@ -422,39 +452,69 @@ impl PairEntry {
             }
         }
         let worst = best_time.expect("at least one round ran");
-        TransferPlan {
-            n,
-            paths: (self.paths.iter().zip(&best[..m]).enumerate())
-                .map(
-                    |(index, (p, &(share_bytes, chunks, predicted_time)))| PlannedPath {
-                        index,
-                        kind: p.kind,
-                        params: p.params,
-                        theta: share_bytes as f64 / nf,
-                        share_bytes,
-                        chunks,
-                        predicted_time,
-                    },
-                )
-                .collect(),
-            predicted_time: worst,
-            predicted_bandwidth: nf / worst,
-        }
+        plan.n = n;
+        plan.paths.clear();
+        plan.paths
+            .extend((self.paths.iter().zip(&best[..m]).enumerate()).map(
+                |(index, (p, &(share_bytes, chunks, predicted_time)))| PlannedPath {
+                    index,
+                    kind: p.kind,
+                    params: p.params,
+                    theta: share_bytes as f64 / nf,
+                    share_bytes,
+                    chunks,
+                    predicted_time,
+                },
+            ));
+        plan.predicted_time = worst;
+        plan.predicted_bandwidth = nf / worst;
     }
 }
 
-/// One pair's slot: its entry and the plans solved from it.
+/// One pair's slot: its entry, the plans solved from it, and the plans
+/// a cleared memo left behind for later misses to solve into.
 struct Slot {
     entry: Arc<PairEntry>,
     /// A drift dropped the plans: the entry is rebuilt before its next
     /// use, from itself if the builder finds it still true.
     stale: bool,
+    /// Renewed (table-wide unique) whenever the plans stop following from
+    /// `entry`: a miss solved under an older epoch is not memoised.
+    epoch: u64,
     memo: HashMap<usize, Arc<TransferPlan>, BuildFxHasher>,
+    /// Plans no caller holds, taken from cleared memos; with the memo
+    /// never more than [`MEMO_CAP`]. Its own lock lets a miss take one
+    /// under the shard's read lock.
+    spares: Mutex<Vec<Arc<TransferPlan>>>,
+}
+
+impl Slot {
+    /// Empties the memo, keeping each plan it alone holds as a spare.
+    fn clear_memo(&mut self) {
+        let spares = self.spares.get_mut();
+        for (_, mut plan) in self.memo.drain() {
+            if spares.len() < MEMO_CAP && Arc::get_mut(&mut plan).is_some() {
+                spares.push(plan);
+            }
+        }
+    }
+
+    /// Memoises a plan solved under the current epoch, clearing a full
+    /// memo first.
+    fn memoize(&mut self, n: usize, plan: Arc<TransferPlan>) {
+        if self.memo.len() >= MEMO_CAP {
+            self.clear_memo();
+        }
+        self.memo.insert(n, plan);
+        // A miss that found no spare may have raced a clear that made some.
+        self.spares.get_mut().truncate(MEMO_CAP - self.memo.len());
+    }
 }
 
 /// The configuration cache: one [`PairEntry`] per [`PairKey`] with an
 /// exact memo `n → plan`, in shards selected by the pair, so a hit is
-/// one shard read lock and two lookups. Drift drops one pair
+/// one shard read lock and two lookups, and a miss adds the solve under
+/// that read lock and one write lock to memoise it. Drift drops one pair
 /// ([`PlanTable::invalidate_pair`]), recalibration all of them
 /// ([`PlanTable::clear`]).
 ///
@@ -464,6 +524,9 @@ struct Slot {
 pub struct PlanTable {
     shards: Box<[RwLock<HashMap<PairKey, Slot, BuildFxHasher>>]>,
     counters: CacheCounters,
+    /// The next slot epoch: unique across the table, so a slot dropped by
+    /// [`PlanTable::clear`] and built again never repeats one.
+    epochs: AtomicU64,
 }
 
 impl Default for PlanTable {
@@ -480,7 +543,12 @@ impl PlanTable {
                 .map(|_| RwLock::new(HashMap::default()))
                 .collect(),
             counters: CacheCounters::default(),
+            epochs: AtomicU64::new(0),
         }
+    }
+
+    fn next_epoch(&self) -> u64 {
+        self.epochs.fetch_add(1, Ordering::Relaxed)
     }
 
     #[inline]
@@ -503,8 +571,9 @@ impl PlanTable {
     /// shard. The drift-invalidation primitive.
     pub fn invalidate_pair(&self, pair: PairKey) {
         if let Some(slot) = self.shard(&pair).write().get_mut(&pair) {
-            slot.memo.clear();
+            slot.clear_memo();
             slot.stale = true;
+            slot.epoch = self.next_epoch();
         }
         CacheCounters::bump(&self.counters.invalidations);
     }
@@ -614,39 +683,51 @@ impl Planner {
     ) -> Result<Arc<TransferPlan>, TopologyError> {
         assert!(n > 0, "cannot plan a zero-byte transfer");
         let shard = table.shard(&pair);
-        let (known, stale) = match shard.read().get(&pair) {
-            Some(slot) if slot.stale => (None, Some(slot.entry.clone())),
-            Some(slot) if slot.entry.current(&is_up) => {
+        // One pass under the read lock: a hit, or a miss solved from the
+        // borrowed entry into a spare; the write lock only memoises.
+        let map = shard.read();
+        let (stale, spare) = match map.get(&pair) {
+            Some(slot) if !slot.stale && slot.entry.current(&is_up) => {
                 if let Some(plan) = slot.memo.get(&n) {
                     CacheCounters::bump(&table.counters.hits);
                     return Ok(plan.clone());
                 }
-                (Some(slot.entry.clone()), None)
-            }
-            _ => (None, None),
-        };
-        CacheCounters::bump(&table.counters.misses);
-        let (entry, fresh) = match known {
-            Some(entry) => (entry, false),
-            None => (build(stale)?, true),
-        };
-        let plan = Arc::new(entry.solve(&self.cfg, n));
-        let mut map = shard.write();
-        if fresh {
-            let mut memo = HashMap::default();
-            memo.insert(n, plan.clone());
-            let stale = false;
-            map.insert(pair, Slot { entry, stale, memo });
-        } else if let Some(slot) = map.get_mut(&pair) {
-            // Memoised only under the entry it was solved from: a drift or
-            // a rebuild in the meantime means the pair moved on.
-            if Arc::ptr_eq(&slot.entry, &entry) {
-                if slot.memo.len() >= MEMO_CAP {
-                    slot.memo.clear();
+                CacheCounters::bump(&table.counters.misses);
+                let spare = slot.spares.lock().pop();
+                let plan = slot.entry.solve_shared(&self.cfg, n, spare);
+                let epoch = slot.epoch;
+                drop(map);
+                if let Some(slot) = shard.write().get_mut(&pair) {
+                    // A drift or a rebuild in the meantime means the pair
+                    // moved on.
+                    if slot.epoch == epoch {
+                        slot.memoize(n, plan.clone());
+                    }
                 }
-                slot.memo.insert(n, plan.clone());
+                return Ok(plan);
             }
-        }
+            Some(slot) => {
+                let spare = slot.spares.lock().pop();
+                (slot.stale.then(|| slot.entry.clone()), spare)
+            }
+            None => (None, None),
+        };
+        drop(map);
+        CacheCounters::bump(&table.counters.misses);
+        let entry = build(stale)?;
+        let plan = entry.solve_shared(&self.cfg, n, spare);
+        let epoch = table.next_epoch();
+        let mut map = shard.write();
+        let slot = map.entry(pair).or_insert_with(|| Slot {
+            entry: entry.clone(),
+            stale: false,
+            epoch,
+            memo: HashMap::default(),
+            spares: Mutex::default(),
+        });
+        slot.clear_memo();
+        (slot.entry, slot.stale, slot.epoch) = (entry, false, epoch);
+        slot.memoize(n, plan.clone());
         Ok(plan)
     }
 
@@ -1065,6 +1146,68 @@ mod tests {
         assert_eq!(p.table.len(), MEMO_CAP, "a memoised size is a hit");
         plan(2 * MIB);
         assert_eq!(p.table.len(), 1);
+    }
+
+    /// Plans in a pair's memo and among its spares.
+    fn held(table: &PlanTable, pair: &PairKey) -> (usize, usize) {
+        let map = table.shard(pair).read();
+        let slot = map.get(pair).expect("the pair has a slot");
+        let spares = slot.spares.lock().len();
+        (slot.memo.len(), spares)
+    }
+
+    /// Recycling never rewrites a plan a caller holds: neither a full
+    /// memo's clear nor a drift's makes it a spare, and the misses after
+    /// them, enough to solve into every spare, solve into other plans.
+    #[test]
+    fn a_held_plan_survives_memo_clears_and_later_misses() {
+        let p = planner(presets::beluga());
+        let gpus = p.topology().gpus();
+        let sel = PathSelection::THREE_GPUS_WITH_HOST;
+        let pair: PairKey = (gpus[0], gpus[1], sel.max_gpu_staged, sel.host_staged);
+        let plan = |n: usize| p.plan(gpus[0], gpus[1], n, sel).unwrap();
+        let held = plan(64 * MIB);
+        let before = format!("{held:?}");
+        for k in 1..=3 * MEMO_CAP {
+            plan(64 * MIB + 4 * k);
+        }
+        p.invalidate_pair(pair);
+        for k in 1..=MEMO_CAP {
+            plan(32 * MIB + 4 * k);
+        }
+        assert_eq!(format!("{held:?}"), before);
+        let again = plan(64 * MIB);
+        assert!(!Arc::ptr_eq(&held, &again), "the memo let it go");
+        assert_eq!(format!("{again:?}"), before, "and solves it again alike");
+    }
+
+    /// A slot's memo and spares together stay within `MEMO_CAP` through
+    /// full-memo clears, drifts and rebuilds, with two threads planning
+    /// the same pair at once.
+    #[test]
+    fn a_slot_holds_at_most_memo_cap_plans() {
+        let p = planner(presets::beluga());
+        let gpus = p.topology().gpus();
+        let sel = PathSelection::THREE_GPUS;
+        let pair: PairKey = (gpus[0], gpus[1], sel.max_gpu_staged, sel.host_staged);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (p, a, b) = (&p, gpus[0], gpus[1]);
+                s.spawn(move || {
+                    for k in 0..4 * MEMO_CAP {
+                        p.plan(a, b, MIB + 8 * k + 4 * t, sel).unwrap();
+                        if k % 300 == 299 {
+                            p.invalidate_pair(pair);
+                        }
+                        let (memo, spares) = held(&p.table, &pair);
+                        assert!(memo + spares <= MEMO_CAP, "{memo} + {spares}");
+                    }
+                });
+            }
+        });
+        p.invalidate_pair(pair);
+        let (memo, spares) = held(&p.table, &pair);
+        assert!(memo == 0 && spares > 0 && spares <= MEMO_CAP);
     }
 
     /// An entry measured while a link was down is rebuilt once that link

@@ -231,8 +231,8 @@ impl std::fmt::Debug for QuantileHist {
 }
 
 /// Bucket holding a positive value: `floor(ln(v / MIN) / ln γ)`,
-/// clamped into range.
-fn bucket_index(v: f64) -> usize {
+/// clamped into range — the definition [`bucket_index`] reproduces.
+fn log_index(v: f64) -> usize {
     let r = (v / MIN_TRACKED).ln() / GAMMA.ln();
     if r < 0.0 {
         0
@@ -240,6 +240,46 @@ fn bucket_index(v: f64) -> usize {
         (r as usize).min(N_BUCKETS - 1)
     }
 }
+
+/// [`log_index`] without a logarithm: an estimate read off the exponent
+/// bits (`log2 v`, linear within its octave: off by under one bucket),
+/// corrected against [`BOUNDS`]. A bound is the product of up to 362
+/// roundings and the logarithm is off by a few ulps, so the two can put a
+/// value in different buckets only within about 1e-13 of a bound; within
+/// [`NEAR`] of one the logarithm decides.
+fn bucket_index(v: f64) -> usize {
+    const LOG2_MIN_TRACKED: f64 = -29.897_352_853_986_263;
+    const BUCKETS_PER_OCTAVE: f64 = 7.272_540_897_341_713;
+    let log2 = v.to_bits() as f64 / (1u64 << 52) as f64 - 1023.0;
+    let estimate = (log2 - LOG2_MIN_TRACKED) * BUCKETS_PER_OCTAVE;
+    let mut i = (estimate.max(0.0) as usize).min(N_BUCKETS - 1);
+    while i > 0 && v < BOUNDS[i] {
+        i -= 1;
+    }
+    while i + 1 < N_BUCKETS && v >= BOUNDS[i + 1] {
+        i += 1;
+    }
+    let near = |b: f64| (v - b).abs() <= NEAR * b;
+    if (i > 0 && near(BOUNDS[i])) || (i + 1 < N_BUCKETS && near(BOUNDS[i + 1])) {
+        return log_index(v);
+    }
+    i
+}
+
+/// Relative distance from a bound inside which [`bucket_index`] asks the
+/// logarithm: ten thousand times the widest disagreement possible.
+const NEAR: f64 = 1e-9;
+
+/// `MIN·γ^i` for every bucket, by repeated multiplication at compile time.
+static BOUNDS: [f64; N_BUCKETS] = {
+    let mut bounds = [MIN_TRACKED; N_BUCKETS];
+    let mut i = 1;
+    while i < N_BUCKETS {
+        bounds[i] = bounds[i - 1] * GAMMA;
+        i += 1;
+    }
+    bounds
+};
 
 /// Geometric midpoint of bucket `i` — the value quantiles report.
 fn representative(i: usize) -> f64 {
@@ -393,6 +433,84 @@ mod tests {
         assert_eq!(h.max(), 40_000.0 * 1e-9);
     }
 
+    /// The smallest value the logarithm puts in bucket `i`, by bisection
+    /// over the bit patterns around its table bound.
+    fn transition(i: usize, bound: f64) -> f64 {
+        let (mut lo, mut hi) = (
+            (bound * (1.0 - NEAR)).to_bits(),
+            (bound * (1.0 + NEAR)).to_bits(),
+        );
+        assert!(log_index(f64::from_bits(lo)) < i && log_index(f64::from_bits(hi)) >= i);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if log_index(f64::from_bits(mid)) >= i {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        f64::from_bits(hi)
+    }
+
+    /// The estimate returns exactly what the logarithm does within four
+    /// ulps of every bucket boundary, of every table bound and at the
+    /// extremes; every boundary sits well inside the band the logarithm
+    /// decides.
+    #[test]
+    fn bucket_index_matches_the_logarithm_at_every_boundary() {
+        let mut checked = vec![
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::MAX,
+            MIN_TRACKED,
+            MAX_TRACKED,
+        ];
+        for (i, &bound) in BOUNDS.iter().enumerate().skip(1) {
+            let boundary = transition(i, bound);
+            assert!((boundary / bound - 1.0).abs() < 1e-12, "bucket {i}");
+            for start in [boundary, bound] {
+                let (mut below, mut above) = (start, start);
+                checked.push(start);
+                for _ in 0..4 {
+                    (below, above) = (below.next_down(), above.next_up());
+                    checked.extend([below, above]);
+                }
+            }
+        }
+        for v in checked {
+            assert_eq!(bucket_index(v), log_index(v), "v = {v:e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any positive finite value lands where the logarithm puts it.
+        #[test]
+        fn bucket_index_matches_the_logarithm(bits in 1u64..0x7FF0_0000_0000_0000) {
+            let v = f64::from_bits(bits);
+            prop_assert_eq!(bucket_index(v), log_index(v), "v = {:e}", v);
+        }
+
+        #[test]
+        fn bucket_index_matches_the_logarithm_in_range(e in -9.5f64..6.5) {
+            let v = 10.0f64.powf(e);
+            prop_assert_eq!(bucket_index(v), log_index(v), "v = {:e}", v);
+        }
+
+        /// Just outside the band the logarithm decides, the table alone does.
+        #[test]
+        fn bucket_index_matches_the_logarithm_beside_the_band(
+            i in 1..N_BUCKETS,
+            side in prop_oneof![Just(-1.0), Just(1.0)],
+            ulps in 0u64..64,
+        ) {
+            let edge = BOUNDS[i] * (1.0 + side * NEAR * 1.000_001);
+            let v = f64::from_bits(edge.to_bits() + ulps);
+            prop_assert_eq!(bucket_index(v), log_index(v), "v = {:e}", v);
+        }
+    }
+
     fn arb_value() -> impl Strategy<Value = f64> {
         // Zeros plus positives spanning the tracked range (log-uniform).
         prop_oneof![Just(0.0), (-9.0f64..6.0).prop_map(|e| 10.0f64.powf(e)),]
@@ -400,6 +518,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
 
         /// Satellite: merging per-thread histograms must equal one
         /// histogram observing the concatenated stream — exactly for

@@ -757,7 +757,9 @@ impl UcxContext {
         }
         let sel = self.effective_selection();
         let pair = self.pair_key(src, dst, sel);
-        let predicted = match self.plan_for(src, dst, n) {
+        // Not `plan_for`: the transfer that observed this already paid its
+        // plan-cost sample and `plan` instant.
+        let predicted = match self.plan_for_inner(src, dst, n) {
             Ok(plan) => plan.predicted_bandwidth,
             Err(_) => return false,
         };

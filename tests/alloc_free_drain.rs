@@ -313,11 +313,14 @@ fn ring_recording_a_flow_allocates_within_its_ceiling() {
 
 /// Planning is one table lookup per transfer (paper Section 4). A hit
 /// clones the memoised plan and feeds the plan-cost histogram: nothing on
-/// the heap. A miss solves Algorithm 1 on the stack from the pair's
+/// the heap. A cold miss solves Algorithm 1 on the stack from the pair's
 /// entry and allocates only the plan it returns, its path vector and its
 /// `Arc`. The misses are counted after enough warm ones that the pair's
-/// memo has room for them. The three tiers this table replaced read 0 for
-/// a thread-local hit and 8 per miss (a `Vec` per solve step).
+/// memo has room for them. Once a drift has cleared the memo, the plans no
+/// caller holds are solved into again: a miss then allocates nothing, the
+/// first one (which takes the pair's entry back) included. The three tiers
+/// this table replaced read 0 for a thread-local hit and 8 per miss (a
+/// `Vec` per solve step).
 #[test]
 fn a_plan_hit_allocates_nothing_and_a_miss_only_its_plan() {
     let ctx = beluga_context();
@@ -332,4 +335,16 @@ fn a_plan_hit_allocates_nothing_and_a_miss_only_its_plan() {
     let hits = allocations_in(|| (0..9).for_each(|k| plan(64 * MIB + 4 * k)));
     let misses = allocations_in(|| (9..13).for_each(|k| plan(64 * MIB + 4 * k)));
     assert_eq!((hits, misses), (0, 4 * 2), "9 hits, 4 misses");
+
+    let predicted = ctx
+        .plan_for(a, b, 64 * MIB)
+        .expect("plan")
+        .predicted_bandwidth;
+    assert!(
+        ctx.record_observation(a, b, 64 * MIB, predicted * 10.0),
+        "a drift"
+    );
+    let recycled = allocations_in(|| (13..26).for_each(|k| plan(64 * MIB + 4 * k)));
+    assert_eq!(recycled, 0, "13 misses after a drift");
+    assert_eq!(ctx.cache_stats().misses, 26);
 }

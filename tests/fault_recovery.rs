@@ -281,7 +281,9 @@ fn a_plain_put_measures_a_healthy_fabric() {
 
 /// A plain transfer resolves its plan once: attempt 0 launches the plan
 /// the transfer took its deadline from, interpreted or replayed, as a `put`
-/// launches the one it resolves. Each resolution is one plan-cost sample.
+/// launches the one it resolves. Each resolution is one plan-cost sample,
+/// and so is a clean resilient or hedged transfer: the drift check that
+/// follows a resilient one reads the plan without a sample of its own.
 #[test]
 fn a_plain_transfer_resolves_its_plan_once() {
     for graph_replay in [false, true] {
@@ -294,14 +296,20 @@ fn a_plain_transfer_resolves_its_plan_once() {
         let (gpus, n) = (topo.gpus(), 16 << 20);
         let src = ctx.runtime().alloc(gpus[0], n);
         let dst = ctx.runtime().alloc(gpus[1], n);
-        let before = ctx.plan_cost_hist().count();
-        let plain = ctx.transfer(&src, &dst, n, &TransferPolicy::PLAIN);
-        drive(&ctx, plain).expect("healthy fabric");
-        let plans = ctx.plan_cost_hist().count() - before;
-        assert_eq!(
-            plans, 1,
-            "graph_replay={graph_replay}: a plain transfer plans once"
-        );
+        for (name, policy) in [
+            ("plain", TransferPolicy::PLAIN),
+            ("resilient", TransferPolicy::RESILIENT),
+            ("hedged", TransferPolicy::HEDGED),
+        ] {
+            let before = ctx.plan_cost_hist().count();
+            let report = drive(&ctx, ctx.transfer(&src, &dst, n, &policy)).expect("healthy fabric");
+            assert_eq!(report.retries, 0, "{name}: a clean transfer");
+            let plans = ctx.plan_cost_hist().count() - before;
+            assert_eq!(
+                plans, 1,
+                "graph_replay={graph_replay}: a {name} transfer plans once"
+            );
+        }
         let before = ctx.plan_cost_hist().count();
         let put = ctx.put(&PutRequest::new(&src, &dst, n)).expect("put");
         ctx.runtime().engine().run_until_idle();
