@@ -99,8 +99,8 @@ cargo fmt --check
 # a change makes on purpose; lower it when a deletion lands.
 crates_lines="$(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "crates/: $crates_lines .rs lines"
-[ "$crates_lines" -le 28871 ] ||
-  { echo "crates/ grew past its 28871-line ceiling" >&2; exit 1; }
+[ "$crates_lines" -le 29387 ] ||
+  { echo "crates/ grew past its 29387-line ceiling" >&2; exit 1; }
 
 # Fault-matrix smoke: each canned degradation scenario must complete with
 # intact data (mpx exits nonzero otherwise) and must actually exercise the

@@ -6,7 +6,8 @@
 //!   to 2.9×) and maximum collective speedup (paper: up to 1.4×);
 //! * Algorithm-1 runtime overhead relative to the transfer it configures
 //!   (paper: <0.1% for large messages): the median of 21 batches of 1 000
-//!   misses on a warm planner, beside one cold batch.
+//!   misses on a warm planner whose memo turns over every 512 plans,
+//!   beside one cold batch.
 
 use mpx_bench::{emit_json, paper_sizes};
 use mpx_model::Planner;
@@ -104,7 +105,8 @@ fn main() {
     // distinct, so every plan is a miss: the production miss path (pair
     // memo lookup + the Eq. 24 share solve) without planner construction.
     // One batch on a fresh planner is the cold reading; the reported cost
-    // is the median batch on the warm planner that follows.
+    // is the median batch on the warm planner that follows, whose misses
+    // mostly solve into plans recycled from the memo's turnover.
     let topo = Arc::new(presets::beluga());
     let gpus = topo.gpus();
     let n = 64 << 20;
@@ -137,7 +139,7 @@ fn main() {
     println!("max P2P speedup over direct path:       {best_p2p:.2}x (paper: up to 2.9x)");
     println!("max collective speedup:                 {best_coll:.2}x (paper: up to 1.4x)");
     println!(
-        "Algorithm-1 cost per uncached plan:     {:.2} us = {:.4}% of a 64MB transfer (paper: <0.1%; cold {:.2} us)",
+        "Algorithm-1 cost per uncached plan:     {:.2} us = {:.4}% of a 64MB transfer (paper: <0.1%; miss with memo turnover; cold {:.2} us)",
         plan_cost * 1e6,
         overhead_pct,
         cold_cost * 1e6

@@ -7,13 +7,16 @@
 pub mod allgather;
 pub mod allreduce;
 pub mod alltoall;
+pub mod bcast;
 pub mod knomial;
 pub mod selector;
 
 pub use allgather::{allgather_recursive_doubling, allgather_ring};
 pub use allreduce::{allreduce_rabenseifner, allreduce_ring};
 pub use alltoall::{alltoall_bruck, alltoall_pairwise};
-pub use knomial::allreduce_knomial;
+pub use bcast::{bcast_binomial, gather_linear, scatter_linear, scatter_linear_inplace};
+pub use knomial::{allreduce_knomial, bcast_scatter_allgather};
 pub use selector::{
-    allreduce, alltoall, select_allreduce, select_alltoall, AllreduceChoice, AlltoallChoice,
+    allreduce, alltoall, bcast, select_allreduce, select_alltoall, select_bcast, AllreduceChoice,
+    AlltoallChoice, BcastChoice,
 };

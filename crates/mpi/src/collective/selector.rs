@@ -5,7 +5,8 @@
 //! Alltoall).
 
 use crate::collective::{
-    allreduce_rabenseifner, allreduce_ring, alltoall_bruck, alltoall_pairwise,
+    allreduce_rabenseifner, allreduce_ring, alltoall_bruck, alltoall_pairwise, bcast_binomial,
+    bcast_scatter_allgather,
 };
 use crate::world::Rank;
 use mpx_gpu::{Buffer, ReduceOp};
@@ -81,6 +82,45 @@ pub fn select_alltoall(ranks: usize, block: usize) -> AlltoallChoice {
     }
 }
 
+/// Broadcast algorithm choices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BcastChoice {
+    /// Binomial tree: ⌈log₂ p⌉ rounds each moving the whole buffer —
+    /// latency-optimal, wins for small messages.
+    Binomial,
+    /// Van de Geijn scatter + ring allgather: every byte crosses the
+    /// wire ~2(p−1)/p times total — bandwidth-optimal, wins for large
+    /// messages.
+    ScatterAllgather,
+}
+
+/// Size threshold between the binomial and van de Geijn broadcasts. The
+/// binomial tree ships `log₂(p)·n` total; scatter-allgather ships
+/// `~2n` — the crossover sits where per-message latency stops mattering.
+pub const BCAST_BINOMIAL_MAX: usize = 1 << 20;
+
+/// Selects the broadcast algorithm for an `n`-byte buffer on `ranks`
+/// ranks.
+pub fn select_bcast(ranks: usize, n: usize) -> BcastChoice {
+    if ranks <= 2 || n <= BCAST_BINOMIAL_MAX || !n.is_multiple_of(ranks) {
+        BcastChoice::Binomial
+    } else {
+        BcastChoice::ScatterAllgather
+    }
+}
+
+/// MPI_Bcast with automatic algorithm selection.
+pub async fn bcast(r: &Rank, buf: &Buffer, n: usize, root: usize) {
+    let choice = select_bcast(r.size, n);
+    let run = async {
+        match choice {
+            BcastChoice::Binomial => bcast_binomial(r, buf, n, root).await,
+            BcastChoice::ScatterAllgather => bcast_scatter_allgather(r, buf, n, root).await,
+        }
+    };
+    with_span(r, "bcast", format!("{choice:?} n={n} root={root}"), run).await
+}
+
 /// MPI_Allreduce with automatic algorithm selection.
 pub async fn allreduce(r: &Rank, buf: &Buffer, n: usize, op: ReduceOp) {
     let choice = select_allreduce(r.size, n);
@@ -127,6 +167,64 @@ mod tests {
         assert_eq!(select_alltoall(4, 4 << 20), AlltoallChoice::Pairwise);
         // Two ranks: Bruck degenerates to one exchange; always fine.
         assert_eq!(select_alltoall(2, 64 << 20), AlltoallChoice::Bruck);
+    }
+
+    #[test]
+    fn bcast_selection_by_size() {
+        assert_eq!(select_bcast(4, 64 << 10), BcastChoice::Binomial);
+        assert_eq!(select_bcast(4, 64 << 20), BcastChoice::ScatterAllgather);
+        assert_eq!(select_bcast(2, 64 << 20), BcastChoice::Binomial);
+        // Non-divisible sizes fall back to binomial (vdG needs n % p == 0).
+        assert_eq!(select_bcast(4, (64 << 20) + 3), BcastChoice::Binomial);
+    }
+
+    #[test]
+    fn auto_bcast_correct_in_both_regimes() {
+        for n in [64 << 10, 16 << 20] {
+            let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
+            let out = w.run_tasks(4, |r| async move {
+                let buf = if r.rank == 1 {
+                    r.alloc_bytes((0..n).map(|i| (i % 249) as u8).collect())
+                } else {
+                    r.alloc_zeroed(n)
+                };
+                bcast(&r, &buf, n, 1).await;
+                buf.to_vec().unwrap()
+            });
+            let want: Vec<u8> = (0..n).map(|i| (i % 249) as u8).collect();
+            for (rank, got) in out.iter().enumerate() {
+                assert_eq!(got, &want, "n={n} rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn vdg_beats_binomial_for_large_messages() {
+        let time_bcast = |n: usize, choice: BcastChoice| {
+            let w = World::new(Arc::new(presets::beluga()), UcxConfig::default());
+            let times = w.run_tasks(4, |r| async move {
+                let buf = r.alloc(n);
+                r.barrier().await;
+                let t0 = r.now();
+                match choice {
+                    BcastChoice::Binomial => {
+                        crate::collective::bcast_binomial(&r, &buf, n, 0).await
+                    }
+                    BcastChoice::ScatterAllgather => {
+                        crate::collective::bcast_scatter_allgather(&r, &buf, n, 0).await
+                    }
+                }
+                r.now().secs_since(t0)
+            });
+            times.into_iter().fold(0.0f64, f64::max)
+        };
+        let n = 64 << 20;
+        let binomial = time_bcast(n, BcastChoice::Binomial);
+        let vdg = time_bcast(n, BcastChoice::ScatterAllgather);
+        assert!(
+            vdg < binomial * 0.75,
+            "vdG {vdg} should clearly beat binomial {binomial} at 64 MB"
+        );
     }
 
     #[test]

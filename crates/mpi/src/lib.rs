@@ -37,7 +37,8 @@ pub mod world;
 
 pub use collective::{
     allgather_recursive_doubling, allgather_ring, allreduce, allreduce_knomial,
-    allreduce_rabenseifner, allreduce_ring, alltoall, alltoall_bruck, alltoall_pairwise,
+    allreduce_rabenseifner, allreduce_ring, alltoall, alltoall_bruck, alltoall_pairwise, bcast,
+    bcast_binomial, bcast_scatter_allgather, gather_linear, scatter_linear, scatter_linear_inplace,
 };
 pub use p2p::{waitall, MessageStatus, Request, ANY_SOURCE, ANY_TAG, MAX_APP_TAG};
 pub use world::{Rank, World};

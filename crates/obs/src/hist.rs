@@ -519,7 +519,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-
         /// Satellite: merging per-thread histograms must equal one
         /// histogram observing the concatenated stream — exactly for
         /// counts/sum/min/max, and every reported quantile of the

@@ -2,7 +2,10 @@
 //! `osu_alltoall` over all GPUs of the node (paper Section 5.3).
 
 use mpx_gpu::ReduceOp;
-use mpx_mpi::{allreduce_rabenseifner, allreduce_ring, alltoall_bruck, alltoall_pairwise, World};
+use mpx_mpi::{
+    allgather_recursive_doubling, allgather_ring, allreduce_rabenseifner, allreduce_ring,
+    alltoall_bruck, alltoall_pairwise, bcast_binomial, World,
+};
 use mpx_topo::Topology;
 use mpx_ucx::UcxConfig;
 use std::sync::Arc;
@@ -116,6 +119,66 @@ pub fn alltoall_on(world: &World, n: usize, algo: AlltoallAlgo, cfg: CollectiveC
     results.into_iter().fold(0.0, f64::max)
 }
 
+/// Which allgather algorithm to time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AllgatherAlgo {
+    /// Recursive doubling (power-of-two worlds).
+    RecursiveDoubling,
+    /// Ring (any world size).
+    Ring,
+}
+
+/// Mean MPI_Bcast latency (seconds) for an `n`-byte buffer from rank 0.
+pub fn osu_bcast(topo: &Arc<Topology>, ucx: UcxConfig, n: usize, cfg: CollectiveConfig) -> f64 {
+    bcast_on(&World::new(topo.clone(), ucx), n, cfg)
+}
+
+/// [`osu_bcast`] on an existing world.
+pub fn bcast_on(world: &World, n: usize, cfg: CollectiveConfig) -> f64 {
+    assert!(n > 0 && cfg.iterations > 0);
+    let results = world.run_tasks(cfg.ranks, |r| async move {
+        let buf = r.alloc(n);
+        let mut t0 = r.now();
+        for it in 0..cfg.warmup + cfg.iterations {
+            if it == cfg.warmup {
+                r.barrier().await;
+                t0 = r.now();
+            }
+            bcast_binomial(&r, &buf, n, 0).await;
+        }
+        r.now().secs_since(t0) / cfg.iterations as f64
+    });
+    results.into_iter().fold(0.0, f64::max)
+}
+
+/// Mean MPI_Allgather latency (seconds); `n` is the per-rank block size.
+pub fn osu_allgather(
+    topo: &Arc<Topology>,
+    ucx: UcxConfig,
+    n: usize,
+    algo: AllgatherAlgo,
+    cfg: CollectiveConfig,
+) -> f64 {
+    assert!(n > 0 && cfg.iterations > 0);
+    let world = World::new(topo.clone(), ucx);
+    let results = world.run_tasks(cfg.ranks, |r| async move {
+        let buf = r.alloc(cfg.ranks * n);
+        let mut t0 = r.now();
+        for it in 0..cfg.warmup + cfg.iterations {
+            if it == cfg.warmup {
+                r.barrier().await;
+                t0 = r.now();
+            }
+            match algo {
+                AllgatherAlgo::RecursiveDoubling => allgather_recursive_doubling(&r, &buf, n).await,
+                AllgatherAlgo::Ring => allgather_ring(&r, &buf, n).await,
+            }
+        }
+        r.now().secs_since(t0) / cfg.iterations as f64
+    });
+    results.into_iter().fold(0.0, f64::max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +282,49 @@ mod tests {
             a2a_speedup > ar_speedup,
             "alltoall {a2a_speedup} should gain more than allreduce {ar_speedup}"
         );
+    }
+
+    #[test]
+    fn bcast_multipath_speedup() {
+        let topo = Arc::new(presets::beluga());
+        let n = 64 * MIB;
+        let coll = CollectiveConfig::default();
+        let single = osu_bcast(&topo, cfg(TuningMode::SinglePath), n, coll);
+        let multi = osu_bcast(&topo, cfg(TuningMode::Dynamic), n, coll);
+        let speedup = single / multi;
+        assert!(
+            speedup > 1.2,
+            "bcast speedup {speedup} (single {single}, multi {multi})"
+        );
+    }
+
+    #[test]
+    fn allgather_algorithms_scale_with_size() {
+        let topo = Arc::new(presets::beluga());
+        let coll = CollectiveConfig::default();
+        let small = osu_allgather(
+            &topo,
+            cfg(TuningMode::SinglePath),
+            MIB,
+            AllgatherAlgo::RecursiveDoubling,
+            coll,
+        );
+        let large = osu_allgather(
+            &topo,
+            cfg(TuningMode::SinglePath),
+            16 * MIB,
+            AllgatherAlgo::RecursiveDoubling,
+            coll,
+        );
+        assert!(large > 4.0 * small, "16M {large} vs 1M {small}");
+        let ring = osu_allgather(
+            &topo,
+            cfg(TuningMode::SinglePath),
+            16 * MIB,
+            AllgatherAlgo::Ring,
+            coll,
+        );
+        assert!(ring > 0.0);
     }
 
     #[test]

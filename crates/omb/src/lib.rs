@@ -33,8 +33,8 @@ pub mod report;
 
 pub use bw::{osu_bibw, osu_bibw_on, osu_bw, osu_bw_on, osu_latency, P2pConfig};
 pub use collective_bench::{
-    allreduce_on, alltoall_on, osu_allreduce, osu_alltoall, AllreduceAlgo, AlltoallAlgo,
-    CollectiveConfig,
+    allreduce_on, alltoall_on, bcast_on, osu_allgather, osu_allreduce, osu_alltoall, osu_bcast,
+    AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, CollectiveConfig,
 };
 pub use panels::{collective_panel, p2p_panel, replay_panel, CollectiveKind, P2pKind};
 pub use pattern::{ring_pairs, run_pattern, PatternPlanning, PatternResult};
