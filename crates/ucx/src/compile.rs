@@ -14,7 +14,7 @@
 //!   `copy_launch` on every copy, `ε` more on a forwarding copy, the
 //!   sequential initiation `copy_launch·i` on each path's first copy and
 //!   rendezvous + IPC open on the first active path's; `xfer{seq}` names;
-//!   a `Transfer` span, residual and latency sample when a recorder listens.
+//!   a `Transfer` span when a recorder listens.
 //! * [`Lowering::replay`], the CUDA-Graphs follow-up's replay: an idle
 //!   [`Instance`]'s recycled rings; one graph launch plus the IPC open on
 //!   each path's first copy and nothing else; `g{id}` names; a
@@ -28,7 +28,8 @@
 //! plans of its shape only (byte count, each path's kind, share and chunk
 //! count). Replay instances hang off it, one set per payload storage class.
 
-use crate::pipeline::{PathSlot, PutRequest, StagedWalk, TransferHandle, TransferObs};
+use crate::context::{Launch, Observation, TransferObs};
+use crate::pipeline::{PathSlot, PutRequest, StagedWalk, TransferHandle};
 use mpx_gpu::{
     staging_ring, Buffer, GpuRuntime, GraphBuf, GraphCopy, GraphOp, GraphStream, Instance, Schedule,
 };
@@ -290,7 +291,7 @@ impl Lowering {
             .collect();
         // A tail only when somebody listens.
         let tail = (!req.notify.is_empty() || obs.is_some()).then(|| {
-            let last = self.record(rt, seq, predicted, obs, Phase::Transfer);
+            let last = self.record(rt, seq, predicted, obs, Launch::Interpreted);
             (req.notify, Box::new(last) as EventFn)
         });
         self.schedule.launch(
@@ -304,27 +305,29 @@ impl Lowering {
         )
     }
 
-    /// What the whole-message tail records when `obs` is set: a `phase`
-    /// span from now to completion, and — for a `Transfer`, not a replay —
-    /// the model residual and a latency sample.
+    /// What the whole-message tail does when `obs` is set: a span of the
+    /// launch from now to completion, and the launch's [`Observation`] to
+    /// the context's consumer.
     fn record(
         &self,
         rt: &GpuRuntime,
         seq: u64,
         predicted: Secs,
         obs: Option<TransferObs>,
-        phase: Phase,
+        launch: Launch,
     ) -> impl Fn(&mut Ctx<'_>) + Send + Sync + 'static {
         let (n, issued) = (self.schedule.n, rt.engine().now().as_secs());
         move |ctx| {
             let Some(o) = &obs else { return };
-            let end = ctx.now().as_secs();
+            let (end, pair) = (ctx.now().as_secs(), o.pair);
             let measured = end - issued;
-            let transfer = phase == Phase::Transfer;
-            let what = if transfer { "" } else { "replay " };
+            let (phase, what) = match launch {
+                Launch::Replayed => (Phase::GraphReplay, "replay "),
+                _ => (Phase::Transfer, ""),
+            };
             o.rec.span(
                 phase,
-                format!("pair:{}", o.pair),
+                format!("pair:{}->{}", pair.0, pair.1),
                 format!("{what}xfer{seq} {n}B"),
                 issued,
                 end,
@@ -334,10 +337,7 @@ impl Lowering {
                     measured * 1e6
                 ),
             );
-            if transfer {
-                o.residual.record(&o.pair, n, predicted, measured);
-                o.hist.observe(measured);
-            }
+            o.observe(&Observation(pair, n, launch, predicted, measured, end));
         }
     }
 }
@@ -387,7 +387,7 @@ impl Lowering {
         };
         let mut launch = |i: &Instance| {
             let copy = |&t: &CopyTag| self.copy(t, price, (&GRAPH, i.id()));
-            let last = || self.record(rt, seq, predicted, obs.take(), Phase::GraphReplay);
+            let last = || self.record(rt, seq, predicted, obs.take(), Launch::Replayed);
             i.try_launch(&self.schedule, req.src, req.dst, copy, req.notify, last)
         };
         let synthetic = src.is_synthetic();

@@ -9,7 +9,7 @@
 
 use crate::compile::{fold_routes, launch, GraphCache, GraphStats, Lowered};
 use crate::health::{BreakerEvent, HealthConfig, HealthStats, HealthSupervisor, PathAdmissions};
-use crate::pipeline::{PutRequest, TransferHandle, TransferObs};
+use crate::pipeline::{PutRequest, TransferHandle};
 use crate::probe::probe_live;
 use crate::transfer::{ResilienceCounters, ResilienceStats};
 use crate::tuner::{manual_plan, tune_exhaustive, TuneResult};
@@ -21,10 +21,11 @@ use mpx_obs::{
 };
 use mpx_sim::Route;
 use mpx_topo::path::{enumerate_paths_auto, PathSelection, TransferPath};
+use mpx_topo::units::Secs;
 use mpx_topo::{DeviceId, TopologyError};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// How transfer configurations are chosen (the three systems compared in
 /// Section 5).
@@ -123,6 +124,51 @@ pub struct CacheStats {
 /// first lowering: planning alone never needs them.
 type PairPaths = (Arc<Vec<TransferPath>>, Arc<OnceLock<Arc<Vec<Route>>>>);
 
+/// What an [`Observation`] timed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Launch {
+    /// One interpreted launch, from its issue to its whole-message tail.
+    Interpreted,
+    /// One replayed launch, likewise.
+    Replayed,
+    /// A whole [`UcxContext::transfer`], its retries included, against the
+    /// plan it launched; `hedge_won` when a racing round finished it.
+    Transfer { hedge_won: bool },
+}
+
+/// `Observation(pair, n, launch, predicted, measured, at)`: `n` bytes of
+/// `pair`, timed by `launch`, predicted (Eq. 24) and measured to take so
+/// many seconds, the measurement ending at virtual time `at` — a launch's
+/// tail runs in the event loop, where the engine's clock cannot be read.
+/// What [`UcxContext::observe`] consumes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Observation(
+    pub(crate) PairKey,
+    pub(crate) usize,
+    pub(crate) Launch,
+    pub(crate) Secs,
+    pub(crate) Secs,
+    pub(crate) Secs,
+);
+
+/// A launch's tail's recorder, pair and context (weak: an engine holding
+/// an unfired tail keeps no context alive), when a recorder listens.
+#[derive(Clone)]
+pub(crate) struct TransferObs {
+    pub(crate) rec: Recorder,
+    pub(crate) pair: PairKey,
+    ctx: Weak<ContextInner>,
+}
+
+impl TransferObs {
+    /// Hands `o` to the context's consumer, if the context is still alive.
+    pub(crate) fn observe(&self, o: &Observation) {
+        if let Some(inner) = self.ctx.upgrade() {
+            UcxContext { inner }.observe(o);
+        }
+    }
+}
+
 /// The transport context. Cheap to clone (shared internals).
 #[derive(Clone)]
 pub struct UcxContext {
@@ -154,8 +200,8 @@ struct ContextInner {
     /// Telemetry recorder, cached from the engine at construction.
     /// `None` keeps every instrumentation site to a single branch.
     obs: Option<Recorder>,
-    /// Online predicted-vs-measured residual tracker, fed by the
-    /// pipeline's whole-message completion tail.
+    /// Online predicted-vs-measured residual tracker, fed by
+    /// [`UcxContext::observe`] alone.
     residual: Arc<ResidualTracker>,
     /// Anomaly sink installed by harnesses after construction; the
     /// context only *signals* — trigger thresholds, rate limits, and
@@ -405,19 +451,12 @@ impl UcxContext {
         self.inner
             .static_plans
             .insert(&pair, (pair, n), result.plan.clone());
-        if let Some(rec) = &self.inner.obs {
-            rec.instant(
-                Phase::Tune,
-                format!("pair:{src}->{dst}"),
-                format!("tune-static {n}B"),
-                self.inner.rt.engine().now().as_secs(),
-                format!(
-                    "grid={} predicted_us={:.3}",
-                    self.inner.cfg.static_grid,
-                    result.plan.predicted_time * 1e6
-                ),
-            );
-        }
+        self.instant(Phase::Tune, pair, || {
+            let (grid, predicted_us) =
+                (self.inner.cfg.static_grid, result.plan.predicted_time * 1e6);
+            let detail = format!("grid={grid} predicted_us={predicted_us:.3}");
+            (format!("tune-static {n}B"), self.now(), detail)
+        });
         Ok(result)
     }
 
@@ -515,7 +554,7 @@ impl UcxContext {
             // link serves other pairs, or every open breaker just flipped to
             // a half-open probe): the normal path runs.
             let paths = self.paths_for(sd, dd, sel)?;
-            let adm = self.admissions(pair, paths.len(), &format!("pair:{sd}->{dd}"));
+            let adm = self.admissions(pair, paths.len());
             let (survivors, index) = self.survivors(pair, &paths, |i| adm.excluded.contains(&i));
             if survivors.len() < paths.len() {
                 if survivors.is_empty() {
@@ -526,7 +565,7 @@ impl UcxContext {
                 let plan = self.inner.planner.compute(req.n, &survivors)?;
                 let (seq, routes) = (self.next_seq(), fold_routes(&survivors));
                 let lowered = Lowered::Plan(&plan, (&survivors, &routes), Some(&index));
-                return Ok(launch(rt, req, seq, lowered, self.transfer_obs(sd, dd)));
+                return Ok(launch(rt, req, seq, lowered, self.transfer_obs(pair)));
             }
         }
         let plan = match planned {
@@ -540,8 +579,7 @@ impl UcxContext {
         // short-circuits the per-pair scan on a healthy fabric.
         let replay = replay
             && (!hcfg.enabled || self.inner.health.is_quiet() || {
-                let now = rt.engine().now().as_secs();
-                let allowed = self.inner.health.replay_allowed(pair, now);
+                let allowed = self.inner.health.replay_allowed(pair, self.now());
                 if !allowed {
                     self.inner.health.note_replay_gated();
                     self.inner.graphs.invalidate_pair(&pair);
@@ -549,15 +587,13 @@ impl UcxContext {
                 allowed
             });
         let lowering = (self.inner.graphs).lowered(&pair, &plan, (&paths, &routes));
-        let obs = self.transfer_obs(sd, dd);
+        let obs = self.transfer_obs(pair);
         let created = |id: u64, instances: usize| {
             self.inner.graphs.captures.fetch_add(1, Ordering::Relaxed);
-            if let Some(rec) = &self.inner.obs {
-                let track = format!("pair:{sd}->{dd}");
-                let (name, now) = (format!("capture g{id} {}B", req.n), rt.engine().now());
-                let detail = format!("instances={instances}");
-                rec.instant(Phase::GraphCapture, track, name, now.as_secs(), detail);
-            }
+            self.instant(Phase::GraphCapture, pair, || {
+                let name = format!("capture g{id} {}B", req.n);
+                (name, self.now(), format!("instances={instances}"))
+            });
         };
         let created = replay.then(|| {
             self.inner.graphs.replays.fetch_add(1, Ordering::Relaxed);
@@ -599,21 +635,22 @@ impl UcxContext {
 
     /// Aggregated plan-table counters (the core planner's table + the
     /// probed one) — the telemetry the CLI surfaces. `invalidations` counts
-    /// drift *events* (each purges both tables and the lowerings), matching
-    /// [`ResilienceStats::cache_invalidations`]. Reads atomics only;
-    /// never blocks concurrent planning.
+    /// drift *events* (each purges the table this context plans from and
+    /// the lowerings), matching [`ResilienceStats::cache_invalidations`].
+    /// Reads atomics only; never blocks concurrent planning.
     pub fn cache_stats(&self) -> CacheStats {
         let s = self.inner.planner.stats().merged(self.inner.probed.stats());
+        let invalidations = self
+            .inner
+            .resilience
+            .cache_invalidations
+            .load(Ordering::Relaxed);
         CacheStats {
             hits: s.hits,
             misses: s.misses,
             class_hits: 0,
             class_fallbacks: 0,
-            invalidations: self
-                .inner
-                .resilience
-                .cache_invalidations
-                .load(Ordering::Relaxed),
+            invalidations,
         }
     }
 
@@ -638,9 +675,9 @@ impl UcxContext {
         self.inner.obs.as_ref()
     }
 
-    /// The online predicted-vs-measured residual tracker. Only fed when
-    /// telemetry is attached (the pipeline's completion tail records one
-    /// sample per whole message).
+    /// The online predicted-vs-measured residual tracker: one sample per
+    /// interpreted launch's whole message, fed by the context's one
+    /// observation consumer when telemetry is attached (a replay adds none).
     pub fn residuals(&self) -> &Arc<ResidualTracker> {
         &self.inner.residual
     }
@@ -652,20 +689,20 @@ impl UcxContext {
         *self.inner.anomaly.write() = Some(sink);
     }
 
-    /// Routes one failure signal to the installed anomaly sink, stamped
-    /// with the engine's current virtual time. `describe` builds its pair
-    /// name and cause, and runs only when a sink is installed.
+    /// Routes one failure signal, stamped `at` virtual seconds, to the
+    /// installed anomaly sink. `describe` builds its pair name and cause,
+    /// and runs only when a sink is installed.
     pub(crate) fn anomaly_signal(
         &self,
         class: TriggerClass,
         path: Option<usize>,
+        at: Secs,
         describe: impl FnOnce() -> (String, String),
     ) {
         let sink = self.inner.anomaly.read().clone();
         if let Some(sink) = sink {
-            let now = self.inner.rt.engine().now().as_secs();
             let (pair, cause) = describe();
-            sink.signal(class, now, Some(&pair), path, &cause);
+            sink.signal(class, at, Some(&pair), path, &cause);
         }
     }
 
@@ -728,23 +765,17 @@ impl UcxContext {
         reg.set_hist("ucx.hedge.win_margin_secs", &self.inner.hist_hedge_win);
     }
 
-    /// Bundles the recorder and residual tracker into the per-transfer
-    /// handle the pipeline's completion tail consumes.
-    pub(crate) fn transfer_obs(&self, src: DeviceId, dst: DeviceId) -> Option<TransferObs> {
-        self.inner.obs.as_ref().map(|rec| TransferObs {
-            rec: rec.clone(),
-            residual: self.inner.residual.clone(),
-            hist: self.inner.hist_transfer.clone(),
-            pair: format!("{src}->{dst}"),
-        })
+    /// What a launch of `pair` hands its whole-message tail: nothing unless
+    /// a recorder listens.
+    pub(crate) fn transfer_obs(&self, pair: PairKey) -> Option<TransferObs> {
+        let (rec, ctx) = (self.inner.obs.clone()?, Arc::downgrade(&self.inner));
+        Some(TransferObs { rec, pair, ctx })
     }
 
     /// Feeds back an observed end-to-end bandwidth for an `n`-byte
-    /// `src → dst` transfer. If it drifts from the cached plan's
-    /// prediction by more than [`UcxConfig::drift_tolerance`], the pair's
-    /// probed parameters and dynamic plans are dropped so the next
-    /// transfer re-probes the fabric's *current* state. Returns whether
-    /// an invalidation happened.
+    /// `src → dst` transfer to [`UcxContext::observe`], as a transfer does,
+    /// against the plan resolved for it now. Returns whether the pair's
+    /// caches were purged.
     pub fn record_observation(
         &self,
         src: DeviceId,
@@ -752,75 +783,72 @@ impl UcxContext {
         n: usize,
         observed_bw: f64,
     ) -> bool {
-        if !(observed_bw > 0.0 && observed_bw.is_finite()) {
+        let pair = self.pair_key(src, dst, self.effective_selection());
+        let (launch, at) = (Launch::Transfer { hedge_won: false }, self.now());
+        let measured = n as f64 / observed_bw;
+        // Not `plan_for` (no cost sample, no `plan` instant); dropped so a purge can recycle it.
+        let Ok(predicted) = self.plan_for_inner(src, dst, n).map(|p| p.predicted_time) else {
             return false;
-        }
-        let sel = self.effective_selection();
-        let pair = self.pair_key(src, dst, sel);
-        // Not `plan_for`: the transfer that observed this already paid its
-        // plan-cost sample and `plan` instant.
-        let predicted = match self.plan_for_inner(src, dst, n) {
-            Ok(plan) => plan.predicted_bandwidth,
-            Err(_) => return false,
         };
-        if !(predicted > 0.0 && predicted.is_finite()) {
-            return false;
+        self.observe(&Observation(pair, n, launch, predicted, measured, at))
+    }
+
+    /// The one consumer of [`Observation`]s: an interpreted launch feeds the
+    /// residual and latency, a replay nothing (§4e), a transfer a won hedge's
+    /// margin and, past [`UcxConfig::drift_tolerance`], a purge of the table
+    /// [`UcxContext::plan_for`] reads, a drift strike and `residual.drift`
+    /// (returns true). Runs in a tail in the event loop: its clock is `at`.
+    pub(crate) fn observe(&self, o: &Observation) -> bool {
+        let Observation(pair, n, launch, predicted, measured, at) = *o;
+        let (inner, label) = (&*self.inner, || format!("{}->{}", pair.0, pair.1));
+        match launch {
+            Launch::Replayed => return false,
+            Launch::Interpreted => {
+                inner.residual.record(&label(), n, predicted, measured);
+                inner.hist_transfer.observe(measured);
+                return false;
+            }
+            // The tail the hedge clipped: how far past its prediction the
+            // message finally landed.
+            Launch::Transfer { hedge_won: true } => {
+                inner.hist_hedge_win.observe(measured - predicted)
+            }
+            Launch::Transfer { hedge_won: false } => {}
         }
-        let drift = (observed_bw - predicted).abs() / predicted;
-        if drift <= self.inner.cfg.drift_tolerance {
+        let (nf, tolerance) = (n as f64, inner.cfg.drift_tolerance);
+        let (observed, predicted) = (nf / measured, nf / predicted);
+        let usable = |bw: f64| bw > 0.0 && bw.is_finite();
+        let drift = (observed - predicted).abs() / predicted;
+        if !(usable(observed) && usable(predicted)) || drift <= tolerance {
             return false;
         }
         // Purge everything derived from the stale parameters, one shard
         // per table — concurrent planning for other pairs never blocks.
-        self.inner.probed.invalidate_pair(pair);
-        self.inner.planner.invalidate_pair(pair);
-        self.inner.graphs.invalidate_pair(&pair);
-        self.inner
-            .resilience
-            .cache_invalidations
-            .fetch_add(1, Ordering::Relaxed);
+        match (inner.cfg.mode, inner.cfg.params) {
+            (TuningMode::Dynamic, ParamSource::Probed) => inner.probed.invalidate_pair(pair),
+            _ => inner.planner.invalidate_pair(pair),
+        }
+        inner.graphs.invalidate_pair(&pair);
+        (inner.resilience.cache_invalidations).fetch_add(1, Ordering::Relaxed);
         // Sustained drift is a health signal too: enough strikes within
         // a window and the pair's graph replays are gated until the
         // fabric holds still (heals automatically after a quiet window).
-        if self.inner.cfg.health.enabled {
-            let now = self.inner.rt.engine().now().as_secs();
-            if self.inner.health.note_drift(pair, now) {
-                if let Some(rec) = &self.inner.obs {
-                    rec.instant(
-                        Phase::Health,
-                        format!("pair:{src}->{dst}"),
-                        "replay-gate",
-                        now,
-                        format!("drift_strikes={}", self.inner.cfg.health.drift_strikes),
-                    );
-                }
-            }
+        let (drift_pct, tolerance_pct) = (drift * 100.0, tolerance * 100.0);
+        let cause = || format!("drift_pct={drift_pct:.1} tolerance_pct={tolerance_pct:.1}");
+        if inner.cfg.health.enabled && inner.health.note_drift(pair, at) {
+            let detail = || format!("drift_strikes={}", inner.cfg.health.drift_strikes);
+            self.instant(Phase::Health, pair, || ("replay-gate", at, detail()));
         }
-        let (drift_pct, tolerance_pct) = (drift * 100.0, self.inner.cfg.drift_tolerance * 100.0);
-        if let Some(rec) = &self.inner.obs {
-            // Make the invalidation explainable: cite the drift that
-            // tripped it and what the residual tracker has seen for the
-            // pair so far.
-            let pair_label = format!("{src}->{dst}");
-            let residual = match self.inner.residual.pair_stats(&pair_label) {
-                Some(s) => format!(
-                    " residual_p50_pct={:.1} residual_samples={}",
-                    s.p50_abs_pct, s.count
-                ),
-                None => String::new(),
-            };
-            rec.instant(
-                Phase::Recovery,
-                format!("pair:{pair_label}"),
-                "cache-invalidate",
-                self.inner.rt.engine().now().as_secs(),
-                format!("drift_pct={drift_pct:.1} tolerance_pct={tolerance_pct:.1}{residual}"),
-            );
-        }
-        self.anomaly_signal(TriggerClass::ResidualDrift, None, || {
-            let cause = format!("drift_pct={drift_pct:.1} tolerance_pct={tolerance_pct:.1}");
-            (format!("{src}->{dst}"), cause)
+        // Make the invalidation explainable: cite the drift that tripped it
+        // and what the residual tracker has seen for the pair so far.
+        self.instant(Phase::Recovery, pair, || {
+            let residual = (inner.residual.pair_stats(&label())).map_or(String::new(), |s| {
+                let (p50, count) = (s.p50_abs_pct, s.count);
+                format!(" residual_p50_pct={p50:.1} residual_samples={count}")
+            });
+            ("cache-invalidate", at, format!("{}{residual}", cause()))
         });
+        self.anomaly_signal(TriggerClass::ResidualDrift, None, at, || (label(), cause()));
         true
     }
 
@@ -864,19 +892,11 @@ impl UcxContext {
             BreakerEvent::Reset | BreakerEvent::None => return,
         };
         self.inner.graphs.invalidate_pair(&pair);
-        let pair_label = || format!("{}->{}", pair.0, pair.1);
-        if let Some(rec) = &self.inner.obs {
-            let detail = format!("path={path_index} why={why} dead_link={dead}");
-            rec.instant(
-                Phase::Health,
-                format!("pair:{}", pair_label()),
-                name,
-                now,
-                detail,
-            );
-        }
-        self.anomaly_signal(class, Some(path_index), || {
-            (pair_label(), format!("why={why} dead_link={dead}"))
+        let detail = || format!("path={path_index} why={why} dead_link={dead}");
+        self.instant(Phase::Health, pair, || (name, now, detail()));
+        self.anomaly_signal(class, Some(path_index), now, || {
+            let cause = format!("why={why} dead_link={dead}");
+            (format!("{}->{}", pair.0, pair.1), cause)
         });
     }
 
@@ -889,39 +909,45 @@ impl UcxContext {
         }
         for s in h.slots() {
             if self.inner.health.note_success(pair, s.path_index) == BreakerEvent::Reset {
-                if let Some(rec) = &self.inner.obs {
-                    rec.instant(
-                        Phase::Health,
-                        format!("pair:{}->{}", pair.0, pair.1),
-                        "breaker.reset",
-                        self.inner.rt.engine().now().as_secs(),
-                        format!("path={}", s.path_index),
-                    );
-                }
+                let detail = || format!("path={}", s.path_index);
+                self.instant(Phase::Health, pair, || {
+                    ("breaker.reset", self.now(), detail())
+                });
             }
         }
     }
 
     /// Which of the pair's candidates its breakers admit now, recording a
-    /// `breaker.probe` instant on `track` for each Open → HalfOpen
-    /// re-admission the query performs.
-    pub(crate) fn admissions(&self, pair: PairKey, paths: usize, track: &str) -> PathAdmissions {
-        let now = self.inner.rt.engine().now().as_secs();
+    /// `breaker.probe` instant for each Open → HalfOpen re-admission the
+    /// query performs.
+    pub(crate) fn admissions(&self, pair: PairKey, paths: usize) -> PathAdmissions {
+        let now = self.now();
         let adm = self.inner.health.admissions(pair, paths, now);
-        if let (Some(rec), false) = (&self.inner.obs, adm.probing.is_empty()) {
-            let trials = self.inner.cfg.health.half_open_trials;
-            for &i in &adm.probing {
-                let detail = format!("path={i} trials={trials}");
-                rec.instant(
-                    Phase::Health,
-                    track.to_string(),
-                    "breaker.probe",
-                    now,
-                    detail,
-                );
-            }
+        let trials = self.inner.cfg.health.half_open_trials;
+        for &i in &adm.probing {
+            let detail = || format!("path={i} trials={trials}");
+            self.instant(Phase::Health, pair, || ("breaker.probe", now, detail()));
         }
         adm
+    }
+
+    /// The engine's virtual time, in seconds.
+    pub(crate) fn now(&self) -> Secs {
+        self.inner.rt.engine().now().as_secs()
+    }
+
+    /// Records a `phase` instant on `pair`'s track when a recorder listens;
+    /// `describe` gives its name, time and detail, and runs only then.
+    pub(crate) fn instant<N: Into<String>>(
+        &self,
+        phase: Phase,
+        pair: PairKey,
+        describe: impl FnOnce() -> (N, Secs, String),
+    ) {
+        if let Some(rec) = &self.inner.obs {
+            let ((name, at, detail), track) = (describe(), format!("pair:{}->{}", pair.0, pair.1));
+            rec.instant(phase, track, name, at, detail);
+        }
     }
 }
 
@@ -1016,39 +1042,39 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
     }
 
+    /// An interpreted PUT records a `Transfer` span and feeds the residual
+    /// tracker once; a replayed one records a `GraphReplay` span and feeds
+    /// it nothing.
     #[test]
     fn telemetry_records_plan_transfer_and_residual() {
-        let topo = Arc::new(presets::beluga());
-        let eng = Engine::new(topo);
-        let rec = mpx_obs::Recorder::new();
-        eng.set_recorder(rec.clone());
-        let rt = GpuRuntime::new(eng);
-        let c = UcxContext::new(rt, UcxConfig::default());
-        assert!(c.recorder().is_some());
-        let gpus = c.runtime().engine().topology().gpus();
-        let n = 8 * MIB;
-        let src = c.runtime().alloc(gpus[0], n);
-        let dst = c.runtime().alloc(gpus[1], n);
-        let h = c.put_async(&src, &dst, n).unwrap();
-        c.runtime().engine().run_until_idle();
-        assert!(h.is_complete());
-        let events = rec.drain();
-        for phase in [
-            mpx_obs::Phase::Plan,
-            mpx_obs::Phase::Probe,
-            mpx_obs::Phase::Transfer,
-            mpx_obs::Phase::ChunkLeg,
-        ] {
-            assert!(
-                events.iter().any(|e| e.phase() == phase),
-                "missing {phase:?} event"
-            );
+        for (graph_replay, launch, samples) in
+            [(false, Phase::Transfer, 1), (true, Phase::GraphReplay, 0)]
+        {
+            let eng = Engine::new(Arc::new(presets::beluga()));
+            let rec = mpx_obs::Recorder::new();
+            eng.set_recorder(rec.clone());
+            let cfg = UcxConfig {
+                graph_replay,
+                ..UcxConfig::default()
+            };
+            let c = UcxContext::new(GpuRuntime::new(eng), cfg);
+            assert!(c.recorder().is_some());
+            let (gpus, n) = (c.runtime().engine().topology().gpus(), 8 * MIB);
+            let (src, dst) = (c.runtime().alloc(gpus[0], n), c.runtime().alloc(gpus[1], n));
+            let h = c.put_async(&src, &dst, n).unwrap();
+            c.runtime().engine().run_until_idle();
+            assert!(h.is_complete());
+            let events = rec.drain();
+            for phase in [Phase::Plan, Phase::Probe, launch, Phase::ChunkLeg] {
+                let seen = events.iter().any(|e| e.phase() == phase);
+                assert!(seen, "graph_replay={graph_replay}: missing {phase:?} event");
+            }
+            // An interpreted tail fed the residual tracker once, a replay's never.
+            let tracked = (c.residuals().count(), c.residual_report().rows.len());
+            assert_eq!(tracked, (samples, samples as usize), "{graph_replay}");
+            // The model should be close on a quiescent fabric.
+            assert!(c.residuals().mean_abs_error() < 0.5);
         }
-        // The whole-message tail fed the residual tracker exactly once.
-        assert_eq!(c.residuals().count(), 1);
-        assert_eq!(c.residual_report().rows.len(), 1);
-        // The model should be close on a quiescent fabric.
-        assert!(c.residuals().mean_abs_error() < 0.5);
     }
 
     #[test]
@@ -1074,11 +1100,11 @@ mod tests {
             ran.set(ran.get() + 1);
             ("dev0->dev1".to_string(), "test".to_string())
         };
-        c.anomaly_signal(TriggerClass::ResidualDrift, None, describe);
+        c.anomaly_signal(TriggerClass::ResidualDrift, None, 0.0, describe);
         assert_eq!(ran.get(), 0);
         let fr = mpx_obs::FlightRecorder::new(16);
         c.set_anomaly_sink(Arc::new(AnomalyEngine::new(fr, Default::default())));
-        c.anomaly_signal(TriggerClass::ResidualDrift, None, describe);
+        c.anomaly_signal(TriggerClass::ResidualDrift, None, 0.0, describe);
         assert_eq!(ran.get(), 1);
     }
 

@@ -19,26 +19,10 @@
 use crate::compile::{fold_routes, launch, Lowered};
 use mpx_gpu::{Buffer, GpuRuntime};
 use mpx_model::TransferPlan;
-use mpx_obs::{QuantileHist, Recorder, ResidualTracker};
 use mpx_sim::{task, Engine, SimTime, Waker};
 use mpx_topo::path::TransferPath;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// Telemetry attached to one transfer by the context: whole-message
-/// completion records a `Phase::Transfer` span on the pair's track and
-/// feeds the plan's prediction vs the simulated duration to the residual
-/// tracker.
-#[derive(Clone)]
-pub(crate) struct TransferObs {
-    pub(crate) rec: Recorder,
-    pub(crate) residual: Arc<ResidualTracker>,
-    /// Whole-message latency histogram, shared context-wide.
-    pub(crate) hist: Arc<QuantileHist>,
-    /// Pair label, e.g. `dev0->dev1`.
-    pub(crate) pair: String,
-}
 
 /// A transfer did not drain all paths before its deadline. Carries the
 /// deadline so callers can report how much slack was granted.

@@ -25,7 +25,7 @@
 //! to a single surviving path.
 
 use crate::compile::{fold_routes, launch, Lowered};
-use crate::context::UcxContext;
+use crate::context::{Launch, Observation, UcxContext};
 use crate::pipeline::{PutRequest, TransferHandle};
 use crate::probe::probe_live;
 use mpx_gpu::Buffer;
@@ -315,8 +315,7 @@ impl UcxContext {
         let sel = self.effective_selection();
         let pair = self.pair_key(sd, dd, sel);
         let all = self.paths_for(sd, dd, sel)?;
-        let obs = self.transfer_obs(sd, dd);
-        let track = format!("pair:{sd}->{dd}");
+        let obs = self.transfer_obs(pair);
         // With a retry budget attempt 0 runs this plan interpreted over every
         // candidate; without, it launches this plan as `put` would (DESIGN §4f).
         let plain = policy.retries == 0;
@@ -325,7 +324,7 @@ impl UcxContext {
         let seq = primary.seq;
         let signal = |class, h: &TransferHandle, cause: &dyn Fn() -> String| {
             let path = h.unfinished().first().map(|s| s.path_index);
-            self.anomaly_signal(class, path, || (format!("{sd}->{dd}"), cause()));
+            self.anomaly_signal(class, path, self.now(), || (format!("{sd}->{dd}"), cause()));
         };
         let charge = |h: &TransferHandle, why: &str| {
             if !race {
@@ -351,11 +350,10 @@ impl UcxContext {
         } else {
             charge(&primary, "deadline-miss");
             let unfinished: u64 = primary.unfinished().iter().map(|s| s.bytes as u64).sum();
-            if let Some(rec) = self.recorder() {
+            self.instant(Phase::Recovery, pair, || {
                 let detail = format!("unfinished_bytes={unfinished} slack={slack:.1}");
-                let (name, now) = (format!("deadline-miss xfer{seq}"), eng.now().as_secs());
-                rec.instant(Phase::Recovery, track.clone(), name, now, detail);
-            }
+                (format!("deadline-miss xfer{seq}"), self.now(), detail)
+            });
             signal(TriggerClass::DeadlineMissBurst, &primary, &|| {
                 format!("xfer{seq} unfinished_bytes={unfinished} slack={slack:.1}")
             });
@@ -387,7 +385,7 @@ impl UcxContext {
             }
             // Only a race consults the breakers; a replacing round keeps
             // every path whose links are up, however slow (DESIGN §4f).
-            let adm = race.then(|| self.admissions(pair, all.len(), &track).excluded);
+            let adm = race.then(|| self.admissions(pair, all.len()).excluded);
             let skip = |i| sick.contains(&i) || adm.as_ref().is_some_and(|x| x.contains(&i));
             let (survivors, orig_idx) = self.survivors(pair, &all, skip);
             if survivors.is_empty() && !race {
@@ -410,14 +408,12 @@ impl UcxContext {
             // (down links carry a dummy rate; survivors never route over
             // them, so it cannot influence the measured rates).
             let params = probe_live(eng, &survivors)?.0;
-            if let (false, Some(rec)) = (race, self.recorder()) {
-                let (total, ranges) = (all.len(), pending.len());
-                let detail = format!(
-                    "survivors={} of {total} residual_ranges={ranges}",
-                    survivors.len()
-                );
-                let (name, now) = (format!("replan round{round}"), eng.now().as_secs());
-                rec.instant(Phase::Recovery, track.clone(), name, now, detail);
+            if !race {
+                self.instant(Phase::Recovery, pair, || {
+                    let (live, total, ranges) = (survivors.len(), all.len(), pending.len());
+                    let detail = format!("survivors={live} of {total} residual_ranges={ranges}");
+                    (format!("replan round{round}"), self.now(), detail)
+                });
             }
 
             // One residual plan per *distinct* coalesced-range size, all
@@ -460,13 +456,12 @@ impl UcxContext {
             report.retries += 1;
             if race {
                 self.health().note_hedge();
-                if let Some(rec) = self.recorder() {
+                self.instant(Phase::Hedge, pair, || {
                     let bytes: usize = pending.iter().map(|r| r.bytes).sum();
                     let (paths, ranges) = (survivors.len(), pending.len());
                     let detail = format!("bytes={bytes} paths={paths} ranges={ranges}");
-                    let (name, now) = (format!("hedge.launch round{round}"), eng.now().as_secs());
-                    rec.instant(Phase::Hedge, track.clone(), name, now, detail);
-                }
+                    (format!("hedge.launch round{round}"), self.now(), detail)
+                });
             }
 
             let deadline = DeadlinePolicy::new(slack, floor).deadline(eng.now(), worst);
@@ -497,33 +492,27 @@ impl UcxContext {
         }
 
         report.elapsed = eng.now().secs_since(t0);
+        let hedge_won = report.hedge_won;
         if race && report.retries > 0 {
-            if report.hedge_won {
+            if hedge_won {
                 self.health().note_hedge_win();
-                // The tail the hedge clipped: how far past the plan's
-                // prediction the message finally landed.
-                self.hedge_win_hist()
-                    .observe(report.elapsed - plan.predicted_time);
             }
-            if let Some(rec) = self.recorder() {
-                let name = if report.hedge_won {
-                    "hedge.win"
-                } else {
-                    "hedge.loss"
-                };
+            self.instant(Phase::Hedge, pair, || {
+                let name = if hedge_won { "hedge.win" } else { "hedge.loss" };
                 let (rounds, bytes) = (report.retries, report.recovered_bytes);
-                let elapsed_us = report.elapsed * 1e6;
-                let detail =
-                    format!("rounds={rounds} hedged_bytes={bytes} elapsed_us={elapsed_us:.3}");
-                rec.instant(Phase::Hedge, track, name, eng.now().as_secs(), detail);
-            }
+                let us = report.elapsed * 1e6;
+                let detail = format!("rounds={rounds} hedged_bytes={bytes} elapsed_us={us:.3}");
+                (name, self.now(), detail)
+            });
         }
-        // Feed the observation back so the cache notices drift: after
-        // every transfer that may replace (a clean one can still land far
-        // off its prediction) and after a race that needed a round.
-        let feedback = report.retries > 0 || !race && policy.retries > 0;
-        if feedback && report.elapsed > 0.0 {
-            self.record_observation(sd, dd, n, n as f64 / report.elapsed);
+        // Feed the whole transfer back against the plan it launched, so the
+        // cache notices drift: after every transfer that may replace (a
+        // clean one can still land far off its prediction) and after a race
+        // that needed a round.
+        if report.retries > 0 || !race && policy.retries > 0 {
+            let (launch, at) = (Launch::Transfer { hedge_won }, self.now());
+            let (predicted, measured) = (plan.predicted_time, report.elapsed);
+            self.observe(&Observation(pair, n, launch, predicted, measured, at));
         }
         Ok(report)
     }

@@ -179,6 +179,10 @@ fn mid_transfer_kill_completes_via_hedge() {
 
     assert!(report.retries >= 1, "kill must push past the hedge trigger");
     assert!(report.hedge_won, "the dead primary path cannot catch up");
+    // One margin sample: how far past the plan it launched the message landed.
+    let margin = ctx.hedge_win_hist();
+    assert_eq!(margin.count(), 1);
+    assert_eq!(margin.max(), report.elapsed - plan.predicted_time);
     assert!(report.recovered_bytes > 0);
     assert_eq!(dst.to_vec().unwrap(), data, "hedged bytes corrupted");
 
@@ -281,9 +285,10 @@ fn a_plain_put_measures_a_healthy_fabric() {
 
 /// A plain transfer resolves its plan once: attempt 0 launches the plan
 /// the transfer took its deadline from, interpreted or replayed, as a `put`
-/// launches the one it resolves. Each resolution is one plan-cost sample,
-/// and so is a clean resilient or hedged transfer: the drift check that
-/// follows a resilient one reads the plan without a sample of its own.
+/// launches the one it resolves. Each resolution is one plan-cost sample
+/// and one plan-table lookup, and so is a clean resilient or hedged
+/// transfer: the drift check that follows a resilient one reads the plan
+/// it launched, not the table.
 #[test]
 fn a_plain_transfer_resolves_its_plan_once() {
     for graph_replay in [false, true] {
@@ -301,13 +306,19 @@ fn a_plain_transfer_resolves_its_plan_once() {
             ("resilient", TransferPolicy::RESILIENT),
             ("hedged", TransferPolicy::HEDGED),
         ] {
-            let before = ctx.plan_cost_hist().count();
+            let lookups = || ctx.cache_stats().hits + ctx.cache_stats().misses;
+            let (before, looked_up) = (ctx.plan_cost_hist().count(), lookups());
             let report = drive(&ctx, ctx.transfer(&src, &dst, n, &policy)).expect("healthy fabric");
             assert_eq!(report.retries, 0, "{name}: a clean transfer");
             let plans = ctx.plan_cost_hist().count() - before;
             assert_eq!(
                 plans, 1,
                 "graph_replay={graph_replay}: a {name} transfer plans once"
+            );
+            assert_eq!(
+                lookups() - looked_up,
+                1,
+                "graph_replay={graph_replay}: a {name} transfer looks its plan up once"
             );
         }
         let before = ctx.plan_cost_hist().count();
